@@ -83,9 +83,11 @@ def _nonzero(value: Fraction, name: str, context: str) -> Fraction:
 
 
 def _ratio(num: Fraction, factors: Sequence[tuple[str, Fraction]], context: str) -> Fraction:
-    """num / prod(factors); a zero numerator short-circuits the denominator checks."""
-    if num == 0:
-        return Fraction(0)
+    """num / prod(factors), every factor checked even when num is zero.
+
+    A zero numerator over a vanishing factor is a 0/0 limit (beta = 1 at
+    N = 1, where beta+2N-3 vanishes); taking it as zero gives a wrong table.
+    """
     den = Fraction(1)
     for name, f in factors:
         den *= _nonzero(f, name, context)

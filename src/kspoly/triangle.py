@@ -77,6 +77,12 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     degree < N and (L - lambda_N) acts on a degree-d monomial as
     (lambda_d - lambda_N) times itself plus lower-degree terms, so the system
     is triangular by total degree and solved exactly by back-substitution.
+
+    Each step adds the degree-d layer ``top`` to P, and the residual is
+    updated by (L - lambda_N) applied to ``top`` alone.  L is linear and the
+    arithmetic is exact, so (L - lambda_N)(P + top) equals the old residual
+    plus (L - lambda_N) top term for term: every intermediate residual, and
+    hence every guard below, is the same as if L were re-applied to all of P.
     """
     _check_nmax(params, nmax)
     L = operator_L(params)
@@ -100,13 +106,11 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                top = {
-                    (i, j): -c / denom
-                    for (i, j), c in residual.items()
-                    if i + j == d
-                }
-                P = P + BivariatePoly(top)
-                residual = L.apply(P) - lam * P
+                top = BivariatePoly(
+                    {(i, j): -c / denom for (i, j), c in residual.items() if i + j == d}
+                )
+                P = P + top
+                residual = residual + (L.apply(top) - lam * top)
             entries[(m, n)] = P
     return Triangle(params, nmax, "oracle", entries)
 
@@ -196,14 +200,13 @@ def build_recurrence(
 def build_ladder(params: CaseParams, nmax: int) -> Triangle:
     """Climb the right edge with R+y, then cross each row with R+x."""
     _check_nmax(params, nmax)
+    ops = [raising_ops(params, N) for N in range(nmax)]  # (R+x, R+y) by degree
     entries: dict[tuple[int, int], BivariatePoly] = {(0, 0): ONE}
     for n in range(nmax):
-        _, ry = raising_ops(params, n)
-        entries[(0, n + 1)] = ry.apply(entries[(0, n)])
+        entries[(0, n + 1)] = ops[n][1].apply(entries[(0, n)])
     for n in range(nmax + 1):
         for m in range(1, nmax - n + 1):
-            rx, _ = raising_ops(params, m - 1 + n)
-            entries[(m, n)] = rx.apply(entries[(m - 1, n)])
+            entries[(m, n)] = ops[m - 1 + n][0].apply(entries[(m - 1, n)])
     return Triangle(params, nmax, "ladder", entries)
 
 

@@ -175,18 +175,23 @@ class DiffOp:
 
     def apply(self, p: BivariatePoly) -> BivariatePoly:
         """Apply the operator to a polynomial, exactly."""
+        p_terms = list(p.items())  # sorted once per call
         out: dict[tuple[int, int], Fraction] = {}
         for (i, j, k, l), c in self._terms.items():
-            for (a, b), pc in p.items():
+            for (a, b), pc in p_terms:
                 if a < k or b < l:
                     continue
-                inc = c * pc * perm(a, k) * perm(b, l)
+                inc = c * pc * (perm(a, k) * perm(b, l))
                 key = (a - k + i, b - l + j)
-                tot = out.get(key, Fraction(0)) + inc
-                if tot:
-                    out[key] = tot
+                tot = out.get(key)
+                if tot is None:
+                    out[key] = inc
                 else:
-                    out.pop(key, None)
+                    tot += inc
+                    if tot:
+                        out[key] = tot
+                    else:
+                        del out[key]
         return BivariatePoly(out)
 
     # -- serialization ----------------------------------------------------------

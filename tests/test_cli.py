@@ -51,6 +51,14 @@ def test_gen_transfer_precondition_failure(capsys):
     assert "fall back" in capsys.readouterr().err
 
 
+def test_gen_recurrence_rejects_beta_one(capsys):
+    # at beta = 1 the recurrence meets a 0/0 limit; it must not print x^2
+    # for P_{2,0}, whose true value is x^2 - 1/2
+    code = run("gen", "--case", "IX", "--beta", "1", "--method", "recurrence")
+    assert code == 2
+    assert "beta+2N-3 vanishes" in capsys.readouterr().err
+
+
 def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

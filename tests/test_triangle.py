@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+from kspoly import triangle
 from kspoly.algebra import ONE, X, Y
 from kspoly.catalog import (
     CASES,
@@ -15,7 +17,7 @@ from kspoly.catalog import (
     recurrence_step,
     sample_params,
 )
-from kspoly.errors import StencilError, TransferError
+from kspoly.errors import AdmissibilityError, KspolyError, StencilError, TransferError
 from kspoly.triangle import (
     _apply_step,
     build_ladder,
@@ -28,6 +30,7 @@ from kspoly.triangle import (
     triangle_to_json,
     triangle_to_latex,
 )
+from kspoly.weyl import DiffOp
 
 BUILDER_LIST = (build_oracle, build_recurrence, build_ladder, build_transfer)
 
@@ -175,6 +178,36 @@ def test_transfer_case_ix_level_two_path():
     # I3 P_{2,0} = -2 P_{1,1}, solved during the sweep
     assert t.entry(1, 1) == F(-1, 2) * i3.apply(t.entry(2, 0))
     assert t.entry(1, 1) == X * Y
+
+
+DEGENERATE_BETAS = (F(1), F(2), F(1, 2), F(3, 2))
+DEGENERATE_KAPPAS = (F(0), F(1), F(-1, 2))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_builders_match_oracle_or_raise_on_degenerate_lattice(case):
+    # integer and half-integer parameters, where the recurrence coefficients
+    # can meet 0/0 limits (beta = 1) that random sampling never reaches
+    kappas = [(F(0), F(0))] if case == "IX" else product(DEGENERATE_KAPPAS, repeat=2)
+    for beta, (k1, k2) in product(DEGENERATE_BETAS, kappas):
+        p = CaseParams(case, beta, k1, k2, 4)
+        oracle = build_oracle(p, 4)
+        for builder in (build_recurrence, build_ladder, build_transfer):
+            try:
+                table = builder(p, 4)
+            except KspolyError:
+                continue
+            assert table.same_polys(oracle), (builder.__name__, p)
+
+
+def test_oracle_guard_rejects_degree_raising_operator(monkeypatch):
+    true_L = triangle.operator_L
+    monkeypatch.setattr(
+        triangle, "operator_L", lambda p: true_L(p) + DiffOp.from_poly(X)
+    )
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 3)
+    with pytest.raises(AdmissibilityError, match="did not drop below"):
+        build_oracle(p, 3)
 
 
 def test_transfer_precondition_zero_kappa1():
