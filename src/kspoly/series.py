@@ -12,14 +12,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Union
 
-from .algebra import ONE, X, Y, BivariatePoly, Scalar, rising_factorial
+from .algebra import ONE, X, Y, BivariatePoly, Scalar, add_terms, rising_factorial, term_order
 from .catalog import CaseParams
 from .errors import ParameterError
-
-
-def _key(item):
-    (a, b), _ = item
-    return (a + b, -a)
 
 
 class Series2:
@@ -68,7 +63,7 @@ class Series2:
         return self._coeffs.get((a, b), BivariatePoly.zero())
 
     def items(self):
-        return iter(sorted(self._coeffs.items(), key=_key))
+        return iter(sorted(self._coeffs.items(), key=term_order))
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -99,15 +94,7 @@ class Series2:
         if not isinstance(other, Series2):
             return NotImplemented
         self._match(other)
-        out = dict(self._coeffs)
-        for k, p in other._coeffs.items():
-            q = out.get(k)
-            s = p if q is None else q + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return Series2(self.order, out)
+        return Series2(self.order, add_terms(self._coeffs, other._coeffs))
 
     def __neg__(self) -> "Series2":
         return Series2(self.order, {k: -p for k, p in self._coeffs.items()})

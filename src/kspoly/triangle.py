@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ONE, BivariatePoly, parse_rational
+from .algebra import ONE, BivariatePoly, parse_rational, signed_sum
 from .catalog import (
     CaseParams,
     RecurrenceStep,
@@ -339,19 +339,46 @@ def triangle_to_json(t: Triangle) -> dict:
     }
 
 
-def triangle_from_json(doc: dict) -> Triangle:
+def triangle_from_json(doc: object) -> Triangle:
+    """Read a triangle_to_json document back, rejecting a malformed one with a
+    ValueError that names the problem."""
+    if not isinstance(doc, dict):
+        raise ValueError("a triangle JSON document must be an object")
+    for key in ("case", "beta", "kappa1", "kappa2", "nmax", "polys"):
+        if key not in doc:
+            raise ValueError(f"triangle JSON lacks {key!r}")
+    for key in ("beta", "kappa1", "kappa2"):
+        if not isinstance(doc[key], str):
+            raise ValueError(f"{key} must be a rational string like \"7/2\", not {doc[key]!r}")
+    nmax = doc["nmax"]
+    if type(nmax) is not int or nmax < 0:
+        raise ValueError(f"nmax must be a nonnegative integer, not {nmax!r}")
+    if not isinstance(doc["polys"], list):
+        raise ValueError("polys must be a list of {m, n, terms} objects")
     params = CaseParams(
         doc["case"],
         parse_rational(doc["beta"]),
         parse_rational(doc["kappa1"]),
         parse_rational(doc["kappa2"]),
-        max(int(doc["nmax"]), 0),
+        nmax,
     )
-    entries = {
-        (int(rec["m"]), int(rec["n"])): BivariatePoly.from_records(rec["terms"])
-        for rec in doc["polys"]
-    }
-    return Triangle(params, int(doc["nmax"]), str(doc.get("method", "oracle")), entries)
+    t = Triangle(params, nmax, str(doc.get("method", "oracle")), {})
+    for rec in doc["polys"]:
+        try:
+            node = (rec["m"], rec["n"])
+            if node in t.entries:
+                raise ValueError(f"duplicate entry for (m,n)={node}")
+            t.entries[node] = BivariatePoly.from_records(rec["terms"])
+        except (KeyError, TypeError):
+            raise ValueError(f"malformed polys record {rec!r}") from None
+    nodes = t.nodes()
+    if set(t.entries) != set(nodes):
+        missing = [node for node in nodes if node not in t.entries]
+        extra = [node for node in t.entries if node not in nodes]
+        raise ValueError(
+            f"entries do not match nmax={nmax}: missing {missing}, outside {extra}"
+        )
+    return t
 
 
 def dumps_json(doc: dict) -> str:
@@ -377,27 +404,7 @@ def latex_rational(q: Fraction) -> str:
 
 
 def latex_poly(p: BivariatePoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for (i, j), c in sorted(p.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]), reverse=True):
-        mono = ""
-        if i:
-            mono += "x" if i == 1 else f"x^{{{i}}}"
-        if j:
-            mono += "y" if j == 1 else f"y^{{{j}}}"
-        if not mono:
-            body = latex_rational(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = latex_rational(abs(c)) + " " + mono
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return signed_sum(reversed(list(p.items())), "xy", latex_rational, " ", power="{}^{{{}}}")
 
 
 def triangle_to_latex(t: Triangle) -> str:

@@ -33,13 +33,7 @@ from .series import (
     genfun,
     genfun_derivative_residuals,
 )
-from .triangle import (
-    Triangle,
-    build_ladder,
-    build_oracle,
-    build_recurrence,
-    build_transfer,
-)
+from .triangle import BUILDERS, Triangle, build_oracle, build_recurrence
 from .weyl import DiffOp
 
 
@@ -437,21 +431,16 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
     report = VerificationReport(params.case_id, params)
     oracle = build_oracle(params, nmax)
     triangles = {"oracle": oracle}
-    try:
-        triangles["recurrence"] = build_recurrence(params, nmax)
-    except KspolyError as exc:
-        report.add("build-recurrence", False, {"error": str(exc)})
-    try:
-        triangles["ladder"] = build_ladder(params, nmax)
-    except KspolyError as exc:
-        report.add("build-ladder", False, {"error": str(exc)})
-    try:
-        triangles["transfer"] = build_transfer(params, nmax)
-    except TransferError as exc:
-        # documented precondition miss: fall back silently to other builders
-        report.add("build-transfer(skipped)", True, {"note": str(exc)})
-    except KspolyError as exc:
-        report.add("build-transfer", False, {"error": str(exc)})
+    for name, build in BUILDERS.items():
+        if name == "oracle":
+            continue
+        try:
+            triangles[name] = build(params, nmax)
+        except TransferError as exc:
+            # documented precondition miss: fall back silently to other builders
+            report.add(f"build-{name}(skipped)", True, {"note": str(exc)})
+        except KspolyError as exc:
+            report.add(f"build-{name}", False, {"error": str(exc)})
     for name, t in triangles.items():
         if name == "oracle":
             continue

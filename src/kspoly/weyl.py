@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
-from typing import Iterator, Mapping
 
-from .algebra import BivariatePoly, Scalar, parse_rational
+from .algebra import BivariatePoly, Terms, signed_sum
 
 Key = tuple[int, int, int, int]
 
@@ -23,28 +22,15 @@ def _op_key(item: tuple[Key, Fraction]) -> tuple[int, ...]:
     return (k + l, i + j, i, j, k, l)
 
 
-class DiffOp:
+class DiffOp(Terms):
     """An element of the Weyl algebra in x, y with rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Key, Scalar] | None = None):
-        clean: dict[Key, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                i, j, k, l = key
-                if min(i, j, k, l) < 0:
-                    raise ValueError(f"negative index in term {key}")
-                c = Fraction(c)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-        self._terms = {k: v for k, v in clean.items() if v}
+    FIELDS = ("i", "j", "k", "l")
+    _order = staticmethod(_op_key)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "DiffOp":
-        return cls()
 
     @classmethod
     def identity(cls) -> "DiffOp":
@@ -65,15 +51,6 @@ class DiffOp:
         """p(x, y) * d_x^k d_y^l, the building block for assembling operators."""
         return cls({(i, j, k, l): c for (i, j), c in p.items()})
 
-    # -- inspection --------------------------------------------------------
-
-    def items(self) -> Iterator[tuple[Key, Fraction]]:
-        """Terms in canonical graded order."""
-        return iter(sorted(self._terms.items(), key=_op_key))
-
-    def coefficient(self, i: int, j: int, k: int, l: int) -> Fraction:
-        return self._terms.get((i, j, k, l), Fraction(0))
-
     @property
     def order(self) -> int:
         """Maximal derivative order; -1 for the zero operator."""
@@ -81,50 +58,7 @@ class DiffOp:
             return -1
         return max(k + l for (_, _, k, l) in self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _wrap(out)
-
-    def __neg__(self) -> "DiffOp":
-        return _wrap({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def __mul__(self, other: Scalar) -> "DiffOp":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        c = Fraction(other)
-        if not c:
-            return DiffOp()
-        return _wrap({key: v * c for key, v in self._terms.items()})
-
-    def __rmul__(self, other: Scalar) -> "DiffOp":
-        return self.__mul__(other)
+    __add__ = Terms._add
 
     # -- composition ---------------------------------------------------------
 
@@ -153,7 +87,7 @@ class DiffOp:
                             out[key] = tot
                         else:
                             out.pop(key, None)
-        return _wrap(out)
+        return self._wrap(out)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return (self @ other) - (other @ self)
@@ -169,7 +103,7 @@ class DiffOp:
                     out[key] = tot
                 else:
                     out.pop(key, None)
-        return _wrap(out)
+        return self._wrap(out)
 
     # -- action ---------------------------------------------------------------
 
@@ -192,52 +126,7 @@ class DiffOp:
                         out[key] = tot
                     else:
                         del out[key]
-        return BivariatePoly(out)
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_records(self) -> list[dict[str, object]]:
-        return [
-            {"i": i, "j": j, "k": k, "l": l, "c": str(c)}
-            for (i, j, k, l), c in self.items()
-        ]
-
-    @classmethod
-    def from_records(cls, records: list[dict[str, object]]) -> "DiffOp":
-        return cls(
-            {
-                (int(r["i"]), int(r["j"]), int(r["k"]), int(r["l"])): parse_rational(
-                    str(r["c"])
-                )
-                for r in records
-            }
-        )
+        return BivariatePoly._wrap(out)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (i, j, k, l), c in self.items():
-            factors = []
-            if abs(c) != 1 or (i, j, k, l) == (0, 0, 0, 0):
-                factors.append(str(abs(c)))
-            for sym, e in (("x", i), ("y", j), ("Dx", k), ("Dy", l)):
-                if e == 1:
-                    factors.append(sym)
-                elif e > 1:
-                    factors.append(f"{sym}^{e}")
-            parts.append(("-" if c < 0 else "+", "*".join(factors)))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __repr__(self) -> str:
-        return f"DiffOp({self})"
-
-
-def _wrap(terms: dict[Key, Fraction]) -> DiffOp:
-    op = DiffOp.__new__(DiffOp)
-    op._terms = terms
-    return op
+        return signed_sum(self.items(), ("x", "y", "Dx", "Dy"), join="*")

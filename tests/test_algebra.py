@@ -161,8 +161,3 @@ def test_fraction_inverse(a, b):
     if a and b:
         assert (a / b) * (b / a) == 1
 
-
-@given(polys, st.integers(-8, 8), st.integers(-8, 8))
-def test_evaluation_is_ring_hom(p, xv, yv):
-    q = p * p + 2 * p
-    assert q.evaluate(xv, yv) == p.evaluate(xv, yv) ** 2 + 2 * p.evaluate(xv, yv)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import kspoly.verify
 from kspoly.cli import main
 from kspoly.verify import perturb_term
@@ -93,6 +95,15 @@ def test_check_ix_reports_quadratic_relations(tmp_path):
     assert {"quadratic-1", "quadratic-2"} <= names
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_check_rejects_vacuous_run(tmp_path, capsys, trials):
+    report = tmp_path / "r.json"
+    assert run("check", "--case", "I", "--trials", trials, "--skip-certify",
+               "--output", str(report)) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_check_unknown_case(capsys):
     assert run("check", "--case", "VII", "--trials", "1") == 2
     assert "unknown case" in capsys.readouterr().err
@@ -154,3 +165,39 @@ def test_export_missing_file(capsys, tmp_path):
     assert run("export", "--input", str(tmp_path / "nope.json"),
                "--format", "csv") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _drop_entry(doc):
+    doc["polys"] = [p for p in doc["polys"] if (p["m"], p["n"]) != (0, 3)]
+    return doc
+
+
+def _fractional_exponent(doc):
+    # must be rejected, not truncated to x^1
+    doc["polys"][1]["terms"][0]["i"] = 1.5
+    return doc
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_entry, "missing [(0, 3)]"),
+        (lambda d: {**d, "nmax": -1}, "nmax must be a nonnegative integer"),
+        (lambda d: {**d, "nmax": 2}, "outside [(3, 0), (2, 1), (1, 2), (0, 3)]"),
+        (lambda d: {**d, "polys": d["polys"] + d["polys"][:1]}, "duplicate entry"),
+        (lambda d: {**d, "polys": "x"}, "polys must be a list"),
+        (_fractional_exponent, "indices must be unique integers"),
+        (lambda d: {**d, "beta": 3}, "beta must be a rational string"),
+        (lambda d: [d], "must be an object"),
+    ],
+    ids=["missing", "negative-nmax", "short-nmax", "duplicate", "polys-string",
+         "fractional-exponent", "numeric-beta", "list"],
+)
+def test_export_rejects_malformed_table(tmp_path, capsys, corrupt, message):
+    src = tmp_path / "t.json"
+    assert run("gen", "--case", "IX", "--beta", "3", "--nmax", "3",
+               "--output", str(src)) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(src.read_text()))))
+    assert run("export", "--input", str(bad), "--format", "csv") == 2
+    assert message in capsys.readouterr().err
