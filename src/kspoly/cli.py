@@ -17,7 +17,7 @@ from .catalog import CASES, CaseParams, commuting_ops, operator_L, sample_params
 from .errors import KspolyError
 from .series import GENFUN_CASES, extract_polys, genfun
 from .triangle import BUILDERS, FORMATTERS, dumps_json, triangle_from_json
-from .verify import certify_parameter_polynomial_identity, full_suite
+from .verify import certify_commutator, full_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -123,12 +123,11 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print(f"  FAIL {failure.name}: {failure.detail}")
             documents.append(report.to_json())
         if not args.skip_certify:
-            result = certify_parameter_polynomial_identity(
-                lambda q: operator_L(q).commutator(commuting_ops(q)[0]),
+            result = certify_commutator(
+                operator_L,
+                lambda q: commuting_ops(q)[0],
                 case,
                 f"certify[{case}] [L,I1]=0",
-                sample_count=9,
-                degree_bound=8,
                 nmax_hint=max(args.nmax, args.order),
             )
             all_passed &= result.passed

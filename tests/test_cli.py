@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import kspoly.cli
 import kspoly.verify
 from kspoly.cli import main
 from kspoly.verify import perturb_term
@@ -83,6 +84,34 @@ def test_check_single_case(tmp_path):
 def test_check_with_certification():
     assert run("check", "--case", "VIII", "--nmax", "3", "--order", "3",
                "--trials", "1", "--seed", "3") == 0
+
+
+def test_check_all_cases_with_certification(tmp_path):
+    report = tmp_path / "report.json"
+    assert run("check", "--case", "all", "--trials", "1", "--seed", "7",
+               "--output", str(report)) == 0
+    doc = json.loads(report.read_text())
+    certify = [c for r in doc["reports"] for c in r["checks"]
+               if c["check"].startswith("certify[")]
+    assert [(c["case"], c["status"]) for c in certify] == [
+        (case, "pass") for case in ("I", "II", "III", "V", "VIII", "IX")
+    ]
+
+
+def test_check_certify_failure(monkeypatch, tmp_path, capsys):
+    # corrupt only the I1 that certify sees; full_suite keeps the true catalog
+    true_ops = kspoly.cli.commuting_ops
+    monkeypatch.setattr(
+        kspoly.cli, "commuting_ops",
+        lambda p: (perturb_term(true_ops(p)[0], 0),) + true_ops(p)[1:],
+    )
+    report = tmp_path / "report.json"
+    assert run("check", "--case", "V", "--nmax", "3", "--order", "3",
+               "--trials", "1", "--output", str(report)) == 1
+    out = capsys.readouterr().out
+    assert "PASS" in out.splitlines()[0]
+    assert "certify[V] [L,I1]=0: FAIL" in out
+    assert json.loads(report.read_text())["passed"] is False
 
 
 def test_check_ix_reports_quadratic_relations(tmp_path):

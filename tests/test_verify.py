@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import kspoly.verify
 from kspoly.catalog import (
     CASES,
     CaseParams,
@@ -10,9 +12,11 @@ from kspoly.catalog import (
     operator_L,
     sample_params,
 )
+from kspoly.errors import ParameterDegreeError
 from kspoly.triangle import build_oracle
 from kspoly.verify import (
     catalog_operator_set,
+    certify_commutator,
     certify_parameter_polynomial_identity,
     check_action_formulas,
     check_eigen,
@@ -25,8 +29,10 @@ from kspoly.verify import (
     full_suite,
     mutated_operator_set,
     mutation_battery,
+    parameter_degrees,
     perturb_term,
 )
+from kspoly.weyl import DiffOp
 from kspoly.series import extract_polys, genfun
 
 
@@ -187,6 +193,112 @@ def test_certify_requires_enough_samples():
         certify_parameter_polynomial_identity(
             lambda q: operator_L(q), "II", "x", sample_count=8, degree_bound=8
         )
+
+
+# -- certification on the derived grid ------------------------------------------
+
+
+def _operands(case):
+    """operator_L and every commuting_ops member, as maps of the parameters."""
+    count = len(commuting_ops(sample_params(case, random.Random(0))))
+    return [operator_L] + [lambda q, k=k: commuting_ops(q)[k] for k in range(count)]
+
+
+def _i1(q):
+    return commuting_ops(q)[0]
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """Record the grid and every grid point each certify call evaluates."""
+    calls = []
+    true_certify = kspoly.verify.certify_parameter_polynomial_identity
+
+    def spy(identity, *args, **kwargs):
+        call = {"kwargs": kwargs, "points": 0}
+        calls.append(call)
+
+        def counted(q):
+            call["points"] += 1
+            return identity(q)
+
+        return true_certify(counted, *args, **kwargs)
+
+    monkeypatch.setattr(kspoly.verify, "certify_parameter_polynomial_identity", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_catalog_operands_are_affine_in_the_parameters(case):
+    # the premise of the certify bound, by the helper and by direct second
+    # differences at random points and steps the helper never uses
+    axes = ("beta",) if case == "IX" else ("beta", "kappa1", "kappa2")
+    rng = random.Random(sum(map(ord, case)) + 5)
+    for operand in _operands(case):
+        degrees = parameter_degrees(operand, case)
+        assert len(degrees) == len(axes) and max(degrees) <= 1
+        for _ in range(3):
+            q = sample_params(case, rng)
+            h = F(rng.randrange(1, 9), rng.choice((2, 3, 5)))
+            for axis in axes:
+                value = getattr(q, axis)
+                a, b, c = (
+                    operand(dataclasses.replace(q, **{axis: value + t * h}))
+                    for t in (0, 1, 2)
+                )
+                assert (a - 2 * b + c).is_zero(), (case, axis)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_commutator_certified_on_degree_two_grid(case, certify_calls):
+    result = certify_commutator(operator_L, _i1, case, "[L,I1]=0")
+    assert result.passed
+    (call,) = certify_calls
+    assert call["kwargs"]["degree_bound"] == 2
+    assert call["kwargs"]["sample_count"] == 3
+    assert call["points"] == (3 if case == "IX" else 27)
+
+
+def test_rational_operand_is_rejected(certify_calls):
+    def with_reciprocal(q):
+        return operator_L(q) + DiffOp({(0, 0, 1, 0): 1 / q.beta})
+
+    for case in ("II", "IX"):
+        with pytest.raises(ParameterDegreeError, match="beta"):
+            parameter_degrees(with_reciprocal, case)
+        with pytest.raises(ParameterDegreeError):
+            certify_commutator(with_reciprocal, _i1, case, "[L',I1]=0")
+    assert certify_calls == []
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_derived_grid_detects_perturbations(case):
+    for i in range(4):
+        result = certify_commutator(
+            operator_L, lambda q: perturb_term(_i1(q), i), case, f"[L,I1+e{i}]=0"
+        )
+        assert result.status == "fail", i
+        assert result.detail["residual"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_derived_grid_detects_degree_two_perturbation(case, certify_calls):
+    # x d_x commutes with no catalog L, so I1 + w x d_x breaks [L, I1] = 0
+    # for any weight w != 0.  With w = beta^2 the derived grid must grow to
+    # 4 beta values; w = beta kappa1 is still affine in each parameter, and
+    # the 3-value grid must catch it.
+    euler = DiffOp({(1, 0, 1, 0): 1})
+    assert not operator_L(sample_params(case, random.Random(1))).commutator(euler).is_zero()
+    perturbations = [lambda q: q.beta * q.beta]
+    if case != "IX":
+        perturbations.append(lambda q: q.beta * q.kappa1)
+    for weight in perturbations:
+        result = certify_commutator(
+            operator_L, lambda q: _i1(q) + weight(q) * euler, case, "[L,I1+e]=0"
+        )
+        assert result.status == "fail"
+    bounds = [call["kwargs"]["degree_bound"] for call in certify_calls]
+    assert bounds == [3, 2][: len(perturbations)]
 
 
 # -- mutation sensitivity -----------------------------------------------------------
