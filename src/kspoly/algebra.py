@@ -1,23 +1,22 @@
 """Exact rational scalars and sparse bivariate polynomials.
 
-Every coefficient in this package is a ``fractions.Fraction``: arithmetic is
-exact, values are stored in lowest terms with positive denominator, and
-``str()`` round-trips through the "p/q" wire format used by the exporters.
+Every coefficient in this package is exact: a ``fractions.Fraction`` in
+lowest terms at the API, whose ``str()`` round-trips through the "p/q" wire
+format used by the exporters.  The sparse kernel ``Terms`` stores integer
+numerators over one common denominator, so its arithmetic runs on ints and
+reduces each result with one gcd (fraction-free, after Bareiss 1968).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import perm
+from math import gcd, lcm, perm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-_ZERO = Fraction(0)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q". Decimal strings are rejected: exactness end to end."""
@@ -57,7 +56,7 @@ def add_terms(a: Mapping, b: Mapping) -> dict:
     """Sparse sum of two coefficient maps; a key whose sum vanishes is dropped.
 
     Values must be nonzero and support ``+`` and truth testing, so the same
-    code adds Fraction coefficients and polynomial series coefficients.
+    code adds integer numerators and polynomial series coefficients.
     """
     out = dict(a)
     for key, c in b.items():
@@ -71,6 +70,14 @@ def add_terms(a: Mapping, b: Mapping) -> dict:
             else:
                 del out[key]
     return out
+
+
+def _scaled(num: dict, s: int) -> dict:
+    return num if s == 1 else {key: c * s for key, c in num.items()}
+
+
+def drop_zeros(num: dict) -> dict:
+    return {key: c for key, c in num.items() if c}
 
 
 def signed_sum(
@@ -107,15 +114,18 @@ def signed_sum(
 
 
 class Terms:
-    """Sparse map from index tuples to nonzero Fraction coefficients.
+    """Sparse map from index tuples to nonzero rational coefficients.
 
-    The shared linear structure of polynomials and differential operators.
-    A subclass names its indices in FIELDS (used by the records) and gives
-    the canonical term order in ``_order``, a sort key on (key, coefficient)
-    items.  Instances are immutable: every operation returns a fresh object.
+    The shared linear structure of polynomials and differential operators,
+    stored as int numerators ``_num`` over one denominator ``_den`` in lowest
+    terms (``_den > 0``, ``gcd(_den, *_num.values()) == 1``, ``_den == 1`` for
+    zero), so equal values have equal storage.  A subclass names its indices
+    in FIELDS (used by the records) and gives the canonical term order in
+    ``_order``, a sort key on (key, coefficient) items.  Instances are
+    immutable: every operation returns a fresh object.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     FIELDS: tuple[str, ...]
     _order: Callable[[tuple[tuple[int, ...], Fraction]], tuple]
@@ -130,13 +140,21 @@ class Terms:
                 c = Fraction(c)
                 if c:
                     clean[key] = c
-        self._terms = clean
+        # lowest-terms Fractions over the lcm of their denominators: canonical
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _wrap(cls, terms: dict):
-        # internal: terms are already clean (no zeros, valid indices)
+    def _wrap(cls, num: dict, den: int = 1):
+        # internal: num / den with nonzero ints under valid keys and den > 0
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: c // g for key, c in num.items()}
+            den //= g
         obj = cls.__new__(cls)
-        obj._terms = terms
+        obj._num = num
+        obj._den = den
         return obj
 
     @classmethod
@@ -147,27 +165,28 @@ class Terms:
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         """Terms in canonical order."""
-        return iter(sorted(self._terms.items(), key=self._order))
+        den = self._den
+        return ((key, Fraction(c, den)) for key, c in sorted(self._num.items(), key=self._order))
 
     def coefficient(self, *key: int) -> Fraction:
-        return self._terms.get(key, _ZERO)
+        return Fraction(self._num.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- linear structure --------------------------------------------------
 
@@ -176,10 +195,14 @@ class Terms:
         # tracer looks the method up
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._wrap(add_terms(self._terms, other._terms))
+        a, b, da, db = self._num, other._num, self._den, other._den
+        if da != db:  # both over lcm(da, db)
+            g = gcd(da, db)
+            a, b, da = _scaled(a, db // g), _scaled(b, da // g), da * (db // g)
+        return self._wrap(add_terms(a, b), da)
 
     def __neg__(self):
-        return self._wrap({key: -c for key, c in self._terms.items()})
+        return self._wrap({key: -c for key, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -187,10 +210,9 @@ class Terms:
     def __mul__(self, other: Scalar):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        c = Fraction(other)
-        if not c:
+        if not other:
             return self._wrap({})
-        return self._wrap({key: v * c for key, v in self._terms.items()})
+        return self._wrap(_scaled(self._num, other.numerator), self._den * other.denominator)
 
     def __rmul__(self, other: Scalar):
         return self.__mul__(other)
@@ -218,7 +240,7 @@ class Terms:
 class BivariatePoly(Terms):
     """Sparse polynomial in x and y over the rationals.
 
-    Terms map exponent pairs (i, j) to nonzero Fraction coefficients; the
+    Terms map exponent pairs (i, j) to nonzero rational coefficients; the
     zero polynomial stores nothing and reports degree -1.
     """
 
@@ -248,9 +270,9 @@ class BivariatePoly(Terms):
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(i + j for (i, j) in self._terms)
+        return max(i + j for (i, j) in self._num)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -259,16 +281,12 @@ class BivariatePoly(Terms):
     def __mul__(self, other: Union["BivariatePoly", Scalar]) -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
             return Terms.__mul__(self, other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self._num.items():
+            for (i2, j2), c2 in other._num.items():
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return self._wrap(out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return self._wrap(drop_zeros(out), self._den * other._den)
 
     def __pow__(self, n: int) -> "BivariatePoly":
         if n < 0:
@@ -286,17 +304,22 @@ class BivariatePoly(Terms):
             raise ValueError("derivative order must be nonnegative")
         if order == 0:
             return self
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in self._num.items():
             e = i if var == "x" else j
             if e < order:
                 continue
             scale = perm(e, order)  # e(e-1)...(e-order+1)
             key = (i - order, j) if var == "x" else (i, j - order)
             out[key] = c * scale
-        return self._wrap(out)
+        return self._wrap(out, self._den)
 
     # -- structural maps ---------------------------------------------------
+
+    def scaled_part(self, d: int, c: Scalar) -> "BivariatePoly":
+        """c times the terms of total degree d, in one pass over the numerators."""
+        num = {(i, j): a * c.numerator for (i, j), a in self._num.items() if i + j == d and c}
+        return self._wrap(num, self._den * c.denominator)
 
     def negate_var(self, var: str) -> "BivariatePoly":
         """p(-x, y) for var 'x', p(x, -y) for var 'y'."""
@@ -304,21 +327,21 @@ class BivariatePoly(Terms):
             raise ValueError(f"unknown variable {var!r}")
         pos = 0 if var == "x" else 1
         return self._wrap(
-            {key: (-c if key[pos] % 2 else c) for key, c in self._terms.items()}
+            {key: (-c if key[pos] % 2 else c) for key, c in self._num.items()}, self._den
         )
 
     def swap_vars(self) -> "BivariatePoly":
         """p(y, x)."""
-        return self._wrap({(j, i): c for (i, j), c in self._terms.items()})
+        return self._wrap({(j, i): c for (i, j), c in self._num.items()}, self._den)
 
     def halve_even_exponents(self) -> "BivariatePoly":
         """q with q(u, v) = p(sqrt(u), sqrt(v)); every exponent must be even."""
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for (i, j), c in self._num.items():
             if i % 2 or j % 2:
                 raise ValueError(f"odd exponent ({i}, {j}) cannot be halved")
             out[(i // 2, j // 2)] = c
-        return self._wrap(out)
+        return self._wrap(out, self._den)
 
     def __str__(self) -> str:
         # display with the highest degree first

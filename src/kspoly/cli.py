@@ -99,6 +99,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise KspolyError(f"--trials must be at least 1, not {args.trials}")
+    if args.order < 0:
+        raise KspolyError(f"--order must be nonnegative, not {args.order}")
     cases = list(CASES) if args.case == "all" else [args.case]
     for case in cases:
         if case not in CASES:

@@ -78,9 +78,7 @@ class Series2:
             raise ValueError(
                 f"cannot extend a truncation from order {self.order} to {order}"
             )
-        return Series2(
-            order, {k: p for k, p in self._coeffs.items() if k[0] + k[1] <= order}
-        )
+        return _truncation(order, self._coeffs)
 
     # -- ring operations -------------------------------------------------------
 
@@ -110,17 +108,11 @@ class Series2:
             out: dict[tuple[int, int], BivariatePoly] = {}
             for (a1, b1), p1 in self._coeffs.items():
                 for (a2, b2), p2 in other._coeffs.items():
-                    a, b = a1 + a2, b1 + b2
-                    if a + b > self.order:
-                        continue
-                    prod = p1 * p2
-                    q = out.get((a, b))
-                    s = prod if q is None else q + prod
-                    if s.is_zero():
-                        out.pop((a, b), None)
-                    else:
-                        out[(a, b)] = s
-            return Series2(self.order, out)
+                    key = (a1 + a2, b1 + b2)
+                    if key[0] + key[1] <= self.order:
+                        q = out.get(key)
+                        out[key] = p1 * p2 if q is None else q + p1 * p2
+            return Series2(self.order, out)  # drops the sums that cancelled
         if isinstance(other, (BivariatePoly, int, Fraction)):
             return Series2(
                 self.order, {k: p * other for k, p in self._coeffs.items()}

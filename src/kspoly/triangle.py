@@ -106,9 +106,7 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                top = BivariatePoly(
-                    {(i, j): -c / denom for (i, j), c in residual.items() if i + j == d}
-                )
+                top = residual.scaled_part(d, -1 / denom)
                 P = P + top
                 residual = residual + (L.apply(top) - lam * top)
             entries[(m, n)] = P
@@ -187,7 +185,8 @@ def build_recurrence(
             c = T - a
             axis, source = _recurrence_route(params.case_id, a, c)
             step = recurrence_step(params, axis, *source)
-            assert step.target == (a, c)
+            if step.target != (a, c):
+                raise StencilError(f"route to ({a},{c}) reads the step {source} -> {step.target}")
             entries[(a, c)] = _apply_step(step, entries, axis, access_log)
     return Triangle(params, nmax, "recurrence", entries)
 

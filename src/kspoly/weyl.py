@@ -2,8 +2,9 @@
 
 A term (i, j, k, l) -> c stands for c * x^i y^j d_x^k d_y^l, with every
 multiplication operator to the left of every derivative.  The normal form
-is unique, so two operators are equal exactly when their term dictionaries
-are equal; all identity checks in this package reduce to that comparison.
+is unique, and so is the stored form (integer numerators over one reduced
+common denominator), so two operators are equal exactly when their storage
+is equal; all identity checks in this package reduce to that comparison.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, perm
 
-from .algebra import BivariatePoly, Terms, signed_sum
+from .algebra import BivariatePoly, Terms, drop_zeros, signed_sum
 
 Key = tuple[int, int, int, int]
 
@@ -39,7 +40,7 @@ class DiffOp(Terms):
     @classmethod
     def from_poly(cls, p: BivariatePoly) -> "DiffOp":
         """The multiplication operator f -> p*f."""
-        return cls({(i, j, 0, 0): c for (i, j), c in p.items()})
+        return cls._wrap({(i, j, 0, 0): c for (i, j), c in p._num.items()}, p._den)
 
     @classmethod
     def partial(cls, k: int, l: int) -> "DiffOp":
@@ -49,14 +50,14 @@ class DiffOp(Terms):
     @classmethod
     def coeff_term(cls, p: BivariatePoly, k: int, l: int) -> "DiffOp":
         """p(x, y) * d_x^k d_y^l, the building block for assembling operators."""
-        return cls({(i, j, k, l): c for (i, j), c in p.items()})
+        return cls._wrap({(i, j, k, l): c for (i, j), c in p._num.items()}, p._den)
 
     @property
     def order(self) -> int:
         """Maximal derivative order; -1 for the zero operator."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(k + l for (_, _, k, l) in self._terms)
+        return max(k + l for (_, _, k, l) in self._num)
 
     __add__ = Terms._add
 
@@ -72,61 +73,43 @@ class DiffOp(Terms):
         """
         if not isinstance(other, DiffOp):
             return NotImplemented
-        out: dict[Key, Fraction] = {}
-        for (i1, j1, k1, l1), c1 in self._terms.items():
-            for (i2, j2, k2, l2), c2 in other._terms.items():
+        out: dict[Key, int] = {}
+        for (i1, j1, k1, l1), c1 in self._num.items():
+            for (i2, j2, k2, l2), c2 in other._num.items():
                 base = c1 * c2
                 for r in range(min(k1, i2) + 1):
                     cr = comb(k1, r) * perm(i2, r)
                     for s in range(min(l1, j2) + 1):
                         cs = comb(l1, s) * perm(j2, s)
                         key = (i1 + i2 - r, j1 + j2 - s, k1 - r + k2, l1 - s + l2)
-                        inc = base * cr * cs
-                        tot = out.get(key, Fraction(0)) + inc
-                        if tot:
-                            out[key] = tot
-                        else:
-                            out.pop(key, None)
-        return self._wrap(out)
+                        out[key] = out.get(key, 0) + base * cr * cs
+        return self._wrap(drop_zeros(out), self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return (self @ other) - (other @ self)
 
     def left_mul(self, p: BivariatePoly) -> "DiffOp":
         """p * self as an operator (coefficient multiplication from the left)."""
-        out: dict[Key, Fraction] = {}
-        for (a, b), pc in p.items():
-            for (i, j, k, l), c in self._terms.items():
+        out: dict[Key, int] = {}
+        for (a, b), pc in p._num.items():
+            for (i, j, k, l), c in self._num.items():
                 key = (i + a, j + b, k, l)
-                tot = out.get(key, Fraction(0)) + pc * c
-                if tot:
-                    out[key] = tot
-                else:
-                    out.pop(key, None)
-        return self._wrap(out)
+                out[key] = out.get(key, 0) + pc * c
+        return self._wrap(drop_zeros(out), p._den * self._den)
 
     # -- action ---------------------------------------------------------------
 
     def apply(self, p: BivariatePoly) -> BivariatePoly:
         """Apply the operator to a polynomial, exactly."""
-        p_terms = list(p.items())  # sorted once per call
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j, k, l), c in self._terms.items():
+        p_terms = p._num.items()
+        out: dict[tuple[int, int], int] = {}
+        for (i, j, k, l), c in self._num.items():
             for (a, b), pc in p_terms:
                 if a < k or b < l:
                     continue
-                inc = c * pc * (perm(a, k) * perm(b, l))
                 key = (a - k + i, b - l + j)
-                tot = out.get(key)
-                if tot is None:
-                    out[key] = inc
-                else:
-                    tot += inc
-                    if tot:
-                        out[key] = tot
-                    else:
-                        del out[key]
-        return BivariatePoly._wrap(out)
+                out[key] = out.get(key, 0) + c * pc * (perm(a, k) * perm(b, l))
+        return BivariatePoly._wrap(drop_zeros(out), self._den * p._den)
 
     def __str__(self) -> str:
         return signed_sum(self.items(), ("x", "y", "Dx", "Dy"), join="*")

@@ -133,6 +133,18 @@ def test_check_rejects_vacuous_run(tmp_path, capsys, trials):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("case, certify", [("I", "--skip-certify"), ("all", None)])
+def test_check_rejects_negative_order(tmp_path, capsys, case, certify):
+    # at the parent, case I printed PASS and 'all' failed late in case V
+    report = tmp_path / "r.json"
+    argv = ["check", "--case", case, "--trials", "1", "--order", "-1", "--output", str(report)]
+    assert run(*argv, *([certify] if certify else [])) == 2
+    out, err = capsys.readouterr()
+    assert "--order must be nonnegative" in err
+    assert out == ""
+    assert not report.exists()
+
+
 def test_check_unknown_case(capsys):
     assert run("check", "--case", "VII", "--trials", "1") == 2
     assert "unknown case" in capsys.readouterr().err

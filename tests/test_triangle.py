@@ -246,6 +246,17 @@ def test_recurrence_touches_only_stencil_offsets(case):
         assert offset in STENCILS[(case, axis)], (axis, offset)
 
 
+def test_recurrence_rejects_a_route_to_the_wrong_target(monkeypatch):
+    # a route table that names the mirror target's source must raise, not
+    # write that step's polynomial under this target (an assert would be
+    # stripped by python -O)
+    true_route = triangle._recurrence_route
+    monkeypatch.setattr(triangle, "_recurrence_route", lambda case, a, c: true_route(case, c, a))
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 4)
+    with pytest.raises(StencilError, match=r"route to \(2,0\) reads the step \(0, 1\) -> \(0, 2\)"):
+        build_recurrence(p, 4)
+
+
 def test_out_of_range_nonzero_coefficient_raises():
     fake = RecurrenceStep((1, 0), (0, 0), X, ((-1, 0, F(1)),))
     with pytest.raises(StencilError):

@@ -1,11 +1,23 @@
 from fractions import Fraction as F
+from math import comb, perm
+from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kspoly.algebra import ONE, X, BivariatePoly
+from kspoly.algebra import ONE, X, Y, BivariatePoly
+from kspoly.catalog import CASES, operator_L, sample_params
 from kspoly.weyl import DiffOp
+from test_algebra import (
+    COPRIME,
+    SHARED,
+    accumulate,
+    assert_canonical,
+    coeffs,
+    ref_add,
+    ref_scale,
+)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 poly_exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -134,3 +146,82 @@ def test_jacobi_identity(a, b, c):
 def test_rejects_negative_indices():
     with pytest.raises(ValueError):
         DiffOp({(0, 0, -1, 0): F(1)})
+
+
+# -- the integer kernel against Fraction reference loops -------------------------
+#
+# The Fraction-dict loops the integer-numerator kernel replaced; apply, @ and
+# left_mul must give exactly their coefficients, in canonical storage.
+
+
+def ref_apply(op, p):
+    out = {}
+    for (i, j, k, l), c in op.items():
+        for (a, b), pc in p.items():
+            if a >= k and b >= l:
+                inc = c * pc * perm(a, k) * perm(b, l)
+                accumulate(out, (a - k + i, b - l + j), inc)
+    return out
+
+
+def ref_compose(left, right):
+    out = {}
+    for (i1, j1, k1, l1), c1 in left.items():
+        for (i2, j2, k2, l2), c2 in right.items():
+            for r in range(min(k1, i2) + 1):
+                for s in range(min(l1, j2) + 1):
+                    inc = c1 * c2 * comb(k1, r) * perm(i2, r) * comb(l1, s) * perm(j2, s)
+                    key = (i1 + i2 - r, j1 + j2 - s, k1 - r + k2, l1 - s + l2)
+                    accumulate(out, key, inc)
+    return out
+
+
+def ref_left_mul(op, p):
+    out = {}
+    for (a, b), pc in p.items():
+        for (i, j, k, l), c in op.items():
+            accumulate(out, (i + a, j + b, k, l), pc * c)
+    return out
+
+
+def check_kernel(a, b, p):
+    ta, tb, tp = coeffs(a), coeffs(b), coeffs(p)
+    cases = [
+        (a.apply(p), ref_apply(ta, tp)),
+        (a @ b, ref_compose(ta, tb)),
+        (a.left_mul(p), ref_left_mul(ta, tp)),
+        (a.commutator(b), ref_add(ref_compose(ta, tb), ref_scale(ref_compose(tb, ta), -1))),
+        (a + b, ref_add(ta, tb)),
+        (a - a, {}),
+        (a * F(-3, 4), ref_scale(ta, F(-3, 4))),
+        (DiffOp.coeff_term(p, 1, 2), {(i, j, 1, 2): c for (i, j), c in tp.items()}),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert coeffs(got) == want
+
+
+@given(ops(), ops(), polys)
+def test_kernel_matches_reference(a, b, p):
+    check_kernel(a, b, p)
+
+
+EULER_MINUS_3 = DiffOp({(1, 0, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 0, 0): -3})
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_catalog_kernel_matches_reference(case):
+    # the catalog's own L: coefficients with shared and coprime denominators
+    L = operator_L(sample_params(case, Random(case)))
+    for p in (*COPRIME, *SHARED, X * X * Y - F(2, 9) * Y):
+        check_kernel(L, L, p)
+        check_kernel(L, DiffOp.from_poly(p), p)
+
+
+def test_kernel_cancellation_matches_reference():
+    # x Dx + y Dy - 3 kills every homogeneous cubic
+    cubic = X * X * Y * F(2, 7) - Y * Y * Y * F(5, 3)
+    assert EULER_MINUS_3.apply(cubic).is_zero()
+    check_kernel(EULER_MINUS_3, DX, cubic)
+    check_kernel(DX @ MX, MX @ DX, cubic - ONE * F(1, 6))
+    assert_canonical(DX.commutator(MX) - DiffOp.identity())
