@@ -15,7 +15,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -74,4 +73,3 @@ if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(corpus_digests(), indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
-    sys.exit(0)
