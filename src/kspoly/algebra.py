@@ -137,6 +137,8 @@ class Terms:
             for key, c in terms.items():
                 if len(key) != arity or min(key) < 0:
                     raise ValueError(f"term {key} needs {arity} nonnegative indices")
+                if not isinstance(c, (int, Fraction)):
+                    raise ValueError(f"coefficient {c!r} of term {key} is not an int or a Fraction")
                 c = Fraction(c)
                 if c:
                     clean[key] = c
@@ -253,7 +255,7 @@ class BivariatePoly(Terms):
 
     @classmethod
     def constant(cls, c: Scalar) -> "BivariatePoly":
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def variable(cls, name: str) -> "BivariatePoly":
@@ -265,7 +267,7 @@ class BivariatePoly(Terms):
 
     @classmethod
     def monomial(cls, i: int, j: int, c: Scalar = 1) -> "BivariatePoly":
-        return cls({(i, j): Fraction(c)})
+        return cls({(i, j): c})
 
     @property
     def degree(self) -> int:

@@ -48,9 +48,11 @@ class CaseParams:
             raise ParameterError(
                 f"unknown case {self.case_id!r}; supported cases: {', '.join(CASES)}"
             )
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "kappa1", Fraction(self.kappa1))
-        object.__setattr__(self, "kappa2", Fraction(self.kappa2))
+        for name in ("beta", "kappa1", "kappa2"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)):
+                raise ParameterError(f"{name} must be an int or a Fraction, not {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         if self.nmax_hint < 0:
             raise ParameterError("nmax_hint must be nonnegative")
         bound = 2 * self.nmax_hint + 2
@@ -764,8 +766,8 @@ def sample_params(case_id: str, rng: Random, nmax_hint: int = 8) -> CaseParams:
     division coefficients nonzero.
     """
 
-    def non_integer(lo_num: int, hi_num: int, den_choices=(2, 3, 4, 5, 7)) -> Fraction:
-        den = rng.choice(den_choices)
+    def non_integer(lo_num: int, hi_num: int) -> Fraction:
+        den = rng.choice((2, 3, 4, 5, 7))
         num = rng.randrange(lo_num * den, hi_num * den + 1)
         while num % den == 0:
             num = rng.randrange(lo_num * den, hi_num * den + 1)

@@ -130,7 +130,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                 lambda q: commuting_ops(q)[0],
                 case,
                 f"certify[{case}] [L,I1]=0",
-                nmax_hint=max(args.nmax, args.order),
             )
             all_passed &= result.passed
             print(f"{result.name}: {result.status.upper()}")

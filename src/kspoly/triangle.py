@@ -213,27 +213,27 @@ def build_ladder(params: CaseParams, nmax: int) -> Triangle:
 # Transfer: edge recurrences + in-level shifts
 # ---------------------------------------------------------------------------
 
-# case -> (relation index, unknown neighbor offset, edges built by recurrence,
-#          sweep start corner)
-_TRANSFER_ROUTE: dict[str, tuple[int, tuple[int, int], tuple[str, ...], str]] = {
-    "I": (0, (-1, 1), ("left", "right"), "left"),
-    "II": (0, (-1, 1), ("left", "right"), "left"),
-    "III": (0, (-1, 1), ("left",), "left"),
-    "V": (1, (1, -1), ("left", "right"), "right"),
-    "VIII": (1, (1, -1), ("right",), "right"),
-    "IX": (2, (-1, 1), ("left", "right"), "left"),
+# case -> (relation index, unknown neighbor offset, edges built by recurrence)
+_TRANSFER_ROUTE: dict[str, tuple[int, tuple[int, int], tuple[str, ...]]] = {
+    "I": (0, (-1, 1), ("left", "right")),
+    "II": (0, (-1, 1), ("left", "right")),
+    "III": (0, (-1, 1), ("left",)),
+    "V": (1, (1, -1), ("left", "right")),
+    "VIII": (1, (1, -1), ("right",)),
+    "IX": (2, (-1, 1), ("left", "right")),
 }
 
 
 def _transfer_sources(case_id: str, T: int) -> list[tuple[int, int]]:
     """Sweep order: level-T sources whose unknown neighbor must be solved for.
 
+    The sweep starts at the corner the unknown offset points away from.
     Targets that are edge entries already produced by the edge recurrences
     are skipped; the sweep stops when the target leaves the triangle.
     """
-    _, (du, dv), edges, start = _TRANSFER_ROUTE[case_id]
+    _, (du, dv), edges = _TRANSFER_ROUTE[case_id]
     sources = []
-    m, n = (T, 0) if start == "left" else (0, T)
+    m, n = (T, 0) if (du, dv) == (-1, 1) else (0, T)
     while m >= 0 and n >= 0:
         tm, tn = m + du, n + dv
         if tm < 0 or tn < 0:
@@ -245,55 +245,46 @@ def _transfer_sources(case_id: str, T: int) -> list[tuple[int, int]]:
     return sources
 
 
-def transfer_preconditions(params: CaseParams, nmax: int) -> list[tuple[tuple[int, int], Fraction]]:
-    """Division coefficients on the transfer path that vanish; empty if the
-    build can proceed."""
-    rel_index, unknown, _, _ = _TRANSFER_ROUTE[params.case_id]
-    rel = action_relations(params)[rel_index]
-    bad = []
-    for T in range(2, nmax + 1):
-        for m, n in _transfer_sources(params.case_id, T):
-            coeff = dict(
-                ((dm, dn), c) for dm, dn, c in rel.neighbors(m, n)
-            ).get(unknown, Fraction(0))
-            if coeff == 0:
-                bad.append(((m, n), coeff))
-    return bad
-
-
 def build_transfer(params: CaseParams, nmax: int) -> Triangle:
     """Build edges by their 3-point recurrences, then solve the in-level
     action formula of one commuting operator for the missing neighbor.
 
-    Every division coefficient on the path is checked before any work; a
-    vanishing one raises TransferError naming the node (the recurrence
+    The sweep (each source with its neighbor coefficients) is laid out
+    once, and every division coefficient on it is checked before any work;
+    vanishing ones raise TransferError naming each node (the recurrence
     builder is the documented fallback).
     """
     _check_nmax(params, nmax)
-    bad = transfer_preconditions(params, nmax)
+    rel_index, unknown, edges = _TRANSFER_ROUTE[params.case_id]
+    rel = action_relations(params)[rel_index]
+    sweep = [
+        [(m, n, rel.neighbors(m, n)) for m, n in _transfer_sources(params.case_id, T)]
+        for T in range(2, nmax + 1)
+    ]
+    bad = [
+        f"(m,n)=({m},{n})"
+        for level in sweep
+        for m, n, neighbors in level
+        if not dict(((dm, dn), c) for dm, dn, c in neighbors).get(unknown)
+    ]
     if bad:
-        nodes = ", ".join(f"(m,n)=({m},{n})" for (m, n), _ in bad)
         raise TransferError(
-            f"case {params.case_id} transfer route divides by zero at {nodes}; "
+            f"case {params.case_id} transfer route divides by zero at {', '.join(bad)}; "
             "fall back to the recurrence builder"
         )
-    rel_index, unknown, edges, _ = _TRANSFER_ROUTE[params.case_id]
-    rel = action_relations(params)[rel_index]
     entries = {
         key: p for key, p in seed_polys(params).items() if key[0] + key[1] <= nmax
     }
-    for T in range(2, nmax + 1):
+    for T, level in enumerate(sweep, start=2):
         if "left" in edges:
             step = recurrence_step(params, "x", T - 1, 0)
             entries[(T, 0)] = _apply_step(step, entries, "x", None)
         if "right" in edges:
             step = recurrence_step(params, "y", 0, T - 1)
             entries[(0, T)] = _apply_step(step, entries, "y", None)
-        for m, n in _transfer_sources(params.case_id, T):
-            target = (m + unknown[0], n + unknown[1])
+        for m, n, neighbors in level:
             P = rel.op.apply(entries[(m, n)]) + rel.self_coeff(m, n) * entries[(m, n)]
-            coeff_u = Fraction(0)
-            for dm, dn, c in rel.neighbors(m, n):
+            for dm, dn, c in neighbors:
                 if (dm, dn) == unknown:
                     coeff_u = c
                     continue
@@ -306,7 +297,7 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
                         f"entry ({mm},{nn}) in the transfer sweep"
                     )
                 P = P - c * entries[(mm, nn)]
-            entries[target] = (1 / coeff_u) * P
+            entries[(m + unknown[0], n + unknown[1])] = (1 / coeff_u) * P
     return Triangle(params, nmax, "transfer", entries)
 
 

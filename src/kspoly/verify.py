@@ -33,7 +33,7 @@ from .series import (
     genfun,
     genfun_derivative_residuals,
 )
-from .triangle import BUILDERS, Triangle, build_oracle, build_recurrence
+from .triangle import BUILDERS, AccessLog, Triangle, build_oracle
 from .weyl import DiffOp
 
 
@@ -267,11 +267,10 @@ def check_genfun_agreement(
     return report
 
 
-def check_recurrence_stencil(params: CaseParams, nmax: int) -> VerificationReport:
-    """The recurrence builder touches only the documented stencil offsets."""
+def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> VerificationReport:
+    """The recurrence builder touched only the documented stencil offsets:
+    log is the access_log of a build_recurrence run for these params."""
     report = VerificationReport(params.case_id, params)
-    log: list = []
-    build_recurrence(params, nmax, access_log=log)
     seen: dict[str, set] = {"x": set(), "y": set()}
     for axis, _, offset in log:
         seen[axis].add(offset)
@@ -326,7 +325,6 @@ def certify_parameter_polynomial_identity(
     name: str,
     sample_count: int = 9,
     degree_bound: int = 8,
-    nmax_hint: int = 8,
 ) -> CheckResult:
     """Certify an identity polynomial in (beta, kappa1, kappa2).
 
@@ -345,7 +343,7 @@ def certify_parameter_polynomial_identity(
     else:
         grid = [(b, k1, k2) for b in betas for k1 in kappas for k2 in kappas]
     for b, k1, k2 in grid:
-        params = CaseParams(case_id, b, k1, k2, nmax_hint)
+        params = CaseParams(case_id, b, k1, k2)
         residual = identity(params)
         if not residual.is_zero():
             return CheckResult(
@@ -405,7 +403,6 @@ def certify_commutator(
     B: Callable[[CaseParams], DiffOp],
     case_id: str,
     name: str,
-    nmax_hint: int = 8,
 ) -> CheckResult:
     """Certify [A, B] = 0 for every parameter triple.
 
@@ -421,7 +418,6 @@ def certify_commutator(
         name,
         sample_count=bound + 1,
         degree_bound=bound,
-        nmax_hint=nmax_hint,
     )
 
 
@@ -430,11 +426,11 @@ def certify_commutator(
 # ---------------------------------------------------------------------------
 
 
-def perturb_term(op: DiffOp, index: int, delta: int = 1) -> DiffOp:
-    """Add delta to the coefficient of one stored term (by canonical index)."""
+def perturb_term(op: DiffOp, index: int) -> DiffOp:
+    """Add 1 to the coefficient of one stored term (by canonical index)."""
     items = list(op.items())
     key, _ = items[index % len(items)]
-    return op + DiffOp({key: Fraction(delta)})
+    return op + DiffOp({key: 1})
 
 
 def mutated_operator_set(
@@ -497,11 +493,13 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
     report = VerificationReport(params.case_id, params)
     oracle = build_oracle(params, nmax)
     triangles = {"oracle": oracle}
+    stencil_log: AccessLog = []
     for name, build in BUILDERS.items():
         if name == "oracle":
             continue
+        extra = {"access_log": stencil_log} if name == "recurrence" else {}
         try:
-            triangles[name] = build(params, nmax)
+            triangles[name] = build(params, nmax, **extra)
         except TransferError as exc:
             # documented precondition miss: fall back silently to other builders
             report.add(f"build-{name}(skipped)", True, {"note": str(exc)})
@@ -516,7 +514,7 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
     report.extend(check_edge_ode(oracle))
     report.extend(check_action_formulas(oracle))
     report.extend(check_operator_identities(params, nmax))
-    report.extend(check_recurrence_stencil(params, nmax))
+    report.extend(check_recurrence_stencil(params, stencil_log))
     if params.case_id == "IX":
         report.extend(check_parity_ix(oracle))
         report.extend(check_swap_symmetry(oracle, oracle))

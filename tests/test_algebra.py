@@ -129,6 +129,20 @@ def test_rejects_negative_exponent():
         BivariatePoly({(-1, 0): F(1)})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BivariatePoly({(0, 0): 0.1}),
+        lambda: BivariatePoly.constant(0.5),
+        lambda: BivariatePoly.monomial(2, 1, 0.25),
+    ],
+)
+def test_rejects_float_coefficients(make):
+    # Fraction(0.1) would store the binary expansion 3602879701896397/2**55
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        make()
+
+
 # -- rising factorial --------------------------------------------------------
 
 

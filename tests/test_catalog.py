@@ -261,6 +261,13 @@ def test_params_reject_bad_beta():
         CaseParams("V", F(0), F(1), F(1), 4)
 
 
+def test_params_reject_floats():
+    with pytest.raises(ParameterError, match="beta"):
+        CaseParams("IX", 2.5)
+    with pytest.raises(ParameterError, match="kappa2"):
+        CaseParams("I", F(5, 2), F(1, 3), 0.5, 4)
+
+
 def test_params_reject_unknown_case():
     with pytest.raises(ParameterError):
         CaseParams("IV", F(2), F(0), F(0), 4)

@@ -17,7 +17,13 @@ from kspoly.catalog import (
     recurrence_step,
     sample_params,
 )
-from kspoly.errors import AdmissibilityError, KspolyError, StencilError, TransferError
+from kspoly.errors import (
+    AdmissibilityError,
+    KspolyError,
+    ParameterError,
+    StencilError,
+    TransferError,
+)
 from kspoly.triangle import (
     _apply_step,
     build_ladder,
@@ -198,6 +204,21 @@ def test_builders_match_oracle_or_raise_on_degenerate_lattice(case):
             except KspolyError:
                 continue
             assert table.same_polys(oracle), (builder.__name__, p)
+
+
+@pytest.mark.parametrize("case", ("I", "II", "III", "IX"))
+def test_beta_one_fails_before_any_recurrence_step(case, monkeypatch):
+    # the 0/0 limit over beta + 2N - 3 is met while the catalog forms the
+    # first level-2 step (the ladder meets beta + 2N - 1 = 0 while forming
+    # its N = 0 operators), so no table arithmetic runs before the error
+    steps = []
+    monkeypatch.setattr(triangle, "_apply_step", lambda *args: steps.append(args))
+    kappas = (F(0), F(0)) if case == "IX" else (F(1, 3), F(2, 7))
+    p = CaseParams(case, F(1), *kappas, 4)
+    for builder in (build_recurrence, build_transfer, build_ladder):
+        with pytest.raises(ParameterError):
+            builder(p, 4)
+    assert steps == []
 
 
 def test_oracle_guard_rejects_degree_raising_operator(monkeypatch):

@@ -5,15 +5,17 @@ from fractions import Fraction as F
 import pytest
 
 import kspoly.verify
+from kspoly import triangle
 from kspoly.catalog import (
     CASES,
+    STENCILS,
     CaseParams,
     commuting_ops,
     operator_L,
     sample_params,
 )
 from kspoly.errors import ParameterDegreeError
-from kspoly.triangle import build_oracle
+from kspoly.triangle import build_oracle, build_recurrence
 from kspoly.verify import (
     catalog_operator_set,
     certify_commutator,
@@ -125,7 +127,37 @@ def test_stencil_check_all_cases():
     rng = random.Random(77)
     for case in CASES:
         params = sample_params(case, rng, nmax_hint=5)
-        assert check_recurrence_stencil(params, 5).passed
+        log = []
+        build_recurrence(params, 5, access_log=log)
+        assert check_recurrence_stencil(params, log).passed
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_builds_the_recurrence_table_once(case, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_recurrence(*args, **kwargs)
+
+    # count builds made through the registry and through a module-level name
+    monkeypatch.setitem(triangle.BUILDERS, "recurrence", counted)
+    monkeypatch.setattr(kspoly.verify, "build_recurrence", counted, raising=False)
+    params = sample_params(case, random.Random(5), nmax_hint=3)
+    assert full_suite(params, nmax=3, order=3).passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("axis, lead", [("x", (-1, 0)), ("y", (0, -1))])
+def test_full_suite_audits_the_recurrence_access_log(case, axis, lead, monkeypatch):
+    # every recurrence step reads its source at the lead offset, so a
+    # stencil without it must fail the audit of full_suite's own build
+    monkeypatch.setitem(STENCILS, (case, axis), STENCILS[(case, axis)] - {lead})
+    params = sample_params(case, random.Random(5), nmax_hint=3)
+    failures = full_suite(params, nmax=3, order=3).failures()
+    assert [f.name for f in failures] == [f"stencil-{axis}"]
+    assert failures[0].detail == {"unexpected_offsets": [lead]}
 
 
 def test_report_json_shape():
