@@ -56,12 +56,11 @@ class CaseParams:
         if self.nmax_hint < 0:
             raise ParameterError("nmax_hint must be nonnegative")
         bound = 2 * self.nmax_hint + 2
-        for k in range(bound + 1):
-            if self.beta + k == 0:
-                raise ParameterError(
-                    f"beta = {self.beta} violates the rule beta + k != 0 for "
-                    f"0 <= k <= {bound} (fails at k = {k})"
-                )
+        if self.beta.denominator == 1 and -bound <= self.beta <= 0:
+            raise ParameterError(
+                f"beta = {self.beta} violates the rule beta + k != 0 for "
+                f"0 <= k <= {bound} (fails at k = {-self.beta})"
+            )
         if self.case_id in ("V", "VIII") and self.beta == 0:
             raise ParameterError(f"beta must be nonzero for case {self.case_id}")
         if self.case_id == "IX" and (self.kappa1 or self.kappa2):
@@ -291,25 +290,14 @@ def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
 
 
 def raising_commutator_rhs(
-    params: CaseParams,
-    N: int,
-    axis: str,
-    L: Optional[DiffOp] = None,
-    raising: Optional[tuple[DiffOp, DiffOp]] = None,
+    params: CaseParams, N: int, axis: str, L: DiffOp, r: DiffOp
 ) -> DiffOp:
-    """Right-hand side of the commutation relation satisfied by [L, R+axis(N)].
-
-    Optional L/raising overrides exist so verification code can evaluate the
-    relation for perturbed operators.
-    """
+    """Right-hand side of the commutation relation satisfied by [L, r], where
+    L and r are the audited L and R+axis(N)."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     b = params.beta
     c = params.case_id
-    if L is None:
-        L = operator_L(params)
-    rx, ry = raising if raising is not None else raising_ops(params, N)
-    r = rx if axis == "x" else ry
     lam = eigenvalue(params, N)
     dlam = eigenvalue(params, N + 1) - lam
     shifted = L - lam * DiffOp.identity()
@@ -625,17 +613,12 @@ class ActionRelation:
 
 
 def action_relations(
-    params: CaseParams, ops: Optional[Sequence[DiffOp]] = None
+    params: CaseParams, ops: Sequence[DiffOp]
 ) -> tuple[ActionRelation, ...]:
-    """The in-level shift relations of the case's commuting operators.
-
-    Optional ops override the cataloged operators (for mutation testing);
-    the coefficient formulas are unaffected.
-    """
+    """The in-level shift relations of the commuting operators ops (the
+    catalog's commuting_ops, or an audited variant of them)."""
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     c = params.case_id
-    if ops is None:
-        ops = commuting_ops(params)
     zero = Fraction(0)
 
     if c == "I":
@@ -731,18 +714,15 @@ def action_relations(
 
 
 def quadratic_relation_residuals(
-    params: CaseParams,
-    L: Optional[DiffOp] = None,
-    ops: Optional[Sequence[DiffOp]] = None,
+    params: CaseParams, L: DiffOp, ops: Sequence[DiffOp]
 ) -> tuple[DiffOp, DiffOp]:
-    """The two case IX quadratic relations, each returned as a residual
-    operator that must be the zero element of the Weyl algebra."""
+    """The two case IX quadratic relations of L and the commuting operators
+    ops, each returned as a residual operator that must be the zero element
+    of the Weyl algebra."""
     if params.case_id != "IX":
         raise ValueError("quadratic relations apply to case IX only")
     b = params.beta
-    if L is None:
-        L = operator_L(params)
-    i1, i2, i3, i4 = ops if ops is not None else commuting_ops(params)
+    i1, i2, i3, i4 = ops
     first = i1 + i2 + (i3 @ i3) + L
     second = (
         2 * ((i1 @ i2) + (i2 @ i1))

@@ -41,7 +41,7 @@ def _params_from(args: argparse.Namespace, nmax: int) -> CaseParams:
         parse_rational(args.beta),
         parse_rational(args.k1),
         parse_rational(args.k2),
-        nmax_hint=max(nmax, getattr(args, "order", 0) or 0),
+        nmax_hint=nmax,
     )
 
 
@@ -90,6 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.nmax < 0:
+        raise KspolyError(f"--nmax must be nonnegative, not {args.nmax}")
     params = _params_from(args, args.nmax)
     triangle = BUILDERS[args.method](params, args.nmax)
     _emit(FORMATTERS[args.format](triangle), args.output)
@@ -99,6 +101,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise KspolyError(f"--trials must be at least 1, not {args.trials}")
+    if args.nmax < 2:
+        raise KspolyError(f"--nmax must be at least 2, not {args.nmax}")
     if args.order < 0:
         raise KspolyError(f"--order must be nonnegative, not {args.order}")
     cases = list(CASES) if args.case == "all" else [args.case]
@@ -146,6 +150,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
+    if args.order < 0:
+        raise KspolyError(f"--order must be nonnegative, not {args.order}")
     params = _params_from(args, args.order)
     if params.case_id not in GENFUN_CASES:
         raise KspolyError(

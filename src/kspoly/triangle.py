@@ -22,6 +22,7 @@ from .catalog import (
     CaseParams,
     RecurrenceStep,
     action_relations,
+    commuting_ops,
     eigenvalue,
     operator_L,
     raising_ops,
@@ -256,7 +257,7 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
     """
     _check_nmax(params, nmax)
     rel_index, unknown, edges = _TRANSFER_ROUTE[params.case_id]
-    rel = action_relations(params)[rel_index]
+    rel = action_relations(params, commuting_ops(params))[rel_index]
     sweep = [
         [(m, n, rel.neighbors(m, n)) for m, n in _transfer_sources(params.case_id, T)]
         for T in range(2, nmax + 1)

@@ -8,7 +8,7 @@ is diagnosable from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
@@ -90,7 +90,8 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """The operators a verification run audits; overridable for mutation tests."""
+    """The operators one verification run audits: the catalog's, or a
+    perturbed copy of them for mutation tests."""
 
     L: DiffOp
     commuting: tuple[DiffOp, ...]
@@ -118,11 +119,9 @@ def _op_detail(residual: DiffOp) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_eigen(t: Triangle, L: Optional[DiffOp] = None) -> VerificationReport:
+def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     """L P_{m,n} = lambda_{m+n} P_{m,n}, exactly, at every entry."""
     report = VerificationReport(t.params.case_id, t.params)
-    if L is None:
-        L = operator_L(t.params)
     for m, n in t.nodes():
         p = t.entry(m, n)
         residual = L.apply(p) - eigenvalue(t.params, m + n) * p
@@ -164,13 +163,12 @@ def check_edge_ode(t: Triangle) -> VerificationReport:
 
 
 def check_action_formulas(
-    t: Triangle, ops: Optional[OperatorSet] = None
+    t: Triangle, commuting: tuple[DiffOp, ...]
 ) -> VerificationReport:
     """Every in-level shift relation of the commuting operators, at every node."""
     if t.nmax < 2:
         raise ValueError("action-formula checks need a triangle with nmax >= 2")
     report = VerificationReport(t.params.case_id, t.params)
-    commuting = ops.commuting if ops is not None else None
     for rel in action_relations(t.params, commuting):
         for m, n in t.nodes():
             p = t.entry(m, n)
@@ -291,21 +289,18 @@ def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> Verification
 
 
 def check_operator_identities(
-    params: CaseParams, nmax: int, ops: Optional[OperatorSet] = None
+    params: CaseParams, nmax: int, ops: OperatorSet
 ) -> VerificationReport:
     """Commuting relations, raising commutators for N = 0..nmax, and the
     case IX quadratic relations, all as exact zero Weyl elements."""
     report = VerificationReport(params.case_id, params)
-    if ops is None:
-        ops = catalog_operator_set(params)
     L = ops.L
     for idx, ik in enumerate(ops.commuting, start=1):
         residual = L.commutator(ik)
         report.add(f"commuting[L,I{idx}]", residual.is_zero(), _op_detail(residual))
     for N in range(nmax + 1):
-        pair = ops.raising(N)
-        for axis, r in zip(("x", "y"), pair):
-            rhs = raising_commutator_rhs(params, N, axis, L=L, raising=pair)
+        for axis, r in zip(("x", "y"), ops.raising(N)):
+            rhs = raising_commutator_rhs(params, N, axis, L, r)
             residual = L.commutator(r) - rhs
             report.add(
                 f"raising[L,R+{axis}(N={N})]",
@@ -313,9 +308,19 @@ def check_operator_identities(
                 _op_detail(residual),
             )
     if params.case_id == "IX":
-        q1, q2 = quadratic_relation_residuals(params, L=L, ops=ops.commuting)
+        q1, q2 = quadratic_relation_residuals(params, L, ops.commuting)
         report.add("quadratic-1", q1.is_zero(), _op_detail(q1))
         report.add("quadratic-2", q2.is_zero(), _op_detail(q2))
+    return report
+
+
+def check_operators(t: Triangle, ops: OperatorSet) -> VerificationReport:
+    """Every check that audits an operator set: eigen and action formulas on
+    the table t, and the operator identities up to t.nmax.  full_suite runs
+    it on the catalog's set, mutation_battery on perturbed ones."""
+    report = check_eigen(t, ops.L)
+    report.extend(check_action_formulas(t, ops.commuting))
+    report.extend(check_operator_identities(t.params, t.nmax, ops))
     return report
 
 
@@ -323,19 +328,16 @@ def certify_parameter_polynomial_identity(
     identity: Callable[[CaseParams], DiffOp],
     case_id: str,
     name: str,
-    sample_count: int = 9,
-    degree_bound: int = 8,
+    degree_bound: int,
 ) -> CheckResult:
     """Certify an identity polynomial in (beta, kappa1, kappa2).
 
-    The identity callable maps parameters to a residual operator.  Vanishing
-    on a grid with more than degree_bound distinct values per parameter
-    certifies the identity as a polynomial identity in the parameters.
+    The identity callable maps parameters to a residual operator of degree
+    at most degree_bound in each parameter.  Vanishing on a grid with
+    degree_bound + 1 distinct values per parameter certifies it as a
+    polynomial identity in the parameters.
     """
-    if sample_count <= degree_bound:
-        raise ValueError(
-            f"sample_count={sample_count} must exceed degree_bound={degree_bound}"
-        )
+    sample_count = degree_bound + 1
     betas = [Fraction(2 * j + 3, 2) for j in range(sample_count)]  # 3/2, 5/2, ...
     kappas = [Fraction(3 * (j - sample_count // 2) * 2 + 1, 3) for j in range(sample_count)]
     if case_id == "IX":
@@ -416,7 +418,6 @@ def certify_commutator(
         lambda q: A(q).commutator(B(q)),
         case_id,
         name,
-        sample_count=bound + 1,
         degree_bound=bound,
     )
 
@@ -441,44 +442,32 @@ def mutated_operator_set(
     targets = ["L"] + [f"I{k + 1}" for k in range(len(base.commuting))] + ["Rx", "Ry"]
     choice = rng.choice(targets)
     if choice == "L":
-        mutated = perturb_term(base.L, rng.randrange(100))
-        return (
-            OperatorSet(mutated, base.commuting, base.raising),
-            f"L term perturbed ({params.case_id})",
-        )
-    if choice.startswith("I"):
+        mutated = replace(base, L=perturb_term(base.L, rng.randrange(100)))
+    elif choice.startswith("I"):
+        commuting = list(base.commuting)
         idx = int(choice[1:]) - 1
-        ops = list(base.commuting)
-        ops[idx] = perturb_term(ops[idx], rng.randrange(100))
-        return (
-            OperatorSet(base.L, tuple(ops), base.raising),
-            f"{choice} term perturbed ({params.case_id})",
-        )
-    n0 = rng.randrange(nmax + 1)
-    axis = 0 if choice == "Rx" else 1
-    term_index = rng.randrange(100)
+        commuting[idx] = perturb_term(commuting[idx], rng.randrange(100))
+        mutated = replace(base, commuting=tuple(commuting))
+    else:
+        n0 = rng.randrange(nmax + 1)
+        axis = 0 if choice == "Rx" else 1
+        term_index = rng.randrange(100)
 
-    def raising(N: int):
-        pair = list(base.raising(N))
-        if N == n0:
-            pair[axis] = perturb_term(pair[axis], term_index)
-        return tuple(pair)
+        def raising(N: int):
+            pair = list(base.raising(N))
+            if N == n0:
+                pair[axis] = perturb_term(pair[axis], term_index)
+            return tuple(pair)
 
-    return (
-        OperatorSet(base.L, base.commuting, raising),
-        f"R+{'x' if axis == 0 else 'y'}(N={n0}) term perturbed ({params.case_id})",
-    )
+        mutated = replace(base, raising=raising)
+        choice = f"R+{choice[1]}(N={n0})"
+    return mutated, f"{choice} term perturbed ({params.case_id})"
 
 
 def mutation_battery(params: CaseParams, nmax: int, ops: OperatorSet) -> bool:
-    """Run the eigen, operator-identity and action checks against a
-    (possibly perturbed) operator set; True if some check fails."""
-    t = build_oracle(params, nmax)
-    report = VerificationReport(params.case_id, params)
-    report.extend(check_eigen(t, L=ops.L))
-    report.extend(check_operator_identities(params, nmax, ops))
-    report.extend(check_action_formulas(t, ops))
-    return not report.passed
+    """True if check_operators fails for the (possibly perturbed) operator
+    set ops against the oracle table."""
+    return not check_operators(build_oracle(params, nmax), ops).passed
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +498,9 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
         if name == "oracle":
             continue
         report.add(f"agreement[{name}]", t.same_polys(oracle))
-    report.extend(check_eigen(oracle))
+    report.extend(check_operators(oracle, catalog_operator_set(params)))
     report.extend(check_monic(oracle))
     report.extend(check_edge_ode(oracle))
-    report.extend(check_action_formulas(oracle))
-    report.extend(check_operator_identities(params, nmax))
     report.extend(check_recurrence_stencil(params, stencil_log))
     if params.case_id == "IX":
         report.extend(check_parity_ix(oracle))

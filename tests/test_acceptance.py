@@ -179,10 +179,10 @@ def test_criterion_4_operator_identities():
                 for N in range(7):
                     pair = raising_ops(p, N)
                     for axis, r in zip(("x", "y"), pair):
-                        rhs = raising_commutator_rhs(p, N, axis)
+                        rhs = raising_commutator_rhs(p, N, axis, L, r)
                         assert L.commutator(r) == rhs, (case, N, axis)
                 if case == "IX":
-                    q1, q2 = quadratic_relation_residuals(p)
+                    q1, q2 = quadratic_relation_residuals(p, L, commuting_ops(p))
                     assert q1.is_zero() and q2.is_zero()
 
     run_criterion(4, "commuting, raising and quadratic identities are exact zero", body)
@@ -194,7 +194,7 @@ def test_criterion_5_action_formulas():
         for case in CASES:
             p = sample_params(case, rng, nmax_hint=6)
             t = build_oracle(p, 6)
-            report = check_action_formulas(t)
+            report = check_action_formulas(t, commuting_ops(p))
             assert report.passed, report.failures()[:3]
             # the stated annihilations on the edges
             i1 = commuting_ops(p)[0]

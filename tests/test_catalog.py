@@ -211,10 +211,11 @@ def test_raising_denominator_guard():
 
 def test_commutator_rhs_viii_is_scaled_raising():
     params = P2["VIII"]
+    L = operator_L(params)
     for N in range(4):
         rx, ry = raising_ops(params, N)
-        assert raising_commutator_rhs(params, N, "x") == 2 * rx
-        assert raising_commutator_rhs(params, N, "y") == 2 * ry
+        assert raising_commutator_rhs(params, N, "x", L, rx) == 2 * rx
+        assert raising_commutator_rhs(params, N, "y", L, ry) == 2 * ry
 
 
 def test_raising_commutators_hold():
@@ -225,7 +226,7 @@ def test_raising_commutators_hold():
         for N in range(7):
             rx, ry = raising_ops(params, N)
             for axis, r in (("x", rx), ("y", ry)):
-                rhs = raising_commutator_rhs(params, N, axis)
+                rhs = raising_commutator_rhs(params, N, axis, L, r)
                 assert L.commutator(r) == rhs, (case, N, axis)
 
 
@@ -259,6 +260,20 @@ def test_params_reject_bad_beta():
         CaseParams("I", F(-2), F(1), F(1), 4)
     with pytest.raises(ParameterError):
         CaseParams("V", F(0), F(1), F(1), 4)
+
+
+def test_beta_rule_matches_the_loop_over_k():
+    # reference: the rule as stated, beta + k != 0 for 0 <= k <= 2*nmax_hint + 2
+    for q in (1, 2, 3):
+        for p in range(-40, 41):
+            beta = F(p, q)
+            for hint in range(12):
+                bad = [k for k in range(2 * hint + 3) if beta + k == 0]
+                if not bad:
+                    CaseParams("I", beta, nmax_hint=hint)
+                    continue
+                with pytest.raises(ParameterError, match=rf"fails at k = {bad[0]}\)"):
+                    CaseParams("I", beta, nmax_hint=hint)
 
 
 def test_params_reject_floats():

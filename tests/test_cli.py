@@ -42,6 +42,16 @@ def test_gen_rejects_invalid_beta(capsys):
     assert "beta + k != 0" in capsys.readouterr().err
 
 
+def test_gen_rejects_negative_nmax(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run("gen", "--case", "I", "--beta", "7/2", "--nmax", "-1",
+               "--output", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert "error: --nmax must be nonnegative, not -1" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_gen_rejects_float_parameter(capsys):
     assert run("gen", "--case", "I", "--beta", "2.5", "--nmax", "3") == 2
     assert "exact rational" in capsys.readouterr().err
@@ -145,6 +155,18 @@ def test_check_rejects_negative_order(tmp_path, capsys, case, certify):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("nmax", ["1", "0", "-1"])
+def test_check_rejects_shallow_nmax(tmp_path, capsys, nmax):
+    # rejected up front, not by the action-formula check inside the suite
+    report = tmp_path / "r.json"
+    assert run("check", "--case", "I", "--trials", "1", "--nmax", nmax,
+               "--output", str(report)) == 2
+    out, err = capsys.readouterr()
+    assert f"error: --nmax must be at least 2, not {nmax}" in err
+    assert out == ""
+    assert not report.exists()
+
+
 def test_check_unknown_case(capsys):
     assert run("check", "--case", "VII", "--trials", "1") == 2
     assert "unknown case" in capsys.readouterr().err
@@ -180,6 +202,17 @@ def test_gf_order_zero(tmp_path):
         {"m": 0, "n": 0, "genfun": [{"i": 0, "j": 0, "c": "1"}],
          "oracle": [{"i": 0, "j": 0, "c": "1"}], "equal": True}
     ]
+
+
+def test_gf_rejects_negative_order(tmp_path, capsys):
+    # the message names the flag, not the internal field nmax_hint
+    out = tmp_path / "gf.json"
+    assert run("gf", "--case", "V", "--beta", "7/2", "--order", "-1",
+               "--output", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert "error: --order must be nonnegative, not -1" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_gf_unsupported_case(capsys):

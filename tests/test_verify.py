@@ -59,14 +59,14 @@ def test_full_suite_ten_triples_nmax_six(case):
 def test_action_formulas_need_depth():
     p = CaseParams("IX", F(3), nmax_hint=4)
     with pytest.raises(ValueError):
-        check_action_formulas(build_oracle(p, 1))
+        check_action_formulas(build_oracle(p, 1), commuting_ops(p))
 
 
 def test_action_formula_trivial_rows():
     # relations whose coefficients all carry a factor n reduce to 0 = 0 on n = 0
     p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
     t = build_oracle(p, 4)
-    report = check_action_formulas(t)
+    report = check_action_formulas(t, commuting_ops(p))
     names = {r.name for r in report.results}
     assert "action-I2(3,0)" in names
     assert report.passed
@@ -160,6 +160,35 @@ def test_full_suite_audits_the_recurrence_access_log(case, axis, lead, monkeypat
     assert failures[0].detail == {"unexpected_offsets": [lead]}
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_audits_one_operator_set(case, monkeypatch):
+    # a perturbed I1 must reach the action-formula checks as well as the
+    # commutator checks: every check audits the same operator set
+    def perturbed(params):
+        ops = commuting_ops(params)
+        return (perturb_term(ops[0], 0),) + ops[1:]
+
+    monkeypatch.setattr(kspoly.verify, "commuting_ops", perturbed)
+    params = sample_params(case, random.Random(5), nmax_hint=3)
+    failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
+    assert "commuting[L,I1]" in failed
+    assert any(name.startswith("action-I1(") for name in failed), failed
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_builds_operator_L_once(case, monkeypatch):
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return operator_L(params)
+
+    monkeypatch.setattr(kspoly.verify, "operator_L", counted)
+    params = sample_params(case, random.Random(5), nmax_hint=3)
+    assert full_suite(params, nmax=3, order=3).passed
+    assert len(calls) == 1
+
+
 def test_report_json_shape():
     p = CaseParams("IX", F(3), nmax_hint=4)
     report = check_monic(build_oracle(p, 2))
@@ -189,7 +218,6 @@ def test_certify_commuting_identity():
         lambda q: operator_L(q).commutator(commuting_ops(q)[0]),
         "II",
         "[L,I1]=0",
-        sample_count=10,
         degree_bound=8,
     )
     assert result.status == "pass"
@@ -201,7 +229,7 @@ def test_certify_detects_perturbation():
         return operator_L(q).commutator(i1)
 
     result = certify_parameter_polynomial_identity(
-        perturbed, "II", "[L,I1+e]=0", sample_count=9, degree_bound=8
+        perturbed, "II", "[L,I1+e]=0", degree_bound=8
     )
     assert result.status == "fail"
     assert result.detail["residual"]
@@ -211,20 +239,12 @@ def test_certify_case_ix_quadratic():
     from kspoly.catalog import quadratic_relation_residuals
 
     result = certify_parameter_polynomial_identity(
-        lambda q: quadratic_relation_residuals(q)[1],
+        lambda q: quadratic_relation_residuals(q, operator_L(q), commuting_ops(q))[1],
         "IX",
         "quadratic-2",
-        sample_count=10,
         degree_bound=8,
     )
     assert result.status == "pass"
-
-
-def test_certify_requires_enough_samples():
-    with pytest.raises(ValueError):
-        certify_parameter_polynomial_identity(
-            lambda q: operator_L(q), "II", "x", sample_count=8, degree_bound=8
-        )
 
 
 # -- certification on the derived grid ------------------------------------------
@@ -287,7 +307,6 @@ def test_commutator_certified_on_degree_two_grid(case, certify_calls):
     assert result.passed
     (call,) = certify_calls
     assert call["kwargs"]["degree_bound"] == 2
-    assert call["kwargs"]["sample_count"] == 3
     assert call["points"] == (3 if case == "IX" else 27)
 
 
