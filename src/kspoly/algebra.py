@@ -19,8 +19,8 @@ Scalar = Union[Fraction, int]
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q". Decimal strings are rejected: exactness end to end."""
-    s = text.strip()
+    """Parse "p" or "p/q". Decimals and non-strings are rejected: exactness end to end."""
+    s = text.strip() if isinstance(text, str) else ""
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational: {text!r} (use 'p' or 'p/q')")
     try:
@@ -53,11 +53,8 @@ def term_order(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
 
 
 def add_terms(a: Mapping, b: Mapping) -> dict:
-    """Sparse sum of two coefficient maps; a key whose sum vanishes is dropped.
-
-    Values must be nonzero and support ``+`` and truth testing, so the same
-    code adds integer numerators and polynomial series coefficients.
-    """
+    """Sparse sum of two maps of nonzero numerators; a key whose sum vanishes
+    is dropped."""
     out = dict(a)
     for key, c in b.items():
         s = out.get(key)
@@ -116,13 +113,13 @@ def signed_sum(
 class Terms:
     """Sparse map from index tuples to nonzero rational coefficients.
 
-    The shared linear structure of polynomials and differential operators,
-    stored as int numerators ``_num`` over one denominator ``_den`` in lowest
-    terms (``_den > 0``, ``gcd(_den, *_num.values()) == 1``, ``_den == 1`` for
-    zero), so equal values have equal storage.  A subclass names its indices
-    in FIELDS (used by the records) and gives the canonical term order in
-    ``_order``, a sort key on (key, coefficient) items.  Instances are
-    immutable: every operation returns a fresh object.
+    The shared linear structure of polynomials, differential operators and
+    truncated series, stored as int numerators ``_num`` over one denominator
+    ``_den`` in lowest terms (``_den > 0``, ``gcd(_den, *_num.values()) == 1``,
+    ``_den == 1`` for zero), so equal values have equal storage.  A subclass
+    names its indices in FIELDS (used by the records) and gives the canonical
+    term order in ``_order``, a sort key on (key, coefficient) items.
+    Instances are immutable: every operation returns a fresh object.
     """
 
     __slots__ = ("_num", "_den")
@@ -227,13 +224,17 @@ class Terms:
 
     @classmethod
     def from_records(cls, records: list[dict[str, object]]):
+        return cls(cls._record_terms(records))
+
+    @classmethod
+    def _record_terms(cls, records: list[dict[str, object]]) -> dict[tuple[int, ...], Fraction]:
         terms: dict[tuple[int, ...], Fraction] = {}
         for r in records:
             key = tuple(r[f] for f in cls.FIELDS)
             if not all(type(e) is int for e in key) or key in terms:
                 raise ValueError(f"record {r}: indices must be unique integers")
-            terms[key] = parse_rational(str(r["c"]))
-        return cls(terms)
+            terms[key] = parse_rational(r["c"])
+        return terms
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

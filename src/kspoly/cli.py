@@ -143,8 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
     if args.output:
         Path(args.output).write_text(
-            json.dumps({"reports": documents, "passed": all_passed}, indent=2) + "\n",
-            encoding="utf-8",
+            dumps_json({"reports": documents, "passed": all_passed}), encoding="utf-8"
         )
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 

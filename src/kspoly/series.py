@@ -12,36 +12,42 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Union
 
-from .algebra import ONE, X, Y, BivariatePoly, Scalar, add_terms, rising_factorial, term_order
+from .algebra import BivariatePoly, Scalar, Terms, drop_zeros, rising_factorial, signed_sum
 from .catalog import CaseParams
 from .errors import ParameterError
 
 
-class Series2:
-    """Polynomial-coefficient power series in s, t, truncated in total degree."""
+class Series2(Terms):
+    """Polynomial-coefficient power series in s, t, truncated in total degree.
 
-    __slots__ = ("order", "_coeffs")
+    A term (a, b, i, j) -> c stands for c s^a t^b x^i y^j, and ``order``
+    bounds a + b.  Every result keeps its operands' order.
+    """
 
-    def __init__(
-        self,
-        order: int,
-        coeffs: Mapping[tuple[int, int], BivariatePoly] | None = None,
-    ):
+    __slots__ = ("order",)
+
+    FIELDS = ("a", "b", "i", "j")
+
+    @staticmethod
+    def _order(item: tuple[tuple[int, int, int, int], Fraction]) -> tuple[int, ...]:
+        # by total degree in (s, t), then in (x, y); s before t, x before y
+        (a, b, i, j), _ = item
+        return (a + b, -a, i + j, -i)
+
+    def __init__(self, order: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
+        super().__init__(terms)
+        for a, b, _, _ in terms or ():
+            if a + b > order:
+                raise ValueError(f"term at s^{a} t^{b} lies beyond truncation order {order}")
         self.order = order
-        clean: dict[tuple[int, int], BivariatePoly] = {}
-        if coeffs:
-            for (a, b), p in coeffs.items():
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative series exponent ({a}, {b})")
-                if a + b > order:
-                    raise ValueError(
-                        f"coefficient at ({a}, {b}) lies beyond truncation order {order}"
-                    )
-                if not p.is_zero():
-                    clean[(a, b)] = p
-        self._coeffs = clean
+
+    def _wrap(self, num: dict, den: int = 1, order: int | None = None) -> "Series2":
+        # internal: as Terms._wrap, at this series' order unless one is given
+        out = super()._wrap(num, den)
+        out.order = self.order if order is None else order
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -51,83 +57,72 @@ class Series2:
 
     @classmethod
     def one(cls, order: int) -> "Series2":
-        return cls(order, {(0, 0): ONE})
+        return cls(order, {(0, 0, 0, 0): 1})
 
     @classmethod
     def term(cls, order: int, a: int, b: int, p: BivariatePoly) -> "Series2":
-        return cls(order, {(a, b): p})
+        """p(x, y) s^a t^b: the way to lift a polynomial into a series."""
+        return cls(order, {(a, b, i, j): c for (i, j), c in p.items()})
+
+    @classmethod
+    def from_records(cls, order: int, records: list[dict[str, object]]) -> "Series2":
+        """Inverse of ``to_records`` at the given truncation order."""
+        return cls(order, cls._record_terms(records))
 
     # -- inspection ----------------------------------------------------------
 
+    def coefficients(self) -> dict[tuple[int, int], BivariatePoly]:
+        """The nonzero polynomial coefficients, keyed by their (s, t) exponents."""
+        num: dict[tuple[int, int], dict] = {}
+        for (a, b, i, j), c in self._num.items():
+            num.setdefault((a, b), {})[(i, j)] = c
+        return {key: BivariatePoly._wrap(n, self._den) for key, n in num.items()}
+
     def coefficient(self, a: int, b: int) -> BivariatePoly:
-        return self._coeffs.get((a, b), BivariatePoly.zero())
-
-    def items(self):
-        return iter(sorted(self._coeffs.items(), key=term_order))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        """The polynomial multiplying s^a t^b."""
+        return self.coefficients().get((a, b), BivariatePoly.zero())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series2):
             return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
+        return self.order == other.order and Terms.__eq__(self, other)
 
     def truncated(self, order: int) -> "Series2":
         if order > self.order:
-            raise ValueError(
-                f"cannot extend a truncation from order {self.order} to {order}"
-            )
-        return _truncation(order, self._coeffs)
+            raise ValueError(f"cannot extend a truncation from order {self.order} to {order}")
+        num = {k: c for k, c in self._num.items() if k[0] + k[1] <= order}
+        return self._wrap(num, self._den, order)
 
     # -- ring operations -------------------------------------------------------
 
     def _match(self, other: "Series2") -> None:
         if self.order != other.order:
-            raise ValueError(
-                f"truncation order mismatch: {self.order} vs {other.order}"
-            )
+            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
 
     def __add__(self, other: "Series2") -> "Series2":
         if not isinstance(other, Series2):
             return NotImplemented
         self._match(other)
-        return Series2(self.order, add_terms(self._coeffs, other._coeffs))
+        return Terms._add(self, other)
 
-    def __neg__(self) -> "Series2":
-        return Series2(self.order, {k: -p for k, p in self._coeffs.items()})
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        return self + (-other)
-
-    def __mul__(
-        self, other: Union["Series2", BivariatePoly, Scalar]
-    ) -> "Series2":
-        if isinstance(other, Series2):
-            self._match(other)
-            out: dict[tuple[int, int], BivariatePoly] = {}
-            for (a1, b1), p1 in self._coeffs.items():
-                for (a2, b2), p2 in other._coeffs.items():
-                    key = (a1 + a2, b1 + b2)
-                    if key[0] + key[1] <= self.order:
-                        q = out.get(key)
-                        out[key] = p1 * p2 if q is None else q + p1 * p2
-            return Series2(self.order, out)  # drops the sums that cancelled
-        if isinstance(other, (BivariatePoly, int, Fraction)):
-            return Series2(
-                self.order, {k: p * other for k, p in self._coeffs.items()}
-            )
-        return NotImplemented
-
-    def __rmul__(self, other: Union[BivariatePoly, Scalar]) -> "Series2":
-        return self.__mul__(other)
+    def __mul__(self, other: Union["Series2", Scalar]) -> "Series2":
+        if not isinstance(other, Series2):
+            return Terms.__mul__(self, other)
+        self._match(other)
+        order = self.order
+        out: dict[tuple[int, int, int, int], int] = {}
+        for (a1, b1, i1, j1), c1 in self._num.items():
+            for (a2, b2, i2, j2), c2 in other._num.items():
+                if a1 + a2 + b1 + b2 <= order:
+                    key = (a1 + a2, b1 + b2, i1 + i2, j1 + j2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return self._wrap(drop_zeros(out), self._den * other._den)
 
     def exp(self) -> "Series2":
         """sum f^k / k! up to the truncation order; f must have no constant term."""
         if not self.coefficient(0, 0).is_zero():
             raise ValueError("exp requires a series with zero constant term")
-        acc = Series2.one(self.order)
-        power = Series2.one(self.order)
+        acc = power = Series2.one(self.order)
         for k in range(1, self.order + 1):
             power = power * self
             if power.is_zero():
@@ -141,29 +136,14 @@ class Series2:
             raise ValueError(f"unknown series variable {var!r}")
         if self.order == 0:
             raise ValueError("an order-0 truncation determines no derivative terms")
-        out = {}
-        for (a, b), p in self._coeffs.items():
-            if var == "s" and a > 0:
-                out[(a - 1, b)] = p * a
-            elif var == "t" and b > 0:
-                out[(a, b - 1)] = p * b
-        return Series2(self.order - 1, out)
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coeffs": [
-                {"a": a, "b": b, "terms": p.to_records()}
-                for (a, b), p in self.items()
-            ],
-        }
+        if var == "s":
+            out = {(a - 1, b, i, j): c * a for (a, b, i, j), c in self._num.items() if a}
+        else:
+            out = {(a, b - 1, i, j): c * b for (a, b, i, j), c in self._num.items() if b}
+        return self._wrap(out, self._den, self.order - 1)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        return " + ".join(
-            f"({p})*s^{a}*t^{b}" for (a, b), p in self.items()
-        )
+        return signed_sum(self.items(), "stxy")
 
 
 def binomial_series(u: Series2, r: Fraction | int) -> Series2:
@@ -175,8 +155,7 @@ def binomial_series(u: Series2, r: Fraction | int) -> Series2:
     if not u.coefficient(0, 0).is_zero():
         raise ValueError("binomial series requires a zero constant term")
     r = Fraction(r)
-    acc = Series2.one(u.order)
-    term = Series2.one(u.order)
+    acc = term = Series2.one(u.order)
     for k in range(1, u.order + 1):
         term = term * u * ((r - k + 1) / k)
         if term.is_zero():
@@ -192,13 +171,9 @@ def binomial_series(u: Series2, r: Fraction | int) -> Series2:
 GENFUN_CASES = ("V", "VIII", "IX")
 
 
-def _truncation(
-    order: int, terms: Mapping[tuple[int, int], BivariatePoly]
-) -> Series2:
+def _truncation(order: int, terms: Mapping[tuple[int, ...], Scalar]) -> Series2:
     # construct the order-truncation of a known series, dropping higher terms
-    return Series2(
-        order, {k: p for k, p in terms.items() if k[0] + k[1] <= order}
-    )
+    return Series2(order, {k: c for k, c in terms.items() if k[0] + k[1] <= order})
 
 
 def genfun(params: CaseParams, order: int) -> Series2:
@@ -218,32 +193,26 @@ def genfun(params: CaseParams, order: int) -> Series2:
         )
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     if c == "IX":
-        u = _truncation(
-            order,
-            {(1, 0): -2 * X, (0, 1): -2 * Y, (2, 0): ONE, (0, 2): ONE},
-        )
-        return binomial_series(u, (1 - b) / 2)
+        u = {(1, 0, 1, 0): -2, (0, 1, 0, 1): -2, (2, 0, 0, 0): 1, (0, 2, 0, 0): 1}
+        return binomial_series(_truncation(order, u), (1 - b) / 2)
     if c == "V":
         # 1/(beta - t) as a truncated geometric series
-        minus_t_over_b = _truncation(order, {(0, 1): BivariatePoly.constant(-1 / b)})
+        minus_t_over_b = _truncation(order, {(0, 1, 0, 0): -1 / b})
         inv = binomial_series(minus_t_over_b, -1) * Fraction(1, b)
         exponent = (
-            _truncation(order, {(1, 0): b * b * X}) * inv * inv
-            + _truncation(order, {(1, 0): k1 * ONE, (0, 1): b * Y}) * inv
+            _truncation(order, {(1, 0, 1, 0): b * b}) * inv * inv
+            + _truncation(order, {(1, 0, 0, 0): k1, (0, 1, 0, 1): b}) * inv
         )
         return exponent.exp() * binomial_series(minus_t_over_b, -k2)
     # VIII
-    exponent = _truncation(
-        order,
-        {
-            (1, 0): (b * X + k1 * ONE) * (1 / b),
-            (0, 1): (b * Y + k2 * ONE) * (1 / b),
-            (1, 1): (1 / b) * ONE,
-            (2, 0): (2 * b * Y + k2 * ONE) * (1 / (2 * b * b)),
-            (3, 0): BivariatePoly.constant(Fraction(2, 3) / (b * b)),
-        },
-    )
-    return exponent.exp()
+    exponent = {
+        (1, 0, 1, 0): 1, (1, 0, 0, 0): k1 / b,
+        (0, 1, 0, 1): 1, (0, 1, 0, 0): k2 / b,
+        (1, 1, 0, 0): 1 / b,
+        (2, 0, 0, 1): 1 / b, (2, 0, 0, 0): k2 / (2 * b * b),
+        (3, 0, 0, 0): Fraction(2, 3) / (b * b),
+    }
+    return _truncation(order, exponent).exp()
 
 
 def normalization(params: CaseParams, m: int, n: int) -> Fraction:
@@ -264,6 +233,7 @@ def extract_polys(
     reported immediately rather than propagated.
     """
     table: dict[tuple[int, int], BivariatePoly] = {}
+    coeffs = g.coefficients()
     for N in range(g.order + 1):
         for m in range(N, -1, -1):
             n = N - m
@@ -273,7 +243,7 @@ def extract_polys(
                     f"vanishing normalization at (m,n)=({m},{n}) for beta="
                     f"{params.beta}"
                 )
-            p = g.coefficient(m, n) * (Fraction(factorial(m) * factorial(n)) / A)
+            p = coeffs.get((m, n), BivariatePoly.zero()) * (factorial(m) * factorial(n) / A)
             if p.coefficient(m, n) != 1 or p.degree != N or any(
                 i + j >= N for (i, j), _ in p.items() if (i, j) != (m, n)
             ):
@@ -302,16 +272,16 @@ def genfun_derivative_residuals(
     g = g_hi.truncated(order)
     dgs = g_hi.diff("s")
     dgt = g_hi.diff("t")
-    bt = _truncation(order, {(0, 0): BivariatePoly.constant(b), (0, 1): -1 * ONE})
+    bt = _truncation(order, {(0, 0, 0, 0): b, (0, 1, 0, 0): -1})
     bt2 = bt * bt
-    first = bt2 * dgs - (_truncation(order, {(0, 0): b * b * X}) + bt * k1) * g
+    first = bt2 * dgs - (_truncation(order, {(0, 0, 1, 0): b * b}) + bt * k1) * g
     second = (
         bt2 * dgt
-        - _truncation(order, {(1, 0): 2 * ONE}) * bt * dgs
+        - _truncation(order, {(1, 0, 0, 0): 2}) * bt * dgs
         - (
-            _truncation(order, {(0, 0): b * b * Y})
+            _truncation(order, {(0, 0, 0, 1): b * b})
             + bt * k2
-            - _truncation(order, {(1, 0): k1 * ONE})
+            - _truncation(order, {(1, 0, 0, 0): k1})
         )
         * g
     )

@@ -31,7 +31,7 @@ from .catalog import (
 )
 from .errors import AdmissibilityError, StencilError, TransferError
 
-AccessLog = list[tuple[str, str, tuple[int, int]]]  # (axis, kind, offset)
+AccessLog = list[tuple[str, tuple[int, int]]]  # (axis, offset)
 
 
 @dataclass
@@ -150,7 +150,7 @@ def _apply_step(
     P = step.lead * entries[step.source]
     if access_log is not None:
         sm, sn = step.source
-        access_log.append((axis, "lead", (sm - tm, sn - tn)))
+        access_log.append((axis, (sm - tm, sn - tn)))
     for mm, nn, coeff in step.tail:
         if mm < 0 or nn < 0:
             if coeff != 0:
@@ -163,7 +163,7 @@ def _apply_step(
             continue
         P = P + coeff * entries[(mm, nn)]
         if access_log is not None:
-            access_log.append((axis, "tail", (mm - tm, nn - tn)))
+            access_log.append((axis, (mm - tm, nn - tn)))
     return P
 
 
@@ -175,7 +175,7 @@ def build_recurrence(
     Cases III and VIII use their x-relation for every target off the right
     edge (III's right edge and VIII's left edge have no one-variable
     reduction); the other cases advance from both edges.  The optional
-    access_log records every (axis, kind, offset) read for stencil audits.
+    access_log records every (axis, offset) read for stencil audits.
     """
     _check_nmax(params, nmax)
     entries = {
@@ -346,6 +346,9 @@ def triangle_from_json(doc: object) -> Triangle:
         raise ValueError(f"nmax must be a nonnegative integer, not {nmax!r}")
     if not isinstance(doc["polys"], list):
         raise ValueError("polys must be a list of {m, n, terms} objects")
+    method = doc.get("method", "oracle")
+    if not isinstance(method, str) or method not in BUILDERS:
+        raise ValueError(f"method must name a builder ({', '.join(BUILDERS)}), not {method!r}")
     params = CaseParams(
         doc["case"],
         parse_rational(doc["beta"]),
@@ -353,10 +356,12 @@ def triangle_from_json(doc: object) -> Triangle:
         parse_rational(doc["kappa2"]),
         nmax,
     )
-    t = Triangle(params, nmax, str(doc.get("method", "oracle")), {})
+    t = Triangle(params, nmax, method, {})
     for rec in doc["polys"]:
         try:
             node = (rec["m"], rec["n"])
+            if not all(type(e) is int for e in node):
+                raise ValueError(f"m and n must be integers, not {node}")
             if node in t.entries:
                 raise ValueError(f"duplicate entry for (m,n)={node}")
             t.entries[node] = BivariatePoly.from_records(rec["terms"])

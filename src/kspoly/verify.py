@@ -50,7 +50,6 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    case_id: str
     params: CaseParams
     results: list[CheckResult] = field(default_factory=list)
 
@@ -74,7 +73,7 @@ class VerificationReport:
         for r in sorted(self.results, key=lambda r: r.name):
             entry = {
                 "check": r.name,
-                "case": self.case_id,
+                "case": self.params.case_id,
                 "params": {
                     "beta": str(self.params.beta),
                     "kappa1": str(self.params.kappa1),
@@ -121,7 +120,7 @@ def _op_detail(residual: DiffOp) -> dict:
 
 def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     """L P_{m,n} = lambda_{m+n} P_{m,n}, exactly, at every entry."""
-    report = VerificationReport(t.params.case_id, t.params)
+    report = VerificationReport(t.params)
     for m, n in t.nodes():
         p = t.entry(m, n)
         residual = L.apply(p) - eigenvalue(t.params, m + n) * p
@@ -135,7 +134,7 @@ def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
 
 def check_monic(t: Triangle) -> VerificationReport:
     """Leading term x^m y^n with coefficient 1; everything else lower degree."""
-    report = VerificationReport(t.params.case_id, t.params)
+    report = VerificationReport(t.params)
     for m, n in t.nodes():
         p = t.entry(m, n)
         ok = p.coefficient(m, n) == 1 and all(
@@ -147,7 +146,7 @@ def check_monic(t: Triangle) -> VerificationReport:
 
 def check_edge_ode(t: Triangle) -> VerificationReport:
     """Edge polynomials solve the one-variable restrictions of L."""
-    report = VerificationReport(t.params.case_id, t.params)
+    report = VerificationReport(t.params)
     lx, ly = edge_operators(t.params)
     for k in range(t.nmax + 1):
         lam = eigenvalue(t.params, k)
@@ -168,7 +167,7 @@ def check_action_formulas(
     """Every in-level shift relation of the commuting operators, at every node."""
     if t.nmax < 2:
         raise ValueError("action-formula checks need a triangle with nmax >= 2")
-    report = VerificationReport(t.params.case_id, t.params)
+    report = VerificationReport(t.params)
     for rel in action_relations(t.params, commuting):
         for m, n in t.nodes():
             p = t.entry(m, n)
@@ -196,7 +195,7 @@ def check_parity_ix(t: Triangle) -> VerificationReport:
     """P_{m,n}(-x,y) = (-1)^m P_{m,n}(x,y) and the y counterpart."""
     if t.params.case_id != "IX":
         raise ValueError("parity checks apply to case IX triangles")
-    report = VerificationReport("IX", t.params)
+    report = VerificationReport(t.params)
     for m, n in t.nodes():
         p = t.entry(m, n)
         sx = -p if m % 2 else p
@@ -211,7 +210,7 @@ def check_parity_ix(t: Triangle) -> VerificationReport:
 
 def check_swap_symmetry(t: Triangle, t_swapped: Triangle) -> VerificationReport:
     """Swapping (x,y) and the kappas maps P_{m,n} to P_{n,m} (cases I, IX)."""
-    report = VerificationReport(t.params.case_id, t.params)
+    report = VerificationReport(t.params)
     if t.params.case_id not in ("I", "IX"):
         raise ValueError("the swap symmetry holds for cases I and IX")
     for m, n in t.nodes():
@@ -239,7 +238,7 @@ def check_ix_to_i_map(t9: Triangle, t1: Triangle) -> VerificationReport:
         )
     if t1.nmax < t9.nmax // 2:
         raise ValueError("case I triangle too small for the even-even image")
-    report = VerificationReport("IX", t9.params)
+    report = VerificationReport(t9.params)
     for a in range(t9.nmax // 2 + 1):
         for b in range(t9.nmax // 2 - a + 1):
             residual = t9.entry(2 * a, 2 * b).halve_even_exponents() - t1.entry(a, b)
@@ -255,7 +254,7 @@ def check_genfun_agreement(
     t: Triangle, table: dict[tuple[int, int], BivariatePoly]
 ) -> VerificationReport:
     """Exact equality of every generating-function entry with the triangle."""
-    report = VerificationReport(t.params.case_id, t.params)
+    report = VerificationReport(t.params)
     order = max(m + n for (m, n) in table)
     for m, n in t.nodes():
         if m + n > order:
@@ -268,9 +267,9 @@ def check_genfun_agreement(
 def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> VerificationReport:
     """The recurrence builder touched only the documented stencil offsets:
     log is the access_log of a build_recurrence run for these params."""
-    report = VerificationReport(params.case_id, params)
+    report = VerificationReport(params)
     seen: dict[str, set] = {"x": set(), "y": set()}
-    for axis, _, offset in log:
+    for axis, offset in log:
         seen[axis].add(offset)
     for axis in ("x", "y"):
         allowed = STENCILS[(params.case_id, axis)]
@@ -293,7 +292,7 @@ def check_operator_identities(
 ) -> VerificationReport:
     """Commuting relations, raising commutators for N = 0..nmax, and the
     case IX quadratic relations, all as exact zero Weyl elements."""
-    report = VerificationReport(params.case_id, params)
+    report = VerificationReport(params)
     L = ops.L
     for idx, ik in enumerate(ops.commuting, start=1):
         residual = L.commutator(ik)
@@ -479,7 +478,7 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
     """Everything: builder agreement, eigen/monic/edge invariants, action
     formulas, operator identities, stencils, parity and symmetry checks,
     generating functions.  Used by the command-line `check`."""
-    report = VerificationReport(params.case_id, params)
+    report = VerificationReport(params)
     oracle = build_oracle(params, nmax)
     triangles = {"oracle": oracle}
     stencil_log: AccessLog = []
@@ -489,9 +488,9 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
         extra = {"access_log": stencil_log} if name == "recurrence" else {}
         try:
             triangles[name] = build(params, nmax, **extra)
-        except TransferError as exc:
+        except TransferError:
             # documented precondition miss: fall back silently to other builders
-            report.add(f"build-{name}(skipped)", True, {"note": str(exc)})
+            report.add(f"build-{name}(skipped)", True)
         except KspolyError as exc:
             report.add(f"build-{name}", False, {"error": str(exc)})
     for name, t in triangles.items():

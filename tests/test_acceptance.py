@@ -254,7 +254,7 @@ def test_criterion_8_parity_and_stencil():
             p = sample_params(case, rng, nmax_hint=8)
             log = []
             build_recurrence(p, 8, access_log=log)
-            for axis, _, offset in log:
+            for axis, offset in log:
                 assert offset in STENCILS[(case, axis)], (case, axis, offset)
         # boundary behavior: the out-of-range stencil point at n=1 carries
         # an exactly-zero coefficient

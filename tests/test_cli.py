@@ -246,6 +246,20 @@ def _drop_entry(doc):
     return doc
 
 
+def _retype_m(kind):
+    # the record for (m, n) = (1, 0) gets m of another type but an equal
+    # value: (1.0, 0) == (True, 0) == (1, 0) must not pass for an index
+    def corrupt(doc):
+        doc["polys"][1]["m"] = kind(doc["polys"][1]["m"])
+        return doc
+    return corrupt
+
+
+def _numeric_coefficient(doc):
+    doc["polys"][1]["terms"][0]["c"] = 3
+    return doc
+
+
 def _fractional_exponent(doc):
     # must be rejected, not truncated to x^1
     doc["polys"][1]["terms"][0]["i"] = 1.5
@@ -263,9 +277,15 @@ def _fractional_exponent(doc):
         (_fractional_exponent, "indices must be unique integers"),
         (lambda d: {**d, "beta": 3}, "beta must be a rational string"),
         (lambda d: [d], "must be an object"),
+        (_retype_m(float), "m and n must be integers"),
+        (_retype_m(bool), "m and n must be integers"),
+        (lambda d: {**d, "method": {"x": [1]}}, "method must name a builder"),
+        (lambda d: {**d, "method": "guess"}, "method must name a builder"),
+        (_numeric_coefficient, "not an exact rational: 3"),
     ],
     ids=["missing", "negative-nmax", "short-nmax", "duplicate", "polys-string",
-         "fractional-exponent", "numeric-beta", "list"],
+         "fractional-exponent", "numeric-beta", "list", "float-m", "bool-m",
+         "object-method", "unknown-method", "numeric-c"],
 )
 def test_export_rejects_malformed_table(tmp_path, capsys, corrupt, message):
     src = tmp_path / "t.json"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial, gcd
 
 import pytest
 
@@ -20,29 +21,157 @@ S = lambda order: Series2.term(order, 1, 0, ONE)
 T = lambda order: Series2.term(order, 0, 1, ONE)
 
 
+# -- reference: series as dicts (a, b) -> BivariatePoly -------------------------
+#
+# Plain loops over polynomial coefficients, independent of Series2's integer
+# numerators; every Series2 operation must equal them exactly.
+
+
+def lift(order, coeffs):
+    return Series2(
+        order,
+        {(a, b, i, j): c for (a, b), p in coeffs.items() for (i, j), c in p.items()},
+    )
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for key, p in g.items():
+        out[key] = out.get(key, BivariatePoly.zero()) + p
+    return {key: p for key, p in out.items() if not p.is_zero()}
+
+
+def ref_scale(f, c):
+    return ref_add({}, {key: p * c for key, p in f.items()})
+
+
+def ref_mul(order, f, g):
+    out = {}
+    for (a1, b1), p1 in f.items():
+        for (a2, b2), p2 in g.items():
+            key = (a1 + a2, b1 + b2)
+            if key[0] + key[1] <= order:
+                out = ref_add(out, {key: p1 * p2})
+    return out
+
+
+def ref_exp(order, f):
+    acc = power = {(0, 0): ONE}
+    for k in range(1, order + 1):
+        power = ref_mul(order, power, f)
+        if not power:
+            break
+        acc = ref_add(acc, ref_scale(power, F(1, factorial(k))))
+    return acc
+
+
+def ref_diff(f, var):
+    out = {}
+    for (a, b), p in f.items():
+        if var == "s" and a > 0:
+            out[(a - 1, b)] = p * a
+        elif var == "t" and b > 0:
+            out[(a, b - 1)] = p * b
+    return out
+
+
+def ref_truncated(order, f):
+    return {key: p for key, p in f.items() if key[0] + key[1] <= order}
+
+
+def expect(f, order, ref):
+    """f is the series ref at the given order, stored canonically."""
+    assert f.order == order
+    assert f._den > 0
+    assert gcd(f._den, *f._num.values()) == 1
+    assert all(f._num.values())
+    if not f._num:
+        assert f._den == 1
+    assert f.coefficients() == ref
+    assert all(f.coefficient(a, b) == p for (a, b), p in ref.items())
+    assert f == lift(order, ref)
+
+
+# shared: every coefficient over 6; coprime: denominators from distinct primes
+DENOMINATORS = {"integer": (1,), "shared": (6,), "coprime": (2, 3, 5, 7)}
+
+
+def random_coeffs(rng, order, dens, constant=True):
+    out = {}
+    for _ in range(rng.randrange(6)):
+        a = rng.randrange(order + 1)
+        b = rng.randrange(order + 1 - a)
+        if (a, b) == (0, 0) and not constant:
+            continue
+        c = F(rng.randrange(-5, 6), rng.choice(dens))
+        out = ref_add(out, {(a, b): BivariatePoly.monomial(rng.randrange(3), rng.randrange(3), c)})
+    return out
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
+def test_ring_operations_match_reference(dens):
+    rng = random.Random(len(dens) * 31 + dens[0])
+    for _ in range(40):
+        order = rng.randrange(5)
+        f_ref = random_coeffs(rng, order, dens)
+        g_ref = random_coeffs(rng, order, dens)
+        f, g = lift(order, f_ref), lift(order, g_ref)
+        expect(f, order, f_ref)
+        expect(f + g, order, ref_add(f_ref, g_ref))
+        expect(f - g, order, ref_add(f_ref, ref_scale(g_ref, -1)))
+        expect(-f, order, ref_scale(f_ref, -1))
+        expect(f * g, order, ref_mul(order, f_ref, g_ref))
+        # full and partial cancellation, in sums and in products
+        expect(f - f, order, {})
+        h_ref = ref_add(g_ref, {k: -p for k, p in f_ref.items() if rng.random() < 0.5})
+        expect(f + lift(order, h_ref), order, ref_add(f_ref, h_ref))
+        expect((f + g) * (f - g), order, ref_add(ref_mul(order, f_ref, f_ref),
+                                                 ref_scale(ref_mul(order, g_ref, g_ref), -1)))
+        for c in (0, -1, F(-3, 4), F(5, 6), 6):
+            expect(f * c, order, ref_scale(f_ref, c))
+            expect(c * f, order, ref_scale(f_ref, c))
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
+def test_exp_diff_truncated_match_reference(dens):
+    rng = random.Random(len(dens) * 17 + dens[0])
+    for _ in range(15):
+        order = rng.randrange(1, 5)
+        f_ref = random_coeffs(rng, order, dens, constant=False)
+        f = lift(order, f_ref)
+        expect(f.exp(), order, ref_exp(order, f_ref))
+        for var in ("s", "t"):
+            expect(f.diff(var), order - 1, ref_diff(f_ref, var))
+        for k in range(order + 1):
+            expect(f.truncated(k), k, ref_truncated(k, f_ref))
+
+
 # -- ring operations -----------------------------------------------------------
 
 
 def test_mul_truncates():
     one_plus_s = Series2.one(2) + S(2)
     one_minus_s = Series2.one(2) - S(2)
-    assert one_plus_s * one_minus_s == Series2(2, {(0, 0): ONE, (2, 0): -1 * ONE})
+    assert one_plus_s * one_minus_s == Series2(2, {(0, 0, 0, 0): 1, (2, 0, 0, 0): -1})
 
 
 def test_mul_identity():
-    f = Series2(3, {(1, 0): X, (0, 2): Y * Y, (3, 0): ONE})
+    f = Series2(3, {(1, 0, 1, 0): 1, (0, 2, 0, 2): 1, (3, 0, 0, 0): 1})
     assert f * Series2.one(3) == f
 
 
 def test_square_of_sum():
     st = S(2) + T(2)
-    assert st * st == Series2(2, {(2, 0): ONE, (1, 1): 2 * ONE, (0, 2): ONE})
+    assert st * st == Series2(2, {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1})
 
 
 def test_scale_by_scalar_and_poly():
-    f = Series2(2, {(1, 0): X, (0, 1): ONE})
-    assert 2 * f == Series2(2, {(1, 0): 2 * X, (0, 1): 2 * ONE})
-    assert f * Y == Series2(2, {(1, 0): X * Y, (0, 1): Y})
+    f = Series2(2, {(1, 0, 1, 0): 1, (0, 1, 0, 0): 1})
+    assert 2 * f == Series2(2, {(1, 0, 1, 0): 2, (0, 1, 0, 0): 2})
+    assert f * Series2.term(2, 0, 0, Y) == Series2(2, {(1, 0, 1, 1): 1, (0, 1, 0, 1): 1})
+    # a polynomial enters a product only lifted by Series2.term
+    with pytest.raises(TypeError):
+        f * Y
 
 
 def test_order_mismatch_rejected():
@@ -54,7 +183,28 @@ def test_order_mismatch_rejected():
 
 def test_coefficient_beyond_order_rejected():
     with pytest.raises(ValueError):
-        Series2(1, {(2, 0): ONE})
+        Series2(1, {(2, 0, 0, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "order, terms",
+    [(-1, {}), (2, {(1, -1, 0, 0): 1}), (2, {(1, 0, 0, 0): X}), (2, {(1, 0): 1})],
+    ids=["negative-order", "negative-index", "polynomial-value", "two-indices"],
+)
+def test_constructor_rejects_malformed_terms(order, terms):
+    with pytest.raises(ValueError):
+        Series2(order, terms)
+
+
+def test_series_records_round_trip():
+    g = Series2(1, {(0, 0, 0, 0): 1, (1, 0, 1, 0): F(-1, 2)})
+    assert g.to_records() == [
+        {"a": 0, "b": 0, "i": 0, "j": 0, "c": "1"},
+        {"a": 1, "b": 0, "i": 1, "j": 0, "c": "-1/2"},
+    ]
+    assert Series2.from_records(1, g.to_records()) == g
+    assert str(g) == "1 - 1/2*sx"
+    assert str(Series2.zero(3)) == "0"
 
 
 # -- exp ------------------------------------------------------------------------
@@ -69,10 +219,10 @@ def test_exp_of_sx():
     assert g == Series2(
         3,
         {
-            (0, 0): ONE,
-            (1, 0): X,
-            (2, 0): F(1, 2) * X * X,
-            (3, 0): F(1, 6) * X**3,
+            (0, 0, 0, 0): 1,
+            (1, 0, 1, 0): 1,
+            (2, 0, 2, 0): F(1, 2),
+            (3, 0, 3, 0): F(1, 6),
         },
     )
 
@@ -91,7 +241,7 @@ def test_exp_inverse_property():
             )
             for a, b in [(1, 0), (0, 1), (1, 1), (2, 0)]
         }
-        f = Series2(4, coeffs)
+        f = lift(4, coeffs)
         assert f.exp() * (-f).exp() == Series2.one(4)
 
 
@@ -112,7 +262,7 @@ def test_binomial_first_order_term():
 
 
 def test_binomial_sqrt_squares_back():
-    u = Series2(6, {(1, 0): X, (0, 1): -2 * Y, (1, 1): ONE})
+    u = Series2(6, {(1, 0, 1, 0): 1, (0, 1, 0, 1): -2, (1, 1, 0, 0): 1})
     half = binomial_series(u, F(1, 2))
     assert half * half == Series2.one(6) + u
 
@@ -123,9 +273,9 @@ def test_binomial_requires_zero_constant():
 
 
 def test_diff_shift_and_scale():
-    f = Series2(3, {(2, 1): X, (1, 0): Y})
-    assert f.diff("s") == Series2(2, {(1, 1): 2 * X, (0, 0): Y})
-    assert f.diff("t") == Series2(2, {(2, 0): X})
+    f = Series2(3, {(2, 1, 1, 0): 1, (1, 0, 0, 1): 1})
+    assert f.diff("s") == Series2(2, {(1, 1, 1, 0): 2, (0, 0, 0, 1): 1})
+    assert f.diff("t") == Series2(2, {(2, 0, 1, 0): 1})
 
 
 # -- generating functions ------------------------------------------------------------
@@ -199,10 +349,3 @@ def test_case_v_derivative_identities():
     r1, r2 = genfun_derivative_residuals(p, 6)
     assert r1.is_zero()
     assert r2.is_zero()
-
-
-def test_series_json_shape():
-    g = Series2(1, {(0, 0): ONE, (1, 0): X})
-    doc = g.to_json()
-    assert doc["order"] == 1
-    assert doc["coeffs"][1] == {"a": 1, "b": 0, "terms": [{"i": 1, "j": 0, "c": "1"}]}

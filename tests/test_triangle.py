@@ -263,7 +263,7 @@ def test_recurrence_touches_only_stencil_offsets(case):
     p = sample_params(case, rng, nmax_hint=6)
     log = []
     build_recurrence(p, 6, access_log=log)
-    for axis, _, offset in log:
+    for axis, offset in log:
         assert offset in STENCILS[(case, axis)], (axis, offset)
 
 
