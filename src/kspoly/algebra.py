@@ -194,6 +194,8 @@ class Terms:
         # tracer looks the method up
         if not isinstance(other, type(self)):
             return NotImplemented
+        if not other._num or not self._num:  # x + 0
+            return self if self._num else other
         a, b, da, db = self._num, other._num, self._den, other._den
         if da != db:  # both over lcm(da, db)
             g = gcd(da, db)
@@ -276,6 +278,13 @@ class BivariatePoly(Terms):
         if not self._num:
             return -1
         return max(i + j for (i, j) in self._num)
+
+    def is_monic(self, m: int, n: int) -> bool:
+        """Leading term x^m y^n with coefficient 1, every other term of lower
+        total degree; read from the stored numerators."""
+        return self._num.get((m, n)) == self._den and all(
+            i + j < m + n for (i, j) in self._num if (i, j) != (m, n)
+        )
 
     # -- arithmetic --------------------------------------------------------
 

@@ -318,7 +318,7 @@ def raising_commutator_rhs(
         ("IX", "y"): 2 * Y,
     }[(c, axis)]
     den = _nonzero(b + 2 * N - 1, "beta+2N-1", f"case {c} commutator rhs at N={N}")
-    return (1 / den) * shifted.left_mul(front) + dlam * r
+    return (1 / den) * (DiffOp.from_poly(front) @ shifted) + dlam * r
 
 
 def edge_operators(params: CaseParams) -> tuple[Optional[DiffOp], Optional[DiffOp]]:
@@ -412,8 +412,9 @@ class RecurrenceStep:
 
     P_target = lead * P_source + sum of c * P_(mm,nn) over tail.  The tail
     keeps every stencil point, including those whose coefficient
-    evaluates to zero and those with out-of-range indices (the builder
-    asserts that out-of-range implies zero coefficient).
+    evaluates to zero and those with out-of-range indices;
+    triangle.stencil_sum, the one place the rule is enforced, raises
+    StencilError when an out-of-range point carries a nonzero coefficient.
     """
 
     target: tuple[int, int]
@@ -603,7 +604,9 @@ class ActionRelation:
     """op P_{m,n} + self_coeff(m,n) P_{m,n} = sum c * P_{m+dm,n+dn}.
 
     The neighbor offsets keep the level m+n fixed; coefficients vanish
-    whenever a neighbor would leave the triangle.
+    whenever a neighbor would leave the triangle.  triangle.stencil_sum
+    enforces that rule for the transfer builder and the action-formula
+    audit alike.
     """
 
     name: str

@@ -15,7 +15,7 @@ from random import Random
 from .algebra import parse_rational
 from .catalog import CASES, CaseParams, commuting_ops, operator_L, sample_params
 from .errors import KspolyError
-from .series import GENFUN_CASES, extract_polys, genfun
+from .series import extract_polys, genfun
 from .triangle import BUILDERS, FORMATTERS, dumps_json, triangle_from_json
 from .verify import certify_commutator, full_suite
 
@@ -152,12 +152,6 @@ def cmd_gf(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise KspolyError(f"--order must be nonnegative, not {args.order}")
     params = _params_from(args, args.order)
-    if params.case_id not in GENFUN_CASES:
-        raise KspolyError(
-            f"no generating function is available for case {params.case_id} "
-            f"(none is known for cases I, II, III); supported: "
-            + ", ".join(GENFUN_CASES)
-        )
     table = extract_polys(genfun(params, args.order), params)
     oracle = BUILDERS["oracle"](params, args.order)
     entries = []

@@ -244,9 +244,7 @@ def extract_polys(
                     f"{params.beta}"
                 )
             p = coeffs.get((m, n), BivariatePoly.zero()) * (factorial(m) * factorial(n) / A)
-            if p.coefficient(m, n) != 1 or p.degree != N or any(
-                i + j >= N for (i, j), _ in p.items() if (i, j) != (m, n)
-            ):
+            if not p.is_monic(m, n):
                 raise ParameterError(
                     f"extracted entry at (m,n)=({m},{n}) is not monic; "
                     "normalization mismatch"

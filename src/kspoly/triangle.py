@@ -16,6 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra import ONE, BivariatePoly, parse_rational, signed_sum
 from .catalog import (
@@ -135,35 +136,40 @@ def _recurrence_route(case_id: str, a: int, c: int) -> tuple[str, tuple[int, int
     return ("y", (a, c - 1))
 
 
+def stencil_sum(
+    entries: dict[tuple[int, int], BivariatePoly],
+    terms: Iterable[tuple[int, int, Fraction]],
+) -> BivariatePoly:
+    """Sum of c * P_(mm,nn) over a relation's (mm, nn, c) terms.
+
+    The one place the stencil rule is enforced: zero coefficients are
+    skipped, and a nonzero one on a point outside the triangle is a
+    coefficient-table bug, raised as StencilError.
+    """
+    total = BivariatePoly.zero()
+    for mm, nn, c in terms:
+        if c == 0:
+            continue
+        if mm < 0 or nn < 0:
+            raise StencilError(
+                f"nonzero coefficient {c} multiplies out-of-range entry ({mm},{nn})"
+            )
+        total = total + c * entries[(mm, nn)]
+    return total
+
+
 def _apply_step(
     step: RecurrenceStep,
     entries: dict[tuple[int, int], BivariatePoly],
     axis: str,
     access_log: AccessLog | None,
 ) -> BivariatePoly:
-    """Evaluate one recurrence step against already-built entries.
-
-    Out-of-range stencil points must carry an exactly-zero coefficient;
-    anything else is a coefficient-table bug, reported loudly.
-    """
-    tm, tn = step.target
-    P = step.lead * entries[step.source]
+    """Evaluate one recurrence step against already-built entries."""
+    P = step.lead * entries[step.source] + stencil_sum(entries, step.tail)
     if access_log is not None:
-        sm, sn = step.source
-        access_log.append((axis, (sm - tm, sn - tn)))
-    for mm, nn, coeff in step.tail:
-        if mm < 0 or nn < 0:
-            if coeff != 0:
-                raise StencilError(
-                    f"nonzero coefficient {coeff} multiplies out-of-range "
-                    f"entry ({mm},{nn}) while building ({tm},{tn})"
-                )
-            continue
-        if coeff == 0:
-            continue
-        P = P + coeff * entries[(mm, nn)]
-        if access_log is not None:
-            access_log.append((axis, (mm - tm, nn - tn)))
+        tm, tn = step.target
+        reads = [step.source] + [(mm, nn) for mm, nn, c in step.tail if c]
+        access_log.extend((axis, (mm - tm, nn - tn)) for mm, nn in reads)
     return P
 
 
@@ -228,22 +234,16 @@ _TRANSFER_ROUTE: dict[str, tuple[int, tuple[int, int], tuple[str, ...]]] = {
 def _transfer_sources(case_id: str, T: int) -> list[tuple[int, int]]:
     """Sweep order: level-T sources whose unknown neighbor must be solved for.
 
-    The sweep starts at the corner the unknown offset points away from.
-    Targets that are edge entries already produced by the edge recurrences
-    are skipped; the sweep stops when the target leaves the triangle.
+    The sweep starts at the corner the unknown offset points away from and
+    stops before the target leaves the triangle; targets that are edge
+    entries already produced by the edge recurrences are skipped.
     """
     _, (du, dv), edges = _TRANSFER_ROUTE[case_id]
-    sources = []
-    m, n = (T, 0) if (du, dv) == (-1, 1) else (0, T)
-    while m >= 0 and n >= 0:
-        tm, tn = m + du, n + dv
-        if tm < 0 or tn < 0:
-            break
-        built_by_edge = (tn == 0 and "left" in edges) or (tm == 0 and "right" in edges)
-        if not built_by_edge:
-            sources.append((m, n))
-        m, n = tm, tn
-    return sources
+    return [
+        (m, T - m)
+        for m in (range(T, 0, -1) if du < 0 else range(T))
+        if not (T - m + dv == 0 and "left" in edges or m + du == 0 and "right" in edges)
+    ]
 
 
 def build_transfer(params: CaseParams, nmax: int) -> Triangle:
@@ -256,18 +256,17 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
     builder is the documented fallback).
     """
     _check_nmax(params, nmax)
-    rel_index, unknown, edges = _TRANSFER_ROUTE[params.case_id]
+    rel_index, (du, dv), edges = _TRANSFER_ROUTE[params.case_id]
     rel = action_relations(params, commuting_ops(params))[rel_index]
-    sweep = [
-        [(m, n, rel.neighbors(m, n)) for m, n in _transfer_sources(params.case_id, T)]
-        for T in range(2, nmax + 1)
-    ]
-    bad = [
-        f"(m,n)=({m},{n})"
-        for level in sweep
-        for m, n, neighbors in level
-        if not dict(((dm, dn), c) for dm, dn, c in neighbors).get(unknown)
-    ]
+    sweep = []  # per level: (m, n, unknown's coefficient, known neighbor terms)
+    for T in range(2, nmax + 1):
+        level = []
+        for m, n in _transfer_sources(params.case_id, T):
+            known = {(m + dm, n + dn): c for dm, dn, c in rel.neighbors(m, n)}
+            coeff_u = known.pop((m + du, n + dv), 0)
+            level.append((m, n, coeff_u, [(mm, nn, c) for (mm, nn), c in known.items()]))
+        sweep.append(level)
+    bad = [f"(m,n)=({m},{n})" for level in sweep for m, n, coeff_u, _ in level if not coeff_u]
     if bad:
         raise TransferError(
             f"case {params.case_id} transfer route divides by zero at {', '.join(bad)}; "
@@ -283,22 +282,9 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
         if "right" in edges:
             step = recurrence_step(params, "y", 0, T - 1)
             entries[(0, T)] = _apply_step(step, entries, "y", None)
-        for m, n, neighbors in level:
+        for m, n, coeff_u, known in level:
             P = rel.op.apply(entries[(m, n)]) + rel.self_coeff(m, n) * entries[(m, n)]
-            for dm, dn, c in neighbors:
-                if (dm, dn) == unknown:
-                    coeff_u = c
-                    continue
-                if c == 0:
-                    continue
-                mm, nn = m + dm, n + dn
-                if mm < 0 or nn < 0:
-                    raise StencilError(
-                        f"nonzero coefficient {c} multiplies out-of-range "
-                        f"entry ({mm},{nn}) in the transfer sweep"
-                    )
-                P = P - c * entries[(mm, nn)]
-            entries[(m + unknown[0], n + unknown[1])] = (1 / coeff_u) * P
+            entries[(m + du, n + dv)] = (1 / coeff_u) * (P - stencil_sum(entries, known))
     return Triangle(params, nmax, "transfer", entries)
 
 

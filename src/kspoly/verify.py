@@ -26,14 +26,14 @@ from .catalog import (
     raising_commutator_rhs,
     raising_ops,
 )
-from .errors import KspolyError, ParameterDegreeError, TransferError
+from .errors import KspolyError, ParameterDegreeError, StencilError, TransferError
 from .series import (
     GENFUN_CASES,
     extract_polys,
     genfun,
     genfun_derivative_residuals,
 )
-from .triangle import BUILDERS, AccessLog, Triangle, build_oracle
+from .triangle import BUILDERS, AccessLog, Triangle, build_oracle, stencil_sum
 from .weyl import DiffOp
 
 
@@ -137,10 +137,8 @@ def check_monic(t: Triangle) -> VerificationReport:
     report = VerificationReport(t.params)
     for m, n in t.nodes():
         p = t.entry(m, n)
-        ok = p.coefficient(m, n) == 1 and all(
-            i + j < m + n for (i, j), _ in p.items() if (i, j) != (m, n)
-        )
-        report.add(f"monic[{t.method}]({m},{n})", ok, _poly_detail((m, n), p))
+        ok = p.is_monic(m, n)
+        report.add(f"monic[{t.method}]({m},{n})", ok, None if ok else _poly_detail((m, n), p))
     return report
 
 
@@ -171,23 +169,15 @@ def check_action_formulas(
     for rel in action_relations(t.params, commuting):
         for m, n in t.nodes():
             p = t.entry(m, n)
-            lhs = rel.op.apply(p) + rel.self_coeff(m, n) * p
-            rhs = BivariatePoly.zero()
-            out_of_range = False
-            for dm, dn, c in rel.neighbors(m, n):
-                if c == 0:
-                    continue
-                mm, nn = m + dm, n + dn
-                if mm < 0 or nn < 0:
-                    out_of_range = True
-                    continue
-                rhs = rhs + c * t.entry(mm, nn)
-            residual = lhs - rhs
-            report.add(
-                f"action-{rel.name}({m},{n})",
-                residual.is_zero() and not out_of_range,
-                _poly_detail((m, n), residual),
-            )
+            name = f"action-{rel.name}({m},{n})"
+            terms = ((m + dm, n + dn, c) for dm, dn, c in rel.neighbors(m, n))
+            try:
+                rhs = stencil_sum(t.entries, terms)
+            except StencilError as err:
+                report.add(name, False, {"node": [m, n], "error": str(err)})
+                continue
+            residual = rel.op.apply(p) + rel.self_coeff(m, n) * p - rhs
+            report.add(name, residual.is_zero(), _poly_detail((m, n), residual))
     return report
 
 

@@ -88,15 +88,6 @@ class DiffOp(Terms):
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return (self @ other) - (other @ self)
 
-    def left_mul(self, p: BivariatePoly) -> "DiffOp":
-        """p * self as an operator (coefficient multiplication from the left)."""
-        out: dict[Key, int] = {}
-        for (a, b), pc in p._num.items():
-            for (i, j, k, l), c in self._num.items():
-                key = (i + a, j + b, k, l)
-                out[key] = out.get(key, 0) + pc * c
-        return self._wrap(drop_zeros(out), p._den * self._den)
-
     # -- action ---------------------------------------------------------------
 
     def apply(self, p: BivariatePoly) -> BivariatePoly:

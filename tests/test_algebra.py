@@ -51,6 +51,8 @@ def test_add_cancellation():
 def test_add_identity():
     p = X * X * Y - 3 * Y
     assert p + BivariatePoly.zero() == p
+    assert BivariatePoly.zero() + p == p
+    assert (BivariatePoly.zero() - BivariatePoly.zero()).is_zero()
 
 
 def test_add_like_terms():
@@ -90,6 +92,18 @@ def test_degree_conventions():
     assert BivariatePoly.zero().degree == -1
     assert ONE.degree == 0
     assert (X * Y * Y).degree == 3
+
+
+def test_is_monic():
+    p = X * X * Y - F(1, 2) * Y + F(1, 3) * X
+    assert p.is_monic(2, 1)
+    assert not p.is_monic(1, 2)  # no x y^2 term
+    assert not (2 * p).is_monic(2, 1)  # leading coefficient 2
+    assert not (F(1, 2) * p).is_monic(2, 1)
+    assert not (p + X * Y * Y).is_monic(2, 1)  # a second term of degree 3
+    assert not (p + X**4).is_monic(2, 1)
+    assert not BivariatePoly.zero().is_monic(0, 0)
+    assert ONE.is_monic(0, 0)
 
 
 def test_halve_even_exponents():

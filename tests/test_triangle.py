@@ -31,6 +31,7 @@ from kspoly.triangle import (
     build_recurrence,
     build_transfer,
     dumps_json,
+    stencil_sum,
     triangle_from_json,
     triangle_to_csv,
     triangle_to_json,
@@ -282,6 +283,10 @@ def test_out_of_range_nonzero_coefficient_raises():
     fake = RecurrenceStep((1, 0), (0, 0), X, ((-1, 0, F(1)),))
     with pytest.raises(StencilError):
         _apply_step(fake, {(0, 0): ONE}, "x", None)
+    with pytest.raises(StencilError, match=r"coefficient 1 multiplies out-of-range entry \(-1,0\)"):
+        stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(1))))
+    # a zero coefficient outside the triangle is skipped
+    assert stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(0)))) == 2 * ONE
 
 
 # -- serialization -----------------------------------------------------------------

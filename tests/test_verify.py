@@ -6,6 +6,7 @@ import pytest
 
 import kspoly.verify
 from kspoly import triangle
+from kspoly.algebra import Y
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -14,8 +15,8 @@ from kspoly.catalog import (
     operator_L,
     sample_params,
 )
-from kspoly.errors import ParameterDegreeError
-from kspoly.triangle import build_oracle, build_recurrence
+from kspoly.errors import ParameterDegreeError, StencilError
+from kspoly.triangle import build_oracle, build_recurrence, build_transfer
 from kspoly.verify import (
     catalog_operator_set,
     certify_commutator,
@@ -70,6 +71,38 @@ def test_action_formula_trivial_rows():
     names = {r.name for r in report.results}
     assert "action-I2(3,0)" in names
     assert report.passed
+
+
+def leaky_relations(true_relations):
+    """action_relations whose first relation also reads P_{m+1,n-1}, with a
+    coefficient that is nonzero exactly where that point leaves the triangle."""
+
+    def relations(params, ops):
+        first, *rest = true_relations(params, ops)
+        leak = lambda m, n: first.neighbors(m, n) + ((1, -1, F(int(n == 0))),)
+        return (dataclasses.replace(first, neighbors=leak), *rest)
+
+    return relations
+
+
+def test_transfer_raises_on_out_of_range_action_neighbor(monkeypatch):
+    monkeypatch.setattr(triangle, "action_relations", leaky_relations(triangle.action_relations))
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
+    # the sweep's first source (2,0) reads (3,-1)
+    with pytest.raises(StencilError, match=r"out-of-range entry \(3,-1\)"):
+        build_transfer(p, 4)
+
+
+def test_action_audit_records_out_of_range_neighbor(monkeypatch):
+    monkeypatch.setattr(
+        kspoly.verify, "action_relations", leaky_relations(kspoly.verify.action_relations)
+    )
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
+    report = check_action_formulas(build_oracle(p, 4), commuting_ops(p))
+    failed = report.failures()
+    assert [r.name for r in failed] == [f"action-I1({m},0)" for m in range(5)]
+    assert all("out-of-range" in r.detail["error"] for r in failed)
+    assert len(report.results) == 2 * 15  # every other node still passes
 
 
 def test_parity_examples():
@@ -198,6 +231,16 @@ def test_report_json_shape():
     assert entry["case"] == "IX"
     assert entry["status"] == "pass"
     assert entry["params"]["beta"] == "3"
+
+
+def test_monic_failure_carries_the_entry():
+    p = CaseParams("IX", F(3), nmax_hint=4)
+    t = build_oracle(p, 2)
+    t.entries[(1, 1)] = t.entries[(1, 1)] + Y * Y
+    report = check_monic(t)
+    [failure] = report.failures()
+    assert failure.name == "monic[oracle](1,1)"
+    assert failure.detail == {"node": [1, 1], "residual": t.entries[(1, 1)].to_records()}
 
 
 def test_failure_carries_residual():

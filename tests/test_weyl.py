@@ -86,7 +86,8 @@ def test_self_commutator_vanishes():
 
 def test_left_mul_example():
     two_x_minus_one = 2 * X - ONE
-    assert DiffOp.identity().left_mul(two_x_minus_one) == DiffOp.from_poly(
+    # p * op as an operator is the composition from_poly(p) @ op
+    assert DiffOp.from_poly(two_x_minus_one) @ DiffOp.identity() == DiffOp.from_poly(
         two_x_minus_one
     )
 
@@ -151,7 +152,8 @@ def test_rejects_negative_indices():
 # -- the integer kernel against Fraction reference loops -------------------------
 #
 # The Fraction-dict loops the integer-numerator kernel replaced; apply, @ and
-# left_mul must give exactly their coefficients, in canonical storage.
+# left multiplication by a polynomial (from_poly(p) @ op) must give exactly
+# their coefficients, in canonical storage.
 
 
 def ref_apply(op, p):
@@ -189,7 +191,7 @@ def check_kernel(a, b, p):
     cases = [
         (a.apply(p), ref_apply(ta, tp)),
         (a @ b, ref_compose(ta, tb)),
-        (a.left_mul(p), ref_left_mul(ta, tp)),
+        (DiffOp.from_poly(p) @ a, ref_left_mul(ta, tp)),
         (a.commutator(b), ref_add(ref_compose(ta, tb), ref_scale(ref_compose(tb, ta), -1))),
         (a + b, ref_add(ta, tb)),
         (a - a, {}),
