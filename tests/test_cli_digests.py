@@ -1,8 +1,9 @@
 """Byte-identity gate: a fixed corpus of CLI runs must reproduce the sha256
 digests in tests/data/cli_digests.json.
 
-The digests pin every byte kspoly writes (tables in all formats, check
-reports and their stdout, generating-function comparisons, exports), so a
+The digests pin every byte kspoly writes (tables in all formats at nmax 5,
+JSON tables of every builder at the benchmark's nmax 12, check reports and
+their stdout, generating-function comparisons, exports), so a
 change to the arithmetic underneath cannot alter an output unnoticed.  Only
 a change that means to alter an output may record them again, with
 
@@ -52,6 +53,9 @@ def corpus_digests() -> dict[str, str]:
                 for fmt in sorted(FORMATTERS):
                     record(f"gen {case} {method} {fmt}",
                            ["gen", *params, "--nmax", "5", "--method", method, "--format", fmt])
+                # the benchmark's table size, where every builder runs its full sweep
+                record(f"gen {case} {method} json nmax 12",
+                       ["gen", *params, "--nmax", "12", "--method", method, "--format", "json"])
         record("check all", ["check", "--case", "all", "--trials", "1", "--seed", "7",
                              "--nmax", "4", "--order", "4"])
         for case in ("V", "VIII", "IX"):
