@@ -218,11 +218,37 @@ class Terms:
     def __rmul__(self, other: Scalar):
         return self.__mul__(other)
 
+    @classmethod
+    def combination(cls, pairs: Iterable[tuple[Scalar, "Terms"]]):
+        """Sum of c * p over (scalar, Terms) pairs, as one object.
+
+        Every product is brought over one lcm of the denominators, the
+        integer numerators accumulate in one dict, and the sum is reduced
+        once with one gcd; zero coefficients and zero operands are skipped,
+        and an empty sum is zero.
+        """
+        live = [(c.numerator, c.denominator, p) for c, p in pairs if c and p._num]
+        den = lcm(*(cd * p._den for _, cd, p in live))
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for cn, cd, p in live:
+            f = cn * (den // (cd * p._den))
+            for key, a in p._num.items():
+                out[key] = get(key, 0) + a * f
+        return cls._wrap(drop_zeros(out), den)
+
     # -- serialization -----------------------------------------------------
 
     def to_records(self) -> list[dict[str, object]]:
-        fields = self.FIELDS
-        return [dict(zip(fields, key), c=str(c)) for key, c in self.items()]
+        """One {field: index, ..., "c": "p/q"} record per term in canonical
+        order; "c" is the coefficient in lowest terms, as str(Fraction)."""
+        fields, den = self.FIELDS, self._den
+        records = []
+        for key, c in sorted(self._num.items(), key=self._order):
+            g = gcd(c, den)
+            text = str(c // g) if g == den else f"{c // g}/{den // g}"
+            records.append(dict(zip(fields, key), c=text))
+        return records
 
     @classmethod
     def from_records(cls, records: list[dict[str, object]]):

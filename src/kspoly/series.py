@@ -71,16 +71,21 @@ class Series2(Terms):
 
     # -- inspection ----------------------------------------------------------
 
-    def coefficients(self) -> dict[tuple[int, int], BivariatePoly]:
-        """The nonzero polynomial coefficients, keyed by their (s, t) exponents."""
+    def _grouped(self) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
+        # the stored numerators of each nonzero coefficient, over self._den
         num: dict[tuple[int, int], dict] = {}
         for (a, b, i, j), c in self._num.items():
             num.setdefault((a, b), {})[(i, j)] = c
-        return {key: BivariatePoly._wrap(n, self._den) for key, n in num.items()}
+        return num
+
+    def coefficients(self) -> dict[tuple[int, int], BivariatePoly]:
+        """The nonzero polynomial coefficients, keyed by their (s, t) exponents."""
+        return {key: BivariatePoly._wrap(n, self._den) for key, n in self._grouped().items()}
 
     def coefficient(self, a: int, b: int) -> BivariatePoly:
-        """The polynomial multiplying s^a t^b."""
-        return self.coefficients().get((a, b), BivariatePoly.zero())
+        """The polynomial multiplying s^a t^b, read from its terms alone."""
+        num = {(i, j): c for (s, t, i, j), c in self._num.items() if s == a and t == b}
+        return BivariatePoly._wrap(num, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series2):
@@ -233,7 +238,7 @@ def extract_polys(
     reported immediately rather than propagated.
     """
     table: dict[tuple[int, int], BivariatePoly] = {}
-    coeffs = g.coefficients()
+    groups = g._grouped()
     for N in range(g.order + 1):
         for m in range(N, -1, -1):
             n = N - m
@@ -243,7 +248,10 @@ def extract_polys(
                     f"vanishing normalization at (m,n)=({m},{n}) for beta="
                     f"{params.beta}"
                 )
-            p = coeffs.get((m, n), BivariatePoly.zero()) * (factorial(m) * factorial(n) / A)
+            # scale the raw numerators first, so each entry is reduced once
+            scale = factorial(m) * factorial(n) / A
+            num = {key: c * scale.numerator for key, c in groups.get((m, n), {}).items()}
+            p = BivariatePoly._wrap(num, g._den * scale.denominator)
             if not p.is_monic(m, n):
                 raise ParameterError(
                     f"extracted entry at (m,n)=({m},{n}) is not monic; "

@@ -16,9 +16,10 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
 from typing import Iterable
 
-from .algebra import ONE, BivariatePoly, parse_rational, signed_sum
+from .algebra import ONE, BivariatePoly, Scalar, parse_rational, signed_sum
 from .catalog import (
     CaseParams,
     RecurrenceStep,
@@ -31,6 +32,7 @@ from .catalog import (
     seed_polys,
 )
 from .errors import AdmissibilityError, StencilError, TransferError
+from .weyl import DiffOp
 
 AccessLog = list[tuple[str, tuple[int, int]]]  # (axis, offset)
 
@@ -80,21 +82,26 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     (lambda_d - lambda_N) times itself plus lower-degree terms, so the system
     is triangular by total degree and solved exactly by back-substitution.
 
-    Each step adds the degree-d layer ``top`` to P, and the residual is
+    Each step finds the degree-d layer ``top`` of P, and the residual is
     updated by (L - lambda_N) applied to ``top`` alone.  L is linear and the
     arithmetic is exact, so (L - lambda_N)(P + top) equals the old residual
     plus (L - lambda_N) top term for term: every intermediate residual, and
     hence every guard below, is the same as if L were re-applied to all of P.
+    The shifted operator is formed once per level, and the layers, which
+    share no term, are summed once when the residual vanishes.
     """
     _check_nmax(params, nmax)
     L = operator_L(params)
+    lams = [eigenvalue(params, N) for N in range(nmax + 1)]
     entries: dict[tuple[int, int], BivariatePoly] = {}
-    for N in range(nmax + 1):
-        lam = eigenvalue(params, N)
+    for N, lam in enumerate(lams):
+        shifted = L - DiffOp({(0, 0, 0, 0): lam})
+        # -1 / (lambda_d - lambda_N) for d < N; None where the two coincide
+        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]]
         for m in range(N, -1, -1):
             n = N - m
-            P = BivariatePoly.monomial(m, n)
-            residual = L.apply(P) - lam * P
+            layers = [BivariatePoly.monomial(m, n)]
+            residual = shifted.apply(layers[0])
             while not residual.is_zero():
                 d = residual.degree
                 if d >= N:
@@ -102,16 +109,16 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                         f"residual degree {d} did not drop below {N} at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                denom = eigenvalue(params, d) - lam
-                if denom == 0:
+                factor = factors[d]
+                if factor is None:
                     raise AdmissibilityError(
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                top = residual.scaled_part(d, -1 / denom)
-                P = P + top
-                residual = residual + (L.apply(top) - lam * top)
-            entries[(m, n)] = P
+                top = residual.scaled_part(d, factor)
+                layers.append(top)
+                residual = residual + shifted.apply(top)
+            entries[(m, n)] = BivariatePoly.combination((1, p) for p in layers)
     return Triangle(params, nmax, "oracle", entries)
 
 
@@ -138,15 +145,17 @@ def _recurrence_route(case_id: str, a: int, c: int) -> tuple[str, tuple[int, int
 
 def stencil_sum(
     entries: dict[tuple[int, int], BivariatePoly],
-    terms: Iterable[tuple[int, int, Fraction]],
+    terms: Iterable[tuple[int, int, Scalar]],
+    extra: Iterable[tuple[Scalar, BivariatePoly]] = (),
 ) -> BivariatePoly:
-    """Sum of c * P_(mm,nn) over a relation's (mm, nn, c) terms.
+    """Sum of c * P_(mm,nn) over a relation's (mm, nn, c) terms, plus
+    c * p over the extra (c, p) pairs, formed as one combination.
 
     The one place the stencil rule is enforced: zero coefficients are
     skipped, and a nonzero one on a point outside the triangle is a
     coefficient-table bug, raised as StencilError.
     """
-    total = BivariatePoly.zero()
+    pairs = list(extra)
     for mm, nn, c in terms:
         if c == 0:
             continue
@@ -154,8 +163,8 @@ def stencil_sum(
             raise StencilError(
                 f"nonzero coefficient {c} multiplies out-of-range entry ({mm},{nn})"
             )
-        total = total + c * entries[(mm, nn)]
-    return total
+        pairs.append((c, entries[(mm, nn)]))
+    return BivariatePoly.combination(pairs)
 
 
 def _apply_step(
@@ -165,7 +174,7 @@ def _apply_step(
     access_log: AccessLog | None,
 ) -> BivariatePoly:
     """Evaluate one recurrence step against already-built entries."""
-    P = step.lead * entries[step.source] + stencil_sum(entries, step.tail)
+    P = stencil_sum(entries, step.tail, [(1, step.lead * entries[step.source])])
     if access_log is not None:
         tm, tn = step.target
         reads = [step.source] + [(mm, nn) for mm, nn, c in step.tail if c]
@@ -264,7 +273,7 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
         for m, n in _transfer_sources(params.case_id, T):
             known = {(m + dm, n + dn): c for dm, dn, c in rel.neighbors(m, n)}
             coeff_u = known.pop((m + du, n + dv), 0)
-            level.append((m, n, coeff_u, [(mm, nn, c) for (mm, nn), c in known.items()]))
+            level.append((m, n, coeff_u, known))
         sweep.append(level)
     bad = [f"(m,n)=({m},{n})" for level in sweep for m, n, coeff_u, _ in level if not coeff_u]
     if bad:
@@ -283,8 +292,12 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
             step = recurrence_step(params, "y", 0, T - 1)
             entries[(0, T)] = _apply_step(step, entries, "y", None)
         for m, n, coeff_u, known in level:
-            P = rel.op.apply(entries[(m, n)]) + rel.self_coeff(m, n) * entries[(m, n)]
-            entries[(m + du, n + dv)] = (1 / coeff_u) * (P - stencil_sum(entries, known))
+            # P_u = (op P + s P - sum of the known neighbors) / c_u
+            inv = 1 / coeff_u
+            terms = [(m, n, rel.self_coeff(m, n) * inv)]
+            terms += [(mm, nn, -c * inv) for (mm, nn), c in known.items()]
+            op_p = rel.op.apply(entries[(m, n)])
+            entries[(m + du, n + dv)] = stencil_sum(entries, terms, [(inv, op_p)])
     return Triangle(params, nmax, "transfer", entries)
 
 
@@ -364,8 +377,54 @@ def triangle_from_json(doc: object) -> Triangle:
 
 
 def dumps_json(doc: dict) -> str:
-    """Deterministic JSON text: fixed key order, fixed layout."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Deterministic JSON text: fixed key order, fixed layout.
+
+    The text is json.dumps(doc, indent=2) + "\\n", byte for byte, written
+    directly (with indent set, the stdlib runs its pure-Python encoder).
+    """
+    chunks: list[str] = []
+    _write_json(doc, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value: object, out: list[str], newline: str) -> None:
+    # newline is "\n" plus the indent of value's own level; str, int, bool,
+    # None, lists, tuples and str-keyed dicts are written here, anything else
+    # by the stdlib, re-indented to this level
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append(_JSON_CONSTANTS[value])
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and value:
+        start = len(out)
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:  # the stdlib converts such keys
+                del out[start:]
+                out.append(json.dumps(value, indent=2).replace("\n", newline))
+                return
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:  # empty containers, floats, subclasses
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def triangle_to_csv(t: Triangle) -> str:

@@ -14,6 +14,7 @@ from kspoly.algebra import (
     parse_rational,
     rising_factorial,
 )
+from kspoly.weyl import DiffOp
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -348,3 +349,68 @@ def test_constructor_reduces_to_canonical_storage():
     assert BivariatePoly({(0, 0): F(4, 6)}) == BivariatePoly({(0, 0): F(2, 3)})
     assert coeffs(p) == {(0, 0): F(1, 2), (1, 0): F(3), (0, 1): F(-5, 6)}
     assert p.coefficient(0, 1) == F(-5, 6) and p.coefficient(3, 3) == 0
+
+
+# -- one-pass linear combinations and Fraction-free records ----------------------
+
+
+def chained(pairs, zero):
+    """sum of c * p, one + and one * at a time: what combination replaces."""
+    total = zero
+    for c, p in pairs:
+        total = total + c * p
+    return total
+
+
+COMBINATIONS = [
+    [],
+    [(1, COPRIME[0])],
+    [(3, COPRIME[0]), (F(-2, 9), COPRIME[1])],  # coprime denominators
+    [(F(5, 6), SHARED[0]), (-4, SHARED[1]), (F(1, 12), SHARED[0])],  # shared ones
+    [(0, COPRIME[0]), (F(7, 5), SHARED[1]), (0, SHARED[0])],  # zero coefficients
+    [(F(2, 3), SHARED[0]), (F(-2, 3), SHARED[0])],  # full cancellation
+    [(F(1, 6), SHARED[0]), (F(1, 6), SHARED[1]), (-1, BivariatePoly({(3, 0): F(7, 24)}))],
+    [(5, BivariatePoly.zero()), (F(-1, 3), COPRIME[1])],  # a zero operand
+]
+
+
+@pytest.mark.parametrize("pairs", COMBINATIONS)
+def test_combination_matches_chained_sums(pairs):
+    got = BivariatePoly.combination(pairs)
+    assert_canonical(got)
+    assert got == chained(pairs, BivariatePoly.zero())
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(-5, 5), rationals), polys), max_size=5))
+def test_combination_matches_chained_sums_property(pairs):
+    got = BivariatePoly.combination(iter(pairs))  # any iterable of pairs
+    assert_canonical(got)
+    assert coeffs(got) == coeffs(chained(pairs, BivariatePoly.zero()))
+
+
+def test_combination_of_operators_keeps_the_type():
+    a = DiffOp({(1, 0, 1, 0): F(1, 2), (0, 0, 0, 0): 3})
+    b = DiffOp({(1, 0, 1, 0): F(-1, 2), (0, 1, 0, 2): F(1, 3)})
+    got = DiffOp.combination([(2, a), (2, b)])
+    assert type(got) is DiffOp and got == 2 * a + 2 * b
+    assert_canonical(got)
+
+
+def test_records_print_coefficients_as_str_fraction():
+    # stored over 12: -9/12 -> -3/4, 24/12 -> 2, -36/12 -> -3; the x^2 terms cancel
+    p = BivariatePoly({(0, 0): F(-3, 4), (1, 0): 2, (0, 1): -3, (2, 0): F(5, 6)})
+    q = p + BivariatePoly({(2, 0): F(-5, 6), (1, 1): F(1, 12)})
+    assert q._den == 12
+    assert q.to_records() == [
+        {"i": 0, "j": 0, "c": "-3/4"},
+        {"i": 1, "j": 0, "c": "2"},
+        {"i": 0, "j": 1, "c": "-3"},
+        {"i": 1, "j": 1, "c": "1/12"},
+    ]
+    assert (p - p).to_records() == []
+
+
+@given(polys)
+def test_records_match_str_of_fraction(p):
+    assert [r["c"] for r in p.to_records()] == [str(c) for _, c in p.items()]
+    assert BivariatePoly.from_records(p.to_records()) == p

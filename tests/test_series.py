@@ -349,3 +349,29 @@ def test_case_v_derivative_identities():
     r1, r2 = genfun_derivative_residuals(p, 6)
     assert r1.is_zero()
     assert r2.is_zero()
+
+
+def test_coefficient_reads_one_group_canonically():
+    f = Series2(3, {(1, 0, 0, 0): F(1, 6), (1, 0, 1, 1): F(-1, 3), (0, 2, 0, 0): F(5, 4)})
+    c = f.coefficient(1, 0)
+    assert c == BivariatePoly({(0, 0): F(1, 6), (1, 1): F(-1, 3)})
+    assert (c._den, c._num) == (6, {(0, 0): 1, (1, 1): -2})  # reduced from f's 12
+    assert f.coefficient(2, 1).is_zero() and f.coefficient(2, 1)._den == 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        CaseParams("V", F(7, 2), F(1, 3), F(-2, 5), 5),
+        CaseParams("VIII", F(-5, 3), F(1, 3), F(-2, 5), 5),
+        CaseParams("IX", F(9, 4), nmax_hint=5),
+    ],
+)
+def test_extract_polys_scales_each_coefficient_once(params):
+    g = genfun(params, 5)
+    table = extract_polys(g, params)
+    coeffs = g.coefficients()
+    for (m, n), p in table.items():
+        scale = factorial(m) * factorial(n) / normalization(params, m, n)
+        assert p == coeffs[(m, n)] * scale
+        assert gcd(p._den, *p._num.values()) == 1

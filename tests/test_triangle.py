@@ -1,8 +1,12 @@
+import contextlib
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kspoly import triangle
 from kspoly.algebra import ONE, X, Y
@@ -37,6 +41,7 @@ from kspoly.triangle import (
     triangle_to_json,
     triangle_to_latex,
 )
+from kspoly.verify import check_operators, full_suite, mutated_operator_set
 from kspoly.weyl import DiffOp
 
 BUILDER_LIST = (build_oracle, build_recurrence, build_ladder, build_transfer)
@@ -232,6 +237,16 @@ def test_oracle_guard_rejects_degree_raising_operator(monkeypatch):
         build_oracle(p, 3)
 
 
+@pytest.mark.parametrize("beta, d", [(F(-1), 0), (F(-2), 1)])
+def test_oracle_guard_rejects_coinciding_eigenvalues(beta, d):
+    # lambda_2 - lambda_d = (2 - d)(beta + 1 + d) vanishes; CaseParams rejects
+    # such a beta, so it is set past the validation
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 3)
+    object.__setattr__(p, "beta", beta)
+    with pytest.raises(AdmissibilityError, match=rf"degrees {d} and 2 coincide at \(m,n\)=\(2,0\)"):
+        build_oracle(p, 3)
+
+
 def test_transfer_precondition_zero_kappa1():
     p = CaseParams("II", F(5, 2), F(0), F(1, 3), 4)
     with pytest.raises(TransferError) as err:
@@ -334,3 +349,55 @@ def test_nodes_order():
     p = CaseParams("IX", F(3), nmax_hint=2)
     t = build_oracle(p, 2)
     assert t.nodes() == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+# -- the JSON writer against the stdlib --------------------------------------------
+
+# every kind of value json.dumps accepts, nested; text includes non-ASCII,
+# quotes, backslashes and control characters, keys are not only strings
+json_text = st.text(alphabet=st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f é')))
+json_scalars = st.one_of(
+    json_text,
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+def assert_stdlib_layout(doc):
+    assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@given(json_docs)
+def test_dumps_json_matches_stdlib(doc):
+    assert_stdlib_layout(doc)
+
+
+@pytest.mark.parametrize("doc", [{}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [-(2**70), 0.5]])
+def test_dumps_json_matches_stdlib_examples(doc):
+    assert_stdlib_layout(doc)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_dumps_json_matches_stdlib_on_tables_and_reports(case):
+    params = sample_params(case, random.Random(f"json/{case}"), nmax_hint=4)
+    for build in triangle.BUILDERS.values():
+        with contextlib.suppress(TransferError):
+            assert_stdlib_layout(triangle_to_json(build(params, 4)))
+    assert_stdlib_layout(full_suite(params, 3, 3).to_json())
+    # failing reports carry residual records in their details
+    ops, _ = mutated_operator_set(params, random.Random(case), 3)
+    report = check_operators(build_oracle(params, 3), ops)
+    assert not report.passed
+    assert_stdlib_layout({"reports": [report.to_json()], "passed": False})

@@ -6,7 +6,7 @@ import pytest
 
 import kspoly.verify
 from kspoly import triangle
-from kspoly.algebra import Y
+from kspoly.algebra import X, Y
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -412,3 +412,22 @@ def test_mutations_are_detected():
         params = sample_params(case, rng, nmax_hint=3)
         ops, description = mutated_operator_set(params, rng, 3)
         assert mutation_battery(params, 3, ops), description
+
+
+def test_parity_failure_carries_the_entry():
+    p = CaseParams("IX", F(3), nmax_hint=4)
+    t = build_oracle(p, 3)
+    t.entries[(1, 1)] = t.entries[(1, 1)] + X  # even in y, where P_{1,1} is odd
+    [failure] = check_parity_ix(t).failures()
+    assert failure.name == "parity(1,1)"
+    assert failure.detail == {"node": [1, 1], "residual": t.entries[(1, 1)].to_records()}
+
+
+def test_swap_failure_carries_the_residual():
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 3)
+    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3), 3)
+    t = build_oracle(p, 3)
+    t.entries[(2, 1)] = t.entries[(2, 1)] + F(1, 4) * X
+    [failure] = check_swap_symmetry(t, build_oracle(swapped, 3)).failures()
+    assert failure.name == "swap(2,1)"
+    assert failure.detail == {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]}
