@@ -83,16 +83,17 @@ def _nonzero(value: Fraction, name: str, context: str) -> Fraction:
     return value
 
 
-def _ratio(num: Fraction, factors: Sequence[tuple[str, Fraction]], context: str) -> Fraction:
-    """num / prod(factors), every factor checked even when num is zero.
+def _denominator(factors: Sequence[tuple[str, Fraction]], context: str) -> Fraction:
+    """prod(factors), every factor checked in order, before any numerator.
 
-    A zero numerator over a vanishing factor is a 0/0 limit (beta = 1 at
-    N = 1, where beta+2N-3 vanishes); taking it as zero gives a wrong table.
+    The check does not depend on the numerators it divides: a zero numerator
+    over a vanishing factor is a 0/0 limit (beta = 1 at N = 1, where
+    beta+2N-3 vanishes); taking it as zero gives a wrong table.
     """
     den = Fraction(1)
     for name, f in factors:
         den *= _nonzero(f, name, context)
-    return num / den
+    return den
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +445,13 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
             ("beta+2N-3", b + 2 * N - 3),
         )
 
+        da, db = _denominator(A, ctx), _denominator(B, ctx)
+
         def ra(num):
-            return _ratio(num, A, ctx)
+            return num / da
 
         def rb(num):
-            return _ratio(num, B, ctx)
+            return num / db
 
     if c == "I":
         if axis == "x":
@@ -546,8 +549,10 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
     # IX
     C = (("beta+2N-1", b + 2 * N - 1), ("beta+2N-3", b + 2 * N - 3))
 
+    dc = _denominator(C, ctx)
+
     def rc(num):
-        return _ratio(num, C, ctx)
+        return num / dc
 
     if axis == "x":
         tail = (

@@ -5,6 +5,12 @@ multiplication operator to the left of every derivative.  The normal form
 is unique, and so is the stored form (integer numerators over one reduced
 common denominator), so two operators are equal exactly when their storage
 is equal; all identity checks in this package reduce to that comparison.
+
+Each operator memoises its action on monomials: the first ``apply`` that
+meets x^a y^b stores the image as integer numerators over the operator's
+denominator, and later calls reuse it.  The memo is a cache of exact values,
+filled lazily per instance, so results and their storage are those of the
+term-by-term rule, and equality and hashing ignore it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ def _op_key(item: tuple[Key, Fraction]) -> tuple[int, ...]:
 class DiffOp(Terms):
     """An element of the Weyl algebra in x, y with rational coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("_images",)  # (a, b) -> ((key, numerator), ...), see apply
 
     FIELDS = ("i", "j", "k", "l")
     _order = staticmethod(_op_key)
@@ -91,16 +97,38 @@ class DiffOp(Terms):
     # -- action ---------------------------------------------------------------
 
     def apply(self, p: BivariatePoly) -> BivariatePoly:
-        """Apply the operator to a polynomial, exactly."""
-        p_terms = p._num.items()
+        """Apply the operator to a polynomial, exactly.
+
+        Each term pc * x^a y^b of p adds pc times the image of x^a y^b, taken
+        from the operator's memo (filled by ``_image`` on first use), so a
+        monomial met again costs one lookup instead of a pass over the
+        operator's terms.
+        """
+        try:
+            images = self._images
+        except AttributeError:  # _wrap and __init__ leave the slot unset
+            images = self._images = {}
+        out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for mono, pc in p._num.items():
+            image = images.get(mono)
+            if image is None:
+                image = images[mono] = self._image(*mono)
+            for key, w in image:
+                out[key] = get(key, 0) + pc * w
+        return BivariatePoly._wrap(drop_zeros(out), self._den * p._den)
+
+    def _image(self, a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The operator applied to x^a y^b, as nonzero integer numerators over
+        ``self._den``:  x^i y^j d_x^k d_y^l x^a y^b = a!/(a-k)! b!/(b-l)!
+        x^(a-k+i) y^(b-l+j), with terms sharing the shift (i-k, j-l) summed."""
         out: dict[tuple[int, int], int] = {}
         for (i, j, k, l), c in self._num.items():
-            for (a, b), pc in p_terms:
-                if a < k or b < l:
-                    continue
-                key = (a - k + i, b - l + j)
-                out[key] = out.get(key, 0) + c * pc * (perm(a, k) * perm(b, l))
-        return BivariatePoly._wrap(drop_zeros(out), self._den * p._den)
+            if a < k or b < l:
+                continue
+            key = (a - k + i, b - l + j)
+            out[key] = out.get(key, 0) + c * (perm(a, k) * perm(b, l))
+        return tuple((key, w) for key, w in out.items() if w)
 
     def __str__(self) -> str:
         return signed_sum(self.items(), ("x", "y", "Dx", "Dy"), join="*")

@@ -2,6 +2,7 @@
 term at fixed parameter values, plus spot checks of the known identities."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from kspoly.catalog import (
     operator_L,
     raising_commutator_rhs,
     raising_ops,
+    recurrence_step,
     sample_params,
 )
 from kspoly.errors import ParameterError
@@ -309,3 +311,48 @@ def test_eigenvalues_distinct_up_to_hint():
             params = sample_params(case, rng, nmax_hint=8)
             values = [eigenvalue(params, N) for N in range(9)]
             assert len(set(values)) == len(values)
+
+
+# -- recurrence denominators ---------------------------------------------------------
+
+
+def past_validation(case, beta):
+    # CaseParams rejects an integer beta that makes a level factor vanish, so
+    # it is set past the validation
+    kappas = () if case == "IX" else (F(1, 3), F(2, 7))
+    p = CaseParams(case, F(5, 2), *kappas, nmax_hint=4)
+    object.__setattr__(p, "beta", F(beta))
+    return p
+
+
+@pytest.mark.parametrize(
+    "case, beta, N, factor",
+    [
+        # only an A factor (beta+2N, beta+2N-2) vanishes
+        ("I", -2, 1, "beta+2N"),
+        ("II", -4, 2, "beta+2N"),
+        # only a B factor (beta+2N-1, beta+2N-2 twice, beta+2N-3) vanishes
+        ("III", -1, 1, "beta+2N-1"),
+        ("I", -1, 2, "beta+2N-3"),
+        # case IX: a C factor (beta+2N-1, beta+2N-3) vanishes
+        ("IX", -3, 2, "beta+2N-1"),
+        ("IX", -1, 2, "beta+2N-3"),
+    ],
+)
+@pytest.mark.parametrize("axis", ("x", "y"))
+def test_recurrence_step_names_the_vanishing_factor(case, beta, N, factor, axis):
+    m, n = (N, 0) if axis == "x" else (0, N)
+    message = f"case {case} recurrence at (m,n)=({m},{n}): denominator {factor} vanishes"
+    with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+        recurrence_step(past_validation(case, beta), axis, m, n)
+
+
+@pytest.mark.parametrize("case", ("I", "II", "III", "IX"))
+@pytest.mark.parametrize("axis", ("x", "y"))
+def test_zero_numerator_over_a_vanishing_factor_still_raises(case, axis):
+    # beta = 1 is valid, and at N = 1 every tail numerator over beta+2N-3 is
+    # zero: a 0/0 limit, not a zero coefficient
+    kappas = () if case == "IX" else (F(1, 3), F(2, 7))
+    m, n = (1, 0) if axis == "x" else (0, 1)
+    with pytest.raises(ParameterError, match=re.escape("denominator beta+2N-3 vanishes")):
+        recurrence_step(CaseParams(case, F(1), *kappas, nmax_hint=4), axis, m, n)

@@ -227,3 +227,69 @@ def test_kernel_cancellation_matches_reference():
     check_kernel(EULER_MINUS_3, DX, cubic)
     check_kernel(DX @ MX, MX @ DX, cubic - ONE * F(1, 6))
     assert_canonical(DX.commutator(MX) - DiffOp.identity())
+
+
+# -- the memo of monomial images ------------------------------------------------
+#
+# apply reuses each operator's images of x^a y^b across calls; a cache of exact
+# values, so every result must still be the reference rule's, in canonical
+# storage, whatever the order of the calls and whichever operator is derived
+# from a used one.
+
+
+def assert_applies(op, p):
+    got = op.apply(p)
+    assert_canonical(got)
+    assert coeffs(got) == ref_apply(coeffs(op), coeffs(p))
+
+
+@given(ops(), st.lists(polys, min_size=1, max_size=6))
+def test_memo_matches_reference_in_any_call_order(op, ps):
+    for p in ps + ps[::-1]:
+        assert_applies(op, p)
+
+
+@given(ops(), st.lists(polys, max_size=4))
+def test_memo_leaves_equality_and_hash_alone(op, ps):
+    fresh = DiffOp.from_records(op.to_records())
+    assert op == fresh and hash(op) == hash(fresh)
+    for p in ps:
+        op.apply(p)
+    assert op == fresh and hash(op) == hash(fresh)
+
+
+@given(ops(), ops(), polys)
+def test_operators_derived_from_a_used_one_apply_correctly(op, q, p):
+    op.apply(p)
+    for derived in (op + q, op * F(-3, 4), op * 2, -op, op - op, q - op):
+        assert_applies(derived, p)
+    assert_applies(op, p)
+
+
+def test_subtracting_zero_returns_the_used_operator():
+    L = operator_L(sample_params("I", Random(3)))
+    p = X * X * Y - F(2, 9) * Y + ONE
+    assert_applies(L, p)
+    same = L - DiffOp.zero()
+    assert same is L
+    assert_applies(same, p * F(5, 3) + X**3)
+
+
+def test_second_apply_computes_no_new_image(monkeypatch):
+    images = []
+    true_image = DiffOp._image
+
+    def counted(self, a, b):
+        images.append((a, b))
+        return true_image(self, a, b)
+
+    monkeypatch.setattr(DiffOp, "_image", counted)
+    L = operator_L(sample_params("III", Random(5)))
+    p = X**3 * Y - F(4, 7) * X * Y + Y * Y + ONE
+    first = L.apply(p)
+    assert sorted(images) == [(0, 0), (0, 2), (1, 1), (3, 1)]
+    assert L.apply(p) == first
+    assert L.apply(p * F(-2, 3)) == first * F(-2, 3)
+    assert len(images) == 4
+    L.apply(X**4)  # a new monomial is computed once
+    assert images[4:] == [(4, 0)]
