@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 from math import comb, perm
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -293,3 +295,32 @@ def test_second_apply_computes_no_new_image(monkeypatch):
     assert len(images) == 4
     L.apply(X**4)  # a new monomial is computed once
     assert images[4:] == [(4, 0)]
+
+
+def test_threads_sharing_one_operator_get_reference_results():
+    # threads may fill the same memo entry, or the memo itself, at once; each
+    # fill stores equal values, so no interleaving can change a result
+    params = sample_params("III", Random(11))
+    ps = [(X + Y * F(k, 3)) ** (k % 5 + 2) - X * Y * k for k in range(1, 13)]
+    want = [operator_L(params).apply(p) for p in ps]
+    shared = operator_L(params)
+    wrong = []
+
+    def work(order):
+        for k in order:
+            if shared.apply(ps[k]) != want[k]:
+                wrong.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        orders = [list(range(shift, 12)) + list(range(shift)) for shift in (0, 3, 6, 9, 1, 7)]
+        threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
