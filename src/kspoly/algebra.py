@@ -29,11 +29,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
-def format_rational(q: Scalar) -> str:
-    """Inverse of parse_rational: "3", "-2/9", ..."""
-    return str(Fraction(q))
-
-
 def rising_factorial(z: Scalar, n: int) -> Fraction:
     """z(z+1)...(z+n-1); the empty product (n=0) is 1."""
     if n < 0:

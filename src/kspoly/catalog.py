@@ -31,17 +31,18 @@ _ct = DiffOp.coeff_term
 class CaseParams:
     """Parameters selecting one polynomial family.
 
-    Validity: beta + k must be nonzero for every integer 0 <= k <= 2*nmax_hint + 2,
-    which keeps all eigenvalues up to degree nmax_hint distinct and guards the
-    gamma-type denominators appearing in the recurrences.  Case IX carries no
-    kappa parameters; they are stored as 0.
+    Only the checks that hold at every degree are made here.  Validity up to
+    degree nmax (beta + k nonzero for every integer 0 <= k <= 2*nmax + 2,
+    which keeps the eigenvalues of levels 0..nmax distinct and guards the
+    gamma-type denominators of the recurrences) belongs to the table being
+    built, and each builder checks it.  Case IX carries no kappa parameters;
+    they are stored as 0.
     """
 
     case_id: str
     beta: Fraction
     kappa1: Fraction = Fraction(0)
     kappa2: Fraction = Fraction(0)
-    nmax_hint: int = 8
 
     def __post_init__(self):
         if self.case_id not in CASES:
@@ -53,14 +54,6 @@ class CaseParams:
             if not isinstance(value, (int, Fraction)):
                 raise ParameterError(f"{name} must be an int or a Fraction, not {value!r}")
             object.__setattr__(self, name, Fraction(value))
-        if self.nmax_hint < 0:
-            raise ParameterError("nmax_hint must be nonnegative")
-        bound = 2 * self.nmax_hint + 2
-        if self.beta.denominator == 1 and -bound <= self.beta <= 0:
-            raise ParameterError(
-                f"beta = {self.beta} violates the rule beta + k != 0 for "
-                f"0 <= k <= {bound} (fails at k = {-self.beta})"
-            )
         if self.case_id in ("V", "VIII") and self.beta == 0:
             raise ParameterError(f"beta must be nonzero for case {self.case_id}")
         if self.case_id == "IX" and (self.kappa1 or self.kappa2):
@@ -747,11 +740,12 @@ def quadratic_relation_residuals(
 
 
 def sample_params(case_id: str, rng: Random, nmax_hint: int = 8) -> CaseParams:
-    """Draw a random valid parameter triple.
+    """Draw a random parameter triple, valid at every nmax.
 
     beta is a positive non-integer rational, so every beta + k (k integer)
     is nonzero; the kappas are non-integer, which keeps all transfer-route
-    division coefficients nonzero.
+    division coefficients nonzero.  nmax_hint has no effect; it is accepted
+    for callers that still pass it.
     """
 
     def non_integer(lo_num: int, hi_num: int) -> Fraction:
@@ -763,5 +757,5 @@ def sample_params(case_id: str, rng: Random, nmax_hint: int = 8) -> CaseParams:
 
     beta = non_integer(1, 12)
     if case_id == "IX":
-        return CaseParams("IX", beta, Fraction(0), Fraction(0), nmax_hint)
-    return CaseParams(case_id, beta, non_integer(-9, 9), non_integer(-9, 9), nmax_hint)
+        return CaseParams("IX", beta)
+    return CaseParams(case_id, beta, non_integer(-9, 9), non_integer(-9, 9))

@@ -35,13 +35,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _params_from(args: argparse.Namespace, nmax: int) -> CaseParams:
+def _params_from(args: argparse.Namespace) -> CaseParams:
     return CaseParams(
-        args.case,
-        parse_rational(args.beta),
-        parse_rational(args.k1),
-        parse_rational(args.k2),
-        nmax_hint=nmax,
+        args.case, parse_rational(args.beta), parse_rational(args.k1), parse_rational(args.k2)
     )
 
 
@@ -92,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.nmax < 0:
         raise KspolyError(f"--nmax must be nonnegative, not {args.nmax}")
-    params = _params_from(args, args.nmax)
+    params = _params_from(args)
     triangle = BUILDERS[args.method](params, args.nmax)
     _emit(FORMATTERS[args.format](triangle), args.output)
     return EXIT_OK
@@ -116,7 +112,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     all_passed = True
     for case in cases:
         for trial in range(args.trials):
-            params = sample_params(case, rng, nmax_hint=max(args.nmax, args.order))
+            params = sample_params(case, rng)
             report = full_suite(params, nmax=args.nmax, order=args.order)
             all_passed &= report.passed
             n_fail = len(report.failures())
@@ -151,9 +147,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_gf(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise KspolyError(f"--order must be nonnegative, not {args.order}")
-    params = _params_from(args, args.order)
-    table = extract_polys(genfun(params, args.order), params)
+    params = _params_from(args)
+    # the oracle first: it applies the validity rule at this order
     oracle = BUILDERS["oracle"](params, args.order)
+    table = extract_polys(genfun(params, args.order), params)
     entries = []
     diffs = 0
     for m, n in oracle.nodes():

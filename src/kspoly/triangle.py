@@ -31,7 +31,7 @@ from .catalog import (
     recurrence_step,
     seed_polys,
 )
-from .errors import AdmissibilityError, StencilError, TransferError
+from .errors import AdmissibilityError, ParameterError, StencilError, TransferError
 from .weyl import DiffOp
 
 AccessLog = list[tuple[str, tuple[int, int]]]  # (axis, offset)
@@ -60,12 +60,15 @@ class Triangle:
 
 
 def _check_nmax(params: CaseParams, nmax: int) -> None:
+    """The validity rule of a table up to degree nmax: beta + k != 0 for
+    0 <= k <= 2*nmax + 2, which keeps lambda_N != lambda_d for d < N <= nmax."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    if nmax > params.nmax_hint:
-        raise ValueError(
-            f"nmax={nmax} exceeds nmax_hint={params.nmax_hint}; enlarge the hint "
-            "so parameter validity covers every level"
+    bound = 2 * nmax + 2
+    if params.beta.denominator == 1 and -bound <= params.beta <= 0:
+        raise ParameterError(
+            f"beta = {params.beta} violates the rule beta + k != 0 for "
+            f"0 <= k <= {bound} (fails at k = {-params.beta})"
         )
 
 
@@ -213,15 +216,19 @@ def build_recurrence(
 
 
 def build_ladder(params: CaseParams, nmax: int) -> Triangle:
-    """Climb the right edge with R+y, then cross each row with R+x."""
+    """Raise level N into level N + 1: every (m, n) of level N to (m+1, n)
+    with R+x(N), and (0, N) to (0, N+1) with R+y(N).
+
+    Each level's pair of raising operators is formed for that level only, so
+    neither it nor its memo of monomial images outlives the level.
+    """
     _check_nmax(params, nmax)
-    ops = [raising_ops(params, N) for N in range(nmax)]  # (R+x, R+y) by degree
     entries: dict[tuple[int, int], BivariatePoly] = {(0, 0): ONE}
-    for n in range(nmax):
-        entries[(0, n + 1)] = ops[n][1].apply(entries[(0, n)])
-    for n in range(nmax + 1):
-        for m in range(1, nmax - n + 1):
-            entries[(m, n)] = ops[m - 1 + n][0].apply(entries[(m - 1, n)])
+    for N in range(nmax):
+        rx, ry = raising_ops(params, N)
+        for m in range(N, -1, -1):
+            entries[(m + 1, N - m)] = rx.apply(entries[(m, N - m)])
+        entries[(0, N + 1)] = ry.apply(entries[(0, N)])
     return Triangle(params, nmax, "ladder", entries)
 
 
@@ -353,8 +360,8 @@ def triangle_from_json(doc: object) -> Triangle:
         parse_rational(doc["beta"]),
         parse_rational(doc["kappa1"]),
         parse_rational(doc["kappa2"]),
-        nmax,
     )
+    _check_nmax(params, nmax)
     t = Triangle(params, nmax, method, {})
     for rec in doc["polys"]:
         try:

@@ -493,18 +493,10 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
         report.extend(check_parity_ix(oracle))
         report.extend(check_swap_symmetry(oracle, oracle))
         beta1 = (params.beta + 1) / 2
-        t1 = build_oracle(
-            CaseParams("I", beta1, Fraction(-1, 2), Fraction(-1, 2), params.nmax_hint),
-            nmax // 2,
-        )
+        t1 = build_oracle(CaseParams("I", beta1, Fraction(-1, 2), Fraction(-1, 2)), nmax // 2)
         report.extend(check_ix_to_i_map(oracle, t1))
     if params.case_id == "I":
-        swapped = build_oracle(
-            CaseParams(
-                "I", params.beta, params.kappa2, params.kappa1, params.nmax_hint
-            ),
-            nmax,
-        )
+        swapped = build_oracle(CaseParams("I", params.beta, params.kappa2, params.kappa1), nmax)
         report.extend(check_swap_symmetry(oracle, swapped))
     if params.case_id in GENFUN_CASES:
         table = extract_polys(genfun(params, order), params)

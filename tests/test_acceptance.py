@@ -73,14 +73,14 @@ def test_criterion_1_closed_form_values():
         rng = random.Random(101)
         for case in CASES:
             for _ in range(5):
-                p = sample_params(case, rng, nmax_hint=3)
+                p = sample_params(case, rng)
                 for _, builder in ALL_BUILDERS:
                     t = builder(p, 3)
                     assert t.entry(1, 0) == X + (p.kappa1 / p.beta) * ONE
                     assert t.entry(0, 1) == Y + (p.kappa2 / p.beta) * ONE
         # case IX degree <= 3 table, every builder
         for _ in range(5):
-            p = sample_params("IX", rng, nmax_hint=3)
+            p = sample_params("IX", rng)
             b = p.beta
             expected = {
                 (2, 0): X * X - (1 / (1 + b)) * ONE,
@@ -97,7 +97,7 @@ def test_criterion_1_closed_form_values():
                     assert t.entry(*node) == value
         # case V closed-form P_{1,1} and left-edge powers
         for _ in range(5):
-            p = sample_params("V", rng, nmax_hint=4)
+            p = sample_params("V", rng)
             b, k1, k2 = p.beta, p.kappa1, p.kappa2
             p11 = (X + (k1 / b) * ONE) * (Y + (k2 / b) * ONE) + (2 / b) * (
                 X + (k1 / (2 * b)) * ONE
@@ -110,7 +110,7 @@ def test_criterion_1_closed_form_values():
                     assert t.entry(m, 0) == edge**m
         # case VIII right-edge powers
         for _ in range(5):
-            p = sample_params("VIII", rng, nmax_hint=4)
+            p = sample_params("VIII", rng)
             edge = Y + (p.kappa2 / p.beta) * ONE
             for _, builder in ALL_BUILDERS:
                 t = builder(p, 4)
@@ -132,7 +132,7 @@ def deep_triangles():
     for case in CASES:
         runs = []
         for _ in range(3):
-            p = sample_params(case, rng, nmax_hint=8)
+            p = sample_params(case, rng)
             runs.append((p, {name: builder(p, 8) for name, builder in ALL_BUILDERS}))
         store[case] = runs
     return store, time.monotonic() - start
@@ -172,7 +172,7 @@ def test_criterion_4_operator_identities():
         rng = random.Random(404)
         for case in CASES:
             for _ in range(10):
-                p = sample_params(case, rng, nmax_hint=8)
+                p = sample_params(case, rng)
                 L = operator_L(p)
                 for ik in commuting_ops(p):
                     assert L.commutator(ik).is_zero()
@@ -192,7 +192,7 @@ def test_criterion_5_action_formulas():
     def body():
         rng = random.Random(505)
         for case in CASES:
-            p = sample_params(case, rng, nmax_hint=6)
+            p = sample_params(case, rng)
             t = build_oracle(p, 6)
             report = check_action_formulas(t, commuting_ops(p))
             assert report.passed, report.failures()[:3]
@@ -218,13 +218,13 @@ def test_criterion_6_generating_functions():
         rng = random.Random(606)
         for case in ("V", "VIII", "IX"):
             for _ in range(3):
-                p = sample_params(case, rng, nmax_hint=6)
+                p = sample_params(case, rng)
                 table = extract_polys(genfun(p, 6), p)
                 oracle = build_oracle(p, 6)
                 for node in oracle.nodes():
                     assert table[node] == oracle.entry(*node), (case, node)
         for _ in range(3):
-            p = sample_params("V", rng, nmax_hint=6)
+            p = sample_params("V", rng)
             r1, r2 = genfun_derivative_residuals(p, 6)
             assert r1.is_zero() and r2.is_zero()
 
@@ -233,8 +233,8 @@ def test_criterion_6_generating_functions():
 
 def test_criterion_7_ix_to_i_map():
     def body():
-        t9 = build_oracle(CaseParams("IX", F(3), nmax_hint=8), 8)
-        t1 = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2), 4), 4)
+        t9 = build_oracle(CaseParams("IX", F(3)), 8)
+        t1 = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 4)
         report = check_ix_to_i_map(t9, t1)
         assert report.passed, report.failures()[:3]
         checked = [r for r in report.results if r.name.startswith("ix-to-i")]
@@ -245,20 +245,20 @@ def test_criterion_7_ix_to_i_map():
 
 def test_criterion_8_parity_and_stencil():
     def body():
-        report = check_parity_ix(build_oracle(CaseParams("IX", F(3), nmax_hint=8), 8))
+        report = check_parity_ix(build_oracle(CaseParams("IX", F(3)), 8))
         assert report.passed
         rng = random.Random(808)
-        p9 = sample_params("IX", rng, nmax_hint=8)
+        p9 = sample_params("IX", rng)
         assert check_parity_ix(build_oracle(p9, 8)).passed
         for case in CASES:
-            p = sample_params(case, rng, nmax_hint=8)
+            p = sample_params(case, rng)
             log = []
             build_recurrence(p, 8, access_log=log)
             for axis, offset in log:
                 assert offset in STENCILS[(case, axis)], (case, axis, offset)
         # boundary behavior: the out-of-range stencil point at n=1 carries
         # an exactly-zero coefficient
-        p = sample_params("I", rng, nmax_hint=8)
+        p = sample_params("I", rng)
         for m in range(1, 6):
             step = recurrence_step(p, "x", m, 1)
             tail = {(mm, nn): c for mm, nn, c in step.tail}
@@ -272,7 +272,7 @@ def test_criterion_9_mutation_sensitivity():
         rng = random.Random(909)
         for _ in range(20):
             case = rng.choice(CASES)
-            p = sample_params(case, rng, nmax_hint=4)
+            p = sample_params(case, rng)
             ops, description = mutated_operator_set(p, rng, 4)
             assert mutation_battery(p, 4, ops), description
 

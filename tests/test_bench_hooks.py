@@ -20,6 +20,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 PATCHED = [
     (BivariatePoly, "__add__"),
     (BivariatePoly, "__mul__"),
+    (CaseParams, "__post_init__"),
     (DiffOp, "__add__"),
     (DiffOp, "apply"),
     (DiffOp, "__matmul__"),
@@ -37,13 +38,14 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
     tracer = Tracer()
     uninstall = install(tracer)
     try:
-        params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 3)
+        params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
         triangle.build_oracle(params, 3)
         operator_L(params).commutator(commuting_ops(params)[0])
-        series.genfun(CaseParams("V", F(7, 2), F(1, 3), F(-2, 5), 3), 3)
+        series.genfun(CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)), 3)
     finally:
         uninstall()
     for name in (
+        "catalog.params",
         "algebra.poly_add",
         "algebra.poly_mul",
         "weyl.apply",

@@ -21,12 +21,13 @@ from kspoly.catalog import (
     sample_params,
 )
 from kspoly.errors import ParameterError
+from kspoly.triangle import _check_nmax, build_oracle
 from kspoly.weyl import DiffOp
 
 P2 = {
-    c: CaseParams(c, F(2), F(1), F(1), 6) for c in ("I", "II", "III", "V", "VIII")
+    c: CaseParams(c, F(2), F(1), F(1)) for c in ("I", "II", "III", "V", "VIII")
 }
-P9 = CaseParams("IX", F(3), nmax_hint=6)
+P9 = CaseParams("IX", F(3))
 
 
 # -- golden operator terms (beta=2, kappa1=kappa2=1; case IX at beta=3) ------
@@ -119,10 +120,10 @@ def test_commuting_ops_golden(case):
 
 def test_eigenvalue_values():
     assert eigenvalue(P2["I"], 0) == 0
-    assert eigenvalue(CaseParams("IX", F(2), nmax_hint=4), 3) == 12
-    assert eigenvalue(CaseParams("V", F(5), F(1, 3), F(1, 7), 4), 2) == 10
+    assert eigenvalue(CaseParams("IX", F(2)), 3) == 12
+    assert eigenvalue(CaseParams("V", F(5), F(1, 3), F(1, 7)), 2) == 10
     # alpha = 1 for the curved cases: 2(1 + 7/2) = 9
-    assert eigenvalue(CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4), 2) == 9
+    assert eigenvalue(CaseParams("I", F(7, 2), F(1, 3), F(-1, 5)), 2) == 9
 
 
 def test_L_annihilates_constants():
@@ -136,7 +137,7 @@ def test_L_case_ix_on_known_eigenfunction():
 
 
 def test_commutators_vanish_spot():
-    params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 6)
+    params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     L = operator_L(params)
     for ik in commuting_ops(params):
         assert L.commutator(ik).is_zero()
@@ -146,7 +147,7 @@ def test_commutators_vanish_random():
     rng = random.Random(19)
     for case in CASES:
         for _ in range(10):
-            params = sample_params(case, rng, nmax_hint=4)
+            params = sample_params(case, rng)
             L = operator_L(params)
             for ik in commuting_ops(params):
                 assert L.commutator(ik).is_zero()
@@ -154,7 +155,7 @@ def test_commutators_vanish_random():
 
 def test_shifted_scaled_L_expansion():
     # (L - lambda_1)/(beta + 2N - 1) for case I, N=1, beta=2: written out by hand
-    params = CaseParams("I", F(2), F(1, 3), F(-1, 5), 6)
+    params = CaseParams("I", F(2), F(1, 3), F(-1, 5))
     L = operator_L(params)
     third = F(1, 3)
     expected = DiffOp(
@@ -198,7 +199,7 @@ def test_raising_ix_n0_golden():
 def test_raising_from_constant_gives_degree_one():
     rng = random.Random(5)
     for case in CASES:
-        params = sample_params(case, rng, nmax_hint=4)
+        params = sample_params(case, rng)
         rx, ry = raising_ops(params, 0)
         assert rx.apply(ONE) == X + (params.kappa1 / params.beta) * ONE
         assert ry.apply(ONE) == Y + (params.kappa2 / params.beta) * ONE
@@ -206,7 +207,7 @@ def test_raising_from_constant_gives_degree_one():
 
 def test_raising_denominator_guard():
     # beta = 1 is a valid parameter set, but R(N=0) has a vanishing prefactor
-    params = CaseParams("IX", F(1), nmax_hint=4)
+    params = CaseParams("IX", F(1))
     with pytest.raises(ParameterError):
         raising_ops(params, 0)
 
@@ -223,7 +224,7 @@ def test_commutator_rhs_viii_is_scaled_raising():
 def test_raising_commutators_hold():
     rng = random.Random(23)
     for case in CASES:
-        params = sample_params(case, rng, nmax_hint=8)
+        params = sample_params(case, rng)
         L = operator_L(params)
         for N in range(7):
             rx, ry = raising_ops(params, N)
@@ -258,48 +259,53 @@ def test_edge_operator_ix_is_restriction_of_L():
 
 
 def test_params_reject_bad_beta():
+    # the rule on beta belongs to the levels built, and holds even at nmax 0
     with pytest.raises(ParameterError):
-        CaseParams("I", F(-2), F(1), F(1), 4)
+        build_oracle(CaseParams("I", F(-2), F(1), F(1)), 0)
     with pytest.raises(ParameterError):
-        CaseParams("V", F(0), F(1), F(1), 4)
+        CaseParams("V", F(0), F(1), F(1))
 
 
 def test_beta_rule_matches_the_loop_over_k():
-    # reference: the rule as stated, beta + k != 0 for 0 <= k <= 2*nmax_hint + 2
+    # reference: the rule as stated, beta + k != 0 for 0 <= k <= 2*nmax + 2
     for q in (1, 2, 3):
         for p in range(-40, 41):
-            beta = F(p, q)
-            for hint in range(12):
-                bad = [k for k in range(2 * hint + 3) if beta + k == 0]
+            params = CaseParams("I", F(p, q))
+            for nmax in range(12):
+                bad = [k for k in range(2 * nmax + 3) if params.beta + k == 0]
                 if not bad:
-                    CaseParams("I", beta, nmax_hint=hint)
+                    _check_nmax(params, nmax)
                     continue
-                with pytest.raises(ParameterError, match=rf"fails at k = {bad[0]}\)"):
-                    CaseParams("I", beta, nmax_hint=hint)
+                message = (
+                    f"beta = {params.beta} violates the rule beta + k != 0 for "
+                    f"0 <= k <= {2 * nmax + 2} (fails at k = {bad[0]})"
+                )
+                with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+                    _check_nmax(params, nmax)
 
 
 def test_params_reject_floats():
     with pytest.raises(ParameterError, match="beta"):
         CaseParams("IX", 2.5)
     with pytest.raises(ParameterError, match="kappa2"):
-        CaseParams("I", F(5, 2), F(1, 3), 0.5, 4)
+        CaseParams("I", F(5, 2), F(1, 3), 0.5)
 
 
 def test_params_reject_unknown_case():
     with pytest.raises(ParameterError):
-        CaseParams("IV", F(2), F(0), F(0), 4)
+        CaseParams("IV", F(2), F(0), F(0))
 
 
 def test_params_reject_kappa_for_ix():
     with pytest.raises(ParameterError):
-        CaseParams("IX", F(3), F(1, 2), F(0), 4)
+        CaseParams("IX", F(3), F(1, 2), F(0))
 
 
 def test_sampled_params_are_valid():
     rng = random.Random(1)
     for case in CASES:
         for _ in range(20):
-            params = sample_params(case, rng, nmax_hint=8)
+            params = sample_params(case, rng)
             assert params.beta > 0
             assert params.beta.denominator > 1
 
@@ -308,7 +314,7 @@ def test_eigenvalues_distinct_up_to_hint():
     rng = random.Random(6)
     for case in CASES:
         for _ in range(5):
-            params = sample_params(case, rng, nmax_hint=8)
+            params = sample_params(case, rng)
             values = [eigenvalue(params, N) for N in range(9)]
             assert len(set(values)) == len(values)
 
@@ -316,13 +322,11 @@ def test_eigenvalues_distinct_up_to_hint():
 # -- recurrence denominators ---------------------------------------------------------
 
 
-def past_validation(case, beta):
-    # CaseParams rejects an integer beta that makes a level factor vanish, so
-    # it is set past the validation
+def params_at(case, beta):
+    # CaseParams takes an integer beta that makes a level factor vanish: the
+    # rule that rejects it is applied by the builders, for their nmax
     kappas = () if case == "IX" else (F(1, 3), F(2, 7))
-    p = CaseParams(case, F(5, 2), *kappas, nmax_hint=4)
-    object.__setattr__(p, "beta", F(beta))
-    return p
+    return CaseParams(case, F(beta), *kappas)
 
 
 @pytest.mark.parametrize(
@@ -344,7 +348,7 @@ def test_recurrence_step_names_the_vanishing_factor(case, beta, N, factor, axis)
     m, n = (N, 0) if axis == "x" else (0, N)
     message = f"case {case} recurrence at (m,n)=({m},{n}): denominator {factor} vanishes"
     with pytest.raises(ParameterError, match=re.escape(message) + "$"):
-        recurrence_step(past_validation(case, beta), axis, m, n)
+        recurrence_step(params_at(case, beta), axis, m, n)
 
 
 @pytest.mark.parametrize("case", ("I", "II", "III", "IX"))
@@ -355,4 +359,4 @@ def test_zero_numerator_over_a_vanishing_factor_still_raises(case, axis):
     kappas = () if case == "IX" else (F(1, 3), F(2, 7))
     m, n = (1, 0) if axis == "x" else (0, 1)
     with pytest.raises(ParameterError, match=re.escape("denominator beta+2N-3 vanishes")):
-        recurrence_step(CaseParams(case, F(1), *kappas, nmax_hint=4), axis, m, n)
+        recurrence_step(CaseParams(case, F(1), *kappas), axis, m, n)

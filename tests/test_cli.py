@@ -205,7 +205,7 @@ def test_gf_order_zero(tmp_path):
 
 
 def test_gf_rejects_negative_order(tmp_path, capsys):
-    # the message names the flag, not the internal field nmax_hint
+    # the message names the flag
     out = tmp_path / "gf.json"
     assert run("gf", "--case", "V", "--beta", "7/2", "--order", "-1",
                "--output", str(out)) == 2
@@ -213,6 +213,17 @@ def test_gf_rejects_negative_order(tmp_path, capsys):
     assert "error: --order must be nonnegative, not -1" in err
     assert stdout == ""
     assert not out.exists()
+
+
+def test_gf_rejects_invalid_beta_by_the_rule(capsys):
+    # the rule is applied at the order before the expansion, whose own
+    # failure would be a vanishing normalization at (m,n)=(2,0)
+    assert run("gf", "--case", "IX", "--beta", "-1", "--order", "2") == 2
+    stdout, err = capsys.readouterr()
+    assert err == (
+        "error: beta = -1 violates the rule beta + k != 0 for 0 <= k <= 6 (fails at k = 1)\n"
+    )
+    assert stdout == ""
 
 
 def test_gf_unsupported_case(capsys):
@@ -282,10 +293,11 @@ def _fractional_exponent(doc):
         (lambda d: {**d, "method": {"x": [1]}}, "method must name a builder"),
         (lambda d: {**d, "method": "guess"}, "method must name a builder"),
         (_numeric_coefficient, "not an exact rational: 3"),
+        (lambda d: {**d, "beta": "-3"}, "violates the rule"),
     ],
     ids=["missing", "negative-nmax", "short-nmax", "duplicate", "polys-string",
          "fractional-exponent", "numeric-beta", "list", "float-m", "bool-m",
-         "object-method", "unknown-method", "numeric-c"],
+         "object-method", "unknown-method", "numeric-c", "rule-beta"],
 )
 def test_export_rejects_malformed_table(tmp_path, capsys, corrupt, message):
     src = tmp_path / "t.json"

@@ -283,7 +283,7 @@ def test_diff_shift_and_scale():
 
 def test_genfun_case_v_left_edge_reduction():
     # at t = 0 the expansion is exp(s(x + kappa1/beta))
-    p = CaseParams("V", F(5, 2), F(1, 3), F(-2, 7), 5)
+    p = CaseParams("V", F(5, 2), F(1, 3), F(-2, 7))
     g = genfun(p, 5)
     base = X + (p.kappa1 / p.beta) * ONE
     fact = 1
@@ -294,7 +294,7 @@ def test_genfun_case_v_left_edge_reduction():
 
 
 def test_genfun_case_v_right_edge_is_laguerre_family():
-    p = CaseParams("V", F(5, 2), F(1, 3), F(-2, 7), 5)
+    p = CaseParams("V", F(5, 2), F(1, 3), F(-2, 7))
     table = extract_polys(genfun(p, 5), p)
     oracle = build_oracle(p, 5)
     for n in range(6):
@@ -302,34 +302,34 @@ def test_genfun_case_v_right_edge_is_laguerre_family():
 
 
 def test_genfun_case_viii_first_t_coefficient():
-    p = CaseParams("VIII", F(7, 2), F(2, 3), F(-1, 5), 4)
+    p = CaseParams("VIII", F(7, 2), F(2, 3), F(-1, 5))
     g = genfun(p, 4)
     assert g.coefficient(0, 1) == Y + (p.kappa2 / p.beta) * ONE
 
 
 def test_genfun_case_ix_first_s_coefficient():
     for beta in (F(3), F(9, 4)):
-        p = CaseParams("IX", beta, nmax_hint=4)
+        p = CaseParams("IX", beta)
         g = genfun(p, 4)
         assert g.coefficient(1, 0) == (beta - 1) * X
 
 
 def test_genfun_unsupported_case():
     with pytest.raises(ParameterError):
-        genfun(CaseParams("II", F(5, 2), F(1, 3), F(1, 5), 4), 4)
+        genfun(CaseParams("II", F(5, 2), F(1, 3), F(1, 5)), 4)
 
 
 def test_normalization_values():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     assert normalization(p, 1, 0) == 2  # 2 * (beta-1)/2
     assert normalization(p, 1, 1) == 8  # 4 * (1)(2)
-    assert normalization(CaseParams("V", F(2), F(1), F(1), 4), 3, 2) == 1
+    assert normalization(CaseParams("V", F(2), F(1), F(1)), 3, 2) == 1
 
 
 @pytest.mark.parametrize("case", ("V", "VIII", "IX"))
 def test_extraction_matches_oracle(case):
     rng = random.Random(len(case) + 40)
-    p = sample_params(case, rng, nmax_hint=6)
+    p = sample_params(case, rng)
     table = extract_polys(genfun(p, 6), p)
     oracle = build_oracle(p, 6)
     for node in oracle.nodes():
@@ -338,14 +338,14 @@ def test_extraction_matches_oracle(case):
 
 def test_extraction_detects_wrong_normalization():
     # expanding at one beta and normalizing at another cannot stay monic
-    g = genfun(CaseParams("IX", F(3), nmax_hint=4), 4)
+    g = genfun(CaseParams("IX", F(3)), 4)
     with pytest.raises(ParameterError):
-        extract_polys(g, CaseParams("IX", F(7, 2), nmax_hint=4))
+        extract_polys(g, CaseParams("IX", F(7, 2)))
 
 
 def test_case_v_derivative_identities():
     rng = random.Random(90)
-    p = sample_params("V", rng, nmax_hint=6)
+    p = sample_params("V", rng)
     r1, r2 = genfun_derivative_residuals(p, 6)
     assert r1.is_zero()
     assert r2.is_zero()
@@ -362,9 +362,9 @@ def test_coefficient_reads_one_group_canonically():
 @pytest.mark.parametrize(
     "params",
     [
-        CaseParams("V", F(7, 2), F(1, 3), F(-2, 5), 5),
-        CaseParams("VIII", F(-5, 3), F(1, 3), F(-2, 5), 5),
-        CaseParams("IX", F(9, 4), nmax_hint=5),
+        CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)),
+        CaseParams("VIII", F(-5, 3), F(1, 3), F(-2, 5)),
+        CaseParams("IX", F(9, 4)),
     ],
 )
 def test_extract_polys_scales_each_coefficient_once(params):

@@ -54,7 +54,7 @@ def test_oracle_degree_one_seeds():
     rng = random.Random(2)
     for case in CASES:
         for _ in range(5):
-            p = sample_params(case, rng, nmax_hint=2)
+            p = sample_params(case, rng)
             t = build_oracle(p, 1)
             assert t.entry(0, 0) == ONE
             assert t.entry(1, 0) == X + (p.kappa1 / p.beta) * ONE
@@ -63,7 +63,7 @@ def test_oracle_degree_one_seeds():
 
 def test_oracle_case_ix_low_degree_table():
     for beta in (F(3), F(7, 2), F(9, 4)):
-        p = CaseParams("IX", beta, nmax_hint=4)
+        p = CaseParams("IX", beta)
         t = build_oracle(p, 3)
         c1 = F(1) / (1 + beta)
         c3 = F(1) / (3 + beta)
@@ -77,14 +77,14 @@ def test_oracle_case_ix_low_degree_table():
 
 
 def test_oracle_case_v_known_p11():
-    p = CaseParams("V", F(2), F(1), F(1), 4)
+    p = CaseParams("V", F(2), F(1), F(1))
     t = build_oracle(p, 2)
     expected = (X + F(1, 2) * ONE) * (Y + F(1, 2) * ONE) + (X + F(1, 4) * ONE)
     assert t.entry(1, 1) == expected
 
 
 def test_recurrence_case_v_left_edge_powers():
-    p = CaseParams("V", F(7, 3), F(2, 5), F(-3, 4), 6)
+    p = CaseParams("V", F(7, 3), F(2, 5), F(-3, 4))
     t = build_recurrence(p, 6)
     base = X + (p.kappa1 / p.beta) * ONE
     for m in range(7):
@@ -92,7 +92,7 @@ def test_recurrence_case_v_left_edge_powers():
 
 
 def test_ladder_case_viii_right_edge_powers():
-    p = CaseParams("VIII", F(5, 2), F(1, 3), F(-2, 7), 6)
+    p = CaseParams("VIII", F(5, 2), F(1, 3), F(-2, 7))
     t = build_ladder(p, 6)
     base = Y + (p.kappa2 / p.beta) * ONE
     for n in range(7):
@@ -100,7 +100,7 @@ def test_ladder_case_viii_right_edge_powers():
 
 
 def test_ladder_case_ix_first_step():
-    t = build_ladder(CaseParams("IX", F(3), nmax_hint=2), 1)
+    t = build_ladder(CaseParams("IX", F(3)), 1)
     assert t.entry(1, 0) == X
 
 
@@ -108,19 +108,19 @@ def test_ladder_case_ix_first_step():
 
 
 def test_recurrence_case_ii_matches_oracle():
-    p = CaseParams("II", F(5, 2), F(1, 3), F(2, 7), 6)
+    p = CaseParams("II", F(5, 2), F(1, 3), F(2, 7))
     assert build_recurrence(p, 6).same_polys(build_oracle(p, 6))
 
 
 def test_ladder_case_iii_matches_oracle():
-    p = CaseParams("III", F(7, 2), F(1, 3), F(-2, 7), 5)
+    p = CaseParams("III", F(7, 2), F(1, 3), F(-2, 7))
     assert build_ladder(p, 5).same_polys(build_oracle(p, 5))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_all_builders_agree(case):
     rng = random.Random(hash(case) & 0xFFFF)
-    p = sample_params(case, rng, nmax_hint=5)
+    p = sample_params(case, rng)
     oracle = build_oracle(p, 5)
     for builder in (build_recurrence, build_ladder, build_transfer):
         assert builder(p, 5).same_polys(oracle), builder.__name__
@@ -129,7 +129,7 @@ def test_all_builders_agree(case):
 @pytest.mark.parametrize("case", CASES)
 def test_monicity_and_eigen_invariant(case):
     rng = random.Random(len(case))
-    p = sample_params(case, rng, nmax_hint=4)
+    p = sample_params(case, rng)
     L = operator_L(p)
     for builder in BUILDER_LIST:
         t = builder(p, 4)
@@ -147,7 +147,7 @@ def test_edge_ode_and_edge_ladders(case):
     from kspoly.catalog import edge_ladder, edge_operators
 
     rng = random.Random(ord(case[0]))
-    p = sample_params(case, rng, nmax_hint=5)
+    p = sample_params(case, rng)
     t = build_oracle(p, 5)
     lx, ly = edge_operators(p)
     for k in range(5):
@@ -171,12 +171,12 @@ def test_edge_ode_and_edge_ladders(case):
 
 def test_transfer_annihilation_identities():
     rng = random.Random(31)
-    p1 = sample_params("I", rng, nmax_hint=4)
+    p1 = sample_params("I", rng)
     t1 = build_transfer(p1, 4)
     i1 = commuting_ops(p1)[0]
     for n in range(5):
         assert i1.apply(t1.entry(0, n)).is_zero()
-    p5 = sample_params("V", rng, nmax_hint=4)
+    p5 = sample_params("V", rng)
     t5 = build_transfer(p5, 4)
     i2 = commuting_ops(p5)[1]
     for m in range(5):
@@ -184,7 +184,7 @@ def test_transfer_annihilation_identities():
 
 
 def test_transfer_case_ix_level_two_path():
-    p = CaseParams("IX", F(3), nmax_hint=3)
+    p = CaseParams("IX", F(3))
     t = build_transfer(p, 2)
     i3 = commuting_ops(p)[2]
     # I3 P_{2,0} = -2 P_{1,1}, solved during the sweep
@@ -202,7 +202,7 @@ def test_builders_match_oracle_or_raise_on_degenerate_lattice(case):
     # can meet 0/0 limits (beta = 1) that random sampling never reaches
     kappas = [(F(0), F(0))] if case == "IX" else product(DEGENERATE_KAPPAS, repeat=2)
     for beta, (k1, k2) in product(DEGENERATE_BETAS, kappas):
-        p = CaseParams(case, beta, k1, k2, 4)
+        p = CaseParams(case, beta, k1, k2)
         oracle = build_oracle(p, 4)
         for builder in (build_recurrence, build_ladder, build_transfer):
             try:
@@ -220,7 +220,7 @@ def test_beta_one_fails_before_any_recurrence_step(case, monkeypatch):
     steps = []
     monkeypatch.setattr(triangle, "_apply_step", lambda *args: steps.append(args))
     kappas = (F(0), F(0)) if case == "IX" else (F(1, 3), F(2, 7))
-    p = CaseParams(case, F(1), *kappas, 4)
+    p = CaseParams(case, F(1), *kappas)
     for builder in (build_recurrence, build_transfer, build_ladder):
         with pytest.raises(ParameterError):
             builder(p, 4)
@@ -232,23 +232,23 @@ def test_oracle_guard_rejects_degree_raising_operator(monkeypatch):
     monkeypatch.setattr(
         triangle, "operator_L", lambda p: true_L(p) + DiffOp.from_poly(X)
     )
-    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 3)
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7))
     with pytest.raises(AdmissibilityError, match="did not drop below"):
         build_oracle(p, 3)
 
 
 @pytest.mark.parametrize("beta, d", [(F(-1), 0), (F(-2), 1)])
-def test_oracle_guard_rejects_coinciding_eigenvalues(beta, d):
-    # lambda_2 - lambda_d = (2 - d)(beta + 1 + d) vanishes; CaseParams rejects
-    # such a beta, so it is set past the validation
-    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 3)
-    object.__setattr__(p, "beta", beta)
+def test_oracle_guard_rejects_coinciding_eigenvalues(beta, d, monkeypatch):
+    # lambda_2 - lambda_d = (2 - d)(beta + 1 + d) vanishes; the validity rule
+    # rejects such a beta, so it is switched off to reach the guard
+    monkeypatch.setattr(triangle, "_check_nmax", lambda params, nmax: None)
+    p = CaseParams("I", beta, F(1, 3), F(2, 7))
     with pytest.raises(AdmissibilityError, match=rf"degrees {d} and 2 coincide at \(m,n\)=\(2,0\)"):
         build_oracle(p, 3)
 
 
 def test_transfer_precondition_zero_kappa1():
-    p = CaseParams("II", F(5, 2), F(0), F(1, 3), 4)
+    p = CaseParams("II", F(5, 2), F(0), F(1, 3))
     with pytest.raises(TransferError) as err:
         build_transfer(p, 4)
     assert "(m,n)" in str(err.value)
@@ -256,7 +256,7 @@ def test_transfer_precondition_zero_kappa1():
 
 def test_transfer_precondition_integer_kappa1_case_i():
     # kappa1 = 2 makes the divisor m(kappa1 - m + 1) vanish at m = 3
-    p = CaseParams("I", F(5, 2), F(2), F(1, 3), 4)
+    p = CaseParams("I", F(5, 2), F(2), F(1, 3))
     with pytest.raises(TransferError):
         build_transfer(p, 4)
 
@@ -266,7 +266,7 @@ def test_transfer_precondition_integer_kappa1_case_i():
 
 def test_boundary_coefficient_vanishes_at_n1():
     # the P_{m+1,n-2} point leaves the triangle at n=1 with zero coefficient
-    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 6)
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7))
     for m in range(1, 4):
         step = recurrence_step(p, "x", m, 1)
         coeff = {(mm, nn): c for mm, nn, c in step.tail}[(m + 1, -1)]
@@ -276,7 +276,7 @@ def test_boundary_coefficient_vanishes_at_n1():
 @pytest.mark.parametrize("case", CASES)
 def test_recurrence_touches_only_stencil_offsets(case):
     rng = random.Random(17)
-    p = sample_params(case, rng, nmax_hint=6)
+    p = sample_params(case, rng)
     log = []
     build_recurrence(p, 6, access_log=log)
     for axis, offset in log:
@@ -289,7 +289,7 @@ def test_recurrence_rejects_a_route_to_the_wrong_target(monkeypatch):
     # stripped by python -O)
     true_route = triangle._recurrence_route
     monkeypatch.setattr(triangle, "_recurrence_route", lambda case, a, c: true_route(case, c, a))
-    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 4)
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7))
     with pytest.raises(StencilError, match=r"route to \(2,0\) reads the step \(0, 1\) -> \(0, 2\)"):
         build_recurrence(p, 4)
 
@@ -308,7 +308,7 @@ def test_out_of_range_nonzero_coefficient_raises():
 
 
 def test_json_roundtrip():
-    p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5), 3)
+    p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5))
     t = build_oracle(p, 3)
     doc = triangle_to_json(t)
     back = triangle_from_json(doc)
@@ -317,14 +317,14 @@ def test_json_roundtrip():
 
 
 def test_json_deterministic_bytes():
-    p = CaseParams("IX", F(3), nmax_hint=3)
+    p = CaseParams("IX", F(3))
     a = dumps_json(triangle_to_json(build_oracle(p, 3)))
     b = dumps_json(triangle_to_json(build_oracle(p, 3)))
     assert a == b
 
 
 def test_csv_layout():
-    p = CaseParams("IX", F(3), nmax_hint=2)
+    p = CaseParams("IX", F(3))
     text = triangle_to_csv(build_oracle(p, 2))
     lines = text.strip().splitlines()
     assert lines[0] == "m,n,i,j,c"
@@ -333,20 +333,25 @@ def test_csv_layout():
 
 
 def test_latex_contains_entries():
-    p = CaseParams("IX", F(3), nmax_hint=2)
+    p = CaseParams("IX", F(3))
     text = triangle_to_latex(build_oracle(p, 2))
     assert "x^{2} - \\frac{1}{4}" in text
     assert text.startswith("% case IX")
 
 
-def test_nmax_must_fit_hint():
-    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7), 3)
-    with pytest.raises(ValueError):
-        build_oracle(p, 4)
+def test_builders_agree_past_the_old_default_hint():
+    # validity belongs to (params, nmax): every builder reaches any nmax the
+    # rule on beta allows, here 12
+    draws = (CaseParams("I", F(17, 7), F(2, 5), F(-3, 11)), sample_params("IX", random.Random(12)))
+    for p in draws:
+        oracle = build_oracle(p, 12)
+        assert len(oracle.entries) == 91
+        for build in BUILDER_LIST[1:]:
+            assert build(p, 12).same_polys(oracle), build.__name__
 
 
 def test_nodes_order():
-    p = CaseParams("IX", F(3), nmax_hint=2)
+    p = CaseParams("IX", F(3))
     t = build_oracle(p, 2)
     assert t.nodes() == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 
@@ -391,7 +396,7 @@ def test_dumps_json_matches_stdlib_examples(doc):
 
 @pytest.mark.parametrize("case", CASES)
 def test_dumps_json_matches_stdlib_on_tables_and_reports(case):
-    params = sample_params(case, random.Random(f"json/{case}"), nmax_hint=4)
+    params = sample_params(case, random.Random(f"json/{case}"))
     for build in triangle.BUILDERS.values():
         with contextlib.suppress(TransferError):
             assert_stdlib_layout(triangle_to_json(build(params, 4)))

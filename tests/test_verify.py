@@ -42,7 +42,7 @@ from kspoly.series import extract_polys, genfun
 @pytest.mark.parametrize("case", CASES)
 def test_full_suite_passes(case):
     rng = random.Random(len(case) * 7 + 1)
-    params = sample_params(case, rng, nmax_hint=4)
+    params = sample_params(case, rng)
     report = full_suite(params, nmax=4, order=4)
     assert report.passed, report.failures()[:3]
 
@@ -52,20 +52,20 @@ def test_full_suite_ten_triples_nmax_six(case):
     # every listed check, exactly, at ten random valid parameter triples
     rng = random.Random(sum(map(ord, case)))
     for _ in range(10):
-        params = sample_params(case, rng, nmax_hint=6)
+        params = sample_params(case, rng)
         report = full_suite(params, nmax=6, order=6)
         assert report.passed, (params, report.failures()[:3])
 
 
 def test_action_formulas_need_depth():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     with pytest.raises(ValueError):
         check_action_formulas(build_oracle(p, 1), commuting_ops(p))
 
 
 def test_action_formula_trivial_rows():
     # relations whose coefficients all carry a factor n reduce to 0 = 0 on n = 0
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     t = build_oracle(p, 4)
     report = check_action_formulas(t, commuting_ops(p))
     names = {r.name for r in report.results}
@@ -87,7 +87,7 @@ def leaky_relations(true_relations):
 
 def test_transfer_raises_on_out_of_range_action_neighbor(monkeypatch):
     monkeypatch.setattr(triangle, "action_relations", leaky_relations(triangle.action_relations))
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     # the sweep's first source (2,0) reads (3,-1)
     with pytest.raises(StencilError, match=r"out-of-range entry \(3,-1\)"):
         build_transfer(p, 4)
@@ -97,7 +97,7 @@ def test_action_audit_records_out_of_range_neighbor(monkeypatch):
     monkeypatch.setattr(
         kspoly.verify, "action_relations", leaky_relations(kspoly.verify.action_relations)
     )
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     report = check_action_formulas(build_oracle(p, 4), commuting_ops(p))
     failed = report.failures()
     assert [r.name for r in failed] == [f"action-I1({m},0)" for m in range(5)]
@@ -106,7 +106,7 @@ def test_action_audit_records_out_of_range_neighbor(monkeypatch):
 
 
 def test_parity_examples():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     t = build_oracle(p, 4)
     assert check_parity_ix(t).passed
     # direct statements: P_{1,1} odd/odd, P_{0,0} even/even, P_{3,0} odd in x
@@ -119,15 +119,15 @@ def test_parity_examples():
 
 
 def test_parity_rejects_other_cases():
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     with pytest.raises(ValueError):
         check_parity_ix(build_oracle(p, 2))
 
 
 def test_ix_to_i_map_beta3():
-    t9 = build_oracle(CaseParams("IX", F(3), nmax_hint=6), 6)
+    t9 = build_oracle(CaseParams("IX", F(3)), 6)
     t1 = build_oracle(
-        CaseParams("I", F(2), F(-1, 2), F(-1, 2), nmax_hint=3), 3
+        CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 3
     )
     report = check_ix_to_i_map(t9, t1)
     assert report.passed
@@ -136,21 +136,21 @@ def test_ix_to_i_map_beta3():
 
 
 def test_ix_to_i_map_validates_parameters():
-    t9 = build_oracle(CaseParams("IX", F(3), nmax_hint=4), 4)
-    bad = build_oracle(CaseParams("I", F(2), F(1, 3), F(-1, 2), 2), 2)
+    t9 = build_oracle(CaseParams("IX", F(3)), 4)
+    bad = build_oracle(CaseParams("I", F(2), F(1, 3), F(-1, 2)), 2)
     with pytest.raises(ValueError):
         check_ix_to_i_map(t9, bad)
 
 
 def test_swap_symmetry_case_i():
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 4)
-    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3), 4)
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
+    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
     report = check_swap_symmetry(build_oracle(p, 4), build_oracle(swapped, 4))
     assert report.passed
 
 
 def test_genfun_agreement_report():
-    p = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5), 4)
+    p = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5))
     t = build_oracle(p, 4)
     table = extract_polys(genfun(p, 4), p)
     assert check_genfun_agreement(t, table).passed
@@ -159,7 +159,7 @@ def test_genfun_agreement_report():
 def test_stencil_check_all_cases():
     rng = random.Random(77)
     for case in CASES:
-        params = sample_params(case, rng, nmax_hint=5)
+        params = sample_params(case, rng)
         log = []
         build_recurrence(params, 5, access_log=log)
         assert check_recurrence_stencil(params, log).passed
@@ -176,7 +176,7 @@ def test_full_suite_builds_the_recurrence_table_once(case, monkeypatch):
     # count builds made through the registry and through a module-level name
     monkeypatch.setitem(triangle.BUILDERS, "recurrence", counted)
     monkeypatch.setattr(kspoly.verify, "build_recurrence", counted, raising=False)
-    params = sample_params(case, random.Random(5), nmax_hint=3)
+    params = sample_params(case, random.Random(5))
     assert full_suite(params, nmax=3, order=3).passed
     assert len(calls) == 1
 
@@ -187,7 +187,7 @@ def test_full_suite_audits_the_recurrence_access_log(case, axis, lead, monkeypat
     # every recurrence step reads its source at the lead offset, so a
     # stencil without it must fail the audit of full_suite's own build
     monkeypatch.setitem(STENCILS, (case, axis), STENCILS[(case, axis)] - {lead})
-    params = sample_params(case, random.Random(5), nmax_hint=3)
+    params = sample_params(case, random.Random(5))
     failures = full_suite(params, nmax=3, order=3).failures()
     assert [f.name for f in failures] == [f"stencil-{axis}"]
     assert failures[0].detail == {"unexpected_offsets": [lead]}
@@ -202,7 +202,7 @@ def test_full_suite_audits_one_operator_set(case, monkeypatch):
         return (perturb_term(ops[0], 0),) + ops[1:]
 
     monkeypatch.setattr(kspoly.verify, "commuting_ops", perturbed)
-    params = sample_params(case, random.Random(5), nmax_hint=3)
+    params = sample_params(case, random.Random(5))
     failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
     assert "commuting[L,I1]" in failed
     assert any(name.startswith("action-I1(") for name in failed), failed
@@ -217,13 +217,13 @@ def test_full_suite_builds_operator_L_once(case, monkeypatch):
         return operator_L(params)
 
     monkeypatch.setattr(kspoly.verify, "operator_L", counted)
-    params = sample_params(case, random.Random(5), nmax_hint=3)
+    params = sample_params(case, random.Random(5))
     assert full_suite(params, nmax=3, order=3).passed
     assert len(calls) == 1
 
 
 def test_report_json_shape():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     report = check_monic(build_oracle(p, 2))
     doc = report.to_json()
     assert doc["passed"] is True
@@ -234,7 +234,7 @@ def test_report_json_shape():
 
 
 def test_monic_failure_carries_the_entry():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     t = build_oracle(p, 2)
     t.entries[(1, 1)] = t.entries[(1, 1)] + Y * Y
     report = check_monic(t)
@@ -244,7 +244,7 @@ def test_monic_failure_carries_the_entry():
 
 
 def test_failure_carries_residual():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     t = build_oracle(p, 3)
     corrupted = perturb_term(operator_L(p), 0)
     report = check_eigen(t, L=corrupted)
@@ -401,7 +401,7 @@ def test_derived_grid_detects_degree_two_perturbation(case, certify_calls):
 def test_unmutated_battery_is_clean():
     rng = random.Random(13)
     for case in CASES:
-        params = sample_params(case, rng, nmax_hint=3)
+        params = sample_params(case, rng)
         assert not mutation_battery(params, 3, catalog_operator_set(params))
 
 
@@ -409,13 +409,13 @@ def test_mutations_are_detected():
     rng = random.Random(99)
     for _ in range(12):
         case = rng.choice(CASES)
-        params = sample_params(case, rng, nmax_hint=3)
+        params = sample_params(case, rng)
         ops, description = mutated_operator_set(params, rng, 3)
         assert mutation_battery(params, 3, ops), description
 
 
 def test_parity_failure_carries_the_entry():
-    p = CaseParams("IX", F(3), nmax_hint=4)
+    p = CaseParams("IX", F(3))
     t = build_oracle(p, 3)
     t.entries[(1, 1)] = t.entries[(1, 1)] + X  # even in y, where P_{1,1} is odd
     [failure] = check_parity_ix(t).failures()
@@ -424,8 +424,8 @@ def test_parity_failure_carries_the_entry():
 
 
 def test_swap_failure_carries_the_residual():
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5), 3)
-    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3), 3)
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
+    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
     t = build_oracle(p, 3)
     t.entries[(2, 1)] = t.entries[(2, 1)] + F(1, 4) * X
     [failure] = check_swap_symmetry(t, build_oracle(swapped, 3)).failures()
