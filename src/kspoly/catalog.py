@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import ONE, X, Y, BivariatePoly
 from .errors import ParameterError
-from .weyl import DiffOp
+from .weyl import DiffOp, GenericOp
 
 CASES = ("I", "II", "III", "V", "VIII", "IX")
 
@@ -194,6 +194,128 @@ def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
     i2 = _ct(w, 0, 2) + _ct((1 - b) * Y, 0, 1)
     i3 = _ct(X, 0, 1) + _ct(-1 * Y, 1, 0)
     i4 = _ct(2 * w, 1, 1) + _ct((1 - b) * Y, 1, 0) + _ct((1 - b) * X, 0, 1)
+    return (i1, i2, i3, i4)
+
+
+# ---------------------------------------------------------------------------
+# Parameter-generic operators
+# ---------------------------------------------------------------------------
+#
+# A second hand-written copy of operator_L and commuting_ops over
+# Q[beta, kappa1, kappa2], so that an identity among them is proved for every
+# parameter triple by one exact composition.  The copy is not derived from
+# the numeric one; tests check that the two agree at sampled and degenerate
+# parameters.
+
+
+def _generic_symbols(case_id: str) -> tuple[GenericOp, ...]:
+    """1, x, y, d_x, d_y, beta, kappa1, kappa2, made afresh for each call."""
+    if case_id not in CASES:
+        raise ParameterError(
+            f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}"
+        )
+    one = GenericOp({(0,) * 7: 1})
+    return (one, *(GenericOp.generator(index) for index in range(7)))
+
+
+def generic_operator_L(case_id: str) -> GenericOp:
+    """operator_L with beta, kappa1, kappa2 left as symbols."""
+    one, x, y, dx, dy, b, k1, k2 = _generic_symbols(case_id)
+    if case_id == "I":
+        return (
+            (x @ x - x) @ dx @ dx
+            + 2 * x @ y @ dx @ dy
+            + (y @ y - y) @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+    if case_id == "II":
+        return (
+            x @ x @ dx @ dx
+            + 2 * x @ y @ dx @ dy
+            + (y @ y - y) @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+    if case_id == "III":
+        return (
+            x @ x @ dx @ dx
+            + 2 * x @ y @ dx @ dy
+            + (y @ y + x) @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+    if case_id == "V":
+        return (
+            2 * x @ dx @ dy
+            + y @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+    if case_id == "VIII":
+        return (
+            y @ dx @ dx
+            + 2 * dx @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+    # IX
+    return (
+        (x @ x - one) @ dx @ dx
+        + 2 * x @ y @ dx @ dy
+        + (y @ y - one) @ dy @ dy
+        + b @ x @ dx
+        + b @ y @ dy
+    )
+
+
+def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
+    """commuting_ops with beta, kappa1, kappa2 left as symbols."""
+    one, x, y, dx, dy, b, k1, k2 = _generic_symbols(case_id)
+    if case_id == "I":
+        i1 = x @ (one - x - y) @ dx @ dx + (k1 @ (y - one) - (b + k2) @ x) @ dx
+        i2 = y @ (one - x - y) @ dy @ dy + (k2 @ (x - one) - (b + k1) @ y) @ dy
+        i3 = (
+            x @ y @ dx @ dx
+            - 2 * x @ y @ dx @ dy
+            + x @ y @ dy @ dy
+            + (k2 @ x - k1 @ y) @ dx
+            - (k2 @ x - k1 @ y) @ dy
+        )
+        return (i1, i2, i3)
+    if case_id == "II":
+        i1 = x @ x @ dx @ dx + ((b + k2) @ x + k1 @ (one - y)) @ dx
+        i2 = x @ y @ dy @ dy + (k1 @ y - k2 @ x) @ dy
+        return (i1, i2)
+    if case_id == "III":
+        i1 = (
+            2 * x @ x @ dx @ dy
+            + x @ y @ dy @ dy
+            + (k2 @ x - k1 @ y) @ dx
+            + (b @ x + k1) @ dy
+        )
+        i2 = x @ x @ dy @ dy + (k2 @ x - k1 @ y) @ dy
+        return (i1, i2)
+    if case_id == "V":
+        i1 = x @ x @ dx @ dx + (k2 @ x - k1 @ y) @ dx
+        i2 = x @ dy @ dy + (b @ x + k1) @ dy
+        return (i1, i2)
+    if case_id == "VIII":
+        i1 = dx @ dx + (b @ y + k2) @ dx
+        i2 = (
+            (y @ y - x) @ dx @ dx
+            + 2 * y @ dx @ dy
+            + dy @ dy
+            + (k1 @ y - k2 @ x) @ dx
+            + (b @ x + k1) @ dy
+        )
+        return (i1, i2)
+    # IX
+    w = one - x @ x - y @ y
+    i1 = w @ dx @ dx + (one - b) @ x @ dx
+    i2 = w @ dy @ dy + (one - b) @ y @ dy
+    i3 = x @ dy - y @ dx
+    i4 = 2 * w @ dx @ dy + (one - b) @ y @ dx + (one - b) @ x @ dy
     return (i1, i2, i3, i4)
 
 

@@ -13,7 +13,13 @@ from pathlib import Path
 from random import Random
 
 from .algebra import parse_rational
-from .catalog import CASES, CaseParams, commuting_ops, operator_L, sample_params
+from .catalog import (
+    CASES,
+    CaseParams,
+    generic_commuting_ops,
+    generic_operator_L,
+    sample_params,
+)
 from .errors import KspolyError
 from .series import extract_polys, genfun
 from .triangle import BUILDERS, FORMATTERS, dumps_json, triangle_from_json
@@ -70,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--trials", type=int, default=3, help="random parameter triples per case")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--skip-certify", action="store_true",
-                       help="skip the parameter-grid certification pass")
+                       help="skip the all-parameter [L,I1]=0 certification")
     check.add_argument("--output", help="write the JSON report here")
 
     gf = sub.add_parser("gf", help="expand a generating function and compare")
@@ -126,9 +132,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             documents.append(report.to_json())
         if not args.skip_certify:
             result = certify_commutator(
-                operator_L,
-                lambda q: commuting_ops(q)[0],
-                case,
+                generic_operator_L(case),
+                generic_commuting_ops(case)[0],
                 f"certify[{case}] [L,I1]=0",
             )
             all_passed &= result.passed

@@ -24,7 +24,3 @@ class StencilError(KspolyError):
 class TransferError(KspolyError):
     """A transfer-build path divides by a vanishing coefficient."""
 
-
-class ParameterDegreeError(KspolyError):
-    """An operand is not polynomial of bounded degree in the case parameters,
-    so no finite grid certifies an identity built from it."""

@@ -63,7 +63,7 @@ def _check_nmax(params: CaseParams, nmax: int) -> None:
     """The validity rule of a table up to degree nmax: beta + k != 0 for
     0 <= k <= 2*nmax + 2, which keeps lambda_N != lambda_d for d < N <= nmax."""
     if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+        raise ParameterError(f"nmax must be nonnegative, not {nmax}")
     bound = 2 * nmax + 2
     if params.beta.denominator == 1 and -bound <= params.beta <= 0:
         raise ParameterError(

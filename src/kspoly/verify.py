@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 from .algebra import BivariatePoly
 from .catalog import (
@@ -26,7 +26,7 @@ from .catalog import (
     raising_commutator_rhs,
     raising_ops,
 )
-from .errors import KspolyError, ParameterDegreeError, StencilError, TransferError
+from .errors import KspolyError, StencilError, TransferError
 from .series import (
     GENFUN_CASES,
     extract_polys,
@@ -34,7 +34,9 @@ from .series import (
     genfun_derivative_residuals,
 )
 from .triangle import BUILDERS, AccessLog, Triangle, build_oracle, stencil_sum
-from .weyl import DiffOp
+from .weyl import DiffOp, GenericOp
+
+Op = TypeVar("Op", DiffOp, GenericOp)
 
 
 @dataclass
@@ -346,67 +348,17 @@ def certify_parameter_polynomial_identity(
     return CheckResult(name, "pass")
 
 
-# Where parameter_degrees samples: every parameter nonzero and none a value
-# of the certify grid (beta a half-integer, kappa = 1/3 mod 2), so no
-# catalog coefficient's leading part in one parameter vanishes there.
-DEGREE_BASE = (Fraction(17, 7), Fraction(2, 5), Fraction(-3, 11))
-DEGREE_STEP = Fraction(1, 3)
-DEGREE_CAP = 4
-
-
-def parameter_degrees(operand: Callable[[CaseParams], DiffOp], case_id: str) -> tuple[int, ...]:
-    """Degree of operand(params) in each parameter: (beta, kappa1, kappa2),
-    or (beta,) for case IX, which has no kappas.
-
-    Along each axis the operand is sampled at DEGREE_CAP + 2 points spaced
-    DEGREE_STEP apart from DEGREE_BASE; the degree is the least
-    d <= DEGREE_CAP whose (d+1)-th finite differences all vanish there.
-    Raises ParameterDegreeError when none does, e.g. for a 1/beta
-    coefficient.
-    """
-    base = DEGREE_BASE if case_id != "IX" else (DEGREE_BASE[0], Fraction(0), Fraction(0))
-    degrees = []
-    for axis in range(1 if case_id == "IX" else 3):
-        point = list(base)
-        diffs = []
-        for t in range(DEGREE_CAP + 2):
-            point[axis] = base[axis] + t * DEGREE_STEP
-            diffs.append(operand(CaseParams(case_id, *point)))
-        degree = 0
-        while True:
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            if all(d.is_zero() for d in diffs):
-                break
-            degree += 1
-            if degree > DEGREE_CAP:
-                raise ParameterDegreeError(
-                    f"case {case_id}: operand is not polynomial of degree <= {DEGREE_CAP} "
-                    f"in {('beta', 'kappa1', 'kappa2')[axis]}"
-                )
-        degrees.append(degree)
-    return tuple(degrees)
-
-
-def certify_commutator(
-    A: Callable[[CaseParams], DiffOp],
-    B: Callable[[CaseParams], DiffOp],
-    case_id: str,
-    name: str,
-) -> CheckResult:
+def certify_commutator(A: GenericOp, B: GenericOp, name: str) -> CheckResult:
     """Certify [A, B] = 0 for every parameter triple.
 
-    In each parameter, deg [A, B] <= deg A + deg B, so the identity holds
-    everywhere once it holds on a tensor grid with one value more than the
-    largest such sum per parameter (Schwartz 1980, J. ACM 27).
+    A and B carry beta, kappa1 and kappa2 as symbols, so their commutator
+    is one exact element of the Weyl algebra over Q[beta, kappa1, kappa2],
+    and the identity holds everywhere exactly when that element is zero.
     """
-    degrees = zip(parameter_degrees(A, case_id), parameter_degrees(B, case_id))
-    bound = max(a + b for a, b in degrees)
-    return certify_parameter_polynomial_identity(
-        lambda q: A(q).commutator(B(q)),
-        case_id,
-        name,
-        degree_bound=bound,
-    )
+    residual = A.commutator(B)
+    if residual.is_zero():
+        return CheckResult(name, "pass")
+    return CheckResult(name, "fail", _op_detail(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +366,12 @@ def certify_commutator(
 # ---------------------------------------------------------------------------
 
 
-def perturb_term(op: DiffOp, index: int) -> DiffOp:
-    """Add 1 to the coefficient of one stored term (by canonical index)."""
+def perturb_term(op: Op, index: int) -> Op:
+    """Add 1 to the coefficient of one stored term (by canonical index) of a
+    DiffOp or a GenericOp."""
     items = list(op.items())
     key, _ = items[index % len(items)]
-    return op + DiffOp({key: 1})
+    return op + type(op)({key: 1})
 
 
 def mutated_operator_set(

@@ -11,16 +11,38 @@ meets x^a y^b stores the image as integer numerators over the operator's
 denominator, and later calls reuse it.  The memo is a cache of exact values,
 filled lazily per instance, so results and their storage are those of the
 term-by-term rule, and equality and hashing ignore it.
+
+``GenericOp`` is the same algebra with coefficients in Q[beta, kappa1,
+kappa2]: the parameters are central, so an identity that holds for every
+parameter triple is one exact composition over that ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
+from typing import TYPE_CHECKING
 
 from .algebra import BivariatePoly, Terms, drop_zeros, signed_sum
 
+if TYPE_CHECKING:
+    from .catalog import CaseParams
+
 Key = tuple[int, int, int, int]
+
+
+@lru_cache(maxsize=None)
+def leibniz(k: int, l: int, i: int, j: int) -> tuple[tuple[int, int, int], ...]:
+    """d_x^k d_y^l o x^i y^j in normal order, as (r, s, w) triples: the term
+    w * x^(i-r) y^(j-s) d_x^(k-r) d_y^(l-s), by the Leibniz rule
+      d_x^k (x^i .) = sum_r C(k, r) * i!/(i-r)! * x^(i-r) d_x^(k-r)
+    and independently in y."""
+    return tuple(
+        (r, s, comb(k, r) * perm(i, r) * comb(l, s) * perm(j, s))
+        for r in range(min(k, i) + 1)
+        for s in range(min(l, j) + 1)
+    )
 
 
 def _op_key(item: tuple[Key, Fraction]) -> tuple[int, ...]:
@@ -70,25 +92,18 @@ class DiffOp(Terms):
     # -- composition ---------------------------------------------------------
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        """Normal-ordered product self o other.
-
-        Derivatives of the left factor pass the coefficients of the right one
-        via the Leibniz rule:
-          d_x^k (x^i .) = sum_r C(k, r) * i!/(i-r)! * x^(i-r) d_x^(k-r)
-        and independently in y.
-        """
+        """Normal-ordered product self o other: derivatives of the left
+        factor pass the coefficients of the right one by ``leibniz``."""
         if not isinstance(other, DiffOp):
             return NotImplemented
         out: dict[Key, int] = {}
+        get = out.get
         for (i1, j1, k1, l1), c1 in self._num.items():
             for (i2, j2, k2, l2), c2 in other._num.items():
                 base = c1 * c2
-                for r in range(min(k1, i2) + 1):
-                    cr = comb(k1, r) * perm(i2, r)
-                    for s in range(min(l1, j2) + 1):
-                        cs = comb(l1, s) * perm(j2, s)
-                        key = (i1 + i2 - r, j1 + j2 - s, k1 - r + k2, l1 - s + l2)
-                        out[key] = out.get(key, 0) + base * cr * cs
+                for r, s, w in leibniz(k1, l1, i2, j2):
+                    key = (i1 + i2 - r, j1 + j2 - s, k1 - r + k2, l1 - s + l2)
+                    out[key] = get(key, 0) + base * w
         return self._wrap(drop_zeros(out), self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
@@ -132,3 +147,61 @@ class DiffOp(Terms):
 
     def __str__(self) -> str:
         return signed_sum(self.items(), ("x", "y", "Dx", "Dy"), join="*")
+
+
+GenericKey = tuple[int, int, int, int, int, int, int]
+
+
+def _generic_key(item: tuple[GenericKey, Fraction]) -> tuple[int, ...]:
+    # as _op_key, then the parameter exponents
+    (i, j, k, l, p, q, r), _ = item
+    return (k + l, i + j, i, j, k, l, p + q + r, p, q, r)
+
+
+class GenericOp(Terms):
+    """A Weyl-algebra element with coefficients in Q[beta, kappa1, kappa2].
+
+    The term (i, j, k, l, p, q, r) -> c stands for
+    c * x^i y^j beta^p kappa1^q kappa2^r d_x^k d_y^l.  The parameters commute
+    with everything, so composition runs the Weyl product rule on the first
+    four indices and adds the last three; ``at`` specialises to a DiffOp.
+    """
+
+    __slots__ = ()
+
+    FIELDS = ("i", "j", "k", "l", "p", "q", "r")
+    _order = staticmethod(_generic_key)
+
+    @classmethod
+    def generator(cls, index: int) -> "GenericOp":
+        """The symbol whose key has a 1 at ``index`` of FIELDS (x, y, d_x,
+        d_y, beta, kappa1, kappa2 for index 0..6)."""
+        return cls._wrap({tuple(int(f == index) for f in range(7)): 1})
+
+    __add__ = Terms._add
+
+    def __matmul__(self, other: "GenericOp") -> "GenericOp":
+        """Normal-ordered product self o other, by ``leibniz``."""
+        if not isinstance(other, GenericOp):
+            return NotImplemented
+        out: dict[GenericKey, int] = {}
+        get = out.get
+        for (i1, j1, k1, l1, p1, q1, r1), c1 in self._num.items():
+            for (i2, j2, k2, l2, p2, q2, r2), c2 in other._num.items():
+                base = c1 * c2
+                p, q, r = p1 + p2, q1 + q2, r1 + r2
+                for dr, ds, w in leibniz(k1, l1, i2, j2):
+                    key = (i1 + i2 - dr, j1 + j2 - ds, k1 - dr + k2, l1 - ds + l2, p, q, r)
+                    out[key] = get(key, 0) + base * w
+        return self._wrap(drop_zeros(out), self._den * other._den)
+
+    commutator = DiffOp.commutator
+
+    def at(self, params: "CaseParams") -> DiffOp:
+        """The DiffOp at one parameter triple."""
+        b, k1, k2 = params.beta, params.kappa1, params.kappa2
+        out: dict[Key, Fraction] = {}
+        for (i, j, k, l, p, q, r), c in self._num.items():
+            key = (i, j, k, l)
+            out[key] = out.get(key, 0) + c * b**p * k1**q * k2**r
+        return DiffOp({key: Fraction(c, self._den) for key, c in out.items()})

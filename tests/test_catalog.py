@@ -4,6 +4,7 @@ term at fixed parameter values, plus spot checks of the known identities."""
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -14,6 +15,8 @@ from kspoly.catalog import (
     commuting_ops,
     edge_operators,
     eigenvalue,
+    generic_commuting_ops,
+    generic_operator_L,
     operator_L,
     raising_commutator_rhs,
     raising_ops,
@@ -113,6 +116,48 @@ def test_commuting_ops_golden(case):
     assert len(ops) == len(GOLDEN_COMMUTING[case])
     for op, expected in zip(ops, GOLDEN_COMMUTING[case]):
         assert op == DiffOp(expected)
+
+
+# -- the parameter-generic copy ---------------------------------------------------
+
+
+def assert_generic_copy_agrees(params):
+    case = params.case_id
+    assert generic_operator_L(case).at(params) == operator_L(params), params
+    generic = generic_commuting_ops(case)
+    numeric = commuting_ops(params)
+    assert len(generic) == len(numeric)
+    for k, (g, n) in enumerate(zip(generic, numeric), start=1):
+        assert g.at(params) == n, (params, f"I{k}")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generic_operators_match_catalog_at_samples(case):
+    rng = random.Random(sum(map(ord, case)) + 41)
+    for _ in range(12):
+        assert_generic_copy_agrees(sample_params(case, rng))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generic_operators_match_catalog_on_degenerate_lattice(case):
+    betas = (F(1), F(2), F(1, 2), F(-1, 2), F(3, 2))
+    kappas = [(F(0), F(0))] if case == "IX" else product((F(0), F(1), F(-1), F(1, 2)), repeat=2)
+    for beta, (k1, k2) in product(betas, kappas):
+        assert_generic_copy_agrees(CaseParams(case, beta, k1, k2))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generic_commuting_ops_commute_with_L(case):
+    # [L, I_k] = 0 for every parameter triple: one exact composition each
+    L = generic_operator_L(case)
+    for k, ik in enumerate(generic_commuting_ops(case), start=1):
+        assert L.commutator(ik).is_zero(), f"I{k}"
+
+
+def test_generic_operators_reject_unknown_case():
+    for build in (generic_operator_L, generic_commuting_ops):
+        with pytest.raises(ParameterError, match="unknown case 'IV'"):
+            build("IV")
 
 
 # -- eigenvalues ---------------------------------------------------------------

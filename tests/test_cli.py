@@ -110,10 +110,10 @@ def test_check_all_cases_with_certification(tmp_path):
 
 def test_check_certify_failure(monkeypatch, tmp_path, capsys):
     # corrupt only the I1 that certify sees; full_suite keeps the true catalog
-    true_ops = kspoly.cli.commuting_ops
+    true_ops = kspoly.cli.generic_commuting_ops
     monkeypatch.setattr(
-        kspoly.cli, "commuting_ops",
-        lambda p: (perturb_term(true_ops(p)[0], 0),) + true_ops(p)[1:],
+        kspoly.cli, "generic_commuting_ops",
+        lambda case: (perturb_term(true_ops(case)[0], 0),) + true_ops(case)[1:],
     )
     report = tmp_path / "report.json"
     assert run("check", "--case", "V", "--nmax", "3", "--order", "3",

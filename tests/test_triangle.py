@@ -212,6 +212,12 @@ def test_builders_match_oracle_or_raise_on_degenerate_lattice(case):
             assert table.same_polys(oracle), (builder.__name__, p)
 
 
+@pytest.mark.parametrize("builder", BUILDER_LIST)
+def test_negative_nmax_is_a_parameter_error(builder):
+    with pytest.raises(ParameterError, match="nmax must be nonnegative, not -1"):
+        builder(CaseParams("I", F(5, 2), F(1, 3), F(2, 7)), -1)
+
+
 @pytest.mark.parametrize("case", ("I", "II", "III", "IX"))
 def test_beta_one_fails_before_any_recurrence_step(case, monkeypatch):
     # the 0/0 limit over beta + 2N - 3 is met while the catalog forms the

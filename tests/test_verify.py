@@ -5,17 +5,19 @@ from fractions import Fraction as F
 import pytest
 
 import kspoly.verify
-from kspoly import triangle
+from kspoly import catalog, triangle
 from kspoly.algebra import X, Y
 from kspoly.catalog import (
     CASES,
     STENCILS,
     CaseParams,
     commuting_ops,
+    generic_commuting_ops,
+    generic_operator_L,
     operator_L,
     sample_params,
 )
-from kspoly.errors import ParameterDegreeError, StencilError
+from kspoly.errors import StencilError
 from kspoly.triangle import build_oracle, build_recurrence, build_transfer
 from kspoly.verify import (
     catalog_operator_set,
@@ -32,10 +34,9 @@ from kspoly.verify import (
     full_suite,
     mutated_operator_set,
     mutation_battery,
-    parameter_degrees,
     perturb_term,
 )
-from kspoly.weyl import DiffOp
+from kspoly.weyl import DiffOp, GenericOp
 from kspoly.series import extract_polys, genfun
 
 
@@ -290,7 +291,7 @@ def test_certify_case_ix_quadratic():
     assert result.status == "pass"
 
 
-# -- certification on the derived grid ------------------------------------------
+# -- symbolic certification ----------------------------------------------------
 
 
 def _operands(case):
@@ -299,39 +300,22 @@ def _operands(case):
     return [operator_L] + [lambda q, k=k: commuting_ops(q)[k] for k in range(count)]
 
 
-def _i1(q):
-    return commuting_ops(q)[0]
+def _generic_i1(case):
+    return generic_commuting_ops(case)[0]
 
 
-@pytest.fixture
-def certify_calls(monkeypatch):
-    """Record the grid and every grid point each certify call evaluates."""
-    calls = []
-    true_certify = kspoly.verify.certify_parameter_polynomial_identity
-
-    def spy(identity, *args, **kwargs):
-        call = {"kwargs": kwargs, "points": 0}
-        calls.append(call)
-
-        def counted(q):
-            call["points"] += 1
-            return identity(q)
-
-        return true_certify(counted, *args, **kwargs)
-
-    monkeypatch.setattr(kspoly.verify, "certify_parameter_polynomial_identity", spy)
-    return calls
+# 1, x, d_x, beta and kappa1 over Q[beta, kappa1, kappa2]
+G_ONE = GenericOp({(0,) * 7: 1})
+G_X, G_DX, G_BETA, G_K1 = (GenericOp.generator(index) for index in (0, 2, 4, 5))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_catalog_operands_are_affine_in_the_parameters(case):
-    # the premise of the certify bound, by the helper and by direct second
-    # differences at random points and steps the helper never uses
+    # every coefficient of the catalog's L and I_k is affine in each
+    # parameter: second differences vanish at random points and steps
     axes = ("beta",) if case == "IX" else ("beta", "kappa1", "kappa2")
     rng = random.Random(sum(map(ord, case)) + 5)
     for operand in _operands(case):
-        degrees = parameter_degrees(operand, case)
-        assert len(degrees) == len(axes) and max(degrees) <= 1
         for _ in range(3):
             q = sample_params(case, rng)
             h = F(rng.randrange(1, 9), rng.choice((2, 3, 5)))
@@ -345,54 +329,74 @@ def test_catalog_operands_are_affine_in_the_parameters(case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_commutator_certified_on_degree_two_grid(case, certify_calls):
-    result = certify_commutator(operator_L, _i1, case, "[L,I1]=0")
+def test_certify_evaluates_no_grid_point(case, monkeypatch):
+    # the proof is one composition over Q[beta, kappa1, kappa2]: no
+    # parameter triple is formed and no catalog operator is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify must not evaluate at parameter points")
+
+    monkeypatch.setattr(CaseParams, "__post_init__", forbidden)
+    monkeypatch.setattr(catalog, "operator_L", forbidden)
+    monkeypatch.setattr(catalog, "commuting_ops", forbidden)
+    monkeypatch.setattr(kspoly.verify, "operator_L", forbidden)
+    monkeypatch.setattr(kspoly.verify, "certify_parameter_polynomial_identity", forbidden)
+    monkeypatch.setattr(DiffOp, "__matmul__", forbidden)
+    result = certify_commutator(generic_operator_L(case), _generic_i1(case), "[L,I1]=0")
     assert result.passed
-    (call,) = certify_calls
-    assert call["kwargs"]["degree_bound"] == 2
-    assert call["points"] == (3 if case == "IX" else 27)
+    assert result.detail is None
 
 
-def test_rational_operand_is_rejected(certify_calls):
-    def with_reciprocal(q):
-        return operator_L(q) + DiffOp({(0, 0, 1, 0): 1 / q.beta})
+def test_rational_operand_is_rejected():
+    # a 1/beta coefficient cannot be written: parameter exponents are
+    # nonnegative indices, and a GenericOp is not divisible by a symbol
+    with pytest.raises(ValueError, match="nonnegative"):
+        GenericOp({(0, 0, 1, 0, -1, 0, 0): 1})
+    with pytest.raises(TypeError):
+        1 / G_BETA
 
-    for case in ("II", "IX"):
-        with pytest.raises(ParameterDegreeError, match="beta"):
-            parameter_degrees(with_reciprocal, case)
-        with pytest.raises(ParameterDegreeError):
-            certify_commutator(with_reciprocal, _i1, case, "[L',I1]=0")
-    assert certify_calls == []
+
+def _assert_fails_with_residual(result):
+    assert result.status == "fail"
+    assert result.detail["residual"]
+    assert set(result.detail["residual"][0]) == {"i", "j", "k", "l", "p", "q", "r", "c"}
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_derived_grid_detects_perturbations(case):
-    for i in range(4):
-        result = certify_commutator(
-            operator_L, lambda q: perturb_term(_i1(q), i), case, f"[L,I1+e{i}]=0"
-        )
-        assert result.status == "fail", i
-        assert result.detail["residual"]
+    # +1 on each stored term of the generic I1 breaks [L, I1] = 0
+    L, i1 = generic_operator_L(case), _generic_i1(case)
+    for index in range(len(i1)):
+        result = certify_commutator(L, perturb_term(i1, index), f"[L,I1+e{index}]=0")
+        _assert_fails_with_residual(result)
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_derived_grid_detects_degree_two_perturbation(case, certify_calls):
+def test_derived_grid_detects_degree_two_perturbation(case):
     # x d_x commutes with no catalog L, so I1 + w x d_x breaks [L, I1] = 0
-    # for any weight w != 0.  With w = beta^2 the derived grid must grow to
-    # 4 beta values; w = beta kappa1 is still affine in each parameter, and
-    # the 3-value grid must catch it.
-    euler = DiffOp({(1, 0, 1, 0): 1})
-    assert not operator_L(sample_params(case, random.Random(1))).commutator(euler).is_zero()
-    perturbations = [lambda q: q.beta * q.beta]
-    if case != "IX":
-        perturbations.append(lambda q: q.beta * q.kappa1)
-    for weight in perturbations:
+    # for any weight w != 0, whatever its degree in the parameters
+    euler = G_X @ G_DX
+    q = sample_params(case, random.Random(1))
+    assert not operator_L(q).commutator(euler.at(q)).is_zero()
+    weights = [G_BETA @ G_BETA] + ([] if case == "IX" else [G_BETA @ G_K1])
+    for weight in weights:
         result = certify_commutator(
-            operator_L, lambda q: _i1(q) + weight(q) * euler, case, "[L,I1+e]=0"
+            generic_operator_L(case), _generic_i1(case) + weight @ euler, "[L,I1+e]=0"
         )
-        assert result.status == "fail"
-    bounds = [call["kwargs"]["degree_bound"] for call in certify_calls]
-    assert bounds == [3, 2][: len(perturbations)]
+        _assert_fails_with_residual(result)
+
+
+def test_certify_rejects_a_perturbation_that_vanishes_on_sample_lines():
+    # (kappa1 - 2/5)(beta - 3/2)(beta - 5/2)(beta - 7/2) x d_x vanishes on the
+    # line kappa1 = 2/5 and at beta in {3/2, 5/2, 7/2}, where a sampled degree
+    # probe and a 3-point beta grid look; [L, I1'] is still nonzero
+    weight = G_K1 - F(2, 5) * G_ONE
+    for root in (F(3, 2), F(5, 2), F(7, 2)):
+        weight = weight @ (G_BETA - root * G_ONE)
+    probe = _generic_i1("I") + weight @ G_X @ G_DX
+    result = certify_commutator(generic_operator_L("I"), probe, "[L,I1']=0")
+    _assert_fails_with_residual(result)
+    point = CaseParams("I", F(9, 4), F(1, 3), F(1, 7))
+    assert not operator_L(point).commutator(probe.at(point)).is_zero()
 
 
 # -- mutation sensitivity -----------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kspoly.algebra import ONE, X, Y, BivariatePoly
-from kspoly.catalog import CASES, operator_L, sample_params
-from kspoly.weyl import DiffOp
+from kspoly.catalog import CASES, CaseParams, operator_L, sample_params
+from kspoly.weyl import DiffOp, GenericOp
 from test_algebra import (
     COPRIME,
     SHARED,
@@ -324,3 +324,45 @@ def test_threads_sharing_one_operator_get_reference_results():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# -- operators over Q[beta, kappa1, kappa2] ---------------------------------------
+
+
+def generic_ops(max_order=2):
+    keys = st.tuples(op_keys(max_order), st.tuples(*[st.integers(0, 2)] * 3))
+    return st.builds(
+        GenericOp,
+        st.dictionaries(keys.map(lambda pair: pair[0] + pair[1]), rationals, max_size=4),
+    )
+
+
+params = st.builds(CaseParams, st.just("I"), rationals, rationals, rationals)
+
+
+@given(generic_ops(), generic_ops(), params)
+def test_generic_ops_specialise_term_by_term(a, b, q):
+    # at() maps the parameter ring onto Q, so it respects every operation
+    for got, want in [
+        (a @ b, a.at(q) @ b.at(q)),
+        (a.commutator(b), a.at(q).commutator(b.at(q))),
+        (a + b, a.at(q) + b.at(q)),
+        (a * F(-3, 4), a.at(q) * F(-3, 4)),
+    ]:
+        assert_canonical(got)
+        assert got.at(q) == want
+
+
+def test_generic_generators():
+    x, y, dx, dy, beta, k1, k2 = (GenericOp.generator(index) for index in range(7))
+    one = GenericOp({(0,) * 7: 1})
+    assert dx @ x - x @ dx == one
+    assert dy @ y - y @ dy == one
+    for p in (beta, k1, k2):  # the parameters are central
+        for g in (x, y, dx, dy):
+            assert p.commutator(g).is_zero()
+    term = beta @ beta @ k2 @ x @ dy
+    assert term == GenericOp({(1, 0, 0, 1, 2, 0, 1): 1})
+    q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
+    assert term.at(q) == F(45, 4) * DiffOp({(1, 0, 0, 1): 1})
+    assert [r["c"] for r in (term - beta).to_records()] == ["-1", "1"]
