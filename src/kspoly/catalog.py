@@ -325,7 +325,7 @@ def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
     R+x maps P_{m,n} with m+n = N to P_{m+1,n}, and R+y to P_{m,n+1}.
     """
     if N < 0:
-        raise ValueError("N must be nonnegative")
+        raise ParameterError(f"N must be nonnegative, not {N}")
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     c = params.case_id
     ctx = f"case {c} raising operator at N={N}"
@@ -479,6 +479,8 @@ def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
     """
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
+    if k < 0:
+        raise ParameterError(f"k must be nonnegative, not {k}")
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     c = params.case_id
     ctx = f"case {c} edge ladder at k={k}"

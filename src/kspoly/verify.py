@@ -13,7 +13,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional, TypeVar
 
-from .algebra import BivariatePoly
+from .algebra import BivariatePoly, Terms
 from .catalog import (
     CaseParams,
     STENCILS,
@@ -49,6 +49,35 @@ class CheckResult:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    def to_json(self, case: str, params: Optional[CaseParams] = None) -> dict:
+        """The report entry: check, case, params (when given), status, and
+        the detail under "residual" on failure."""
+        entry: dict = {"check": self.name, "case": case}
+        if params is not None:
+            entry["params"] = {
+                "beta": str(params.beta),
+                "kappa1": str(params.kappa1),
+                "kappa2": str(params.kappa2),
+            }
+        entry["status"] = self.status
+        if self.detail is not None:
+            entry["residual"] = self.detail
+        return entry
+
+
+def _poly_detail(node, p: BivariatePoly) -> dict:
+    return {"node": list(node), "residual": p.to_records()}
+
+
+def _zero(name: str, residual: Terms, node: Optional[tuple[int, int]] = None) -> CheckResult:
+    """Pass exactly when residual is zero; a failure records the residual,
+    and the node it belongs to when there is one."""
+    if residual.is_zero():
+        return CheckResult(name, "pass")
+    if node is None:
+        return CheckResult(name, "fail", {"residual": residual.to_records()})
+    return CheckResult(name, "fail", _poly_detail(node, residual))
+
 
 @dataclass
 class VerificationReport:
@@ -59,6 +88,11 @@ class VerificationReport:
         self.results.append(
             CheckResult(name, "pass" if ok else "fail", None if ok else detail)
         )
+
+    def expect_zero(
+        self, name: str, residual: Terms, node: Optional[tuple[int, int]] = None
+    ) -> None:
+        self.results.append(_zero(name, residual, node))
 
     def extend(self, other: "VerificationReport") -> None:
         self.results.extend(other.results)
@@ -71,22 +105,9 @@ class VerificationReport:
         return [r for r in self.results if not r.passed]
 
     def to_json(self) -> dict:
-        out = []
-        for r in sorted(self.results, key=lambda r: r.name):
-            entry = {
-                "check": r.name,
-                "case": self.params.case_id,
-                "params": {
-                    "beta": str(self.params.beta),
-                    "kappa1": str(self.params.kappa1),
-                    "kappa2": str(self.params.kappa2),
-                },
-                "status": r.status,
-            }
-            if r.detail is not None:
-                entry["residual"] = r.detail
-            out.append(entry)
-        return {"checks": out, "passed": self.passed}
+        p = self.params
+        checks = [r.to_json(p.case_id, p) for r in sorted(self.results, key=lambda r: r.name)]
+        return {"checks": checks, "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -107,14 +128,6 @@ def catalog_operator_set(params: CaseParams) -> OperatorSet:
     )
 
 
-def _poly_detail(node, residual: BivariatePoly) -> dict:
-    return {"node": list(node), "residual": residual.to_records()}
-
-
-def _op_detail(residual: DiffOp) -> dict:
-    return {"residual": residual.to_records()}
-
-
 # ---------------------------------------------------------------------------
 # Triangle-level checks
 # ---------------------------------------------------------------------------
@@ -126,9 +139,7 @@ def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     for m, n in t.nodes():
         p = t.entry(m, n)
         residual = L.apply(p) - eigenvalue(t.params, m + n) * p
-        ok = residual.is_zero()
-        detail = None if ok else _poly_detail((m, n), residual)
-        report.add(f"eigen[{t.method}]({m},{n})", ok, detail)
+        report.expect_zero(f"eigen[{t.method}]({m},{n})", residual, (m, n))
     return report
 
 
@@ -145,19 +156,14 @@ def check_monic(t: Triangle) -> VerificationReport:
 def check_edge_ode(t: Triangle) -> VerificationReport:
     """Edge polynomials solve the one-variable restrictions of L."""
     report = VerificationReport(t.params)
-    lx, ly = edge_operators(t.params)
-    for k in range(t.nmax + 1):
-        lam = eigenvalue(t.params, k)
-        if lx is not None:
-            p = t.entry(k, 0)
-            residual = lx.apply(p) - lam * p
-            ok = residual.is_zero()
-            report.add(f"edge-x({k})", ok, None if ok else _poly_detail((k, 0), residual))
-        if ly is not None:
-            p = t.entry(0, k)
-            residual = ly.apply(p) - lam * p
-            ok = residual.is_zero()
-            report.add(f"edge-y({k})", ok, None if ok else _poly_detail((0, k), residual))
+    for axis, op in zip("xy", edge_operators(t.params)):
+        if op is None:
+            continue
+        for k in range(t.nmax + 1):
+            node = (k, 0) if axis == "x" else (0, k)
+            p = t.entry(*node)
+            residual = op.apply(p) - eigenvalue(t.params, k) * p
+            report.expect_zero(f"edge-{axis}({k})", residual, node)
     return report
 
 
@@ -179,8 +185,7 @@ def check_action_formulas(
                 report.add(name, False, {"node": [m, n], "error": str(err)})
                 continue
             residual = rel.op.apply(p) + rel.self_coeff(m, n) * p - rhs
-            ok = residual.is_zero()
-            report.add(name, ok, None if ok else _poly_detail((m, n), residual))
+            report.expect_zero(name, residual, (m, n))
     return report
 
 
@@ -205,8 +210,7 @@ def check_swap_symmetry(t: Triangle, t_swapped: Triangle) -> VerificationReport:
         raise ValueError("the swap symmetry holds for cases I and IX")
     for m, n in t.nodes():
         residual = t.entry(m, n).swap_vars() - t_swapped.entry(n, m)
-        ok = residual.is_zero()
-        report.add(f"swap({m},{n})", ok, None if ok else _poly_detail((m, n), residual))
+        report.expect_zero(f"swap({m},{n})", residual, (m, n))
     return report
 
 
@@ -233,9 +237,7 @@ def check_ix_to_i_map(t9: Triangle, t1: Triangle) -> VerificationReport:
     for a in range(t9.nmax // 2 + 1):
         for b in range(t9.nmax // 2 - a + 1):
             residual = t9.entry(2 * a, 2 * b).halve_even_exponents() - t1.entry(a, b)
-            ok = residual.is_zero()
-            detail = None if ok else _poly_detail((2 * a, 2 * b), residual)
-            report.add(f"ix-to-i({2 * a},{2 * b})", ok, detail)
+            report.expect_zero(f"ix-to-i({2 * a},{2 * b})", residual, (2 * a, 2 * b))
     return report
 
 
@@ -248,9 +250,7 @@ def check_genfun_agreement(
     for m, n in t.nodes():
         if m + n > order:
             continue
-        residual = table[(m, n)] - t.entry(m, n)
-        ok = residual.is_zero()
-        report.add(f"genfun({m},{n})", ok, None if ok else _poly_detail((m, n), residual))
+        report.expect_zero(f"genfun({m},{n})", table[(m, n)] - t.entry(m, n), (m, n))
     return report
 
 
@@ -285,21 +285,15 @@ def check_operator_identities(
     report = VerificationReport(params)
     L = ops.L
     for idx, ik in enumerate(ops.commuting, start=1):
-        residual = L.commutator(ik)
-        report.add(f"commuting[L,I{idx}]", residual.is_zero(), _op_detail(residual))
+        report.expect_zero(f"commuting[L,I{idx}]", L.commutator(ik))
     for N in range(nmax + 1):
         for axis, r in zip(("x", "y"), ops.raising(N)):
             rhs = raising_commutator_rhs(params, N, axis, L, r)
-            residual = L.commutator(r) - rhs
-            report.add(
-                f"raising[L,R+{axis}(N={N})]",
-                residual.is_zero(),
-                _op_detail(residual),
-            )
+            report.expect_zero(f"raising[L,R+{axis}(N={N})]", L.commutator(r) - rhs)
     if params.case_id == "IX":
         q1, q2 = quadratic_relation_residuals(params, L, ops.commuting)
-        report.add("quadratic-1", q1.is_zero(), _op_detail(q1))
-        report.add("quadratic-2", q2.is_zero(), _op_detail(q2))
+        report.expect_zero("quadratic-1", q1)
+        report.expect_zero("quadratic-2", q2)
     return report
 
 
@@ -355,10 +349,7 @@ def certify_commutator(A: GenericOp, B: GenericOp, name: str) -> CheckResult:
     is one exact element of the Weyl algebra over Q[beta, kappa1, kappa2],
     and the identity holds everywhere exactly when that element is zero.
     """
-    residual = A.commutator(B)
-    if residual.is_zero():
-        return CheckResult(name, "pass")
-    return CheckResult(name, "fail", _op_detail(residual))
+    return _zero(name, A.commutator(B))
 
 
 # ---------------------------------------------------------------------------
@@ -421,23 +412,20 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
     generating functions.  Used by the command-line `check`."""
     report = VerificationReport(params)
     oracle = build_oracle(params, nmax)
-    triangles = {"oracle": oracle}
     stencil_log: AccessLog = []
     for name, build in BUILDERS.items():
         if name == "oracle":
             continue
         extra = {"access_log": stencil_log} if name == "recurrence" else {}
         try:
-            triangles[name] = build(params, nmax, **extra)
+            t = build(params, nmax, **extra)
         except TransferError:
             # documented precondition miss: fall back silently to other builders
             report.add(f"build-{name}(skipped)", True)
         except KspolyError as exc:
             report.add(f"build-{name}", False, {"error": str(exc)})
-    for name, t in triangles.items():
-        if name == "oracle":
-            continue
-        report.add(f"agreement[{name}]", t.same_polys(oracle))
+        else:
+            report.add(f"agreement[{name}]", t.same_polys(oracle))
     report.extend(check_operators(oracle, catalog_operator_set(params)))
     report.extend(check_monic(oracle))
     report.extend(check_edge_ode(oracle))
@@ -456,6 +444,6 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
         report.extend(check_genfun_agreement(oracle, table))
         if params.case_id == "V":
             r1, r2 = genfun_derivative_residuals(params, order)
-            report.add("genfun-diff-s", r1.is_zero())
-            report.add("genfun-diff-t", r2.is_zero())
+            report.expect_zero("genfun-diff-s", r1)
+            report.expect_zero("genfun-diff-t", r2)
     return report

@@ -205,3 +205,7 @@ class GenericOp(Terms):
             key = (i, j, k, l)
             out[key] = out.get(key, 0) + c * b**p * k1**q * k2**r
         return DiffOp({key: Fraction(c, self._den) for key, c in out.items()})
+
+    def __str__(self) -> str:
+        symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2")
+        return signed_sum(self.items(), symbols, join="*")

@@ -13,7 +13,8 @@ from kspoly.algebra import (
     parse_rational,
     rising_factorial,
 )
-from kspoly.weyl import DiffOp
+from kspoly.series import Series2
+from kspoly.weyl import DiffOp, GenericOp
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -413,3 +414,19 @@ def test_records_print_coefficients_as_str_fraction():
 def test_records_match_str_of_fraction(p):
     assert [r["c"] for r in p.to_records()] == [str(c) for _, c in p.items()]
     assert BivariatePoly.from_records(p.to_records()) == p
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (X * X - F(1, 2) * Y, "BivariatePoly(x^2 - 1/2*y)"),
+        (DiffOp({(1, 0, 1, 0): 2, (0, 0, 0, 2): -1}), "DiffOp(2*x*Dx - Dy^2)"),
+        (GenericOp({(1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): F(-1, 3)}),
+         "GenericOp(-1/3*Dx*kappa1 + x*Dx*beta)"),
+        (Series2(2, {(1, 0, 0, 1): 3}), "Series2(3*sy)"),
+    ],
+    ids=["poly", "diffop", "genericop", "series"],
+)
+def test_repr_of_every_terms_type(value, text):
+    # Terms.__repr__ formats str(self): a type without __str__ recurses
+    assert repr(value) == text

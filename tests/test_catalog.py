@@ -13,6 +13,7 @@ from kspoly.catalog import (
     CASES,
     CaseParams,
     commuting_ops,
+    edge_ladder,
     edge_operators,
     eigenvalue,
     generic_commuting_ops,
@@ -255,6 +256,17 @@ def test_raising_denominator_guard():
     params = CaseParams("IX", F(1))
     with pytest.raises(ParameterError):
         raising_ops(params, 0)
+
+
+def test_negative_raising_degree_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="N must be nonnegative, not -1"):
+        raising_ops(P2["I"], -1)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_negative_edge_ladder_index_is_a_parameter_error(axis):
+    with pytest.raises(ParameterError, match="k must be nonnegative, not -1"):
+        edge_ladder(CaseParams("I", F(7, 2)), axis, -1)
 
 
 def test_commutator_rhs_viii_is_scaled_raising():

@@ -83,12 +83,11 @@ def test_gen_deterministic_bytes(tmp_path):
 def test_check_single_case(tmp_path):
     report = tmp_path / "report.json"
     code = run("check", "--case", "V", "--nmax", "4", "--order", "4",
-               "--trials", "2", "--seed", "7", "--skip-certify",
-               "--output", str(report))
+               "--trials", "2", "--seed", "7", "--output", str(report))
     assert code == 0
     doc = json.loads(report.read_text())
     assert doc["passed"] is True
-    assert len(doc["reports"]) == 2
+    assert len(doc["reports"]) == 3  # two trials, then the certify entry
 
 
 def test_check_with_certification():
@@ -118,17 +117,22 @@ def test_check_certify_failure(monkeypatch, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run("check", "--case", "V", "--nmax", "3", "--order", "3",
                "--trials", "1", "--output", str(report)) == 1
-    out = capsys.readouterr().out
-    assert "PASS" in out.splitlines()[0]
-    assert "certify[V] [L,I1]=0: FAIL" in out
-    assert json.loads(report.read_text())["passed"] is False
+    assert capsys.readouterr().out == (
+        "case V trial 0 beta=53/5 kappa1=-12/5 kappa2=-1/7: PASS\n"
+        "certify[V] [L,I1]=0: FAIL\n"
+    )
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is False
+    [entry] = doc["reports"][-1]["checks"]
+    assert (entry["check"], entry["case"], entry["status"]) == ("certify[V] [L,I1]=0", "V", "fail")
+    records = entry["residual"]["residual"]  # the symbolic [L, I1]
+    assert records and all(set(r) == set("ijklpqrc") for r in records)
 
 
 def test_check_ix_reports_quadratic_relations(tmp_path):
     report = tmp_path / "report.json"
     assert run("check", "--case", "IX", "--nmax", "3", "--order", "3",
-               "--trials", "1", "--seed", "5", "--skip-certify",
-               "--output", str(report)) == 0
+               "--trials", "1", "--seed", "5", "--output", str(report)) == 0
     doc = json.loads(report.read_text())
     names = {c["check"] for r in doc["reports"] for c in r["checks"]}
     assert {"quadratic-1", "quadratic-2"} <= names
@@ -137,18 +141,18 @@ def test_check_ix_reports_quadratic_relations(tmp_path):
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_check_rejects_vacuous_run(tmp_path, capsys, trials):
     report = tmp_path / "r.json"
-    assert run("check", "--case", "I", "--trials", trials, "--skip-certify",
+    assert run("check", "--case", "I", "--trials", trials,
                "--output", str(report)) == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
     assert not report.exists()
 
 
-@pytest.mark.parametrize("case, certify", [("I", "--skip-certify"), ("all", None)])
-def test_check_rejects_negative_order(tmp_path, capsys, case, certify):
-    # at the parent, case I printed PASS and 'all' failed late in case V
+@pytest.mark.parametrize("case", ["I", "all"])
+def test_check_rejects_negative_order(tmp_path, capsys, case):
+    # once, case I printed PASS and 'all' failed late in case V
     report = tmp_path / "r.json"
-    argv = ["check", "--case", case, "--trials", "1", "--order", "-1", "--output", str(report)]
-    assert run(*argv, *([certify] if certify else [])) == 2
+    assert run("check", "--case", case, "--trials", "1", "--order", "-1",
+               "--output", str(report)) == 2
     out, err = capsys.readouterr()
     assert "--order must be nonnegative" in err
     assert out == ""
@@ -179,8 +183,18 @@ def test_check_detects_corrupted_catalog(monkeypatch):
         kspoly.verify, "operator_L", lambda p: perturb_term(true_L(p), 0)
     )
     code = run("check", "--case", "I", "--nmax", "3", "--order", "3",
-               "--trials", "1", "--seed", "1", "--skip-certify")
+               "--trials", "1", "--seed", "1")
     assert code == 1
+
+
+def test_internal_key_error_is_not_invalid_input(monkeypatch):
+    # a KeyError from inside a builder is a bug, not exit 2 "invalid input"
+    def broken(params, nmax):
+        raise KeyError((0, 3))
+
+    monkeypatch.setitem(kspoly.cli.BUILDERS, "oracle", broken)
+    with pytest.raises(KeyError):
+        main(["gen", "--case", "I", "--beta", "7/2", "--nmax", "3"])
 
 
 def test_gf_zero_diffs(tmp_path):
@@ -250,6 +264,13 @@ def test_export_missing_file(capsys, tmp_path):
     assert run("export", "--input", str(tmp_path / "nope.json"),
                "--format", "csv") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_export_rejects_malformed_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"case": "IX",')
+    assert run("export", "--input", str(bad), "--format", "csv") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _drop_entry(doc):

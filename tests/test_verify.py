@@ -6,7 +6,7 @@ import pytest
 
 import kspoly.verify
 from kspoly import catalog, triangle
-from kspoly.algebra import X, Y
+from kspoly.algebra import Terms, X, Y
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -37,7 +37,7 @@ from kspoly.verify import (
     perturb_term,
 )
 from kspoly.weyl import DiffOp, GenericOp
-from kspoly.series import extract_polys, genfun
+from kspoly.series import Series2, extract_polys, genfun
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -435,3 +435,35 @@ def test_swap_failure_carries_the_residual():
     [failure] = check_swap_symmetry(t, build_oracle(swapped, 3)).failures()
     assert failure.name == "swap(2,1)"
     assert failure.detail == {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]}
+
+
+def test_genfun_diff_failure_carries_the_residual(monkeypatch):
+    p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5))
+    true_residuals = kspoly.verify.genfun_derivative_residuals
+
+    def broken(params, order):
+        r1, r2 = true_residuals(params, order)
+        return r1 + Series2(order, {(1, 0, 0, 1): F(1, 3)}), r2
+
+    monkeypatch.setattr(kspoly.verify, "genfun_derivative_residuals", broken)
+    report = full_suite(p, nmax=3, order=3)
+    [failure] = report.failures()
+    assert failure.name == "genfun-diff-s"
+    assert failure.detail == {"residual": [{"a": 1, "b": 0, "i": 0, "j": 1, "c": "1/3"}]}
+    [entry] = [c for c in report.to_json()["checks"] if c["check"] == "genfun-diff-s"]
+    assert entry["status"] == "fail"
+    assert entry["residual"] == failure.detail
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_passing_checks_serialise_no_residual(case, monkeypatch):
+    # a residual is written out only for a failing check
+    def refuse(self):
+        raise AssertionError("to_records called on a passing check")
+
+    monkeypatch.setattr(Terms, "to_records", refuse)
+    params = sample_params(case, random.Random(3))
+    assert full_suite(params, nmax=3, order=3).passed
+    assert certify_commutator(
+        generic_operator_L(case), generic_commuting_ops(case)[0], "c"
+    ).passed
