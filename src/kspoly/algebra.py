@@ -215,20 +215,23 @@ class Terms:
 
     @classmethod
     def combination(cls, pairs: Iterable[tuple[Scalar, "Terms"]]):
-        """Sum of c * p over (scalar, Terms) pairs, as one object.
+        """Sum of c * p over (scalar, Terms) pairs, as one object; zero
+        coefficients and zero operands are skipped, and an empty sum is zero."""
+        return cls._sum(
+            [(c.numerator, c.denominator * p._den, p._num) for c, p in pairs if c and p._num]
+        )
 
-        Every product is brought over one lcm of the denominators, the
-        integer numerators accumulate in one dict, and the sum is reduced
-        once with one gcd; zero coefficients and zero operands are skipped,
-        and an empty sum is zero.
-        """
-        live = [(c.numerator, c.denominator, p) for c, p in pairs if c and p._num]
-        den = lcm(*(cd * p._den for _, cd, p in live))
+    @classmethod
+    def _sum(cls, parts: list[tuple[int, int, dict]]):
+        # sum of c * num / den over (c, den, num) parts: every part is brought
+        # over one lcm of the denominators, the integer numerators accumulate
+        # in one dict, and the sum is reduced once with one gcd
+        den = lcm(*(d for _, d, _ in parts))
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for cn, cd, p in live:
-            f = cn * (den // (cd * p._den))
-            for key, a in p._num.items():
+        for c, d, num in parts:
+            f = c * (den // d)
+            for key, a in num.items():
                 out[key] = get(key, 0) + a * f
         return cls._wrap(drop_zeros(out), den)
 
@@ -348,11 +351,6 @@ class BivariatePoly(Terms):
         return self._wrap(out, self._den)
 
     # -- structural maps ---------------------------------------------------
-
-    def scaled_part(self, d: int, c: Scalar) -> "BivariatePoly":
-        """c times the terms of total degree d, in one pass over the numerators."""
-        num = {(i, j): a * c.numerator for (i, j), a in self._num.items() if i + j == d and c}
-        return self._wrap(num, self._den * c.denominator)
 
     def negate_var(self, var: str) -> "BivariatePoly":
         """p(-x, y) for var 'x', p(x, -y) for var 'y'."""

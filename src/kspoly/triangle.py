@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
+from math import gcd
 from typing import Iterable
 
 from .algebra import ONE, BivariatePoly, Scalar, parse_rational, signed_sum
@@ -32,7 +33,6 @@ from .catalog import (
     seed_polys,
 )
 from .errors import AdmissibilityError, ParameterError, StencilError, TransferError
-from .weyl import DiffOp
 
 AccessLog = list[tuple[str, tuple[int, int]]]  # (axis, offset)
 
@@ -85,28 +85,52 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     (lambda_d - lambda_N) times itself plus lower-degree terms, so the system
     is triangular by total degree and solved exactly by back-substitution.
 
-    Each step finds the degree-d layer ``top`` of P, and the residual is
-    updated by (L - lambda_N) applied to ``top`` alone.  L is linear and the
-    arithmetic is exact, so (L - lambda_N)(P + top) equals the old residual
-    plus (L - lambda_N) top term for term: every intermediate residual, and
-    hence every guard below, is the same as if L were re-applied to all of P.
-    The shifted operator is formed once per level, and the layers, which
-    share no term, are summed once when the residual vanishes.
+    Each step finds the degree-d layer ``top`` of P and adds (L - lambda_N)
+    top to the residual, so every intermediate residual, and hence every
+    guard below, is (L - lambda_N) applied to the partial P.  The arithmetic
+    is on integers: the residual is one dict of numerators over one
+    denominator, reduced by one gcd per step; every image of a monomial comes
+    from L's own memo (``DiffOp.images``), and lambda_N = p/q enters as one
+    integer correction on the monomial's own key.  The layers are summed
+    once, over the lcm of their denominators.
     """
     _check_nmax(params, nmax)
     L = operator_L(params)
+    images, dL = L.images, L._den
     lams = [eigenvalue(params, N) for N in range(nmax + 1)]
     entries: dict[tuple[int, int], BivariatePoly] = {}
     for N, lam in enumerate(lams):
-        shifted = L - DiffOp({(0, 0, 0, 0): lam})
+        q, pdL = lam.denominator, lam.numerator * dL
+        dLq = dL * q
         # -1 / (lambda_d - lambda_N) for d < N; None where the two coincide
         factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]]
         for m in range(N, -1, -1):
             n = N - m
-            layers = [BivariatePoly.monomial(m, n)]
-            residual = shifted.apply(layers[0])
-            while not residual.is_zero():
-                d = residual.degree
+            # residual num / den, starting at 0; layer top / top_den, where
+            # top_den = den * fd, starting at x^m y^n
+            num: dict[tuple[int, int], int] = {}
+            top, top_den, fd = {(m, n): 1}, 1, 1
+            layers = []
+            while True:
+                layers.append((1, top_den, top))
+                # residual + (L - p/q) top / top_den, over top_den * dL * q: the
+                # residual times fd * dL * q, plus q * c * image and - p * dL * c
+                # on its own key for each term c x^a y^b of top
+                s = fd * dLq
+                num = {key: c * s for key, c in num.items()}
+                get = num.get
+                for mono, c in top.items():
+                    cq = c * q
+                    for key, w in images[mono]:
+                        num[key] = get(key, 0) + cq * w
+                    num[mono] = get(mono, 0) - c * pdL
+                den = top_den * dLq
+                g = gcd(den, *num.values())  # = den when every numerator is 0
+                num = {key: c // g for key, c in num.items() if c}
+                if not num:
+                    break
+                den //= g
+                d = max(i + j for i, j in num)
                 if d >= N:
                     raise AdmissibilityError(
                         f"residual degree {d} did not drop below {N} at "
@@ -118,10 +142,10 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                top = residual.scaled_part(d, factor)
-                layers.append(top)
-                residual = residual + shifted.apply(top)
-            entries[(m, n)] = BivariatePoly.combination((1, p) for p in layers)
+                fn, fd = factor.numerator, factor.denominator
+                top = {(i, j): c * fn for (i, j), c in num.items() if i + j == d}
+                top_den = den * fd
+            entries[(m, n)] = BivariatePoly._sum(layers)
     return Triangle(params, nmax, "oracle", entries)
 
 
@@ -438,9 +462,9 @@ def triangle_to_csv(t: Triangle) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["m", "n", "i", "j", "c"])
-    for m, n in t.nodes():
-        for (i, j), c in t.entry(m, n).items():
-            writer.writerow([m, n, i, j, str(c)])
+    writer.writerows(  # records carry the "p/q" text, built without a Fraction
+        (m, n, r["i"], r["j"], r["c"]) for m, n in t.nodes() for r in t.entry(m, n).to_records()
+    )
     return out.getvalue()
 
 

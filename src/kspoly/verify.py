@@ -51,7 +51,8 @@ class CheckResult:
 
     def to_json(self, case: str, params: Optional[CaseParams] = None) -> dict:
         """The report entry: check, case, params (when given), status, and
-        the detail under "residual" on failure."""
+        on failure the detail's own keys (node, residual, error,
+        unexpected_offsets or point), none of which names an entry key."""
         entry: dict = {"check": self.name, "case": case}
         if params is not None:
             entry["params"] = {
@@ -61,7 +62,7 @@ class CheckResult:
             }
         entry["status"] = self.status
         if self.detail is not None:
-            entry["residual"] = self.detail
+            entry.update(self.detail)
         return entry
 
 
@@ -335,7 +336,7 @@ def certify_parameter_polynomial_identity(
                 name,
                 "fail",
                 {
-                    "params": {"beta": str(b), "kappa1": str(k1), "kappa2": str(k2)},
+                    "point": {"beta": str(b), "kappa1": str(k1), "kappa2": str(k2)},
                     "residual": residual.to_records(),
                 },
             )

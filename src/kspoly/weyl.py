@@ -6,11 +6,12 @@ is unique, and so is the stored form (integer numerators over one reduced
 common denominator), so two operators are equal exactly when their storage
 is equal; all identity checks in this package reduce to that comparison.
 
-Each operator memoises its action on monomials: the first ``apply`` that
-meets x^a y^b stores the image as integer numerators over the operator's
-denominator, and later calls reuse it.  The memo is a cache of exact values,
-filled lazily per instance, so results and their storage are those of the
-term-by-term rule, and equality and hashing ignore it.
+Each operator memoises its action on monomials, read through its one
+accessor ``DiffOp.images`` by ``apply`` and by the oracle's back-substitution:
+``images[(a, b)]`` is the image of x^a y^b as integer numerators over the
+operator's denominator, computed on the first lookup.  The memo is a cache
+of exact values, so results and their storage are those of the term-by-term
+rule, and equality and hashing ignore it.
 
 ``GenericOp`` is the same algebra with coefficients in Q[beta, kappa1,
 kappa2]: the parameters are central, so an identity that holds for every
@@ -51,10 +52,25 @@ def _op_key(item: tuple[Key, Fraction]) -> tuple[int, ...]:
     return (k + l, i + j, i, j, k, l)
 
 
+class _Images(dict):
+    """(a, b) -> the image of x^a y^b under the operator whose terms are
+    ``num``, computed by ``DiffOp._image`` on first lookup.  It holds the
+    terms, not the operator, so the two form no reference cycle."""
+
+    __slots__ = ("_num",)
+
+    def __init__(self, num: dict[Key, int]):
+        self._num = num
+
+    def __missing__(self, mono: tuple[int, int]) -> tuple[tuple[tuple[int, int], int], ...]:
+        image = self[mono] = DiffOp._image(self._num, *mono)
+        return image
+
+
 class DiffOp(Terms):
     """An element of the Weyl algebra in x, y with rational coefficients."""
 
-    __slots__ = ("_images",)  # (a, b) -> ((key, numerator), ...), see apply
+    __slots__ = ("_images",)  # the memo behind images, set on first use
 
     FIELDS = ("i", "j", "k", "l")
     _order = staticmethod(_op_key)
@@ -111,34 +127,35 @@ class DiffOp(Terms):
 
     # -- action ---------------------------------------------------------------
 
-    def apply(self, p: BivariatePoly) -> BivariatePoly:
-        """Apply the operator to a polynomial, exactly.
-
-        Each term pc * x^a y^b of p adds pc times the image of x^a y^b, taken
-        from the operator's memo (filled by ``_image`` on first use), so a
-        monomial met again costs one lookup instead of a pass over the
-        operator's terms.
-        """
+    @property
+    def images(self) -> _Images:
+        """The memo: ``images[(a, b)]`` is the operator applied to x^a y^b."""
         try:
-            images = self._images
+            return self._images
         except AttributeError:  # _wrap and __init__ leave the slot unset
-            images = self._images = {}
+            images = self._images = _Images(self._num)
+            return images
+
+    def apply(self, p: BivariatePoly) -> BivariatePoly:
+        """Apply the operator to a polynomial, exactly: each term pc * x^a y^b
+        of p adds pc times the memoised image of x^a y^b."""
+        images = self.images
+        known = images.get  # a hit costs one dict lookup; images[mono] fills a miss
         out: dict[tuple[int, int], int] = {}
         get = out.get
         for mono, pc in p._num.items():
-            image = images.get(mono)
-            if image is None:
-                image = images[mono] = self._image(*mono)
-            for key, w in image:
+            for key, w in known(mono) or images[mono]:
                 out[key] = get(key, 0) + pc * w
         return BivariatePoly._wrap(drop_zeros(out), self._den * p._den)
 
-    def _image(self, a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
-        """The operator applied to x^a y^b, as nonzero integer numerators over
-        ``self._den``:  x^i y^j d_x^k d_y^l x^a y^b = a!/(a-k)! b!/(b-l)!
-        x^(a-k+i) y^(b-l+j), with terms sharing the shift (i-k, j-l) summed."""
+    @staticmethod
+    def _image(num: dict[Key, int], a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The operator with term numerators ``num`` applied to x^a y^b, as
+        nonzero integer numerators over its denominator:  x^i y^j d_x^k d_y^l
+        x^a y^b = a!/(a-k)! b!/(b-l)! x^(a-k+i) y^(b-l+j), with terms sharing
+        the shift (i-k, j-l) summed."""
         out: dict[tuple[int, int], int] = {}
-        for (i, j, k, l), c in self._num.items():
+        for (i, j, k, l), c in num.items():
             if a < k or b < l:
                 continue
             key = (a - k + i, b - l + j)

@@ -308,9 +308,6 @@ def check_mul_and_diff(a, b):
     cases += [
         (a.negate_var("x"), {(i, j): (-c if i % 2 else c) for (i, j), c in ta.items()}),
         (a.swap_vars(), {(j, i): c for (i, j), c in ta.items()}),
-        ((a * a).scaled_part(2, F(-4, 9)),
-         {k: c * F(-4, 9) for k, c in ref_mul(ta, ta).items() if sum(k) == 2}),
-        (a.scaled_part(1, 0), {}),
     ]
     even = BivariatePoly({(2 * i, 2 * j): c for (i, j), c in ta.items()})
     cases.append((even.halve_even_exponents(), ta))

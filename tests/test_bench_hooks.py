@@ -39,7 +39,9 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
     uninstall = install(tracer)
     try:
         params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
-        triangle.build_oracle(params, 3)
+        oracle = triangle.build_oracle(params, 3)
+        # the oracle reads L's memo directly, so apply is called here
+        operator_L(params).apply(oracle.entry(2, 1))
         operator_L(params).commutator(commuting_ops(params)[0])
         series.genfun(CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)), 3)
     finally:

@@ -125,7 +125,7 @@ def test_check_certify_failure(monkeypatch, tmp_path, capsys):
     assert doc["passed"] is False
     [entry] = doc["reports"][-1]["checks"]
     assert (entry["check"], entry["case"], entry["status"]) == ("certify[V] [L,I1]=0", "V", "fail")
-    records = entry["residual"]["residual"]  # the symbolic [L, I1]
+    records = entry["residual"]  # the symbolic [L, I1]
     assert records and all(set(r) == set("ijklpqrc") for r in records)
 
 

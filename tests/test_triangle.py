@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kspoly import triangle
-from kspoly.algebra import ONE, X, Y
+from kspoly.algebra import ONE, BivariatePoly, X, Y
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -41,7 +41,7 @@ from kspoly.triangle import (
     triangle_to_json,
     triangle_to_latex,
 )
-from kspoly.verify import check_operators, full_suite, mutated_operator_set
+from kspoly.verify import check_operators, full_suite, mutated_operator_set, perturb_term
 from kspoly.weyl import DiffOp
 
 BUILDER_LIST = (build_oracle, build_recurrence, build_ladder, build_transfer)
@@ -251,6 +251,115 @@ def test_oracle_guard_rejects_coinciding_eigenvalues(beta, d, monkeypatch):
     p = CaseParams("I", beta, F(1, 3), F(2, 7))
     with pytest.raises(AdmissibilityError, match=rf"degrees {d} and 2 coincide at \(m,n\)=\(2,0\)"):
         build_oracle(p, 3)
+    assert oracle_outcome(build_oracle, p, 3) == oracle_outcome(ref_oracle, p, 3)
+
+
+# -- the oracle against its Fraction-arithmetic reference --------------------------
+
+
+def ref_oracle(params, nmax):
+    """The oracle's back-substitution on BivariatePoly values: L - lambda_N
+    formed per level and applied to each layer, the layer taken as the
+    residual's degree-d terms times -1 / (lambda_d - lambda_N)."""
+    triangle._check_nmax(params, nmax)
+    L = triangle.operator_L(params)
+    lams = [eigenvalue(params, N) for N in range(nmax + 1)]
+    entries = {}
+    for N, lam in enumerate(lams):
+        shifted = L - DiffOp({(0, 0, 0, 0): lam})
+        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]]
+        for m in range(N, -1, -1):
+            n = N - m
+            layers = [BivariatePoly.monomial(m, n)]
+            residual = shifted.apply(layers[0])
+            while not residual.is_zero():
+                d = residual.degree
+                if d >= N:
+                    raise AdmissibilityError(
+                        f"residual degree {d} did not drop below {N} at "
+                        f"(m,n)=({m},{n}) for {params}"
+                    )
+                factor = factors[d]
+                if factor is None:
+                    raise AdmissibilityError(
+                        f"eigenvalues of degrees {d} and {N} coincide at "
+                        f"(m,n)=({m},{n}) for {params}"
+                    )
+                top = BivariatePoly(
+                    {key: factor * c for key, c in residual.items() if sum(key) == d}
+                )
+                layers.append(top)
+                residual = residual + shifted.apply(top)
+            entries[(m, n)] = BivariatePoly.combination((1, p) for p in layers)
+    return entries
+
+
+def oracle_outcome(build, params, nmax):
+    """Each entry's storage, or the error's type and message."""
+    try:
+        entries = build(params, nmax)
+    except KspolyError as err:
+        return type(err), str(err)
+    if isinstance(entries, triangle.Triangle):
+        entries = entries.entries
+    return {node: (p._num, p._den) for node, p in entries.items()}
+
+
+def assert_oracle_matches_reference(params, nmax):
+    want = oracle_outcome(ref_oracle, params, nmax)
+    assert oracle_outcome(build_oracle, params, nmax) == want, params
+    return want
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_oracle_matches_reference_at_nmax_12(case):
+    rng = random.Random(f"ref/{case}")
+    for _ in range(2):
+        assert isinstance(assert_oracle_matches_reference(sample_params(case, rng), 12), dict)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_oracle_matches_reference_on_degenerate_lattice(case):
+    kappas = [(F(0), F(0))] if case == "IX" else product(DEGENERATE_KAPPAS, repeat=2)
+    for beta, (k1, k2) in product(DEGENERATE_BETAS, kappas):
+        assert_oracle_matches_reference(CaseParams(case, beta, k1, k2), 4)
+
+
+MUTANT_TERMS = {  # x, x d_y, y d_x, d_x, x^2 d_x d_y
+    "x": (1, 0, 0, 0),
+    "x*Dy": (1, 0, 0, 1),
+    "y*Dx": (0, 1, 1, 0),
+    "Dx": (0, 0, 1, 0),
+    "x^2*Dx*Dy": (2, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_oracle_matches_reference_on_mutated_operators(case, monkeypatch):
+    params = sample_params(case, random.Random(f"mutant/{case}"))
+    L = operator_L(params)
+    mutants = [L + DiffOp({key: 1}) for key in MUTANT_TERMS.values()]
+    mutants += [perturb_term(L, index) for index in range(len(L))]
+    errors = 0
+    for mutant in mutants:
+        monkeypatch.setattr(triangle, "operator_L", lambda p, op=mutant: op)
+        errors += isinstance(assert_oracle_matches_reference(params, 6), tuple)
+    assert errors  # the degree-raising mutants reach a guard
+
+
+def test_oracle_computes_each_image_of_L_once(monkeypatch):
+    images = []
+    true_image = DiffOp._image
+
+    def counted(num, a, b):
+        images.append((a, b))
+        return true_image(num, a, b)
+
+    monkeypatch.setattr(DiffOp, "_image", counted)
+    for case in CASES:
+        images.clear()
+        t = build_oracle(sample_params(case, random.Random(case)), 12)
+        assert len(images) == len(set(images)) <= len(t.entries) == 91, case
 
 
 def test_transfer_precondition_zero_kappa1():

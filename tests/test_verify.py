@@ -28,6 +28,7 @@ from kspoly.verify import (
     check_genfun_agreement,
     check_ix_to_i_map,
     check_monic,
+    check_operators,
     check_parity_ix,
     check_recurrence_stencil,
     check_swap_symmetry,
@@ -277,6 +278,7 @@ def test_certify_detects_perturbation():
     )
     assert result.status == "fail"
     assert result.detail["residual"]
+    assert set(result.detail) == {"point", "residual"}
 
 
 def test_certify_case_ix_quadratic():
@@ -452,7 +454,39 @@ def test_genfun_diff_failure_carries_the_residual(monkeypatch):
     assert failure.detail == {"residual": [{"a": 1, "b": 0, "i": 0, "j": 1, "c": "1/3"}]}
     [entry] = [c for c in report.to_json()["checks"] if c["check"] == "genfun-diff-s"]
     assert entry["status"] == "fail"
-    assert entry["residual"] == failure.detail
+    assert entry["residual"] == failure.detail["residual"]
+
+
+def test_failure_details_shadow_no_entry_key(monkeypatch):
+    # every kind of failure detail is written into its report entry as is,
+    # beside (never over) check, case, params and status
+    params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
+    ops = dataclasses.replace(catalog_operator_set(params), L=perturb_term(operator_L(params), 0))
+    failures = check_operators(build_oracle(params, 3), ops).failures()
+    failures += check_recurrence_stencil(params, [("x", (5, 5))]).failures()
+    failures.append(certify_parameter_polynomial_identity(
+        lambda q: operator_L(q).commutator(perturb_term(commuting_ops(q)[0], 1)), "II", "c", 8
+    ))
+
+    def broken(*args, **kwargs):
+        raise StencilError("broken")
+
+    monkeypatch.setitem(kspoly.verify.BUILDERS, "ladder", broken)
+    monkeypatch.setattr(kspoly.verify, "stencil_sum", broken)
+    failures += full_suite(params, nmax=3, order=3).failures()
+    point = {"beta": "7/2", "kappa1": "1/3", "kappa2": "-1/5"}
+    kinds = set()
+    for result in failures:
+        entry = result.to_json("I", params)
+        head = {"check": result.name, "case": "I", "params": point, "status": "fail"}
+        assert not set(result.detail) & set(head), result.name
+        assert entry == {**head, **result.detail}
+        kinds.add(frozenset(result.detail))
+    assert kinds == {
+        frozenset(k) for k in
+        (("node", "residual"), ("residual",), ("unexpected_offsets",), ("point", "residual"),
+         ("error",), ("node", "error"))
+    }
 
 
 @pytest.mark.parametrize("case", CASES)

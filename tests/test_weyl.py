@@ -281,9 +281,9 @@ def test_second_apply_computes_no_new_image(monkeypatch):
     images = []
     true_image = DiffOp._image
 
-    def counted(self, a, b):
+    def counted(num, a, b):
         images.append((a, b))
-        return true_image(self, a, b)
+        return true_image(num, a, b)
 
     monkeypatch.setattr(DiffOp, "_image", counted)
     L = operator_L(sample_params("III", Random(5)))
