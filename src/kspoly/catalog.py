@@ -5,7 +5,9 @@ monic polynomial eigenfunctions P_{m,n} live on a triangular lattice, a set
 of second-order operators commuting with L, a pair of degree-raising
 operators, edge reductions, three-level recurrence tables, and the in-level
 action formulas of the commuting operators.  This module is the single
-place where those formulas exist as code; everything else consumes it.
+place where those formulas exist as code; everything else consumes it.  L
+and the commuting operators are written once, with beta, kappa1, kappa2 as
+symbols, and each parameter triple specialises that one formula.
 
 Cases IV, VI and VII factor into products of classical one-variable
 polynomials and are intentionally not covered.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -92,124 +95,17 @@ def _denominator(factors: Sequence[tuple[str, Fraction]], context: str) -> Fract
 # ---------------------------------------------------------------------------
 # Operators
 # ---------------------------------------------------------------------------
-
-
-def operator_L(params: CaseParams) -> DiffOp:
-    """The case's second-order operator with polynomial eigenfunctions."""
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    c = params.case_id
-    if c == "I":
-        return (
-            _ct(X * X - X, 2, 0)
-            + _ct(2 * X * Y, 1, 1)
-            + _ct(Y * Y - Y, 0, 2)
-            + _ct(b * X + k1 * ONE, 1, 0)
-            + _ct(b * Y + k2 * ONE, 0, 1)
-        )
-    if c == "II":
-        return (
-            _ct(X * X, 2, 0)
-            + _ct(2 * X * Y, 1, 1)
-            + _ct(Y * Y - Y, 0, 2)
-            + _ct(b * X + k1 * ONE, 1, 0)
-            + _ct(b * Y + k2 * ONE, 0, 1)
-        )
-    if c == "III":
-        return (
-            _ct(X * X, 2, 0)
-            + _ct(2 * X * Y, 1, 1)
-            + _ct(Y * Y + X, 0, 2)
-            + _ct(b * X + k1 * ONE, 1, 0)
-            + _ct(b * Y + k2 * ONE, 0, 1)
-        )
-    if c == "V":
-        return (
-            _ct(2 * X, 1, 1)
-            + _ct(Y, 0, 2)
-            + _ct(b * X + k1 * ONE, 1, 0)
-            + _ct(b * Y + k2 * ONE, 0, 1)
-        )
-    if c == "VIII":
-        return (
-            _ct(Y, 2, 0)
-            + _ct(2 * ONE, 1, 1)
-            + _ct(b * X + k1 * ONE, 1, 0)
-            + _ct(b * Y + k2 * ONE, 0, 1)
-        )
-    # IX
-    return (
-        _ct(X * X - ONE, 2, 0)
-        + _ct(2 * X * Y, 1, 1)
-        + _ct(Y * Y - ONE, 0, 2)
-        + _ct(b * X, 1, 0)
-        + _ct(b * Y, 0, 1)
-    )
-
-
-def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
-    """The case's commuting family ([L, I_k] = 0), in conventional order."""
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    c = params.case_id
-    if c == "I":
-        i1 = _ct(X * (ONE - X - Y), 2, 0) + _ct(k1 * (Y - ONE) - (b + k2) * X, 1, 0)
-        i2 = _ct(Y * (ONE - X - Y), 0, 2) + _ct(k2 * (X - ONE) - (b + k1) * Y, 0, 1)
-        i3 = (
-            _ct(X * Y, 2, 0)
-            + _ct(-2 * X * Y, 1, 1)
-            + _ct(X * Y, 0, 2)
-            + _ct(k2 * X - k1 * Y, 1, 0)
-            + _ct(-(k2 * X - k1 * Y), 0, 1)
-        )
-        return (i1, i2, i3)
-    if c == "II":
-        i1 = _ct(X * X, 2, 0) + _ct((b + k2) * X + k1 * (ONE - Y), 1, 0)
-        i2 = _ct(X * Y, 0, 2) + _ct(k1 * Y - k2 * X, 0, 1)
-        return (i1, i2)
-    if c == "III":
-        i1 = (
-            _ct(2 * X * X, 1, 1)
-            + _ct(X * Y, 0, 2)
-            + _ct(k2 * X - k1 * Y, 1, 0)
-            + _ct(b * X + k1 * ONE, 0, 1)
-        )
-        i2 = _ct(X * X, 0, 2) + _ct(k2 * X - k1 * Y, 0, 1)
-        return (i1, i2)
-    if c == "V":
-        i1 = _ct(X * X, 2, 0) + _ct(k2 * X - k1 * Y, 1, 0)
-        i2 = _ct(X, 0, 2) + _ct(b * X + k1 * ONE, 0, 1)
-        return (i1, i2)
-    if c == "VIII":
-        i1 = _ct(ONE, 2, 0) + _ct(b * Y + k2 * ONE, 1, 0)
-        i2 = (
-            _ct(Y * Y - X, 2, 0)
-            + _ct(2 * Y, 1, 1)
-            + _ct(ONE, 0, 2)
-            + _ct(k1 * Y - k2 * X, 1, 0)
-            + _ct(b * X + k1 * ONE, 0, 1)
-        )
-        return (i1, i2)
-    # IX
-    w = ONE - X * X - Y * Y
-    i1 = _ct(w, 2, 0) + _ct((1 - b) * X, 1, 0)
-    i2 = _ct(w, 0, 2) + _ct((1 - b) * Y, 0, 1)
-    i3 = _ct(X, 0, 1) + _ct(-1 * Y, 1, 0)
-    i4 = _ct(2 * w, 1, 1) + _ct((1 - b) * Y, 1, 0) + _ct((1 - b) * X, 0, 1)
-    return (i1, i2, i3, i4)
-
-
-# ---------------------------------------------------------------------------
-# Parameter-generic operators
-# ---------------------------------------------------------------------------
 #
-# A second hand-written copy of operator_L and commuting_ops over
-# Q[beta, kappa1, kappa2], so that an identity among them is proved for every
-# parameter triple by one exact composition.  The copy is not derived from
-# the numeric one; tests check that the two agree at sampled and degenerate
-# parameters.
+# L and the I_k are written once, over Q[beta, kappa1, kappa2], so that an
+# identity among them is proved for every parameter triple by one exact
+# composition.  operator_L and commuting_ops specialise that one source at a
+# parameter triple; the oracle, the builders and the sampled checks run
+# exactly the operators the proof covers.  Each case's generic operators are
+# built on first use and kept: a GenericOp is never changed in place.
 
 
 def _generic_symbols(case_id: str) -> tuple[GenericOp, ...]:
-    """1, x, y, d_x, d_y, beta, kappa1, kappa2, made afresh for each call."""
+    """1, x, y, d_x, d_y, beta, kappa1, kappa2, the letters of the formulas."""
     if case_id not in CASES:
         raise ParameterError(
             f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}"
@@ -218,8 +114,10 @@ def _generic_symbols(case_id: str) -> tuple[GenericOp, ...]:
     return (one, *(GenericOp.generator(index) for index in range(7)))
 
 
+@lru_cache(maxsize=None)
 def generic_operator_L(case_id: str) -> GenericOp:
-    """operator_L with beta, kappa1, kappa2 left as symbols."""
+    """The case's second-order operator with polynomial eigenfunctions, with
+    beta, kappa1, kappa2 left as symbols."""
     one, x, y, dx, dy, b, k1, k2 = _generic_symbols(case_id)
     if case_id == "I":
         return (
@@ -269,8 +167,10 @@ def generic_operator_L(case_id: str) -> GenericOp:
     )
 
 
+@lru_cache(maxsize=None)
 def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
-    """commuting_ops with beta, kappa1, kappa2 left as symbols."""
+    """The case's commuting family ([L, I_k] = 0), in conventional order,
+    with beta, kappa1, kappa2 left as symbols."""
     one, x, y, dx, dy, b, k1, k2 = _generic_symbols(case_id)
     if case_id == "I":
         i1 = x @ (one - x - y) @ dx @ dx + (k1 @ (y - one) - (b + k2) @ x) @ dx
@@ -317,6 +217,17 @@ def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
     i3 = x @ dy - y @ dx
     i4 = 2 * w @ dx @ dy + (one - b) @ y @ dx + (one - b) @ x @ dy
     return (i1, i2, i3, i4)
+
+
+def operator_L(params: CaseParams) -> DiffOp:
+    """The case's second-order operator with polynomial eigenfunctions: a
+    fresh DiffOp, with its own memo of monomial images, on every call."""
+    return generic_operator_L(params.case_id).at(params)
+
+
+def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
+    """The case's commuting family ([L, I_k] = 0), in conventional order."""
+    return tuple(op.at(params) for op in generic_commuting_ops(params.case_id))
 
 
 def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:

@@ -215,13 +215,23 @@ class GenericOp(Terms):
     commutator = DiffOp.commutator
 
     def at(self, params: "CaseParams") -> DiffOp:
-        """The DiffOp at one parameter triple."""
-        b, k1, k2 = params.beta, params.kappa1, params.kappa2
-        out: dict[Key, Fraction] = {}
+        """The DiffOp at one parameter triple.  A parameter n/d whose highest
+        exponent here is top enters its e-th power as n^e d^(top-e) over
+        d^top, so the terms sum as integers over one denominator."""
+        den = self._den
+        powers = []
+        for f, v in enumerate((params.beta, params.kappa1, params.kappa2), start=4):
+            top = max((key[f] for key in self._num), default=0)
+            n, d = v.numerator, v.denominator
+            powers.append([n**e * d ** (top - e) for e in range(top + 1)])
+            den *= d**top
+        bs, k1s, k2s = powers
+        out: dict[Key, int] = {}
+        get = out.get
         for (i, j, k, l, p, q, r), c in self._num.items():
             key = (i, j, k, l)
-            out[key] = out.get(key, 0) + c * b**p * k1**q * k2**r
-        return DiffOp({key: Fraction(c, self._den) for key, c in out.items()})
+            out[key] = get(key, 0) + c * bs[p] * k1s[q] * k2s[r]
+        return DiffOp._wrap(drop_zeros(out), den)
 
     def __str__(self) -> str:
         symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2")

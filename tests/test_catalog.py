@@ -1,5 +1,6 @@
 """Golden tests: the cataloged operators, written out independently term by
-term at fixed parameter values, plus spot checks of the known identities."""
+term with the parameters as symbols and at fixed parameter values, plus spot
+checks of the known identities."""
 
 import random
 import re
@@ -26,7 +27,7 @@ from kspoly.catalog import (
 )
 from kspoly.errors import ParameterError
 from kspoly.triangle import _check_nmax, build_oracle
-from kspoly.weyl import DiffOp
+from kspoly.weyl import DiffOp, GenericOp
 
 P2 = {
     c: CaseParams(c, F(2), F(1), F(1)) for c in ("I", "II", "III", "V", "VIII")
@@ -119,24 +120,124 @@ def test_commuting_ops_golden(case):
         assert op == DiffOp(expected)
 
 
-# -- the parameter-generic copy ---------------------------------------------------
+# -- golden generic terms: (i, j, k, l, p, q, r) for ------------------------------
+# x^i y^j d_x^k d_y^l beta^p kappa1^q kappa2^r; unlike the numeric goldens,
+# these tell kappa1 from kappa2
+
+GOLDEN_GENERIC_L = {
+    "I": {
+        (2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0): -1, (1, 1, 1, 1, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0): -1,
+        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+    },
+    "II": {
+        (2, 0, 2, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0): -1,
+        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+    },
+    "III": {
+        (2, 0, 2, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0): 1, (1, 0, 0, 2, 0, 0, 0): 1,
+        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+    },
+    "V": {
+        (1, 0, 1, 1, 0, 0, 0): 2, (0, 1, 0, 2, 0, 0, 0): 1,
+        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+    },
+    "VIII": {
+        (0, 1, 2, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0): 2,
+        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+    },
+    "IX": {
+        (2, 0, 2, 0, 0, 0, 0): 1, (0, 0, 2, 0, 0, 0, 0): -1, (1, 1, 1, 1, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0): 1, (0, 0, 0, 2, 0, 0, 0): -1,
+        (1, 0, 1, 0, 1, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0): 1,
+    },
+}
+
+GOLDEN_GENERIC_COMMUTING = {
+    "I": (
+        {(1, 0, 2, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0): -1, (1, 1, 2, 0, 0, 0, 0): -1,
+         (0, 1, 1, 0, 0, 1, 0): 1, (0, 0, 1, 0, 0, 1, 0): -1,
+         (1, 0, 1, 0, 1, 0, 0): -1, (1, 0, 1, 0, 0, 0, 1): -1},
+        {(0, 1, 0, 2, 0, 0, 0): 1, (0, 2, 0, 2, 0, 0, 0): -1, (1, 1, 0, 2, 0, 0, 0): -1,
+         (1, 0, 0, 1, 0, 0, 1): 1, (0, 0, 0, 1, 0, 0, 1): -1,
+         (0, 1, 0, 1, 1, 0, 0): -1, (0, 1, 0, 1, 0, 1, 0): -1},
+        {(1, 1, 2, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0): -2, (1, 1, 0, 2, 0, 0, 0): 1,
+         (1, 0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 1, 0): -1,
+         (1, 0, 0, 1, 0, 0, 1): -1, (0, 1, 0, 1, 0, 1, 0): 1},
+    ),
+    "II": (
+        {(2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1): 1,
+         (0, 0, 1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0): -1},
+        {(1, 1, 0, 2, 0, 0, 0): 1, (0, 1, 0, 1, 0, 1, 0): 1, (1, 0, 0, 1, 0, 0, 1): -1},
+    ),
+    "III": (
+        {(2, 0, 1, 1, 0, 0, 0): 2, (1, 1, 0, 2, 0, 0, 0): 1,
+         (1, 0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 1, 0): -1,
+         (1, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0): 1},
+        {(2, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 1, 0, 0, 1): 1, (0, 1, 0, 1, 0, 1, 0): -1},
+    ),
+    "V": (
+        {(2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 1, 0): -1},
+        {(1, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0): 1},
+    ),
+    "VIII": (
+        {(0, 0, 2, 0, 0, 0, 0): 1, (0, 1, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 0, 1): 1},
+        {(0, 2, 2, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0): -1, (0, 1, 1, 1, 0, 0, 0): 2,
+         (0, 0, 0, 2, 0, 0, 0): 1, (0, 1, 1, 0, 0, 1, 0): 1, (1, 0, 1, 0, 0, 0, 1): -1,
+         (1, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0): 1},
+    ),
+    "IX": (
+        {(0, 0, 2, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0): -1, (0, 2, 2, 0, 0, 0, 0): -1,
+         (1, 0, 1, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0): -1},
+        {(0, 0, 0, 2, 0, 0, 0): 1, (2, 0, 0, 2, 0, 0, 0): -1, (0, 2, 0, 2, 0, 0, 0): -1,
+         (0, 1, 0, 1, 0, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0): -1},
+        {(1, 0, 0, 1, 0, 0, 0): 1, (0, 1, 1, 0, 0, 0, 0): -1},
+        {(0, 0, 1, 1, 0, 0, 0): 2, (2, 0, 1, 1, 0, 0, 0): -2, (0, 2, 1, 1, 0, 0, 0): -2,
+         (0, 1, 1, 0, 0, 0, 0): 1, (0, 1, 1, 0, 1, 0, 0): -1,
+         (1, 0, 0, 1, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0): -1},
+    ),
+}
 
 
-def assert_generic_copy_agrees(params):
+@pytest.mark.parametrize("case", CASES)
+def test_generic_operators_golden(case):
+    assert generic_operator_L(case) == GenericOp(GOLDEN_GENERIC_L[case])
+    ops = generic_commuting_ops(case)
+    assert len(ops) == len(GOLDEN_GENERIC_COMMUTING[case])
+    for k, (op, expected) in enumerate(zip(ops, GOLDEN_GENERIC_COMMUTING[case]), start=1):
+        assert op == GenericOp(expected), f"I{k}"
+
+
+def _golden_at(terms, params):
+    """A generic golden evaluated at params term by term, in Fractions."""
+    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    out = {}
+    for (i, j, k, l, p, q, r), c in terms.items():
+        out[(i, j, k, l)] = out.get((i, j, k, l), 0) + c * b**p * k1**q * k2**r
+    return DiffOp(out)
+
+
+def assert_catalog_matches_generic_goldens(params):
     case = params.case_id
-    assert generic_operator_L(case).at(params) == operator_L(params), params
-    generic = generic_commuting_ops(case)
-    numeric = commuting_ops(params)
-    assert len(generic) == len(numeric)
-    for k, (g, n) in enumerate(zip(generic, numeric), start=1):
-        assert g.at(params) == n, (params, f"I{k}")
+    assert operator_L(params) == _golden_at(GOLDEN_GENERIC_L[case], params), params
+    ops = commuting_ops(params)
+    assert len(ops) == len(GOLDEN_GENERIC_COMMUTING[case])
+    for k, (op, terms) in enumerate(zip(ops, GOLDEN_GENERIC_COMMUTING[case]), start=1):
+        assert op == _golden_at(terms, params), (params, f"I{k}")
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_generic_operators_match_catalog_at_samples(case):
     rng = random.Random(sum(map(ord, case)) + 41)
     for _ in range(12):
-        assert_generic_copy_agrees(sample_params(case, rng))
+        assert_catalog_matches_generic_goldens(sample_params(case, rng))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -144,7 +245,7 @@ def test_generic_operators_match_catalog_on_degenerate_lattice(case):
     betas = (F(1), F(2), F(1, 2), F(-1, 2), F(3, 2))
     kappas = [(F(0), F(0))] if case == "IX" else product((F(0), F(1), F(-1), F(1, 2)), repeat=2)
     for beta, (k1, k2) in product(betas, kappas):
-        assert_generic_copy_agrees(CaseParams(case, beta, k1, k2))
+        assert_catalog_matches_generic_goldens(CaseParams(case, beta, k1, k2))
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -211,6 +211,39 @@ def test_full_suite_audits_one_operator_set(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_full_suite_runs_the_generic_operators(case, monkeypatch):
+    # L and the I_k have one source: a perturbed generic operator reaches
+    # every builder and check through operator_L and commuting_ops
+    true_L, true_ops = catalog.generic_operator_L, catalog.generic_commuting_ops
+    params = sample_params(case, random.Random(5))
+
+    def perturbed_L(c):
+        # perturb a term that lowers degree: L keeps its eigenvalues, so the
+        # oracle still builds a table, now from the wrong operator
+        terms = true_L(c).items()
+        index = next(n for n, ((i, j, k, l, *_), _) in enumerate(terms) if i + j < k + l)
+        return perturb_term(true_L(c), index)
+
+    monkeypatch.setattr(catalog, "generic_operator_L", perturbed_L)
+    failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
+    assert any(name.startswith(("agreement[", "eigen[")) for name in failed), failed
+
+    monkeypatch.setattr(catalog, "generic_operator_L", true_L)
+    monkeypatch.setattr(
+        catalog,
+        "generic_commuting_ops",
+        lambda c: (perturb_term(true_ops(c)[0], 0),) + true_ops(c)[1:],
+    )
+    failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
+    assert any(name.startswith("action-I1(") for name in failed), failed
+
+    # the generic operators are built once per case; each specialisation is
+    # a fresh DiffOp with its own memo
+    assert true_L(case) is true_L(case)
+    assert operator_L(params) is not operator_L(params)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_full_suite_builds_operator_L_once(case, monkeypatch):
     calls = []
 
