@@ -5,9 +5,9 @@ monic polynomial eigenfunctions P_{m,n} live on a triangular lattice, a set
 of second-order operators commuting with L, a pair of degree-raising
 operators, edge reductions, three-level recurrence tables, and the in-level
 action formulas of the commuting operators.  This module is the single
-place where those formulas exist as code; everything else consumes it.  L
-and the commuting operators are written once, with beta, kappa1, kappa2 as
-symbols, and each parameter triple specialises that one formula.
+place where those formulas exist as code; everything else consumes it.
+Every operator is written once, with beta, kappa1, kappa2 and the level N
+as symbols, and each parameter triple (and N) specialises that one formula.
 
 Cases IV, VI and VII factor into products of classical one-variable
 polynomials and are intentionally not covered.
@@ -26,8 +26,6 @@ from .errors import ParameterError
 from .weyl import DiffOp, GenericOp
 
 CASES = ("I", "II", "III", "V", "VIII", "IX")
-
-_ct = DiffOp.coeff_term
 
 
 @dataclass(frozen=True)
@@ -96,29 +94,31 @@ def _denominator(factors: Sequence[tuple[str, Fraction]], context: str) -> Fract
 # Operators
 # ---------------------------------------------------------------------------
 #
-# L and the I_k are written once, over Q[beta, kappa1, kappa2], so that an
-# identity among them is proved for every parameter triple by one exact
-# composition.  operator_L and commuting_ops specialise that one source at a
-# parameter triple; the oracle, the builders and the sampled checks run
-# exactly the operators the proof covers.  Each case's generic operators are
-# built on first use and kept: a GenericOp is never changed in place.
+# Every operator is written once, over Q[beta, kappa1, kappa2, N], so that an
+# identity among them is proved for all parameters and all N by one exact
+# composition; a raising operator or an edge ladder (N standing for its edge
+# index k) is written times its structural denominator.  The numeric
+# functions check that denominator and specialise the one source, so the
+# builders and the sampled checks run exactly the operators the proofs
+# cover.  Each case's generic operators are built once and never changed;
+# the edge operators and ladders stay witnesses, never derived from L or R+.
 
 
 def _generic_symbols(case_id: str) -> tuple[GenericOp, ...]:
-    """1, x, y, d_x, d_y, beta, kappa1, kappa2, the letters of the formulas."""
+    """1, x, y, d_x, d_y, beta, kappa1, kappa2, N, the letters of the formulas."""
     if case_id not in CASES:
         raise ParameterError(
             f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}"
         )
-    one = GenericOp({(0,) * 7: 1})
-    return (one, *(GenericOp.generator(index) for index in range(7)))
+    one = GenericOp({(0,) * 8: 1})
+    return (one, *(GenericOp.generator(index) for index in range(8)))
 
 
 @lru_cache(maxsize=None)
 def generic_operator_L(case_id: str) -> GenericOp:
     """The case's second-order operator with polynomial eigenfunctions, with
     beta, kappa1, kappa2 left as symbols."""
-    one, x, y, dx, dy, b, k1, k2 = _generic_symbols(case_id)
+    one, x, y, dx, dy, b, k1, k2, _ = _generic_symbols(case_id)
     if case_id == "I":
         return (
             (x @ x - x) @ dx @ dx
@@ -171,7 +171,7 @@ def generic_operator_L(case_id: str) -> GenericOp:
 def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
     """The case's commuting family ([L, I_k] = 0), in conventional order,
     with beta, kappa1, kappa2 left as symbols."""
-    one, x, y, dx, dy, b, k1, k2 = _generic_symbols(case_id)
+    one, x, y, dx, dy, b, k1, k2, _ = _generic_symbols(case_id)
     if case_id == "I":
         i1 = x @ (one - x - y) @ dx @ dx + (k1 @ (y - one) - (b + k2) @ x) @ dx
         i2 = y @ (one - x - y) @ dy @ dy + (k2 @ (x - one) - (b + k1) @ y) @ dy
@@ -219,6 +219,117 @@ def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
     return (i1, i2, i3, i4)
 
 
+@lru_cache(maxsize=None)
+def generic_raising_ops(case_id: str) -> tuple[GenericOp, GenericOp]:
+    """(R+x(N), R+y(N)) with beta, kappa1, kappa2 and N left as symbols, each
+    times its structural denominator: (beta+2N)(beta+2N-1) for I-III,
+    beta+2N-1 for IX, beta^2 for V and VIII's R+x and beta for their R+y."""
+    one, x, y, dx, dy, b, k1, k2, n = _generic_symbols(case_id)
+    g, g1 = b + 2 * n, b + n - one
+    if case_id == "I":
+        rx = (
+            g1 @ (g @ x + k1 - n)
+            + g @ x @ (x - one) @ dx
+            + (g @ x @ y + (b + k1) @ y + k2 @ (one - x)) @ dy
+            + y @ (x + y - one) @ dy @ dy
+        )
+        ry = (
+            g1 @ (g @ y + k2 - n)
+            + g @ y @ (y - one) @ dy
+            + (g @ x @ y + (b + k2) @ x + k1 @ (one - y)) @ dx
+            + x @ (x + y - one) @ dx @ dx
+        )
+    elif case_id == "II":
+        rx = (
+            g1 @ (g @ x + k1)
+            + g @ x @ x @ dx
+            + (g @ x @ y + k1 @ y - k2 @ x) @ dy
+            + x @ y @ dy @ dy
+        )
+        ry = (
+            g1 @ (g @ y + k2 - n)
+            + (g @ x @ y + (b + k2) @ x + k1 @ (one - y)) @ dx
+            + g @ y @ (y - one) @ dy
+            + x @ x @ dx @ dx
+        )
+    elif case_id == "III":
+        rx = (
+            g1 @ (g @ x + k1)
+            + g @ x @ x @ dx
+            + (g @ x @ y + k1 @ y - k2 @ x) @ dy
+            - x @ x @ dy @ dy
+        )
+        ry = (
+            g1 @ (g @ y + k2)
+            + (g @ x @ y + k2 @ x - k1 @ y) @ dx
+            + (g @ y @ y + 2 * (b + n) @ x + k1) @ dy
+            + 2 * x @ x @ dx @ dy
+            + x @ y @ dy @ dy
+        )
+    elif case_id == "V":
+        rx = x @ dy @ dy + (2 * b @ x + k1) @ dy + b @ (b @ x + k1)
+        ry = x @ dx + y @ dy + b @ y + n + k2
+    elif case_id == "VIII":
+        rx = b @ b @ x + b @ k1 + b @ dy + (2 * b @ y + k2) @ dx + dx @ dx
+        ry = b @ y + k2 + dx
+    else:  # IX
+        rx = x @ y @ dy + (x @ x - one) @ dx + g1 @ x
+        ry = x @ y @ dx + (y @ y - one) @ dy + g1 @ y
+    return (rx, ry)
+
+
+@lru_cache(maxsize=None)
+def generic_edge_operators(case_id: str) -> tuple[Optional[GenericOp], Optional[GenericOp]]:
+    """The one-variable restrictions of L to the n=0 and m=0 edges, None
+    where none exists, with beta, kappa1, kappa2 left as symbols."""
+    one, x, y, dx, dy, b, k1, k2, _ = _generic_symbols(case_id)
+    if case_id == "I":
+        lx = x @ (x - one) @ dx @ dx + (b @ x + k1) @ dx
+        ly = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
+    elif case_id == "II":
+        lx = x @ x @ dx @ dx + (b @ x + k1) @ dx
+        ly = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
+    elif case_id == "III":
+        lx, ly = x @ x @ dx @ dx + (b @ x + k1) @ dx, None
+    elif case_id == "V":
+        lx = (b @ x + k1) @ dx
+        ly = y @ dy @ dy + (b @ y + k2) @ dy
+    elif case_id == "VIII":
+        lx, ly = None, (b @ y + k2) @ dy
+    else:  # IX
+        lx = (x @ x - one) @ dx @ dx + b @ x @ dx
+        ly = (y @ y - one) @ dy @ dy + b @ y @ dy
+    return (lx, ly)
+
+
+@lru_cache(maxsize=None)
+def generic_edge_ladders(case_id: str) -> tuple[Optional[GenericOp], Optional[GenericOp]]:
+    """The x and y edge ladders, None where no reduction exists, with beta,
+    kappa1, kappa2 and the edge index (the symbol N) left as symbols, each
+    times its structural denominator: (beta+2k)(beta+2k-1) for I-III,
+    beta+2k-1 for IX, beta for V and VIII."""
+    one, x, y, dx, dy, b, k1, k2, k = _generic_symbols(case_id)
+    g, g1 = b + 2 * k, b + k - one
+    if case_id == "I":
+        lx = g1 @ (g @ x + k1 - k) + g @ x @ (x - one) @ dx
+        ly = g1 @ (g @ y + k2 - k) + g @ y @ (y - one) @ dy
+    elif case_id == "II":
+        # the y ladder is R+y restricted to the right edge: its constant
+        # term carries kappa2 - k, where the x ladder's carries kappa1 alone
+        lx = g1 @ (g @ x + k1) + g @ x @ x @ dx
+        ly = g1 @ (g @ y + k2 - k) + g @ y @ (y - one) @ dy
+    elif case_id == "III":
+        lx, ly = g1 @ (g @ x + k1) + g @ x @ x @ dx, None
+    elif case_id == "V":
+        lx, ly = b @ x + k1, y @ dy + b @ y + k + k2
+    elif case_id == "VIII":
+        lx, ly = None, b @ y + k2
+    else:  # IX: restriction of the raising operators to the edges
+        lx = (x @ x - one) @ dx + g1 @ x
+        ly = (y @ y - one) @ dy + g1 @ y
+    return (lx, ly)
+
+
 def operator_L(params: CaseParams) -> DiffOp:
     """The case's second-order operator with polynomial eigenfunctions: a
     fresh DiffOp, with its own memo of monomial images, on every call."""
@@ -237,83 +348,15 @@ def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
     """
     if N < 0:
         raise ParameterError(f"N must be nonnegative, not {N}")
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    c = params.case_id
-    ctx = f"case {c} raising operator at N={N}"
-    if c in ("I", "II", "III", "IX"):
-        g2n1 = _nonzero(b + 2 * N - 1, "beta+2N-1", ctx)
-    if c in ("I", "II", "III"):
-        g2n = _nonzero(b + 2 * N, "beta+2N", ctx)
-        pref = 1 / (g2n * g2n1)
-    if c == "I":
-        rx = pref * (
-            _ct((b + N - 1) * (g2n * X + (k1 - N) * ONE), 0, 0)
-            + _ct(g2n * X * (X - ONE), 1, 0)
-            + _ct(g2n * X * Y + (b + k1) * Y + k2 * (ONE - X), 0, 1)
-            + _ct(Y * (X + Y - ONE), 0, 2)
-        )
-        ry = pref * (
-            _ct((b + N - 1) * (g2n * Y + (k2 - N) * ONE), 0, 0)
-            + _ct(g2n * Y * (Y - ONE), 0, 1)
-            + _ct(g2n * X * Y + (b + k2) * X + k1 * (ONE - Y), 1, 0)
-            + _ct(X * (X + Y - ONE), 2, 0)
-        )
-        return (rx, ry)
-    if c == "II":
-        rx = pref * (
-            _ct((b + N - 1) * (g2n * X + k1 * ONE), 0, 0)
-            + _ct(g2n * X * X, 1, 0)
-            + _ct(g2n * X * Y + k1 * Y - k2 * X, 0, 1)
-            + _ct(X * Y, 0, 2)
-        )
-        ry = pref * (
-            _ct((b + N - 1) * (g2n * Y + (k2 - N) * ONE), 0, 0)
-            + _ct(g2n * X * Y + (b + k2) * X + k1 * (ONE - Y), 1, 0)
-            + _ct(g2n * Y * (Y - ONE), 0, 1)
-            + _ct(X * X, 2, 0)
-        )
-        return (rx, ry)
-    if c == "III":
-        gn1 = b + N - 1
-        gn = b + N
-        rx = pref * (
-            _ct(gn1 * (g2n * X + k1 * ONE), 0, 0)
-            + _ct(g2n * X * X, 1, 0)
-            + _ct(g2n * X * Y + k1 * Y - k2 * X, 0, 1)
-            + _ct(-1 * X * X, 0, 2)
-        )
-        ry = pref * (
-            _ct(gn1 * (g2n * Y + k2 * ONE), 0, 0)
-            + _ct(g2n * X * Y + k2 * X - k1 * Y, 1, 0)
-            + _ct(g2n * Y * Y + 2 * gn * X + k1 * ONE, 0, 1)
-            + _ct(2 * X * X, 1, 1)
-            + _ct(X * Y, 0, 2)
-        )
-        return (rx, ry)
-    if c == "V":
-        rx = (1 / b**2) * (
-            _ct(X, 0, 2) + _ct(2 * b * X + k1 * ONE, 0, 1) + _ct(b * (b * X + k1 * ONE), 0, 0)
-        )
-        ry = (1 / b) * (
-            _ct(X, 1, 0) + _ct(Y, 0, 1) + _ct(b * Y + (N + k2) * ONE, 0, 0)
-        )
-        return (rx, ry)
-    if c == "VIII":
-        rx = (
-            _ct(X + (k1 / b) * ONE, 0, 0)
-            + (1 / b) * _ct(ONE, 0, 1)
-            + (1 / b**2) * (_ct(2 * b * Y + k2 * ONE, 1, 0) + _ct(ONE, 2, 0))
-        )
-        ry = _ct(Y + (k2 / b) * ONE, 0, 0) + (1 / b) * _ct(ONE, 1, 0)
-        return (rx, ry)
-    # IX
-    rx = (1 / g2n1) * (
-        _ct(X * Y, 0, 1) + _ct(X * X - ONE, 1, 0) + _ct((b + N - 1) * X, 0, 0)
-    )
-    ry = (1 / g2n1) * (
-        _ct(X * Y, 1, 0) + _ct(Y * Y - ONE, 0, 1) + _ct((b + N - 1) * Y, 0, 0)
-    )
-    return (rx, ry)
+    b, c = params.beta, params.case_id
+    if c in ("V", "VIII"):
+        dens = (b * b, b)  # beta != 0 is a rule of CaseParams
+    else:
+        factors = [("beta+2N-1", b + 2 * N - 1)]
+        if c != "IX":
+            factors.append(("beta+2N", b + 2 * N))
+        dens = (_denominator(factors, f"case {c} raising operator at N={N}"),) * 2
+    return tuple(op.at(params, N) * (1 / d) for op, d in zip(generic_raising_ops(c), dens))
 
 
 def raising_commutator_rhs(
@@ -355,79 +398,26 @@ def edge_operators(params: CaseParams) -> tuple[Optional[DiffOp], Optional[DiffO
     both variables) and case VIII no left-edge one.  Each operator returned
     satisfies op(P_edge) = lambda_k * P_edge with the case's eigenvalue.
     """
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    c = params.case_id
-    if c == "I":
-        lx = _ct(X * (X - ONE), 2, 0) + _ct(b * X + k1 * ONE, 1, 0)
-        ly = _ct(Y * (Y - ONE), 0, 2) + _ct(b * Y + k2 * ONE, 0, 1)
-        return (lx, ly)
-    if c == "II":
-        lx = _ct(X * X, 2, 0) + _ct(b * X + k1 * ONE, 1, 0)
-        ly = _ct(Y * (Y - ONE), 0, 2) + _ct(b * Y + k2 * ONE, 0, 1)
-        return (lx, ly)
-    if c == "III":
-        lx = _ct(X * X, 2, 0) + _ct(b * X + k1 * ONE, 1, 0)
-        return (lx, None)
-    if c == "V":
-        lx = _ct(b * X + k1 * ONE, 1, 0)
-        ly = _ct(Y, 0, 2) + _ct(b * Y + k2 * ONE, 0, 1)
-        return (lx, ly)
-    if c == "VIII":
-        ly = _ct(b * Y + k2 * ONE, 0, 1)
-        return (None, ly)
-    # IX
-    lx = _ct(X * X - ONE, 2, 0) + _ct(b * X, 1, 0)
-    ly = _ct(Y * Y - ONE, 0, 2) + _ct(b * Y, 0, 1)
-    return (lx, ly)
+    ops = generic_edge_operators(params.case_id)
+    return tuple(None if op is None else op.at(params) for op in ops)
 
 
 def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
     """One-variable ladder on an edge: maps P_{k,0} to P_{k+1,0} (axis x)
-    or P_{0,k} to P_{0,k+1} (axis y); None where no reduction exists.
-
-    The case II y-ladder is the restriction of R+y to the right edge, whose
-    prefactor involves the edge index k (not its x-side counterpart).
-    """
+    or P_{0,k} to P_{0,k+1} (axis y); None where no reduction exists."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     if k < 0:
         raise ParameterError(f"k must be nonnegative, not {k}")
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    c = params.case_id
-    ctx = f"case {c} edge ladder at k={k}"
+    b, c = params.beta, params.case_id
+    op = generic_edge_ladders(c)[axis == "y"]
+    if op is None:
+        return None
+    factors = [("beta+2k-1", b + 2 * k - 1)]
     if c in ("I", "II", "III"):
-        if c == "III" and axis == "y":
-            return None
-        g2k = _nonzero(b + 2 * k, "beta+2k", ctx)
-        g2k1 = _nonzero(b + 2 * k - 1, "beta+2k-1", ctx)
-        pref = 1 / (g2k * g2k1)
-        if axis == "x":
-            if c == "I":
-                return pref * (
-                    _ct((b + k - 1) * (g2k * X + (k1 - k) * ONE), 0, 0)
-                    + _ct(g2k * X * (X - ONE), 1, 0)
-                )
-            return pref * (
-                _ct((b + k - 1) * (g2k * X + k1 * ONE), 0, 0)
-                + _ct(g2k * X * X, 1, 0)
-            )
-        return pref * (
-            _ct((b + k - 1) * (g2k * Y + (k2 - k) * ONE), 0, 0)
-            + _ct(g2k * Y * (Y - ONE), 0, 1)
-        )
-    if c == "V":
-        if axis == "x":
-            return _ct(X + (k1 / b) * ONE, 0, 0)
-        return (1 / b) * (_ct(Y, 0, 1) + _ct(b * Y + (k + k2) * ONE, 0, 0))
-    if c == "VIII":
-        if axis == "x":
-            return None
-        return _ct(Y + (k2 / b) * ONE, 0, 0)
-    # IX: restriction of the raising operators to the edges
-    g2k1 = _nonzero(b + 2 * k - 1, "beta+2k-1", ctx)
-    if axis == "x":
-        return (1 / g2k1) * (_ct(X * X - ONE, 1, 0) + _ct((b + k - 1) * X, 0, 0))
-    return (1 / g2k1) * (_ct(Y * Y - ONE, 0, 1) + _ct((b + k - 1) * Y, 0, 0))
+        factors.insert(0, ("beta+2k", b + 2 * k))
+    den = b if c in ("V", "VIII") else _denominator(factors, f"case {c} edge ladder at k={k}")
+    return op.at(params, k) * (1 / den)
 
 
 # ---------------------------------------------------------------------------

@@ -410,9 +410,14 @@ def mutation_battery(params: CaseParams, nmax: int, ops: OperatorSet) -> bool:
 def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> VerificationReport:
     """Everything: builder agreement, eigen/monic/edge invariants, action
     formulas, operator identities, stencils, parity and symmetry checks,
-    generating functions.  Used by the command-line `check`."""
+    generating functions.  Used by the command-line `check`.  An oracle
+    that cannot be built is the one, failing, build-oracle entry."""
     report = VerificationReport(params)
-    oracle = build_oracle(params, nmax)
+    try:
+        oracle = build_oracle(params, nmax)
+    except KspolyError as exc:
+        report.add("build-oracle", False, {"error": str(exc)})
+        return report
     stencil_log: AccessLog = []
     for name, build in BUILDERS.items():
         if name == "oracle":

@@ -14,8 +14,9 @@ of exact values, so results and their storage are those of the term-by-term
 rule, and equality and hashing ignore it.
 
 ``GenericOp`` is the same algebra with coefficients in Q[beta, kappa1,
-kappa2]: the parameters are central, so an identity that holds for every
-parameter triple is one exact composition over that ring.
+kappa2, N]: the parameters and the level index N are central, so an
+identity that holds for every parameter triple and every N is one exact
+composition over that ring.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from .algebra import BivariatePoly, Terms, drop_zeros, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, drop_zeros, signed_sum
 
 if TYPE_CHECKING:
     from .catalog import CaseParams
@@ -90,11 +91,6 @@ class DiffOp(Terms):
     def partial(cls, k: int, l: int) -> "DiffOp":
         """d_x^k d_y^l."""
         return cls({(0, 0, k, l): 1})
-
-    @classmethod
-    def coeff_term(cls, p: BivariatePoly, k: int, l: int) -> "DiffOp":
-        """p(x, y) * d_x^k d_y^l, the building block for assembling operators."""
-        return cls._wrap({(i, j, k, l): c for (i, j), c in p._num.items()}, p._den)
 
     @property
     def order(self) -> int:
@@ -166,34 +162,34 @@ class DiffOp(Terms):
         return signed_sum(self.items(), ("x", "y", "Dx", "Dy"), join="*")
 
 
-GenericKey = tuple[int, int, int, int, int, int, int]
+GenericKey = tuple[int, int, int, int, int, int, int, int]
 
 
 def _generic_key(item: tuple[GenericKey, Fraction]) -> tuple[int, ...]:
-    # as _op_key, then the parameter exponents
-    (i, j, k, l, p, q, r), _ = item
-    return (k + l, i + j, i, j, k, l, p + q + r, p, q, r)
+    # as _op_key, then the exponents of beta, kappa1, kappa2 and N
+    (i, j, k, l, p, q, r, s), _ = item
+    return (k + l, i + j, i, j, k, l, p + q + r + s, p, q, r, s)
 
 
 class GenericOp(Terms):
-    """A Weyl-algebra element with coefficients in Q[beta, kappa1, kappa2].
+    """A Weyl-algebra element with coefficients in Q[beta, kappa1, kappa2, N].
 
-    The term (i, j, k, l, p, q, r) -> c stands for
-    c * x^i y^j beta^p kappa1^q kappa2^r d_x^k d_y^l.  The parameters commute
-    with everything, so composition runs the Weyl product rule on the first
-    four indices and adds the last three; ``at`` specialises to a DiffOp.
+    The term (i, j, k, l, p, q, r, s) -> c stands for
+    c * x^i y^j beta^p kappa1^q kappa2^r N^s d_x^k d_y^l.  The parameters and
+    N are central, so composition runs the Weyl product rule on the first
+    four indices and adds the last four; ``at`` specialises to a DiffOp.
     """
 
     __slots__ = ()
 
-    FIELDS = ("i", "j", "k", "l", "p", "q", "r")
+    FIELDS = ("i", "j", "k", "l", "p", "q", "r", "s")
     _order = staticmethod(_generic_key)
 
     @classmethod
     def generator(cls, index: int) -> "GenericOp":
         """The symbol whose key has a 1 at ``index`` of FIELDS (x, y, d_x,
-        d_y, beta, kappa1, kappa2 for index 0..6)."""
-        return cls._wrap({tuple(int(f == index) for f in range(7)): 1})
+        d_y, beta, kappa1, kappa2, N for index 0..7)."""
+        return cls._wrap({tuple(int(f == index) for f in range(8)): 1})
 
     __add__ = Terms._add
 
@@ -203,36 +199,39 @@ class GenericOp(Terms):
             return NotImplemented
         out: dict[GenericKey, int] = {}
         get = out.get
-        for (i1, j1, k1, l1, p1, q1, r1), c1 in self._num.items():
-            for (i2, j2, k2, l2, p2, q2, r2), c2 in other._num.items():
+        for (i1, j1, k1, l1, p1, q1, r1, s1), c1 in self._num.items():
+            for (i2, j2, k2, l2, p2, q2, r2, s2), c2 in other._num.items():
                 base = c1 * c2
-                p, q, r = p1 + p2, q1 + q2, r1 + r2
+                p, q, r, s = p1 + p2, q1 + q2, r1 + r2, s1 + s2
                 for dr, ds, w in leibniz(k1, l1, i2, j2):
-                    key = (i1 + i2 - dr, j1 + j2 - ds, k1 - dr + k2, l1 - ds + l2, p, q, r)
+                    key = (i1 + i2 - dr, j1 + j2 - ds, k1 - dr + k2, l1 - ds + l2, p, q, r, s)
                     out[key] = get(key, 0) + base * w
         return self._wrap(drop_zeros(out), self._den * other._den)
 
     commutator = DiffOp.commutator
 
-    def at(self, params: "CaseParams") -> DiffOp:
-        """The DiffOp at one parameter triple.  A parameter n/d whose highest
-        exponent here is top enters its e-th power as n^e d^(top-e) over
-        d^top, so the terms sum as integers over one denominator."""
+    def at(self, params: "CaseParams", N: Optional[Scalar] = None) -> DiffOp:
+        """The DiffOp at one parameter triple and, for an operator with N in
+        its coefficients, one value of N.  A value n/d whose highest exponent
+        here is top enters its e-th power as n^e d^(top-e) over d^top, so
+        the terms sum as integers over one denominator."""
         den = self._den
         powers = []
-        for f, v in enumerate((params.beta, params.kappa1, params.kappa2), start=4):
-            top = max((key[f] for key in self._num), default=0)
-            n, d = v.numerator, v.denominator
+        tops = [max(column) for column in zip(*self._num)][4:] or [0] * 4
+        for top, v in zip(tops, (params.beta, params.kappa1, params.kappa2, N)):
+            if top and v is None:
+                raise ValueError("the operator depends on N: pass a value of N")
+            n, d = (v or 0).as_integer_ratio()
             powers.append([n**e * d ** (top - e) for e in range(top + 1)])
             den *= d**top
-        bs, k1s, k2s = powers
+        bs, k1s, k2s, ns = powers
         out: dict[Key, int] = {}
         get = out.get
-        for (i, j, k, l, p, q, r), c in self._num.items():
+        for (i, j, k, l, p, q, r, s), c in self._num.items():
             key = (i, j, k, l)
-            out[key] = get(key, 0) + c * bs[p] * k1s[q] * k2s[r]
+            out[key] = get(key, 0) + c * bs[p] * k1s[q] * k2s[r] * ns[s]
         return DiffOp._wrap(drop_zeros(out), den)
 
     def __str__(self) -> str:
-        symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2")
+        symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2", "N")
         return signed_sum(self.items(), symbols, join="*")

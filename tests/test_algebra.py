@@ -418,7 +418,7 @@ def test_records_match_str_of_fraction(p):
     [
         (X * X - F(1, 2) * Y, "BivariatePoly(x^2 - 1/2*y)"),
         (DiffOp({(1, 0, 1, 0): 2, (0, 0, 0, 2): -1}), "DiffOp(2*x*Dx - Dy^2)"),
-        (GenericOp({(1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): F(-1, 3)}),
+        (GenericOp({(1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): F(-1, 3)}),
          "GenericOp(-1/3*Dx*kappa1 + x*Dx*beta)"),
         (Series2(2, {(1, 0, 0, 1): 3}), "Series2(3*sy)"),
     ],

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from kspoly import series, triangle
 from kspoly.algebra import BivariatePoly
-from kspoly.catalog import CaseParams, commuting_ops, operator_L, raising_ops
+from kspoly.catalog import CaseParams, commuting_ops, operator_L
 from kspoly.series import Series2
 from kspoly.weyl import DiffOp
 
@@ -43,10 +43,10 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         # the oracle reads L's memo directly, so apply is called here
         operator_L(params).apply(oracle.entry(2, 1))
         operator_L(params).commutator(commuting_ops(params)[0])
-        # L and the I_k are specialised from their generic forms without
-        # polynomial arithmetic; the raising operators are still formed
-        # from BivariatePoly sums and products
-        raising_ops(params, 1)
+        # the catalog's operators are specialised from their generic forms
+        # without polynomial arithmetic; the recurrence builder still forms
+        # BivariatePoly sums and products
+        triangle.build_recurrence(params, 3)
         series.genfun(CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)), 3)
     finally:
         uninstall()

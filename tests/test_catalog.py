@@ -13,12 +13,16 @@ from kspoly.algebra import ONE, X, Y
 from kspoly.catalog import (
     CASES,
     CaseParams,
+    alpha,
     commuting_ops,
     edge_ladder,
     edge_operators,
     eigenvalue,
     generic_commuting_ops,
+    generic_edge_ladders,
+    generic_edge_operators,
     generic_operator_L,
+    generic_raising_ops,
     operator_L,
     raising_commutator_rhs,
     raising_ops,
@@ -26,6 +30,7 @@ from kspoly.catalog import (
     sample_params,
 )
 from kspoly.errors import ParameterError
+from kspoly.verify import perturb_term
 from kspoly.triangle import _check_nmax, build_oracle
 from kspoly.weyl import DiffOp, GenericOp
 
@@ -120,90 +125,269 @@ def test_commuting_ops_golden(case):
         assert op == DiffOp(expected)
 
 
-# -- golden generic terms: (i, j, k, l, p, q, r) for ------------------------------
-# x^i y^j d_x^k d_y^l beta^p kappa1^q kappa2^r; unlike the numeric goldens,
-# these tell kappa1 from kappa2
+# -- golden generic terms: (i, j, k, l, p, q, r, s) for ---------------------------
+# x^i y^j d_x^k d_y^l beta^p kappa1^q kappa2^r N^s; unlike the numeric
+# goldens, these tell kappa1 from kappa2
 
 GOLDEN_GENERIC_L = {
     "I": {
-        (2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0): -1, (1, 1, 1, 1, 0, 0, 0): 2,
-        (0, 2, 0, 2, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0): -1,
-        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
-        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+        (2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0, 0): -1, (1, 1, 1, 1, 0, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0, 0): -1,
+        (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1,
     },
     "II": {
-        (2, 0, 2, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0): 2,
-        (0, 2, 0, 2, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0): -1,
-        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
-        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+        (2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0, 0): -1,
+        (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1,
     },
     "III": {
-        (2, 0, 2, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0): 2,
-        (0, 2, 0, 2, 0, 0, 0): 1, (1, 0, 0, 2, 0, 0, 0): 1,
-        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
-        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+        (2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 0, 2, 0, 0, 0, 0): 1,
+        (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1,
     },
     "V": {
-        (1, 0, 1, 1, 0, 0, 0): 2, (0, 1, 0, 2, 0, 0, 0): 1,
-        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
-        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+        (1, 0, 1, 1, 0, 0, 0, 0): 2, (0, 1, 0, 2, 0, 0, 0, 0): 1,
+        (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1,
     },
     "VIII": {
-        (0, 1, 2, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0): 2,
-        (1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0): 1,
-        (0, 1, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1): 1,
+        (0, 1, 2, 0, 0, 0, 0, 0): 1, (0, 0, 1, 1, 0, 0, 0, 0): 2,
+        (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1,
+        (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1,
     },
     "IX": {
-        (2, 0, 2, 0, 0, 0, 0): 1, (0, 0, 2, 0, 0, 0, 0): -1, (1, 1, 1, 1, 0, 0, 0): 2,
-        (0, 2, 0, 2, 0, 0, 0): 1, (0, 0, 0, 2, 0, 0, 0): -1,
-        (1, 0, 1, 0, 1, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0): 1,
+        (2, 0, 2, 0, 0, 0, 0, 0): 1, (0, 0, 2, 0, 0, 0, 0, 0): -1, (1, 1, 1, 1, 0, 0, 0, 0): 2,
+        (0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 0, 0, 2, 0, 0, 0, 0): -1,
+        (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0, 0): 1,
     },
 }
 
 GOLDEN_GENERIC_COMMUTING = {
     "I": (
-        {(1, 0, 2, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0): -1, (1, 1, 2, 0, 0, 0, 0): -1,
-         (0, 1, 1, 0, 0, 1, 0): 1, (0, 0, 1, 0, 0, 1, 0): -1,
-         (1, 0, 1, 0, 1, 0, 0): -1, (1, 0, 1, 0, 0, 0, 1): -1},
-        {(0, 1, 0, 2, 0, 0, 0): 1, (0, 2, 0, 2, 0, 0, 0): -1, (1, 1, 0, 2, 0, 0, 0): -1,
-         (1, 0, 0, 1, 0, 0, 1): 1, (0, 0, 0, 1, 0, 0, 1): -1,
-         (0, 1, 0, 1, 1, 0, 0): -1, (0, 1, 0, 1, 0, 1, 0): -1},
-        {(1, 1, 2, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0): -2, (1, 1, 0, 2, 0, 0, 0): 1,
-         (1, 0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 1, 0): -1,
-         (1, 0, 0, 1, 0, 0, 1): -1, (0, 1, 0, 1, 0, 1, 0): 1},
+        {(1, 0, 2, 0, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0, 0): -1, (1, 1, 2, 0, 0, 0, 0, 0): -1,
+         (0, 1, 1, 0, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): -1,
+         (1, 0, 1, 0, 1, 0, 0, 0): -1, (1, 0, 1, 0, 0, 0, 1, 0): -1},
+        {(0, 1, 0, 2, 0, 0, 0, 0): 1, (0, 2, 0, 2, 0, 0, 0, 0): -1, (1, 1, 0, 2, 0, 0, 0, 0): -1,
+         (1, 0, 0, 1, 0, 0, 1, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): -1,
+         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 1, 0, 0): -1},
+        {(1, 1, 2, 0, 0, 0, 0, 0): 1, (1, 1, 1, 1, 0, 0, 0, 0): -2, (1, 1, 0, 2, 0, 0, 0, 0): 1,
+         (1, 0, 1, 0, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1,
+         (1, 0, 0, 1, 0, 0, 1, 0): -1, (0, 1, 0, 1, 0, 1, 0, 0): 1},
     ),
     "II": (
-        {(2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1): 1,
-         (0, 0, 1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0): -1},
-        {(1, 1, 0, 2, 0, 0, 0): 1, (0, 1, 0, 1, 0, 1, 0): 1, (1, 0, 0, 1, 0, 0, 1): -1},
+        {(2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1, 0): 1,
+         (0, 0, 1, 0, 0, 1, 0, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1},
+        {(1, 1, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 1, 0, 1, 0, 0): 1, (1, 0, 0, 1, 0, 0, 1, 0): -1},
     ),
     "III": (
-        {(2, 0, 1, 1, 0, 0, 0): 2, (1, 1, 0, 2, 0, 0, 0): 1,
-         (1, 0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 1, 0): -1,
-         (1, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0): 1},
-        {(2, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 1, 0, 0, 1): 1, (0, 1, 0, 1, 0, 1, 0): -1},
+        {(2, 0, 1, 1, 0, 0, 0, 0): 2, (1, 1, 0, 2, 0, 0, 0, 0): 1,
+         (1, 0, 1, 0, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1,
+         (1, 0, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0, 0): 1},
+        {(2, 0, 0, 2, 0, 0, 0, 0): 1, (1, 0, 0, 1, 0, 0, 1, 0): 1, (0, 1, 0, 1, 0, 1, 0, 0): -1},
     ),
     "V": (
-        {(2, 0, 2, 0, 0, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 0, 0, 1, 0): -1},
-        {(1, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0): 1},
+        {(2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1},
+        {(1, 0, 0, 2, 0, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0, 0): 1},
     ),
     "VIII": (
-        {(0, 0, 2, 0, 0, 0, 0): 1, (0, 1, 1, 0, 1, 0, 0): 1, (0, 0, 1, 0, 0, 0, 1): 1},
-        {(0, 2, 2, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0): -1, (0, 1, 1, 1, 0, 0, 0): 2,
-         (0, 0, 0, 2, 0, 0, 0): 1, (0, 1, 1, 0, 0, 1, 0): 1, (1, 0, 1, 0, 0, 0, 1): -1,
-         (1, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0): 1},
+        {(0, 0, 2, 0, 0, 0, 0, 0): 1, (0, 1, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0, 1, 0): 1},
+        {(0, 2, 2, 0, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0, 0): -1, (0, 1, 1, 1, 0, 0, 0, 0): 2,
+         (0, 0, 0, 2, 0, 0, 0, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): 1, (1, 0, 1, 0, 0, 0, 1, 0): -1,
+         (1, 0, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 1, 0, 0): 1},
     ),
     "IX": (
-        {(0, 0, 2, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0): -1, (0, 2, 2, 0, 0, 0, 0): -1,
-         (1, 0, 1, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0): -1},
-        {(0, 0, 0, 2, 0, 0, 0): 1, (2, 0, 0, 2, 0, 0, 0): -1, (0, 2, 0, 2, 0, 0, 0): -1,
-         (0, 1, 0, 1, 0, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0): -1},
-        {(1, 0, 0, 1, 0, 0, 0): 1, (0, 1, 1, 0, 0, 0, 0): -1},
-        {(0, 0, 1, 1, 0, 0, 0): 2, (2, 0, 1, 1, 0, 0, 0): -2, (0, 2, 1, 1, 0, 0, 0): -2,
-         (0, 1, 1, 0, 0, 0, 0): 1, (0, 1, 1, 0, 1, 0, 0): -1,
-         (1, 0, 0, 1, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0): -1},
+        {(0, 0, 2, 0, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0, 0): -1, (0, 2, 2, 0, 0, 0, 0, 0): -1,
+         (1, 0, 1, 0, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0, 0): -1},
+        {(0, 0, 0, 2, 0, 0, 0, 0): 1, (2, 0, 0, 2, 0, 0, 0, 0): -1, (0, 2, 0, 2, 0, 0, 0, 0): -1,
+         (0, 1, 0, 1, 0, 0, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0, 0): -1},
+        {(1, 0, 0, 1, 0, 0, 0, 0): 1, (0, 1, 1, 0, 0, 0, 0, 0): -1},
+        {(0, 0, 1, 1, 0, 0, 0, 0): 2, (2, 0, 1, 1, 0, 0, 0, 0): -2, (0, 2, 1, 1, 0, 0, 0, 0): -2,
+         (0, 1, 1, 0, 0, 0, 0, 0): 1, (0, 1, 1, 0, 1, 0, 0, 0): -1,
+         (1, 0, 0, 1, 0, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0, 0): -1},
     ),
 }
+
+
+# The raising operators, the edge operators and the edge ladders, each
+# cleared of its structural denominator; s is the exponent of N (of k for
+# the edge ladders).
+
+GOLDEN_GENERIC_RAISING = {
+    "I": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
+         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 1, 0, 1): 1,
+         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 1, 0, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
+         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2,
+         (1, 0, 1, 0, 1, 0, 0, 0): -1, (1, 0, 1, 0, 0, 0, 0, 1): -2,
+         (1, 1, 0, 1, 1, 0, 0, 0): 1, (1, 1, 0, 1, 0, 0, 0, 1): 2, (0, 1, 0, 1, 1, 0, 0, 0): 1,
+         (0, 1, 0, 1, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1, (1, 0, 0, 1, 0, 0, 1, 0): -1,
+         (1, 1, 0, 2, 0, 0, 0, 0): 1, (0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0, 0): -1},
+        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
+         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 0, 1, 1): 1,
+         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 0, 1, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
+         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
+         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 0, 0, 1): -2,
+         (1, 1, 1, 0, 1, 0, 0, 0): 1, (1, 1, 1, 0, 0, 0, 0, 1): 2, (1, 0, 1, 0, 1, 0, 0, 0): 1,
+         (1, 0, 1, 0, 0, 0, 1, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1,
+         (1, 1, 2, 0, 0, 0, 0, 0): 1, (2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0, 0): -1},
+    ),
+    "II": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
+         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 0, 0, 1, 0, 0): -1,
+         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2,
+         (1, 1, 0, 1, 1, 0, 0, 0): 1, (1, 1, 0, 1, 0, 0, 0, 1): 2,
+         (0, 1, 0, 1, 0, 1, 0, 0): 1, (1, 0, 0, 1, 0, 0, 1, 0): -1,
+         (1, 1, 0, 2, 0, 0, 0, 0): 1},
+        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
+         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 0, 1, 1): 1,
+         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 0, 1, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
+         (1, 1, 1, 0, 1, 0, 0, 0): 1, (1, 1, 1, 0, 0, 0, 0, 1): 2, (1, 0, 1, 0, 1, 0, 0, 0): 1,
+         (1, 0, 1, 0, 0, 0, 1, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1,
+         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
+         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 0, 0, 1): -2,
+         (2, 0, 2, 0, 0, 0, 0, 0): 1},
+    ),
+    "III": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
+         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 0, 0, 1, 0, 0): -1,
+         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2,
+         (1, 1, 0, 1, 1, 0, 0, 0): 1, (1, 1, 0, 1, 0, 0, 0, 1): 2,
+         (0, 1, 0, 1, 0, 1, 0, 0): 1, (1, 0, 0, 1, 0, 0, 1, 0): -1,
+         (2, 0, 0, 2, 0, 0, 0, 0): -1},
+        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
+         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 0, 0, 1, 1): 1, (0, 0, 0, 0, 0, 0, 1, 0): -1,
+         (1, 1, 1, 0, 1, 0, 0, 0): 1, (1, 1, 1, 0, 0, 0, 0, 1): 2,
+         (1, 0, 1, 0, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0, 1, 0, 0): -1,
+         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
+         (1, 0, 0, 1, 1, 0, 0, 0): 2, (1, 0, 0, 1, 0, 0, 0, 1): 2, (0, 0, 0, 1, 0, 1, 0, 0): 1,
+         (2, 0, 1, 1, 0, 0, 0, 0): 2, (1, 1, 0, 2, 0, 0, 0, 0): 1},
+    ),
+    "V": (
+        {(1, 0, 0, 2, 0, 0, 0, 0): 1, (1, 0, 0, 1, 1, 0, 0, 0): 2, (0, 0, 0, 1, 0, 1, 0, 0): 1,
+         (1, 0, 0, 0, 2, 0, 0, 0): 1, (0, 0, 0, 0, 1, 1, 0, 0): 1},
+        {(1, 0, 1, 0, 0, 0, 0, 0): 1, (0, 1, 0, 1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 0): 1,
+         (0, 0, 0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0, 0, 1, 0): 1},
+    ),
+    "VIII": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 1, 1, 0, 0, 0): 1,
+         (0, 1, 1, 0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0, 0, 1, 0): 1, (0, 0, 2, 0, 0, 0, 0, 0): 1},
+        {(0, 1, 0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 0): 1, (0, 0, 1, 0, 0, 0, 0, 0): 1},
+    ),
+    "IX": (
+        {(1, 1, 0, 1, 0, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0, 0, 0): -1,
+         (1, 0, 0, 0, 1, 0, 0, 0): 1, (1, 0, 0, 0, 0, 0, 0, 1): 1, (1, 0, 0, 0, 0, 0, 0, 0): -1},
+        {(1, 1, 1, 0, 0, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 0, 0): -1,
+         (0, 1, 0, 0, 1, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0, 0, 0): -1},
+    ),
+}
+
+GOLDEN_GENERIC_EDGE_OPERATORS = {
+    "I": (
+        {(2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 2, 0, 0, 0, 0, 0): -1,
+         (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1},
+        {(0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0, 0): -1,
+         (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1},
+    ),
+    "II": (
+        {(2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1},
+        {(0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 2, 0, 0, 0, 0): -1,
+         (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1},
+    ),
+    "III": (
+        {(2, 0, 2, 0, 0, 0, 0, 0): 1, (1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1},
+        None,
+    ),
+    "V": (
+        {(1, 0, 1, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1, 0, 0): 1},
+        {(0, 1, 0, 2, 0, 0, 0, 0): 1, (0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1},
+    ),
+    "VIII": (
+        None,
+        {(0, 1, 0, 1, 1, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 1, 0): 1},
+    ),
+    "IX": (
+        {(2, 0, 2, 0, 0, 0, 0, 0): 1, (0, 0, 2, 0, 0, 0, 0, 0): -1, (1, 0, 1, 0, 1, 0, 0, 0): 1},
+        {(0, 2, 0, 2, 0, 0, 0, 0): 1, (0, 0, 0, 2, 0, 0, 0, 0): -1, (0, 1, 0, 1, 1, 0, 0, 0): 1},
+    ),
+}
+
+GOLDEN_GENERIC_EDGE_LADDER = {
+    "I": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
+         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 1, 0, 1): 1,
+         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 1, 0, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
+         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2,
+         (1, 0, 1, 0, 1, 0, 0, 0): -1, (1, 0, 1, 0, 0, 0, 0, 1): -2},
+        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
+         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 0, 1, 1): 1,
+         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 0, 1, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
+         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
+         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 0, 0, 1): -2},
+    ),
+    "II": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
+         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 0, 0, 1, 0, 0): -1,
+         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2},
+        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
+         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 0, 1, 1): 1,
+         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 0, 1, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
+         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
+         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 0, 0, 1): -2},
+    ),
+    "III": (
+        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
+         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
+         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 0, 0, 1, 0, 0): -1,
+         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2},
+        None,
+    ),
+    "V": (
+        {(1, 0, 0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 0): 1},
+        {(0, 1, 0, 1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 0): 1,
+         (0, 0, 0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0, 0, 1, 0): 1},
+    ),
+    "VIII": (
+        None,
+        {(0, 1, 0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 0): 1},
+    ),
+    "IX": (
+        {(2, 0, 1, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0, 0, 0): -1,
+         (1, 0, 0, 0, 1, 0, 0, 0): 1, (1, 0, 0, 0, 0, 0, 0, 1): 1, (1, 0, 0, 0, 0, 0, 0, 0): -1},
+        {(0, 2, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 0, 0): -1,
+         (0, 1, 0, 0, 1, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0, 0, 0): -1},
+    ),
+}
+
+
+def raising_denominators(case, beta, N):
+    """The structural denominators of R+x(N) and R+y(N)."""
+    if case in ("I", "II", "III"):
+        return ((beta + 2 * N) * (beta + 2 * N - 1),) * 2
+    if case == "IX":
+        return (beta + 2 * N - 1,) * 2
+    return (beta * beta, beta)
+
+
+def edge_ladder_denominators(case, beta, k):
+    """The structural denominators of the x and y edge ladders at k."""
+    if case in ("I", "II", "III"):
+        return ((beta + 2 * k) * (beta + 2 * k - 1),) * 2
+    if case == "IX":
+        return (beta + 2 * k - 1,) * 2
+    return (beta, beta)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -213,15 +397,26 @@ def test_generic_operators_golden(case):
     assert len(ops) == len(GOLDEN_GENERIC_COMMUTING[case])
     for k, (op, expected) in enumerate(zip(ops, GOLDEN_GENERIC_COMMUTING[case]), start=1):
         assert op == GenericOp(expected), f"I{k}"
+    for ops, goldens in (
+        (generic_raising_ops(case), GOLDEN_GENERIC_RAISING[case]),
+        (generic_edge_operators(case), GOLDEN_GENERIC_EDGE_OPERATORS[case]),
+        (generic_edge_ladders(case), GOLDEN_GENERIC_EDGE_LADDER[case]),
+    ):
+        assert ops == tuple(None if terms is None else GenericOp(terms) for terms in goldens)
 
 
-def _golden_at(terms, params):
-    """A generic golden evaluated at params term by term, in Fractions."""
+def _golden_at(terms, params, N=0):
+    """A generic golden evaluated at params and N term by term, in Fractions."""
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     out = {}
-    for (i, j, k, l, p, q, r), c in terms.items():
-        out[(i, j, k, l)] = out.get((i, j, k, l), 0) + c * b**p * k1**q * k2**r
+    for (i, j, k, l, p, q, r, s), c in terms.items():
+        out[(i, j, k, l)] = out.get((i, j, k, l), 0) + c * b**p * k1**q * k2**r * F(N) ** s
     return DiffOp(out)
+
+
+def _cleared_golden_at(terms, den, params, N):
+    # None where the case has no such operator
+    return None if terms is None else _golden_at(terms, params, N) * (1 / den)
 
 
 def assert_catalog_matches_generic_goldens(params):
@@ -231,6 +426,30 @@ def assert_catalog_matches_generic_goldens(params):
     assert len(ops) == len(GOLDEN_GENERIC_COMMUTING[case])
     for k, (op, terms) in enumerate(zip(ops, GOLDEN_GENERIC_COMMUTING[case]), start=1):
         assert op == _golden_at(terms, params), (params, f"I{k}")
+    expected = tuple(
+        None if terms is None else _golden_at(terms, params)
+        for terms in GOLDEN_GENERIC_EDGE_OPERATORS[case]
+    )
+    assert edge_operators(params) == expected, params
+    for N in range(5):
+        dens = raising_denominators(case, params.beta, N)
+        if 0 in dens:
+            with pytest.raises(ParameterError, match="vanishes"):
+                raising_ops(params, N)
+        else:
+            expected = tuple(
+                _cleared_golden_at(terms, den, params, N)
+                for terms, den in zip(GOLDEN_GENERIC_RAISING[case], dens)
+            )
+            assert raising_ops(params, N) == expected, (params, N)
+        dens = edge_ladder_denominators(case, params.beta, N)
+        for axis, terms, den in zip("xy", GOLDEN_GENERIC_EDGE_LADDER[case], dens):
+            if terms is not None and den == 0:
+                with pytest.raises(ParameterError, match="vanishes"):
+                    edge_ladder(params, axis, N)
+            else:
+                want = _cleared_golden_at(terms, den, params, N)
+                assert edge_ladder(params, axis, N) == want, (params, axis, N)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -256,8 +475,72 @@ def test_generic_commuting_ops_commute_with_L(case):
         assert L.commutator(ik).is_zero(), f"I{k}"
 
 
+# 1, x, y, d_x, d_y, beta and N over Q[beta, kappa1, kappa2, N]
+G_ONE = GenericOp({(0,) * 8: 1})
+G_X, G_Y, G_DX, G_DY, G_BETA, G_N = (GenericOp.generator(index) for index in (0, 1, 2, 3, 4, 7))
+
+# the multiplier of L - lambda_N in [L, R+], per axis
+FRONTS = {
+    "I": (2 * G_X - G_ONE, 2 * G_Y - G_ONE),
+    "II": (2 * G_X, 2 * G_Y - G_ONE),
+    "III": (2 * G_X, 2 * G_Y),
+    "IX": (2 * G_X, 2 * G_Y),
+}
+
+
+def raising_relation_residual(case, axis, r):
+    """[L, r] minus the right-hand side of the relation of the cleared R+axis
+    r = D R+axis(N), with lambda_N = N((N-1)alpha + beta)."""
+    L = generic_operator_L(case)
+    shifted = L - G_N @ ((G_N - G_ONE) * alpha(case) + G_BETA)
+    g = G_BETA + 2 * G_N
+    if case in ("I", "II", "III"):
+        rhs = g @ (FRONTS[case][axis == "y"] @ shifted + r)
+    elif case == "IX":
+        rhs = FRONTS[case][axis == "y"] @ shifted + g @ r
+    elif (case, axis) == ("V", "y"):
+        rhs = shifted + G_BETA @ r
+    else:
+        rhs = G_BETA @ r
+    return L.commutator(r) - rhs
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_raising_relations_hold_for_all_parameters_and_N(case):
+    # one composition over Q[beta, kappa1, kappa2, N] per relation; +1 on
+    # any term of the cleared operator breaks it
+    for axis, r in zip("xy", generic_raising_ops(case)):
+        assert raising_relation_residual(case, axis, r).is_zero(), axis
+        for index in range(len(r)):
+            mutant = perturb_term(r, index)
+            assert not raising_relation_residual(case, axis, mutant).is_zero(), (axis, index)
+
+
+def _without_derivative(op, field):
+    """op with every term that differentiates in FIELDS[field] dropped."""
+    return GenericOp({key: c for key, c in op.items() if not key[field]})
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_edge_ladders_are_raising_ops_without_cross_derivatives(case):
+    # on the n=0 edge R+x(k) loses its d_y terms, on the m=0 edge R+y(k) its
+    # d_x terms; the cleared V x ladder has denominator beta, its R+x beta^2
+    pairs = zip(generic_edge_ladders(case), generic_raising_ops(case), (3, 2))
+    for axis, (ladder, r, cross) in zip("xy", pairs):
+        if ladder is None:
+            continue
+        scale = G_BETA if (case, axis) == ("V", "x") else G_ONE
+        assert _without_derivative(r, cross) == scale @ ladder, axis
+
+
 def test_generic_operators_reject_unknown_case():
-    for build in (generic_operator_L, generic_commuting_ops):
+    for build in (
+        generic_operator_L,
+        generic_commuting_ops,
+        generic_raising_ops,
+        generic_edge_operators,
+        generic_edge_ladders,
+    ):
         with pytest.raises(ParameterError, match="unknown case 'IV'"):
             build("IV")
 
@@ -319,6 +602,195 @@ def test_shifted_scaled_L_expansion():
 
 
 # -- raising operators ------------------------------------------------------------
+
+# R+x(N), R+y(N) and the x and y edge ladders at the _params points (beta=2,
+# kappa1=kappa2=1; case IX at beta=3)
+
+GOLDEN_RAISING = {
+    "I": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 0, 0, 1): F(1, 2),
+             (0, 1, 0, 1): F(3, 2), (1, 0, 0, 1): F(-1, 2), (1, 0, 1, 0): -1,
+             (1, 1, 0, 1): 1, (2, 0, 1, 0): 1, (0, 1, 0, 2): F(-1, 2), (0, 2, 0, 2): F(1, 2),
+             (1, 1, 0, 2): F(1, 2)},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 0, 1, 0): F(1, 2),
+             (0, 1, 0, 1): -1, (0, 1, 1, 0): F(-1, 2), (1, 0, 1, 0): F(3, 2),
+             (0, 2, 0, 1): 1, (1, 1, 1, 0): 1, (1, 0, 2, 0): F(-1, 2), (1, 1, 2, 0): F(1, 2),
+             (2, 0, 2, 0): F(1, 2)},
+        ),
+        3: (
+            {(0, 0, 0, 0): F(-1, 7), (1, 0, 0, 0): F(4, 7), (0, 0, 0, 1): F(1, 56),
+             (0, 1, 0, 1): F(3, 56), (1, 0, 0, 1): F(-1, 56), (1, 0, 1, 0): F(-1, 7),
+             (1, 1, 0, 1): F(1, 7), (2, 0, 1, 0): F(1, 7), (0, 1, 0, 2): F(-1, 56),
+             (0, 2, 0, 2): F(1, 56), (1, 1, 0, 2): F(1, 56)},
+            {(0, 0, 0, 0): F(-1, 7), (0, 1, 0, 0): F(4, 7), (0, 0, 1, 0): F(1, 56),
+             (0, 1, 0, 1): F(-1, 7), (0, 1, 1, 0): F(-1, 56), (1, 0, 1, 0): F(3, 56),
+             (0, 2, 0, 1): F(1, 7), (1, 1, 1, 0): F(1, 7), (1, 0, 2, 0): F(-1, 56),
+             (1, 1, 2, 0): F(1, 56), (2, 0, 2, 0): F(1, 56)},
+        ),
+    },
+    "II": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 1, 0, 1): F(1, 2),
+             (1, 0, 0, 1): F(-1, 2), (1, 1, 0, 1): 1, (2, 0, 1, 0): 1,
+             (1, 1, 0, 2): F(1, 2)},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 0, 1, 0): F(1, 2),
+             (0, 1, 0, 1): -1, (0, 1, 1, 0): F(-1, 2), (1, 0, 1, 0): F(3, 2),
+             (0, 2, 0, 1): 1, (1, 1, 1, 0): 1, (2, 0, 2, 0): F(1, 2)},
+        ),
+        3: (
+            {(0, 0, 0, 0): F(1, 14), (1, 0, 0, 0): F(4, 7), (0, 1, 0, 1): F(1, 56),
+             (1, 0, 0, 1): F(-1, 56), (1, 1, 0, 1): F(1, 7), (2, 0, 1, 0): F(1, 7),
+             (1, 1, 0, 2): F(1, 56)},
+            {(0, 0, 0, 0): F(-1, 7), (0, 1, 0, 0): F(4, 7), (0, 0, 1, 0): F(1, 56),
+             (0, 1, 0, 1): F(-1, 7), (0, 1, 1, 0): F(-1, 56), (1, 0, 1, 0): F(3, 56),
+             (0, 2, 0, 1): F(1, 7), (1, 1, 1, 0): F(1, 7), (2, 0, 2, 0): F(1, 56)},
+        ),
+    },
+    "III": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 1, 0, 1): F(1, 2),
+             (1, 0, 0, 1): F(-1, 2), (1, 1, 0, 1): 1, (2, 0, 1, 0): 1,
+             (2, 0, 0, 2): F(-1, 2)},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 0, 0, 1): F(1, 2),
+             (0, 1, 1, 0): F(-1, 2), (1, 0, 0, 1): 2, (1, 0, 1, 0): F(1, 2), (0, 2, 0, 1): 1,
+             (1, 1, 1, 0): 1, (1, 1, 0, 2): F(1, 2), (2, 0, 1, 1): 1},
+        ),
+        3: (
+            {(0, 0, 0, 0): F(1, 14), (1, 0, 0, 0): F(4, 7), (0, 1, 0, 1): F(1, 56),
+             (1, 0, 0, 1): F(-1, 56), (1, 1, 0, 1): F(1, 7), (2, 0, 1, 0): F(1, 7),
+             (2, 0, 0, 2): F(-1, 56)},
+            {(0, 0, 0, 0): F(1, 14), (0, 1, 0, 0): F(4, 7), (0, 0, 0, 1): F(1, 56),
+             (0, 1, 1, 0): F(-1, 56), (1, 0, 0, 1): F(5, 28), (1, 0, 1, 0): F(1, 56),
+             (0, 2, 0, 1): F(1, 7), (1, 1, 1, 0): F(1, 7), (1, 1, 0, 2): F(1, 56),
+             (2, 0, 1, 1): F(1, 28)},
+        ),
+    },
+    "V": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 0, 0, 1): F(1, 4), (1, 0, 0, 1): 1,
+             (1, 0, 0, 2): F(1, 4)},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): F(1, 2),
+             (1, 0, 1, 0): F(1, 2)},
+        ),
+        3: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 0, 0, 1): F(1, 4), (1, 0, 0, 1): 1,
+             (1, 0, 0, 2): F(1, 4)},
+            {(0, 0, 0, 0): 2, (0, 1, 0, 0): 1, (0, 1, 0, 1): F(1, 2),
+             (1, 0, 1, 0): F(1, 2)},
+        ),
+    },
+    "VIII": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 0, 0, 1): F(1, 2),
+             (0, 0, 1, 0): F(1, 4), (0, 1, 1, 0): 1, (0, 0, 2, 0): F(1, 4)},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 0, 1, 0): F(1, 2)},
+        ),
+        3: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (0, 0, 0, 1): F(1, 2),
+             (0, 0, 1, 0): F(1, 4), (0, 1, 1, 0): 1, (0, 0, 2, 0): F(1, 4)},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 0, 1, 0): F(1, 2)},
+        ),
+    },
+    "IX": {
+        0: (
+            {(1, 0, 0, 0): 1, (0, 0, 1, 0): F(-1, 2), (1, 1, 0, 1): F(1, 2),
+             (2, 0, 1, 0): F(1, 2)},
+            {(0, 1, 0, 0): 1, (0, 0, 0, 1): F(-1, 2), (0, 2, 0, 1): F(1, 2),
+             (1, 1, 1, 0): F(1, 2)},
+        ),
+        3: (
+            {(1, 0, 0, 0): F(5, 8), (0, 0, 1, 0): F(-1, 8), (1, 1, 0, 1): F(1, 8),
+             (2, 0, 1, 0): F(1, 8)},
+            {(0, 1, 0, 0): F(5, 8), (0, 0, 0, 1): F(-1, 8), (0, 2, 0, 1): F(1, 8),
+             (1, 1, 1, 0): F(1, 8)},
+        ),
+    },
+}
+
+GOLDEN_EDGE_LADDER = {
+    "I": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (1, 0, 1, 0): -1, (2, 0, 1, 0): 1},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): -1, (0, 2, 0, 1): 1},
+        ),
+        2: (
+            {(0, 0, 0, 0): F(-1, 10), (1, 0, 0, 0): F(3, 5), (1, 0, 1, 0): F(-1, 5),
+             (2, 0, 1, 0): F(1, 5)},
+            {(0, 0, 0, 0): F(-1, 10), (0, 1, 0, 0): F(3, 5), (0, 1, 0, 1): F(-1, 5),
+             (0, 2, 0, 1): F(1, 5)},
+        ),
+    },
+    "II": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (2, 0, 1, 0): 1},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): -1, (0, 2, 0, 1): 1},
+        ),
+        2: (
+            {(0, 0, 0, 0): F(1, 10), (1, 0, 0, 0): F(3, 5), (2, 0, 1, 0): F(1, 5)},
+            {(0, 0, 0, 0): F(-1, 10), (0, 1, 0, 0): F(3, 5), (0, 1, 0, 1): F(-1, 5),
+             (0, 2, 0, 1): F(1, 5)},
+        ),
+    },
+    "III": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (2, 0, 1, 0): 1},
+            None,
+        ),
+        2: (
+            {(0, 0, 0, 0): F(1, 10), (1, 0, 0, 0): F(3, 5), (2, 0, 1, 0): F(1, 5)},
+            None,
+        ),
+    },
+    "V": {
+        0: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1},
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): F(1, 2)},
+        ),
+        2: (
+            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1},
+            {(0, 0, 0, 0): F(3, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): F(1, 2)},
+        ),
+    },
+    "VIII": {
+        0: (
+            None,
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1},
+        ),
+        2: (
+            None,
+            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1},
+        ),
+    },
+    "IX": {
+        0: (
+            {(1, 0, 0, 0): 1, (0, 0, 1, 0): F(-1, 2), (2, 0, 1, 0): F(1, 2)},
+            {(0, 1, 0, 0): 1, (0, 0, 0, 1): F(-1, 2), (0, 2, 0, 1): F(1, 2)},
+        ),
+        2: (
+            {(1, 0, 0, 0): F(2, 3), (0, 0, 1, 0): F(-1, 6), (2, 0, 1, 0): F(1, 6)},
+            {(0, 1, 0, 0): F(2, 3), (0, 0, 0, 1): F(-1, 6), (0, 2, 0, 1): F(1, 6)},
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("N", (0, 3))
+def test_raising_ops_golden(case, N):
+    rx, ry = raising_ops(_params(case), N)
+    want_x, want_y = GOLDEN_RAISING[case][N]
+    assert rx == DiffOp(want_x)
+    assert ry == DiffOp(want_y)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("k", (0, 2))
+def test_edge_ladder_golden(case, k):
+    for axis, want in zip("xy", GOLDEN_EDGE_LADDER[case][k]):
+        got = edge_ladder(_params(case), axis, k)
+        assert got == (None if want is None else DiffOp(want)), axis
+
 
 
 def test_raising_viii_golden():

@@ -4,6 +4,7 @@ import pytest
 
 import kspoly.cli
 import kspoly.verify
+from kspoly import catalog
 from kspoly.cli import main
 from kspoly.verify import perturb_term
 
@@ -126,8 +127,30 @@ def test_check_certify_failure(monkeypatch, tmp_path, capsys):
     [entry] = doc["reports"][-1]["checks"]
     assert (entry["check"], entry["case"], entry["status"]) == ("certify[V] [L,I1]=0", "V", "fail")
     records = entry["residual"]  # the symbolic [L, I1]
-    assert records and all(set(r) == set("ijklpqrc") for r in records)
+    assert records and all(set(r) == set("ijklpqrsc") for r in records)
 
+
+def test_check_reports_an_inadmissible_oracle(monkeypatch, tmp_path, capsys):
+    # 2*beta*y*d_y in case IX's L (its first term, beta*y*d_y, plus 1) leaves
+    # no admissible table: the failure is an entry of a written report, and
+    # the other cases keep their results
+    true_L = catalog.generic_operator_L
+    monkeypatch.setattr(
+        catalog,
+        "generic_operator_L",
+        lambda case: perturb_term(true_L(case), 0) if case == "IX" else true_L(case),
+    )
+    report = tmp_path / "report.json"
+    assert run("check", "--case", "all", "--trials", "1", "--seed", "0",
+               "--nmax", "3", "--order", "3", "--output", str(report)) == 1
+    assert "FAIL build-oracle:" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is False
+    by_case = {r["checks"][0]["case"]: r for r in doc["reports"] if "params" in r["checks"][0]}
+    assert [case for case, r in by_case.items() if not r["passed"]] == ["IX"]
+    [entry] = by_case["IX"]["checks"]
+    assert (entry["check"], entry["status"]) == ("build-oracle", "fail")
+    assert entry["error"]
 
 def test_check_ix_reports_quadratic_relations(tmp_path):
     report = tmp_path / "report.json"

@@ -339,8 +339,8 @@ def _generic_i1(case):
     return generic_commuting_ops(case)[0]
 
 
-# 1, x, d_x, beta and kappa1 over Q[beta, kappa1, kappa2]
-G_ONE = GenericOp({(0,) * 7: 1})
+# 1, x, d_x, beta and kappa1 over Q[beta, kappa1, kappa2, N]
+G_ONE = GenericOp({(0,) * 8: 1})
 G_X, G_DX, G_BETA, G_K1 = (GenericOp.generator(index) for index in (0, 2, 4, 5))
 
 
@@ -385,7 +385,7 @@ def test_rational_operand_is_rejected():
     # a 1/beta coefficient cannot be written: parameter exponents are
     # nonnegative indices, and a GenericOp is not divisible by a symbol
     with pytest.raises(ValueError, match="nonnegative"):
-        GenericOp({(0, 0, 1, 0, -1, 0, 0): 1})
+        GenericOp({(0, 0, 1, 0, -1, 0, 0, 0): 1})
     with pytest.raises(TypeError):
         1 / G_BETA
 
@@ -393,7 +393,7 @@ def test_rational_operand_is_rejected():
 def _assert_fails_with_residual(result):
     assert result.status == "fail"
     assert result.detail["residual"]
-    assert set(result.detail["residual"][0]) == {"i", "j", "k", "l", "p", "q", "r", "c"}
+    assert set(result.detail["residual"][0]) == {"i", "j", "k", "l", "p", "q", "r", "s", "c"}
 
 
 @pytest.mark.parametrize("case", CASES)

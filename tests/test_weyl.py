@@ -51,7 +51,7 @@ MX = DiffOp.from_poly(X)
 
 
 def test_euler_operator():
-    euler = DiffOp.coeff_term(X, 1, 0)
+    euler = DiffOp.from_poly(X) @ DiffOp.partial(1, 0)
     assert euler.apply(X**3) == 3 * X**3
 
 
@@ -198,7 +198,6 @@ def check_kernel(a, b, p):
         (a + b, ref_add(ta, tb)),
         (a - a, {}),
         (a * F(-3, 4), ref_scale(ta, F(-3, 4))),
-        (DiffOp.coeff_term(p, 1, 2), {(i, j, 1, 2): c for (i, j), c in tp.items()}),
     ]
     for got, want in cases:
         assert_canonical(got)
@@ -326,11 +325,11 @@ def test_threads_sharing_one_operator_get_reference_results():
     assert wrong == []
 
 
-# -- operators over Q[beta, kappa1, kappa2] ---------------------------------------
+# -- operators over Q[beta, kappa1, kappa2, N] ------------------------------------
 
 
 def generic_ops(max_order=2):
-    keys = st.tuples(op_keys(max_order), st.tuples(*[st.integers(0, 2)] * 3))
+    keys = st.tuples(op_keys(max_order), st.tuples(*[st.integers(0, 2)] * 4))
     return st.builds(
         GenericOp,
         st.dictionaries(keys.map(lambda pair: pair[0] + pair[1]), rationals, max_size=4),
@@ -340,29 +339,34 @@ def generic_ops(max_order=2):
 params = st.builds(CaseParams, st.just("I"), rationals, rationals, rationals)
 
 
-@given(generic_ops(), generic_ops(), params)
-def test_generic_ops_specialise_term_by_term(a, b, q):
+@given(generic_ops(), generic_ops(), params, rationals)
+def test_generic_ops_specialise_term_by_term(a, b, q, N):
     # at() maps the parameter ring onto Q, so it respects every operation
     for got, want in [
-        (a @ b, a.at(q) @ b.at(q)),
-        (a.commutator(b), a.at(q).commutator(b.at(q))),
-        (a + b, a.at(q) + b.at(q)),
-        (a * F(-3, 4), a.at(q) * F(-3, 4)),
+        (a @ b, a.at(q, N) @ b.at(q, N)),
+        (a.commutator(b), a.at(q, N).commutator(b.at(q, N))),
+        (a + b, a.at(q, N) + b.at(q, N)),
+        (a * F(-3, 4), a.at(q, N) * F(-3, 4)),
     ]:
         assert_canonical(got)
-        assert got.at(q) == want
+        assert got.at(q, N) == want
 
 
 def test_generic_generators():
-    x, y, dx, dy, beta, k1, k2 = (GenericOp.generator(index) for index in range(7))
-    one = GenericOp({(0,) * 7: 1})
+    x, y, dx, dy, beta, k1, k2, n = (GenericOp.generator(index) for index in range(8))
+    one = GenericOp({(0,) * 8: 1})
     assert dx @ x - x @ dx == one
     assert dy @ y - y @ dy == one
-    for p in (beta, k1, k2):  # the parameters are central
+    for p in (beta, k1, k2, n):  # the parameters and N are central
         for g in (x, y, dx, dy):
             assert p.commutator(g).is_zero()
     term = beta @ beta @ k2 @ x @ dy
-    assert term == GenericOp({(1, 0, 0, 1, 2, 0, 1): 1})
+    assert term == GenericOp({(1, 0, 0, 1, 2, 0, 1, 0): 1})
     q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
     assert term.at(q) == F(45, 4) * DiffOp({(1, 0, 0, 1): 1})
     assert [r["c"] for r in (term - beta).to_records()] == ["-1", "1"]
+    # N enters like a parameter; an operator without it ignores N
+    assert (n @ n @ beta @ dx).at(q, F(2, 3)) == F(2, 3) * DiffOp.partial(1, 0)
+    assert term.at(q, 7) == term.at(q)
+    with pytest.raises(ValueError, match="depends on N"):
+        (n @ dx).at(q)
