@@ -72,36 +72,42 @@ def drop_zeros(num: dict) -> dict:
     return {key: c for key, c in num.items() if c}
 
 
+def rational_text(p: int, q: int) -> str:
+    """p/q, in lowest terms with q > 0, as str(Fraction(p, q)) writes it."""
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def signed_sum(
-    items: Iterable[tuple[tuple[int, ...], Fraction]],
+    items: Iterable[tuple[tuple[int, ...], int, int]],
     symbols: Sequence[str],
-    coeff: Callable[[Fraction], str] = str,
+    coeff: Callable[[int, int], str] = rational_text,
     times: str = "*",
     join: str = "",
     power: str = "{}^{}",
 ) -> str:
-    """Display terms as "a - b + c" in the given order; "0" when empty.
+    """Display (key, p, q) terms, p/q in lowest terms, as "a - b + c" in the
+    given order; "0" when empty.
 
-    A term is its absolute coefficient (written by ``coeff``, left out when
-    it is 1 and a monomial follows) and the product of ``symbols`` raised to
-    the key's exponents, factors joined by ``join``.
+    A term is its absolute coefficient (written by ``coeff(abs(p), q)``, left
+    out when it is 1 and a monomial follows) and the product of ``symbols``
+    raised to the key's exponents, factors joined by ``join``.
     """
     text = ""
-    for key, c in items:
+    for key, p, q in items:
         mono = join.join(
             s if e == 1 else power.format(s, e) for s, e in zip(symbols, key) if e
         )
-        a = abs(c)
+        a = abs(p)
         if not mono:
-            body = coeff(a)
-        elif a == 1:
+            body = coeff(a, q)
+        elif a == q:  # the coefficient is +-1
             body = mono
         else:
-            body = coeff(a) + times + mono
+            body = coeff(a, q) + times + mono
         if text:
-            text += (" - " if c < 0 else " + ") + body
+            text += (" - " if p < 0 else " + ") + body
         else:
-            text = ("-" if c < 0 else "") + body
+            text = ("-" if p < 0 else "") + body
     return text or "0"
 
 
@@ -161,6 +167,14 @@ class Terms:
         """Terms in canonical order."""
         den = self._den
         return ((key, Fraction(c, den)) for key, c in sorted(self._num.items(), key=self._order))
+
+    def lowest_terms(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """(key, p, q) per term in canonical order, the coefficient p/q in
+        lowest terms (q > 0), read from the stored numerators."""
+        den = self._den
+        for key, c in sorted(self._num.items(), key=self._order):
+            g = gcd(c, den)
+            yield key, c // g, den // g
 
     def coefficient(self, *key: int) -> Fraction:
         return Fraction(self._num.get(key, 0), self._den)
@@ -240,13 +254,8 @@ class Terms:
     def to_records(self) -> list[dict[str, object]]:
         """One {field: index, ..., "c": "p/q"} record per term in canonical
         order; "c" is the coefficient in lowest terms, as str(Fraction)."""
-        fields, den = self.FIELDS, self._den
-        records = []
-        for key, c in sorted(self._num.items(), key=self._order):
-            g = gcd(c, den)
-            text = str(c // g) if g == den else f"{c // g}/{den // g}"
-            records.append(dict(zip(fields, key), c=text))
-        return records
+        fields = self.FIELDS
+        return [dict(zip(fields, key), c=rational_text(p, q)) for key, p, q in self.lowest_terms()]
 
     @classmethod
     def from_records(cls, records: list[dict[str, object]]):
@@ -376,7 +385,7 @@ class BivariatePoly(Terms):
 
     def __str__(self) -> str:
         # display with the highest degree first
-        return signed_sum(reversed(list(self.items())), "xy")
+        return signed_sum(reversed(list(self.lowest_terms())), "xy")
 
 
 X = BivariatePoly.variable("x")

@@ -7,7 +7,9 @@ operators, edge reductions, three-level recurrence tables, and the in-level
 action formulas of the commuting operators.  This module is the single
 place where those formulas exist as code; everything else consumes it.
 Every operator is written once, with beta, kappa1, kappa2 and the level N
-as symbols, and each parameter triple (and N) specialises that one formula.
+as symbols: generic_operators(case) holds one case's L, commuting family,
+raising operators, edge operators and edge ladders in one cached record,
+and each parameter triple (and N) specialises that one formula.
 
 Cases IV, VI and VII factor into products of classical one-variable
 polynomials and are intentionally not covered.
@@ -19,13 +21,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import ONE, X, Y, BivariatePoly
 from .errors import ParameterError
 from .weyl import DiffOp, GenericOp
 
 CASES = ("I", "II", "III", "V", "VIII", "IX")
+
+
+def _check_case(case_id: str) -> None:
+    if case_id not in CASES:
+        raise ParameterError(f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +53,7 @@ class CaseParams:
     kappa2: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.case_id not in CASES:
-            raise ParameterError(
-                f"unknown case {self.case_id!r}; supported cases: {', '.join(CASES)}"
-            )
+        _check_case(self.case_id)
         for name in ("beta", "kappa1", "kappa2"):
             value = getattr(self, name)
             if not isinstance(value, (int, Fraction)):
@@ -94,85 +98,53 @@ def _denominator(factors: Sequence[tuple[str, Fraction]], context: str) -> Fract
 # Operators
 # ---------------------------------------------------------------------------
 #
-# Every operator is written once, over Q[beta, kappa1, kappa2, N], so that an
-# identity among them is proved for all parameters and all N by one exact
-# composition; a raising operator or an edge ladder (N standing for its edge
-# index k) is written times its structural denominator.  The numeric
-# functions check that denominator and specialise the one source, so the
-# builders and the sampled checks run exactly the operators the proofs
-# cover.  Each case's generic operators are built once and never changed;
-# the edge operators and ladders stay witnesses, never derived from L or R+.
+# Each case's operators are written once, side by side, over Q[beta, kappa1,
+# kappa2, N], so that an identity among them is proved for all parameters and
+# all N by one exact composition; a raising operator or an edge ladder (N
+# standing for its edge index k) is written times its structural
+# denominator.  The numeric functions check that denominator and specialise
+# the one record, so the builders and the sampled checks run exactly the
+# operators the proofs cover.  Each case's record is built once and never
+# changed; the edge operators and ladders stay witnesses, never derived from
+# L or R+.
 
 
-def _generic_symbols(case_id: str) -> tuple[GenericOp, ...]:
-    """1, x, y, d_x, d_y, beta, kappa1, kappa2, N, the letters of the formulas."""
-    if case_id not in CASES:
-        raise ParameterError(
-            f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}"
-        )
-    one = GenericOp({(0,) * 8: 1})
-    return (one, *(GenericOp.generator(index) for index in range(8)))
+class GenericOperators(NamedTuple):
+    """One case's operators with beta, kappa1, kappa2 and N left as symbols.
+
+    L has the polynomial eigenfunctions; commuting is the family with
+    [L, I_k] = 0, in conventional order; raising is (R+x(N), R+y(N)), each
+    times its structural denominator: (beta+2N)(beta+2N-1) for I-III,
+    beta+2N-1 for IX, beta^2 for V and VIII's R+x and beta for their R+y.
+    edge_operators are the one-variable restrictions of L to the n=0 and m=0
+    edges, and edge_ladders the x and y edge ladders, with N standing for the
+    edge index k, each times its structural denominator: (beta+2k)(beta+2k-1)
+    for I-III, beta+2k-1 for IX, beta for V and VIII.  None marks an edge
+    with no reduction.
+    """
+
+    L: GenericOp
+    commuting: tuple[GenericOp, ...]
+    raising: tuple[GenericOp, GenericOp]
+    edge_operators: tuple[Optional[GenericOp], Optional[GenericOp]]
+    edge_ladders: tuple[Optional[GenericOp], Optional[GenericOp]]
 
 
 @lru_cache(maxsize=None)
-def generic_operator_L(case_id: str) -> GenericOp:
-    """The case's second-order operator with polynomial eigenfunctions, with
-    beta, kappa1, kappa2 left as symbols."""
-    one, x, y, dx, dy, b, k1, k2, _ = _generic_symbols(case_id)
+def generic_operators(case_id: str) -> GenericOperators:
+    """The case's operators, built once from its formulas (see GenericOperators)."""
+    _check_case(case_id)
+    one = GenericOp({(0,) * 8: 1})
+    x, y, dx, dy, b, k1, k2, n = (GenericOp.generator(index) for index in range(8))
+    g, g1 = b + 2 * n, b + n - one
     if case_id == "I":
-        return (
+        L = (
             (x @ x - x) @ dx @ dx
             + 2 * x @ y @ dx @ dy
             + (y @ y - y) @ dy @ dy
             + (b @ x + k1) @ dx
             + (b @ y + k2) @ dy
         )
-    if case_id == "II":
-        return (
-            x @ x @ dx @ dx
-            + 2 * x @ y @ dx @ dy
-            + (y @ y - y) @ dy @ dy
-            + (b @ x + k1) @ dx
-            + (b @ y + k2) @ dy
-        )
-    if case_id == "III":
-        return (
-            x @ x @ dx @ dx
-            + 2 * x @ y @ dx @ dy
-            + (y @ y + x) @ dy @ dy
-            + (b @ x + k1) @ dx
-            + (b @ y + k2) @ dy
-        )
-    if case_id == "V":
-        return (
-            2 * x @ dx @ dy
-            + y @ dy @ dy
-            + (b @ x + k1) @ dx
-            + (b @ y + k2) @ dy
-        )
-    if case_id == "VIII":
-        return (
-            y @ dx @ dx
-            + 2 * dx @ dy
-            + (b @ x + k1) @ dx
-            + (b @ y + k2) @ dy
-        )
-    # IX
-    return (
-        (x @ x - one) @ dx @ dx
-        + 2 * x @ y @ dx @ dy
-        + (y @ y - one) @ dy @ dy
-        + b @ x @ dx
-        + b @ y @ dy
-    )
-
-
-@lru_cache(maxsize=None)
-def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
-    """The case's commuting family ([L, I_k] = 0), in conventional order,
-    with beta, kappa1, kappa2 left as symbols."""
-    one, x, y, dx, dy, b, k1, k2, _ = _generic_symbols(case_id)
-    if case_id == "I":
         i1 = x @ (one - x - y) @ dx @ dx + (k1 @ (y - one) - (b + k2) @ x) @ dx
         i2 = y @ (one - x - y) @ dy @ dy + (k2 @ (x - one) - (b + k1) @ y) @ dy
         i3 = (
@@ -182,51 +154,7 @@ def generic_commuting_ops(case_id: str) -> tuple[GenericOp, ...]:
             + (k2 @ x - k1 @ y) @ dx
             - (k2 @ x - k1 @ y) @ dy
         )
-        return (i1, i2, i3)
-    if case_id == "II":
-        i1 = x @ x @ dx @ dx + ((b + k2) @ x + k1 @ (one - y)) @ dx
-        i2 = x @ y @ dy @ dy + (k1 @ y - k2 @ x) @ dy
-        return (i1, i2)
-    if case_id == "III":
-        i1 = (
-            2 * x @ x @ dx @ dy
-            + x @ y @ dy @ dy
-            + (k2 @ x - k1 @ y) @ dx
-            + (b @ x + k1) @ dy
-        )
-        i2 = x @ x @ dy @ dy + (k2 @ x - k1 @ y) @ dy
-        return (i1, i2)
-    if case_id == "V":
-        i1 = x @ x @ dx @ dx + (k2 @ x - k1 @ y) @ dx
-        i2 = x @ dy @ dy + (b @ x + k1) @ dy
-        return (i1, i2)
-    if case_id == "VIII":
-        i1 = dx @ dx + (b @ y + k2) @ dx
-        i2 = (
-            (y @ y - x) @ dx @ dx
-            + 2 * y @ dx @ dy
-            + dy @ dy
-            + (k1 @ y - k2 @ x) @ dx
-            + (b @ x + k1) @ dy
-        )
-        return (i1, i2)
-    # IX
-    w = one - x @ x - y @ y
-    i1 = w @ dx @ dx + (one - b) @ x @ dx
-    i2 = w @ dy @ dy + (one - b) @ y @ dy
-    i3 = x @ dy - y @ dx
-    i4 = 2 * w @ dx @ dy + (one - b) @ y @ dx + (one - b) @ x @ dy
-    return (i1, i2, i3, i4)
-
-
-@lru_cache(maxsize=None)
-def generic_raising_ops(case_id: str) -> tuple[GenericOp, GenericOp]:
-    """(R+x(N), R+y(N)) with beta, kappa1, kappa2 and N left as symbols, each
-    times its structural denominator: (beta+2N)(beta+2N-1) for I-III,
-    beta+2N-1 for IX, beta^2 for V and VIII's R+x and beta for their R+y."""
-    one, x, y, dx, dy, b, k1, k2, n = _generic_symbols(case_id)
-    g, g1 = b + 2 * n, b + n - one
-    if case_id == "I":
+        commuting = (i1, i2, i3)
         rx = (
             g1 @ (g @ x + k1 - n)
             + g @ x @ (x - one) @ dx
@@ -239,7 +167,21 @@ def generic_raising_ops(case_id: str) -> tuple[GenericOp, GenericOp]:
             + (g @ x @ y + (b + k2) @ x + k1 @ (one - y)) @ dx
             + x @ (x + y - one) @ dx @ dx
         )
+        ex = x @ (x - one) @ dx @ dx + (b @ x + k1) @ dx
+        ey = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
+        lx = g1 @ (g @ x + k1 - n) + g @ x @ (x - one) @ dx
+        ly = g1 @ (g @ y + k2 - n) + g @ y @ (y - one) @ dy
     elif case_id == "II":
+        L = (
+            x @ x @ dx @ dx
+            + 2 * x @ y @ dx @ dy
+            + (y @ y - y) @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+        i1 = x @ x @ dx @ dx + ((b + k2) @ x + k1 @ (one - y)) @ dx
+        i2 = x @ y @ dy @ dy + (k1 @ y - k2 @ x) @ dy
+        commuting = (i1, i2)
         rx = (
             g1 @ (g @ x + k1)
             + g @ x @ x @ dx
@@ -252,7 +194,28 @@ def generic_raising_ops(case_id: str) -> tuple[GenericOp, GenericOp]:
             + g @ y @ (y - one) @ dy
             + x @ x @ dx @ dx
         )
+        ex = x @ x @ dx @ dx + (b @ x + k1) @ dx
+        ey = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
+        # the y ladder is R+y restricted to the right edge: its constant
+        # term carries kappa2 - k, where the x ladder's carries kappa1 alone
+        lx = g1 @ (g @ x + k1) + g @ x @ x @ dx
+        ly = g1 @ (g @ y + k2 - n) + g @ y @ (y - one) @ dy
     elif case_id == "III":
+        L = (
+            x @ x @ dx @ dx
+            + 2 * x @ y @ dx @ dy
+            + (y @ y + x) @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+        i1 = (
+            2 * x @ x @ dx @ dy
+            + x @ y @ dy @ dy
+            + (k2 @ x - k1 @ y) @ dx
+            + (b @ x + k1) @ dy
+        )
+        i2 = x @ x @ dy @ dy + (k2 @ x - k1 @ y) @ dy
+        commuting = (i1, i2)
         rx = (
             g1 @ (g @ x + k1)
             + g @ x @ x @ dx
@@ -266,79 +229,78 @@ def generic_raising_ops(case_id: str) -> tuple[GenericOp, GenericOp]:
             + 2 * x @ x @ dx @ dy
             + x @ y @ dy @ dy
         )
-    elif case_id == "V":
-        rx = x @ dy @ dy + (2 * b @ x + k1) @ dy + b @ (b @ x + k1)
-        ry = x @ dx + y @ dy + b @ y + n + k2
-    elif case_id == "VIII":
-        rx = b @ b @ x + b @ k1 + b @ dy + (2 * b @ y + k2) @ dx + dx @ dx
-        ry = b @ y + k2 + dx
-    else:  # IX
-        rx = x @ y @ dy + (x @ x - one) @ dx + g1 @ x
-        ry = x @ y @ dx + (y @ y - one) @ dy + g1 @ y
-    return (rx, ry)
-
-
-@lru_cache(maxsize=None)
-def generic_edge_operators(case_id: str) -> tuple[Optional[GenericOp], Optional[GenericOp]]:
-    """The one-variable restrictions of L to the n=0 and m=0 edges, None
-    where none exists, with beta, kappa1, kappa2 left as symbols."""
-    one, x, y, dx, dy, b, k1, k2, _ = _generic_symbols(case_id)
-    if case_id == "I":
-        lx = x @ (x - one) @ dx @ dx + (b @ x + k1) @ dx
-        ly = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
-    elif case_id == "II":
-        lx = x @ x @ dx @ dx + (b @ x + k1) @ dx
-        ly = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
-    elif case_id == "III":
-        lx, ly = x @ x @ dx @ dx + (b @ x + k1) @ dx, None
-    elif case_id == "V":
-        lx = (b @ x + k1) @ dx
-        ly = y @ dy @ dy + (b @ y + k2) @ dy
-    elif case_id == "VIII":
-        lx, ly = None, (b @ y + k2) @ dy
-    else:  # IX
-        lx = (x @ x - one) @ dx @ dx + b @ x @ dx
-        ly = (y @ y - one) @ dy @ dy + b @ y @ dy
-    return (lx, ly)
-
-
-@lru_cache(maxsize=None)
-def generic_edge_ladders(case_id: str) -> tuple[Optional[GenericOp], Optional[GenericOp]]:
-    """The x and y edge ladders, None where no reduction exists, with beta,
-    kappa1, kappa2 and the edge index (the symbol N) left as symbols, each
-    times its structural denominator: (beta+2k)(beta+2k-1) for I-III,
-    beta+2k-1 for IX, beta for V and VIII."""
-    one, x, y, dx, dy, b, k1, k2, k = _generic_symbols(case_id)
-    g, g1 = b + 2 * k, b + k - one
-    if case_id == "I":
-        lx = g1 @ (g @ x + k1 - k) + g @ x @ (x - one) @ dx
-        ly = g1 @ (g @ y + k2 - k) + g @ y @ (y - one) @ dy
-    elif case_id == "II":
-        # the y ladder is R+y restricted to the right edge: its constant
-        # term carries kappa2 - k, where the x ladder's carries kappa1 alone
-        lx = g1 @ (g @ x + k1) + g @ x @ x @ dx
-        ly = g1 @ (g @ y + k2 - k) + g @ y @ (y - one) @ dy
-    elif case_id == "III":
+        ex, ey = x @ x @ dx @ dx + (b @ x + k1) @ dx, None
         lx, ly = g1 @ (g @ x + k1) + g @ x @ x @ dx, None
     elif case_id == "V":
-        lx, ly = b @ x + k1, y @ dy + b @ y + k + k2
+        L = (
+            2 * x @ dx @ dy
+            + y @ dy @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+        commuting = (
+            x @ x @ dx @ dx + (k2 @ x - k1 @ y) @ dx,
+            x @ dy @ dy + (b @ x + k1) @ dy,
+        )
+        rx = x @ dy @ dy + (2 * b @ x + k1) @ dy + b @ (b @ x + k1)
+        ry = x @ dx + y @ dy + b @ y + n + k2
+        ex = (b @ x + k1) @ dx
+        ey = y @ dy @ dy + (b @ y + k2) @ dy
+        lx, ly = b @ x + k1, y @ dy + b @ y + n + k2
     elif case_id == "VIII":
+        L = (
+            y @ dx @ dx
+            + 2 * dx @ dy
+            + (b @ x + k1) @ dx
+            + (b @ y + k2) @ dy
+        )
+        i1 = dx @ dx + (b @ y + k2) @ dx
+        i2 = (
+            (y @ y - x) @ dx @ dx
+            + 2 * y @ dx @ dy
+            + dy @ dy
+            + (k1 @ y - k2 @ x) @ dx
+            + (b @ x + k1) @ dy
+        )
+        commuting = (i1, i2)
+        rx = b @ b @ x + b @ k1 + b @ dy + (2 * b @ y + k2) @ dx + dx @ dx
+        ry = b @ y + k2 + dx
+        ex, ey = None, (b @ y + k2) @ dy
         lx, ly = None, b @ y + k2
-    else:  # IX: restriction of the raising operators to the edges
+    else:  # IX
+        L = (
+            (x @ x - one) @ dx @ dx
+            + 2 * x @ y @ dx @ dy
+            + (y @ y - one) @ dy @ dy
+            + b @ x @ dx
+            + b @ y @ dy
+        )
+        w = one - x @ x - y @ y
+        commuting = (
+            w @ dx @ dx + (one - b) @ x @ dx,
+            w @ dy @ dy + (one - b) @ y @ dy,
+            x @ dy - y @ dx,
+            2 * w @ dx @ dy + (one - b) @ y @ dx + (one - b) @ x @ dy,
+        )
+        rx = x @ y @ dy + (x @ x - one) @ dx + g1 @ x
+        ry = x @ y @ dx + (y @ y - one) @ dy + g1 @ y
+        ex = (x @ x - one) @ dx @ dx + b @ x @ dx
+        ey = (y @ y - one) @ dy @ dy + b @ y @ dy
+        # the edge ladders restrict the raising operators to the edges
         lx = (x @ x - one) @ dx + g1 @ x
         ly = (y @ y - one) @ dy + g1 @ y
-    return (lx, ly)
+    return GenericOperators(L, commuting, (rx, ry), (ex, ey), (lx, ly))
 
 
 def operator_L(params: CaseParams) -> DiffOp:
     """The case's second-order operator with polynomial eigenfunctions: a
     fresh DiffOp, with its own memo of monomial images, on every call."""
-    return generic_operator_L(params.case_id).at(params)
+    return generic_operators(params.case_id).L.at(params)
 
 
 def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
     """The case's commuting family ([L, I_k] = 0), in conventional order."""
-    return tuple(op.at(params) for op in generic_commuting_ops(params.case_id))
+    return tuple(op.at(params) for op in generic_operators(params.case_id).commuting)
 
 
 def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
@@ -356,7 +318,7 @@ def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
         if c != "IX":
             factors.append(("beta+2N", b + 2 * N))
         dens = (_denominator(factors, f"case {c} raising operator at N={N}"),) * 2
-    return tuple(op.at(params, N) * (1 / d) for op, d in zip(generic_raising_ops(c), dens))
+    return tuple(op.at(params, N) * (1 / d) for op, d in zip(generic_operators(c).raising, dens))
 
 
 def raising_commutator_rhs(
@@ -398,7 +360,7 @@ def edge_operators(params: CaseParams) -> tuple[Optional[DiffOp], Optional[DiffO
     both variables) and case VIII no left-edge one.  Each operator returned
     satisfies op(P_edge) = lambda_k * P_edge with the case's eigenvalue.
     """
-    ops = generic_edge_operators(params.case_id)
+    ops = generic_operators(params.case_id).edge_operators
     return tuple(None if op is None else op.at(params) for op in ops)
 
 
@@ -410,7 +372,7 @@ def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
     if k < 0:
         raise ParameterError(f"k must be nonnegative, not {k}")
     b, c = params.beta, params.case_id
-    op = generic_edge_ladders(c)[axis == "y"]
+    op = generic_operators(c).edge_ladders[axis == "y"]
     if op is None:
         return None
     factors = [("beta+2k-1", b + 2 * k - 1)]

@@ -16,8 +16,7 @@ from .algebra import parse_rational
 from .catalog import (
     CASES,
     CaseParams,
-    generic_commuting_ops,
-    generic_operator_L,
+    generic_operators,
     sample_params,
 )
 from .errors import KspolyError
@@ -128,11 +127,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             for failure in report.failures():
                 print(f"  FAIL {failure.name}: {failure.detail}")
             documents.append(report.to_json())
-        result = certify_commutator(
-            generic_operator_L(case),
-            generic_commuting_ops(case)[0],
-            f"certify[{case}] [L,I1]=0",
-        )
+        ops = generic_operators(case)
+        result = certify_commutator(ops.L, ops.commuting[0], f"certify[{case}] [L,I1]=0")
         all_passed &= result.passed
         print(f"{result.name}: {result.status.upper()}")
         documents.append({"checks": [result.to_json(case)], "passed": result.passed})

@@ -148,7 +148,7 @@ class Series2(Terms):
         return self._wrap(out, self._den, self.order - 1)
 
     def __str__(self) -> str:
-        return signed_sum(self.items(), "stxy")
+        return signed_sum(self.lowest_terms(), "stxy")
 
 
 def binomial_series(u: Series2, r: Fraction | int) -> Series2:

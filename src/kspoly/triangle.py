@@ -15,7 +15,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
 from math import gcd
 from typing import Iterable
@@ -468,15 +467,15 @@ def triangle_to_csv(t: Triangle) -> str:
     return out.getvalue()
 
 
-def latex_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+def latex_rational(p: int, q: int) -> str:
+    """p/q, in lowest terms with q > 0, in LaTeX."""
+    sign = "-" if p < 0 else ""
+    return str(p) if q == 1 else f"{sign}\\frac{{{abs(p)}}}{{{q}}}"
 
 
 def latex_poly(p: BivariatePoly) -> str:
-    return signed_sum(reversed(list(p.items())), "xy", latex_rational, " ", power="{}^{{{}}}")
+    terms = reversed(list(p.lowest_terms()))
+    return signed_sum(terms, "xy", latex_rational, " ", power="{}^{{{}}}")
 
 
 def triangle_to_latex(t: Triangle) -> str:

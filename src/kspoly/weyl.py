@@ -159,7 +159,7 @@ class DiffOp(Terms):
         return tuple((key, w) for key, w in out.items() if w)
 
     def __str__(self) -> str:
-        return signed_sum(self.items(), ("x", "y", "Dx", "Dy"), join="*")
+        return signed_sum(self.lowest_terms(), ("x", "y", "Dx", "Dy"), join="*")
 
 
 GenericKey = tuple[int, int, int, int, int, int, int, int]
@@ -234,4 +234,4 @@ class GenericOp(Terms):
 
     def __str__(self) -> str:
         symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2", "N")
-        return signed_sum(self.items(), symbols, join="*")
+        return signed_sum(self.lowest_terms(), symbols, join="*")

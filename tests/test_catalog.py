@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import kspoly
 from kspoly.algebra import ONE, X, Y
 from kspoly.catalog import (
     CASES,
@@ -18,11 +19,7 @@ from kspoly.catalog import (
     edge_ladder,
     edge_operators,
     eigenvalue,
-    generic_commuting_ops,
-    generic_edge_ladders,
-    generic_edge_operators,
-    generic_operator_L,
-    generic_raising_ops,
+    generic_operators,
     operator_L,
     raising_commutator_rhs,
     raising_ops,
@@ -392,15 +389,16 @@ def edge_ladder_denominators(case, beta, k):
 
 @pytest.mark.parametrize("case", CASES)
 def test_generic_operators_golden(case):
-    assert generic_operator_L(case) == GenericOp(GOLDEN_GENERIC_L[case])
-    ops = generic_commuting_ops(case)
+    source = generic_operators(case)
+    assert source.L == GenericOp(GOLDEN_GENERIC_L[case])
+    ops = source.commuting
     assert len(ops) == len(GOLDEN_GENERIC_COMMUTING[case])
     for k, (op, expected) in enumerate(zip(ops, GOLDEN_GENERIC_COMMUTING[case]), start=1):
         assert op == GenericOp(expected), f"I{k}"
     for ops, goldens in (
-        (generic_raising_ops(case), GOLDEN_GENERIC_RAISING[case]),
-        (generic_edge_operators(case), GOLDEN_GENERIC_EDGE_OPERATORS[case]),
-        (generic_edge_ladders(case), GOLDEN_GENERIC_EDGE_LADDER[case]),
+        (source.raising, GOLDEN_GENERIC_RAISING[case]),
+        (source.edge_operators, GOLDEN_GENERIC_EDGE_OPERATORS[case]),
+        (source.edge_ladders, GOLDEN_GENERIC_EDGE_LADDER[case]),
     ):
         assert ops == tuple(None if terms is None else GenericOp(terms) for terms in goldens)
 
@@ -470,9 +468,9 @@ def test_generic_operators_match_catalog_on_degenerate_lattice(case):
 @pytest.mark.parametrize("case", CASES)
 def test_generic_commuting_ops_commute_with_L(case):
     # [L, I_k] = 0 for every parameter triple: one exact composition each
-    L = generic_operator_L(case)
-    for k, ik in enumerate(generic_commuting_ops(case), start=1):
-        assert L.commutator(ik).is_zero(), f"I{k}"
+    source = generic_operators(case)
+    for k, ik in enumerate(source.commuting, start=1):
+        assert source.L.commutator(ik).is_zero(), f"I{k}"
 
 
 # 1, x, y, d_x, d_y, beta and N over Q[beta, kappa1, kappa2, N]
@@ -491,7 +489,7 @@ FRONTS = {
 def raising_relation_residual(case, axis, r):
     """[L, r] minus the right-hand side of the relation of the cleared R+axis
     r = D R+axis(N), with lambda_N = N((N-1)alpha + beta)."""
-    L = generic_operator_L(case)
+    L = generic_operators(case).L
     shifted = L - G_N @ ((G_N - G_ONE) * alpha(case) + G_BETA)
     g = G_BETA + 2 * G_N
     if case in ("I", "II", "III"):
@@ -509,7 +507,7 @@ def raising_relation_residual(case, axis, r):
 def test_raising_relations_hold_for_all_parameters_and_N(case):
     # one composition over Q[beta, kappa1, kappa2, N] per relation; +1 on
     # any term of the cleared operator breaks it
-    for axis, r in zip("xy", generic_raising_ops(case)):
+    for axis, r in zip("xy", generic_operators(case).raising):
         assert raising_relation_residual(case, axis, r).is_zero(), axis
         for index in range(len(r)):
             mutant = perturb_term(r, index)
@@ -525,7 +523,8 @@ def _without_derivative(op, field):
 def test_edge_ladders_are_raising_ops_without_cross_derivatives(case):
     # on the n=0 edge R+x(k) loses its d_y terms, on the m=0 edge R+y(k) its
     # d_x terms; the cleared V x ladder has denominator beta, its R+x beta^2
-    pairs = zip(generic_edge_ladders(case), generic_raising_ops(case), (3, 2))
+    source = generic_operators(case)
+    pairs = zip(source.edge_ladders, source.raising, (3, 2))
     for axis, (ladder, r, cross) in zip("xy", pairs):
         if ladder is None:
             continue
@@ -533,16 +532,56 @@ def test_edge_ladders_are_raising_ops_without_cross_derivatives(case):
         assert _without_derivative(r, cross) == scale @ ladder, axis
 
 
+def ix_quadratic_residuals(L, i1, i2, i3, i4):
+    """The two case IX quadratic relations over Q[beta], as residuals."""
+    first = i1 + i2 + i3 @ i3 + L
+    second = (
+        2 * (i1 @ i2 + i2 @ i1)
+        - (G_BETA @ G_BETA - 4 * G_BETA - G_ONE) @ (i1 + i2)
+        - (G_BETA - G_ONE) @ (G_BETA - 5 * G_ONE) @ L
+        - i4 @ i4
+    )
+    return first, second
+
+
+def test_ix_quadratic_relations_hold_for_all_beta():
+    # each relation is one composition over Q[beta]; +1 on any stored term of
+    # L or an I_k breaks at least one of them
+    source = generic_operators("IX")
+    ops = (source.L, *source.commuting)
+    assert all(residual.is_zero() for residual in ix_quadratic_residuals(*ops))
+    mutants = 0
+    for position, op in enumerate(ops):
+        for index in range(len(op)):
+            mutated = ops[:position] + (perturb_term(op, index),) + ops[position + 1:]
+            residuals = ix_quadratic_residuals(*mutated)
+            assert not all(r.is_zero() for r in residuals), (position, index)
+            mutants += 1
+    assert mutants == 26
+
+
 def test_generic_operators_reject_unknown_case():
-    for build in (
-        generic_operator_L,
-        generic_commuting_ops,
-        generic_raising_ops,
-        generic_edge_operators,
-        generic_edge_ladders,
-    ):
-        with pytest.raises(ParameterError, match="unknown case 'IV'"):
+    # the one generic source and CaseParams raise through the same check
+    messages = []
+    for build in (generic_operators, lambda case: CaseParams(case, F(2))):
+        with pytest.raises(ParameterError) as caught:
             build("IV")
+        messages.append(str(caught.value))
+    assert messages == ["unknown case 'IV'; supported cases: I, II, III, V, VIII, IX"] * 2
+
+
+def test_public_api_binds_exactly_all():
+    # every exported name resolves, a star import binds exactly those names,
+    # and the generic operators are exported through their one source
+    assert len(set(kspoly.__all__)) == len(kspoly.__all__)
+    for name in kspoly.__all__:
+        assert hasattr(kspoly, name), name
+    namespace = {}
+    exec("from kspoly import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(kspoly.__all__)
+    assert kspoly.generic_operators is generic_operators
+    assert [name for name in dir(kspoly) if name.startswith("generic_")] == ["generic_operators"]
 
 
 # -- eigenvalues ---------------------------------------------------------------

@@ -110,11 +110,13 @@ def test_check_all_cases_with_certification(tmp_path):
 
 def test_check_certify_failure(monkeypatch, tmp_path, capsys):
     # corrupt only the I1 that certify sees; full_suite keeps the true catalog
-    true_ops = kspoly.cli.generic_commuting_ops
-    monkeypatch.setattr(
-        kspoly.cli, "generic_commuting_ops",
-        lambda case: (perturb_term(true_ops(case)[0], 0),) + true_ops(case)[1:],
-    )
+    true_source = kspoly.cli.generic_operators
+
+    def perturbed_i1(case):
+        ops = true_source(case).commuting
+        return true_source(case)._replace(commuting=(perturb_term(ops[0], 0),) + ops[1:])
+
+    monkeypatch.setattr(kspoly.cli, "generic_operators", perturbed_i1)
     report = tmp_path / "report.json"
     assert run("check", "--case", "V", "--nmax", "3", "--order", "3",
                "--trials", "1", "--output", str(report)) == 1
@@ -134,12 +136,13 @@ def test_check_reports_an_inadmissible_oracle(monkeypatch, tmp_path, capsys):
     # 2*beta*y*d_y in case IX's L (its first term, beta*y*d_y, plus 1) leaves
     # no admissible table: the failure is an entry of a written report, and
     # the other cases keep their results
-    true_L = catalog.generic_operator_L
-    monkeypatch.setattr(
-        catalog,
-        "generic_operator_L",
-        lambda case: perturb_term(true_L(case), 0) if case == "IX" else true_L(case),
-    )
+    true_source = catalog.generic_operators
+
+    def perturbed_L(case):
+        source = true_source(case)
+        return source._replace(L=perturb_term(source.L, 0)) if case == "IX" else source
+
+    monkeypatch.setattr(catalog, "generic_operators", perturbed_L)
     report = tmp_path / "report.json"
     assert run("check", "--case", "all", "--trials", "1", "--seed", "0",
                "--nmax", "3", "--order", "3", "--output", str(report)) == 1

@@ -12,8 +12,7 @@ from kspoly.catalog import (
     STENCILS,
     CaseParams,
     commuting_ops,
-    generic_commuting_ops,
-    generic_operator_L,
+    generic_operators,
     operator_L,
     sample_params,
 )
@@ -214,32 +213,32 @@ def test_full_suite_audits_one_operator_set(case, monkeypatch):
 def test_full_suite_runs_the_generic_operators(case, monkeypatch):
     # L and the I_k have one source: a perturbed generic operator reaches
     # every builder and check through operator_L and commuting_ops
-    true_L, true_ops = catalog.generic_operator_L, catalog.generic_commuting_ops
+    true_source = catalog.generic_operators
     params = sample_params(case, random.Random(5))
 
     def perturbed_L(c):
         # perturb a term that lowers degree: L keeps its eigenvalues, so the
         # oracle still builds a table, now from the wrong operator
-        terms = true_L(c).items()
+        L = true_source(c).L
+        terms = L.items()
         index = next(n for n, ((i, j, k, l, *_), _) in enumerate(terms) if i + j < k + l)
-        return perturb_term(true_L(c), index)
+        return true_source(c)._replace(L=perturb_term(L, index))
 
-    monkeypatch.setattr(catalog, "generic_operator_L", perturbed_L)
+    def perturbed_i1(c):
+        ops = true_source(c).commuting
+        return true_source(c)._replace(commuting=(perturb_term(ops[0], 0),) + ops[1:])
+
+    monkeypatch.setattr(catalog, "generic_operators", perturbed_L)
     failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
     assert any(name.startswith(("agreement[", "eigen[")) for name in failed), failed
 
-    monkeypatch.setattr(catalog, "generic_operator_L", true_L)
-    monkeypatch.setattr(
-        catalog,
-        "generic_commuting_ops",
-        lambda c: (perturb_term(true_ops(c)[0], 0),) + true_ops(c)[1:],
-    )
+    monkeypatch.setattr(catalog, "generic_operators", perturbed_i1)
     failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
     assert any(name.startswith("action-I1(") for name in failed), failed
 
     # the generic operators are built once per case; each specialisation is
     # a fresh DiffOp with its own memo
-    assert true_L(case) is true_L(case)
+    assert true_source(case) is true_source(case)
     assert operator_L(params) is not operator_L(params)
 
 
@@ -336,7 +335,7 @@ def _operands(case):
 
 
 def _generic_i1(case):
-    return generic_commuting_ops(case)[0]
+    return generic_operators(case).commuting[0]
 
 
 # 1, x, d_x, beta and kappa1 over Q[beta, kappa1, kappa2, N]
@@ -376,7 +375,7 @@ def test_certify_evaluates_no_grid_point(case, monkeypatch):
     monkeypatch.setattr(kspoly.verify, "operator_L", forbidden)
     monkeypatch.setattr(kspoly.verify, "certify_parameter_polynomial_identity", forbidden)
     monkeypatch.setattr(DiffOp, "__matmul__", forbidden)
-    result = certify_commutator(generic_operator_L(case), _generic_i1(case), "[L,I1]=0")
+    result = certify_commutator(generic_operators(case).L, _generic_i1(case), "[L,I1]=0")
     assert result.passed
     assert result.detail is None
 
@@ -399,7 +398,7 @@ def _assert_fails_with_residual(result):
 @pytest.mark.parametrize("case", CASES)
 def test_derived_grid_detects_perturbations(case):
     # +1 on each stored term of the generic I1 breaks [L, I1] = 0
-    L, i1 = generic_operator_L(case), _generic_i1(case)
+    L, i1 = generic_operators(case).L, _generic_i1(case)
     for index in range(len(i1)):
         result = certify_commutator(L, perturb_term(i1, index), f"[L,I1+e{index}]=0")
         _assert_fails_with_residual(result)
@@ -415,7 +414,7 @@ def test_derived_grid_detects_degree_two_perturbation(case):
     weights = [G_BETA @ G_BETA] + ([] if case == "IX" else [G_BETA @ G_K1])
     for weight in weights:
         result = certify_commutator(
-            generic_operator_L(case), _generic_i1(case) + weight @ euler, "[L,I1+e]=0"
+            generic_operators(case).L, _generic_i1(case) + weight @ euler, "[L,I1+e]=0"
         )
         _assert_fails_with_residual(result)
 
@@ -428,7 +427,7 @@ def test_certify_rejects_a_perturbation_that_vanishes_on_sample_lines():
     for root in (F(3, 2), F(5, 2), F(7, 2)):
         weight = weight @ (G_BETA - root * G_ONE)
     probe = _generic_i1("I") + weight @ G_X @ G_DX
-    result = certify_commutator(generic_operator_L("I"), probe, "[L,I1']=0")
+    result = certify_commutator(generic_operators("I").L, probe, "[L,I1']=0")
     _assert_fails_with_residual(result)
     point = CaseParams("I", F(9, 4), F(1, 3), F(1, 7))
     assert not operator_L(point).commutator(probe.at(point)).is_zero()
@@ -531,6 +530,4 @@ def test_passing_checks_serialise_no_residual(case, monkeypatch):
     monkeypatch.setattr(Terms, "to_records", refuse)
     params = sample_params(case, random.Random(3))
     assert full_suite(params, nmax=3, order=3).passed
-    assert certify_commutator(
-        generic_operator_L(case), generic_commuting_ops(case)[0], "c"
-    ).passed
+    assert certify_commutator(generic_operators(case).L, _generic_i1(case), "c").passed
