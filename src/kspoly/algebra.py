@@ -40,6 +40,68 @@ def rising_factorial(z: Scalar, n: int) -> Fraction:
     return out
 
 
+class _Unreduced:
+    """An exact rational numerator/denominator (denominator nonzero, either
+    sign) that no operation reduces: a short formula runs on ints with no
+    gcd, and fraction() reduces its value once."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+    def __bool__(self) -> bool:
+        return self.numerator != 0
+
+    def __neg__(self) -> _Unreduced:
+        return _Unreduced(-self.numerator, self.denominator)
+
+    def __add__(self, other: Union[_Unreduced, int]) -> _Unreduced:
+        n, d = self.numerator, self.denominator
+        if type(other) is int:
+            return _Unreduced(n + other * d, d)
+        return _Unreduced(n * other.denominator + other.numerator * d, d * other.denominator)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Union[_Unreduced, int]) -> _Unreduced:
+        n, d = self.numerator, self.denominator
+        if type(other) is int:
+            return _Unreduced(n - other * d, d)
+        return _Unreduced(n * other.denominator - other.numerator * d, d * other.denominator)
+
+    def __rsub__(self, other: int) -> _Unreduced:
+        return _Unreduced(other * self.denominator - self.numerator, self.denominator)
+
+    def __mul__(self, other: Union[_Unreduced, int]) -> _Unreduced:
+        if type(other) is int:
+            return _Unreduced(self.numerator * other, self.denominator)
+        return _Unreduced(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: Union[_Unreduced, int]) -> _Unreduced:
+        if not other:
+            raise ZeroDivisionError("division by zero")
+        if type(other) is int:
+            return _Unreduced(self.numerator, self.denominator * other)
+        return _Unreduced(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def __rtruediv__(self, other: int) -> _Unreduced:
+        if not self.numerator:
+            raise ZeroDivisionError("division by zero")
+        return _Unreduced(other * self.denominator, self.numerator)
+
+    def __pow__(self, k: int) -> _Unreduced:
+        if k < 0:
+            raise ValueError("only nonnegative integer powers")
+        return _Unreduced(self.numerator**k, self.denominator**k)
+
+
 def term_order(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
     """Canonical order of (i, j) terms: total degree ascending, then
     x-exponent descending."""

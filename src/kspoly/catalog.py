@@ -23,7 +23,7 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import ONE, X, Y, BivariatePoly
+from .algebra import ONE, X, Y, BivariatePoly, _Unreduced
 from .errors import ParameterError
 from .weyl import DiffOp, GenericOp
 
@@ -75,20 +75,23 @@ def eigenvalue(params: CaseParams, N: int) -> Fraction:
     return N * ((N - 1) * alpha(params.case_id) + params.beta)
 
 
-def _nonzero(value: Fraction, name: str, context: str) -> Fraction:
-    if value == 0:
+def _nonzero(value: Fraction | _Unreduced, name: str, context: str) -> Fraction | _Unreduced:
+    if not value:
         raise ParameterError(f"{context}: denominator {name} vanishes")
     return value
 
 
-def _denominator(factors: Sequence[tuple[str, Fraction]], context: str) -> Fraction:
-    """prod(factors), every factor checked in order, before any numerator.
+def _denominator(
+    factors: Sequence[tuple[str, Fraction | _Unreduced]], context: str
+) -> Fraction | _Unreduced:
+    """prod(factors), every factor checked in order, before any numerator,
+    over Fractions or, in recurrence_step, unreduced integer pairs.
 
     The check does not depend on the numerators it divides: a zero numerator
     over a vanishing factor is a 0/0 limit (beta = 1 at N = 1, where
     beta+2N-3 vanishes); taking it as zero gives a wrong table.
     """
-    den = Fraction(1)
+    den = 1
     for name, f in factors:
         den *= _nonzero(f, name, context)
     return den
@@ -406,10 +409,15 @@ class RecurrenceStep:
 
 def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> RecurrenceStep:
     """The recurrence producing P_{m+1,n} (axis x) or P_{m,n+1} (axis y)
-    from levels m+n and m+n-1."""
+    from levels m+n and m+n-1.
+
+    The formulas run on unreduced integer pairs (algebra._Unreduced), and
+    each coefficient is reduced to a Fraction once, at the return."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    b, k1, k2 = (
+        _Unreduced(v.numerator, v.denominator) for v in (params.beta, params.kappa1, params.kappa2)
+    )
     c = params.case_id
     N = m + n
     ctx = f"case {c} recurrence at (m,n)=({m},{n})"
@@ -450,9 +458,7 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
                 (m - 1, n, rb(m * (k1 - m + 1) * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)))),
                 (m - 2, n + 1, rb(-m * (m - 1) * (k1 - m + 1) * (k1 - m + 2))),
             )
-        return RecurrenceStep(target, (m, n), lead, tail)
-
-    if c == "II":
+    elif c == "II":
         if axis == "x":
             tail = (
                 (m, n, ra(k1 * (b + 2 * n - 2))),
@@ -469,9 +475,7 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
                 (m - 1, n, rb(m * k1 * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)))),
                 (m - 2, n + 1, rb(-m * (m - 1) * k1 * k1)),
             )
-        return RecurrenceStep(target, (m, n), lead, tail)
-
-    if c == "III":
+    elif c == "III":
         if axis == "x":
             tail = (
                 (m, n, ra(k1 * (b + 2 * n - 2))),
@@ -495,56 +499,50 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
                 (m - 1, n, rb(m * k1 * k2 * (b + 2 * m - 3))),
                 (m - 2, n + 1, rb(-m * (m - 1) * k1 * k1)),
             )
-        return RecurrenceStep(target, (m, n), lead, tail)
-
-    if c == "V":
+    elif c == "V":
         if axis == "x":
-            lead = X + (k1 / b) * ONE
+            lead = X + (k1 / b).fraction() * ONE
             tail = (
-                (m + 1, n - 1, Fraction(2 * n) / b),
+                (m + 1, n - 1, 2 * n / b),
                 (m + 1, n - 2, -n * (n - 1) / b**2),
                 (m, n - 1, -n * k1 / b**2),
             )
         else:
-            lead = Y + ((k2 + 2 * N) / b) * ONE
+            lead = Y + ((k2 + 2 * N) / b).fraction() * ONE
             tail = (
                 (m, n - 1, -n * (k2 + 2 * m + n - 1) / b**2),
                 (m - 1, n, -m * k1 / b**2),
             )
-        return RecurrenceStep(target, (m, n), lead, tail)
-
-    if c == "VIII":
+    elif c == "VIII":
         if axis == "x":
-            lead = X + (k1 / b) * ONE
+            lead = X + (k1 / b).fraction() * ONE
             tail = (
-                (m - 1, n + 1, Fraction(2 * m) / b),
-                (m, n - 1, Fraction(n) / b),
+                (m - 1, n + 1, 2 * m / b),
+                (m, n - 1, n / b),
                 (m - 1, n, -m * k2 / b**2),
             )
         else:
-            lead = Y + (k2 / b) * ONE
-            tail = ((m - 1, n, Fraction(m) / b),)
-        return RecurrenceStep(target, (m, n), lead, tail)
+            lead = Y + (k2 / b).fraction() * ONE
+            tail = ((m - 1, n, m / b),)
+    else:  # IX
+        C = (("beta+2N-1", b + 2 * N - 1), ("beta+2N-3", b + 2 * N - 3))
 
-    # IX
-    C = (("beta+2N-1", b + 2 * N - 1), ("beta+2N-3", b + 2 * N - 3))
+        dc = _denominator(C, ctx)
 
-    dc = _denominator(C, ctx)
+        def rc(num):
+            return num / dc
 
-    def rc(num):
-        return num / dc
-
-    if axis == "x":
-        tail = (
-            (m + 1, n - 2, rc(Fraction(n * (n - 1)))),
-            (m - 1, n, rc(-m * (b + m + 2 * n - 2))),
-        )
-    else:
-        tail = (
-            (m - 2, n + 1, rc(Fraction(m * (m - 1)))),
-            (m, n - 1, rc(-n * (b + 2 * m + n - 2))),
-        )
-    return RecurrenceStep(target, (m, n), lead, tail)
+        if axis == "x":
+            tail = (
+                (m + 1, n - 2, rc(n * (n - 1))),
+                (m - 1, n, rc(-m * (b + m + 2 * n - 2))),
+            )
+        else:
+            tail = (
+                (m - 2, n + 1, rc(m * (m - 1))),
+                (m, n - 1, rc(-n * (b + 2 * m + n - 2))),
+            )
+    return RecurrenceStep(target, (m, n), lead, tuple((mm, nn, q.fraction()) for mm, nn, q in tail))
 
 
 # Allowed in-range access offsets (reference minus target) of each recurrence,

@@ -10,6 +10,7 @@ from kspoly.algebra import (
     X,
     Y,
     BivariatePoly,
+    _Unreduced,
     parse_rational,
     rising_factorial,
 )
@@ -167,6 +168,50 @@ def test_rising_factorial_values():
     # (beta-1)/2 at beta=3, one factor
     assert rising_factorial(F(3 - 1, 2), 1) == 1
     assert rising_factorial(F(-2), 3) == 0
+
+
+# -- the unreduced formula scalar ----------------------------------------------
+
+# a rational as an unreduced pair: numerator and denominator both scaled by a
+# nonzero int of either sign, so the pair is neither reduced nor positive
+unreduced = st.builds(
+    lambda q, s: _Unreduced(q.numerator * s, q.denominator * s),
+    rationals,
+    st.integers(-6, 6).filter(bool),
+)
+
+
+@given(unreduced, unreduced, st.integers(-20, 20))
+def test_unreduced_matches_fraction(a, b, k):
+    fa, fb = a.fraction(), b.fraction()
+    results = [
+        (a + b, fa + fb), (a + k, fa + k), (k + a, k + fa),
+        (a - b, fa - fb), (a - k, fa - k), (k - a, k - fa),
+        (a * b, fa * fb), (a * k, fa * k), (k * a, k * fa),
+        (-a, -fa), (a**0, F(1)), (a**3, fa**3),
+    ]
+    for num, den, fnum, fden in ((a, b, fa, fb), (a, k, fa, k), (k, a, k, fa)):
+        if fden:
+            results.append((num / den, fnum / fden))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+    for got, expected in results:
+        assert type(got) is _Unreduced
+        assert type(got.fraction()) is F
+        assert got.fraction() == expected
+        assert bool(got) == bool(expected)
+
+
+def test_unreduced_zero_divisor_and_sign():
+    zero = _Unreduced(0, -3)
+    for divide in (lambda: _Unreduced(1, 2) / zero, lambda: 5 / zero, lambda: _Unreduced(1) / 0):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+    assert not zero and (zero**0).fraction() == 1
+    assert str(_Unreduced(6, -4).fraction()) == "-3/2"
+    with pytest.raises(ValueError):
+        _Unreduced(1, 2) ** -1
 
 
 # -- ring properties -----------------------------------------------------------

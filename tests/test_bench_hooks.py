@@ -3,7 +3,7 @@
 The tracer wraps methods looked up in each class's own namespace, so a
 method that moves into a shared base class silently drops out of the
 per-layer metrics.  This runs a tiny traced job and checks every kernel
-counter the benchmark reports.
+counter the benchmark reports, and the builder and catalog spans it reaches.
 """
 
 from fractions import Fraction as F
@@ -58,6 +58,15 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         "weyl.compose",
         "weyl.add",
         "series.mul",
+    ):
+        assert tracer.calls[name] > 0, name
+    # the builder spans, and the catalog functions the builders call by the
+    # names the tracer rebinds: moving or inlining one would read 0 there
+    for name in (
+        "catalog.recurrence_step",
+        "catalog.operators",
+        "triangle.oracle",
+        "triangle.recurrence",
     ):
         assert tracer.calls[name] > 0, name
     for (cls, attr), original in originals.items():

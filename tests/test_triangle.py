@@ -196,20 +196,49 @@ DEGENERATE_BETAS = (F(1), F(2), F(1, 2), F(3, 2))
 DEGENERATE_KAPPAS = (F(0), F(1), F(-1, 2))
 
 
+def degenerate_error(builder, p):
+    """The error class a builder raises at a degenerate lattice point, or None.
+
+    kappa1 = 1 (case I) or 0 (II, III) zeroes a transfer division coefficient,
+    which the transfer builder finds before any recurrence step; otherwise
+    beta = 1 meets a vanishing recurrence factor (beta+2N-3 at N = 1) or, in
+    the ladder, beta+2N-1 at N = 0.  Cases V and VIII build everywhere.
+    """
+    if builder is build_transfer and p.kappa1 == {"I": 1, "II": 0, "III": 0}.get(p.case_id):
+        return TransferError
+    if p.beta == 1 and p.case_id not in ("V", "VIII"):
+        return ParameterError
+    return None
+
+
+# builder runs that raise per case, 111 of 552: I-III recurrence and ladder at
+# beta = 1 (18 each) and transfer (12 TransferError, 6 ParameterError each),
+# and case IX once per builder
+DEGENERATE_RAISES = {"I": 36, "II": 36, "III": 36, "V": 0, "VIII": 0, "IX": 3}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_builders_match_oracle_or_raise_on_degenerate_lattice(case):
     # integer and half-integer parameters, where the recurrence coefficients
-    # can meet 0/0 limits (beta = 1) that random sampling never reaches
+    # can meet 0/0 limits (beta = 1) that random sampling never reaches; each
+    # builder either returns the oracle's table or raises exactly the error
+    # pinned for the point
     kappas = [(F(0), F(0))] if case == "IX" else product(DEGENERATE_KAPPAS, repeat=2)
+    raised = 0
     for beta, (k1, k2) in product(DEGENERATE_BETAS, kappas):
         p = CaseParams(case, beta, k1, k2)
         oracle = build_oracle(p, 4)
         for builder in (build_recurrence, build_ladder, build_transfer):
+            expected = degenerate_error(builder, p)
             try:
                 table = builder(p, 4)
-            except KspolyError:
-                continue
-            assert table.same_polys(oracle), (builder.__name__, p)
+            except KspolyError as exc:
+                assert type(exc) is expected, (builder.__name__, p, exc)
+                raised += 1
+            else:
+                assert expected is None, (builder.__name__, p)
+                assert table.same_polys(oracle), (builder.__name__, p)
+    assert raised == DEGENERATE_RAISES[case]
 
 
 @pytest.mark.parametrize("builder", BUILDER_LIST)

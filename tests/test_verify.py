@@ -143,6 +143,18 @@ def test_ix_to_i_map_validates_parameters():
         check_ix_to_i_map(t9, bad)
 
 
+def test_full_suite_skips_an_ix_to_i_image_that_breaks_the_validity_rule():
+    # beta = -15 builds at nmax 6, but its case I image table (beta1 = -7 at
+    # nmax 3) fails beta1 + 7 != 0: the map is skipped, as a transfer table
+    # that misses its preconditions is, instead of aborting the suite
+    report = full_suite(CaseParams("IX", F(-15)), 6)
+    assert report.passed
+    names = [r.name for r in report.results]
+    assert "ix-to-i(skipped)" in names
+    assert not any(name.startswith("ix-to-i(") and name != "ix-to-i(skipped)" for name in names)
+    assert "ix-to-i(skipped)" not in [r.name for r in full_suite(CaseParams("IX", F(3)), 6).results]
+
+
 def test_swap_symmetry_case_i():
     p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
