@@ -432,72 +432,66 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
             ("beta+2N-2", b + 2 * N - 2),
             ("beta+2N-3", b + 2 * N - 3),
         )
-
         da, db = _denominator(A, ctx), _denominator(B, ctx)
-
-        def ra(num):
-            return num / da
-
-        def rb(num):
-            return num / db
 
     if c == "I":
         if axis == "x":
             tail = (
-                (m, n, ra((b + 2 * n - 2) * (k1 - 2 * m) - 2 * m * (m + 1))),
-                (m + 1, n - 1, ra(2 * n * (n - k2 - 1))),
-                (m - 1, n, rb(m * (b + m + 2 * n - 2) * (k1 - m + 1) * (b + k1 + m + 2 * n - 1))),
-                (m, n - 1, rb(n * (k2 - n + 1) * ((b + 2 * n - 3) * (k1 - 2 * m) - 2 * m * (m + 1)))),
-                (m + 1, n - 2, rb(-n * (n - 1) * (k2 - n + 1) * (k2 - n + 2))),
+                (m, n, ((b + 2 * n - 2) * (k1 - 2 * m) - 2 * m * (m + 1)) / da),
+                (m + 1, n - 1, 2 * n * (n - k2 - 1) / da),
+                (m - 1, n, m * (b + m + 2 * n - 2) * (k1 - m + 1) * (b + k1 + m + 2 * n - 1) / db),
+                (m, n - 1, n * (k2 - n + 1) * ((b + 2 * n - 3) * (k1 - 2 * m) - 2 * m * (m + 1)) / db),
+                (m + 1, n - 2, -n * (n - 1) * (k2 - n + 1) * (k2 - n + 2) / db),
             )
         else:
             tail = (
-                (m, n, ra((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1))),
-                (m - 1, n + 1, ra(2 * m * (m - k1 - 1))),
-                (m, n - 1, rb(n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1))),
-                (m - 1, n, rb(m * (k1 - m + 1) * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)))),
-                (m - 2, n + 1, rb(-m * (m - 1) * (k1 - m + 1) * (k1 - m + 2))),
+                (m, n, ((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1)) / da),
+                (m - 1, n + 1, 2 * m * (m - k1 - 1) / da),
+                (m, n - 1, n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1) / db),
+                (m - 1, n, m * (k1 - m + 1) * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)) / db),
+                (m - 2, n + 1, -m * (m - 1) * (k1 - m + 1) * (k1 - m + 2) / db),
             )
     elif c == "II":
         if axis == "x":
             tail = (
-                (m, n, ra(k1 * (b + 2 * n - 2))),
-                (m + 1, n - 1, ra(2 * n * (n - k2 - 1))),
-                (m - 1, n, rb(m * k1 * k1 * (b + m + 2 * n - 2))),
-                (m, n - 1, rb(n * k1 * (b + 2 * n - 3) * (k2 - n + 1))),
-                (m + 1, n - 2, rb(-n * (n - 1) * (k2 - n + 1) * (k2 - n + 2))),
+                (m, n, k1 * (b + 2 * n - 2) / da),
+                (m + 1, n - 1, 2 * n * (n - k2 - 1) / da),
+                (m - 1, n, m * k1 * k1 * (b + m + 2 * n - 2) / db),
+                (m, n - 1, n * k1 * (b + 2 * n - 3) * (k2 - n + 1) / db),
+                (m + 1, n - 2, -n * (n - 1) * (k2 - n + 1) * (k2 - n + 2) / db),
             )
         else:
             tail = (
-                (m, n, ra((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1))),
-                (m - 1, n + 1, ra(-2 * m * k1)),
-                (m, n - 1, rb(n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1))),
-                (m - 1, n, rb(m * k1 * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)))),
-                (m - 2, n + 1, rb(-m * (m - 1) * k1 * k1)),
+                (m, n, ((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1)) / da),
+                (m - 1, n + 1, -2 * m * k1 / da),
+                (m, n - 1, n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1) / db),
+                (m - 1, n, m * k1 * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)) / db),
+                (m - 2, n + 1, -m * (m - 1) * k1 * k1 / db),
             )
     elif c == "III":
         if axis == "x":
             tail = (
-                (m, n, ra(k1 * (b + 2 * n - 2))),
-                (m + 1, n - 1, ra(-2 * n * k2)),
-                (m + 2, n - 2, ra(-2 * n * (n - 1))),
-                (m - 1, n, rb(m * k1 * k1 * (b + m + 2 * n - 2))),
-                (m, n - 1, rb(n * k1 * k2 * (b + 2 * n - 3))),
-                (m + 1, n - 2, rb(n * (n - 1) * (k1 * (b + 2 * n - 4) - k2 * k2))),
-                (m + 2, n - 3, rb(-2 * n * (n - 1) * (n - 2) * k2)),
-                (m + 3, n - 4, rb(-n * (n - 1) * (n - 2) * (n - 3))),
+                (m, n, k1 * (b + 2 * n - 2) / da),
+                (m + 1, n - 1, -2 * n * k2 / da),
+                (m + 2, n - 2, -2 * n * (n - 1) / da),
+                (m - 1, n, m * k1 * k1 * (b + m + 2 * n - 2) / db),
+                (m, n - 1, n * k1 * k2 * (b + 2 * n - 3) / db),
+                (m + 1, n - 2, n * (n - 1) * (k1 * (b + 2 * n - 4) - k2 * k2) / db),
+                (m + 2, n - 3, -2 * n * (n - 1) * (n - 2) * k2 / db),
+                (m + 3, n - 4, -n * (n - 1) * (n - 2) * (n - 3) / db),
             )
         else:
             tail = (
-                (m, n, ra(k2 * (b + 2 * m - 2))),
-                (m + 1, n - 1, ra(2 * n * (b + 2 * m + n - 1))),
-                (m - 1, n + 1, ra(-2 * m * k1)),
-                (m + 2, n - 3, rb(n * (n - 1) * (n - 2) * (2 * b + 4 * m + 3 * n - 3))),
+                (m, n, k2 * (b + 2 * m - 2) / da),
+                (m + 1, n - 1, 2 * n * (b + 2 * m + n - 1) / da),
+                (m - 1, n + 1, -2 * m * k1 / da),
+                (m + 2, n - 3, n * (n - 1) * (n - 2) * (2 * b + 4 * m + 3 * n - 3) / db),
                 # the beta coefficient here is 3, pinned by oracle equivalence
-                (m + 1, n - 2, rb(n * (n - 1) * (3 * b + 6 * m + 4 * n - 5) * k2)),
-                (m, n - 1, rb(n * ((b + 2 * m + n - 2) * (k2 * k2 - k1 * (b + 3 * n - 3)) + k1 * (1 - n * n)))),
-                (m - 1, n, rb(m * k1 * k2 * (b + 2 * m - 3))),
-                (m - 2, n + 1, rb(-m * (m - 1) * k1 * k1)),
+                (m + 1, n - 2, n * (n - 1) * (3 * b + 6 * m + 4 * n - 5) * k2 / db),
+                (m, n - 1,
+                 n * ((b + 2 * m + n - 2) * (k2 * k2 - k1 * (b + 3 * n - 3)) + k1 * (1 - n * n)) / db),
+                (m - 1, n, m * k1 * k2 * (b + 2 * m - 3) / db),
+                (m - 2, n + 1, -m * (m - 1) * k1 * k1 / db),
             )
     elif c == "V":
         if axis == "x":
@@ -526,21 +520,16 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
             tail = ((m - 1, n, m / b),)
     else:  # IX
         C = (("beta+2N-1", b + 2 * N - 1), ("beta+2N-3", b + 2 * N - 3))
-
         dc = _denominator(C, ctx)
-
-        def rc(num):
-            return num / dc
-
         if axis == "x":
             tail = (
-                (m + 1, n - 2, rc(n * (n - 1))),
-                (m - 1, n, rc(-m * (b + m + 2 * n - 2))),
+                (m + 1, n - 2, n * (n - 1) / dc),
+                (m - 1, n, -m * (b + m + 2 * n - 2) / dc),
             )
         else:
             tail = (
-                (m - 2, n + 1, rc(m * (m - 1))),
-                (m, n - 1, rc(-n * (b + 2 * m + n - 2))),
+                (m - 2, n + 1, m * (m - 1) / dc),
+                (m, n - 1, -n * (b + 2 * m + n - 2) / dc),
             )
     return RecurrenceStep(target, (m, n), lead, tuple((mm, nn, q.fraction()) for mm, nn, q in tail))
 
@@ -584,7 +573,7 @@ def seed_polys(params: CaseParams) -> dict[tuple[int, int], BivariatePoly]:
 
 @dataclass(frozen=True)
 class ActionRelation:
-    """op P_{m,n} + self_coeff(m,n) P_{m,n} = sum c * P_{m+dm,n+dn}.
+    """I_k P_{m,n} + self_coeff(m,n) P_{m,n} = sum c * P_{m+dm,n+dn}.
 
     The neighbor offsets keep the level m+n fixed; coefficients vanish
     whenever a neighbor would leave the triangle.  triangle.stencil_sum
@@ -592,111 +581,51 @@ class ActionRelation:
     audit alike.
     """
 
-    name: str
-    op: DiffOp
-    self_coeff: Callable[[int, int], Fraction]
-    neighbors: Callable[[int, int], tuple[tuple[int, int, Fraction], ...]]
+    self_coeff: Callable[[int, int], Fraction | int]
+    neighbors: Callable[[int, int], tuple[tuple[int, int, Fraction | int], ...]]
 
 
-def action_relations(
-    params: CaseParams, ops: Sequence[DiffOp]
-) -> tuple[ActionRelation, ...]:
-    """The in-level shift relations of the commuting operators ops (the
-    catalog's commuting_ops, or an audited variant of them)."""
+def action_relations(params: CaseParams) -> tuple[ActionRelation, ...]:
+    """The in-level shift relations of the commuting operators, one
+    (self_coeff, neighbors) row each: the k-th belongs to I_k, the k-th
+    operator of commuting_ops, and case I states none for I3."""
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     c = params.case_id
-    zero = Fraction(0)
-
     if c == "I":
-        return (
-            ActionRelation(
-                "I1", ops[0],
-                lambda m, n: m * (b + k2 + m - 1),
-                lambda m, n: ((-1, 1, m * (k1 - m + 1)),),
-            ),
-            ActionRelation(
-                "I2", ops[1],
-                lambda m, n: n * (b + k1 + n - 1),
-                lambda m, n: ((1, -1, n * (k2 - n + 1)),),
-            ),
+        rows = (
+            (lambda m, n: m * (b + k2 + m - 1), lambda m, n: ((-1, 1, m * (k1 - m + 1)),)),
+            (lambda m, n: n * (b + k1 + n - 1), lambda m, n: ((1, -1, n * (k2 - n + 1)),)),
         )
-    if c == "II":
-        return (
-            ActionRelation(
-                "I1", ops[0],
-                lambda m, n: -m * (b + k2 + m - 1),
-                lambda m, n: ((-1, 1, -m * k1),),
-            ),
-            ActionRelation(
-                "I2", ops[1],
-                lambda m, n: -n * k1,
-                lambda m, n: ((1, -1, -n * (k2 - n + 1)),),
-            ),
+    elif c == "II":
+        rows = (
+            (lambda m, n: -m * (b + k2 + m - 1), lambda m, n: ((-1, 1, -m * k1),)),
+            (lambda m, n: -n * k1, lambda m, n: ((1, -1, -n * (k2 - n + 1)),)),
         )
-    if c == "III":
-        return (
-            ActionRelation(
-                "I1", ops[0],
-                lambda m, n: -m * k2,
-                lambda m, n: ((-1, 1, -m * k1), (1, -1, n * (b + 2 * m + n - 1))),
-            ),
-            ActionRelation(
-                "I2", ops[1],
-                lambda m, n: n * k1,
-                lambda m, n: ((1, -1, n * k2), (2, -2, Fraction(n * (n - 1)))),
-            ),
+    elif c == "III":
+        rows = (
+            (lambda m, n: -m * k2, lambda m, n: ((-1, 1, -m * k1), (1, -1, n * (b + 2 * m + n - 1)))),
+            (lambda m, n: n * k1, lambda m, n: ((1, -1, n * k2), (2, -2, n * (n - 1)))),
         )
-    if c == "V":
-        return (
-            ActionRelation(
-                "I1", ops[0],
-                lambda m, n: -m * (k2 + m - 1),
-                lambda m, n: ((-1, 1, -m * k1),),
-            ),
+    elif c == "V":
+        rows = (
+            (lambda m, n: -m * (k2 + m - 1), lambda m, n: ((-1, 1, -m * k1),)),
             # I2 has no diagonal part: its top-degree action on x^m y^n
             # is the single shift n*b*x^(m+1)y^(n-1)
-            ActionRelation(
-                "I2", ops[1],
-                lambda m, n: Fraction(0),
-                lambda m, n: ((1, -1, n * b),),
-            ),
+            (lambda m, n: 0, lambda m, n: ((1, -1, n * b),)),
         )
-    if c == "VIII":
-        return (
-            ActionRelation(
-                "I1", ops[0],
-                lambda m, n: zero,
-                lambda m, n: ((-1, 1, m * b),),
-            ),
-            ActionRelation(
-                "I2", ops[1],
-                lambda m, n: m * k2,
-                lambda m, n: ((1, -1, n * b), (-1, 1, m * k1), (-2, 2, Fraction(m * (m - 1)))),
-            ),
+    elif c == "VIII":
+        rows = (
+            (lambda m, n: 0, lambda m, n: ((-1, 1, m * b),)),
+            (lambda m, n: m * k2, lambda m, n: ((1, -1, n * b), (-1, 1, m * k1), (-2, 2, m * (m - 1)))),
         )
-    # IX
-    return (
-        ActionRelation(
-            "I1", ops[0],
-            lambda m, n: m * (b + m - 2),
-            lambda m, n: ((-2, 2, Fraction(-m * (m - 1))),),
-        ),
-        ActionRelation(
-            "I2", ops[1],
-            lambda m, n: n * (b + n - 2),
-            lambda m, n: ((2, -2, Fraction(-n * (n - 1))),),
-        ),
-        ActionRelation(
-            "I3", ops[2],
-            lambda m, n: zero,
-            lambda m, n: ((1, -1, Fraction(n)), (-1, 1, Fraction(-m))),
-        ),
-        ActionRelation(
-            "I4", ops[3],
-            lambda m, n: zero,
-            lambda m, n: ((1, -1, (1 - b - 2 * m) * n), (-1, 1, (1 - b - 2 * n) * m)),
-        ),
-    )
+    else:  # IX
+        rows = (
+            (lambda m, n: m * (b + m - 2), lambda m, n: ((-2, 2, -m * (m - 1)),)),
+            (lambda m, n: n * (b + n - 2), lambda m, n: ((2, -2, -n * (n - 1)),)),
+            (lambda m, n: 0, lambda m, n: ((1, -1, n), (-1, 1, -m))),
+            (lambda m, n: 0, lambda m, n: ((1, -1, (1 - b - 2 * m) * n), (-1, 1, (1 - b - 2 * n) * m))),
+        )
+    return tuple(ActionRelation(*row) for row in rows)
 
 
 def quadratic_relation_residuals(

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
 from math import gcd
 from typing import Iterable
@@ -296,7 +297,8 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
     """
     _check_nmax(params, nmax)
     rel_index, (du, dv), edges = _TRANSFER_ROUTE[params.case_id]
-    rel = action_relations(params, commuting_ops(params))[rel_index]
+    rel = action_relations(params)[rel_index]
+    op = commuting_ops(params)[rel_index]
     sweep = []  # per level: (m, n, unknown's coefficient, known neighbor terms)
     for T in range(2, nmax + 1):
         level = []
@@ -323,10 +325,10 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
             entries[(0, T)] = _apply_step(step, entries, "y", None)
         for m, n, coeff_u, known in level:
             # P_u = (op P + s P - sum of the known neighbors) / c_u
-            inv = 1 / coeff_u
+            inv = Fraction(1) / coeff_u
             terms = [(m, n, rel.self_coeff(m, n) * inv)]
             terms += [(mm, nn, -c * inv) for (mm, nn), c in known.items()]
-            op_p = rel.op.apply(entries[(m, n)])
+            op_p = op.apply(entries[(m, n)])
             entries[(m + du, n + dv)] = stencil_sum(entries, terms, [(inv, op_p)])
     return Triangle(params, nmax, "transfer", entries)
 

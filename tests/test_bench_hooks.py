@@ -47,6 +47,8 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         # without polynomial arithmetic; the recurrence builder still forms
         # BivariatePoly sums and products
         triangle.build_recurrence(params, 3)
+        # the transfer builder reads the action relations by position
+        triangle.build_transfer(params, 3)
         series.genfun(CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)), 3)
     finally:
         uninstall()
@@ -65,8 +67,10 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
     for name in (
         "catalog.recurrence_step",
         "catalog.operators",
+        "catalog.action_relations",
         "triangle.oracle",
         "triangle.recurrence",
+        "triangle.transfer",
     ):
         assert tracer.calls[name] > 0, name
     for (cls, attr), original in originals.items():

@@ -14,6 +14,7 @@ from kspoly.algebra import ONE, X, Y, BivariatePoly
 from kspoly.catalog import (
     CASES,
     CaseParams,
+    action_relations,
     alpha,
     commuting_ops,
     edge_ladder,
@@ -1161,6 +1162,208 @@ def test_recurrence_step_golden(case, axis):
         assert step.lead == BivariatePoly({key: F(c) for key, c in lead.items()})
         assert step.tail == tuple((mm, nn, F(c)) for mm, nn, c in tail)
         assert all(type(c) is F for _, _, c in step.tail)
+
+
+# -- action relations ----------------------------------------------------------------
+
+# action_relations at the _params points (beta=2, kappa1=kappa2=1; case IX at
+# beta=3): per relation, self_coeff and the neighbor triples in order at every
+# node with m + n <= 3, by level and m ascending
+ACTION_NODES = [(m, N - m) for N in range(4) for m in range(N + 1)]
+
+GOLDEN_ACTIONS = {
+    "I": (
+        (  # I1
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("3", ((-1, 1, "1"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("3", ((-1, 1, "1"),)),
+            ("8", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("3", ((-1, 1, "1"),)),
+            ("8", ((-1, 1, "0"),)),
+            ("15", ((-1, 1, "-3"),)),
+        ),
+        (  # I2
+            ("0", ((1, -1, "0"),)),
+            ("3", ((1, -1, "1"),)),
+            ("0", ((1, -1, "0"),)),
+            ("8", ((1, -1, "0"),)),
+            ("3", ((1, -1, "1"),)),
+            ("0", ((1, -1, "0"),)),
+            ("15", ((1, -1, "-3"),)),
+            ("8", ((1, -1, "0"),)),
+            ("3", ((1, -1, "1"),)),
+            ("0", ((1, -1, "0"),)),
+        ),
+    ),
+    "II": (
+        (  # I1
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("-3", ((-1, 1, "-1"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("-3", ((-1, 1, "-1"),)),
+            ("-8", ((-1, 1, "-2"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("-3", ((-1, 1, "-1"),)),
+            ("-8", ((-1, 1, "-2"),)),
+            ("-15", ((-1, 1, "-3"),)),
+        ),
+        (  # I2
+            ("0", ((1, -1, "0"),)),
+            ("-1", ((1, -1, "-1"),)),
+            ("0", ((1, -1, "0"),)),
+            ("-2", ((1, -1, "0"),)),
+            ("-1", ((1, -1, "-1"),)),
+            ("0", ((1, -1, "0"),)),
+            ("-3", ((1, -1, "3"),)),
+            ("-2", ((1, -1, "0"),)),
+            ("-1", ((1, -1, "-1"),)),
+            ("0", ((1, -1, "0"),)),
+        ),
+    ),
+    "III": (
+        (  # I1
+            ("0", ((-1, 1, "0"), (1, -1, "0"))),
+            ("0", ((-1, 1, "0"), (1, -1, "2"))),
+            ("-1", ((-1, 1, "-1"), (1, -1, "0"))),
+            ("0", ((-1, 1, "0"), (1, -1, "6"))),
+            ("-1", ((-1, 1, "-1"), (1, -1, "4"))),
+            ("-2", ((-1, 1, "-2"), (1, -1, "0"))),
+            ("0", ((-1, 1, "0"), (1, -1, "12"))),
+            ("-1", ((-1, 1, "-1"), (1, -1, "10"))),
+            ("-2", ((-1, 1, "-2"), (1, -1, "6"))),
+            ("-3", ((-1, 1, "-3"), (1, -1, "0"))),
+        ),
+        (  # I2
+            ("0", ((1, -1, "0"), (2, -2, "0"))),
+            ("1", ((1, -1, "1"), (2, -2, "0"))),
+            ("0", ((1, -1, "0"), (2, -2, "0"))),
+            ("2", ((1, -1, "2"), (2, -2, "2"))),
+            ("1", ((1, -1, "1"), (2, -2, "0"))),
+            ("0", ((1, -1, "0"), (2, -2, "0"))),
+            ("3", ((1, -1, "3"), (2, -2, "6"))),
+            ("2", ((1, -1, "2"), (2, -2, "2"))),
+            ("1", ((1, -1, "1"), (2, -2, "0"))),
+            ("0", ((1, -1, "0"), (2, -2, "0"))),
+        ),
+    ),
+    "V": (
+        (  # I1
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("-1", ((-1, 1, "-1"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("-1", ((-1, 1, "-1"),)),
+            ("-4", ((-1, 1, "-2"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("-1", ((-1, 1, "-1"),)),
+            ("-4", ((-1, 1, "-2"),)),
+            ("-9", ((-1, 1, "-3"),)),
+        ),
+        (  # I2
+            ("0", ((1, -1, "0"),)),
+            ("0", ((1, -1, "2"),)),
+            ("0", ((1, -1, "0"),)),
+            ("0", ((1, -1, "4"),)),
+            ("0", ((1, -1, "2"),)),
+            ("0", ((1, -1, "0"),)),
+            ("0", ((1, -1, "6"),)),
+            ("0", ((1, -1, "4"),)),
+            ("0", ((1, -1, "2"),)),
+            ("0", ((1, -1, "0"),)),
+        ),
+    ),
+    "VIII": (
+        (  # I1
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "2"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "2"),)),
+            ("0", ((-1, 1, "4"),)),
+            ("0", ((-1, 1, "0"),)),
+            ("0", ((-1, 1, "2"),)),
+            ("0", ((-1, 1, "4"),)),
+            ("0", ((-1, 1, "6"),)),
+        ),
+        (  # I2
+            ("0", ((1, -1, "0"), (-1, 1, "0"), (-2, 2, "0"))),
+            ("0", ((1, -1, "2"), (-1, 1, "0"), (-2, 2, "0"))),
+            ("1", ((1, -1, "0"), (-1, 1, "1"), (-2, 2, "0"))),
+            ("0", ((1, -1, "4"), (-1, 1, "0"), (-2, 2, "0"))),
+            ("1", ((1, -1, "2"), (-1, 1, "1"), (-2, 2, "0"))),
+            ("2", ((1, -1, "0"), (-1, 1, "2"), (-2, 2, "2"))),
+            ("0", ((1, -1, "6"), (-1, 1, "0"), (-2, 2, "0"))),
+            ("1", ((1, -1, "4"), (-1, 1, "1"), (-2, 2, "0"))),
+            ("2", ((1, -1, "2"), (-1, 1, "2"), (-2, 2, "2"))),
+            ("3", ((1, -1, "0"), (-1, 1, "3"), (-2, 2, "6"))),
+        ),
+    ),
+    "IX": (
+        (  # I1
+            ("0", ((-2, 2, "0"),)),
+            ("0", ((-2, 2, "0"),)),
+            ("2", ((-2, 2, "0"),)),
+            ("0", ((-2, 2, "0"),)),
+            ("2", ((-2, 2, "0"),)),
+            ("6", ((-2, 2, "-2"),)),
+            ("0", ((-2, 2, "0"),)),
+            ("2", ((-2, 2, "0"),)),
+            ("6", ((-2, 2, "-2"),)),
+            ("12", ((-2, 2, "-6"),)),
+        ),
+        (  # I2
+            ("0", ((2, -2, "0"),)),
+            ("2", ((2, -2, "0"),)),
+            ("0", ((2, -2, "0"),)),
+            ("6", ((2, -2, "-2"),)),
+            ("2", ((2, -2, "0"),)),
+            ("0", ((2, -2, "0"),)),
+            ("12", ((2, -2, "-6"),)),
+            ("6", ((2, -2, "-2"),)),
+            ("2", ((2, -2, "0"),)),
+            ("0", ((2, -2, "0"),)),
+        ),
+        (  # I3
+            ("0", ((1, -1, "0"), (-1, 1, "0"))),
+            ("0", ((1, -1, "1"), (-1, 1, "0"))),
+            ("0", ((1, -1, "0"), (-1, 1, "-1"))),
+            ("0", ((1, -1, "2"), (-1, 1, "0"))),
+            ("0", ((1, -1, "1"), (-1, 1, "-1"))),
+            ("0", ((1, -1, "0"), (-1, 1, "-2"))),
+            ("0", ((1, -1, "3"), (-1, 1, "0"))),
+            ("0", ((1, -1, "2"), (-1, 1, "-1"))),
+            ("0", ((1, -1, "1"), (-1, 1, "-2"))),
+            ("0", ((1, -1, "0"), (-1, 1, "-3"))),
+        ),
+        (  # I4
+            ("0", ((1, -1, "0"), (-1, 1, "0"))),
+            ("0", ((1, -1, "-2"), (-1, 1, "0"))),
+            ("0", ((1, -1, "0"), (-1, 1, "-2"))),
+            ("0", ((1, -1, "-4"), (-1, 1, "0"))),
+            ("0", ((1, -1, "-4"), (-1, 1, "-4"))),
+            ("0", ((1, -1, "0"), (-1, 1, "-4"))),
+            ("0", ((1, -1, "-6"), (-1, 1, "0"))),
+            ("0", ((1, -1, "-8"), (-1, 1, "-6"))),
+            ("0", ((1, -1, "-6"), (-1, 1, "-8"))),
+            ("0", ((1, -1, "0"), (-1, 1, "-6"))),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_action_relations_golden(case):
+    params = _params(case)
+    relations = action_relations(params)
+    assert len(relations) == len(GOLDEN_ACTIONS[case])
+    for rel, rows in zip(relations, GOLDEN_ACTIONS[case]):
+        for (m, n), (coeff, neighbors) in zip(ACTION_NODES, rows):
+            assert rel.self_coeff(m, n) == F(coeff), (m, n)
+            assert rel.neighbors(m, n) == tuple((dm, dn, F(c)) for dm, dn, c in neighbors)
 
 
 # -- recurrence denominators ---------------------------------------------------------

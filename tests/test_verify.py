@@ -78,8 +78,8 @@ def leaky_relations(true_relations):
     """action_relations whose first relation also reads P_{m+1,n-1}, with a
     coefficient that is nonzero exactly where that point leaves the triangle."""
 
-    def relations(params, ops):
-        first, *rest = true_relations(params, ops)
+    def relations(params):
+        first, *rest = true_relations(params)
         leak = lambda m, n: first.neighbors(m, n) + ((1, -1, F(int(n == 0))),)
         return (dataclasses.replace(first, neighbors=leak), *rest)
 
@@ -153,6 +153,30 @@ def test_full_suite_skips_an_ix_to_i_image_that_breaks_the_validity_rule():
     assert "ix-to-i(skipped)" in names
     assert not any(name.startswith("ix-to-i(") and name != "ix-to-i(skipped)" for name in names)
     assert "ix-to-i(skipped)" not in [r.name for r in full_suite(CaseParams("IX", F(3)), 6).results]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_reports_at_beta_one(case):
+    # beta = 1 passes the validity rule, so the oracle builds; the raising
+    # operators of level 0 divide by beta+2N-1 = 0 (I-III, IX), and IX's
+    # generating-function normalization vanishes at (1,0).  Each is a failing
+    # entry with its error, next to the failing build-* entries, never an
+    # exception, here or in the mutation battery
+    expected = {"raising[L,R+x(N=0)]", "raising[L,R+y(N=0)]"}
+    if case == "IX":
+        expected.add("genfun")
+    kappas = [()] if case == "IX" else [(F(0), F(0)), (F(1, 3), F(-1, 5))]
+    for k in kappas:
+        params = CaseParams(case, F(1), *k)
+        report = full_suite(params, nmax=3, order=3)
+        failed = report.failures()
+        assert all("error" in f.detail for f in failed)
+        named = {f.name for f in failed if not f.name.startswith("build-")}
+        battery = mutation_battery(params, 3, catalog_operator_set(params))
+        if case in ("V", "VIII"):
+            assert report.passed and not battery
+        else:
+            assert named == expected
 
 
 def test_swap_symmetry_case_i():
