@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import ONE, X, Y, BivariatePoly, _Unreduced
 from .errors import ParameterError
-from .weyl import DiffOp, GenericOp
+from .weyl import DiffOp, GenericOp, Op
 
 CASES = ("I", "II", "III", "V", "VIII", "IX")
 
@@ -75,12 +75,6 @@ def eigenvalue(params: CaseParams, N: int) -> Fraction:
     return N * ((N - 1) * alpha(params.case_id) + params.beta)
 
 
-def _nonzero(value: Fraction | _Unreduced, name: str, context: str) -> Fraction | _Unreduced:
-    if not value:
-        raise ParameterError(f"{context}: denominator {name} vanishes")
-    return value
-
-
 def _denominator(
     factors: Sequence[tuple[str, Fraction | _Unreduced]], context: str
 ) -> Fraction | _Unreduced:
@@ -93,7 +87,9 @@ def _denominator(
     """
     den = 1
     for name, f in factors:
-        den *= _nonzero(f, name, context)
+        if not f:
+            raise ParameterError(f"{context}: denominator {name} vanishes")
+        den *= f
     return den
 
 
@@ -124,6 +120,11 @@ class GenericOperators(NamedTuple):
     edge index k, each times its structural denominator: (beta+2k)(beta+2k-1)
     for I-III, beta+2k-1 for IX, beta for V and VIII.  None marks an edge
     with no reduction.
+
+    raising_relation and quadratic_relations state the identities among L,
+    the I_k and the cleared R+ once, over this ring or at a parameter point.
+    verify specialises a record itself, so one with a field replaced (a
+    mutant) reaches every check and every level.
     """
 
     L: GenericOp
@@ -306,54 +307,86 @@ def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
     return tuple(op.at(params) for op in generic_operators(params.case_id).commuting)
 
 
+def raising_denominators(params: CaseParams, N: int) -> tuple[Fraction, Fraction]:
+    """The structural denominators of (R+x(N), R+y(N)) (see GenericOperators),
+    each checked: a vanishing one raises raising_ops' ParameterError."""
+    if N < 0:
+        raise ParameterError(f"N must be nonnegative, not {N}")
+    b, c = params.beta, params.case_id
+    if c in ("V", "VIII"):
+        return b * b, b  # beta != 0 is a rule of CaseParams
+    factors = [("beta+2N-1", b + 2 * N - 1)]
+    if c != "IX":
+        factors.append(("beta+2N", b + 2 * N))
+    return (_denominator(factors, f"case {c} raising operator at N={N}"),) * 2
+
+
 def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
     """The degree-N members (R+x, R+y) of the raising families.
 
     R+x maps P_{m,n} with m+n = N to P_{m+1,n}, and R+y to P_{m,n+1}.
     """
-    if N < 0:
-        raise ParameterError(f"N must be nonnegative, not {N}")
-    b, c = params.beta, params.case_id
-    if c in ("V", "VIII"):
-        dens = (b * b, b)  # beta != 0 is a rule of CaseParams
-    else:
-        factors = [("beta+2N-1", b + 2 * N - 1)]
-        if c != "IX":
-            factors.append(("beta+2N", b + 2 * N))
-        dens = (_denominator(factors, f"case {c} raising operator at N={N}"),) * 2
-    return tuple(op.at(params, N) * (1 / d) for op, d in zip(generic_operators(c).raising, dens))
+    ops = generic_operators(params.case_id).raising
+    return tuple(op.at(params, N) * (1 / d) for op, d in zip(ops, raising_denominators(params, N)))
 
 
-def raising_commutator_rhs(
-    params: CaseParams, N: int, axis: str, L: DiffOp, r: DiffOp
-) -> DiffOp:
-    """Right-hand side of the commutation relation satisfied by [L, r], where
-    L and r are the audited L and R+axis(N)."""
+_RING = (GenericOp({(0,) * 8: 1}), *(GenericOp.generator(index) for index in (0, 1, 4, 7)))
+
+
+def _ring(params: Optional[CaseParams], N: Optional[int]) -> tuple:
+    """1, x, y, beta and N, the symbols the relations below are written in:
+    _RING over Q[beta, kappa1, kappa2, N] when params is None, else DiffOps
+    equal to _RING's .at(params, N), built without specialising five operators."""
+    if params is None:
+        return _RING
+    one = DiffOp.identity()
+    return one, DiffOp.from_poly(X), DiffOp.from_poly(Y), params.beta * one, N * one
+
+
+def raising_relation(
+    case_id: str, axis: str, L: Op, r: Op, params: Optional[CaseParams] = None, N: Optional[int] = None
+) -> Op:
+    """The residual of the commutation relation of L and r = R+axis(N) times
+    its structural denominator (see GenericOperators), with nothing divided:
+    [L, r] is a front factor times L - lambda_N plus (lambda_{N+1} - lambda_N) r,
+    both cleared of the denominator.  L and r are GenericOps when params is
+    None, and the residual vanishes for every parameter triple and N; or
+    DiffOps specialised at (params, N), the sampled check."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    b = params.beta
-    c = params.case_id
-    lam = eigenvalue(params, N)
-    dlam = eigenvalue(params, N + 1) - lam
-    shifted = L - lam * DiffOp.identity()
-    if c == "VIII":
-        return b * r
-    if c == "V":
-        if axis == "x":
-            return b * r
-        return (1 / b) * shifted + b * r
-    front = {
-        ("I", "x"): 2 * X - ONE,
-        ("I", "y"): 2 * Y - ONE,
-        ("II", "x"): 2 * X,
-        ("II", "y"): 2 * Y - ONE,
-        ("III", "x"): 2 * X,
-        ("III", "y"): 2 * Y,
-        ("IX", "x"): 2 * X,
-        ("IX", "y"): 2 * Y,
-    }[(c, axis)]
-    den = _nonzero(b + 2 * N - 1, "beta+2N-1", f"case {c} commutator rhs at N={N}")
-    return (1 / den) * (DiffOp.from_poly(front) @ shifted) + dlam * r
+    one, x, y, b, n = _ring(params, N)
+    if case_id == "VIII" or (case_id, axis) == ("V", "x"):
+        return L.commutator(r) - b @ r
+    shifted = L - n @ ((n - one) * alpha(case_id) + b)
+    g, v = b + 2 * n, x if axis == "x" else y
+    if case_id == "V":
+        rhs = shifted + b @ r
+    elif case_id == "IX":
+        rhs = 2 * v @ shifted + g @ r
+    else:
+        front = 2 * v - one if (case_id, axis) in (("I", "x"), ("I", "y"), ("II", "y")) else 2 * v
+        rhs = g @ (front @ shifted + r)
+    return L.commutator(r) - rhs
+
+
+def quadratic_relations(
+    case_id: str, L: Op, commuting: Sequence[Op], params: Optional[CaseParams] = None
+) -> tuple[Op, Op]:
+    """The residuals of the two case IX quadratic relations among L and
+    I_1..I_4: GenericOps, zero for every beta, when params is None, or
+    DiffOps at params."""
+    if case_id != "IX":
+        raise ValueError("quadratic relations apply to case IX only")
+    one, _, _, b, _ = _ring(params, 0)  # the relations hold no N
+    i1, i2, i3, i4 = commuting
+    first = i1 + i2 + i3 @ i3 + L
+    second = (
+        2 * (i1 @ i2 + i2 @ i1)
+        - (b @ b - 4 * b - one) @ (i1 + i2)
+        - (b - one) @ (b - 5 * one) @ L
+        - i4 @ i4
+    )
+    return first, second
 
 
 def edge_operators(params: CaseParams) -> tuple[Optional[DiffOp], Optional[DiffOp]]:
@@ -626,26 +659,6 @@ def action_relations(params: CaseParams) -> tuple[ActionRelation, ...]:
             (lambda m, n: 0, lambda m, n: ((1, -1, (1 - b - 2 * m) * n), (-1, 1, (1 - b - 2 * n) * m))),
         )
     return tuple(ActionRelation(*row) for row in rows)
-
-
-def quadratic_relation_residuals(
-    params: CaseParams, L: DiffOp, ops: Sequence[DiffOp]
-) -> tuple[DiffOp, DiffOp]:
-    """The two case IX quadratic relations of L and the commuting operators
-    ops, each returned as a residual operator that must be the zero element
-    of the Weyl algebra."""
-    if params.case_id != "IX":
-        raise ValueError("quadratic relations apply to case IX only")
-    b = params.beta
-    i1, i2, i3, i4 = ops
-    first = i1 + i2 + (i3 @ i3) + L
-    second = (
-        2 * ((i1 @ i2) + (i2 @ i1))
-        - (b * b - 4 * b - 1) * (i1 + i2)
-        - (b - 1) * (b - 5) * L
-        - (i4 @ i4)
-    )
-    return (first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,25 @@ is diagnosable from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional
 
 from .algebra import BivariatePoly, Terms
 from .catalog import (
     CaseParams,
+    GenericOperators,
     STENCILS,
     action_relations,
-    commuting_ops,
     edge_operators,
     eigenvalue,
-    operator_L,
-    quadratic_relation_residuals,
-    raising_commutator_rhs,
-    raising_ops,
+    generic_operators,
+    quadratic_relations,
+    raising_denominators,
+    raising_relation,
 )
-from .errors import KspolyError, StencilError, TransferError
+from .errors import KspolyError, ParameterError, StencilError, TransferError
 from .series import (
     GENFUN_CASES,
     extract_polys,
@@ -34,9 +34,7 @@ from .series import (
     genfun_derivative_residuals,
 )
 from .triangle import BUILDERS, AccessLog, Triangle, build_oracle, stencil_sum
-from .weyl import DiffOp, GenericOp
-
-Op = TypeVar("Op", DiffOp, GenericOp)
+from .weyl import DiffOp, GenericOp, Op
 
 
 @dataclass
@@ -109,24 +107,6 @@ class VerificationReport:
         p = self.params
         checks = [r.to_json(p.case_id, p) for r in sorted(self.results, key=lambda r: r.name)]
         return {"checks": checks, "passed": self.passed}
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """The operators one verification run audits: the catalog's, or a
-    perturbed copy of them for mutation tests."""
-
-    L: DiffOp
-    commuting: tuple[DiffOp, ...]
-    raising: Callable[[int], tuple[DiffOp, DiffOp]]
-
-
-def catalog_operator_set(params: CaseParams) -> OperatorSet:
-    return OperatorSet(
-        operator_L(params),
-        commuting_ops(params),
-        lambda N: raising_ops(params, N),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,39 +260,42 @@ def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> Verification
 
 
 def check_operator_identities(
-    params: CaseParams, nmax: int, ops: OperatorSet
+    params: CaseParams, nmax: int, ops: GenericOperators
 ) -> VerificationReport:
-    """Commuting relations, raising commutators for N = 0..nmax, and the
-    case IX quadratic relations, all as exact zero Weyl elements.  A level
-    whose raising operators do not exist (a vanishing denominator) records
-    its two raising entries as failing, with the error."""
+    """The commuting relations, the raising relations for N = 0..nmax and the
+    case IX quadratic relations of the record ops, specialised at params, all
+    as exact zero Weyl elements.  A level whose raising operators do not exist
+    (a vanishing structural denominator) records its two raising entries as
+    failing, with raising_ops' error."""
     report = VerificationReport(params)
-    L = ops.L
-    for idx, ik in enumerate(ops.commuting, start=1):
+    c = params.case_id
+    L = ops.L.at(params)
+    commuting = tuple(op.at(params) for op in ops.commuting)
+    for idx, ik in enumerate(commuting, start=1):
         report.expect_zero(f"commuting[L,I{idx}]", L.commutator(ik))
     for N in range(nmax + 1):
         try:
-            pair = ops.raising(N)
-        except KspolyError as exc:
+            raising_denominators(params, N)
+        except ParameterError as exc:
             for axis in "xy":
                 report.add(f"raising[L,R+{axis}(N={N})]", False, {"error": str(exc)})
             continue
-        for axis, r in zip("xy", pair):
-            rhs = raising_commutator_rhs(params, N, axis, L, r)
-            report.expect_zero(f"raising[L,R+{axis}(N={N})]", L.commutator(r) - rhs)
-    if params.case_id == "IX":
-        q1, q2 = quadratic_relation_residuals(params, L, ops.commuting)
-        report.expect_zero("quadratic-1", q1)
-        report.expect_zero("quadratic-2", q2)
+        for axis, r in zip("xy", ops.raising):
+            residual = raising_relation(c, axis, L, r.at(params, N), params, N)
+            report.expect_zero(f"raising[L,R+{axis}(N={N})]", residual)
+    if c == "IX":
+        for k, residual in enumerate(quadratic_relations(c, L, commuting, params), start=1):
+            report.expect_zero(f"quadratic-{k}", residual)
     return report
 
 
-def check_operators(t: Triangle, ops: OperatorSet) -> VerificationReport:
-    """Every check that audits an operator set: eigen and action formulas on
-    the table t, and the operator identities up to t.nmax.  full_suite runs
-    it on the catalog's set, mutation_battery on perturbed ones."""
-    report = check_eigen(t, ops.L)
-    report.extend(check_action_formulas(t, ops.commuting))
+def check_operators(t: Triangle, ops: GenericOperators) -> VerificationReport:
+    """Every check that audits an operator record: eigen and action formulas
+    on the table t, with the record's L and I_k specialised at t.params, and
+    the operator identities up to t.nmax.  full_suite runs it on the
+    catalog's record, mutation_battery on perturbed ones."""
+    report = check_eigen(t, ops.L.at(t.params))
+    report.extend(check_action_formulas(t, tuple(op.at(t.params) for op in ops.commuting)))
     report.extend(check_operator_identities(t.params, t.nmax, ops))
     return report
 
@@ -375,40 +358,33 @@ def perturb_term(op: Op, index: int) -> Op:
     return op + type(op)({key: 1})
 
 
-def mutated_operator_set(
-    params: CaseParams, rng: Random, nmax: int
-) -> tuple[OperatorSet, str]:
-    """A catalog operator set with a single +1 coefficient perturbation."""
-    base = catalog_operator_set(params)
-    targets = ["L"] + [f"I{k + 1}" for k in range(len(base.commuting))] + ["Rx", "Ry"]
-    choice = rng.choice(targets)
-    if choice == "L":
-        mutated = replace(base, L=perturb_term(base.L, rng.randrange(100)))
-    elif choice.startswith("I"):
-        commuting = list(base.commuting)
-        idx = int(choice[1:]) - 1
-        commuting[idx] = perturb_term(commuting[idx], rng.randrange(100))
-        mutated = replace(base, commuting=tuple(commuting))
-    else:
-        n0 = rng.randrange(nmax + 1)
-        axis = 0 if choice == "Rx" else 1
-        term_index = rng.randrange(100)
-
-        def raising(N: int):
-            pair = list(base.raising(N))
-            if N == n0:
-                pair[axis] = perturb_term(pair[axis], term_index)
-            return tuple(pair)
-
-        mutated = replace(base, raising=raising)
-        choice = f"R+{choice[1]}(N={n0})"
-    return mutated, f"{choice} term perturbed ({params.case_id})"
+def perturb_source(ops: GenericOperators, position: int, index: int) -> GenericOperators:
+    """The record ops with perturb_term(op, index) in place of the op at
+    position in (L, I_1, ..., I_k, R+x, R+y)."""
+    sources = [ops.L, *ops.commuting, *ops.raising]
+    sources[position] = perturb_term(sources[position], index)
+    return ops._replace(L=sources[0], commuting=tuple(sources[1:-2]), raising=tuple(sources[-2:]))
 
 
-def mutation_battery(params: CaseParams, nmax: int, ops: OperatorSet) -> bool:
-    """True if check_operators fails for the (possibly perturbed) operator
-    set ops against the oracle table."""
-    return not check_operators(build_oracle(params, nmax), ops).passed
+def mutated_operator_set(case_id: str, rng: Random) -> tuple[GenericOperators, str]:
+    """The case's generic record with a single +1 coefficient perturbation of
+    L, an I_k, R+x or R+y, which then reaches every level it is specialised at."""
+    base = generic_operators(case_id)
+    names = ["L", *(f"I{k + 1}" for k in range(len(base.commuting))), "R+x", "R+y"]
+    position = rng.randrange(len(names))
+    mutated = perturb_source(base, position, rng.randrange(100))
+    return mutated, f"{names[position]} term perturbed ({case_id})"
+
+
+def mutation_battery(params: CaseParams, nmax: int, ops: GenericOperators) -> bool:
+    """True if check_operators, against the oracle table, fails some entry for
+    the (possibly perturbed) record ops that it passes for the catalog's own:
+    an entry that cannot be formed (at beta = 1, the level-0 raising
+    relations) catches no mutant."""
+    oracle = build_oracle(params, nmax)
+    baseline = check_operators(oracle, generic_operators(params.case_id))
+    passing = {r.name for r in baseline.results if r.passed}
+    return any(r.name in passing for r in check_operators(oracle, ops).failures())
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +417,7 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
             report.add(f"build-{name}", False, {"error": str(exc)})
         else:
             report.add(f"agreement[{name}]", t.same_polys(oracle))
-    report.extend(check_operators(oracle, catalog_operator_set(params)))
+    report.extend(check_operators(oracle, generic_operators(params.case_id)))
     report.extend(check_monic(oracle))
     report.extend(check_edge_ode(oracle))
     report.extend(check_recurrence_stencil(params, stencil_log))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, TypeVar
 
 from .algebra import BivariatePoly, Scalar, Terms, drop_zeros, signed_sum
 
@@ -235,3 +235,7 @@ class GenericOp(Terms):
     def __str__(self) -> str:
         symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2", "N")
         return signed_sum(self.lowest_terms(), symbols, join="*")
+
+
+# an operator over either coefficient ring
+Op = TypeVar("Op", DiffOp, GenericOp)

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 import kspoly
+from kspoly import catalog
 from kspoly.algebra import ONE, X, Y, BivariatePoly
 from kspoly.catalog import (
     CASES,
@@ -22,8 +23,9 @@ from kspoly.catalog import (
     eigenvalue,
     generic_operators,
     operator_L,
-    raising_commutator_rhs,
+    quadratic_relations,
     raising_ops,
+    raising_relation,
     recurrence_step,
     sample_params,
 )
@@ -474,45 +476,20 @@ def test_generic_commuting_ops_commute_with_L(case):
         assert source.L.commutator(ik).is_zero(), f"I{k}"
 
 
-# 1, x, y, d_x, d_y, beta and N over Q[beta, kappa1, kappa2, N]
-G_ONE = GenericOp({(0,) * 8: 1})
-G_X, G_Y, G_DX, G_DY, G_BETA, G_N = (GenericOp.generator(index) for index in (0, 1, 2, 3, 4, 7))
-
-# the multiplier of L - lambda_N in [L, R+], per axis
-FRONTS = {
-    "I": (2 * G_X - G_ONE, 2 * G_Y - G_ONE),
-    "II": (2 * G_X, 2 * G_Y - G_ONE),
-    "III": (2 * G_X, 2 * G_Y),
-    "IX": (2 * G_X, 2 * G_Y),
-}
-
-
-def raising_relation_residual(case, axis, r):
-    """[L, r] minus the right-hand side of the relation of the cleared R+axis
-    r = D R+axis(N), with lambda_N = N((N-1)alpha + beta)."""
-    L = generic_operators(case).L
-    shifted = L - G_N @ ((G_N - G_ONE) * alpha(case) + G_BETA)
-    g = G_BETA + 2 * G_N
-    if case in ("I", "II", "III"):
-        rhs = g @ (FRONTS[case][axis == "y"] @ shifted + r)
-    elif case == "IX":
-        rhs = FRONTS[case][axis == "y"] @ shifted + g @ r
-    elif (case, axis) == ("V", "y"):
-        rhs = shifted + G_BETA @ r
-    else:
-        rhs = G_BETA @ r
-    return L.commutator(r) - rhs
+# 1 and beta over Q[beta, kappa1, kappa2, N]
+G_ONE, G_BETA = GenericOp({(0,) * 8: 1}), GenericOp.generator(4)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_raising_relations_hold_for_all_parameters_and_N(case):
     # one composition over Q[beta, kappa1, kappa2, N] per relation; +1 on
     # any term of the cleared operator breaks it
+    L = generic_operators(case).L
     for axis, r in zip("xy", generic_operators(case).raising):
-        assert raising_relation_residual(case, axis, r).is_zero(), axis
+        assert raising_relation(case, axis, L, r).is_zero(), axis
         for index in range(len(r)):
             mutant = perturb_term(r, index)
-            assert not raising_relation_residual(case, axis, mutant).is_zero(), (axis, index)
+            assert not raising_relation(case, axis, L, mutant).is_zero(), (axis, index)
 
 
 def _without_derivative(op, field):
@@ -533,29 +510,17 @@ def test_edge_ladders_are_raising_ops_without_cross_derivatives(case):
         assert _without_derivative(r, cross) == scale @ ladder, axis
 
 
-def ix_quadratic_residuals(L, i1, i2, i3, i4):
-    """The two case IX quadratic relations over Q[beta], as residuals."""
-    first = i1 + i2 + i3 @ i3 + L
-    second = (
-        2 * (i1 @ i2 + i2 @ i1)
-        - (G_BETA @ G_BETA - 4 * G_BETA - G_ONE) @ (i1 + i2)
-        - (G_BETA - G_ONE) @ (G_BETA - 5 * G_ONE) @ L
-        - i4 @ i4
-    )
-    return first, second
-
-
 def test_ix_quadratic_relations_hold_for_all_beta():
     # each relation is one composition over Q[beta]; +1 on any stored term of
     # L or an I_k breaks at least one of them
     source = generic_operators("IX")
     ops = (source.L, *source.commuting)
-    assert all(residual.is_zero() for residual in ix_quadratic_residuals(*ops))
+    assert all(residual.is_zero() for residual in quadratic_relations("IX", ops[0], ops[1:]))
     mutants = 0
     for position, op in enumerate(ops):
         for index in range(len(op)):
             mutated = ops[:position] + (perturb_term(op, index),) + ops[position + 1:]
-            residuals = ix_quadratic_residuals(*mutated)
+            residuals = quadratic_relations("IX", mutated[0], mutated[1:])
             assert not all(r.is_zero() for r in residuals), (position, index)
             mutants += 1
     assert mutants == 26
@@ -883,24 +848,40 @@ def test_negative_edge_ladder_index_is_a_parameter_error(axis):
 
 
 def test_commutator_rhs_viii_is_scaled_raising():
+    # case VIII's relations are homogeneous in R+: they hold for the divided
+    # raising operators, and for any multiple of them, as for the cleared ones
     params = P2["VIII"]
     L = operator_L(params)
     for N in range(4):
-        rx, ry = raising_ops(params, N)
-        assert raising_commutator_rhs(params, N, "x", L, rx) == 2 * rx
-        assert raising_commutator_rhs(params, N, "y", L, ry) == 2 * ry
+        for axis, r in zip("xy", raising_ops(params, N)):
+            for scale in (1, 3, F(-2, 7)):
+                assert raising_relation("VIII", axis, L, scale * r, params, N).is_zero(), (N, axis)
+    # the cleared form of the other cases is not homogeneous
+    p = P2["I"]
+    assert not raising_relation("I", "x", operator_L(p), raising_ops(p, 1)[0], p, 1).is_zero()
 
 
 def test_raising_commutators_hold():
+    # the sampled relation runs on raising_ops times the denominators above
     rng = random.Random(23)
     for case in CASES:
         params = sample_params(case, rng)
         L = operator_L(params)
         for N in range(7):
-            rx, ry = raising_ops(params, N)
-            for axis, r in (("x", rx), ("y", ry)):
-                rhs = raising_commutator_rhs(params, N, axis, L, r)
-                assert L.commutator(r) == rhs, (case, N, axis)
+            # the numeric ring is the generic one specialised at (params, N)
+            assert catalog._ring(params, N) == tuple(s.at(params, N) for s in catalog._RING)
+            pair = zip("xy", raising_ops(params, N), raising_denominators(case, params.beta, N))
+            for axis, r, den in pair:
+                residual = raising_relation(case, axis, L, den * r, params, N)
+                assert residual.is_zero(), (case, N, axis)
+
+
+def test_relations_reject_an_unknown_axis_and_a_non_ix_quadratic_call():
+    source = generic_operators("I")
+    with pytest.raises(ValueError, match="unknown axis 'z'"):
+        raising_relation("I", "z", source.L, source.raising[0])
+    with pytest.raises(ValueError, match="case IX only"):
+        quadratic_relations("I", source.L, source.commuting)
 
 
 # -- edge operators ------------------------------------------------------------

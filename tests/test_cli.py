@@ -204,9 +204,11 @@ def test_check_unknown_case(capsys):
 
 def test_check_detects_corrupted_catalog(monkeypatch):
     # corrupt the L the verifier audits; the builders keep the true tables
-    true_L = kspoly.verify.operator_L
+    true_source = kspoly.verify.generic_operators
     monkeypatch.setattr(
-        kspoly.verify, "operator_L", lambda p: perturb_term(true_L(p), 0)
+        kspoly.verify,
+        "generic_operators",
+        lambda case: true_source(case)._replace(L=perturb_term(true_source(case).L, 0)),
     )
     code = run("check", "--case", "I", "--nmax", "3", "--order", "3",
                "--trials", "1", "--seed", "1")

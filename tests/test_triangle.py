@@ -546,7 +546,7 @@ def test_dumps_json_matches_stdlib_on_tables_and_reports(case):
             assert_stdlib_layout(triangle_to_json(build(params, 4)))
     assert_stdlib_layout(full_suite(params, 3, 3).to_json())
     # failing reports carry residual records in their details
-    ops, _ = mutated_operator_set(params, random.Random(case), 3)
+    ops, _ = mutated_operator_set(case, random.Random(case))
     report = check_operators(build_oracle(params, 3), ops)
     assert not report.passed
     assert_stdlib_layout({"reports": [report.to_json()], "passed": False})

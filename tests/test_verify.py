@@ -19,7 +19,6 @@ from kspoly.catalog import (
 from kspoly.errors import StencilError
 from kspoly.triangle import build_oracle, build_recurrence, build_transfer
 from kspoly.verify import (
-    catalog_operator_set,
     certify_commutator,
     certify_parameter_polynomial_identity,
     check_action_formulas,
@@ -34,6 +33,7 @@ from kspoly.verify import (
     full_suite,
     mutated_operator_set,
     mutation_battery,
+    perturb_source,
     perturb_term,
 )
 from kspoly.weyl import DiffOp, GenericOp
@@ -161,7 +161,8 @@ def test_full_suite_reports_at_beta_one(case):
     # operators of level 0 divide by beta+2N-1 = 0 (I-III, IX), and IX's
     # generating-function normalization vanishes at (1,0).  Each is a failing
     # entry with its error, next to the failing build-* entries, never an
-    # exception, here or in the mutation battery
+    # exception, here or in the mutation battery, which catches no mutation
+    # in the unmutated record and still catches one in the last term of L
     expected = {"raising[L,R+x(N=0)]", "raising[L,R+y(N=0)]"}
     if case == "IX":
         expected.add("genfun")
@@ -172,9 +173,10 @@ def test_full_suite_reports_at_beta_one(case):
         failed = report.failures()
         assert all("error" in f.detail for f in failed)
         named = {f.name for f in failed if not f.name.startswith("build-")}
-        battery = mutation_battery(params, 3, catalog_operator_set(params))
+        assert not mutation_battery(params, 3, generic_operators(case))
+        assert mutation_battery(params, 3, perturb_source(generic_operators(case), 0, -1))
         if case in ("V", "VIII"):
-            assert report.passed and not battery
+            assert report.passed
         else:
             assert named == expected
 
@@ -233,12 +235,12 @@ def test_full_suite_audits_the_recurrence_access_log(case, axis, lead, monkeypat
 @pytest.mark.parametrize("case", CASES)
 def test_full_suite_audits_one_operator_set(case, monkeypatch):
     # a perturbed I1 must reach the action-formula checks as well as the
-    # commutator checks: every check audits the same operator set
-    def perturbed(params):
-        ops = commuting_ops(params)
-        return (perturb_term(ops[0], 0),) + ops[1:]
+    # commutator checks: every check audits the same operator record
+    def perturbed(c):
+        ops = generic_operators(c).commuting
+        return generic_operators(c)._replace(commuting=(perturb_term(ops[0], 0),) + ops[1:])
 
-    monkeypatch.setattr(kspoly.verify, "commuting_ops", perturbed)
+    monkeypatch.setattr(kspoly.verify, "generic_operators", perturbed)
     params = sample_params(case, random.Random(5))
     failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
     assert "commuting[L,I1]" in failed
@@ -248,7 +250,8 @@ def test_full_suite_audits_one_operator_set(case, monkeypatch):
 @pytest.mark.parametrize("case", CASES)
 def test_full_suite_runs_the_generic_operators(case, monkeypatch):
     # L and the I_k have one source: a perturbed generic operator reaches
-    # every builder and check through operator_L and commuting_ops
+    # every builder through operator_L and commuting_ops, and every check
+    # through the record the audit specialises
     true_source = catalog.generic_operators
     params = sample_params(case, random.Random(5))
 
@@ -264,11 +267,13 @@ def test_full_suite_runs_the_generic_operators(case, monkeypatch):
         ops = true_source(c).commuting
         return true_source(c)._replace(commuting=(perturb_term(ops[0], 0),) + ops[1:])
 
-    monkeypatch.setattr(catalog, "generic_operators", perturbed_L)
+    for module in (catalog, kspoly.verify):
+        monkeypatch.setattr(module, "generic_operators", perturbed_L)
     failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
     assert any(name.startswith(("agreement[", "eigen[")) for name in failed), failed
 
-    monkeypatch.setattr(catalog, "generic_operators", perturbed_i1)
+    for module in (catalog, kspoly.verify):
+        monkeypatch.setattr(module, "generic_operators", perturbed_i1)
     failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
     assert any(name.startswith("action-I1(") for name in failed), failed
 
@@ -279,17 +284,37 @@ def test_full_suite_runs_the_generic_operators(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_full_suite_builds_operator_L_once(case, monkeypatch):
+def test_full_suite_specialises_the_audited_record(case, monkeypatch):
+    # the audit builds no catalog operator: it specialises the one record at
+    # the suite's parameters, L and each I_k once for the table checks and
+    # once for the identities, and R+x, R+y once per level
     calls = []
 
-    def counted(params):
-        calls.append(params)
-        return operator_L(params)
+    class Counted(GenericOp):
+        __slots__ = ("name",)
 
-    monkeypatch.setattr(kspoly.verify, "operator_L", counted)
+        def at(self, params, N=None):
+            calls.append((self.name, params, N))
+            return super().at(params, N)
+
+    def counted(name, op):
+        out = Counted(dict(op.items()))
+        out.name = name
+        return out
+
+    source = generic_operators(case)
+    record = source._replace(
+        L=counted("L", source.L),
+        commuting=tuple(counted(f"I{k + 1}", op) for k, op in enumerate(source.commuting)),
+        raising=tuple(counted(f"R+{axis}", op) for axis, op in zip("xy", source.raising)),
+    )
+    monkeypatch.setattr(kspoly.verify, "generic_operators", lambda c: record)
     params = sample_params(case, random.Random(5))
     assert full_suite(params, nmax=3, order=3).passed
-    assert len(calls) == 1
+    names = ["L"] + [f"I{k + 1}" for k in range(len(source.commuting))]
+    expected = [(name, params, None) for name in names] * 2
+    expected += [(f"R+{axis}", params, N) for N in range(4) for axis in "xy"]
+    assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
 
 def test_report_json_shape():
@@ -350,10 +375,10 @@ def test_certify_detects_perturbation():
 
 
 def test_certify_case_ix_quadratic():
-    from kspoly.catalog import quadratic_relation_residuals
+    from kspoly.catalog import quadratic_relations
 
     result = certify_parameter_polynomial_identity(
-        lambda q: quadratic_relation_residuals(q, operator_L(q), commuting_ops(q))[1],
+        lambda q: quadratic_relations("IX", operator_L(q), commuting_ops(q), q)[1],
         "IX",
         "quadratic-2",
         degree_bound=8,
@@ -408,7 +433,7 @@ def test_certify_evaluates_no_grid_point(case, monkeypatch):
     monkeypatch.setattr(CaseParams, "__post_init__", forbidden)
     monkeypatch.setattr(catalog, "operator_L", forbidden)
     monkeypatch.setattr(catalog, "commuting_ops", forbidden)
-    monkeypatch.setattr(kspoly.verify, "operator_L", forbidden)
+    monkeypatch.setattr(GenericOp, "at", forbidden)
     monkeypatch.setattr(kspoly.verify, "certify_parameter_polynomial_identity", forbidden)
     monkeypatch.setattr(DiffOp, "__matmul__", forbidden)
     result = certify_commutator(generic_operators(case).L, _generic_i1(case), "[L,I1]=0")
@@ -476,7 +501,7 @@ def test_unmutated_battery_is_clean():
     rng = random.Random(13)
     for case in CASES:
         params = sample_params(case, rng)
-        assert not mutation_battery(params, 3, catalog_operator_set(params))
+        assert not mutation_battery(params, 3, generic_operators(case))
 
 
 def test_mutations_are_detected():
@@ -484,8 +509,23 @@ def test_mutations_are_detected():
     for _ in range(12):
         case = rng.choice(CASES)
         params = sample_params(case, rng)
-        ops, description = mutated_operator_set(params, rng, 3)
+        ops, description = mutated_operator_set(case, rng)
         assert mutation_battery(params, 3, ops), description
+
+
+def test_mutant_census():
+    # every single-term +1 mutant of every generic L, I_k, R+x and R+y, at
+    # one fixed sample per case, fails an entry the catalog's record passes
+    mutants = 0
+    for case in CASES:
+        params = sample_params(case, random.Random(f"census/{case}"))
+        source = generic_operators(case)
+        for position, op in enumerate((source.L, *source.commuting, *source.raising)):
+            for index in range(len(op)):
+                ops = perturb_source(source, position, index)
+                assert mutation_battery(params, 3, ops), (case, position, index)
+                mutants += 1
+    assert mutants == 268
 
 
 def test_parity_failure_carries_the_entry():
@@ -529,7 +569,7 @@ def test_failure_details_shadow_no_entry_key(monkeypatch):
     # every kind of failure detail is written into its report entry as is,
     # beside (never over) check, case, params and status
     params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
-    ops = dataclasses.replace(catalog_operator_set(params), L=perturb_term(operator_L(params), 0))
+    ops = generic_operators("I")._replace(L=perturb_term(generic_operators("I").L, 0))
     failures = check_operators(build_oracle(params, 3), ops).failures()
     failures += check_recurrence_stencil(params, [("x", (5, 5))]).failures()
     failures.append(certify_parameter_polynomial_identity(
