@@ -381,6 +381,17 @@ class BivariatePoly(Terms):
             i + j < m + n for (i, j) in self._num if (i, j) != (m, n)
         )
 
+    def to_records(self) -> list[dict[str, object]]:
+        """Terms.to_records for the table entries, with literal records, which
+        the shared dict(zip(...), c=...) construction cannot give; the order
+        of term_order, sorted on decorated (i + j, j) tuples."""
+        den = self._den
+        return [
+            {"i": i, "j": j, "c": str(c // g) if g == den else f"{c // g}/{den // g}"}
+            for _, j, i, c in sorted([(i + j, j, i, c) for (i, j), c in self._num.items()])
+            for g in (gcd(c, den),)
+        ]
+
     # -- arithmetic --------------------------------------------------------
 
     __add__ = Terms._add

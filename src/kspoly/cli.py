@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from random import Random
 
@@ -53,7 +54,10 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="kspoly",
         description="Exact bivariate Krall-Sheffer polynomial tables and "

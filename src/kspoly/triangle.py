@@ -16,6 +16,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
 from math import gcd
 from typing import Iterable
@@ -413,9 +414,15 @@ def dumps_json(doc: dict) -> str:
 
     The text is json.dumps(doc, indent=2) + "\\n", byte for byte, written
     directly (with indent set, the stdlib runs its pure-Python encoder).
+    A record list, a non-empty list or tuple of plain dicts that all have
+    the same str keys in the same order and only str and int (not bool)
+    values, such as the terms of a table entry, is written in one step
+    through a %-template for one record, built once per document for each
+    tuple of keys and depth.  Any other list, and every other value, falls
+    back to the item-by-item writer.
     """
     chunks: list[str] = []
-    _write_json(doc, chunks, "\n")
+    _write_json(doc, chunks, "\n", {})
     chunks.append("\n")
     return "".join(chunks)
 
@@ -423,10 +430,11 @@ def dumps_json(doc: dict) -> str:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _write_json(value: object, out: list[str], newline: str) -> None:
+def _write_json(value: object, out: list[str], newline: str, templates: dict) -> None:
     # newline is "\n" plus the indent of value's own level; str, int, bool,
     # None, lists, tuples and str-keyed dicts are written here, anything else
-    # by the stdlib, re-indented to this level
+    # by the stdlib, re-indented to this level; templates holds this
+    # document's record templates by (keys, newline)
     kind = type(value)
     if kind is str:
         out.append(_encode_str(value))
@@ -435,11 +443,15 @@ def _write_json(value: object, out: list[str], newline: str) -> None:
     elif value is None or kind is bool:
         out.append(_JSON_CONSTANTS[value])
     elif (kind is list or kind is tuple) and value:
+        text = _record_list(value, newline, templates) if type(value[0]) is dict else None
+        if text is not None:
+            out.append(text)
+            return
         inner = newline + "  "
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, out, inner)
+            _write_json(item, out, inner, templates)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is dict and value:
@@ -452,11 +464,45 @@ def _write_json(value: object, out: list[str], newline: str) -> None:
                 out.append(json.dumps(value, indent=2).replace("\n", newline))
                 return
             out.append(sep + _encode_str(key) + ": ")
-            _write_json(item, out, inner)
+            _write_json(item, out, inner, templates)
             sep = "," + inner
         out.append(newline + "}")
     else:  # empty containers, floats, subclasses
         out.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
+def _record_list(records: list | tuple, newline: str, templates: dict) -> str | None:
+    # the text of a record list (see dumps_json), or None for any other list
+    if set(map(type, records)) != {dict}:
+        return None
+    keys = tuple(records[0])
+    # no dict repeats a key, so when the keys of all records, end to end,
+    # repeat the first record's, every record has exactly those, in order
+    if list(chain.from_iterable(records)) != list(keys) * len(records):
+        return None
+    width = len(keys)
+    values = list(chain.from_iterable(map(dict.values, records)))
+    for index in range(width):  # %s writes an int as JSON does; a str is encoded
+        column = values[index::width]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            values[index::width] = map(_encode_str, column)
+        elif kinds == {int, str}:
+            values[index::width] = [_encode_str(v) if type(v) is str else v for v in column]
+        elif kinds != {int}:
+            return None
+    inner = newline + "  "
+    record = templates.get((keys, newline))
+    if record is None:
+        if set(map(type, keys)) != {str}:
+            return None
+        field = "," + inner + "  "
+        record = templates[keys, newline] = (
+            "{" + inner + "  "
+            + field.join([_encode_str(key).replace("%", "%%") + ": %s" for key in keys])
+            + inner + "}"
+        )
+    return ("[" + inner + ("," + inner).join([record] * len(records)) + newline + "]") % tuple(values)
 
 
 def triangle_to_csv(t: Triangle) -> str:

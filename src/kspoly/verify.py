@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .algebra import BivariatePoly, Terms
 from .catalog import (
@@ -376,15 +376,21 @@ def mutated_operator_set(case_id: str, rng: Random) -> tuple[GenericOperators, s
     return mutated, f"{names[position]} term perturbed ({case_id})"
 
 
-def mutation_battery(params: CaseParams, nmax: int, ops: GenericOperators) -> bool:
-    """True if check_operators, against the oracle table, fails some entry for
-    the (possibly perturbed) record ops that it passes for the catalog's own:
-    an entry that cannot be formed (at beta = 1, the level-0 raising
-    relations) catches no mutant."""
+def mutation_battery(
+    params: CaseParams, nmax: int, records: Sequence[GenericOperators]
+) -> list[bool]:
+    """One bool per (possibly perturbed) operator record: True if
+    check_operators, against the oracle table, fails some entry for it that
+    it passes for the catalog's own record.  An entry that cannot be formed
+    (at beta = 1, the level-0 raising relations) catches no mutant.  The
+    oracle and the catalog's baseline are built once for all the records."""
     oracle = build_oracle(params, nmax)
     baseline = check_operators(oracle, generic_operators(params.case_id))
     passing = {r.name for r in baseline.results if r.passed}
-    return any(r.name in passing for r in check_operators(oracle, ops).failures())
+    return [
+        any(r.name in passing for r in check_operators(oracle, ops).failures())
+        for ops in records
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,6 @@ def test_criterion_9_mutation_sensitivity():
             case = rng.choice(CASES)
             p = sample_params(case, rng)
             ops, description = mutated_operator_set(case, rng)
-            assert mutation_battery(p, 4, ops), description
+            assert mutation_battery(p, 4, [ops]) == [True], description
 
     run_criterion(9, "a +1 coefficient perturbation always trips a check", body)

@@ -12,6 +12,7 @@ from kspoly.algebra import (
     BivariatePoly,
     _Unreduced,
     parse_rational,
+    rational_text,
     rising_factorial,
 )
 from kspoly.series import Series2
@@ -456,6 +457,38 @@ def test_records_print_coefficients_as_str_fraction():
 def test_records_match_str_of_fraction(p):
     assert [r["c"] for r in p.to_records()] == [str(c) for _, c in p.items()]
     assert BivariatePoly.from_records(p.to_records()) == p
+
+
+# integer, negative and zero coefficients, and sums that cancel to zero
+record_coeffs = st.one_of(rationals, st.integers(-(10**30), 10**30), st.just(0))
+
+
+def terms_of(cls, arity, build=None):
+    keys = st.tuples(*[st.integers(0, 3)] * arity)
+    maps = st.dictionaries(keys, record_coeffs, max_size=6)
+    values = maps.map(build or cls)
+    return st.one_of(values, st.tuples(values, values).map(lambda ab: ab[0] - ab[1]))
+
+
+@given(
+    st.one_of(
+        terms_of(BivariatePoly, 2),
+        terms_of(DiffOp, 4),
+        terms_of(GenericOp, 8),
+        terms_of(Series2, 4, lambda terms: Series2(6, terms)),
+    )
+)
+def test_records_are_the_lowest_terms_records(value):
+    # the reference construction of the records, which a subclass's faster
+    # to_records must reproduce, dict key order included
+    want = [dict(zip(value.FIELDS, key), c=rational_text(p, q)) for key, p, q in value.lowest_terms()]
+    got = value.to_records()
+    assert got == want
+    assert [list(r) for r in got] == [list(r) for r in want]
+    if isinstance(value, Series2):
+        assert Series2.from_records(value.order, got) == value
+    else:
+        assert type(value).from_records(got) == value
 
 
 @pytest.mark.parametrize(

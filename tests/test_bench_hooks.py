@@ -35,11 +35,14 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
 
     originals = {(cls, attr): cls.__dict__[attr] for cls, attr in PATCHED}
     build_oracle = triangle.build_oracle
+    dumps_json = triangle.dumps_json
     tracer = Tracer()
     uninstall = install(tracer)
     try:
         params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
         oracle = triangle.build_oracle(params, 3)
+        # the table text, through the two names the tracer rebinds
+        text = triangle.dumps_json(triangle.triangle_to_json(oracle))
         # the oracle reads L's memo directly, so apply is called here
         operator_L(params).apply(oracle.entry(2, 1))
         operator_L(params).commutator(commuting_ops(params)[0])
@@ -73,7 +76,13 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         "triangle.transfer",
     ):
         assert tracer.calls[name] > 0, name
+    # one span each for triangle_to_json and dumps_json, and the benchmark's
+    # byte count is the text's length: a serializer that escaped the
+    # rebinding would read 0 here without any error
+    assert tracer.calls["triangle.serialize"] == 2
+    assert tracer.layer_metrics()["triangle.serialize.bytes"] == len(text)
     for (cls, attr), original in originals.items():
         assert cls.__dict__[attr] is original, (cls.__name__, attr)
     assert triangle.build_oracle is build_oracle
+    assert triangle.dumps_json is dumps_json
     assert triangle.BUILDERS["oracle"] is build_oracle

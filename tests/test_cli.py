@@ -26,6 +26,22 @@ def test_gen_json_contains_known_entry(tmp_path):
     ]
 
 
+def test_main_calls_in_a_row_parse_independently(tmp_path):
+    # the parser is built once per process; no option of one call reaches
+    # the next, whatever its subcommand
+    assert kspoly.cli.build_parser() is kspoly.cli.build_parser()
+    first, second, third = (tmp_path / name for name in ("a.csv", "report.json", "b.json"))
+    assert run("gen", "--case", "V", "--beta", "2", "--k1=-1/3", "--nmax", "2",
+               "--method", "recurrence", "--format", "csv", "--output", str(first)) == 0
+    assert run("check", "--case", "IX", "--trials", "1", "--nmax", "2", "--order", "2",
+               "--output", str(second)) == 0
+    assert run("gen", "--case", "V", "--beta", "2", "--nmax", "2", "--output", str(third)) == 0
+    assert first.read_text().startswith("m,n,i,j,c\n")
+    assert json.loads(second.read_text())["passed"] is True
+    doc = json.loads(third.read_text())
+    assert (doc["kappa1"], doc["method"], doc["nmax"]) == ("0", "oracle", 2)
+
+
 def test_gen_recurrence_row_powers(tmp_path):
     out = tmp_path / "t.json"
     code = run("gen", "--case", "V", "--beta", "2", "--k1", "0", "--k2", "0",

@@ -533,9 +533,88 @@ def test_dumps_json_matches_stdlib(doc):
     assert_stdlib_layout(doc)
 
 
-@pytest.mark.parametrize("doc", [{}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [-(2**70), 0.5]])
+@pytest.mark.parametrize(
+    "doc", [{}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [-(2**70), 0.5], [{}, {}], ({},)]
+)
 def test_dumps_json_matches_stdlib_examples(doc):
     assert_stdlib_layout(doc)
+
+
+# lists of dicts with one tuple of keys, which dumps_json writes as record
+# lists, and near misses of them, which it must write item by item
+class Record(dict):
+    # json.dumps writes a dict subclass through its own items()
+    def items(self):
+        return reversed(list(super().items()))
+
+
+record_keys = st.lists(
+    st.one_of(json_text, st.sampled_from(["", "%", "%s", "%(c)s", '"', "\\", "é", "\x00", "\x1f"])),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+record_columns = st.sampled_from([
+    st.integers(min_value=-(10**40), max_value=10**40),
+    json_text,
+    st.one_of(st.integers(), json_text),
+])
+odd_values = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([10**1000, -(10**4000)]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(json_text, st.integers(), max_size=2),
+)
+
+
+@st.composite
+def record_lists(draw):
+    keys = draw(record_keys)
+    columns = [draw(record_columns) for _ in keys]
+    records = [
+        {key: draw(column) for key, column in zip(keys, columns)}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    index = draw(st.integers(0, len(records) - 1))
+    change = draw(st.sampled_from(["none", "reorder", "add", "drop", "odd value", "subclass"]))
+    record = records[index]
+    if change == "reorder":
+        records[index] = dict(reversed(record.items()))
+    elif change == "add":
+        record[draw(json_text)] = draw(st.integers())
+    elif change == "drop":
+        del record[draw(st.sampled_from(keys))]
+    elif change == "odd value":
+        record[draw(st.sampled_from(keys))] = draw(odd_values)
+    elif change == "subclass":
+        records[index] = Record(record)
+    # at the top level and nested, as a list or as a tuple
+    records = draw(st.sampled_from([list, tuple]))(records)
+    return draw(st.sampled_from([records, {"terms": records}, [[records], records]]))
+
+
+@given(record_lists())
+def test_dumps_json_matches_stdlib_on_record_lists(doc):
+    assert_stdlib_layout(doc)
+
+
+def test_dumps_json_record_templates_follow_keys_and_depth():
+    # one document, so the record templates are reused: the same keys at
+    # two depths, and the same key set in another order at one depth
+    ij = [{"i": 1, "j": "a"}, {"i": 2, "j": "b"}]
+    ji = [{"j": "c", "i": 3}]
+    assert_stdlib_layout({"a": ij, "b": [ij, ji], "c": ji, "d": [{"i": True, "j": "d"}]})
+
+
+def test_table_terms_are_written_as_record_lists():
+    terms = build_oracle(CaseParams("I", F(7, 2), F(1, 3), F(-1, 5)), 3).entry(2, 1).to_records()
+    assert len(terms) > 1
+    assert triangle._record_list(terms, "\n  ", {}) == json.dumps(terms, indent=2).replace(
+        "\n", "\n  "
+    )
+    assert triangle._record_list(terms + [{"i": 0, "j": 0, "c": 1.0}], "\n", {}) is None
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -173,8 +173,8 @@ def test_full_suite_reports_at_beta_one(case):
         failed = report.failures()
         assert all("error" in f.detail for f in failed)
         named = {f.name for f in failed if not f.name.startswith("build-")}
-        assert not mutation_battery(params, 3, generic_operators(case))
-        assert mutation_battery(params, 3, perturb_source(generic_operators(case), 0, -1))
+        source = generic_operators(case)
+        assert mutation_battery(params, 3, [source, perturb_source(source, 0, -1)]) == [False, True]
         if case in ("V", "VIII"):
             assert report.passed
         else:
@@ -501,7 +501,7 @@ def test_unmutated_battery_is_clean():
     rng = random.Random(13)
     for case in CASES:
         params = sample_params(case, rng)
-        assert not mutation_battery(params, 3, generic_operators(case))
+        assert mutation_battery(params, 3, [generic_operators(case)]) == [False]
 
 
 def test_mutations_are_detected():
@@ -510,21 +510,26 @@ def test_mutations_are_detected():
         case = rng.choice(CASES)
         params = sample_params(case, rng)
         ops, description = mutated_operator_set(case, rng)
-        assert mutation_battery(params, 3, ops), description
+        assert mutation_battery(params, 3, [ops]) == [True], description
 
 
 def test_mutant_census():
     # every single-term +1 mutant of every generic L, I_k, R+x and R+y, at
     # one fixed sample per case, fails an entry the catalog's record passes
+    # (one battery per case, so its oracle and baseline are built once)
     mutants = 0
     for case in CASES:
         params = sample_params(case, random.Random(f"census/{case}"))
         source = generic_operators(case)
-        for position, op in enumerate((source.L, *source.commuting, *source.raising)):
-            for index in range(len(op)):
-                ops = perturb_source(source, position, index)
-                assert mutation_battery(params, 3, ops), (case, position, index)
-                mutants += 1
+        labels = [
+            (case, position, index)
+            for position, op in enumerate((source.L, *source.commuting, *source.raising))
+            for index in range(len(op))
+        ]
+        caught = mutation_battery(params, 3, [perturb_source(source, p, i) for _, p, i in labels])
+        assert len(caught) == len(labels)
+        assert [label for label, hit in zip(labels, caught) if not hit] == []
+        mutants += len(caught)
     assert mutants == 268
 
 
