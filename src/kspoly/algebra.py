@@ -220,6 +220,17 @@ class Terms:
         return obj
 
     @classmethod
+    def _from_sums(cls, num: dict, den: int):
+        # internal: as _wrap, for accumulated numerators that may be 0; the
+        # gcd ignores the zeros (it is den when all are 0), so one pass drops
+        # them and divides
+        g = gcd(den, *num.values())
+        obj = cls.__new__(cls)
+        obj._num = {key: c // g for key, c in num.items() if c}
+        obj._den = den // g
+        return obj
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -290,26 +301,62 @@ class Terms:
         return self.__mul__(other)
 
     @classmethod
-    def combination(cls, pairs: Iterable[tuple[Scalar, "Terms"]]):
-        """Sum of c * p over (scalar, Terms) pairs, as one object; zero
-        coefficients and zero operands are skipped, and an empty sum is zero."""
-        return cls._sum(
-            [(c.numerator, c.denominator * p._den, p._num) for c, p in pairs if c and p._num]
-        )
+    def combination(cls, operands: Iterable[tuple]):
+        """The sum of the operands, as one object.  (c, p) stands for c * p;
+        for polynomials, (c, p, (i, j)) stands for c * x^i y^j * p and
+        (c, p, A) for c * A(p), A a DiffOp whose memo ``A.images`` is read as
+        ``A.apply`` reads it.  A coefficient c is any exact scalar with an
+        integer numerator and a nonzero integer denominator of either sign
+        (an int, a Fraction or an _Unreduced); zero coefficients (tested by
+        truth) and zero operands are skipped, and an empty sum is zero."""
+        parts = []
+        for operand in operands:
+            c, p = operand[0], operand[1]
+            if not c or not p._num:
+                continue
+            via = operand[2] if len(operand) > 2 else None
+            d = c.denominator * p._den
+            if via is None or type(via) is tuple:
+                parts.append((c.numerator, d, p._num, via))
+            else:
+                parts.append((c.numerator, d * via._den, p._num, via.images))
+        return cls._sum(parts)
 
     @classmethod
-    def _sum(cls, parts: list[tuple[int, int, dict]]):
-        # sum of c * num / den over (c, den, num) parts: every part is brought
-        # over one lcm of the denominators, the integer numerators accumulate
-        # in one dict, and the sum is reduced once with one gcd
-        den = lcm(*(d for _, d, _ in parts))
+    def _sum(cls, parts: list[tuple[int, int, dict, object]]):
+        # sum of c * num / den over (c, den, num, via) parts, num read as is
+        # (via None), with its (i, j) keys shifted by via (a tuple), or
+        # mapped through the monomial images via: every part is brought over
+        # one lcm of the denominators (either sign), the integer numerators
+        # accumulate in one dict, and the sum is reduced once with one gcd
+        den = lcm(*(d for _, d, _, _ in parts))
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for c, d, num in parts:
+        for c, d, num, via in parts:
             f = c * (den // d)
-            for key, a in num.items():
-                out[key] = get(key, 0) + a * f
-        return cls._wrap(drop_zeros(out), den)
+            if via is None:
+                if not out:  # the first part fills the dict in one pass
+                    out = {key: a * f for key, a in num.items()}
+                    get = out.get
+                    continue
+                for key, a in num.items():
+                    out[key] = get(key, 0) + a * f
+            elif type(via) is tuple:
+                di, dj = via
+                if not out:
+                    out = {(i + di, j + dj): a * f for (i, j), a in num.items()}
+                    get = out.get
+                    continue
+                for (i, j), a in num.items():
+                    key = (i + di, j + dj)
+                    out[key] = get(key, 0) + a * f
+            else:
+                known = via.get  # a hit costs one lookup; via[mono] fills a miss
+                for mono, a in num.items():
+                    a *= f
+                    for key, w in known(mono) or via[mono]:
+                        out[key] = get(key, 0) + a * w
+        return cls._from_sums(out, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -404,7 +451,7 @@ class BivariatePoly(Terms):
             for (i2, j2), c2 in other._num.items():
                 key = (i1 + i2, j1 + j2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return self._wrap(drop_zeros(out), self._den * other._den)
+        return self._from_sums(out, self._den * other._den)
 
     def __pow__(self, n: int) -> "BivariatePoly":
         if n < 0:

@@ -15,13 +15,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
 from math import gcd
 from typing import Iterable
 
-from .algebra import ONE, BivariatePoly, Scalar, parse_rational, signed_sum
+from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, signed_sum
 from .catalog import (
     CaseParams,
     RecurrenceStep,
@@ -113,7 +112,7 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
             top, top_den, fd = {(m, n): 1}, 1, 1
             layers = []
             while True:
-                layers.append((1, top_den, top))
+                layers.append((1, top_den, top, None))
                 # residual + (L - p/q) top / top_den, over top_den * dL * q: the
                 # residual times fd * dL * q, plus q * c * image and - p * dL * c
                 # on its own key for each term c x^a y^b of top
@@ -174,25 +173,31 @@ def _recurrence_route(case_id: str, a: int, c: int) -> tuple[str, tuple[int, int
 def stencil_sum(
     entries: dict[tuple[int, int], BivariatePoly],
     terms: Iterable[tuple[int, int, Scalar]],
-    extra: Iterable[tuple[Scalar, BivariatePoly]] = (),
+    extra: Iterable[tuple] = (),
+    scale: Scalar | _Unreduced = 1,
 ) -> BivariatePoly:
-    """Sum of c * P_(mm,nn) over a relation's (mm, nn, c) terms, plus
-    c * p over the extra (c, p) pairs, formed as one combination.
+    """Sum of scale * c * P_(mm,nn) over a relation's (mm, nn, c) terms,
+    plus the extra operands of Terms.combination (c * p, c * x^i y^j * p or
+    c * A(p)), formed as one combination: one common denominator, one
+    integer accumulation and one gcd.
 
     The one place the stencil rule is enforced: zero coefficients are
     skipped, and a nonzero one on a point outside the triangle is a
-    coefficient-table bug, raised as StencilError.
+    coefficient-table bug, raised as StencilError naming c as given.
     """
-    pairs = list(extra)
+    operands = list(extra)
+    sn, sd = scale.numerator, scale.denominator
     for mm, nn, c in terms:
-        if c == 0:
+        if not c:
             continue
         if mm < 0 or nn < 0:
             raise StencilError(
                 f"nonzero coefficient {c} multiplies out-of-range entry ({mm},{nn})"
             )
-        pairs.append((c, entries[(mm, nn)]))
-    return BivariatePoly.combination(pairs)
+        if sd != 1 or sn != 1:
+            c = _Unreduced(c.numerator * sn, c.denominator * sd)
+        operands.append((c, entries[(mm, nn)]))
+    return BivariatePoly.combination(operands)
 
 
 def _apply_step(
@@ -201,8 +206,11 @@ def _apply_step(
     axis: str,
     access_log: AccessLog | None,
 ) -> BivariatePoly:
-    """Evaluate one recurrence step against already-built entries."""
-    P = stencil_sum(entries, step.tail, [(1, step.lead * entries[step.source])])
+    """Evaluate one recurrence step against already-built entries: the lead
+    enters as one shift of P_source per term."""
+    source = entries[step.source]
+    lead = [(_Unreduced(p, q), source, key) for key, p, q in step.lead.lowest_terms()]
+    P = stencil_sum(entries, step.tail, lead)
     if access_log is not None:
         tm, tn = step.target
         reads = [step.source] + [(mm, nn) for mm, nn, c in step.tail if c]
@@ -306,7 +314,7 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
         for m, n in _transfer_sources(params.case_id, T):
             known = {(m + dm, n + dn): c for dm, dn, c in rel.neighbors(m, n)}
             coeff_u = known.pop((m + du, n + dv), 0)
-            level.append((m, n, coeff_u, known))
+            level.append((m, n, coeff_u, [(mm, nn, c) for (mm, nn), c in known.items()]))
         sweep.append(level)
     bad = [f"(m,n)=({m},{n})" for level in sweep for m, n, coeff_u, _ in level if not coeff_u]
     if bad:
@@ -325,12 +333,12 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
             step = recurrence_step(params, "y", 0, T - 1)
             entries[(0, T)] = _apply_step(step, entries, "y", None)
         for m, n, coeff_u, known in level:
-            # P_u = (op P + s P - sum of the known neighbors) / c_u
-            inv = Fraction(1) / coeff_u
-            terms = [(m, n, rel.self_coeff(m, n) * inv)]
-            terms += [(mm, nn, -c * inv) for (mm, nn), c in known.items()]
-            op_p = op.apply(entries[(m, n)])
-            entries[(m + du, n + dv)] = stencil_sum(entries, terms, [(inv, op_p)])
+            # P_u = (op P + s P - sum of the known neighbors) / c_u, with 1/c_u
+            # as an unreduced integer pair (its denominator may be negative)
+            P = entries[(m, n)]
+            inv = _Unreduced(coeff_u.denominator, coeff_u.numerator)
+            extra = [(inv * rel.self_coeff(m, n), P), (inv, P, op)]
+            entries[(m + du, n + dv)] = stencil_sum(entries, known, extra, -inv)
     return Triangle(params, nmax, "transfer", entries)
 
 

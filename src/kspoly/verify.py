@@ -161,12 +161,13 @@ def check_action_formulas(
             p = t.entry(m, n)
             name = f"action-I{k + 1}({m},{n})"
             terms = ((m + dm, n + dn, c) for dm, dn, c in rel.neighbors(m, n))
+            # I_k P + s P - sum of the neighbors, as one accumulation
+            extra = [(rel.self_coeff(m, n), p), (1, p, op)]
             try:
-                rhs = stencil_sum(t.entries, terms)
+                residual = stencil_sum(t.entries, terms, extra, -1)
             except StencilError as err:
                 report.add(name, False, {"node": [m, n], "error": str(err)})
                 continue
-            residual = op.apply(p) + rel.self_coeff(m, n) * p - rhs
             report.expect_zero(name, residual, (m, n))
     return report
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import TYPE_CHECKING, Optional, TypeVar
 
-from .algebra import BivariatePoly, Scalar, Terms, drop_zeros, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, signed_sum
 
 if TYPE_CHECKING:
     from .catalog import CaseParams
@@ -116,7 +116,7 @@ class DiffOp(Terms):
                 for r, s, w in leibniz(k1, l1, i2, j2):
                     key = (i1 + i2 - r, j1 + j2 - s, k1 - r + k2, l1 - s + l2)
                     out[key] = get(key, 0) + base * w
-        return self._wrap(drop_zeros(out), self._den * other._den)
+        return self._from_sums(out, self._den * other._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return (self @ other) - (other @ self)
@@ -142,7 +142,7 @@ class DiffOp(Terms):
         for mono, pc in p._num.items():
             for key, w in known(mono) or images[mono]:
                 out[key] = get(key, 0) + pc * w
-        return BivariatePoly._wrap(drop_zeros(out), self._den * p._den)
+        return BivariatePoly._from_sums(out, self._den * p._den)
 
     @staticmethod
     def _image(num: dict[Key, int], a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -206,7 +206,7 @@ class GenericOp(Terms):
                 for dr, ds, w in leibniz(k1, l1, i2, j2):
                     key = (i1 + i2 - dr, j1 + j2 - ds, k1 - dr + k2, l1 - ds + l2, p, q, r, s)
                     out[key] = get(key, 0) + base * w
-        return self._wrap(drop_zeros(out), self._den * other._den)
+        return self._from_sums(out, self._den * other._den)
 
     commutator = DiffOp.commutator
 
@@ -230,7 +230,7 @@ class GenericOp(Terms):
         for (i, j, k, l, p, q, r, s), c in self._num.items():
             key = (i, j, k, l)
             out[key] = get(key, 0) + c * bs[p] * k1s[q] * k2s[r] * ns[s]
-        return DiffOp._wrap(drop_zeros(out), den)
+        return DiffOp._from_sums(out, den)
 
     def __str__(self) -> str:
         symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2", "N")

@@ -431,6 +431,86 @@ def test_combination_matches_chained_sums_property(pairs):
     assert coeffs(got) == coeffs(chained(pairs, BivariatePoly.zero()))
 
 
+# -- shifted and operator operands: c * x^i y^j * p and c * A(p) in the same sum --
+
+
+OPS = (
+    DiffOp({(1, 0, 1, 0): F(1, 2), (0, 0, 0, 0): 3, (0, 1, 2, 0): F(-2, 7)}),
+    DiffOp({(0, 0, 1, 0): 1}),  # d_x: kills every polynomial in y alone
+    DiffOp({(2, 0, 2, 0): F(5, 3), (0, 0, 0, 1): F(-1, 4), (1, 1, 1, 1): 2}),
+)
+
+
+def reference(operands):
+    """The chained construction a combination replaces: each operand formed
+    as its own polynomial (lead * p, op.apply(p) or p), times c, then added."""
+    total = BivariatePoly.zero()
+    for c, p, *via in operands:
+        if isinstance(c, _Unreduced):
+            c = c.fraction()
+        if not via:
+            term = p
+        elif isinstance(via[0], tuple):
+            term = BivariatePoly.monomial(*via[0]) * p
+        else:
+            term = via[0].apply(p)
+        total = total + c * term
+    return total
+
+
+P, Q = COPRIME[0], SHARED[1]
+OPERAND_SUMS = [
+    [],
+    [(1, P, (1, 0))],
+    [(-3, P, (0, 2)), (F(-2, 9), Q, (2, 1))],  # negative coefficients
+    [(_Unreduced(6, -4), P, (1, 1)), (_Unreduced(-10, 15), Q)],  # unreduced, either sign
+    [(0, P, (1, 0)), (_Unreduced(0, 7), Q, OPS[0]), (F(0), Q)],  # zero coefficients
+    [(5, BivariatePoly.zero(), (1, 0)), (2, BivariatePoly.zero(), OPS[0])],  # zero operands
+    [(F(3, 4), P, (1, 0)), (F(-3, 4), X * P)],  # the shift cancels a product
+    [(F(1, 2), Q, OPS[0]), (F(-1, 2), OPS[0].apply(Q))],  # the image cancels apply
+    [(7, Y * Y, OPS[1]), (_Unreduced(1, -3), Q, OPS[2])],  # an image that is zero
+    [(F(5, 6), Q, OPS[2]), (-1, P, (0, 0)), (_Unreduced(4, 6), Q), (F(1, 3), P, (3, 1))],
+]
+
+
+@pytest.mark.parametrize("operands", OPERAND_SUMS)
+def test_combination_operands_match_the_chained_reference(operands):
+    got = BivariatePoly.combination(operands)
+    assert_canonical(got)
+    assert got == reference(operands)
+
+
+def test_combination_of_operands_that_cancel_is_the_zero_polynomial():
+    for operands in (OPERAND_SUMS[6], OPERAND_SUMS[7], OPERAND_SUMS[5], []):
+        got = BivariatePoly.combination(operands)
+        assert got.is_zero() and got == BivariatePoly.zero()
+        assert_canonical(got)
+
+
+def test_combination_reads_the_operator_memo_as_apply_does():
+    a, b = DiffOp(dict(OPS[2].items())), DiffOp(dict(OPS[2].items()))
+    got = BivariatePoly.combination([(1, Q, a)])
+    assert got == b.apply(Q) and dict(a.images) == dict(b.images)
+    assert BivariatePoly.combination([(1, Q, a)]) == got  # from the filled memo
+
+
+unreduced = st.builds(
+    _Unreduced, st.integers(-20, 20), st.integers(1, 12) | st.integers(-12, -1)
+)
+operands = st.tuples(
+    st.one_of(st.integers(-5, 5), rationals, unreduced),
+    polys,
+    st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3)), st.sampled_from(OPS)),
+).map(lambda op: op[:2] if op[2] is None else op)
+
+
+@given(st.lists(operands, max_size=5))
+def test_combination_operands_match_the_chained_reference_property(operands):
+    got = BivariatePoly.combination(operands)
+    assert_canonical(got)
+    assert coeffs(got) == coeffs(reference(operands))
+
+
 def test_combination_of_operators_keeps_the_type():
     a = DiffOp({(1, 0, 1, 0): F(1, 2), (0, 0, 0, 0): 3})
     b = DiffOp({(1, 0, 1, 0): F(-1, 2), (0, 1, 0, 2): F(1, 3)})

@@ -47,8 +47,10 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         operator_L(params).apply(oracle.entry(2, 1))
         operator_L(params).commutator(commuting_ops(params)[0])
         # the catalog's operators are specialised from their generic forms
-        # without polynomial arithmetic; the recurrence builder still forms
-        # BivariatePoly sums and products
+        # without polynomial arithmetic, and the recurrence builder forms
+        # each step in one accumulation, with no BivariatePoly product; a
+        # polynomial product, through the method the tracer patches
+        oracle.entry(1, 0) * oracle.entry(0, 1)
         triangle.build_recurrence(params, 3)
         # the transfer builder reads the action relations by position
         triangle.build_transfer(params, 3)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kspoly import triangle
-from kspoly.algebra import ONE, BivariatePoly, X, Y
+from kspoly.algebra import ONE, BivariatePoly, X, Y, _Unreduced
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -405,6 +405,32 @@ def test_transfer_precondition_integer_kappa1_case_i():
         build_transfer(p, 4)
 
 
+# the lattice again at nmax 8, for the two builders whose steps are one
+# accumulation each, with beta = 5/2 and 7 added and beta = -3, which the
+# validity rule rejects before any work
+DEEP_BETAS = (F(1), F(2), F(5, 2), F(7), F(-3))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_degenerate_parameters_at_nmax_8_give_the_oracle_table_or_a_named_error(case):
+    kappas = [(F(0), F(0))] if case == "IX" else list(product(DEGENERATE_KAPPAS, repeat=2))
+    for beta, (k1, k2) in product(DEEP_BETAS, kappas):
+        p = CaseParams(case, beta, k1, k2)
+        if beta < 0:
+            for builder in (build_oracle, build_recurrence, build_transfer):
+                with pytest.raises(ParameterError, match="violates the rule"):
+                    builder(p, 8)
+            continue
+        oracle = build_oracle(p, 8)
+        for builder in (build_recurrence, build_transfer):
+            expected = degenerate_error(builder, p)
+            if expected is None:
+                assert builder(p, 8).same_polys(oracle), (builder.__name__, p)
+            else:
+                with pytest.raises(expected):
+                    builder(p, 8)
+
+
 # -- stencil behavior ------------------------------------------------------------
 
 
@@ -446,6 +472,27 @@ def test_out_of_range_nonzero_coefficient_raises():
         stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(1))))
     # a zero coefficient outside the triangle is skipped
     assert stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(0)))) == 2 * ONE
+
+
+@pytest.mark.parametrize("scale", [1, F(-2, 3), _Unreduced(3, -5), _Unreduced(-4, 6)])
+def test_stencil_sum_scales_its_terms_and_adds_the_extra_operands(scale):
+    # scale * (3/4 P_(1,0) - 2 P_(0,1)) + 5 x P_(1,0) - (1/7) A(P_(0,1)); a
+    # negative denominator, as 1/c_u has for a negative c_u, is exact too
+    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
+    entries = build_oracle(p, 2).entries
+    op = commuting_ops(p)[0]
+    terms = ((1, 0, F(3, 4)), (0, 1, -2), (1, -1, 0))
+    extra = [(5, entries[(1, 0)], (1, 0)), (F(-1, 7), entries[(0, 1)], op)]
+    got = stencil_sum(entries, terms, extra, scale)
+    s = F(scale.numerator, scale.denominator)
+    want = (
+        s * (F(3, 4) * entries[(1, 0)] - 2 * entries[(0, 1)])
+        + 5 * (X * entries[(1, 0)]) - F(1, 7) * op.apply(entries[(0, 1)])
+    )
+    assert got == want and got._den > 0
+    # the StencilError names the coefficient as given, not its scaled value
+    with pytest.raises(StencilError, match=r"coefficient 3/4 multiplies out-of-range entry \(1,-1\)"):
+        stencil_sum(entries, ((1, -1, F(3, 4)),), extra, scale)
 
 
 # -- serialization -----------------------------------------------------------------

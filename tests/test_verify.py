@@ -101,9 +101,46 @@ def test_action_audit_records_out_of_range_neighbor(monkeypatch):
     p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     report = check_action_formulas(build_oracle(p, 4), commuting_ops(p))
     failed = report.failures()
-    assert [r.name for r in failed] == [f"action-I1({m},0)" for m in range(5)]
-    assert all("out-of-range" in r.detail["error"] for r in failed)
+    # each a {node, error} entry naming the coefficient as the relation states it
+    assert [(r.name, r.detail) for r in failed] == [
+        (f"action-I1({m},0)", {
+            "node": [m, 0],
+            "error": f"nonzero coefficient 1 multiplies out-of-range entry ({m + 1},-1)",
+        })
+        for m in range(5)
+    ]
     assert len(report.results) == 2 * 15  # every other node still passes
+
+
+def action_failures_by_parts(t, commuting):
+    """The failing entries of check_action_formulas with each residual formed
+    by parts: op.apply(p) + s * p minus stencil_sum of the neighbours."""
+    out = []
+    for k, rel in enumerate(catalog.action_relations(t.params)):
+        for m, n in t.nodes():
+            p = t.entry(m, n)
+            terms = [(m + dm, n + dn, c) for dm, dn, c in rel.neighbors(m, n)]
+            residual = commuting[k].apply(p) + rel.self_coeff(m, n) * p - triangle.stencil_sum(
+                t.entries, terms
+            )
+            if residual:
+                detail = {"node": [m, n], "residual": residual.to_records()}
+                out.append((f"action-I{k + 1}({m},{n})", detail))
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_action_failure_details_match_the_formula_formed_by_parts(case):
+    # a +1 on one term of each I_k in turn: the failing entries and their
+    # residual records are those of the chained construction
+    params = sample_params(case, random.Random(case))
+    t = build_oracle(params, 4)
+    ops = commuting_ops(params)
+    for k in range(len(catalog.action_relations(params))):
+        for index in range(3):
+            mutated = tuple(perturb_term(op, index) if j == k else op for j, op in enumerate(ops))
+            got = [(r.name, r.detail) for r in check_action_formulas(t, mutated).failures()]
+            assert got and got == action_failures_by_parts(t, mutated), (k, index)
 
 
 def test_parity_examples():
