@@ -130,10 +130,6 @@ def _scaled(num: dict, s: int) -> dict:
     return num if s == 1 else {key: c * s for key, c in num.items()}
 
 
-def drop_zeros(num: dict) -> dict:
-    return {key: c for key, c in num.items() if c}
-
-
 def rational_text(p: int, q: int) -> str:
     """p/q, in lowest terms with q > 0, as str(Fraction(p, q)) writes it."""
     return str(p) if q == 1 else f"{p}/{q}"

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import ONE, X, Y, BivariatePoly, _Unreduced
 from .errors import ParameterError
-from .weyl import DiffOp, GenericOp, Op
+from .weyl import DiffOp, GenericOp
 
 CASES = ("I", "II", "III", "V", "VIII", "IX")
 
@@ -102,10 +102,10 @@ def _denominator(
 # all N by one exact composition; a raising operator or an edge ladder (N
 # standing for its edge index k) is written times its structural
 # denominator.  The numeric functions check that denominator and specialise
-# the one record, so the builders and the sampled checks run exactly the
-# operators the proofs cover.  Each case's record is built once and never
-# changed; the edge operators and ladders stay witnesses, never derived from
-# L or R+.
+# the one record, so the builders run exactly the operators the proofs
+# cover, and a sampled identity is its proof's residual evaluated at the
+# sample.  Each case's record is built once and never changed; the edge
+# operators and ladders stay witnesses, never derived from L or R+.
 
 
 class GenericOperators(NamedTuple):
@@ -122,9 +122,9 @@ class GenericOperators(NamedTuple):
     with no reduction.
 
     raising_relation and quadratic_relations state the identities among L,
-    the I_k and the cleared R+ once, over this ring or at a parameter point.
-    verify specialises a record itself, so one with a field replaced (a
-    mutant) reaches every check and every level.
+    the I_k and the cleared R+ once, over this ring, and verify evaluates
+    each residual at its sample.  verify reads a record itself, so one with
+    a field replaced (a mutant) reaches every check and every level.
     """
 
     L: GenericOp
@@ -330,31 +330,21 @@ def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
     return tuple(op.at(params, N) * (1 / d) for op, d in zip(ops, raising_denominators(params, N)))
 
 
+# 1, x, y, beta and N over Q[beta, kappa1, kappa2, N]: the symbols the
+# relations below are written in
 _RING = (GenericOp({(0,) * 8: 1}), *(GenericOp.generator(index) for index in (0, 1, 4, 7)))
 
 
-def _ring(params: Optional[CaseParams], N: Optional[int]) -> tuple:
-    """1, x, y, beta and N, the symbols the relations below are written in:
-    _RING over Q[beta, kappa1, kappa2, N] when params is None, else DiffOps
-    equal to _RING's .at(params, N), built without specialising five operators."""
-    if params is None:
-        return _RING
-    one = DiffOp.identity()
-    return one, DiffOp.from_poly(X), DiffOp.from_poly(Y), params.beta * one, N * one
-
-
-def raising_relation(
-    case_id: str, axis: str, L: Op, r: Op, params: Optional[CaseParams] = None, N: Optional[int] = None
-) -> Op:
+def raising_relation(case_id: str, axis: str, L: GenericOp, r: GenericOp) -> GenericOp:
     """The residual of the commutation relation of L and r = R+axis(N) times
     its structural denominator (see GenericOperators), with nothing divided:
     [L, r] is a front factor times L - lambda_N plus (lambda_{N+1} - lambda_N) r,
-    both cleared of the denominator.  L and r are GenericOps when params is
-    None, and the residual vanishes for every parameter triple and N; or
-    DiffOps specialised at (params, N), the sampled check."""
+    both cleared of the denominator.  It vanishes for every parameter triple
+    and N exactly when the relation holds; its .at(params, N) is the relation
+    at one sample."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    one, x, y, b, n = _ring(params, N)
+    one, x, y, b, n = _RING
     if case_id == "VIII" or (case_id, axis) == ("V", "x"):
         return L.commutator(r) - b @ r
     shifted = L - n @ ((n - one) * alpha(case_id) + b)
@@ -370,14 +360,13 @@ def raising_relation(
 
 
 def quadratic_relations(
-    case_id: str, L: Op, commuting: Sequence[Op], params: Optional[CaseParams] = None
-) -> tuple[Op, Op]:
+    case_id: str, L: GenericOp, commuting: Sequence[GenericOp]
+) -> tuple[GenericOp, GenericOp]:
     """The residuals of the two case IX quadratic relations among L and
-    I_1..I_4: GenericOps, zero for every beta, when params is None, or
-    DiffOps at params."""
+    I_1..I_4, zero for every beta exactly when the relations hold."""
     if case_id != "IX":
         raise ValueError("quadratic relations apply to case IX only")
-    one, _, _, b, _ = _ring(params, 0)  # the relations hold no N
+    one, _, _, b, _ = _RING
     i1, i2, i3, i4 = commuting
     first = i1 + i2 + i3 @ i3 + L
     second = (

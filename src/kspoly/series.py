@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Union
 
-from .algebra import BivariatePoly, Scalar, Terms, drop_zeros, rising_factorial, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, rising_factorial, signed_sum
 from .catalog import CaseParams
 from .errors import ParameterError
 
@@ -121,7 +121,9 @@ class Series2(Terms):
                 if a1 + a2 + b1 + b2 <= order:
                     key = (a1 + a2, b1 + b2, i1 + i2, j1 + j2)
                     out[key] = out.get(key, 0) + c1 * c2
-        return self._wrap(drop_zeros(out), self._den * other._den)
+        product = self._from_sums(out, self._den * other._den)
+        product.order = order
+        return product
 
     def exp(self) -> "Series2":
         """sum f^k / k! up to the truncation order; f must have no constant term."""

@@ -119,7 +119,7 @@ def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     report = VerificationReport(t.params)
     for m, n in t.nodes():
         p = t.entry(m, n)
-        residual = L.apply(p) - eigenvalue(t.params, m + n) * p
+        residual = BivariatePoly.combination([(1, p, L), (-eigenvalue(t.params, m + n), p)])
         report.expect_zero(f"eigen[{t.method}]({m},{n})", residual, (m, n))
     return report
 
@@ -143,7 +143,7 @@ def check_edge_ode(t: Triangle) -> VerificationReport:
         for k in range(t.nmax + 1):
             node = (k, 0) if axis == "x" else (0, k)
             p = t.entry(*node)
-            residual = op.apply(p) - eigenvalue(t.params, k) * p
+            residual = BivariatePoly.combination([(1, p, op), (-eigenvalue(t.params, k), p)])
             report.expect_zero(f"edge-{axis}({k})", residual, node)
     return report
 
@@ -264,16 +264,16 @@ def check_operator_identities(
     params: CaseParams, nmax: int, ops: GenericOperators
 ) -> VerificationReport:
     """The commuting relations, the raising relations for N = 0..nmax and the
-    case IX quadratic relations of the record ops, specialised at params, all
-    as exact zero Weyl elements.  A level whose raising operators do not exist
-    (a vanishing structural denominator) records its two raising entries as
+    case IX quadratic relations of the record ops, each formed once over
+    Q[beta, kappa1, kappa2, N] and evaluated at params (and N), all as exact
+    zero Weyl elements.  A level whose raising operators do not exist (a
+    vanishing structural denominator) records its two raising entries as
     failing, with raising_ops' error."""
     report = VerificationReport(params)
     c = params.case_id
-    L = ops.L.at(params)
-    commuting = tuple(op.at(params) for op in ops.commuting)
-    for idx, ik in enumerate(commuting, start=1):
-        report.expect_zero(f"commuting[L,I{idx}]", L.commutator(ik))
+    for idx, ik in enumerate(ops.commuting, start=1):
+        report.expect_zero(f"commuting[L,I{idx}]", ops.L.commutator(ik).at(params))
+    raising = [raising_relation(c, axis, ops.L, r) for axis, r in zip("xy", ops.raising)]
     for N in range(nmax + 1):
         try:
             raising_denominators(params, N)
@@ -281,12 +281,11 @@ def check_operator_identities(
             for axis in "xy":
                 report.add(f"raising[L,R+{axis}(N={N})]", False, {"error": str(exc)})
             continue
-        for axis, r in zip("xy", ops.raising):
-            residual = raising_relation(c, axis, L, r.at(params, N), params, N)
-            report.expect_zero(f"raising[L,R+{axis}(N={N})]", residual)
+        for axis, residual in zip("xy", raising):
+            report.expect_zero(f"raising[L,R+{axis}(N={N})]", residual.at(params, N))
     if c == "IX":
-        for k, residual in enumerate(quadratic_relations(c, L, commuting, params), start=1):
-            report.expect_zero(f"quadratic-{k}", residual)
+        for k, residual in enumerate(quadratic_relations(c, ops.L, ops.commuting), start=1):
+            report.expect_zero(f"quadratic-{k}", residual.at(params))
     return report
 
 

@@ -17,6 +17,7 @@ from kspoly.catalog import (
     CaseParams,
     commuting_ops,
     eigenvalue,
+    generic_operators,
     operator_L,
     quadratic_relations,
     raising_denominators,
@@ -172,20 +173,24 @@ def test_criterion_4_operator_identities():
     def body():
         rng = random.Random(404)
         for case in CASES:
+            g = generic_operators(case)
+            raising = [raising_relation(case, axis, g.L, r) for axis, r in zip("xy", g.raising)]
             for _ in range(10):
                 p = sample_params(case, rng)
                 L = operator_L(p)
                 for ik in commuting_ops(p):
                     assert L.commutator(ik).is_zero()
                 for N in range(7):
-                    # the relations are cleared: each holds for R+ times its denominator
+                    # the relations are cleared: R+ times its denominator is
+                    # the record's R+ at (p, N), whose relation holds for all
+                    # parameters and N, so here too
                     pair = zip(("x", "y"), raising_ops(p, N), raising_denominators(p, N))
-                    for axis, r, den in pair:
-                        residual = raising_relation(case, axis, L, den * r, p, N)
-                        assert residual.is_zero(), (case, N, axis)
+                    for (axis, r, den), cleared, residual in zip(pair, g.raising, raising):
+                        assert den * r == cleared.at(p, N), (case, N, axis)
+                        assert residual.is_zero() and residual.at(p, N).is_zero(), (case, N, axis)
                 if case == "IX":
-                    q1, q2 = quadratic_relations(case, L, commuting_ops(p), p)
-                    assert q1.is_zero() and q2.is_zero()
+                    q1, q2 = quadratic_relations(case, g.L, g.commuting)
+                    assert q1.at(p).is_zero() and q2.at(p).is_zero()
 
     run_criterion(4, "commuting, raising and quadratic identities are exact zero", body)
 

@@ -9,9 +9,9 @@ counter the benchmark reports, and the builder and catalog spans it reaches.
 from fractions import Fraction as F
 from pathlib import Path
 
-from kspoly import series, triangle
+from kspoly import series, triangle, verify
 from kspoly.algebra import BivariatePoly
-from kspoly.catalog import CaseParams, commuting_ops, operator_L
+from kspoly.catalog import CaseParams, commuting_ops, generic_operators, operator_L
 from kspoly.series import Series2
 from kspoly.weyl import DiffOp
 
@@ -55,6 +55,8 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         # the transfer builder reads the action relations by position
         triangle.build_transfer(params, 3)
         series.genfun(CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)), 3)
+        # the operator audit calls the checks by the names the tracer rebinds
+        assert verify.check_operators(oracle, generic_operators("I")).passed
     finally:
         uninstall()
     for name in (
@@ -67,8 +69,9 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         "series.mul",
     ):
         assert tracer.calls[name] > 0, name
-    # the builder spans, and the catalog functions the builders call by the
-    # names the tracer rebinds: moving or inlining one would read 0 there
+    # the builder and operator-audit spans, and the catalog functions the
+    # builders call by the names the tracer rebinds: moving or inlining one
+    # would read 0 there
     for name in (
         "catalog.recurrence_step",
         "catalog.operators",
@@ -76,6 +79,9 @@ def test_tracer_counts_kernel_calls_and_uninstalls(monkeypatch):
         "triangle.oracle",
         "triangle.recurrence",
         "triangle.transfer",
+        "verify.eigen",
+        "verify.action_formulas",
+        "verify.operator_identities",
     ):
         assert tracer.calls[name] > 0, name
     # one span each for triangle_to_json and dumps_json, and the benchmark's

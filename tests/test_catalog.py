@@ -10,7 +10,6 @@ from itertools import product
 import pytest
 
 import kspoly
-from kspoly import catalog
 from kspoly.algebra import ONE, X, Y, BivariatePoly
 from kspoly.catalog import (
     CASES,
@@ -848,32 +847,30 @@ def test_negative_edge_ladder_index_is_a_parameter_error(axis):
 
 
 def test_commutator_rhs_viii_is_scaled_raising():
-    # case VIII's relations are homogeneous in R+: they hold for the divided
-    # raising operators, and for any multiple of them, as for the cleared ones
-    params = P2["VIII"]
-    L = operator_L(params)
-    for N in range(4):
-        for axis, r in zip("xy", raising_ops(params, N)):
-            for scale in (1, 3, F(-2, 7)):
-                assert raising_relation("VIII", axis, L, scale * r, params, N).is_zero(), (N, axis)
+    # case VIII's relations are homogeneous in R+: they hold for the cleared
+    # raising operators and for any constant multiple of them
+    source = generic_operators("VIII")
+    for axis, r in zip("xy", source.raising):
+        for scale in (1, 3, F(-2, 7)):
+            assert raising_relation("VIII", axis, source.L, scale * r).is_zero(), (axis, scale)
     # the cleared form of the other cases is not homogeneous
-    p = P2["I"]
-    assert not raising_relation("I", "x", operator_L(p), raising_ops(p, 1)[0], p, 1).is_zero()
+    source = generic_operators("I")
+    assert not raising_relation("I", "x", source.L, 3 * source.raising[0]).is_zero()
 
 
 def test_raising_commutators_hold():
-    # the sampled relation runs on raising_ops times the denominators above
+    # raising_ops times the denominators above is the record's cleared R+ at
+    # (params, N), whose relation's residual vanishes there and everywhere
     rng = random.Random(23)
     for case in CASES:
         params = sample_params(case, rng)
-        L = operator_L(params)
+        source = generic_operators(case)
+        residuals = [raising_relation(case, axis, source.L, r) for axis, r in zip("xy", source.raising)]
         for N in range(7):
-            # the numeric ring is the generic one specialised at (params, N)
-            assert catalog._ring(params, N) == tuple(s.at(params, N) for s in catalog._RING)
             pair = zip("xy", raising_ops(params, N), raising_denominators(case, params.beta, N))
-            for axis, r, den in pair:
-                residual = raising_relation(case, axis, L, den * r, params, N)
-                assert residual.is_zero(), (case, N, axis)
+            for (axis, r, den), cleared, residual in zip(pair, source.raising, residuals):
+                assert den * r == cleared.at(params, N), (case, N, axis)
+                assert residual.is_zero() and residual.at(params, N).is_zero(), (case, N, axis)
 
 
 def test_relations_reject_an_unknown_axis_and_a_non_ix_quadratic_call():

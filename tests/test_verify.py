@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -26,6 +27,7 @@ from kspoly.verify import (
     check_genfun_agreement,
     check_ix_to_i_map,
     check_monic,
+    check_operator_identities,
     check_operators,
     check_parity_ix,
     check_recurrence_stencil,
@@ -322,36 +324,52 @@ def test_full_suite_runs_the_generic_operators(case, monkeypatch):
 
 @pytest.mark.parametrize("case", CASES)
 def test_full_suite_specialises_the_audited_record(case, monkeypatch):
-    # the audit builds no catalog operator: it specialises the one record at
-    # the suite's parameters, L and each I_k once for the table checks and
-    # once for the identities, and R+x, R+y once per level
+    # the audit builds no catalog operator: it specialises the record's L and
+    # each I_k once, at the suite's parameters, for the table checks, and
+    # evaluates each identity residual formed from the record once per level
     calls = []
+    true_at = GenericOp.at
 
-    class Counted(GenericOp):
-        __slots__ = ("name",)
-
-        def at(self, params, N=None):
-            calls.append((self.name, params, N))
-            return super().at(params, N)
-
-    def counted(name, op):
-        out = Counted(dict(op.items()))
-        out.name = name
-        return out
+    def counted(self, params, N=None):
+        calls.append((self, params, N))
+        return true_at(self, params, N)
 
     source = generic_operators(case)
     record = source._replace(
-        L=counted("L", source.L),
-        commuting=tuple(counted(f"I{k + 1}", op) for k, op in enumerate(source.commuting)),
-        raising=tuple(counted(f"R+{axis}", op) for axis, op in zip("xy", source.raising)),
+        L=GenericOp(dict(source.L.items())),
+        commuting=tuple(GenericOp(dict(op.items())) for op in source.commuting),
+        raising=tuple(GenericOp(dict(op.items())) for op in source.raising),
     )
     monkeypatch.setattr(kspoly.verify, "generic_operators", lambda c: record)
+    monkeypatch.setattr(GenericOp, "at", counted)
     params = sample_params(case, random.Random(5))
     assert full_suite(params, nmax=3, order=3).passed
-    names = ["L"] + [f"I{k + 1}" for k in range(len(source.commuting))]
-    expected = [(name, params, None) for name in names] * 2
-    expected += [(f"R+{axis}", params, N) for N in range(4) for axis in "xy"]
-    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+    # the builders specialise the catalog's own operators (IX's also case I's)
+    built = {id(op) for c in CASES for field in generic_operators(c) for op in
+             (field if isinstance(field, tuple) else (field,))}
+    audited = [(op, p, N) for op, p, N in calls if id(op) not in built]
+    assert all(p is params for _, p, _ in audited)
+    fields = [id(op) for op in (record.L, *record.commuting)]
+    assert sorted(id(op) for op, _, _ in audited if id(op) in fields) == sorted(fields)
+    levels: dict[int, list] = {}
+    for op, _, N in audited:
+        if id(op) not in fields:
+            levels.setdefault(id(op), []).append(N)
+    # [L, I_k] and IX's quadratic residuals hold no N; R+x, R+y at N = 0..3
+    expected = [[None]] * (len(source.commuting) + 2 * (case == "IX")) + [[0, 1, 2, 3]] * 2
+    assert sorted(levels.values(), key=repr) == sorted(expected, key=repr)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_composes_no_diffop(case, monkeypatch):
+    # every identity is formed once over the generic ring and evaluated at
+    # the sample, so no specialised operator is ever composed
+    def refuse(self, other):
+        raise AssertionError("a DiffOp was composed")
+
+    monkeypatch.setattr(DiffOp, "__matmul__", refuse)
+    params = sample_params(case, random.Random(5))
+    assert full_suite(params, nmax=3, order=3).passed
 
 
 def test_report_json_shape():
@@ -414,8 +432,10 @@ def test_certify_detects_perturbation():
 def test_certify_case_ix_quadratic():
     from kspoly.catalog import quadratic_relations
 
+    g = generic_operators("IX")
+    second = quadratic_relations("IX", g.L, g.commuting)[1]
     result = certify_parameter_polynomial_identity(
-        lambda q: quadratic_relations("IX", operator_L(q), commuting_ops(q), q)[1],
+        lambda q: second.at(q),
         "IX",
         "quadratic-2",
         degree_bound=8,
@@ -637,6 +657,62 @@ def test_failure_details_shadow_no_entry_key(monkeypatch):
         (("node", "residual"), ("residual",), ("unexpected_offsets",), ("point", "residual"),
          ("error",), ("node", "error"))
     }
+
+
+# sha256 of dumps_json of the entries of check_operator_identities(params, 3,
+# record), in report order: the byte identity of failing entries, which no
+# CLI digest reaches.  Each record perturbs (perturb_source, index 1) a term
+# of L, of R+x or, in case IX, of I3, whose residual reaches the quadratic
+# relations; at beta = 1 the catalog's own record fails its level-0 raising
+# relations with the denominator's error.
+IDENTITY_POINTS = {
+    "I": CaseParams("I", F(7, 2), F(1, 3), F(-1, 5)),
+    "II": CaseParams("II", F(7, 2), F(1, 3), F(-1, 5)),
+    "III": CaseParams("III", F(7, 2), F(1, 3), F(-1, 5)),
+    "V": CaseParams("V", F(7, 2), F(1, 3), F(-2, 5)),
+    "VIII": CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5)),
+    "IX": CaseParams("IX", F(7, 3)),
+}
+FAILING_IDENTITY_DIGESTS = {
+    ("I", "L"): (11, "298cdda01bc4daa06f096f043d24ea7e989eb58559020fb18612773fdcffdbe5"),
+    ("I", "R+x"): (4, "83e24f56cbc34a25669b7a69ab211cc16e75862cd7f4b48b451a019d64f1ce3f"),
+    ("II", "L"): (10, "f1af8e864172c878d932353b645da151dc7e9b0e16de714c156f40880a67a437"),
+    ("II", "R+x"): (3, "41c9ec94b349d061bf58cade36168afc6ede71a4ebf64c5e2019afeb7ee24b94"),
+    ("III", "L"): (10, "368badb6ad296696e61490133e7f89b516d58354f8b0e73343cfc9a3c0661bb1"),
+    ("III", "R+x"): (3, "679b6e2a093def752d3c47f7df77ba83729db5bea2c62aea95a8aeaff7b6541e"),
+    ("V", "L"): (6, "744a836d988687f6af5974f0f80acb4b014f7cb215fde676eabff7620aa940d9"),
+    ("V", "R+x"): (4, "00bdc4ce8b533338d17cb91ed5099f271702ef120ff10b44172ce5e4d329894e"),
+    ("VIII", "L"): (5, "4a664b2b1a9b79a5634ac65d2a088a36cdf0f7da4ad3c98094d9f096b77cf01c"),
+    ("VIII", "R+x"): (4, "4fb4384309ab39bd10f5c6fcc7ff6e28e4d1e543c83619264fea1d077e4fabc0"),
+    ("IX", "L"): (14, "04b6966c5a1b659b69c0ae3b38cf3ddd552ed223ed559cf1afe27d27473d1d78"),
+    ("IX", "R+x"): (3, "603fc83472c1c3c269af21babadf06021e8dd59303556b2900f2eb3b6abf3ee4"),
+    ("IX", "I3"): (2, "a1df89ee5ba5e202a164f3c10c4fba0c014721394e35b90c56f11105edb568cf"),
+    ("I", "beta=1"): (2, "732d38946afbd6195bbb39b7aa2c8da1ecc6807efb0269d10758ac3057e8d9e9"),
+    ("II", "beta=1"): (2, "5781ed449e27457d7311646d58db304ed94a6605324afe3ddc6d2252c4df9851"),
+    ("III", "beta=1"): (2, "72d2fdaaf5eab6d25f8075da295889a1a1bf663d274a5b3f478e0edfd96e57b0"),
+    ("IX", "beta=1"): (2, "d35b1e6554263db8ba49270385b8bed5e0aee4f24d1b9bc307dff4301df6f5c7"),
+}
+
+
+@pytest.mark.parametrize("case, source", sorted(FAILING_IDENTITY_DIGESTS))
+def test_failing_identity_entries_keep_their_bytes(case, source):
+    record = generic_operators(case)
+    if source == "beta=1":
+        params = CaseParams(case, F(1), *(() if case == "IX" else (F(1, 3), F(-1, 5))))
+    else:
+        params = IDENTITY_POINTS[case]
+        position = {"L": 0, "I3": 3, "R+x": 1 + len(record.commuting)}[source]
+        record = perturb_source(record, position, 1)
+    report = check_operator_identities(params, 3, record)
+    failures = report.failures()
+    if source == "beta=1":
+        assert [f.name for f in failures] == ["raising[L,R+x(N=0)]", "raising[L,R+y(N=0)]"]
+        assert all(set(f.detail) == {"error"} for f in failures)
+    if source == "I3":
+        assert [f.name for f in failures] == ["commuting[L,I3]", "quadratic-1"]
+    entries = [r.to_json(case, params) for r in report.results]
+    digest = hashlib.sha256(triangle.dumps_json(entries).encode("utf-8")).hexdigest()
+    assert (len(failures), digest) == FAILING_IDENTITY_DIGESTS[(case, source)]
 
 
 @pytest.mark.parametrize("case", CASES)
