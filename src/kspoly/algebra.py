@@ -205,25 +205,16 @@ class Terms:
 
     @classmethod
     def _wrap(cls, num: dict, den: int = 1):
-        # internal: num / den with nonzero ints under valid keys and den > 0
+        # internal: num / den with int numerators under valid keys, den > 0;
+        # the gcd ignores zeros (it is den when all are 0), so one pass drops
+        # them and divides, and a reduced num with no zeros is kept as it is
         g = gcd(den, *num.values())
-        if g != 1:
-            num = {key: c // g for key, c in num.items()}
+        if g != 1 or 0 in num.values():
+            num = {key: c // g for key, c in num.items() if c}
             den //= g
         obj = cls.__new__(cls)
         obj._num = num
         obj._den = den
-        return obj
-
-    @classmethod
-    def _from_sums(cls, num: dict, den: int):
-        # internal: as _wrap, for accumulated numerators that may be 0; the
-        # gcd ignores the zeros (it is den when all are 0), so one pass drops
-        # them and divides
-        g = gcd(den, *num.values())
-        obj = cls.__new__(cls)
-        obj._num = {key: c // g for key, c in num.items() if c}
-        obj._den = den // g
         return obj
 
     @classmethod
@@ -352,7 +343,7 @@ class Terms:
                     a *= f
                     for key, w in known(mono) or via[mono]:
                         out[key] = get(key, 0) + a * w
-        return cls._from_sums(out, den)
+        return cls._wrap(out, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -442,12 +433,8 @@ class BivariatePoly(Terms):
     def __mul__(self, other: Union["BivariatePoly", Scalar]) -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
             return Terms.__mul__(self, other)
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._num.items():
-            for (i2, j2), c2 in other._num.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return self._from_sums(out, self._den * other._den)
+        den, num = self._den * other._den, self._num
+        return self._sum([(c, den, num, key) for key, c in other._num.items()])
 
     def __pow__(self, n: int) -> "BivariatePoly":
         if n < 0:

@@ -178,7 +178,10 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{args.input}: JSON nested too deeply to read") from None
     triangle = triangle_from_json(doc)
     _emit(FORMATTERS[args.format](triangle), args.output)
     return EXIT_OK

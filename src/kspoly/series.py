@@ -121,9 +121,7 @@ class Series2(Terms):
                 if a1 + a2 + b1 + b2 <= order:
                     key = (a1 + a2, b1 + b2, i1 + i2, j1 + j2)
                     out[key] = out.get(key, 0) + c1 * c2
-        product = self._from_sums(out, self._den * other._den)
-        product.order = order
-        return product
+        return self._wrap(out, self._den * other._den)
 
     def exp(self) -> "Series2":
         """sum f^k / k! up to the truncation order; f must have no constant term."""

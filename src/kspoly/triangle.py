@@ -15,10 +15,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, signed_sum
 from .catalog import (
@@ -51,12 +51,14 @@ class Triangle:
 
     def nodes(self) -> list[tuple[int, int]]:
         """Lattice points in canonical order: by level, left to right."""
-        return [
-            (m, N - m) for N in range(self.nmax + 1) for m in range(N, -1, -1)
-        ]
+        return list(_lattice(self.nmax))
 
     def same_polys(self, other: "Triangle") -> bool:
         return self.entries == other.entries
+
+
+def _lattice(nmax: int) -> Iterator[tuple[int, int]]:
+    return ((m, N - m) for N in range(nmax + 1) for m in range(N, -1, -1))
 
 
 def _check_nmax(params: CaseParams, nmax: int) -> None:
@@ -407,14 +409,24 @@ def triangle_from_json(doc: object) -> Triangle:
             t.entries[node] = BivariatePoly.from_records(rec["terms"])
         except (KeyError, TypeError):
             raise ValueError(f"malformed polys record {rec!r}") from None
-    nodes = t.nodes()
-    if set(t.entries) != set(nodes):
-        missing = [node for node in nodes if node not in t.entries]
-        extra = [node for node in t.entries if node not in nodes]
+    # linear in the document: the walk to the first missing nodes passes
+    # only nodes that are entries, and a message names at most five of each
+    outside = [node for node in t.entries if min(node) < 0 or sum(node) > nmax]
+    size = (nmax + 1) * (nmax + 2) // 2
+    if outside or len(t.entries) != size:
+        missing = (node for node in _lattice(nmax) if node not in t.entries)
         raise ValueError(
-            f"entries do not match nmax={nmax}: missing {missing}, outside {extra}"
+            f"entries do not match nmax={nmax}: missing "
+            f"{_first_five(missing, size - len(t.entries) + len(outside))}, "
+            f"outside {_first_five(outside, len(outside))}"
         )
     return t
+
+
+def _first_five(nodes: Iterable[tuple[int, int]], count: int) -> str:
+    # str(list(nodes)) for count <= 5 nodes, else the first five and the count
+    first = list(islice(nodes, 5))
+    return str(first) if count <= 5 else f"{str(first)[:-1]}, ...] ({count} nodes)"
 
 
 def dumps_json(doc: dict) -> str:

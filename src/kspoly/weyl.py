@@ -16,7 +16,8 @@ rule, and equality and hashing ignore it.
 ``GenericOp`` is the same algebra with coefficients in Q[beta, kappa1,
 kappa2, N]: the parameters and the level index N are central, so an
 identity that holds for every parameter triple and every N is one exact
-composition over that ring.
+composition over that ring.  Its product is the one Leibniz product: a
+``DiffOp`` is composed as a ``GenericOp`` with no parameter in it.
 """
 
 from __future__ import annotations
@@ -104,19 +105,15 @@ class DiffOp(Terms):
     # -- composition ---------------------------------------------------------
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        """Normal-ordered product self o other: derivatives of the left
-        factor pass the coefficients of the right one by ``leibniz``."""
+        """Normal-ordered product self o other: the ``GenericOp`` product of
+        the two operators with every parameter exponent 0, read back."""
         if not isinstance(other, DiffOp):
             return NotImplemented
-        out: dict[Key, int] = {}
-        get = out.get
-        for (i1, j1, k1, l1), c1 in self._num.items():
-            for (i2, j2, k2, l2), c2 in other._num.items():
-                base = c1 * c2
-                for r, s, w in leibniz(k1, l1, i2, j2):
-                    key = (i1 + i2 - r, j1 + j2 - s, k1 - r + k2, l1 - s + l2)
-                    out[key] = get(key, 0) + base * w
-        return self._from_sums(out, self._den * other._den)
+        tail = (0, 0, 0, 0)
+        a = GenericOp._wrap({key + tail: c for key, c in self._num.items()}, self._den)
+        b = GenericOp._wrap({key + tail: c for key, c in other._num.items()}, other._den)
+        product = a @ b
+        return DiffOp._wrap({key[:4]: c for key, c in product._num.items()}, product._den)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return (self @ other) - (other @ self)
@@ -142,7 +139,7 @@ class DiffOp(Terms):
         for mono, pc in p._num.items():
             for key, w in known(mono) or images[mono]:
                 out[key] = get(key, 0) + pc * w
-        return BivariatePoly._from_sums(out, self._den * p._den)
+        return BivariatePoly._wrap(out, self._den * p._den)
 
     @staticmethod
     def _image(num: dict[Key, int], a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -206,7 +203,7 @@ class GenericOp(Terms):
                 for dr, ds, w in leibniz(k1, l1, i2, j2):
                     key = (i1 + i2 - dr, j1 + j2 - ds, k1 - dr + k2, l1 - ds + l2, p, q, r, s)
                     out[key] = get(key, 0) + base * w
-        return self._from_sums(out, self._den * other._den)
+        return self._wrap(out, self._den * other._den)
 
     commutator = DiffOp.commutator
 
@@ -215,6 +212,8 @@ class GenericOp(Terms):
         its coefficients, one value of N.  A value n/d whose highest exponent
         here is top enters its e-th power as n^e d^(top-e) over d^top, so
         the terms sum as integers over one denominator."""
+        if N is not None and not isinstance(N, (int, Fraction)):
+            raise ValueError(f"N = {N!r} is not an int or a Fraction")
         den = self._den
         powers = []
         tops = [max(column) for column in zip(*self._num)][4:] or [0] * 4
@@ -230,7 +229,7 @@ class GenericOp(Terms):
         for (i, j, k, l, p, q, r, s), c in self._num.items():
             key = (i, j, k, l)
             out[key] = get(key, 0) + c * bs[p] * k1s[q] * k2s[r] * ns[s]
-        return DiffOp._from_sums(out, den)
+        return DiffOp._wrap(out, den)
 
     def __str__(self) -> str:
         symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2", "N")

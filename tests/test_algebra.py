@@ -394,6 +394,32 @@ def test_constructor_reduces_to_canonical_storage():
     assert p.coefficient(0, 1) == F(-5, 6) and p.coefficient(3, 3) == 0
 
 
+@pytest.mark.parametrize(
+    "num, den, want",
+    [
+        ({(1, 0): 0, (0, 1): 3, (2, 0): -2}, 5, ({(0, 1): 3, (2, 0): -2}, 5)),  # gcd 1
+        ({(1, 0): 0, (0, 1): 4, (2, 0): -6}, 10, ({(0, 1): 2, (2, 0): -3}, 5)),  # gcd 2
+        ({(1, 0): 0, (0, 1): 0}, 7, ({}, 1)),
+        ({(1, 0): 0}, 1, ({}, 1)),
+        ({}, 9, ({}, 1)),
+    ],
+    ids=["zero-coprime", "zero-common-factor", "all-zero", "all-zero-over-1", "empty"],
+)
+def test_wrap_drops_zero_numerators_and_reduces(num, den, want):
+    # the one internal constructor: numerators accumulated on ints may
+    # cancel to 0, and the result is canonical storage either way
+    p = BivariatePoly._wrap(dict(num), den)
+    assert_canonical(p)
+    assert (p._num, p._den) == want
+
+
+def test_wrap_keeps_reduced_numerators_as_they_are():
+    num = {(0, 0): 3, (1, 2): -4}
+    p = BivariatePoly._wrap(num, 5)
+    assert_canonical(p)
+    assert p._num is num and p._den == 5
+
+
 # -- one-pass linear combinations and Fraction-free records ----------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -348,6 +349,8 @@ def _fractional_exponent(doc):
         (_drop_entry, "missing [(0, 3)]"),
         (lambda d: {**d, "nmax": -1}, "nmax must be a nonnegative integer"),
         (lambda d: {**d, "nmax": 2}, "outside [(3, 0), (2, 1), (1, 2), (0, 3)]"),
+        (lambda d: {**d, "nmax": 0},
+         "missing [], outside [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), ...] (9 nodes)"),
         (lambda d: {**d, "polys": d["polys"] + d["polys"][:1]}, "duplicate entry"),
         (lambda d: {**d, "polys": "x"}, "polys must be a list"),
         (_fractional_exponent, "indices must be unique integers"),
@@ -360,7 +363,7 @@ def _fractional_exponent(doc):
         (_numeric_coefficient, "not an exact rational: 3"),
         (lambda d: {**d, "beta": "-3"}, "violates the rule"),
     ],
-    ids=["missing", "negative-nmax", "short-nmax", "duplicate", "polys-string",
+    ids=["missing", "negative-nmax", "short-nmax", "zero-nmax", "duplicate", "polys-string",
          "fractional-exponent", "numeric-beta", "list", "float-m", "bool-m",
          "object-method", "unknown-method", "numeric-c", "rule-beta"],
 )
@@ -372,3 +375,25 @@ def test_export_rejects_malformed_table(tmp_path, capsys, corrupt, message):
     bad.write_text(json.dumps(corrupt(json.loads(src.read_text()))))
     assert run("export", "--input", str(bad), "--format", "csv") == 2
     assert message in capsys.readouterr().err
+
+
+def test_export_rejects_an_empty_table_of_large_nmax_at_once(tmp_path, capsys):
+    # the entries are matched against nmax in time linear in the document,
+    # and the message names only the first few of the 4504501 missing nodes
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"case": "I", "beta": "7/2", "kappa1": "1/3",
+                               "kappa2": "-1/5", "nmax": 3000, "polys": []}))
+    start = time.perf_counter()
+    assert run("export", "--input", str(bad), "--format", "csv") == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "missing [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), ...] (4504501 nodes)" in err
+    assert len(err) < 200
+
+
+def test_export_rejects_deeply_nested_json(tmp_path, capsys):
+    # malformed JSON exits 2, as for any unreadable input; 1 means a failed check
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert run("export", "--input", str(deep), "--format", "csv") == 2
+    assert "JSON nested too deeply to read" in capsys.readouterr().err

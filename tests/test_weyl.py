@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kspoly.algebra import ONE, X, Y, BivariatePoly
-from kspoly.catalog import CASES, CaseParams, operator_L, sample_params
+from kspoly.catalog import CASES, CaseParams, generic_operators, operator_L, sample_params
 from kspoly.weyl import DiffOp, GenericOp
 from test_algebra import (
     COPRIME,
@@ -370,3 +370,13 @@ def test_generic_generators():
     assert term.at(q, 7) == term.at(q)
     with pytest.raises(ValueError, match="depends on N"):
         (n @ dx).at(q)
+
+
+@pytest.mark.parametrize("N", [0.1, 0.5])
+def test_generic_at_rejects_a_float_level(N):
+    # a float is its binary expansion, not the level it displays: 0.1 would
+    # enter as 3602879701896397/36028797018963968
+    q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
+    for op in (generic_operators("I").raising[0], GenericOp.generator(4)):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            op.at(q, N)
