@@ -32,7 +32,9 @@ EXIT_INVALID = 2
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--case", required=True, help="case id: " + ", ".join(CASES))
-    parser.add_argument("--beta", required=True, help="rational, e.g. 7/2")
+    parser.add_argument(
+        "--beta", required=True, help="rational, e.g. 7/2 (write --beta=-7/2 for negatives)"
+    )
     parser.add_argument(
         "--k1", default="0", help="kappa1 (rational; write --k1=-1/3 for negatives)"
     )

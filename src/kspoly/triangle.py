@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
-from math import gcd
 from typing import Iterable, Iterator
 
 from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, signed_sum
@@ -82,72 +81,81 @@ def _check_nmax(params: CaseParams, nmax: int) -> None:
 def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     """Solve (L - lambda_N) P = 0 for the monic representative of each (m, n).
 
-    With P = x^m y^n + lower terms, the residual of the monomial ansatz has
-    degree < N and (L - lambda_N) acts on a degree-d monomial as
-    (lambda_d - lambda_N) times itself plus lower-degree terms, so the system
-    is triangular by total degree and solved exactly by back-substitution.
+    An admissible L sends each degree-d monomial to lambda_d times itself
+    plus terms of lower degree.  When (m, n) is solved at level N = m + n,
+    the image of x^m y^n is read once from L's memo (``DiffOp.images``),
+    checked for that, and its lower terms are kept.  So (L - lambda_N) acts
+    on a degree-d monomial as (lambda_d - lambda_N) times itself plus its
+    lower terms, and with P = x^m y^n + lower terms the system is triangular
+    by total degree and solved exactly by back-substitution.
 
-    Each step finds the degree-d layer ``top`` of P and adds (L - lambda_N)
-    top to the residual, so every intermediate residual, and hence every
-    guard below, is (L - lambda_N) applied to the partial P.  The arithmetic
-    is on integers: the residual is one dict of numerators over one
-    denominator, reduced by one gcd per step; every image of a monomial comes
-    from L's own memo (``DiffOp.images``), and lambda_N = p/q enters as one
-    integer correction on the monomial's own key.  The layers are summed
-    once, over the lcm of their denominators.
+    The residual, (L - lambda_N) applied to the partial P, is held as integer
+    numerators over one denominator in one bucket per degree.  From degree
+    N - 1 down, layer d of P is bucket d times -1 / (lambda_d - lambda_N):
+    it cancels bucket d, and only its lower terms enter the lower buckets.
+    Each layer's denominator divides the next one's and the layers' keys are
+    disjoint, so P is one dict over the last denominator, reduced once.
     """
     _check_nmax(params, nmax)
     L = operator_L(params)
     images, dL = L.images, L._den
     lams = [eigenvalue(params, N) for N in range(nmax + 1)]
+    # (a, b) -> the image of x^a y^b less lambda_(a+b) x^a y^b, as
+    # (degree, key, numerator over dL) triples
+    lower: dict[tuple[int, int], list[tuple[int, tuple[int, int], int]]] = {}
     entries: dict[tuple[int, int], BivariatePoly] = {}
     for N, lam in enumerate(lams):
         q, pdL = lam.denominator, lam.numerator * dL
-        dLq = dL * q
-        # -1 / (lambda_d - lambda_N) for d < N; None where the two coincide
-        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]]
+        # -1 / (lambda_d - lambda_N) for d < N, None where the two coincide;
+        # 1 for the head x^m y^n
+        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]] + [1]
         for m in range(N, -1, -1):
             n = N - m
-            # residual num / den, starting at 0; layer top / top_den, where
-            # top_den = den * fd, starting at x^m y^n
-            num: dict[tuple[int, int], int] = {}
-            top, top_den, fd = {(m, n): 1}, 1, 1
-            layers = []
-            while True:
-                layers.append((1, top_den, top, None))
-                # residual + (L - p/q) top / top_den, over top_den * dL * q: the
-                # residual times fd * dL * q, plus q * c * image and - p * dL * c
-                # on its own key for each term c x^a y^b of top
-                s = fd * dLq
-                num = {key: c * s for key, c in num.items()}
-                get = num.get
-                for mono, c in top.items():
-                    cq = c * q
-                    for key, w in images[mono]:
-                        num[key] = get(key, 0) + cq * w
-                    num[mono] = get(mono, 0) - c * pdL
-                den = top_den * dLq
-                g = gcd(den, *num.values())  # = den when every numerator is 0
-                num = {key: c // g for key, c in num.items() if c}
-                if not num:
-                    break
-                den //= g
-                d = max(i + j for i, j in num)
-                if d >= N:
-                    raise AdmissibilityError(
-                        f"residual degree {d} did not drop below {N} at "
-                        f"(m,n)=({m},{n}) for {params}"
-                    )
+            image = dict(images[(m, n)])
+            own = image.pop((m, n), 0)
+            rest = lower[(m, n)] = [(i + j, (i, j), w) for (i, j), w in image.items()]
+            d = max((e for e, _, _ in rest), default=-1)
+            if own * q != pdL:  # the residual keeps a multiple of x^m y^n
+                d = max(d, N)
+            if d >= N:
+                raise AdmissibilityError(
+                    f"residual degree {d} did not drop below {N} at "
+                    f"(m,n)=({m},{n}) for {params}"
+                )
+            # numerators over den: buckets[N] the head, buckets[d] for d < N
+            # the residual's degree-d terms
+            buckets = [{} for _ in range(N)] + [{(m, n): 1}]
+            den, layers = 1, []
+            for d in range(N, -1, -1):
+                bucket = buckets[d]
+                if not any(bucket.values()):
+                    continue
                 factor = factors[d]
                 if factor is None:
                     raise AdmissibilityError(
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
+                # layer top / (den * fd); (L - lambda_N) top adds -bucket d
+                # and the lower terms of its images, over den * fd * dL
                 fn, fd = factor.numerator, factor.denominator
-                top = {(i, j): c * fn for (i, j), c in num.items() if i + j == d}
-                top_den = den * fd
-            entries[(m, n)] = BivariatePoly._sum(layers)
+                top = {key: c * fn for key, c in bucket.items()}
+                layers.append((top, den * fd))
+                s = fd * dL
+                for e in range(d):
+                    if buckets[e]:
+                        buckets[e] = {key: c * s for key, c in buckets[e].items()}
+                den *= s
+                for mono, c in top.items():
+                    for e, key, w in lower[mono]:
+                        b = buckets[e]
+                        b[key] = b.get(key, 0) + c * w
+            out: dict[tuple[int, int], int] = {}
+            D = layers[-1][1]  # every layer's denominator divides it
+            for top, top_den in layers:
+                f = D // top_den
+                out.update({key: c * f for key, c in top.items()})
+            entries[(m, n)] = BivariatePoly._wrap(out, D)
     return Triangle(params, nmax, "oracle", entries)
 
 

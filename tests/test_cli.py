@@ -60,6 +60,21 @@ def test_gen_rejects_invalid_beta(capsys):
     assert "beta + k != 0" in capsys.readouterr().err
 
 
+def test_gen_reads_a_negative_fraction_beta_written_with_equals(tmp_path, capsys):
+    # argparse reads "-7/2" after a space as an option, so the help names the
+    # --beta=-7/2 form, and that form builds the table
+    with pytest.raises(SystemExit):
+        run("gen", "--help")
+    assert "--beta=-7/2" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        run("gen", "--case", "I", "--beta", "-7/2", "--nmax", "3")
+    assert "expected one argument" in capsys.readouterr().err
+    out = tmp_path / "t.json"
+    assert run("gen", "--case", "I", "--beta=-7/2", "--nmax", "3", "--output", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["beta"], len(doc["polys"])) == ("-7/2", 10)
+
+
 def test_gen_rejects_negative_nmax(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert run("gen", "--case", "I", "--beta", "7/2", "--nmax", "-1",

@@ -347,6 +347,14 @@ def test_oracle_matches_reference_at_nmax_12(case):
         assert isinstance(assert_oracle_matches_reference(sample_params(case, rng), 12), dict)
 
 
+@pytest.mark.parametrize("case", ["III", "VIII"])
+def test_oracle_matches_reference_at_nmax_20(case):
+    # the cases of largest coefficient growth, where the oracle's unreduced
+    # layer denominators grow fastest
+    params = sample_params(case, random.Random(f"ref/{case}"))
+    assert isinstance(assert_oracle_matches_reference(params, 20), dict)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_oracle_matches_reference_on_degenerate_lattice(case):
     kappas = [(F(0), F(0))] if case == "IX" else product(DEGENERATE_KAPPAS, repeat=2)
@@ -354,12 +362,19 @@ def test_oracle_matches_reference_on_degenerate_lattice(case):
         assert_oracle_matches_reference(CaseParams(case, beta, k1, k2), 4)
 
 
-MUTANT_TERMS = {  # x, x d_y, y d_x, d_x, x^2 d_x d_y
+MUTANT_TERMS = {
     "x": (1, 0, 0, 0),
     "x*Dy": (1, 0, 0, 1),
     "y*Dx": (0, 1, 1, 0),
     "Dx": (0, 0, 1, 0),
     "x^2*Dx*Dy": (2, 0, 1, 1),
+    # images reaching 3 degrees down, one more than any catalog L's
+    "Dx^3": (0, 0, 3, 0),
+    "y*Dx*Dy^2": (0, 1, 1, 2),
+    # admissible below level 3, then a wrong own-key coefficient at (3,0)
+    "x^3*Dx^3": (3, 0, 3, 0),
+    # degree-preserving but off the diagonal: fails at (0,2)
+    "x*y*Dy^2": (1, 1, 0, 2),
 }
 
 
@@ -376,6 +391,18 @@ def test_oracle_matches_reference_on_mutated_operators(case, monkeypatch):
     assert errors  # the degree-raising mutants reach a guard
 
 
+@pytest.mark.parametrize("name, m, n, d", [("x^3*Dx^3", 3, 0, 3), ("x*y*Dy^2", 0, 2, 2)])
+def test_oracle_checks_each_image_at_its_own_level(name, m, n, d, monkeypatch):
+    params = sample_params("I", random.Random("mutant/I"))
+    mutant = operator_L(params) + DiffOp({MUTANT_TERMS[name]: 1})
+    monkeypatch.setattr(triangle, "operator_L", lambda p: mutant)
+    with pytest.raises(AdmissibilityError) as err:
+        build_oracle(params, 6)
+    assert str(err.value).startswith(
+        f"residual degree {d} did not drop below {m + n} at (m,n)=({m},{n}) for "
+    )
+
+
 def test_oracle_computes_each_image_of_L_once(monkeypatch):
     images = []
     true_image = DiffOp._image
@@ -388,7 +415,8 @@ def test_oracle_computes_each_image_of_L_once(monkeypatch):
     for case in CASES:
         images.clear()
         t = build_oracle(sample_params(case, random.Random(case)), 12)
-        assert len(images) == len(set(images)) <= len(t.entries) == 91, case
+        assert len(images) == len(t.entries) == 91, case
+        assert set(images) == set(t.entries), case
 
 
 def test_transfer_precondition_zero_kappa1():
