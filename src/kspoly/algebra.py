@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -191,8 +191,12 @@ class Terms:
         if terms:
             arity = len(self.FIELDS)
             for key, c in terms.items():
-                if len(key) != arity or min(key) < 0:
-                    raise ValueError(f"term {key} needs {arity} nonnegative indices")
+                if (
+                    type(key) is not tuple
+                    or len(key) != arity
+                    or not all(type(e) is int and e >= 0 for e in key)
+                ):
+                    raise ValueError(f"term {key!r} needs {arity} nonnegative int indices")
                 if not isinstance(c, (int, Fraction)):
                     raise ValueError(f"coefficient {c!r} of term {key} is not an int or a Fraction")
                 c = Fraction(c)
@@ -258,9 +262,9 @@ class Terms:
 
     # -- linear structure --------------------------------------------------
 
-    def _add(self, other):
-        # bound as __add__ in each subclass body, where the benchmark's
-        # tracer looks the method up
+    def __add__(self, other):
+        # BivariatePoly and DiffOp bind this again in their own bodies, where
+        # the benchmark's tracer looks up the methods it wraps
         if not isinstance(other, type(self)):
             return NotImplemented
         if not other._num or not self._num:  # x + 0
@@ -428,7 +432,7 @@ class BivariatePoly(Terms):
 
     # -- arithmetic --------------------------------------------------------
 
-    __add__ = Terms._add
+    __add__ = Terms.__add__  # see Terms.__add__
 
     def __mul__(self, other: Union["BivariatePoly", Scalar]) -> "BivariatePoly":
         if not isinstance(other, BivariatePoly):
@@ -443,24 +447,6 @@ class BivariatePoly(Terms):
         for _ in range(n):
             out = out * self
         return out
-
-    def diff(self, var: str, order: int = 1) -> "BivariatePoly":
-        """Exact partial derivative of the given order with respect to x or y."""
-        if var not in ("x", "y"):
-            raise ValueError(f"unknown variable {var!r}")
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        if order == 0:
-            return self
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._num.items():
-            e = i if var == "x" else j
-            if e < order:
-                continue
-            scale = perm(e, order)  # e(e-1)...(e-order+1)
-            key = (i - order, j) if var == "x" else (i, j - order)
-            out[key] = c * scale
-        return self._wrap(out, self._den)
 
     # -- structural maps ---------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .algebra import BivariatePoly, Scalar, Terms, rising_factorial, signed_sum
 from .catalog import CaseParams
@@ -108,7 +108,7 @@ class Series2(Terms):
         if not isinstance(other, Series2):
             return NotImplemented
         self._match(other)
-        return Terms._add(self, other)
+        return Terms.__add__(self, other)
 
     def __mul__(self, other: Union["Series2", Scalar]) -> "Series2":
         if not isinstance(other, Series2):
@@ -125,15 +125,7 @@ class Series2(Terms):
 
     def exp(self) -> "Series2":
         """sum f^k / k! up to the truncation order; f must have no constant term."""
-        if not self.coefficient(0, 0).is_zero():
-            raise ValueError("exp requires a series with zero constant term")
-        acc = power = Series2.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power * Fraction(1, factorial(k))
-        return acc
+        return _power_sum(self, lambda k: Fraction(1, k))
 
     def diff(self, var: str) -> "Series2":
         """d/ds or d/dt: shift-and-scale; the result truncates one order lower."""
@@ -151,22 +143,29 @@ class Series2(Terms):
         return signed_sum(self.lowest_terms(), "stxy")
 
 
-def binomial_series(u: Series2, r: Fraction | int) -> Series2:
-    """(1 + u)^r for a series u with zero constant term, truncated exactly.
-
-    Computed incrementally: the k-th term is the previous one times
-    u * (r - k + 1) / k, which is the generalized binomial coefficient.
-    """
+def _power_sum(u: Series2, ratio: Callable[[int], Fraction]) -> Series2:
+    # sum c_k u^k up to u's truncation order, c_0 = 1 and c_k = c_(k-1) *
+    # ratio(k): the running power of u is kept unscaled and enters the sum
+    # times c_k; the sum stops once the power or c_k vanishes
     if not u.coefficient(0, 0).is_zero():
-        raise ValueError("binomial series requires a zero constant term")
-    r = Fraction(r)
-    acc = term = Series2.one(u.order)
+        raise ValueError("the series must have a zero constant term")
+    acc = power = Series2.one(u.order)
+    c = Fraction(1)
     for k in range(1, u.order + 1):
-        term = term * u * ((r - k + 1) / k)
-        if term.is_zero():
+        power = power * u
+        c *= ratio(k)
+        if power.is_zero() or not c:
             break
-        acc = acc + term
+        acc = acc + power * c
     return acc
+
+
+def binomial_series(u: Series2, r: Fraction | int) -> Series2:
+    """(1 + u)^r for a series u with zero constant term, truncated exactly:
+    the coefficient of u^k is the generalized binomial coefficient, the
+    previous one times (r - k + 1) / k."""
+    r = Fraction(r)
+    return _power_sum(u, lambda k: (r - k + 1) / k)
 
 
 # ---------------------------------------------------------------------------

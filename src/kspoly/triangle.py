@@ -443,11 +443,11 @@ def dumps_json(doc: dict) -> str:
     The text is json.dumps(doc, indent=2) + "\\n", byte for byte, written
     directly (with indent set, the stdlib runs its pure-Python encoder).
     A record list, a non-empty list or tuple of plain dicts that all have
-    the same str keys in the same order and only str and int (not bool)
-    values, such as the terms of a table entry, is written in one step
-    through a %-template for one record, built once per document for each
-    tuple of keys and depth.  Any other list, and every other value, falls
-    back to the item-by-item writer.
+    the same str keys in the same order, where each key's values are all
+    str or all int (not bool), such as the terms of a table entry, is
+    written in one step through a %-template for one record, built once per
+    document for each tuple of keys and depth.  Any other list, and every
+    other value, falls back to the item-by-item writer.
     """
     chunks: list[str] = []
     _write_json(doc, chunks, "\n", {})
@@ -515,8 +515,6 @@ def _record_list(records: list | tuple, newline: str, templates: dict) -> str | 
         kinds = set(map(type, column))
         if kinds == {str}:
             values[index::width] = map(_encode_str, column)
-        elif kinds == {int, str}:
-            values[index::width] = [_encode_str(v) if type(v) is str else v for v in column]
         elif kinds != {int}:
             return None
     inner = newline + "  "

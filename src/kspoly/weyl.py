@@ -100,7 +100,7 @@ class DiffOp(Terms):
             return -1
         return max(k + l for (_, _, k, l) in self._num)
 
-    __add__ = Terms._add
+    __add__ = Terms.__add__  # see Terms.__add__
 
     # -- composition ---------------------------------------------------------
 
@@ -187,8 +187,6 @@ class GenericOp(Terms):
         """The symbol whose key has a 1 at ``index`` of FIELDS (x, y, d_x,
         d_y, beta, kappa1, kappa2, N for index 0..7)."""
         return cls._wrap({tuple(int(f == index) for f in range(8)): 1})
-
-    __add__ = Terms._add
 
     def __matmul__(self, other: "GenericOp") -> "GenericOp":
         """Normal-ordered product self o other, by ``leibniz``."""

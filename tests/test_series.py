@@ -267,6 +267,18 @@ def test_binomial_sqrt_squares_back():
     assert half * half == Series2.one(6) + u
 
 
+def test_binomial_integer_power_is_the_product():
+    # the coefficient of u^(r+1) vanishes while u^(r+1) does not: the sum
+    # stops on the coefficient
+    u = Series2(
+        6, {(1, 0, 1, 0): F(2, 3), (0, 1, 0, 1): -2, (1, 1, 0, 0): 1, (0, 2, 0, 0): F(-1, 5)}
+    )
+    one_plus_u = Series2.one(6) + u
+    assert not (u * u * u * u).is_zero()
+    assert binomial_series(u, 2) == one_plus_u * one_plus_u
+    assert binomial_series(u, 3) == one_plus_u * one_plus_u * one_plus_u
+
+
 def test_binomial_requires_zero_constant():
     with pytest.raises(ValueError):
         binomial_series(Series2.one(3), F(1, 2))
