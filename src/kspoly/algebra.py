@@ -169,6 +169,58 @@ def signed_sum(
     return text or "0"
 
 
+def _combined(operands: Iterable[tuple]) -> tuple[dict, int]:
+    # Terms.combination's operands as (numerators, denominator), not reduced
+    parts = []
+    for operand in operands:
+        c, p = operand[0], operand[1]
+        if not c or not p._num:
+            continue
+        via = operand[2] if len(operand) > 2 else None
+        d = c.denominator * p._den
+        if via is None or type(via) is tuple:
+            parts.append((c.numerator, d, p._num, via))
+        else:
+            parts.append((c.numerator, d * via._den, p._num, via.images))
+    return _sum(parts)
+
+
+def _sum(parts: list[tuple[int, int, dict, object]]) -> tuple[dict, int]:
+    # sum of c * num / den over (c, den, num, via) parts, num read as is
+    # (via None), with its (i, j) keys shifted by via (a tuple), or
+    # mapped through the monomial images via: every part is brought over
+    # one lcm of the denominators (either sign), the integer numerators
+    # accumulate in one dict, and the sum is reduced once with one gcd
+    den = lcm(*(d for _, d, _, _ in parts))
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for c, d, num, via in parts:
+        f = c * (den // d)
+        if via is None:
+            if not out:  # the first part fills the dict in one pass
+                out = {key: a * f for key, a in num.items()}
+                get = out.get
+                continue
+            for key, a in num.items():
+                out[key] = get(key, 0) + a * f
+        elif type(via) is tuple:
+            di, dj = via
+            if not out:
+                out = {(i + di, j + dj): a * f for (i, j), a in num.items()}
+                get = out.get
+                continue
+            for (i, j), a in num.items():
+                key = (i + di, j + dj)
+                out[key] = get(key, 0) + a * f
+        else:
+            known = via.get  # a hit costs one lookup; via[mono] fills a miss
+            for mono, a in num.items():
+                a *= f
+                for key, w in known(mono) or via[mono]:
+                    out[key] = get(key, 0) + a * w
+    return out, den
+
+
 class Terms:
     """Sparse map from index tuples to nonzero rational coefficients.
 
@@ -300,54 +352,7 @@ class Terms:
         integer numerator and a nonzero integer denominator of either sign
         (an int, a Fraction or an _Unreduced); zero coefficients (tested by
         truth) and zero operands are skipped, and an empty sum is zero."""
-        parts = []
-        for operand in operands:
-            c, p = operand[0], operand[1]
-            if not c or not p._num:
-                continue
-            via = operand[2] if len(operand) > 2 else None
-            d = c.denominator * p._den
-            if via is None or type(via) is tuple:
-                parts.append((c.numerator, d, p._num, via))
-            else:
-                parts.append((c.numerator, d * via._den, p._num, via.images))
-        return cls._sum(parts)
-
-    @classmethod
-    def _sum(cls, parts: list[tuple[int, int, dict, object]]):
-        # sum of c * num / den over (c, den, num, via) parts, num read as is
-        # (via None), with its (i, j) keys shifted by via (a tuple), or
-        # mapped through the monomial images via: every part is brought over
-        # one lcm of the denominators (either sign), the integer numerators
-        # accumulate in one dict, and the sum is reduced once with one gcd
-        den = lcm(*(d for _, d, _, _ in parts))
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for c, d, num, via in parts:
-            f = c * (den // d)
-            if via is None:
-                if not out:  # the first part fills the dict in one pass
-                    out = {key: a * f for key, a in num.items()}
-                    get = out.get
-                    continue
-                for key, a in num.items():
-                    out[key] = get(key, 0) + a * f
-            elif type(via) is tuple:
-                di, dj = via
-                if not out:
-                    out = {(i + di, j + dj): a * f for (i, j), a in num.items()}
-                    get = out.get
-                    continue
-                for (i, j), a in num.items():
-                    key = (i + di, j + dj)
-                    out[key] = get(key, 0) + a * f
-            else:
-                known = via.get  # a hit costs one lookup; via[mono] fills a miss
-                for mono, a in num.items():
-                    a *= f
-                    for key, w in known(mono) or via[mono]:
-                        out[key] = get(key, 0) + a * w
-        return cls._wrap(out, den)
+        return cls._wrap(*_combined(operands))
 
     # -- serialization -----------------------------------------------------
 
@@ -438,7 +443,7 @@ class BivariatePoly(Terms):
         if not isinstance(other, BivariatePoly):
             return Terms.__mul__(self, other)
         den, num = self._den * other._den, self._num
-        return self._sum([(c, den, num, key) for key, c in other._num.items()])
+        return self._wrap(*_sum([(c, den, num, key) for key, c in other._num.items()]))
 
     def __pow__(self, n: int) -> "BivariatePoly":
         if n < 0:

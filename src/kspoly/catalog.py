@@ -17,7 +17,6 @@ polynomials and are intentionally not covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -35,7 +34,6 @@ def _check_case(case_id: str) -> None:
         raise ParameterError(f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}")
 
 
-@dataclass(frozen=True)
 class CaseParams:
     """Parameters selecting one polynomial family.
 
@@ -45,24 +43,70 @@ class CaseParams:
     gamma-type denominators of the recurrences) belongs to the table being
     built, and each builder checks it.  Case IX carries no kappa parameters;
     they are stored as 0.
+
+    An immutable value: equal, hashed and printed by its four fields, and
+    pickled or copied by constructing it again, so a copy is validated too.
     """
+
+    __slots__ = ("case_id", "beta", "kappa1", "kappa2")
 
     case_id: str
     beta: Fraction
-    kappa1: Fraction = Fraction(0)
-    kappa2: Fraction = Fraction(0)
+    kappa1: Fraction
+    kappa2: Fraction
+
+    def __init__(
+        self,
+        case_id: str,
+        beta: Fraction,
+        kappa1: Fraction = Fraction(0),
+        kappa2: Fraction = Fraction(0),
+    ):
+        setter = object.__setattr__
+        setter(self, "case_id", case_id)
+        setter(self, "beta", beta)
+        setter(self, "kappa1", kappa1)
+        setter(self, "kappa2", kappa2)
+        # looked up on the class, where the benchmark's tracer wraps it
+        self.__post_init__()
 
     def __post_init__(self):
         _check_case(self.case_id)
         for name in ("beta", "kappa1", "kappa2"):
             value = getattr(self, name)
-            if not isinstance(value, (int, Fraction)):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise ParameterError(f"{name} must be an int or a Fraction, not {value!r}")
             object.__setattr__(self, name, Fraction(value))
         if self.case_id in ("V", "VIII") and self.beta == 0:
             raise ParameterError(f"beta must be nonzero for case {self.case_id}")
         if self.case_id == "IX" and (self.kappa1 or self.kappa2):
             raise ParameterError("case IX takes no kappa parameters (pass 0)")
+
+    def _fields(self) -> tuple[str, Fraction, Fraction, Fraction]:
+        return (self.case_id, self.beta, self.kappa1, self.kappa2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"CaseParams(case_id={self.case_id!r}, beta={self.beta!r}, "
+            f"kappa1={self.kappa1!r}, kappa2={self.kappa2!r})"
+        )
+
+    def __reduce__(self):
+        return (CaseParams, self._fields())
 
 
 def alpha(case_id: str) -> int:
@@ -412,8 +456,7 @@ def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecurrenceStep:
+class RecurrenceStep(NamedTuple):
     """One application of a three-level recurrence.
 
     P_target = lead * P_source + sum of c * P_(mm,nn) over tail.  The tail
@@ -593,8 +636,7 @@ def seed_polys(params: CaseParams) -> dict[tuple[int, int], BivariatePoly]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionRelation:
+class ActionRelation(NamedTuple):
     """I_k P_{m,n} + self_coeff(m,n) P_{m,n} = sum c * P_{m+dm,n+dn}.
 
     The neighbor offsets keep the level m+n fixed; coefficients vanish

@@ -14,10 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, signed_sum
 from .catalog import (
@@ -36,8 +35,7 @@ from .errors import AdmissibilityError, ParameterError, StencilError, TransferEr
 AccessLog = list[tuple[str, tuple[int, int]]]  # (axis, offset)
 
 
-@dataclass
-class Triangle:
+class Triangle(NamedTuple):
     """All P_{m,n} with m+n <= nmax for one case and parameter choice."""
 
     params: CaseParams

@@ -8,10 +8,9 @@ is diagnosable from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import BivariatePoly, Terms
 from .catalog import (
@@ -37,8 +36,7 @@ from .triangle import BUILDERS, AccessLog, Triangle, build_oracle, stencil_sum
 from .weyl import DiffOp, GenericOp, Op
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass" or "fail"
     detail: Optional[dict] = None
@@ -78,10 +76,10 @@ def _zero(name: str, residual: Terms, node: Optional[tuple[int, int]] = None) ->
     return CheckResult(name, "fail", _poly_detail(node, residual))
 
 
-@dataclass
 class VerificationReport:
-    params: CaseParams
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, params: CaseParams, results: Optional[list[CheckResult]] = None):
+        self.params = params
+        self.results = [] if results is None else results
 
     def add(self, name: str, ok: bool, detail: Optional[dict] = None) -> None:
         self.results.append(

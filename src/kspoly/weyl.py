@@ -210,7 +210,7 @@ class GenericOp(Terms):
         its coefficients, one value of N.  A value n/d whose highest exponent
         here is top enters its e-th power as n^e d^(top-e) over d^top, so
         the terms sum as integers over one denominator."""
-        if N is not None and not isinstance(N, (int, Fraction)):
+        if N is not None and (isinstance(N, bool) or not isinstance(N, (int, Fraction))):
             raise ValueError(f"N = {N!r} is not an int or a Fraction")
         den = self._den
         powers = []

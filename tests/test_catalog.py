@@ -2,6 +2,8 @@
 term with the parameters as symbols and at fixed parameter values, plus spot
 checks of the known identities."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -939,6 +941,14 @@ def test_params_reject_floats():
         CaseParams("I", F(5, 2), F(1, 3), 0.5)
 
 
+def test_params_reject_bools():
+    # True is an int to isinstance, but no parameter value: it would enter as 1
+    with pytest.raises(ParameterError, match="beta"):
+        CaseParams("I", True)
+    with pytest.raises(ParameterError, match="kappa1"):
+        CaseParams("I", F(5, 2), False)
+
+
 def test_params_reject_unknown_case():
     with pytest.raises(ParameterError):
         CaseParams("IV", F(2), F(0), F(0))
@@ -947,6 +957,60 @@ def test_params_reject_unknown_case():
 def test_params_reject_kappa_for_ix():
     with pytest.raises(ParameterError):
         CaseParams("IX", F(3), F(1, 2), F(0))
+
+
+# -- CaseParams as a value ------------------------------------------------------
+
+FIELDS_V = ("V", F(-1, 3), F(2, 7), F(-5))
+
+
+def test_params_repr_is_fixed():
+    # error texts embed {params}
+    assert repr(CaseParams("V", F(-1, 3), F(2, 7), -5)) == (
+        "CaseParams(case_id='V', beta=Fraction(-1, 3), kappa1=Fraction(2, 7), kappa2=Fraction(-5, 1))"
+    )
+    assert str(CaseParams("IX", 3)) == (
+        "CaseParams(case_id='IX', beta=Fraction(3, 1), kappa1=Fraction(0, 1), kappa2=Fraction(0, 1))"
+    )
+
+
+def test_params_compare_and_hash_as_their_fields():
+    params = CaseParams(*FIELDS_V)
+    assert params == CaseParams("V", F(-1, 3), F(2, 7), -5)
+    assert params != CaseParams("V", F(-1, 3), F(2, 7), F(5))
+    assert hash(params) == hash(FIELDS_V)
+    assert params != FIELDS_V
+    assert params.__eq__(FIELDS_V) is NotImplemented
+    assert len({params, CaseParams(*FIELDS_V)}) == 1
+
+
+def test_params_are_immutable():
+    params = CaseParams(*FIELDS_V)
+    for name in ("case_id", "beta", "kappa1", "kappa2", "other"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, F(1))
+        with pytest.raises(AttributeError):
+            delattr(params, name)
+    assert (params.case_id, params.beta, params.kappa1, params.kappa2) == FIELDS_V
+
+
+def test_params_pickle_and_copy_round_trip():
+    params = CaseParams(*FIELDS_V)
+    assert params.__reduce__() == (CaseParams, FIELDS_V)
+    for other in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
+        assert type(other) is CaseParams
+        assert other == params and repr(other) == repr(params)
+
+
+def test_params_validate_once_per_construction(monkeypatch):
+    calls = []
+    validate = CaseParams.__post_init__
+    monkeypatch.setattr(CaseParams, "__post_init__", lambda self: calls.append(1) or validate(self))
+    params = CaseParams("I", F(7, 2))
+    assert calls == [1]
+    # a copy is constructed again, so validated again
+    copy.copy(params)
+    assert calls == [1, 1]
 
 
 def test_sampled_params_are_valid():

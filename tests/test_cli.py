@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -412,3 +416,26 @@ def test_export_rejects_deeply_nested_json(tmp_path, capsys):
     deep.write_text("[" * 200_000)
     assert run("export", "--input", str(deep), "--format", "csv") == 2
     assert "JSON nested too deeply to read" in capsys.readouterr().err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command imports the package first; dataclasses alone would
+    # bring in inspect, ast, dis and tokenize
+    src = Path(kspoly.cli.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kspoly, kspoly.cli\n"
+        "print(kspoly.__file__)\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    where, added = proc.stdout.splitlines()
+    assert Path(where).resolve().parent.parent == src
+    assert added == "[]"

@@ -181,6 +181,32 @@ def test_order_mismatch_rejected():
         Series2.one(2) * Series2.one(3)
 
 
+@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
+def test_combination_matches_sums_and_scalings(dens):
+    rng = random.Random(len(dens) * 17 + dens[0])
+    for _ in range(30):
+        order = rng.randrange(5)
+        operands = [
+            (c, lift(order, random_coeffs(rng, order, dens)))
+            for c in rng.sample((0, 1, -2, F(-3, 4), F(5, 6), 6), rng.randrange(1, 5))
+        ]
+        chained = Series2.zero(order)
+        for c, f in operands:
+            chained = chained + f * c
+        got = Series2.combination(operands)
+        expect(got, order, chained.coefficients())
+        # cancellation down to zero keeps the operands' order
+        f = operands[0][1]
+        expect(Series2.combination([(2, f), (-1, f), (-1, f)]), order, {})
+
+
+def test_combination_rejects_mixed_or_missing_orders():
+    with pytest.raises(ValueError, match="truncation order mismatch: 2 vs 3"):
+        Series2.combination([(1, S(2)), (1, T(3))])
+    with pytest.raises(ValueError, match="no truncation order"):
+        Series2.combination([])
+
+
 def test_coefficient_beyond_order_rejected():
     with pytest.raises(ValueError):
         Series2(1, {(2, 0, 0, 0): 1})

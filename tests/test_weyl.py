@@ -380,3 +380,12 @@ def test_generic_at_rejects_a_float_level(N):
     for op in (generic_operators("I").raising[0], GenericOp.generator(4)):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             op.at(q, N)
+
+
+@pytest.mark.parametrize("N", [True, False])
+def test_generic_at_rejects_a_bool_level(N):
+    # True is an int to isinstance, but no level: it would enter as N = 1
+    q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
+    for op in (generic_operators("I").raising[0], GenericOp.generator(4)):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            op.at(q, N)
