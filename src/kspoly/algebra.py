@@ -109,27 +109,6 @@ def term_order(item: tuple[tuple[int, int], object]) -> tuple[int, int]:
     return (i + j, -i)
 
 
-def add_terms(a: Mapping, b: Mapping) -> dict:
-    """Sparse sum of two maps of nonzero numerators; a key whose sum vanishes
-    is dropped."""
-    out = dict(a)
-    for key, c in b.items():
-        s = out.get(key)
-        if s is None:
-            out[key] = c
-        else:
-            s = s + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
-
-
-def _scaled(num: dict, s: int) -> dict:
-    return num if s == 1 else {key: c * s for key, c in num.items()}
-
-
 def rational_text(p: int, q: int) -> str:
     """p/q, in lowest terms with q > 0, as str(Fraction(p, q)) writes it."""
     return str(p) if q == 1 else f"{p}/{q}"
@@ -186,19 +165,21 @@ def _combined(operands: Iterable[tuple]) -> tuple[dict, int]:
 
 
 def _sum(parts: list[tuple[int, int, dict, object]]) -> tuple[dict, int]:
-    # sum of c * num / den over (c, den, num, via) parts, num read as is
-    # (via None), with its (i, j) keys shifted by via (a tuple), or
-    # mapped through the monomial images via: every part is brought over
-    # one lcm of the denominators (either sign), the integer numerators
-    # accumulate in one dict, and the sum is reduced once with one gcd
-    den = lcm(*(d for _, d, _, _ in parts))
+    # the one linear rule, behind +, scalar *, DiffOp.apply, combination
+    # and the polynomial product: sum of c * num / den over (c, den, num,
+    # via) parts, num read as is (via None), with its (i, j) keys shifted
+    # by via (a tuple), or mapped through the monomial images via: every
+    # part is brought over one lcm of the denominators (either sign), the
+    # integer numerators accumulate in one dict, and the caller's _wrap
+    # drops the keys that cancelled and reduces the sum with one gcd
+    den = lcm(*[d for _, d, _, _ in parts])
     out: dict[tuple[int, ...], int] = {}
     get = out.get
     for c, d, num, via in parts:
         f = c * (den // d)
         if via is None:
             if not out:  # the first part fills the dict in one pass
-                out = {key: a * f for key, a in num.items()}
+                out = dict(num) if f == 1 else {key: a * f for key, a in num.items()}
                 get = out.get
                 continue
             for key, a in num.items():
@@ -213,9 +194,10 @@ def _sum(parts: list[tuple[int, int, dict, object]]) -> tuple[dict, int]:
                 key = (i + di, j + dj)
                 out[key] = get(key, 0) + a * f
         else:
+            if f != 1:
+                num = {mono: a * f for mono, a in num.items()}
             known = via.get  # a hit costs one lookup; via[mono] fills a miss
             for mono, a in num.items():
-                a *= f
                 for key, w in known(mono) or via[mono]:
                     out[key] = get(key, 0) + a * w
     return out, den
@@ -249,7 +231,7 @@ class Terms:
                     or not all(type(e) is int and e >= 0 for e in key)
                 ):
                     raise ValueError(f"term {key!r} needs {arity} nonnegative int indices")
-                if not isinstance(c, (int, Fraction)):
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                     raise ValueError(f"coefficient {c!r} of term {key} is not an int or a Fraction")
                 c = Fraction(c)
                 if c:
@@ -321,11 +303,8 @@ class Terms:
             return NotImplemented
         if not other._num or not self._num:  # x + 0
             return self if self._num else other
-        a, b, da, db = self._num, other._num, self._den, other._den
-        if da != db:  # both over lcm(da, db)
-            g = gcd(da, db)
-            a, b, da = _scaled(a, db // g), _scaled(b, da // g), da * (db // g)
-        return self._wrap(add_terms(a, b), da)
+        parts = [(1, self._den, self._num, None), (1, other._den, other._num, None)]
+        return self._wrap(*_sum(parts))
 
     def __neg__(self):
         return self._wrap({key: -c for key, c in self._num.items()}, self._den)
@@ -336,9 +315,8 @@ class Terms:
     def __mul__(self, other: Scalar):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other:
-            return self._wrap({})
-        return self._wrap(_scaled(self._num, other.numerator), self._den * other.denominator)
+        den = self._den * other.denominator
+        return self._wrap(*_sum([(other.numerator, den, self._num, None)]))
 
     def __rmul__(self, other: Scalar):
         return self.__mul__(other)
@@ -347,8 +325,9 @@ class Terms:
     def combination(cls, operands: Iterable[tuple]):
         """The sum of the operands, as one object.  (c, p) stands for c * p;
         for polynomials, (c, p, (i, j)) stands for c * x^i y^j * p and
-        (c, p, A) for c * A(p), A a DiffOp whose memo ``A.images`` is read as
-        ``A.apply`` reads it.  A coefficient c is any exact scalar with an
+        (c, p, A) for c * A(p), A a DiffOp whose memo ``A.images`` is read by
+        the same accumulation as ``A.apply``, which is this sum of one
+        operand.  A coefficient c is any exact scalar with an
         integer numerator and a nonzero integer denominator of either sign
         (an int, a Fraction or an _Unreduced); zero coefficients (tested by
         truth) and zero operands are skipped, and an empty sum is zero."""

@@ -109,6 +109,11 @@ class CaseParams:
         return (CaseParams, self._fields())
 
 
+def params_to_json(params: CaseParams) -> dict[str, str]:
+    """The wire form of the parameter triple, each value as str(Fraction)."""
+    return {"beta": str(params.beta), "kappa1": str(params.kappa1), "kappa2": str(params.kappa2)}
+
+
 def alpha(case_id: str) -> int:
     """Coefficient of the quadratic part of L (read off its x^2 Dx^2 term)."""
     return 0 if case_id in ("V", "VIII") else 1

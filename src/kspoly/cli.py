@@ -18,6 +18,7 @@ from .catalog import (
     CASES,
     CaseParams,
     generic_operators,
+    params_to_json,
     sample_params,
 )
 from .errors import KspolyError
@@ -168,9 +169,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
         )
     doc = {
         "case": params.case_id,
-        "beta": str(params.beta),
-        "kappa1": str(params.kappa1),
-        "kappa2": str(params.kappa2),
+        **params_to_json(params),
         "order": args.order,
         "entries": entries,
         "diffs": diffs,

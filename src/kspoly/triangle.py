@@ -26,6 +26,7 @@ from .catalog import (
     commuting_ops,
     eigenvalue,
     operator_L,
+    params_to_json,
     raising_ops,
     recurrence_step,
     seed_polys,
@@ -366,9 +367,7 @@ BUILDERS = {
 def triangle_to_json(t: Triangle) -> dict:
     return {
         "case": t.params.case_id,
-        "beta": str(t.params.beta),
-        "kappa1": str(t.params.kappa1),
-        "kappa2": str(t.params.kappa2),
+        **params_to_json(t.params),
         "nmax": t.nmax,
         "method": t.method,
         "polys": [

@@ -21,6 +21,7 @@ from .catalog import (
     edge_operators,
     eigenvalue,
     generic_operators,
+    params_to_json,
     quadratic_relations,
     raising_denominators,
     raising_relation,
@@ -51,11 +52,7 @@ class CheckResult(NamedTuple):
         unexpected_offsets or point), none of which names an entry key."""
         entry: dict = {"check": self.name, "case": case}
         if params is not None:
-            entry["params"] = {
-                "beta": str(params.beta),
-                "kappa1": str(params.kappa1),
-                "kappa2": str(params.kappa2),
-            }
+            entry["params"] = params_to_json(params)
         entry["status"] = self.status
         if self.detail is not None:
             entry.update(self.detail)

@@ -7,8 +7,9 @@ common denominator), so two operators are equal exactly when their storage
 is equal; all identity checks in this package reduce to that comparison.
 
 Each operator memoises its action on monomials, read through its one
-accessor ``DiffOp.images`` by ``apply`` and by the oracle's back-substitution:
-``images[(a, b)]`` is the image of x^a y^b as integer numerators over the
+accessor ``DiffOp.images`` by ``algebra._sum`` (``apply`` is one ``_sum``,
+and so is a ``Terms.combination`` with operator operands) and by the
+oracle's back-substitution: ``images[(a, b)]`` is the image of x^a y^b as integer numerators over the
 operator's denominator, computed on the first lookup.  The memo is a cache
 of exact values, so results and their storage are those of the term-by-term
 rule, and equality and hashing ignore it.
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import TYPE_CHECKING, Optional, TypeVar
 
-from .algebra import BivariatePoly, Scalar, Terms, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, _sum, signed_sum
 
 if TYPE_CHECKING:
     from .catalog import CaseParams
@@ -131,15 +132,8 @@ class DiffOp(Terms):
 
     def apply(self, p: BivariatePoly) -> BivariatePoly:
         """Apply the operator to a polynomial, exactly: each term pc * x^a y^b
-        of p adds pc times the memoised image of x^a y^b."""
-        images = self.images
-        known = images.get  # a hit costs one dict lookup; images[mono] fills a miss
-        out: dict[tuple[int, int], int] = {}
-        get = out.get
-        for mono, pc in p._num.items():
-            for key, w in known(mono) or images[mono]:
-                out[key] = get(key, 0) + pc * w
-        return BivariatePoly._wrap(out, self._den * p._den)
+        of p adds pc times the memoised image of x^a y^b, in one ``_sum``."""
+        return BivariatePoly._wrap(*_sum([(1, self._den * p._den, p._num, self.images)]))
 
     @staticmethod
     def _image(num: dict[Key, int], a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:

@@ -18,6 +18,7 @@ from test_algebra import (
     assert_canonical,
     coeffs,
     ref_add,
+    ref_apply,
     ref_scale,
 )
 
@@ -153,19 +154,10 @@ def test_rejects_negative_indices():
 
 # -- the integer kernel against Fraction reference loops -------------------------
 #
-# The Fraction-dict loops the integer-numerator kernel replaced; apply, @ and
-# left multiplication by a polynomial (from_poly(p) @ op) must give exactly
-# their coefficients, in canonical storage.
-
-
-def ref_apply(op, p):
-    out = {}
-    for (i, j, k, l), c in op.items():
-        for (a, b), pc in p.items():
-            if a >= k and b >= l:
-                inc = c * pc * perm(a, k) * perm(b, l)
-                accumulate(out, (a - k + i, b - l + j), inc)
-    return out
+# The Fraction-dict loops the integer-numerator kernel replaced (ref_apply,
+# shared with test_algebra's combination references, and the two below);
+# apply, @ and left multiplication by a polynomial (from_poly(p) @ op) must
+# give exactly their coefficients, in canonical storage.
 
 
 def ref_compose(left, right):
@@ -273,6 +265,7 @@ def test_subtracting_zero_returns_the_used_operator():
     assert_applies(L, p)
     same = L - DiffOp.zero()
     assert same is L
+    assert DiffOp.zero() + L is L
     assert_applies(same, p * F(5, 3) + X**3)
 
 
