@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, int]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q". Decimals and non-strings are rejected: exactness end to end."""

@@ -183,12 +183,15 @@ class GenericOperators(NamedTuple):
     edge_ladders: tuple[Optional[GenericOp], Optional[GenericOp]]
 
 
+# 1, x, y, dx, dy, beta, kappa1, kappa2 and N: the symbols of every generic formula
+_SYMBOLS = (GenericOp({(0,) * 8: 1}), *map(GenericOp.generator, range(8)))
+
+
 @lru_cache(maxsize=None)
 def generic_operators(case_id: str) -> GenericOperators:
     """The case's operators, built once from its formulas (see GenericOperators)."""
     _check_case(case_id)
-    one = GenericOp({(0,) * 8: 1})
-    x, y, dx, dy, b, k1, k2, n = (GenericOp.generator(index) for index in range(8))
+    one, x, y, dx, dy, b, k1, k2, n = _SYMBOLS
     g, g1 = b + 2 * n, b + n - one
     if case_id == "I":
         L = (
@@ -379,11 +382,6 @@ def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
     return tuple(op.at(params, N) * (1 / d) for op, d in zip(ops, raising_denominators(params, N)))
 
 
-# 1, x, y, beta and N over Q[beta, kappa1, kappa2, N]: the symbols the
-# relations below are written in
-_RING = (GenericOp({(0,) * 8: 1}), *(GenericOp.generator(index) for index in (0, 1, 4, 7)))
-
-
 def raising_relation(case_id: str, axis: str, L: GenericOp, r: GenericOp) -> GenericOp:
     """The residual of the commutation relation of L and r = R+axis(N) times
     its structural denominator (see GenericOperators), with nothing divided:
@@ -393,7 +391,7 @@ def raising_relation(case_id: str, axis: str, L: GenericOp, r: GenericOp) -> Gen
     at one sample."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    one, x, y, b, n = _RING
+    one, x, y, _, _, b, _, _, n = _SYMBOLS
     if case_id == "VIII" or (case_id, axis) == ("V", "x"):
         return L.commutator(r) - b @ r
     shifted = L - n @ ((n - one) * alpha(case_id) + b)
@@ -415,7 +413,7 @@ def quadratic_relations(
     I_1..I_4, zero for every beta exactly when the relations hold."""
     if case_id != "IX":
         raise ValueError("quadratic relations apply to case IX only")
-    one, _, _, b, _ = _RING
+    one, _, _, _, _, b, *_ = _SYMBOLS
     i1, i2, i3, i4 = commuting
     first = i1 + i2 + i3 @ i3 + L
     second = (
@@ -464,16 +462,15 @@ def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
 class RecurrenceStep(NamedTuple):
     """One application of a three-level recurrence.
 
-    P_target = lead * P_source + sum of c * P_(mm,nn) over tail.  The tail
-    keeps every stencil point, including those whose coefficient
-    evaluates to zero and those with out-of-range indices;
+    P_target = v * P_source + sum of c * P_(mm,nn) over tail, v being x or y
+    as target - source is (1, 0) or (0, 1).  The tail keeps every stencil
+    point, zero coefficients and out-of-range indices included;
     triangle.stencil_sum, the one place the rule is enforced, raises
     StencilError when an out-of-range point carries a nonzero coefficient.
     """
 
     target: tuple[int, int]
     source: tuple[int, int]
-    lead: BivariatePoly
     tail: tuple[tuple[int, int, Fraction], ...]
 
 
@@ -485,6 +482,8 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
     each coefficient is reduced to a Fraction once, at the return."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
+    if m < 0 or n < 0:
+        raise ParameterError(f"m and n must be nonnegative, not ({m},{n})")
     b, k1, k2 = (
         _Unreduced(v.numerator, v.denominator) for v in (params.beta, params.kappa1, params.kappa2)
     )
@@ -492,7 +491,6 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
     N = m + n
     ctx = f"case {c} recurrence at (m,n)=({m},{n})"
     target = (m + 1, n) if axis == "x" else (m, n + 1)
-    lead = X if axis == "x" else Y
 
     if c in ("I", "II", "III"):
         A = (("beta+2N", b + 2 * N), ("beta+2N-2", b + 2 * N - 2))
@@ -565,29 +563,28 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
             )
     elif c == "V":
         if axis == "x":
-            lead = X + (k1 / b).fraction() * ONE
             tail = (
+                (m, n, k1 / b),
                 (m + 1, n - 1, 2 * n / b),
                 (m + 1, n - 2, -n * (n - 1) / b**2),
                 (m, n - 1, -n * k1 / b**2),
             )
         else:
-            lead = Y + ((k2 + 2 * N) / b).fraction() * ONE
             tail = (
+                (m, n, (k2 + 2 * N) / b),
                 (m, n - 1, -n * (k2 + 2 * m + n - 1) / b**2),
                 (m - 1, n, -m * k1 / b**2),
             )
     elif c == "VIII":
         if axis == "x":
-            lead = X + (k1 / b).fraction() * ONE
             tail = (
+                (m, n, k1 / b),
                 (m - 1, n + 1, 2 * m / b),
                 (m, n - 1, n / b),
                 (m - 1, n, -m * k2 / b**2),
             )
         else:
-            lead = Y + (k2 / b).fraction() * ONE
-            tail = ((m - 1, n, m / b),)
+            tail = ((m, n, k2 / b), (m - 1, n, m / b))
     else:  # IX
         C = (("beta+2N-1", b + 2 * N - 1), ("beta+2N-3", b + 2 * N - 3))
         dc = _denominator(C, ctx)
@@ -601,7 +598,7 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
                 (m - 2, n + 1, m * (m - 1) / dc),
                 (m, n - 1, -n * (b + 2 * m + n - 2) / dc),
             )
-    return RecurrenceStep(target, (m, n), lead, tuple((mm, nn, q.fraction()) for mm, nn, q in tail))
+    return RecurrenceStep(target, (m, n), tuple((mm, nn, q.fraction()) for mm, nn, q in tail))
 
 
 # Allowed in-range access offsets (reference minus target) of each recurrence,

@@ -212,16 +212,15 @@ def stencil_sum(
 def _apply_step(
     step: RecurrenceStep,
     entries: dict[tuple[int, int], BivariatePoly],
-    axis: str,
-    access_log: AccessLog | None,
+    access_log: AccessLog | None = None,
 ) -> BivariatePoly:
-    """Evaluate one recurrence step against already-built entries: the lead
-    enters as one shift of P_source per term."""
-    source = entries[step.source]
-    lead = [(_Unreduced(p, q), source, key) for key, p, q in step.lead.lowest_terms()]
-    P = stencil_sum(entries, step.tail, lead)
+    """Evaluate one recurrence step against already-built entries: v * P_source
+    enters as one key shift by target - source, which names the logged axis."""
+    (tm, tn), (sm, sn) = step.target, step.source
+    shift = (tm - sm, tn - sn)
+    P = stencil_sum(entries, step.tail, [(1, entries[step.source], shift)])
     if access_log is not None:
-        tm, tn = step.target
+        axis = "x" if shift == (1, 0) else "y"
         reads = [step.source] + [(mm, nn) for mm, nn, c in step.tail if c]
         access_log.extend((axis, (mm - tm, nn - tn)) for mm, nn in reads)
     return P
@@ -248,7 +247,7 @@ def build_recurrence(
             step = recurrence_step(params, axis, *source)
             if step.target != (a, c):
                 raise StencilError(f"route to ({a},{c}) reads the step {source} -> {step.target}")
-            entries[(a, c)] = _apply_step(step, entries, axis, access_log)
+            entries[(a, c)] = _apply_step(step, entries, access_log)
     return Triangle(params, nmax, "recurrence", entries)
 
 
@@ -337,10 +336,10 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
     for T, level in enumerate(sweep, start=2):
         if "left" in edges:
             step = recurrence_step(params, "x", T - 1, 0)
-            entries[(T, 0)] = _apply_step(step, entries, "x", None)
+            entries[(T, 0)] = _apply_step(step, entries)
         if "right" in edges:
             step = recurrence_step(params, "y", 0, T - 1)
-            entries[(0, T)] = _apply_step(step, entries, "y", None)
+            entries[(0, T)] = _apply_step(step, entries)
         for m, n, coeff_u, known in level:
             # P_u = (op P + s P - sum of the known neighbors) / c_u, with 1/c_u
             # as an unreduced integer pair (its denominator may be negative)

@@ -39,7 +39,7 @@ def test_parse_rational_normalizes():
     assert str(parse_rational("4/6")) == "2/3"
 
 
-@pytest.mark.parametrize("bad", ["3.5", "1e3", "x", "1/0", "2/-3", ""])
+@pytest.mark.parametrize("bad", ["3.5", "1e3", "x", "1/0", "2/-3", "", "٣/٤", "３", "1/２"])
 def test_parse_rational_rejects_inexact(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

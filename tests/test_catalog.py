@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 import kspoly
-from kspoly.algebra import ONE, X, Y, BivariatePoly
+from kspoly.algebra import ONE, X, Y
 from kspoly.catalog import (
     CASES,
     CaseParams,
@@ -843,6 +843,15 @@ def test_negative_raising_degree_is_a_parameter_error():
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("m, n", [(-1, 0), (0, -1)])
+def test_negative_recurrence_node_is_a_parameter_error(axis, m, n):
+    # no step produces P_{0,0} from a P_{-1,0} that does not exist
+    p = CaseParams("I", F(7, 2), F(1, 3), F(1, 5))
+    with pytest.raises(ParameterError, match=re.escape(f"must be nonnegative, not ({m},{n})")):
+        recurrence_step(p, axis, m, n)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
 def test_negative_edge_ladder_index_is_a_parameter_error(axis):
     with pytest.raises(ParameterError, match="k must be nonnegative, not -1"):
         edge_ladder(CaseParams("I", F(7, 2)), axis, -1)
@@ -1034,161 +1043,161 @@ def test_eigenvalues_distinct_up_to_hint():
 # -- recurrence steps --------------------------------------------------------------
 
 # recurrence_step at the _params points (beta=2, kappa1=kappa2=1; case IX at
-# beta=3): the target, the lead's terms and every tail triple in order, at
-# N = 1, at an edge node (out-of-range tail points carry 0) and inside the
-# triangle
+# beta=3): the target and every tail triple in order, at N = 1, at an edge
+# node (out-of-range tail points carry 0) and inside the triangle; P_source's
+# own coefficient is the tail triple at (m, n)
 STEP_NODES = ((1, 0), (0, 2), (2, 3))
 
 GOLDEN_STEPS = {
     ("I", "x", 1, 0): (
-        (2, 0), {(1, 0): "1"},
+        (2, 0),
         ((1, 0, "-1/2"), (2, -1, "0"), (0, 0, "1/4"), (1, -1, "0"), (2, -2, "0")),
     ),
     ("I", "x", 0, 2): (
-        (1, 2), {(1, 0): "1"},
+        (1, 2),
         ((0, 2, "1/6"), (1, 1, "0"), (-1, 2, "0"), (0, 1, "0"), (1, 0, "0")),
     ),
     ("I", "x", 2, 3): (
-        (3, 3), {(1, 0): "1"},
+        (3, 3),
         ((2, 3, "-1/4"), (3, 2, "1/20"), (1, 3, "0"), (2, 2, "9/1100"), (3, 1, "0")),
     ),
     ("I", "y", 1, 0): (
-        (1, 1), {(0, 1): "1"},
+        (1, 1),
         ((1, 0, "1/4"), (0, 1, "-1/4"), (1, -1, "0"), (0, 0, "1/12"), (-1, 1, "0")),
     ),
     ("I", "y", 0, 2): (
-        (0, 3), {(0, 1): "1"},
+        (0, 3),
         ((0, 2, "-1/2"), (-1, 3, "0"), (0, 1, "0"), (-1, 2, "0"), (-2, 3, "0")),
     ),
     ("I", "y", 2, 3): (
-        (2, 4), {(0, 1): "1"},
+        (2, 4),
         ((2, 3, "-11/30"), (1, 4, "0"), (2, 2, "-21/1100"), (1, 3, "0"), (0, 4, "0")),
     ),
     ("II", "x", 1, 0): (
-        (2, 0), {(1, 0): "1"},
+        (2, 0),
         ((1, 0, "0"), (2, -1, "0"), (0, 0, "1/12"), (1, -1, "0"), (2, -2, "0")),
     ),
     ("II", "x", 0, 2): (
-        (1, 2), {(1, 0): "1"},
+        (1, 2),
         ((0, 2, "1/6"), (1, 1, "0"), (-1, 2, "0"), (0, 1, "0"), (1, 0, "0")),
     ),
     ("II", "x", 2, 3): (
-        (3, 3), {(1, 0): "1"},
+        (3, 3),
         ((2, 3, "1/20"), (3, 2, "1/20"), (1, 3, "4/2475"), (2, 2, "-1/660"), (3, 1, "0")),
     ),
     ("II", "y", 1, 0): (
-        (1, 1), {(0, 1): "1"},
+        (1, 1),
         ((1, 0, "1/4"), (0, 1, "-1/4"), (1, -1, "0"), (0, 0, "1/12"), (-1, 1, "0")),
     ),
     ("II", "y", 0, 2): (
-        (0, 3), {(0, 1): "1"},
+        (0, 3),
         ((0, 2, "-1/2"), (-1, 3, "0"), (0, 1, "0"), (-1, 2, "0"), (-2, 3, "0")),
     ),
     ("II", "y", 2, 3): (
-        (2, 4), {(0, 1): "1"},
+        (2, 4),
         ((2, 3, "-11/30"), (1, 4, "-1/30"), (2, 2, "-21/1100"), (1, 3, "-13/1650"),
          (0, 4, "-1/4950")),
     ),
     ("III", "x", 1, 0): (
-        (2, 0), {(1, 0): "1"},
+        (2, 0),
         ((1, 0, "0"), (2, -1, "0"), (3, -2, "0"), (0, 0, "1/12"), (1, -1, "0"),
          (2, -2, "0"), (3, -3, "0"), (4, -4, "0")),
     ),
     ("III", "x", 0, 2): (
-        (1, 2), {(1, 0): "1"},
+        (1, 2),
         ((0, 2, "1/6"), (1, 1, "-1/6"), (2, 0, "-1/6"), (-1, 2, "0"), (0, 1, "1/40"),
          (1, 0, "1/120"), (2, -1, "0"), (3, -2, "0")),
     ),
     ("III", "x", 2, 3): (
-        (3, 3), {(1, 0): "1"},
+        (3, 3),
         ((2, 3, "1/20"), (3, 2, "-1/20"), (4, 1, "-1/10"), (1, 3, "4/2475"),
          (2, 2, "1/660"), (3, 1, "1/550"), (4, 0, "-1/825"), (5, -1, "0")),
     ),
     ("III", "y", 1, 0): (
-        (1, 1), {(0, 1): "1"},
+        (1, 1),
         ((1, 0, "1/4"), (2, -1, "0"), (0, 1, "-1/4"), (3, -3, "0"), (2, -2, "0"),
          (1, -1, "0"), (0, 0, "1/12"), (-1, 1, "0")),
     ),
     ("III", "y", 0, 2): (
-        (0, 3), {(0, 1): "1"},
+        (0, 3),
         ((0, 2, "0"), (1, 1, "1/2"), (-1, 3, "0"), (2, -1, "0"), (1, 0, "3/40"),
          (0, 1, "-11/120"), (-1, 2, "0"), (-2, 3, "0")),
     ),
     ("III", "y", 2, 3): (
-        (2, 4), {(0, 1): "1"},
+        (2, 4),
         ((2, 3, "1/30"), (3, 2, "2/5"), (1, 4, "-1/30"), (4, 0, "3/275"), (3, 1, "1/66"),
          (2, 2, "-19/1100"), (1, 3, "1/1650"), (0, 4, "-1/4950")),
     ),
     ("V", "x", 1, 0): (
-        (2, 0), {(0, 0): "1/2", (1, 0): "1"},
-        ((2, -1, "0"), (2, -2, "0"), (1, -1, "0")),
+        (2, 0),
+        ((1, 0, "1/2"), (2, -1, "0"), (2, -2, "0"), (1, -1, "0")),
     ),
     ("V", "x", 0, 2): (
-        (1, 2), {(0, 0): "1/2", (1, 0): "1"},
-        ((1, 1, "2"), (1, 0, "-1/2"), (0, 1, "-1/2")),
+        (1, 2),
+        ((0, 2, "1/2"), (1, 1, "2"), (1, 0, "-1/2"), (0, 1, "-1/2")),
     ),
     ("V", "x", 2, 3): (
-        (3, 3), {(0, 0): "1/2", (1, 0): "1"},
-        ((3, 2, "3"), (3, 1, "-3/2"), (2, 2, "-3/4")),
+        (3, 3),
+        ((2, 3, "1/2"), (3, 2, "3"), (3, 1, "-3/2"), (2, 2, "-3/4")),
     ),
     ("V", "y", 1, 0): (
-        (1, 1), {(0, 0): "3/2", (0, 1): "1"},
-        ((1, -1, "0"), (0, 0, "-1/4")),
+        (1, 1),
+        ((1, 0, "3/2"), (1, -1, "0"), (0, 0, "-1/4")),
     ),
     ("V", "y", 0, 2): (
-        (0, 3), {(0, 0): "5/2", (0, 1): "1"},
-        ((0, 1, "-1"), (-1, 2, "0")),
+        (0, 3),
+        ((0, 2, "5/2"), (0, 1, "-1"), (-1, 2, "0")),
     ),
     ("V", "y", 2, 3): (
-        (2, 4), {(0, 0): "11/2", (0, 1): "1"},
-        ((2, 2, "-21/4"), (1, 3, "-1/2")),
+        (2, 4),
+        ((2, 3, "11/2"), (2, 2, "-21/4"), (1, 3, "-1/2")),
     ),
     ("VIII", "x", 1, 0): (
-        (2, 0), {(0, 0): "1/2", (1, 0): "1"},
-        ((0, 1, "1"), (1, -1, "0"), (0, 0, "-1/4")),
+        (2, 0),
+        ((1, 0, "1/2"), (0, 1, "1"), (1, -1, "0"), (0, 0, "-1/4")),
     ),
     ("VIII", "x", 0, 2): (
-        (1, 2), {(0, 0): "1/2", (1, 0): "1"},
-        ((-1, 3, "0"), (0, 1, "1"), (-1, 2, "0")),
+        (1, 2),
+        ((0, 2, "1/2"), (-1, 3, "0"), (0, 1, "1"), (-1, 2, "0")),
     ),
     ("VIII", "x", 2, 3): (
-        (3, 3), {(0, 0): "1/2", (1, 0): "1"},
-        ((1, 4, "2"), (2, 2, "3/2"), (1, 3, "-1/2")),
+        (3, 3),
+        ((2, 3, "1/2"), (1, 4, "2"), (2, 2, "3/2"), (1, 3, "-1/2")),
     ),
     ("VIII", "y", 1, 0): (
-        (1, 1), {(0, 0): "1/2", (0, 1): "1"},
-        ((0, 0, "1/2"),),
+        (1, 1),
+        ((1, 0, "1/2"), (0, 0, "1/2")),
     ),
     ("VIII", "y", 0, 2): (
-        (0, 3), {(0, 0): "1/2", (0, 1): "1"},
-        ((-1, 2, "0"),),
+        (0, 3),
+        ((0, 2, "1/2"), (-1, 2, "0")),
     ),
     ("VIII", "y", 2, 3): (
-        (2, 4), {(0, 0): "1/2", (0, 1): "1"},
-        ((1, 3, "1"),),
+        (2, 4),
+        ((2, 3, "1/2"), (1, 3, "1")),
     ),
     ("IX", "x", 1, 0): (
-        (2, 0), {(1, 0): "1"},
+        (2, 0),
         ((2, -2, "0"), (0, 0, "-1/4")),
     ),
     ("IX", "x", 0, 2): (
-        (1, 2), {(1, 0): "1"},
+        (1, 2),
         ((1, 0, "1/12"), (-1, 2, "0")),
     ),
     ("IX", "x", 2, 3): (
-        (3, 3), {(1, 0): "1"},
+        (3, 3),
         ((3, 1, "1/20"), (1, 3, "-3/20")),
     ),
     ("IX", "y", 1, 0): (
-        (1, 1), {(0, 1): "1"},
+        (1, 1),
         ((-1, 1, "0"), (1, -1, "0")),
     ),
     ("IX", "y", 0, 2): (
-        (0, 3), {(0, 1): "1"},
+        (0, 3),
         ((-2, 3, "0"), (0, 1, "-1/4")),
     ),
     ("IX", "y", 2, 3): (
-        (2, 4), {(0, 1): "1"},
+        (2, 4),
         ((0, 4, "1/60"), (2, 2, "-1/5")),
     ),
 }
@@ -1198,12 +1207,30 @@ GOLDEN_STEPS = {
 @pytest.mark.parametrize("axis", ("x", "y"))
 def test_recurrence_step_golden(case, axis):
     for m, n in STEP_NODES:
-        target, lead, tail = GOLDEN_STEPS[(case, axis, m, n)]
+        target, tail = GOLDEN_STEPS[(case, axis, m, n)]
         step = recurrence_step(_params(case), axis, m, n)
         assert (step.target, step.source) == (target, (m, n))
-        assert step.lead == BivariatePoly({key: F(c) for key, c in lead.items()})
         assert step.tail == tuple((mm, nn, F(c)) for mm, nn, c in tail)
         assert all(type(c) is F for _, _, c in step.tail)
+
+
+def test_every_recurrence_step_matches_the_oracle():
+    # the builders run only the steps on their routes (never a VIII y-step
+    # with m >= 1, nor a case I x-step with m + 1 < n): here every step on
+    # both axes is formed with the plain polynomial product and sum
+    rng = random.Random(31)
+    for case in CASES:
+        params = sample_params(case, rng)
+        oracle = build_oracle(params, 7).entries
+        for m, n, (axis, v) in product(range(7), range(7), (("x", X), ("y", Y))):
+            if m + n >= 7:
+                continue
+            step = recurrence_step(params, axis, m, n)
+            got = v * oracle[step.source]
+            for mm, nn, c in step.tail:
+                if c:
+                    got = got + c * oracle[(mm, nn)]
+            assert got == oracle[step.target], (case, axis, m, n)
 
 
 # -- action relations ----------------------------------------------------------------

@@ -493,9 +493,9 @@ def test_recurrence_rejects_a_route_to_the_wrong_target(monkeypatch):
 
 
 def test_out_of_range_nonzero_coefficient_raises():
-    fake = RecurrenceStep((1, 0), (0, 0), X, ((-1, 0, F(1)),))
+    fake = RecurrenceStep((1, 0), (0, 0), ((-1, 0, F(1)),))
     with pytest.raises(StencilError):
-        _apply_step(fake, {(0, 0): ONE}, "x", None)
+        _apply_step(fake, {(0, 0): ONE})
     with pytest.raises(StencilError, match=r"coefficient 1 multiplies out-of-range entry \(-1,0\)"):
         stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(1))))
     # a zero coefficient outside the triangle is skipped
