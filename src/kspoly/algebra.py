@@ -20,7 +20,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q". Decimals and non-strings are rejected: exactness end to end."""
-    s = text.strip() if isinstance(text, str) else ""
+    s = text.strip(" \t\n\r\f\v") if isinstance(text, str) else ""  # ASCII whitespace only
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational: {text!r} (use 'p' or 'p/q')")
     try:

@@ -24,7 +24,7 @@ from .catalog import (
 from .errors import KspolyError
 from .series import extract_polys, genfun
 from .triangle import BUILDERS, FORMATTERS, dumps_json, triangle_from_json
-from .verify import certify_commutator, full_suite
+from .verify import certify_record, full_suite
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -134,8 +134,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             for failure in report.failures():
                 print(f"  FAIL {failure.name}: {failure.detail}")
             documents.append(report.to_json())
-        ops = generic_operators(case)
-        result = certify_commutator(ops.L, ops.commuting[0], f"certify[{case}] [L,I1]=0")
+        result = certify_record(case, generic_operators(case))
         all_passed &= result.passed
         print(f"{result.name}: {result.status.upper()}")
         documents.append({"checks": [result.to_json(case)], "passed": result.passed})

@@ -273,10 +273,11 @@ def extract_polys(
 
 
 def genfun_derivative_residuals(
-    params: CaseParams, order: int
+    params: CaseParams, expansion: Series2
 ) -> tuple[Series2, Series2]:
-    """Residuals of the two case V differentiation identities, truncated at
-    the given order; both must be identically zero.
+    """Residuals of the two case V differentiation identities on expansion,
+    genfun(params, order + 1), truncated at order; both must be identically
+    zero.
 
       (beta-t)^2 dG/ds - (beta^2 x + kappa1 (beta-t)) G
       (beta-t)^2 dG/dt - 2s(beta-t) dG/ds - (beta^2 y + kappa2 (beta-t)
@@ -285,10 +286,10 @@ def genfun_derivative_residuals(
     if params.case_id != "V":
         raise ParameterError("the derivative identities belong to case V")
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    g_hi = genfun(params, order + 1)
-    g = g_hi.truncated(order)
-    dgs = g_hi.diff("s")
-    dgt = g_hi.diff("t")
+    order = expansion.order - 1
+    g = expansion.truncated(order)
+    dgs = expansion.diff("s")
+    dgt = expansion.diff("t")
     bt = _truncation(order, {(0, 0, 0, 0): b, (0, 1, 0, 0): -1})
     bt2 = bt * bt
     first = bt2 * dgs - (_truncation(order, {(0, 0, 1, 0): b * b}) + bt * k1) * g

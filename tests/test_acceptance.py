@@ -232,7 +232,7 @@ def test_criterion_6_generating_functions():
                     assert table[node] == oracle.entry(*node), (case, node)
         for _ in range(3):
             p = sample_params("V", rng)
-            r1, r2 = genfun_derivative_residuals(p, 6)
+            r1, r2 = genfun_derivative_residuals(p, genfun(p, 7))
             assert r1.is_zero() and r2.is_zero()
 
     run_criterion(6, "generating functions reproduce the tables to order 6", body)

@@ -39,10 +39,20 @@ def test_parse_rational_normalizes():
     assert str(parse_rational("4/6")) == "2/3"
 
 
-@pytest.mark.parametrize("bad", ["3.5", "1e3", "x", "1/0", "2/-3", "", "٣/٤", "３", "1/２"])
+@pytest.mark.parametrize(
+    "bad",
+    ["3.5", "1e3", "x", "1/0", "2/-3", "", "٣/٤", "３", "1/２", "\u30003", "3\u2003", "\x1c3"],
+)
 def test_parse_rational_rejects_inexact(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "text, value", [(" 3 ", 3), ("3\n", 3), ("\t-2/9\r\n", F(-2, 9)), ("\x0b\x0c3", 3)]
+)
+def test_parse_rational_strips_ascii_whitespace(text, value):
+    assert parse_rational(text) == value
 
 
 # -- polynomial arithmetic ---------------------------------------------------

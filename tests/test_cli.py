@@ -11,7 +11,8 @@ import kspoly.cli
 import kspoly.verify
 from kspoly import catalog
 from kspoly.cli import main
-from kspoly.verify import perturb_term
+from kspoly.verify import identity_residuals, perturb_term
+from kspoly.weyl import GenericOp
 
 
 def run(*argv):
@@ -166,6 +167,39 @@ def test_check_certify_failure(monkeypatch, tmp_path, capsys):
     assert (entry["check"], entry["case"], entry["status"]) == ("certify[V] [L,I1]=0", "V", "fail")
     records = entry["residual"]  # the symbolic [L, I1]
     assert records and all(set(r) == set("ijklpqrsc") for r in records)
+
+
+def test_warm_check_composes_no_operator(monkeypatch, tmp_path):
+    # the identity residuals are formed once per process: a second check of
+    # every case forms none of them again, and neither does its certify entry
+    argv = ["check", "--case", "all", "--trials", "3", "--seed", "7",
+            "--output", str(tmp_path / "report.json")]
+    true_matmul = GenericOp.__matmul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return true_matmul(self, other)
+
+    monkeypatch.setattr(GenericOp, "__matmul__", counted)
+    identity_residuals.cache_clear()
+    assert run(*argv) == 0
+    assert calls  # the cold run composes, so the counter sees compositions
+    calls.clear()
+    assert run(*argv) == 0
+    assert calls == []
+
+
+def test_check_report_bytes_do_not_depend_on_the_cache(tmp_path, capsys):
+    argv = ["check", "--case", "all", "--trials", "2", "--seed", "7"]
+    outputs = []
+    for clear in (True, False):
+        if clear:
+            identity_residuals.cache_clear()
+        report = tmp_path / f"report-{clear}.json"
+        assert run(*argv, "--output", str(report)) == 0
+        outputs.append((capsys.readouterr().out, report.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_check_reports_an_inadmissible_oracle(monkeypatch, tmp_path, capsys):

@@ -397,7 +397,7 @@ def test_extraction_detects_wrong_normalization():
 def test_case_v_derivative_identities():
     rng = random.Random(90)
     p = sample_params("V", rng)
-    r1, r2 = genfun_derivative_residuals(p, 6)
+    r1, r2 = genfun_derivative_residuals(p, genfun(p, 7))
     assert r1.is_zero()
     assert r2.is_zero()
 

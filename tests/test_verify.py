@@ -19,8 +19,10 @@ from kspoly.catalog import (
 from kspoly.errors import StencilError
 from kspoly.triangle import build_oracle, build_recurrence, build_transfer
 from kspoly.verify import (
+    IDENTITY_CACHE_SIZE,
     certify_commutator,
     certify_parameter_polynomial_identity,
+    certify_record,
     check_action_formulas,
     check_eigen,
     check_genfun_agreement,
@@ -32,6 +34,7 @@ from kspoly.verify import (
     check_recurrence_stencil,
     check_swap_symmetry,
     full_suite,
+    identity_residuals,
     mutated_operator_set,
     mutation_battery,
     perturb_source,
@@ -612,9 +615,9 @@ def test_genfun_diff_failure_carries_the_residual(monkeypatch):
     p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5))
     true_residuals = kspoly.verify.genfun_derivative_residuals
 
-    def broken(params, order):
-        r1, r2 = true_residuals(params, order)
-        return r1 + Series2(order, {(1, 0, 0, 1): F(1, 3)}), r2
+    def broken(params, expansion):
+        r1, r2 = true_residuals(params, expansion)
+        return r1 + Series2(r1.order, {(1, 0, 0, 1): F(1, 3)}), r2
 
     monkeypatch.setattr(kspoly.verify, "genfun_derivative_residuals", broken)
     report = full_suite(p, nmax=3, order=3)
@@ -724,3 +727,79 @@ def test_passing_checks_serialise_no_residual(case, monkeypatch):
     params = sample_params(case, random.Random(3))
     assert full_suite(params, nmax=3, order=3).passed
     assert certify_commutator(generic_operators(case).L, _generic_i1(case), "c").passed
+
+
+# -- the identity residual cache -------------------------------------------------
+
+
+def _identity_failures(params, record):
+    return [r.to_json(params.case_id, params) for r in
+            check_operator_identities(params, 3, record).failures()]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_identity_cache_gives_a_mutant_its_own_residuals(case):
+    # after the catalog's record has warmed the cache, each one-term mutant
+    # fails exactly the entries it fails with the cache cold, and the
+    # catalog's record passes again afterwards
+    params = IDENTITY_POINTS[case]
+    record = generic_operators(case)
+    mutants = [perturb_source(record, position, 1) for position in (0, 1, -2, -1)]
+    cold = []
+    for mutant in mutants:
+        identity_residuals.cache_clear()
+        cold.append(_identity_failures(params, mutant))
+    identity_residuals.cache_clear()
+    assert check_operator_identities(params, 3, record).passed
+    for mutant, failures in zip(mutants, cold):
+        assert failures
+        assert _identity_failures(params, mutant) == failures
+        assert check_operator_identities(params, 3, record).passed
+
+
+def test_identity_cache_is_keyed_by_value():
+    # an equal copy of the record is served the record's residuals; a copy
+    # with one coefficient changed is not
+    record = generic_operators("II")
+    copy = GenericOp._wrap(dict(record.L._num), record.L._den)
+    assert copy == record.L and copy is not record.L
+    identity_residuals.cache_clear()
+    first = identity_residuals("II", record.L, record.commuting, record.raising)
+    assert identity_residuals("II", copy, record.commuting, record.raising) is first
+    mutant = perturb_term(record.L, 2)
+    other = identity_residuals("II", mutant, record.commuting, record.raising)
+    assert other is not first and other.commuting[0] == mutant.commutator(record.commuting[0])
+    info = identity_residuals.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_mutation_battery_verdicts_do_not_depend_on_the_cache():
+    # more mutants than the cache holds, so the battery evicts as it runs
+    params = sample_params("I", random.Random(41))
+    source = generic_operators("I")
+    records = [source] + [
+        perturb_source(source, position, index)
+        for position in range(1 + len(source.commuting) + 2)
+        for index in (0, 5, 9)
+    ]
+    assert len(records) > IDENTITY_CACHE_SIZE
+    identity_residuals.cache_clear()
+    cold = mutation_battery(params, 3, records)
+    warm = mutation_battery(params, 3, records)
+    assert cold == warm == [False] + [True] * (len(records) - 1)
+    info = identity_residuals.cache_info()
+    assert info.maxsize == IDENTITY_CACHE_SIZE
+    assert info.currsize == IDENTITY_CACHE_SIZE
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certify_record_is_certify_commutator(case):
+    # the cached [L, I1] gives certify_commutator's entry, failing ones too
+    record = generic_operators(case)
+    i1, *rest = record.commuting
+    perturbed = record._replace(commuting=(perturb_term(i1, 0), *rest))
+    for ops, passed in ((record, True), (perturbed, False)):
+        name = f"certify[{case}] [L,I1]=0"
+        result = certify_record(case, ops)
+        assert result == certify_commutator(ops.L, ops.commuting[0], name)
+        assert result.passed is passed
