@@ -95,6 +95,8 @@ class Series2(Terms):
     def truncated(self, order: int) -> "Series2":
         if order > self.order:
             raise ValueError(f"cannot extend a truncation from order {self.order} to {order}")
+        if order == self.order:
+            return self
         num = {k: c for k, c in self._num.items() if k[0] + k[1] <= order}
         return self._wrap(num, self._den, order)
 

@@ -153,6 +153,7 @@ def test_exp_diff_truncated_match_reference(dens):
             expect(f.diff(var), order - 1, ref_diff(f_ref, var))
         for k in range(order + 1):
             expect(f.truncated(k), k, ref_truncated(k, f_ref))
+        assert f.truncated(order) is f
 
 
 # -- ring operations -----------------------------------------------------------

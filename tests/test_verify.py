@@ -16,7 +16,7 @@ from kspoly.catalog import (
     operator_L,
     sample_params,
 )
-from kspoly.errors import StencilError
+from kspoly.errors import ParameterError, StencilError
 from kspoly.triangle import build_oracle, build_recurrence, build_transfer
 from kspoly.verify import (
     IDENTITY_CACHE_SIZE,
@@ -627,6 +627,36 @@ def test_genfun_diff_failure_carries_the_residual(monkeypatch):
     [entry] = [c for c in report.to_json()["checks"] if c["check"] == "genfun-diff-s"]
     assert entry["status"] == "fail"
     assert entry["residual"] == failure.detail["residual"]
+
+
+def test_case_v_extraction_failure_keeps_the_derivative_entries(monkeypatch):
+    # the derivative identities read the expansion, not the extracted table
+    p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5))
+
+    def broken(expansion, params):
+        raise ParameterError("extraction broken")
+
+    monkeypatch.setattr(kspoly.verify, "extract_polys", broken)
+    report = full_suite(p, nmax=3, order=3)
+    [failure] = report.failures()
+    assert failure.name == "genfun"
+    assert failure.detail == {"error": "extraction broken"}
+    names = [c.name for c in report.results]
+    assert "genfun-diff-s" in names and "genfun-diff-t" in names
+    assert not any(name.startswith("genfun[") for name in names)
+
+
+def test_case_v_expansion_failure_skips_the_derivative_entries(monkeypatch):
+    p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5))
+
+    def broken(params, order):
+        raise ParameterError("expansion broken")
+
+    monkeypatch.setattr(kspoly.verify, "genfun", broken)
+    report = full_suite(p, nmax=3, order=3)
+    [failure] = report.failures()
+    assert failure.name == "genfun"
+    assert not any(c.name.startswith("genfun-diff") for c in report.results)
 
 
 def test_failure_details_shadow_no_entry_key(monkeypatch):
