@@ -124,14 +124,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         for trial in range(args.trials):
             params = sample_params(case, rng)
             report = full_suite(params, nmax=args.nmax, order=args.order)
-            all_passed &= report.passed
-            n_fail = len(report.failures())
+            failures = report.failures()
+            all_passed &= not failures
             print(
                 f"case {case} trial {trial} beta={params.beta} "
                 f"kappa1={params.kappa1} kappa2={params.kappa2}: "
-                + ("PASS" if report.passed else f"FAIL ({n_fail} failing checks)")
+                + (f"FAIL ({len(failures)} failing checks)" if failures else "PASS")
             )
-            for failure in report.failures():
+            for failure in failures:
                 print(f"  FAIL {failure.name}: {failure.detail}")
             documents.append(report.to_json())
         result = certify_record(case, generic_operators(case))

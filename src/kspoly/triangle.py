@@ -440,10 +440,11 @@ def dumps_json(doc: dict) -> str:
     directly (with indent set, the stdlib runs its pure-Python encoder).
     A record list, a non-empty list or tuple of plain dicts that all have
     the same str keys in the same order, where each key's values are all
-    str or all int (not bool), such as the terms of a table entry, is
-    written in one step through a %-template for one record, built once per
-    document for each tuple of keys and depth.  Any other list, and every
-    other value, falls back to the item-by-item writer.
+    str, all int (not bool) or all plain dicts, such as the terms of a table
+    entry, is written in one step through a %-template for one record, built
+    once per document for each tuple of keys and depth; a dict value is
+    written once per distinct object.  Any other list, and every other
+    value, falls back to the item-by-item writer.
     """
     chunks: list[str] = []
     _write_json(doc, chunks, "\n", {})
@@ -506,14 +507,21 @@ def _record_list(records: list | tuple, newline: str, templates: dict) -> str | 
         return None
     width = len(keys)
     values = list(chain.from_iterable(map(dict.values, records)))
+    inner = newline + "  "
     for index in range(width):  # %s writes an int as JSON does; a str is encoded
         column = values[index::width]
         kinds = set(map(type, column))
         if kinds == {str}:
             values[index::width] = map(_encode_str, column)
+        elif kinds == {dict}:  # each distinct dict object written once, at its depth
+            texts = {id(item): item for item in column}
+            for key, item in texts.items():
+                chunks: list[str] = []
+                _write_json(item, chunks, inner + "  ", templates)
+                texts[key] = "".join(chunks)
+            values[index::width] = map(texts.__getitem__, map(id, column))
         elif kinds != {int}:
             return None
-    inner = newline + "  "
     record = templates.get((keys, newline))
     if record is None:
         if set(map(type, keys)) != {str}:

@@ -47,13 +47,14 @@ class CheckResult(NamedTuple):
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json(self, case: str, params: Optional[CaseParams] = None) -> dict:
-        """The report entry: check, case, params (when given), status, and
-        on failure the detail's own keys (node, residual, error,
-        unexpected_offsets or point), none of which names an entry key."""
+    def to_json(self, case: str, params: Optional[dict] = None) -> dict:
+        """The report entry: check, case, params (a params_to_json dict, held
+        as given), status, and on failure the detail's own keys (node,
+        residual, error, unexpected_offsets or point), none of which names
+        an entry key."""
         entry: dict = {"check": self.name, "case": case}
         if params is not None:
-            entry["params"] = params_to_json(params)
+            entry["params"] = params
         entry["status"] = self.status
         if self.detail is not None:
             entry.update(self.detail)
@@ -100,8 +101,10 @@ class VerificationReport:
         return [r for r in self.results if not r.passed]
 
     def to_json(self) -> dict:
-        p = self.params
-        checks = [r.to_json(p.case_id, p) for r in sorted(self.results, key=lambda r: r.name)]
+        """The report document; its entries share one params dict, so it is
+        to be read (or written), not mutated."""
+        case, params = self.params.case_id, params_to_json(self.params)
+        checks = [r.to_json(case, params) for r in sorted(self.results, key=lambda r: r.name)]
         return {"checks": checks, "passed": self.passed}
 
 
@@ -113,9 +116,10 @@ class VerificationReport:
 def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     """L P_{m,n} = lambda_{m+n} P_{m,n}, exactly, at every entry."""
     report = VerificationReport(t.params)
+    lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
     for m, n in t.nodes():
         p = t.entry(m, n)
-        residual = BivariatePoly.combination([(1, p, L), (-eigenvalue(t.params, m + n), p)])
+        residual = BivariatePoly.combination([(1, p, L), (-lams[m + n], p)])
         report.expect_zero(f"eigen[{t.method}]({m},{n})", residual, (m, n))
     return report
 
@@ -133,13 +137,14 @@ def check_monic(t: Triangle) -> VerificationReport:
 def check_edge_ode(t: Triangle) -> VerificationReport:
     """Edge polynomials solve the one-variable restrictions of L."""
     report = VerificationReport(t.params)
+    lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
     for axis, op in zip("xy", edge_operators(t.params)):
         if op is None:
             continue
-        for k in range(t.nmax + 1):
+        for k, lam in enumerate(lams):
             node = (k, 0) if axis == "x" else (0, k)
             p = t.entry(*node)
-            residual = BivariatePoly.combination([(1, p, op), (-eigenvalue(t.params, k), p)])
+            residual = BivariatePoly.combination([(1, p, op), (-lam, p)])
             report.expect_zero(f"edge-{axis}({k})", residual, node)
     return report
 

@@ -171,10 +171,18 @@ class GenericOp(Terms):
     four indices and adds the last four; ``at`` specialises to a DiffOp.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)  # Terms.__hash__, memoised on first use
 
     FIELDS = ("i", "j", "k", "l", "p", "q", "r", "s")
     _order = staticmethod(_generic_key)
+
+    def __hash__(self) -> int:
+        # identity_residuals hashes the same operators on every cache hit
+        try:
+            return self._hash
+        except AttributeError:  # _wrap and __init__ leave the slot unset
+            value = self._hash = Terms.__hash__(self)
+            return value
 
     @classmethod
     def generator(cls, index: int) -> "GenericOp":

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import json
 import random
 from fractions import Fraction as F
@@ -633,7 +634,14 @@ record_columns = st.sampled_from([
     st.integers(min_value=-(10**40), max_value=10**40),
     json_text,
     st.one_of(st.integers(), json_text),
+    "dicts",
 ])
+# a dict column's values: empty or not, with lists and dicts inside
+dict_values = st.dictionaries(
+    st.one_of(json_text, st.sampled_from(["", "%", "%s", '"', "é", "\x00"])),
+    st.one_of(json_docs, st.sampled_from(["%", "%(c)s", '"', "é", "\x00"])),
+    max_size=3,
+)
 odd_values = st.one_of(
     st.booleans(),
     st.none(),
@@ -641,17 +649,32 @@ odd_values = st.one_of(
     st.sampled_from([10**1000, -(10**4000)]),
     st.lists(st.integers(), max_size=2),
     st.dictionaries(json_text, st.integers(), max_size=2),
+    st.dictionaries(json_text, st.integers(), max_size=2).map(Record),
 )
+
+
+@st.composite
+def dict_column(draw, size):
+    # one dict object in every record, equal but distinct copies, or drawn dicts
+    first = draw(dict_values)
+    sharing = draw(st.sampled_from(["one object", "equal copies", "drawn"]))
+    if sharing == "one object":
+        return [first] * size
+    if sharing == "equal copies":
+        return [first] + [copy.deepcopy(first) for _ in range(size - 1)]
+    return [first] + [draw(dict_values) for _ in range(size - 1)]
 
 
 @st.composite
 def record_lists(draw):
     keys = draw(record_keys)
+    size = draw(st.integers(1, 5))
     columns = [draw(record_columns) for _ in keys]
-    records = [
-        {key: draw(column) for key, column in zip(keys, columns)}
-        for _ in range(draw(st.integers(1, 5)))
+    columns = [
+        draw(dict_column(size)) if column == "dicts" else [draw(column) for _ in range(size)]
+        for column in columns
     ]
+    records = [dict(zip(keys, row)) for row in zip(*columns)]
     index = draw(st.integers(0, len(records) - 1))
     change = draw(st.sampled_from(["none", "reorder", "add", "drop", "odd value", "subclass"]))
     record = records[index]
@@ -690,6 +713,65 @@ def test_table_terms_are_written_as_record_lists():
         "\n", "\n  "
     )
     assert triangle._record_list(terms + [{"i": 0, "j": 0, "c": 1.0}], "\n", {}) is None
+
+
+# a column of dicts, as a check report's params
+SHARED = {"beta": "7/2", "%s": ['"é\x00', {"%": {}}], "é": {"k": [1, {"\x00": "%d"}]}}
+DICT_COLUMNS = {
+    "one object": [SHARED] * 3,
+    "equal copies": [SHARED, copy.deepcopy(SHARED), copy.deepcopy(SHARED)],
+    "unequal": [SHARED, {"beta": "1"}, {}],
+    "empty": [{}, {}],
+}
+
+
+def _dict_column_records(values):
+    return [{"check": f"c{k}%s", "params": value, "n": k} for k, value in enumerate(values)]
+
+
+@pytest.mark.parametrize("values", DICT_COLUMNS.values(), ids=list(DICT_COLUMNS))
+def test_dict_columns_are_written_through_the_record_template(values):
+    records = _dict_column_records(values)
+    for newline in ("\n", "\n    "):
+        text = triangle._record_list(records, newline, {})
+        assert text == json.dumps(records, indent=2).replace("\n", newline)
+    assert_stdlib_layout({"checks": records, "again": records})
+
+
+def test_each_distinct_dict_is_written_once(monkeypatch):
+    written = []
+    write = triangle._write_json
+
+    def spy(value, out, newline, templates):
+        written.append(value)
+        write(value, out, newline, templates)
+
+    monkeypatch.setattr(triangle, "_write_json", spy)
+    values = [SHARED, SHARED, copy.deepcopy(SHARED), SHARED]
+    assert triangle._record_list(_dict_column_records(values), "\n", {}) is not None
+    column = {id(SHARED), id(values[2])}
+    assert [id(v) for v in written if id(v) in column] == [id(SHARED), id(values[2])]
+
+
+@pytest.mark.parametrize("odd", [[1], [], Record({"beta": "1", "kappa1": "2"})])
+def test_a_dict_column_with_another_value_falls_back(odd):
+    records = _dict_column_records(DICT_COLUMNS["one object"])
+    records[1]["params"] = odd
+    assert triangle._record_list(records, "\n", {}) is None
+    assert_stdlib_layout({"checks": records})
+
+
+def test_check_reports_take_the_record_template_when_they_pass():
+    # a passing report's entries share their keys, a failing one's do not
+    params = sample_params("II", random.Random(6))
+    checks = full_suite(params, nmax=3, order=3).to_json()["checks"]
+    assert {entry["status"] for entry in checks} == {"pass"}
+    assert triangle._record_list(checks, "\n", {}) == json.dumps(checks, indent=2)
+    mutant, _ = mutated_operator_set("II", random.Random(2))
+    failing = check_operators(build_oracle(params, 3), mutant).to_json()["checks"]
+    assert any("residual" in entry for entry in failing)
+    assert triangle._record_list(failing, "\n", {}) is None
+    assert_stdlib_layout({"checks": failing})
 
 
 @pytest.mark.parametrize("case", CASES)

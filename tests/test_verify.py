@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from kspoly.catalog import (
     commuting_ops,
     generic_operators,
     operator_L,
+    params_to_json,
     sample_params,
 )
 from kspoly.errors import ParameterError, StencilError
@@ -385,6 +387,16 @@ def test_report_json_shape():
     assert entry["params"]["beta"] == "3"
 
 
+def test_report_entries_share_one_params_dict():
+    # the parameters are formatted once per report, and every entry holds
+    # that one dict
+    params = sample_params("II", random.Random(6))
+    checks = full_suite(params, nmax=3, order=3).to_json()["checks"]
+    assert len(checks) > 1
+    assert len({id(entry["params"]) for entry in checks}) == 1
+    assert checks[0]["params"] == params_to_json(params)
+
+
 def test_monic_failure_carries_the_entry():
     p = CaseParams("IX", F(3))
     t = build_oracle(p, 2)
@@ -679,7 +691,7 @@ def test_failure_details_shadow_no_entry_key(monkeypatch):
     point = {"beta": "7/2", "kappa1": "1/3", "kappa2": "-1/5"}
     kinds = set()
     for result in failures:
-        entry = result.to_json("I", params)
+        entry = result.to_json("I", params_to_json(params))
         head = {"check": result.name, "case": "I", "params": point, "status": "fail"}
         assert not set(result.detail) & set(head), result.name
         assert entry == {**head, **result.detail}
@@ -742,7 +754,7 @@ def test_failing_identity_entries_keep_their_bytes(case, source):
         assert all(set(f.detail) == {"error"} for f in failures)
     if source == "I3":
         assert [f.name for f in failures] == ["commuting[L,I3]", "quadratic-1"]
-    entries = [r.to_json(case, params) for r in report.results]
+    entries = [r.to_json(case, params_to_json(params)) for r in report.results]
     digest = hashlib.sha256(triangle.dumps_json(entries).encode("utf-8")).hexdigest()
     assert (len(failures), digest) == FAILING_IDENTITY_DIGESTS[(case, source)]
 
@@ -763,7 +775,7 @@ def test_passing_checks_serialise_no_residual(case, monkeypatch):
 
 
 def _identity_failures(params, record):
-    return [r.to_json(params.case_id, params) for r in
+    return [r.to_json(params.case_id, params_to_json(params)) for r in
             check_operator_identities(params, 3, record).failures()]
 
 
@@ -801,6 +813,23 @@ def test_identity_cache_is_keyed_by_value():
     assert other is not first and other.commuting[0] == mutant.commutator(record.commuting[0])
     info = identity_residuals.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_generic_op_hash_survives_pickling():
+    # the memoised hash travels with a pickle and reads only ints, so an
+    # unpickled record is still served its residuals; a perturbed copy of
+    # that record is still a miss
+    record = generic_operators("III")
+    identity_residuals.cache_clear()
+    first = identity_residuals("III", record.L, record.commuting, record.raising)
+    copy = pickle.loads(pickle.dumps(record.L))
+    assert copy == record.L and hash(copy) == hash(record.L)
+    assert identity_residuals("III", copy, record.commuting, record.raising) is first
+    mutant = perturb_term(copy, 4)
+    assert mutant != record.L
+    assert identity_residuals("III", mutant, record.commuting, record.raising) is not first
+    info = identity_residuals.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
 
 
 def test_mutation_battery_verdicts_do_not_depend_on_the_cache():
