@@ -148,22 +148,6 @@ def signed_sum(
     return text or "0"
 
 
-def _combined(operands: Iterable[tuple]) -> tuple[dict, int]:
-    # Terms.combination's operands as (numerators, denominator), not reduced
-    parts = []
-    for operand in operands:
-        c, p = operand[0], operand[1]
-        if not c or not p._num:
-            continue
-        via = operand[2] if len(operand) > 2 else None
-        d = c.denominator * p._den
-        if via is None or type(via) is tuple:
-            parts.append((c.numerator, d, p._num, via))
-        else:
-            parts.append((c.numerator, d * via._den, p._num, via.images))
-    return _sum(parts)
-
-
 def _sum(parts: list[tuple[int, int, dict, object]]) -> tuple[dict, int]:
     # the one linear rule, behind +, scalar *, DiffOp.apply, combination
     # and the polynomial product: sum of c * num / den over (c, den, num,
@@ -321,18 +305,6 @@ class Terms:
     def __rmul__(self, other: Scalar):
         return self.__mul__(other)
 
-    @classmethod
-    def combination(cls, operands: Iterable[tuple]):
-        """The sum of the operands, as one object.  (c, p) stands for c * p;
-        for polynomials, (c, p, (i, j)) stands for c * x^i y^j * p and
-        (c, p, A) for c * A(p), A a DiffOp whose memo ``A.images`` is read by
-        the same accumulation as ``A.apply``, which is this sum of one
-        operand.  A coefficient c is any exact scalar with an
-        integer numerator and a nonzero integer denominator of either sign
-        (an int, a Fraction or an _Unreduced); zero coefficients (tested by
-        truth) and zero operands are skipped, and an empty sum is zero."""
-        return cls._wrap(*_combined(operands))
-
     # -- serialization -----------------------------------------------------
 
     def to_records(self) -> list[dict[str, object]]:
@@ -431,6 +403,29 @@ class BivariatePoly(Terms):
         for _ in range(n):
             out = out * self
         return out
+
+    @classmethod
+    def combination(cls, operands: Iterable[tuple]) -> "BivariatePoly":
+        """The sum of the operands, as one polynomial.  (c, p) stands for
+        c * p, (c, p, (i, j)) for c * x^i y^j * p and (c, p, A) for c * A(p),
+        A a DiffOp whose memo ``A.images`` is read by the same accumulation
+        as ``A.apply``, which is this sum of one operand.  A coefficient c is
+        any exact scalar with an integer numerator and a nonzero integer
+        denominator of either sign (an int, a Fraction or an _Unreduced);
+        zero coefficients (tested by truth) and zero operands are skipped,
+        and an empty sum is zero."""
+        parts = []
+        for operand in operands:
+            c, p = operand[0], operand[1]
+            if not c or not p._num:
+                continue
+            via = operand[2] if len(operand) > 2 else None
+            d = c.denominator * p._den
+            if via is None or type(via) is tuple:
+                parts.append((c.numerator, d, p._num, via))
+            else:
+                parts.append((c.numerator, d * via._den, p._num, via.images))
+        return cls._wrap(*_sum(parts))
 
     # -- structural maps ---------------------------------------------------
 

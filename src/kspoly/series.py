@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
-from .algebra import BivariatePoly, Scalar, Terms, _combined, rising_factorial, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, rising_factorial, signed_sum
 from .catalog import CaseParams
 from .errors import ParameterError
 
@@ -95,6 +95,8 @@ class Series2(Terms):
     def truncated(self, order: int) -> "Series2":
         if order > self.order:
             raise ValueError(f"cannot extend a truncation from order {self.order} to {order}")
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
         if order == self.order:
             return self
         num = {k: c for k, c in self._num.items() if k[0] + k[1] <= order}
@@ -111,18 +113,6 @@ class Series2(Terms):
             return NotImplemented
         self._match(other)
         return Terms.__add__(self, other)
-
-    @classmethod
-    def combination(cls, operands: Iterable[tuple]) -> "Series2":
-        """The sum of the (c, s) operands, as Terms.combination, at their one
-        truncation order; operands at two orders raise as + does."""
-        operands = list(operands)
-        if not operands:
-            raise ValueError("an empty combination of series has no truncation order")
-        head = operands[0][1]
-        for operand in operands[1:]:
-            head._match(operand[1])
-        return head._wrap(*_combined(operands))
 
     def __mul__(self, other: Union["Series2", Scalar]) -> "Series2":
         if not isinstance(other, Series2):

@@ -186,9 +186,9 @@ def stencil_sum(
     scale: Scalar | _Unreduced = 1,
 ) -> BivariatePoly:
     """Sum of scale * c * P_(mm,nn) over a relation's (mm, nn, c) terms,
-    plus the extra operands of Terms.combination (c * p, c * x^i y^j * p or
-    c * A(p)), formed as one combination: one common denominator, one
-    integer accumulation and one gcd.
+    plus the extra operands of BivariatePoly.combination (c * p,
+    c * x^i y^j * p or c * A(p)), formed as one combination: one common
+    denominator, one integer accumulation and one gcd.
 
     The one place the stencil rule is enforced: zero coefficients are
     skipped, and a nonzero one on a point outside the triangle is a

@@ -367,19 +367,11 @@ def certify_parameter_polynomial_identity(
     return CheckResult(name, "pass")
 
 
-def certify_commutator(A: GenericOp, B: GenericOp, name: str) -> CheckResult:
-    """Certify [A, B] = 0 for every parameter triple.
-
-    A and B carry beta, kappa1 and kappa2 as symbols, so their commutator
-    is one exact element of the Weyl algebra over Q[beta, kappa1, kappa2],
-    and the identity holds everywhere exactly when that element is zero.
-    """
-    return _zero(name, A.commutator(B))
-
-
 def certify_record(case_id: str, ops: GenericOperators) -> CheckResult:
-    """certify_commutator's check of the record's [L, I_1], as the entry
-    `certify[C] [L,I1]=0`, read from its cached identity_residuals."""
+    """Certify [L, I_1] = 0 for every parameter triple, as the entry
+    `certify[C] [L,I1]=0`: the record's [L, I_1], read from its cached
+    identity_residuals, is one element of the Weyl algebra over Q[beta,
+    kappa1, kappa2], zero exactly when the identity holds everywhere."""
     residuals = identity_residuals(case_id, ops.L, ops.commuting, ops.raising)
     return _zero(f"certify[{case_id}] [L,I1]=0", residuals.commuting[0])
 

@@ -8,7 +8,7 @@ is equal; all identity checks in this package reduce to that comparison.
 
 Each operator memoises its action on monomials, read through its one
 accessor ``DiffOp.images`` by ``algebra._sum`` (``apply`` is one ``_sum``,
-and so is a ``Terms.combination`` with operator operands) and by the
+and so is a ``BivariatePoly.combination`` with operator operands) and by the
 oracle's back-substitution: ``images[(a, b)]`` is the image of x^a y^b as integer numerators over the
 operator's denominator, computed on the first lookup.  The memo is a cache
 of exact values, so results and their storage are those of the term-by-term
@@ -83,11 +83,6 @@ class DiffOp(Terms):
     @classmethod
     def identity(cls) -> "DiffOp":
         return cls({(0, 0, 0, 0): 1})
-
-    @classmethod
-    def from_poly(cls, p: BivariatePoly) -> "DiffOp":
-        """The multiplication operator f -> p*f."""
-        return cls._wrap({(i, j, 0, 0): c for (i, j), c in p._num.items()}, p._den)
 
     @classmethod
     def partial(cls, k: int, l: int) -> "DiffOp":

@@ -588,14 +588,6 @@ def test_combination_operands_match_the_chained_reference_property(operands):
     assert coeffs(got) == reference(operands)
 
 
-def test_combination_of_operators_keeps_the_type():
-    a = DiffOp({(1, 0, 1, 0): F(1, 2), (0, 0, 0, 0): 3})
-    b = DiffOp({(1, 0, 1, 0): F(-1, 2), (0, 1, 0, 2): F(1, 3)})
-    got = DiffOp.combination([(2, a), (2, b)])
-    assert type(got) is DiffOp and got == 2 * a + 2 * b
-    assert_canonical(got)
-
-
 def test_records_print_coefficients_as_str_fraction():
     # stored over 12: -9/12 -> -3/4, 24/12 -> 2, -36/12 -> -3; the x^2 terms cancel
     p = BivariatePoly({(0, 0): F(-3, 4), (1, 0): 2, (0, 1): -3, (2, 0): F(5, 6)})

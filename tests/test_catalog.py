@@ -830,6 +830,18 @@ def test_raising_from_constant_gives_degree_one():
         assert ry.apply(ONE) == Y + (params.kappa2 / params.beta) * ONE
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_raising_y_reaches_every_interior_node(case):
+    # build_ladder applies R+y only on the m = 0 edge; off it, R+y(N) must
+    # still map each P_{m,n} (m >= 1, m + n = N <= 8) to P_{m,n+1}
+    params = sample_params(case, random.Random(3))
+    oracle = build_oracle(params, 9).entries
+    for N in range(9):
+        _, ry = raising_ops(params, N)
+        for m in range(1, N + 1):
+            assert ry.apply(oracle[(m, N - m)]) == oracle[(m, N - m + 1)], (m, N - m)
+
+
 def test_raising_denominator_guard():
     # beta = 1 is a valid parameter set, but R(N=0) has a vanishing prefactor
     params = CaseParams("IX", F(1))
@@ -1231,6 +1243,62 @@ def test_every_recurrence_step_matches_the_oracle():
                 if c:
                     got = got + c * oracle[(mm, nn)]
             assert got == oracle[step.target], (case, axis, m, n)
+
+
+def _multiplication_columns(params, nmax):
+    """x * P_(m,n) and y * P_(m,n) in the P basis, read from recurrence_step
+    alone: P_target minus the tail, keyed by (axis, (m, n)) for m + n < nmax."""
+    columns = {}
+    for axis, N in product("xy", range(nmax)):
+        for m in range(N + 1):
+            step = recurrence_step(params, axis, m, N - m)
+            column = {step.target: F(1)}
+            for mm, nn, c in step.tail:
+                if c:
+                    column[(mm, nn)] = column.get((mm, nn), 0) - c
+            columns[axis, (m, N - m)] = column
+    return columns
+
+
+def _times(columns, axis, vector):
+    # the multiplication by x or y on a vector {node: coefficient} of P's
+    out = {}
+    for node, a in vector.items():
+        for key, c in columns[axis, node].items():
+            out[key] = out.get(key, 0) + a * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _noncommuting_columns(columns, levels):
+    # the nodes, at the given levels, whose P_(m,n) has x(y P) != y(x P)
+    out = []
+    for N in levels:
+        for m in range(N + 1):
+            e = {(m, N - m): 1}
+            xy = _times(columns, "x", _times(columns, "y", e))
+            if xy != _times(columns, "y", _times(columns, "x", e)):
+                out.append((m, N - m))
+    return out
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_recurrence_matrices_commute(case):
+    # xy = yx, so the two recurrences' matrices commute on every column with
+    # m + n <= 8, whose images stay within nmax = 10; this reads every step
+    # up to level 9, past the oracle test above and off the builders' routes
+    params = sample_params(case, random.Random(0))
+    columns = _multiplication_columns(params, 10)
+    assert _noncommuting_columns(columns, range(9)) == []
+    # a +1 on any in-range tail coefficient of either step at (4, 4) breaks
+    # a column; only the columns at levels 7 and 8 read a level-8 step
+    for axis in "xy":
+        for mm, nn, _ in recurrence_step(params, axis, 4, 4).tail:
+            if mm < 0 or nn < 0:
+                continue
+            mutant = dict(columns)
+            column = mutant[axis, (4, 4)] = dict(columns[axis, (4, 4)])
+            column[(mm, nn)] = column.get((mm, nn), 0) - 1
+            assert _noncommuting_columns(mutant, (7, 8)), (axis, mm, nn)
 
 
 # -- action relations ----------------------------------------------------------------

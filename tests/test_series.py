@@ -16,7 +16,6 @@ from kspoly.series import (
     normalization,
 )
 from kspoly.triangle import build_oracle
-from test_algebra import ref_add as ref_add_terms, ref_scale as ref_scale_terms
 
 S = lambda order: Series2.term(order, 1, 0, ONE)
 T = lambda order: Series2.term(order, 0, 1, ONE)
@@ -64,14 +63,6 @@ def ref_exp(order, f):
             break
         acc = ref_add(acc, ref_scale(power, F(1, factorial(k))))
     return acc
-
-
-def grouped(terms):
-    """A {(a, b, i, j): Fraction} map as {(a, b): BivariatePoly}."""
-    out = {}
-    for (a, b, i, j), c in terms.items():
-        out.setdefault((a, b), {})[(i, j)] = c
-    return {key: BivariatePoly(p) for key, p in out.items()}
 
 
 def ref_diff(f, var):
@@ -193,34 +184,6 @@ def test_order_mismatch_rejected():
         Series2.one(2) * Series2.one(3)
 
 
-@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
-def test_combination_matches_sums_and_scalings(dens):
-    rng = random.Random(len(dens) * 17 + dens[0])
-    for _ in range(30):
-        order = rng.randrange(5)
-        operands = [
-            (c, lift(order, random_coeffs(rng, order, dens)))
-            for c in rng.sample((0, 1, -2, F(-3, 4), F(5, 6), 6), rng.randrange(1, 5))
-        ]
-        # the chained sum on Fraction dicts, apart from the kernel's one
-        # accumulation that + and * share with combination
-        chained = {}
-        for c, f in operands:
-            chained = ref_add_terms(chained, ref_scale_terms(dict(f.items()), F(c)))
-        got = Series2.combination(operands)
-        expect(got, order, grouped(chained))
-        # cancellation down to zero keeps the operands' order
-        f = operands[0][1]
-        expect(Series2.combination([(2, f), (-1, f), (-1, f)]), order, {})
-
-
-def test_combination_rejects_mixed_or_missing_orders():
-    with pytest.raises(ValueError, match="truncation order mismatch: 2 vs 3"):
-        Series2.combination([(1, S(2)), (1, T(3))])
-    with pytest.raises(ValueError, match="no truncation order"):
-        Series2.combination([])
-
-
 def test_coefficient_beyond_order_rejected():
     with pytest.raises(ValueError):
         Series2(1, {(2, 0, 0, 0): 1})
@@ -234,6 +197,14 @@ def test_coefficient_beyond_order_rejected():
 def test_constructor_rejects_malformed_terms(order, terms):
     with pytest.raises(ValueError):
         Series2(order, terms)
+
+
+def test_truncation_rejects_a_negative_or_larger_order():
+    # a negative order gets the constructor's message
+    with pytest.raises(ValueError, match="^truncation order must be nonnegative$"):
+        Series2.one(3).truncated(-1)
+    with pytest.raises(ValueError, match="cannot extend a truncation from order 3 to 4"):
+        Series2.one(3).truncated(4)
 
 
 def test_series_records_round_trip():

@@ -265,9 +265,8 @@ def test_beta_one_fails_before_any_recurrence_step(case, monkeypatch):
 
 def test_oracle_guard_rejects_degree_raising_operator(monkeypatch):
     true_L = triangle.operator_L
-    monkeypatch.setattr(
-        triangle, "operator_L", lambda p: true_L(p) + DiffOp.from_poly(X)
-    )
+    x = DiffOp({(1, 0, 0, 0): 1})  # multiplication by x raises the degree
+    monkeypatch.setattr(triangle, "operator_L", lambda p: true_L(p) + x)
     p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7))
     with pytest.raises(AdmissibilityError, match="did not drop below"):
         build_oracle(p, 3)

@@ -22,7 +22,7 @@ from kspoly.errors import ParameterError, StencilError
 from kspoly.triangle import build_oracle, build_recurrence, build_transfer
 from kspoly.verify import (
     IDENTITY_CACHE_SIZE,
-    certify_commutator,
+    CheckResult,
     certify_parameter_polynomial_identity,
     certify_record,
     check_action_formulas,
@@ -470,6 +470,12 @@ def _generic_i1(case):
     return generic_operators(case).commuting[0]
 
 
+def _with_i1(case, i1):
+    """The case's generic record with i1 in place of its I_1."""
+    record = generic_operators(case)
+    return record._replace(commuting=(i1, *record.commuting[1:]))
+
+
 # 1, x, d_x, beta and kappa1 over Q[beta, kappa1, kappa2, N]
 G_ONE = GenericOp({(0,) * 8: 1})
 G_X, G_DX, G_BETA, G_K1 = (GenericOp.generator(index) for index in (0, 2, 4, 5))
@@ -507,7 +513,8 @@ def test_certify_evaluates_no_grid_point(case, monkeypatch):
     monkeypatch.setattr(GenericOp, "at", forbidden)
     monkeypatch.setattr(kspoly.verify, "certify_parameter_polynomial_identity", forbidden)
     monkeypatch.setattr(DiffOp, "__matmul__", forbidden)
-    result = certify_commutator(generic_operators(case).L, _generic_i1(case), "[L,I1]=0")
+    identity_residuals.cache_clear()  # so the composition runs under the patches
+    result = certify_record(case, generic_operators(case))
     assert result.passed
     assert result.detail is None
 
@@ -530,9 +537,9 @@ def _assert_fails_with_residual(result):
 @pytest.mark.parametrize("case", CASES)
 def test_derived_grid_detects_perturbations(case):
     # +1 on each stored term of the generic I1 breaks [L, I1] = 0
-    L, i1 = generic_operators(case).L, _generic_i1(case)
+    i1 = _generic_i1(case)
     for index in range(len(i1)):
-        result = certify_commutator(L, perturb_term(i1, index), f"[L,I1+e{index}]=0")
+        result = certify_record(case, _with_i1(case, perturb_term(i1, index)))
         _assert_fails_with_residual(result)
 
 
@@ -545,9 +552,7 @@ def test_derived_grid_detects_degree_two_perturbation(case):
     assert not operator_L(q).commutator(euler.at(q)).is_zero()
     weights = [G_BETA @ G_BETA] + ([] if case == "IX" else [G_BETA @ G_K1])
     for weight in weights:
-        result = certify_commutator(
-            generic_operators(case).L, _generic_i1(case) + weight @ euler, "[L,I1+e]=0"
-        )
+        result = certify_record(case, _with_i1(case, _generic_i1(case) + weight @ euler))
         _assert_fails_with_residual(result)
 
 
@@ -559,7 +564,7 @@ def test_certify_rejects_a_perturbation_that_vanishes_on_sample_lines():
     for root in (F(3, 2), F(5, 2), F(7, 2)):
         weight = weight @ (G_BETA - root * G_ONE)
     probe = _generic_i1("I") + weight @ G_X @ G_DX
-    result = certify_commutator(generic_operators("I").L, probe, "[L,I1']=0")
+    result = certify_record("I", _with_i1("I", probe))
     _assert_fails_with_residual(result)
     point = CaseParams("I", F(9, 4), F(1, 3), F(1, 7))
     assert not operator_L(point).commutator(probe.at(point)).is_zero()
@@ -768,7 +773,7 @@ def test_passing_checks_serialise_no_residual(case, monkeypatch):
     monkeypatch.setattr(Terms, "to_records", refuse)
     params = sample_params(case, random.Random(3))
     assert full_suite(params, nmax=3, order=3).passed
-    assert certify_commutator(generic_operators(case).L, _generic_i1(case), "c").passed
+    assert certify_record(case, generic_operators(case)).passed
 
 
 # -- the identity residual cache -------------------------------------------------
@@ -853,12 +858,13 @@ def test_mutation_battery_verdicts_do_not_depend_on_the_cache():
 
 @pytest.mark.parametrize("case", CASES)
 def test_certify_record_is_certify_commutator(case):
-    # the cached [L, I1] gives certify_commutator's entry, failing ones too
+    # the entry is the record's [L, I1], failing ones too: a perturbed I1
+    # fails with the commutator of L and that I1 as its residual
+    name = f"certify[{case}] [L,I1]=0"
     record = generic_operators(case)
-    i1, *rest = record.commuting
-    perturbed = record._replace(commuting=(perturb_term(i1, 0), *rest))
-    for ops, passed in ((record, True), (perturbed, False)):
-        name = f"certify[{case}] [L,I1]=0"
-        result = certify_record(case, ops)
-        assert result == certify_commutator(ops.L, ops.commuting[0], name)
-        assert result.passed is passed
+    assert certify_record(case, record) == CheckResult(name, "pass")
+    i1 = perturb_term(record.commuting[0], 0)
+    residual = record.L.commutator(i1)
+    assert not residual.is_zero()
+    expected = CheckResult(name, "fail", {"residual": residual.to_records()})
+    assert certify_record(case, _with_i1(case, i1)) == expected
