@@ -651,11 +651,19 @@ class ActionRelation(NamedTuple):
     neighbors: Callable[[int, int], tuple[tuple[int, int, Fraction | int], ...]]
 
 
+def _reduced(v: _Unreduced | int) -> Fraction | int:
+    return v.fraction() if type(v) is _Unreduced else v
+
+
 def action_relations(params: CaseParams) -> tuple[ActionRelation, ...]:
     """The in-level shift relations of the commuting operators, one
     (self_coeff, neighbors) row each: the k-th belongs to I_k, the k-th
-    operator of commuting_ops, and case I states none for I3."""
-    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    operator of commuting_ops, and case I states none for I3.  The rows run
+    on unreduced pairs, as recurrence_step does, and reduce each value once:
+    a value with a parameter in it is a Fraction, any other an int."""
+    b, k1, k2 = (
+        _Unreduced(v.numerator, v.denominator) for v in (params.beta, params.kappa1, params.kappa2)
+    )
     c = params.case_id
     if c == "I":
         rows = (
@@ -691,7 +699,13 @@ def action_relations(params: CaseParams) -> tuple[ActionRelation, ...]:
             (lambda m, n: 0, lambda m, n: ((1, -1, n), (-1, 1, -m))),
             (lambda m, n: 0, lambda m, n: ((1, -1, (1 - b - 2 * m) * n), (-1, 1, (1 - b - 2 * n) * m))),
         )
-    return tuple(ActionRelation(*row) for row in rows)
+    return tuple(
+        ActionRelation(
+            lambda m, n, s=s: _reduced(s(m, n)),
+            lambda m, n, nb=nb: tuple((dm, dn, _reduced(c)) for dm, dn, c in nb(m, n)),
+        )
+        for s, nb in rows
+    )
 
 
 # ---------------------------------------------------------------------------

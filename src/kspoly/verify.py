@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import BivariatePoly, Terms
 from .catalog import (
@@ -76,9 +76,9 @@ def _zero(name: str, residual: Terms, node: Optional[tuple[int, int]] = None) ->
 
 
 class VerificationReport:
-    def __init__(self, params: CaseParams, results: Optional[list[CheckResult]] = None):
+    def __init__(self, params: CaseParams):
         self.params = params
-        self.results = [] if results is None else results
+        self.results: list[CheckResult] = []
 
     def add(self, name: str, ok: bool, detail: Optional[dict] = None) -> None:
         self.results.append(
@@ -187,15 +187,22 @@ def check_parity_ix(t: Triangle) -> VerificationReport:
     return report
 
 
+def _agreement(params: CaseParams, prefix: str, pairs: Iterable[tuple]) -> VerificationReport:
+    """One entry prefix(m,n) per (node, a, b) triple, passing when a == b;
+    only a failing entry forms a - b, its residual detail, through _zero."""
+    report = VerificationReport(params)
+    for node, a, b in pairs:
+        name = f"{prefix}({node[0]},{node[1]})"
+        report.results.append(CheckResult(name, "pass") if a == b else _zero(name, a - b, node))
+    return report
+
+
 def check_swap_symmetry(t: Triangle, t_swapped: Triangle) -> VerificationReport:
     """Swapping (x,y) and the kappas maps P_{m,n} to P_{n,m} (cases I, IX)."""
-    report = VerificationReport(t.params)
     if t.params.case_id not in ("I", "IX"):
         raise ValueError("the swap symmetry holds for cases I and IX")
-    for m, n in t.nodes():
-        residual = t.entry(m, n).swap_vars() - t_swapped.entry(n, m)
-        report.expect_zero(f"swap({m},{n})", residual, (m, n))
-    return report
+    pairs = (((m, n), t.entry(m, n).swap_vars(), t_swapped.entry(n, m)) for m, n in t.nodes())
+    return _agreement(t.params, "swap", pairs)
 
 
 def check_ix_to_i_map(t9: Triangle, t1: Triangle) -> VerificationReport:
@@ -211,31 +218,24 @@ def check_ix_to_i_map(t9: Triangle, t1: Triangle) -> VerificationReport:
         or p1.kappa2 != Fraction(-1, 2)
         or p1.beta != (t9.params.beta + 1) / 2
     ):
-        raise ValueError(
-            "case I parameters must be kappa1 = kappa2 = -1/2 and "
-            "beta = (beta9 + 1)/2"
-        )
-    if t1.nmax < t9.nmax // 2:
+        raise ValueError("case I parameters must be kappa1 = kappa2 = -1/2 and beta = (beta9 + 1)/2")
+    half = t9.nmax // 2
+    if t1.nmax < half:
         raise ValueError("case I triangle too small for the even-even image")
-    report = VerificationReport(t9.params)
-    for a in range(t9.nmax // 2 + 1):
-        for b in range(t9.nmax // 2 - a + 1):
-            residual = t9.entry(2 * a, 2 * b).halve_even_exponents() - t1.entry(a, b)
-            report.expect_zero(f"ix-to-i({2 * a},{2 * b})", residual, (2 * a, 2 * b))
-    return report
+    pairs = (
+        ((2 * a, 2 * b), t9.entry(2 * a, 2 * b).halve_even_exponents(), t1.entry(a, b))
+        for a in range(half + 1) for b in range(half - a + 1)
+    )
+    return _agreement(t9.params, "ix-to-i", pairs)
 
 
 def check_genfun_agreement(
     t: Triangle, table: dict[tuple[int, int], BivariatePoly]
 ) -> VerificationReport:
     """Exact equality of every generating-function entry with the triangle."""
-    report = VerificationReport(t.params)
     order = max(m + n for (m, n) in table)
-    for m, n in t.nodes():
-        if m + n > order:
-            continue
-        report.expect_zero(f"genfun({m},{n})", table[(m, n)] - t.entry(m, n), (m, n))
-    return report
+    pairs = (((m, n), table[(m, n)], t.entry(m, n)) for m, n in t.nodes() if m + n <= order)
+    return _agreement(t.params, "genfun", pairs)
 
 
 def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> VerificationReport:

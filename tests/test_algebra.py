@@ -209,6 +209,34 @@ def test_rising_factorial_values():
     assert rising_factorial(F(-2), 3) == 0
 
 
+def test_rising_factorial_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="^rising factorial order must be nonnegative$"):
+        rising_factorial(F(1, 2), -1)
+
+
+def test_polynomials_reject_an_unknown_variable_and_a_negative_power():
+    for call in (lambda: BivariatePoly.variable("z"), lambda: X.negate_var("z")):
+        with pytest.raises(ValueError, match="^unknown variable 'z'$"):
+            call()
+    with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+        X**-1
+
+
+def test_operands_of_another_type_are_not_implemented():
+    # __eq__, __add__ and __matmul__ answer NotImplemented for a value of
+    # another type: == falls back to identity, + and @ raise TypeError
+    G = GenericOp.generator(0)
+    for a, b in ((X, 1), (X, DiffOp.identity()), (Series2.one(2), 1), (Series2.one(2), ONE)):
+        assert (a == b) is False and (b == a) is False
+        name = f"'{type(a).__name__}' and '{type(b).__name__}'"
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \+: {name}$"):
+            a + b
+    for a, b in ((DiffOp.identity(), X), (DiffOp.identity(), G), (G, DiffOp.identity())):
+        name = f"'{type(a).__name__}' and '{type(b).__name__}'"
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for @: {name}$"):
+            a @ b
+
+
 # -- the unreduced formula scalar ----------------------------------------------
 
 # a rational as an unreduced pair: numerator and denominator both scaled by a

@@ -8,6 +8,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -527,6 +528,76 @@ def test_ix_quadratic_relations_hold_for_all_beta():
     assert mutants == 26
 
 
+# x, y, d_x, d_y, beta, kappa1, kappa2 and N over Q[beta, kappa1, kappa2, N]
+G_X, G_Y, G_DX, G_DY, _, G_K1, G_K2, G_N = map(GenericOp.generator, range(8))
+
+# the front factor Q_C of each ladder square D_C = Q_C (L - lambda_N), by
+# hand; it is first order, has no N, and is zero for V, VIII and IX
+LADDER_SQUARE_FACTORS = {
+    "I": 2 * (G_ONE - G_X - G_Y) @ (G_X @ G_DX - G_Y @ G_DY)
+    - (G_BETA + 2 * G_K2) @ G_X
+    + (G_BETA + 2 * G_K1) @ G_Y
+    + G_K2
+    - G_K1,
+    "II": 2 * G_X @ G_Y @ G_DY
+    - 2 * G_X @ G_X @ G_DX
+    - (G_BETA + 2 * G_K2) @ G_X
+    + 2 * G_K1 @ G_Y
+    - G_K1,
+    "III": -4 * G_X @ G_X @ G_DY - 2 * G_K2 @ G_X + 2 * G_K1 @ G_Y,
+}
+
+# the R+ mutants (field, term index) that leave the V, VIII and IX squares zero
+LADDER_SQUARE_BLIND = {
+    "V": [("R+y", 1)],
+    "VIII": [("R+x", 0), ("R+x", 3), ("R+x", 4), ("R+x", 5), ("R+y", 0)],
+    "IX": [("R+x", 3), ("R+y", 3)],
+}
+
+
+def _next_level(op):
+    """op with N -> N + 1: each N^s term expanded binomially."""
+    out = {}
+    for (*key, s), c in op.items():
+        for e in range(s + 1):
+            shifted = (*key, e)
+            out[shifted] = out.get(shifted, 0) + c * comb(s, e)
+    return GenericOp(out)
+
+
+def _ladder_square_residual(case, L, rx, ry, q):
+    """r_y(N+1) r_x(N) - r_x(N+1) r_y(N) - Q_C (L - lambda_N), cleared."""
+    lam = G_N @ ((G_N - G_ONE) * alpha(case) + G_BETA)
+    return _next_level(ry) @ rx - _next_level(rx) @ ry - q @ (L - lam)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ladder_squares_hold_for_all_parameters_and_N(case):
+    # raising x then y equals raising y then x, up to a multiple of L - lambda_N:
+    # one composition over Q[beta, kappa1, kappa2, N] per case
+    source = generic_operators(case)
+    q = LADDER_SQUARE_FACTORS.get(case, GenericOp())
+    fields = {"L": source.L, "R+x": source.raising[0], "R+y": source.raising[1], "Q": q}
+    assert _ladder_square_residual(case, *fields.values()).is_zero()
+    # a +1 on any term of L, R+x, R+y or Q_C breaks it, except where Q_C = 0:
+    # there L does not enter, and the R+ mutants it misses break raising_relation
+    blind = []
+    for name, op in fields.items():
+        for index in range(len(op)):
+            mutated = dict(fields, **{name: perturb_term(op, index)})
+            if _ladder_square_residual(case, *mutated.values()).is_zero():
+                blind.append((name, index))
+    if case in LADDER_SQUARE_FACTORS:
+        assert blind == []
+        assert sum(map(len, fields.values())) == {"I": 69, "II": 51, "III": 45}[case]
+        return
+    assert [b for b in blind if b[0] != "L"] == LADDER_SQUARE_BLIND[case]
+    assert len(blind) == len(LADDER_SQUARE_BLIND[case]) + len(source.L)
+    for name, index in LADDER_SQUARE_BLIND[case]:
+        mutant = perturb_term(fields[name], index)
+        assert not raising_relation(case, name[-1], source.L, mutant).is_zero(), (name, index)
+
+
 def test_generic_operators_reject_unknown_case():
     # the one generic source and CaseParams raise through the same check
     messages = []
@@ -902,6 +973,12 @@ def test_relations_reject_an_unknown_axis_and_a_non_ix_quadratic_call():
         raising_relation("I", "z", source.L, source.raising[0])
     with pytest.raises(ValueError, match="case IX only"):
         quadratic_relations("I", source.L, source.commuting)
+
+
+def test_edge_ladder_and_recurrence_step_reject_an_unknown_axis():
+    for call in (lambda: edge_ladder(P2["I"], "z", 0), lambda: recurrence_step(P2["I"], "z", 0, 0)):
+        with pytest.raises(ValueError, match="^unknown axis 'z'$"):
+            call()
 
 
 # -- edge operators ------------------------------------------------------------

@@ -374,6 +374,19 @@ def test_case_v_derivative_identities():
     assert r2.is_zero()
 
 
+def test_derivative_identities_belong_to_case_v():
+    p = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5))
+    with pytest.raises(ParameterError, match="^the derivative identities belong to case V$"):
+        genfun_derivative_residuals(p, genfun(p, 3))
+
+
+def test_diff_rejects_an_unknown_variable_and_an_order_zero_truncation():
+    with pytest.raises(ValueError, match="^unknown series variable 'x'$"):
+        Series2.one(2).diff("x")
+    with pytest.raises(ValueError, match="^an order-0 truncation determines no derivative terms$"):
+        Series2.one(0).diff("s")
+
+
 def test_coefficient_reads_one_group_canonically():
     f = Series2(3, {(1, 0, 0, 0): F(1, 6), (1, 0, 1, 1): F(-1, 3), (0, 2, 0, 0): F(5, 4)})
     c = f.coefficient(1, 0)

@@ -535,6 +535,24 @@ def test_json_roundtrip():
     assert back.params == t.params
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda d: {k: v for k, v in d.items() if k != "nmax"}, "^triangle JSON lacks 'nmax'$"),
+        (lambda d: {**d, "polys": [{"m": 0, "n": 0}]},
+         r"^malformed polys record \{'m': 0, 'n': 0\}$"),
+        (lambda d: {**d, "polys": ["x"]}, "^malformed polys record 'x'$"),
+    ],
+    ids=["missing-key", "record-without-terms", "record-not-an-object"],
+)
+def test_json_rejects_a_missing_key_or_a_malformed_record(corrupt, message):
+    # documents read from disk: a KeyError or TypeError inside a record is
+    # reported as the ValueError that names it
+    doc = triangle_to_json(build_oracle(CaseParams("IX", F(3)), 2))
+    with pytest.raises(ValueError, match=message):
+        triangle_from_json(corrupt(doc))
+
+
 def test_json_deterministic_bytes():
     p = CaseParams("IX", F(3))
     a = dumps_json(triangle_to_json(build_oracle(p, 3)))

@@ -184,6 +184,17 @@ def test_ix_to_i_map_validates_parameters():
     bad = build_oracle(CaseParams("I", F(2), F(1, 3), F(-1, 2)), 2)
     with pytest.raises(ValueError):
         check_ix_to_i_map(t9, bad)
+    image = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 2)
+    message = r"^case I parameters must be kappa1 = kappa2 = -1/2 and beta = \(beta9 \+ 1\)/2$"
+    for wrong, error in (
+        ((image, image), "^first triangle must be case IX$"),
+        ((t9, t9), "^second triangle must be case I$"),
+        ((t9, bad), message),
+        ((t9, build_oracle(CaseParams("I", F(5, 2), F(-1, 2), F(-1, 2)), 2)), message),
+        ((t9, build_oracle(image.params, 1)), "^case I triangle too small for the even-even image$"),
+    ):
+        with pytest.raises(ValueError, match=error):
+            check_ix_to_i_map(*wrong)
 
 
 def test_full_suite_skips_an_ix_to_i_image_that_breaks_the_validity_rule():
@@ -229,6 +240,9 @@ def test_swap_symmetry_case_i():
     swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
     report = check_swap_symmetry(build_oracle(p, 4), build_oracle(swapped, 4))
     assert report.passed
+    t8 = build_oracle(CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5)), 2)
+    with pytest.raises(ValueError, match="^the swap symmetry holds for cases I and IX$"):
+        check_swap_symmetry(t8, t8)
 
 
 def test_genfun_agreement_report():
@@ -236,6 +250,13 @@ def test_genfun_agreement_report():
     t = build_oracle(p, 4)
     table = extract_polys(genfun(p, 4), p)
     assert check_genfun_agreement(t, table).passed
+    # a table of lower order than the triangle checks only its own levels
+    low = {node: poly for node, poly in table.items() if sum(node) <= 2}
+    report = check_genfun_agreement(t, low)
+    assert report.passed
+    assert [r.name for r in report.results] == [
+        "genfun(0,0)", "genfun(1,0)", "genfun(0,1)", "genfun(2,0)", "genfun(1,1)", "genfun(0,2)"
+    ]
 
 
 def test_stencil_check_all_cases():
@@ -626,6 +647,58 @@ def test_swap_failure_carries_the_residual():
     [failure] = check_swap_symmetry(t, build_oracle(swapped, 3)).failures()
     assert failure.name == "swap(2,1)"
     assert failure.detail == {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]}
+
+
+def _agreement_inputs():
+    """(check, its two tables) for a passing swap, ix-to-i and genfun call."""
+    p1 = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
+    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
+    p8 = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5))
+    image = CaseParams("I", F(2), F(-1, 2), F(-1, 2))
+    return [
+        (check_swap_symmetry, build_oracle(p1, 4), build_oracle(swapped, 4)),
+        (check_ix_to_i_map, build_oracle(CaseParams("IX", F(3)), 6), build_oracle(image, 3)),
+        (check_genfun_agreement, build_oracle(p8, 4), extract_polys(genfun(p8, 4), p8)),
+    ]
+
+
+def test_agreement_checks_form_no_difference_when_they_pass(monkeypatch):
+    # each entry is decided by ==; a passing call subtracts no polynomial
+    inputs = _agreement_inputs()
+
+    def refuse(*args):
+        raise AssertionError("a polynomial difference was formed")
+
+    monkeypatch.setattr(Terms, "__sub__", refuse)
+    monkeypatch.setattr(Terms, "__neg__", refuse)
+    counts = []
+    for check, a, b in inputs:
+        report = check(a, b)
+        assert report.passed and report.failures() == []
+        counts.append(len(report.results))
+    assert counts == [15, 10, 15]
+
+
+def test_a_failing_agreement_entry_carries_the_residual_of_its_sides():
+    # one perturbed entry per check: its entry is _zero's of (a - b) at the node
+    (swap, t1, swapped), (ix, t9, image), (gf, t8, table) = _agreement_inputs()
+    t1.entries[(2, 1)] = t1.entries[(2, 1)] + F(1, 4) * X
+    t9.entries[(2, 2)] = t9.entries[(2, 2)] + F(1, 3) * X * X
+    table[(1, 2)] = table[(1, 2)] + F(-2, 3) * Y
+    expected = [
+        kspoly.verify._zero("swap(2,1)", t1.entry(2, 1).swap_vars() - swapped.entry(1, 2), (2, 1)),
+        kspoly.verify._zero(
+            "ix-to-i(2,2)", t9.entry(2, 2).halve_even_exponents() - image.entry(1, 1), (2, 2)
+        ),
+        kspoly.verify._zero("genfun(1,2)", table[(1, 2)] - t8.entry(1, 2), (1, 2)),
+    ]
+    failures = [swap(t1, swapped).failures(), ix(t9, image).failures(), gf(t8, table).failures()]
+    assert failures == [[entry] for entry in expected]
+    assert [entry.detail for entry in expected] == [
+        {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]},
+        {"node": [2, 2], "residual": [{"i": 1, "j": 0, "c": "1/3"}]},
+        {"node": [1, 2], "residual": [{"i": 0, "j": 1, "c": "-2/3"}]},
+    ]
 
 
 def test_genfun_diff_failure_carries_the_residual(monkeypatch):
