@@ -92,6 +92,9 @@ class Series2(Terms):
             return NotImplemented
         return self.order == other.order and Terms.__eq__(self, other)
 
+    def __hash__(self) -> int:
+        return hash((self.order, Terms.__hash__(self)))
+
     def truncated(self, order: int) -> "Series2":
         if order > self.order:
             raise ValueError(f"cannot extend a truncation from order {self.order} to {order}")

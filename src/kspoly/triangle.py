@@ -11,7 +11,6 @@ All four must agree term for term; the verification module enforces that.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from itertools import chain, islice
@@ -536,6 +535,8 @@ def _record_list(records: list | tuple, newline: str, templates: dict) -> str | 
 
 
 def triangle_to_csv(t: Triangle) -> str:
+    import csv  # here, not at the top: only the csv export needs it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["m", "n", "i", "j", "c"])

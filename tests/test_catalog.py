@@ -3,6 +3,7 @@ term with the parameters as symbols and at fixed parameter values, plus spot
 checks of the known identities."""
 
 import copy
+import importlib
 import pickle
 import random
 import re
@@ -608,7 +609,7 @@ def test_generic_operators_reject_unknown_case():
     assert messages == ["unknown case 'IV'; supported cases: I, II, III, V, VIII, IX"] * 2
 
 
-def test_public_api_binds_exactly_all():
+def test_public_api_binds_exactly_all(monkeypatch):
     # every exported name resolves, a star import binds exactly those names,
     # and the generic operators are exported through their one source
     assert len(set(kspoly.__all__)) == len(kspoly.__all__)
@@ -620,6 +621,21 @@ def test_public_api_binds_exactly_all():
     assert sorted(namespace) == sorted(kspoly.__all__)
     assert kspoly.generic_operators is generic_operators
     assert [name for name in dir(kspoly) if name.startswith("generic_")] == ["generic_operators"]
+    assert set(kspoly.__all__) <= set(dir(kspoly))
+    # the audit layer's names resolve on each access to the submodule's
+    # current object, so a rebound entry point (as a tracer installs) shows
+    for name, module in kspoly._LAZY.items():
+        assert getattr(kspoly, name) is getattr(importlib.import_module(f"kspoly.{module}"), name)
+    verify = importlib.import_module("kspoly.verify")
+    original = verify.full_suite
+
+    def traced(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "full_suite", traced)
+    assert kspoly.full_suite is traced
+    with pytest.raises(AttributeError, match="^module 'kspoly' has no attribute 'no_such_name'$"):
+        kspoly.no_such_name
 
 
 # -- eigenvalues ---------------------------------------------------------------

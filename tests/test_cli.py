@@ -452,24 +452,75 @@ def test_export_rejects_deeply_nested_json(tmp_path, capsys):
     assert "JSON nested too deeply to read" in capsys.readouterr().err
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # every command imports the package first; dataclasses alone would
-    # bring in inspect, ast, dis and tokenize
+def _fresh_run(code, cwd=None):
+    """Runs code in a fresh interpreter that imports kspoly from this
+    checkout; returns the modules it loaded."""
     src = Path(kspoly.cli.__file__).resolve().parents[1]
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import kspoly, kspoly.cli\n"
+        + code + "\n"
+        "import kspoly\n"
         "print(kspoly.__file__)\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=cwd,
         capture_output=True,
         text=True,
         check=True,
     )
-    where, added = proc.stdout.splitlines()
+    where, added = proc.stdout.splitlines()[-2:]
     assert Path(where).resolve().parent.parent == src
-    assert added == "[]"
+    return set(added.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command imports the package first; dataclasses alone would
+    # bring in inspect, ast, dis and tokenize
+    assert not {"dataclasses", "inspect"} & _fresh_run("import kspoly, kspoly.cli")
+
+
+AUDIT_LAYER = {"kspoly.verify", "kspoly.series", "csv"}
+
+ALL_TABLES = """
+from random import Random
+from kspoly import CASES, sample_params
+from kspoly.triangle import BUILDERS, dumps_json, triangle_to_json
+for case in CASES:
+    params = sample_params(case, Random(case))
+    tables = [BUILDERS[method](params, 4) for method in BUILDERS]
+    assert all(t.entries == tables[0].entries for t in tables)
+    dumps_json(triangle_to_json(tables[0]))
+"""
+
+GEN_AND_EXPORT = """
+from kspoly.cli import main
+assert main(["gen", "--case", "I", "--beta", "7/2", "--nmax", "3", "--output", "t.json"]) == 0
+for fmt in ("csv", "latex"):
+    assert main(["export", "--input", "t.json", "--format", fmt, "--output", "t." + fmt]) == 0
+"""
+
+GF = """
+from kspoly.cli import main
+assert main(["gf", "--case", "VIII", "--beta", "7/2", "--order", "3", "--output", "gf.json"]) == 0
+"""
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import kspoly, kspoly.cli", set()),
+        ("from kspoly import *", {"kspoly.verify", "kspoly.series"}),
+        (ALL_TABLES, set()),
+        (GEN_AND_EXPORT, {"csv"}),
+        (GF, {"kspoly.series"}),
+    ],
+    ids=["import", "star-import", "all-tables", "gen-export", "gf"],
+)
+def test_entry_points_load_only_the_layers_they_run(code, loaded, tmp_path):
+    # the table builders never compile the audit layer; check and gf load
+    # it on first use, and only the csv export loads csv
+    assert AUDIT_LAYER & _fresh_run(code, cwd=tmp_path) == loaded

@@ -184,6 +184,16 @@ def test_order_mismatch_rejected():
         Series2.one(2) * Series2.one(3)
 
 
+def test_series_hash_agrees_with_eq():
+    # equal series built two ways hash equal; the order is part of both
+    built = Series2.one(2) + S(2)
+    direct = Series2(2, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 1})
+    assert built == direct and hash(built) == hash(direct)
+    assert {built, direct, Series2.one(2)} == {direct, Series2.one(2)}
+    assert Series2.one(2) != Series2.one(3)
+    assert len({Series2.one(2), Series2.one(3)}) == 2
+
+
 def test_coefficient_beyond_order_rejected():
     with pytest.raises(ValueError):
         Series2(1, {(2, 0, 0, 0): 1})
