@@ -297,7 +297,7 @@ class Terms:
         return self + (-other)
 
     def __mul__(self, other: Scalar):
-        if not isinstance(other, (int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
         den = self._den * other.denominator
         return self._wrap(*_sum([(other.numerator, den, self._num, None)]))

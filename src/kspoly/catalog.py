@@ -119,24 +119,34 @@ def alpha(case_id: str) -> int:
     return 0 if case_id in ("V", "VIII") else 1
 
 
+def _check_int(name: str, value: object) -> None:
+    """Reject a level, node or table index that is not an int (a bool included)."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int, not {value!r}")
+
+
 def eigenvalue(params: CaseParams, N: int) -> Fraction:
     """lambda_N = N((N-1)alpha + beta), the eigenvalue shared by level N."""
+    _check_int("N", N)
     return N * ((N - 1) * alpha(params.case_id) + params.beta)
 
 
 def _denominator(
-    factors: Sequence[tuple[str, Fraction | _Unreduced]], context: str
+    b: Fraction | _Unreduced, N: int, offsets: Sequence[int], context: str, index: str = "N"
 ) -> Fraction | _Unreduced:
-    """prod(factors), every factor checked in order, before any numerator,
-    over Fractions or, in recurrence_step, unreduced integer pairs.
+    """prod(b + 2N + c for c in offsets), each factor checked in order (and
+    named beta+2N{c}, index for N) before any numerator, over Fractions or,
+    in recurrence_step, unreduced integer pairs.
 
     The check does not depend on the numerators it divides: a zero numerator
     over a vanishing factor is a 0/0 limit (beta = 1 at N = 1, where
     beta+2N-3 vanishes); taking it as zero gives a wrong table.
     """
     den = 1
-    for name, f in factors:
+    for c in offsets:
+        f = b + (2 * N + c)
         if not f:
+            name = f"beta+2{index}" + (f"{c:+d}" if c else "")
             raise ParameterError(f"{context}: denominator {name} vanishes")
         den *= f
     return den
@@ -362,15 +372,14 @@ def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
 def raising_denominators(params: CaseParams, N: int) -> tuple[Fraction, Fraction]:
     """The structural denominators of (R+x(N), R+y(N)) (see GenericOperators),
     each checked: a vanishing one raises raising_ops' ParameterError."""
+    _check_int("N", N)
     if N < 0:
         raise ParameterError(f"N must be nonnegative, not {N}")
     b, c = params.beta, params.case_id
     if c in ("V", "VIII"):
         return b * b, b  # beta != 0 is a rule of CaseParams
-    factors = [("beta+2N-1", b + 2 * N - 1)]
-    if c != "IX":
-        factors.append(("beta+2N", b + 2 * N))
-    return (_denominator(factors, f"case {c} raising operator at N={N}"),) * 2
+    offsets = (-1,) if c == "IX" else (-1, 0)
+    return (_denominator(b, N, offsets, f"case {c} raising operator at N={N}"),) * 2
 
 
 def raising_ops(params: CaseParams, N: int) -> tuple[DiffOp, DiffOp]:
@@ -441,16 +450,15 @@ def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
     or P_{0,k} to P_{0,k+1} (axis y); None where no reduction exists."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
+    _check_int("k", k)
     if k < 0:
         raise ParameterError(f"k must be nonnegative, not {k}")
     b, c = params.beta, params.case_id
     op = generic_operators(c).edge_ladders[axis == "y"]
     if op is None:
         return None
-    factors = [("beta+2k-1", b + 2 * k - 1)]
-    if c in ("I", "II", "III"):
-        factors.insert(0, ("beta+2k", b + 2 * k))
-    den = b if c in ("V", "VIII") else _denominator(factors, f"case {c} edge ladder at k={k}")
+    ctx = f"case {c} edge ladder at k={k}"
+    den = b if c in ("V", "VIII") else _denominator(b, k, (-1,) if c == "IX" else (0, -1), ctx, "k")
     return op.at(params, k) * (1 / den)
 
 
@@ -482,6 +490,8 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
     each coefficient is reduced to a Fraction once, at the return."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
+    _check_int("m", m)
+    _check_int("n", n)
     if m < 0 or n < 0:
         raise ParameterError(f"m and n must be nonnegative, not ({m},{n})")
     b, k1, k2 = (
@@ -493,14 +503,8 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
     target = (m + 1, n) if axis == "x" else (m, n + 1)
 
     if c in ("I", "II", "III"):
-        A = (("beta+2N", b + 2 * N), ("beta+2N-2", b + 2 * N - 2))
-        B = (
-            ("beta+2N-1", b + 2 * N - 1),
-            ("beta+2N-2", b + 2 * N - 2),
-            ("beta+2N-2", b + 2 * N - 2),
-            ("beta+2N-3", b + 2 * N - 3),
-        )
-        da, db = _denominator(A, ctx), _denominator(B, ctx)
+        da = _denominator(b, N, (0, -2), ctx)
+        db = _denominator(b, N, (-1, -2, -2, -3), ctx)
 
     if c == "I":
         if axis == "x":
@@ -586,8 +590,7 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
         else:
             tail = ((m, n, k2 / b), (m - 1, n, m / b))
     else:  # IX
-        C = (("beta+2N-1", b + 2 * N - 1), ("beta+2N-3", b + 2 * N - 3))
-        dc = _denominator(C, ctx)
+        dc = _denominator(b, N, (-1, -3), ctx)
         if axis == "x":
             tail = (
                 (m + 1, n - 2, n * (n - 1) / dc),

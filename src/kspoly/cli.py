@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the verification suite")
     check.add_argument("--case", default="all", help="case id or 'all'")
     check.add_argument("--nmax", type=int, default=6)
-    check.add_argument("--order", type=int, default=6, help="generating-function order")
     check.add_argument("--trials", type=int, default=3, help="random parameter triples per case")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--output", help="write the JSON report here")
@@ -112,8 +111,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise KspolyError(f"--trials must be at least 1, not {args.trials}")
     if args.nmax < 2:
         raise KspolyError(f"--nmax must be at least 2, not {args.nmax}")
-    if args.order < 0:
-        raise KspolyError(f"--order must be nonnegative, not {args.order}")
     cases = list(CASES) if args.case == "all" else [args.case]
     for case in cases:
         if case not in CASES:
@@ -126,7 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for case in cases:
         for trial in range(args.trials):
             params = sample_params(case, rng)
-            report = full_suite(params, nmax=args.nmax, order=args.order)
+            report = full_suite(params, nmax=args.nmax)
             failures = report.failures()
             all_passed &= not failures
             print(

@@ -17,6 +17,13 @@ from .catalog import CaseParams
 from .errors import ParameterError
 
 
+def _check_order(order: int) -> None:
+    if type(order) is not int:
+        raise ValueError(f"truncation order must be an int, not {order!r}")
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+
+
 class Series2(Terms):
     """Polynomial-coefficient power series in s, t, truncated in total degree.
 
@@ -35,8 +42,7 @@ class Series2(Terms):
         return (a + b, -a, i + j, -i)
 
     def __init__(self, order: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _check_order(order)
         super().__init__(terms)
         for a, b, _, _ in terms or ():
             if a + b > order:
@@ -96,10 +102,9 @@ class Series2(Terms):
         return hash((self.order, Terms.__hash__(self)))
 
     def truncated(self, order: int) -> "Series2":
+        _check_order(order)
         if order > self.order:
             raise ValueError(f"cannot extend a truncation from order {self.order} to {order}")
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
         if order == self.order:
             return self
         num = {k: c for k, c in self._num.items() if k[0] + k[1] <= order}

@@ -429,11 +429,11 @@ def mutation_battery(
 # ---------------------------------------------------------------------------
 
 
-def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> VerificationReport:
+def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
     """Everything: builder agreement, eigen/monic/edge invariants, action
     formulas, operator identities, stencils, parity and symmetry checks,
-    generating functions.  Used by the command-line `check`.  An oracle
-    that cannot be built is the one, failing, build-oracle entry."""
+    generating functions to order nmax.  Used by the command-line `check`.
+    An oracle that cannot be built is the one, failing, build-oracle entry."""
     report = VerificationReport(params)
     try:
         oracle = build_oracle(params, nmax)
@@ -477,8 +477,8 @@ def full_suite(params: CaseParams, nmax: int = 6, order: int = 6) -> Verificatio
         derivatives = params.case_id == "V"
         expansion = table = None
         try:
-            expansion = genfun(params, order + 1 if derivatives else order)
-            table = extract_polys(expansion.truncated(order), params)
+            expansion = genfun(params, nmax + 1 if derivatives else nmax)
+            table = extract_polys(expansion.truncated(nmax), params)
         except KspolyError as exc:
             report.add("genfun", False, {"error": str(exc)})
         if table is not None:

@@ -198,6 +198,18 @@ def test_rejects_float_coefficients(make):
         make()
 
 
+@pytest.mark.parametrize("cls", [BivariatePoly, DiffOp, GenericOp, Series2])
+@pytest.mark.parametrize("flag", [True, False])
+def test_scalar_product_rejects_a_bool(cls, flag):
+    # the constructor rejects a bool coefficient, so a bool scale is no scalar
+    p = cls(2, {(0,) * 4: 1}) if cls is Series2 else cls({(0,) * len(cls.FIELDS): 1})
+    assert p.__mul__(flag) is NotImplemented
+    with pytest.raises(TypeError):
+        p * flag
+    with pytest.raises(TypeError):
+        flag * p
+
+
 # -- rising factorial --------------------------------------------------------
 
 

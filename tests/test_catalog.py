@@ -956,6 +956,46 @@ def test_negative_edge_ladder_index_is_a_parameter_error(axis):
         edge_ladder(CaseParams("I", F(7, 2)), axis, -1)
 
 
+# a bool passes every `< 0` test and indexes like 1; a float reaches the
+# formulas and returns a float, or fails later with an unrelated error
+NON_INT_INDICES = [True, False, 1.0, 1.5, "1"]
+
+
+@pytest.mark.parametrize("N", NON_INT_INDICES)
+def test_eigenvalue_rejects_a_non_int_level(N):
+    with pytest.raises(ParameterError, match=re.escape(f"N must be an int, not {N!r}") + "$"):
+        eigenvalue(P2["I"], N)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("bad", NON_INT_INDICES)
+def test_recurrence_step_rejects_a_non_int_node(axis, bad):
+    p = CaseParams("I", F(7, 2), F(1, 3), F(1, 5))
+    for name, m, n in (("m", bad, 0), ("n", 0, bad)):
+        with pytest.raises(ParameterError, match=re.escape(f"{name} must be an int, not {bad!r}")):
+            recurrence_step(p, axis, m, n)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("N", NON_INT_INDICES)
+def test_raising_ops_reject_a_non_int_level(case, N):
+    # up front, before the denominator check and GenericOp.at
+    params = sample_params(case, random.Random(3))
+    for f in (raising_ops, kspoly.catalog.raising_denominators):
+        with pytest.raises(ParameterError, match=re.escape(f"N must be an int, not {N!r}")):
+            f(params, N)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("k", NON_INT_INDICES)
+def test_edge_ladder_rejects_a_non_int_index(case, axis, k):
+    # also where the edge has no ladder, which returns None for an int k
+    params = sample_params(case, random.Random(3))
+    with pytest.raises(ParameterError, match=re.escape(f"k must be an int, not {k!r}")):
+        edge_ladder(params, axis, k)
+
+
 def test_commutator_rhs_viii_is_scaled_raising():
     # case VIII's relations are homogeneous in R+: they hold for the cleared
     # raising operators and for any constant multiple of them

@@ -39,7 +39,7 @@ def test_main_calls_in_a_row_parse_independently(tmp_path):
     first, second, third = (tmp_path / name for name in ("a.csv", "report.json", "b.json"))
     assert run("gen", "--case", "V", "--beta", "2", "--k1=-1/3", "--nmax", "2",
                "--method", "recurrence", "--format", "csv", "--output", str(first)) == 0
-    assert run("check", "--case", "IX", "--trials", "1", "--nmax", "2", "--order", "2",
+    assert run("check", "--case", "IX", "--trials", "1", "--nmax", "2",
                "--output", str(second)) == 0
     assert run("gen", "--case", "V", "--beta", "2", "--nmax", "2", "--output", str(third)) == 0
     assert first.read_text().startswith("m,n,i,j,c\n")
@@ -120,7 +120,7 @@ def test_gen_deterministic_bytes(tmp_path):
 
 def test_check_single_case(tmp_path):
     report = tmp_path / "report.json"
-    code = run("check", "--case", "V", "--nmax", "4", "--order", "4",
+    code = run("check", "--case", "V", "--nmax", "4",
                "--trials", "2", "--seed", "7", "--output", str(report))
     assert code == 0
     doc = json.loads(report.read_text())
@@ -129,7 +129,7 @@ def test_check_single_case(tmp_path):
 
 
 def test_check_with_certification():
-    assert run("check", "--case", "VIII", "--nmax", "3", "--order", "3",
+    assert run("check", "--case", "VIII", "--nmax", "3",
                "--trials", "1", "--seed", "3") == 0
 
 
@@ -155,7 +155,7 @@ def test_check_certify_failure(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(kspoly.cli, "generic_operators", perturbed_i1)
     report = tmp_path / "report.json"
-    assert run("check", "--case", "V", "--nmax", "3", "--order", "3",
+    assert run("check", "--case", "V", "--nmax", "3",
                "--trials", "1", "--output", str(report)) == 1
     assert capsys.readouterr().out == (
         "case V trial 0 beta=53/5 kappa1=-12/5 kappa2=-1/7: PASS\n"
@@ -215,7 +215,7 @@ def test_check_reports_an_inadmissible_oracle(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(catalog, "generic_operators", perturbed_L)
     report = tmp_path / "report.json"
     assert run("check", "--case", "all", "--trials", "1", "--seed", "0",
-               "--nmax", "3", "--order", "3", "--output", str(report)) == 1
+               "--nmax", "3", "--output", str(report)) == 1
     assert "FAIL build-oracle:" in capsys.readouterr().out
     doc = json.loads(report.read_text())
     assert doc["passed"] is False
@@ -227,7 +227,7 @@ def test_check_reports_an_inadmissible_oracle(monkeypatch, tmp_path, capsys):
 
 def test_check_ix_reports_quadratic_relations(tmp_path):
     report = tmp_path / "report.json"
-    assert run("check", "--case", "IX", "--nmax", "3", "--order", "3",
+    assert run("check", "--case", "IX", "--nmax", "3",
                "--trials", "1", "--seed", "5", "--output", str(report)) == 0
     doc = json.loads(report.read_text())
     names = {c["check"] for r in doc["reports"] for c in r["checks"]}
@@ -245,12 +245,15 @@ def test_check_rejects_vacuous_run(tmp_path, capsys, trials):
 
 @pytest.mark.parametrize("case", ["I", "all"])
 def test_check_rejects_negative_order(tmp_path, capsys, case):
-    # once, case I printed PASS and 'all' failed late in case V
+    # check has no --order: the generating functions are audited to --nmax,
+    # so the parser refuses the option before any case runs
     report = tmp_path / "r.json"
-    assert run("check", "--case", case, "--trials", "1", "--order", "-1",
-               "--output", str(report)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run("check", "--case", case, "--trials", "1", "--order", "-1",
+            "--output", str(report))
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert "--order must be nonnegative" in err
+    assert "unrecognized arguments: --order -1" in err
     assert out == ""
     assert not report.exists()
 
@@ -280,7 +283,7 @@ def test_check_detects_corrupted_catalog(monkeypatch):
         "generic_operators",
         lambda case: true_source(case)._replace(L=perturb_term(true_source(case).L, 0)),
     )
-    code = run("check", "--case", "I", "--nmax", "3", "--order", "3",
+    code = run("check", "--case", "I", "--nmax", "3",
                "--trials", "1", "--seed", "1")
     assert code == 1
 

@@ -57,7 +57,7 @@ def corpus_digests() -> dict[str, str]:
                 record(f"gen {case} {method} json nmax 12",
                        ["gen", *params, "--nmax", "12", "--method", method, "--format", "json"])
         record("check all", ["check", "--case", "all", "--trials", "1", "--seed", "7",
-                             "--nmax", "4", "--order", "4"])
+                             "--nmax", "4"])
         for case in ("V", "VIII", "IX"):
             record(f"gf {case}", ["gf", "--case", case,
                                   *(IX_PARAMS if case == "IX" else PARAMS), "--order", "5"])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from math import factorial, gcd
 
@@ -215,6 +216,18 @@ def test_truncation_rejects_a_negative_or_larger_order():
         Series2.one(3).truncated(-1)
     with pytest.raises(ValueError, match="cannot extend a truncation from order 3 to 4"):
         Series2.one(3).truncated(4)
+
+
+@pytest.mark.parametrize("order", [True, False, 1.5, 2.0])
+def test_order_must_be_an_int(order):
+    # a bool or a float order once made a series of order True or 1.5
+    message = re.escape(f"truncation order must be an int, not {order!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        Series2(order)
+    with pytest.raises(ValueError, match=message):
+        Series2.one(2).truncated(order)
+    with pytest.raises(ValueError, match=message):
+        genfun(CaseParams("IX", F(7, 3)), order)
 
 
 def test_series_records_round_trip():

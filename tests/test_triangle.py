@@ -248,6 +248,15 @@ def test_negative_nmax_is_a_parameter_error(builder):
         builder(CaseParams("I", F(5, 2), F(1, 3), F(2, 7)), -1)
 
 
+@pytest.mark.parametrize("builder", BUILDER_LIST)
+@pytest.mark.parametrize("nmax", [True, 2.0])
+def test_non_int_nmax_is_a_parameter_error(builder, nmax):
+    # True once built the nmax-1 table and wrote "nmax": true; 2.0 failed
+    # with a bare TypeError
+    with pytest.raises(ParameterError, match=f"^nmax must be an int, not {nmax!r}$"):
+        builder(CaseParams("I", F(5, 2), F(1, 3), F(2, 7)), nmax)
+
+
 @pytest.mark.parametrize("case", ("I", "II", "III", "IX"))
 def test_beta_one_fails_before_any_recurrence_step(case, monkeypatch):
     # the 0/0 limit over beta + 2N - 3 is met while the catalog forms the
@@ -781,7 +790,7 @@ def test_a_dict_column_with_another_value_falls_back(odd):
 def test_check_reports_take_the_record_template_when_they_pass():
     # a passing report's entries share their keys, a failing one's do not
     params = sample_params("II", random.Random(6))
-    checks = full_suite(params, nmax=3, order=3).to_json()["checks"]
+    checks = full_suite(params, nmax=3).to_json()["checks"]
     assert {entry["status"] for entry in checks} == {"pass"}
     assert triangle._record_list(checks, "\n", {}) == json.dumps(checks, indent=2)
     mutant, _ = mutated_operator_set("II", random.Random(2))
@@ -797,7 +806,7 @@ def test_dumps_json_matches_stdlib_on_tables_and_reports(case):
     for build in triangle.BUILDERS.values():
         with contextlib.suppress(TransferError):
             assert_stdlib_layout(triangle_to_json(build(params, 4)))
-    assert_stdlib_layout(full_suite(params, 3, 3).to_json())
+    assert_stdlib_layout(full_suite(params, 3).to_json())
     # failing reports carry residual records in their details
     ops, _ = mutated_operator_set(case, random.Random(case))
     report = check_operators(build_oracle(params, 3), ops)

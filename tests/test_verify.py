@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import pickle
 import random
 from fractions import Fraction as F
@@ -43,14 +44,14 @@ from kspoly.verify import (
     perturb_term,
 )
 from kspoly.weyl import DiffOp, GenericOp
-from kspoly.series import Series2, extract_polys, genfun
+from kspoly.series import GENFUN_CASES, Series2, extract_polys, genfun
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_full_suite_passes(case):
     rng = random.Random(len(case) * 7 + 1)
     params = sample_params(case, rng)
-    report = full_suite(params, nmax=4, order=4)
+    report = full_suite(params, nmax=4)
     assert report.passed, report.failures()[:3]
 
 
@@ -60,8 +61,28 @@ def test_full_suite_ten_triples_nmax_six(case):
     rng = random.Random(sum(map(ord, case)))
     for _ in range(10):
         params = sample_params(case, rng)
-        report = full_suite(params, nmax=6, order=6)
+        report = full_suite(params, nmax=6)
         assert report.passed, (params, report.failures()[:3])
+
+
+@pytest.mark.parametrize("case", GENFUN_CASES)
+def test_full_suite_audits_the_generating_function_to_nmax(case):
+    # the generating function is expanded to the table's own order: every
+    # node of the nmax-8 table is compared, not only the levels <= 6
+    params = sample_params(case, random.Random(8))
+    report = full_suite(params, nmax=8)
+    assert report.passed, report.failures()[:3]
+    genfun_entries = [r for r in report.results if r.name.startswith("genfun(")]
+    assert len(genfun_entries) == 45
+    assert list(inspect.signature(full_suite).parameters) == ["params", "nmax"]
+
+
+@pytest.mark.parametrize("nmax", [True, 2.0])
+def test_full_suite_reports_a_non_int_nmax(nmax):
+    checks = full_suite(sample_params("V", random.Random(1)), nmax).to_json()["checks"]
+    assert [(c["check"], c["status"], c["error"]) for c in checks] == [
+        ("build-oracle", "fail", f"nmax must be an int, not {nmax!r}")
+    ]
 
 
 def test_action_formulas_need_depth():
@@ -223,7 +244,7 @@ def test_full_suite_reports_at_beta_one(case):
     kappas = [()] if case == "IX" else [(F(0), F(0)), (F(1, 3), F(-1, 5))]
     for k in kappas:
         params = CaseParams(case, F(1), *k)
-        report = full_suite(params, nmax=3, order=3)
+        report = full_suite(params, nmax=3)
         failed = report.failures()
         assert all("error" in f.detail for f in failed)
         named = {f.name for f in failed if not f.name.startswith("build-")}
@@ -280,7 +301,7 @@ def test_full_suite_builds_the_recurrence_table_once(case, monkeypatch):
     monkeypatch.setitem(triangle.BUILDERS, "recurrence", counted)
     monkeypatch.setattr(kspoly.verify, "build_recurrence", counted, raising=False)
     params = sample_params(case, random.Random(5))
-    assert full_suite(params, nmax=3, order=3).passed
+    assert full_suite(params, nmax=3).passed
     assert len(calls) == 1
 
 
@@ -291,7 +312,7 @@ def test_full_suite_audits_the_recurrence_access_log(case, axis, lead, monkeypat
     # stencil without it must fail the audit of full_suite's own build
     monkeypatch.setitem(STENCILS, (case, axis), STENCILS[(case, axis)] - {lead})
     params = sample_params(case, random.Random(5))
-    failures = full_suite(params, nmax=3, order=3).failures()
+    failures = full_suite(params, nmax=3).failures()
     assert [f.name for f in failures] == [f"stencil-{axis}"]
     assert failures[0].detail == {"unexpected_offsets": [lead]}
 
@@ -306,7 +327,7 @@ def test_full_suite_audits_one_operator_set(case, monkeypatch):
 
     monkeypatch.setattr(kspoly.verify, "generic_operators", perturbed)
     params = sample_params(case, random.Random(5))
-    failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
+    failed = {f.name for f in full_suite(params, nmax=3).failures()}
     assert "commuting[L,I1]" in failed
     assert any(name.startswith("action-I1(") for name in failed), failed
 
@@ -333,12 +354,12 @@ def test_full_suite_runs_the_generic_operators(case, monkeypatch):
 
     for module in (catalog, kspoly.verify):
         monkeypatch.setattr(module, "generic_operators", perturbed_L)
-    failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
+    failed = {f.name for f in full_suite(params, nmax=3).failures()}
     assert any(name.startswith(("agreement[", "eigen[")) for name in failed), failed
 
     for module in (catalog, kspoly.verify):
         monkeypatch.setattr(module, "generic_operators", perturbed_i1)
-    failed = {f.name for f in full_suite(params, nmax=3, order=3).failures()}
+    failed = {f.name for f in full_suite(params, nmax=3).failures()}
     assert any(name.startswith("action-I1(") for name in failed), failed
 
     # the generic operators are built once per case; each specialisation is
@@ -368,7 +389,7 @@ def test_full_suite_specialises_the_audited_record(case, monkeypatch):
     monkeypatch.setattr(kspoly.verify, "generic_operators", lambda c: record)
     monkeypatch.setattr(GenericOp, "at", counted)
     params = sample_params(case, random.Random(5))
-    assert full_suite(params, nmax=3, order=3).passed
+    assert full_suite(params, nmax=3).passed
     # the builders specialise the catalog's own operators (IX's also case I's)
     built = {id(op) for c in CASES for field in generic_operators(c) for op in
              (field if isinstance(field, tuple) else (field,))}
@@ -394,7 +415,7 @@ def test_full_suite_composes_no_diffop(case, monkeypatch):
 
     monkeypatch.setattr(DiffOp, "__matmul__", refuse)
     params = sample_params(case, random.Random(5))
-    assert full_suite(params, nmax=3, order=3).passed
+    assert full_suite(params, nmax=3).passed
 
 
 def test_report_json_shape():
@@ -412,7 +433,7 @@ def test_report_entries_share_one_params_dict():
     # the parameters are formatted once per report, and every entry holds
     # that one dict
     params = sample_params("II", random.Random(6))
-    checks = full_suite(params, nmax=3, order=3).to_json()["checks"]
+    checks = full_suite(params, nmax=3).to_json()["checks"]
     assert len(checks) > 1
     assert len({id(entry["params"]) for entry in checks}) == 1
     assert checks[0]["params"] == params_to_json(params)
@@ -710,7 +731,7 @@ def test_genfun_diff_failure_carries_the_residual(monkeypatch):
         return r1 + Series2(r1.order, {(1, 0, 0, 1): F(1, 3)}), r2
 
     monkeypatch.setattr(kspoly.verify, "genfun_derivative_residuals", broken)
-    report = full_suite(p, nmax=3, order=3)
+    report = full_suite(p, nmax=3)
     [failure] = report.failures()
     assert failure.name == "genfun-diff-s"
     assert failure.detail == {"residual": [{"a": 1, "b": 0, "i": 0, "j": 1, "c": "1/3"}]}
@@ -727,7 +748,7 @@ def test_case_v_extraction_failure_keeps_the_derivative_entries(monkeypatch):
         raise ParameterError("extraction broken")
 
     monkeypatch.setattr(kspoly.verify, "extract_polys", broken)
-    report = full_suite(p, nmax=3, order=3)
+    report = full_suite(p, nmax=3)
     [failure] = report.failures()
     assert failure.name == "genfun"
     assert failure.detail == {"error": "extraction broken"}
@@ -743,7 +764,7 @@ def test_case_v_expansion_failure_skips_the_derivative_entries(monkeypatch):
         raise ParameterError("expansion broken")
 
     monkeypatch.setattr(kspoly.verify, "genfun", broken)
-    report = full_suite(p, nmax=3, order=3)
+    report = full_suite(p, nmax=3)
     [failure] = report.failures()
     assert failure.name == "genfun"
     assert not any(c.name.startswith("genfun-diff") for c in report.results)
@@ -765,7 +786,7 @@ def test_failure_details_shadow_no_entry_key(monkeypatch):
 
     monkeypatch.setitem(kspoly.verify.BUILDERS, "ladder", broken)
     monkeypatch.setattr(kspoly.verify, "stencil_sum", broken)
-    failures += full_suite(params, nmax=3, order=3).failures()
+    failures += full_suite(params, nmax=3).failures()
     point = {"beta": "7/2", "kappa1": "1/3", "kappa2": "-1/5"}
     kinds = set()
     for result in failures:
@@ -845,7 +866,7 @@ def test_passing_checks_serialise_no_residual(case, monkeypatch):
 
     monkeypatch.setattr(Terms, "to_records", refuse)
     params = sample_params(case, random.Random(3))
-    assert full_suite(params, nmax=3, order=3).passed
+    assert full_suite(params, nmax=3).passed
     assert certify_record(case, generic_operators(case)).passed
 
 
