@@ -31,6 +31,10 @@ def parse_rational(text: str) -> Fraction:
 
 def rising_factorial(z: Scalar, n: int) -> Fraction:
     """z(z+1)...(z+n-1); the empty product (n=0) is 1."""
+    if isinstance(z, bool) or not isinstance(z, (int, Fraction)):
+        raise ValueError(f"rising factorial argument must be an int or a Fraction, not {z!r}")
+    if type(n) is not int:
+        raise ValueError(f"rising factorial order must be an int, not {n!r}")
     if n < 0:
         raise ValueError("rising factorial order must be nonnegative")
     out = Fraction(1)

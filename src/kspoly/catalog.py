@@ -125,9 +125,16 @@ def _check_int(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be an int, not {value!r}")
 
 
+def _check_index(name: str, value: object) -> None:
+    """Reject a level, node or table index that is not a nonnegative int."""
+    _check_int(name, value)
+    if value < 0:
+        raise ParameterError(f"{name} must be nonnegative, not {value}")
+
+
 def eigenvalue(params: CaseParams, N: int) -> Fraction:
     """lambda_N = N((N-1)alpha + beta), the eigenvalue shared by level N."""
-    _check_int("N", N)
+    _check_index("N", N)
     return N * ((N - 1) * alpha(params.case_id) + params.beta)
 
 
@@ -372,9 +379,7 @@ def commuting_ops(params: CaseParams) -> tuple[DiffOp, ...]:
 def raising_denominators(params: CaseParams, N: int) -> tuple[Fraction, Fraction]:
     """The structural denominators of (R+x(N), R+y(N)) (see GenericOperators),
     each checked: a vanishing one raises raising_ops' ParameterError."""
-    _check_int("N", N)
-    if N < 0:
-        raise ParameterError(f"N must be nonnegative, not {N}")
+    _check_index("N", N)
     b, c = params.beta, params.case_id
     if c in ("V", "VIII"):
         return b * b, b  # beta != 0 is a rule of CaseParams
@@ -450,9 +455,7 @@ def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
     or P_{0,k} to P_{0,k+1} (axis y); None where no reduction exists."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    _check_int("k", k)
-    if k < 0:
-        raise ParameterError(f"k must be nonnegative, not {k}")
+    _check_index("k", k)
     b, c = params.beta, params.case_id
     op = generic_operators(c).edge_ladders[axis == "y"]
     if op is None:

@@ -176,6 +176,8 @@ def binomial_series(u: Series2, r: Fraction | int) -> Series2:
     """(1 + u)^r for a series u with zero constant term, truncated exactly:
     the coefficient of u^k is the generalized binomial coefficient, the
     previous one times (r - k + 1) / k."""
+    if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
+        raise ValueError(f"binomial exponent must be an int or a Fraction, not {r!r}")
     r = Fraction(r)
     return _power_sum(u, lambda k: (r - k + 1) / k)
 

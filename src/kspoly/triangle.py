@@ -21,7 +21,7 @@ from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, sig
 from .catalog import (
     CaseParams,
     RecurrenceStep,
-    _check_int,
+    _check_index,
     action_relations,
     commuting_ops,
     eigenvalue,
@@ -62,9 +62,7 @@ def _lattice(nmax: int) -> Iterator[tuple[int, int]]:
 def _check_nmax(params: CaseParams, nmax: int) -> None:
     """The validity rule of a table up to degree nmax: beta + k != 0 for
     0 <= k <= 2*nmax + 2, which keeps lambda_N != lambda_d for d < N <= nmax."""
-    _check_int("nmax", nmax)
-    if nmax < 0:
-        raise ParameterError(f"nmax must be nonnegative, not {nmax}")
+    _check_index("nmax", nmax)
     bound = 2 * nmax + 2
     if params.beta.denominator == 1 and -bound <= params.beta <= 0:
         raise ParameterError(

@@ -197,31 +197,34 @@ def _agreement(params: CaseParams, prefix: str, pairs: Iterable[tuple]) -> Verif
     return report
 
 
-def check_swap_symmetry(t: Triangle, t_swapped: Triangle) -> VerificationReport:
-    """Swapping (x,y) and the kappas maps P_{m,n} to P_{n,m} (cases I, IX)."""
-    if t.params.case_id not in ("I", "IX"):
+def check_swap_symmetry(t: Triangle) -> VerificationReport:
+    """Swapping (x,y) and the kappas maps P_{m,n} to P_{n,m} (cases I, IX):
+    t is compared with the oracle table at the swapped kappas, which is t
+    itself when the swap leaves the parameters unchanged."""
+    p = t.params
+    if p.case_id not in ("I", "IX"):
         raise ValueError("the swap symmetry holds for cases I and IX")
+    swapped = CaseParams(p.case_id, p.beta, p.kappa2, p.kappa1)
+    t_swapped = t if swapped == p else build_oracle(swapped, t.nmax)
     pairs = (((m, n), t.entry(m, n).swap_vars(), t_swapped.entry(n, m)) for m, n in t.nodes())
-    return _agreement(t.params, "swap", pairs)
+    return _agreement(p, "swap", pairs)
 
 
-def check_ix_to_i_map(t9: Triangle, t1: Triangle) -> VerificationReport:
+def check_ix_to_i_map(t9: Triangle) -> VerificationReport:
     """Even-even case IX entries, with exponents halved, are case I entries
-    at kappa1 = kappa2 = -1/2 and beta1 = (beta9 + 1)/2."""
+    at kappa1 = kappa2 = -1/2 and beta1 = (beta9 + 1)/2.  The case I image
+    table has its own validity rule, at beta1: when its oracle cannot be
+    built, the map is the one, passing, ix-to-i(skipped) entry."""
     if t9.params.case_id != "IX":
         raise ValueError("first triangle must be case IX")
-    p1 = t1.params
-    if p1.case_id != "I":
-        raise ValueError("second triangle must be case I")
-    if (
-        p1.kappa1 != Fraction(-1, 2)
-        or p1.kappa2 != Fraction(-1, 2)
-        or p1.beta != (t9.params.beta + 1) / 2
-    ):
-        raise ValueError("case I parameters must be kappa1 = kappa2 = -1/2 and beta = (beta9 + 1)/2")
     half = t9.nmax // 2
-    if t1.nmax < half:
-        raise ValueError("case I triangle too small for the even-even image")
+    image = CaseParams("I", (t9.params.beta + 1) / 2, Fraction(-1, 2), Fraction(-1, 2))
+    try:
+        t1 = build_oracle(image, half)
+    except KspolyError:
+        report = VerificationReport(t9.params)
+        report.add("ix-to-i(skipped)", True)
+        return report
     pairs = (
         ((2 * a, 2 * b), t9.entry(2 * a, 2 * b).halve_even_exponents(), t1.entry(a, b))
         for a in range(half + 1) for b in range(half - a + 1)
@@ -229,13 +232,30 @@ def check_ix_to_i_map(t9: Triangle, t1: Triangle) -> VerificationReport:
     return _agreement(t9.params, "ix-to-i", pairs)
 
 
-def check_genfun_agreement(
-    t: Triangle, table: dict[tuple[int, int], BivariatePoly]
-) -> VerificationReport:
-    """Exact equality of every generating-function entry with the triangle."""
-    order = max(m + n for (m, n) in table)
-    pairs = (((m, n), table[(m, n)], t.entry(m, n)) for m, n in t.nodes() if m + n <= order)
-    return _agreement(t.params, "genfun", pairs)
+def check_genfun_agreement(t: Triangle) -> VerificationReport:
+    """Exact equality of every entry of t with the generating function's,
+    expanded to t.nmax: an expansion or extraction that raises is the one,
+    failing, genfun entry.  Case V's derivative identities, genfun-diff-s
+    and genfun-diff-t, read one order more of the same expansion."""
+    params = t.params
+    if params.case_id not in GENFUN_CASES:
+        raise ValueError(f"generating-function checks apply to cases {', '.join(GENFUN_CASES)}")
+    derivatives = params.case_id == "V"
+    report = VerificationReport(params)
+    expansion = None
+    try:
+        expansion = genfun(params, t.nmax + 1 if derivatives else t.nmax)
+        table = extract_polys(expansion.truncated(t.nmax), params)
+    except KspolyError as exc:
+        report.add("genfun", False, {"error": str(exc)})
+    else:
+        pairs = (((m, n), table[(m, n)], t.entry(m, n)) for m, n in t.nodes())
+        report.extend(_agreement(params, "genfun", pairs))
+    if derivatives and expansion is not None:
+        r1, r2 = genfun_derivative_residuals(params, expansion)
+        report.expect_zero("genfun-diff-s", r1)
+        report.expect_zero("genfun-diff-t", r2)
+    return report
 
 
 def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> VerificationReport:
@@ -278,19 +298,14 @@ class IdentityResiduals(NamedTuple):
 
 
 @lru_cache(maxsize=IDENTITY_CACHE_SIZE)
-def identity_residuals(
-    case_id: str,
-    L: GenericOp,
-    commuting: tuple[GenericOp, ...],
-    raising: tuple[GenericOp, GenericOp],
-) -> IdentityResiduals:
-    """The residuals of the record with these operators, formed once per
-    process: they depend on no sample.  The cache is keyed by the operators'
-    values, so a perturbed record gets its own residuals."""
+def identity_residuals(case_id: str, ops: GenericOperators) -> IdentityResiduals:
+    """The residuals of the record ops, formed once per process: they depend
+    on no sample.  The cache is keyed by the record's value, so a perturbed
+    record gets its own residuals."""
     return IdentityResiduals(
-        tuple(L.commutator(ik) for ik in commuting),
-        tuple(raising_relation(case_id, axis, L, r) for axis, r in zip("xy", raising)),
-        quadratic_relations(case_id, L, commuting) if case_id == "IX" else (),
+        tuple(ops.L.commutator(ik) for ik in ops.commuting),
+        tuple(raising_relation(case_id, axis, ops.L, r) for axis, r in zip("xy", ops.raising)),
+        quadratic_relations(case_id, ops.L, ops.commuting) if case_id == "IX" else (),
     )
 
 
@@ -304,7 +319,7 @@ def check_operator_identities(
     denominator) records its two raising entries as failing, with
     raising_ops' error."""
     report = VerificationReport(params)
-    residuals = identity_residuals(params.case_id, ops.L, ops.commuting, ops.raising)
+    residuals = identity_residuals(params.case_id, ops)
     for idx, residual in enumerate(residuals.commuting, start=1):
         report.expect_zero(f"commuting[L,I{idx}]", residual.at(params))
     for N in range(nmax + 1):
@@ -372,7 +387,7 @@ def certify_record(case_id: str, ops: GenericOperators) -> CheckResult:
     `certify[C] [L,I1]=0`: the record's [L, I_1], read from its cached
     identity_residuals, is one element of the Weyl algebra over Q[beta,
     kappa1, kappa2], zero exactly when the identity holds everywhere."""
-    residuals = identity_residuals(case_id, ops.L, ops.commuting, ops.raising)
+    residuals = identity_residuals(case_id, ops)
     return _zero(f"certify[{case_id}] [L,I1]=0", residuals.commuting[0])
 
 
@@ -460,31 +475,10 @@ def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
     report.extend(check_recurrence_stencil(params, stencil_log))
     if params.case_id == "IX":
         report.extend(check_parity_ix(oracle))
-        report.extend(check_swap_symmetry(oracle, oracle))
-        beta1 = (params.beta + 1) / 2
-        try:
-            # the case I image table has its own validity rule, at beta1
-            t1 = build_oracle(CaseParams("I", beta1, Fraction(-1, 2), Fraction(-1, 2)), nmax // 2)
-        except KspolyError:
-            report.add("ix-to-i(skipped)", True)
-        else:
-            report.extend(check_ix_to_i_map(oracle, t1))
+        report.extend(check_swap_symmetry(oracle))
+        report.extend(check_ix_to_i_map(oracle))
     if params.case_id == "I":
-        swapped = build_oracle(CaseParams("I", params.beta, params.kappa2, params.kappa1), nmax)
-        report.extend(check_swap_symmetry(oracle, swapped))
+        report.extend(check_swap_symmetry(oracle))
     if params.case_id in GENFUN_CASES:
-        # case V's derivative identities read one order more of the same expansion
-        derivatives = params.case_id == "V"
-        expansion = table = None
-        try:
-            expansion = genfun(params, nmax + 1 if derivatives else nmax)
-            table = extract_polys(expansion.truncated(nmax), params)
-        except KspolyError as exc:
-            report.add("genfun", False, {"error": str(exc)})
-        if table is not None:
-            report.extend(check_genfun_agreement(oracle, table))
-        if derivatives and expansion is not None:
-            r1, r2 = genfun_derivative_residuals(params, expansion)
-            report.expect_zero("genfun-diff-s", r1)
-            report.expect_zero("genfun-diff-t", r2)
+        report.extend(check_genfun_agreement(oracle))
     return report

@@ -240,9 +240,7 @@ def test_criterion_6_generating_functions():
 
 def test_criterion_7_ix_to_i_map():
     def body():
-        t9 = build_oracle(CaseParams("IX", F(3)), 8)
-        t1 = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 4)
-        report = check_ix_to_i_map(t9, t1)
+        report = check_ix_to_i_map(build_oracle(CaseParams("IX", F(3)), 8))
         assert report.passed, report.failures()[:3]
         checked = [r for r in report.results if r.name.startswith("ix-to-i")]
         assert len(checked) == 15  # all even-even nodes up to degree 8

@@ -226,6 +226,22 @@ def test_rising_factorial_rejects_a_negative_order():
         rising_factorial(F(1, 2), -1)
 
 
+@pytest.mark.parametrize(
+    "z, n, message",
+    [
+        # a float entered as its binary expansion (0.5 gave 3/4), a bool as 0 or 1
+        (0.5, 2, "^rising factorial argument must be an int or a Fraction, not 0.5$"),
+        (True, 2, "^rising factorial argument must be an int or a Fraction, not True$"),
+        (2, True, "^rising factorial order must be an int, not True$"),
+        (2, 2.0, "^rising factorial order must be an int, not 2.0$"),
+    ],
+    ids=["float-z", "bool-z", "bool-n", "float-n"],
+)
+def test_rising_factorial_rejects_a_float_or_a_bool(z, n, message):
+    with pytest.raises(ValueError, match=message):
+        rising_factorial(z, n)
+
+
 def test_polynomials_reject_an_unknown_variable_and_a_negative_power():
     for call in (lambda: BivariatePoly.variable("z"), lambda: X.negate_var("z")):
         with pytest.raises(ValueError, match="^unknown variable 'z'$"):

@@ -599,6 +599,98 @@ def test_ladder_squares_hold_for_all_parameters_and_N(case):
         assert not raising_relation(case, name[-1], source.L, mutant).is_zero(), (name, index)
 
 
+# R_X = [L,[L,X]] - 2 alpha (LX + XL) - (beta^2 - 2 alpha beta) X is
+# sum_k d_k I_k + e L + f, with f = (beta - 2 alpha) kappa1 for X = x,
+# (beta - 2 alpha) kappa2 for y and 0 for IX: the (d, e) below, by hand.
+# Case I also has I1 + I2 + I3 + L = 0, so a second solution; this pins one
+QUADRATIC_WITNESSES = {
+    "I": {"x": ((2, 0, 2), 0), "y": ((0, 2, 2), 0)},
+    "II": {"x": ((0, 2), 0), "y": ((2, 0), -2)},
+    "III": {"x": ((0, -2), 0), "y": ((2, 0), 0)},
+    "V": {"x": ((0, 2), 0), "y": ((0, 0), 2)},
+    "VIII": {"x": ((2, 0), 0), "y": ((0, 0), 0)},
+    "IX": {"x": ((0, 0, 0, 0), 0), "y": ((0, 0, 0, 0), 0)},
+}
+
+
+def _quadratic_residual(case, axis, L, commuting):
+    """R_X - sum_k d_k I_k - e L - f for X = x (axis x) or y, by the witness."""
+    a = alpha(case)
+    X, kappa = (G_X, G_K1) if axis == "x" else (G_Y, G_K2)
+    r_x = L.commutator(L.commutator(X)) - 2 * a * (L @ X + X @ L)
+    r_x = r_x - (G_BETA @ G_BETA - 2 * a * G_BETA) @ X
+    d, e = QUADRATIC_WITNESSES[case][axis]
+    f = GenericOp() if case == "IX" else (G_BETA - 2 * a * G_ONE) @ kappa
+    return r_x - sum((dk * ik for dk, ik in zip(d, commuting)), e * L + f)
+
+
+def test_quadratic_relation_of_l_with_x_and_y():
+    # the relation behind the three-level recurrences, over Q[beta, kappa1,
+    # kappa2]: (L - lambda_{N+1})(L - lambda_{N-1}) X P_{m,n} = R_X P_{m,n}.
+    # A +1 on any term of an L breaks a witness identity, except IX's
+    # constant d_x^2 and d_y^2 terms, which break [L, I_k] = 0 instead
+    blind, mutants = [], 0
+    for case in CASES:
+        source = generic_operators(case)
+        for axis in "xy":
+            assert _quadratic_residual(case, axis, source.L, source.commuting).is_zero(), axis
+        for index, (key, _) in enumerate(source.L.items()):
+            mutant = perturb_term(source.L, index)
+            mutants += 1
+            if all(_quadratic_residual(case, axis, mutant, source.commuting).is_zero()
+                   for axis in "xy"):
+                blind.append((case, key))
+                assert not any(mutant.commutator(ik).is_zero() for ik in source.commuting)
+    assert mutants == 44
+    assert sorted(blind) == [("IX", (0, 0, 0, 2, 0, 0, 0, 0)), ("IX", (0, 0, 2, 0, 0, 0, 0, 0))]
+
+
+def _limit_weight(key, shift):
+    """The power of eps on eps^shift x^i d_x^k kappa1^q (key (i, j, k, l, p,
+    q, r, s)) under x -> x/eps and kappa1 -> kappa1/eps."""
+    i, _, k, _, _, q, _, _ = key
+    return shift + k - i - q
+
+
+def _graded_limit(op, shift):
+    """The eps -> 0 limit of eps^shift op under x -> x/eps, kappa1 -> kappa1/eps:
+    its weight-0 terms; a term of negative weight diverges."""
+    for key, _ in op.items():
+        if _limit_weight(key, shift) < 0:
+            raise ValueError(f"term {key} diverges in the limit")
+    return GenericOp({key: c for key, c in op.items() if _limit_weight(key, shift) == 0})
+
+
+def test_case_ii_operators_are_the_case_i_limit():
+    # the confluent limit takes case I's hand-written operators to case II's
+    one, two = generic_operators("I"), generic_operators("II")
+    limits = [
+        (one.L, 0, two.L),
+        (one.raising[0], 1, two.raising[0]),
+        (one.raising[1], 0, two.raising[1]),
+    ]
+    for source, shift, target in limits:
+        assert _graded_limit(source, shift) == target
+    i1, i2, i3 = one.commuting
+    assert _graded_limit(i1, 0) == -two.commuting[0]
+    assert _graded_limit(i2, 1) == -two.commuting[1]
+    assert _graded_limit(i3, 1) == two.commuting[1]
+    # a +1 on any term of II's L, R+x or R+y fails; of I's, exactly the
+    # mutants of terms of positive weight, which vanish in the limit, survive
+    caught = survivors = 0
+    for source, shift, target in limits:
+        limit = _graded_limit(source, shift)
+        caught += sum(limit != perturb_term(target, index) for index in range(len(target)))
+        for index, (key, _) in enumerate(source.items()):
+            survives = _graded_limit(perturb_term(source, index), shift) == target
+            assert survives == (_limit_weight(key, shift) > 0), (key, shift)
+            survivors += survives
+    assert caught == sum(len(target) for _, _, target in limits) == 45
+    assert (survivors, sum(len(source) for source, _, _ in limits)) == (12, 57)
+    with pytest.raises(ValueError, match="diverges"):
+        _graded_limit(one.L, -1)
+
+
 def test_generic_operators_reject_unknown_case():
     # the one generic source and CaseParams raise through the same check
     messages = []
@@ -954,6 +1046,11 @@ def test_negative_recurrence_node_is_a_parameter_error(axis, m, n):
 def test_negative_edge_ladder_index_is_a_parameter_error(axis):
     with pytest.raises(ParameterError, match="k must be nonnegative, not -1"):
         edge_ladder(CaseParams("I", F(7, 2)), axis, -1)
+
+
+def test_negative_eigenvalue_level_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="^N must be nonnegative, not -1$"):
+        eigenvalue(P2["I"], -1)
 
 
 # a bool passes every `< 0` test and indexes like 1; a float reaches the

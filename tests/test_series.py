@@ -313,6 +313,14 @@ def test_binomial_integer_power_is_the_product():
     assert binomial_series(u, 3) == one_plus_u * one_plus_u * one_plus_u
 
 
+@pytest.mark.parametrize("r", [0.1, True, False])
+def test_binomial_rejects_a_float_or_a_bool_exponent(r):
+    # 0.1 entered as its binary expansion, 3602879701896397/36028797018963968
+    message = f"^binomial exponent must be an int or a Fraction, not {r}$"
+    with pytest.raises(ValueError, match=message):
+        binomial_series(Series2.term(3, 1, 0, X), r)
+
+
 def test_binomial_requires_zero_constant():
     with pytest.raises(ValueError):
         binomial_series(Series2.one(3), F(1, 2))

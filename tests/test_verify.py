@@ -194,28 +194,16 @@ def test_ix_to_i_map_beta3():
     t1 = build_oracle(
         CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 3
     )
-    report = check_ix_to_i_map(t9, t1)
+    report = check_ix_to_i_map(t9)
     assert report.passed
     # the first nontrivial image: x^2 - 1/(1+beta9) halves to x - 1/4
     assert t9.entry(2, 0).halve_even_exponents() == t1.entry(1, 0)
 
 
 def test_ix_to_i_map_validates_parameters():
-    t9 = build_oracle(CaseParams("IX", F(3)), 4)
-    bad = build_oracle(CaseParams("I", F(2), F(1, 3), F(-1, 2)), 2)
-    with pytest.raises(ValueError):
-        check_ix_to_i_map(t9, bad)
     image = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 2)
-    message = r"^case I parameters must be kappa1 = kappa2 = -1/2 and beta = \(beta9 \+ 1\)/2$"
-    for wrong, error in (
-        ((image, image), "^first triangle must be case IX$"),
-        ((t9, t9), "^second triangle must be case I$"),
-        ((t9, bad), message),
-        ((t9, build_oracle(CaseParams("I", F(5, 2), F(-1, 2), F(-1, 2)), 2)), message),
-        ((t9, build_oracle(image.params, 1)), "^case I triangle too small for the even-even image$"),
-    ):
-        with pytest.raises(ValueError, match=error):
-            check_ix_to_i_map(*wrong)
+    with pytest.raises(ValueError, match="^first triangle must be case IX$"):
+        check_ix_to_i_map(image)
 
 
 def test_full_suite_skips_an_ix_to_i_image_that_breaks_the_validity_rule():
@@ -259,25 +247,42 @@ def test_full_suite_reports_at_beta_one(case):
 def test_swap_symmetry_case_i():
     p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
-    report = check_swap_symmetry(build_oracle(p, 4), build_oracle(swapped, 4))
+    report = check_swap_symmetry(build_oracle(p, 4))
     assert report.passed
+    assert check_swap_symmetry(build_oracle(swapped, 4)).passed
     t8 = build_oracle(CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5)), 2)
     with pytest.raises(ValueError, match="^the swap symmetry holds for cases I and IX$"):
-        check_swap_symmetry(t8, t8)
+        check_swap_symmetry(t8)
 
 
 def test_genfun_agreement_report():
     p = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5))
-    t = build_oracle(p, 4)
-    table = extract_polys(genfun(p, 4), p)
-    assert check_genfun_agreement(t, table).passed
-    # a table of lower order than the triangle checks only its own levels
-    low = {node: poly for node, poly in table.items() if sum(node) <= 2}
-    report = check_genfun_agreement(t, low)
+    report = check_genfun_agreement(build_oracle(p, 2))
     assert report.passed
     assert [r.name for r in report.results] == [
         "genfun(0,0)", "genfun(1,0)", "genfun(0,1)", "genfun(2,0)", "genfun(1,1)", "genfun(0,2)"
     ]
+
+
+def test_genfun_agreement_rejects_other_cases():
+    t = build_oracle(CaseParams("I", F(7, 2), F(1, 3), F(-1, 5)), 2)
+    with pytest.raises(ValueError, match="^generating-function checks apply to cases V, VIII, IX$"):
+        check_genfun_agreement(t)
+
+
+def test_swap_symmetry_is_its_own_reference_when_the_kappas_agree(monkeypatch):
+    # IX, and case I with kappa1 = kappa2, swap onto themselves: no table is built
+    tables = [
+        build_oracle(CaseParams("I", F(7, 2), F(1, 3), F(1, 3)), 3),
+        build_oracle(CaseParams("IX", F(3)), 3),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a reference table was built")
+
+    monkeypatch.setattr(kspoly.verify, "build_oracle", refuse)
+    assert [len(check_swap_symmetry(t).results) for t in tables] == [10, 10]
+    assert all(check_swap_symmetry(t).passed for t in tables)
 
 
 def test_stencil_check_all_cases():
@@ -665,21 +670,19 @@ def test_swap_failure_carries_the_residual():
     swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
     t = build_oracle(p, 3)
     t.entries[(2, 1)] = t.entries[(2, 1)] + F(1, 4) * X
-    [failure] = check_swap_symmetry(t, build_oracle(swapped, 3)).failures()
+    [failure] = check_swap_symmetry(t).failures()
     assert failure.name == "swap(2,1)"
     assert failure.detail == {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]}
 
 
 def _agreement_inputs():
-    """(check, its two tables) for a passing swap, ix-to-i and genfun call."""
+    """(check, its table) for a passing swap, ix-to-i and genfun call."""
     p1 = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
-    swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
     p8 = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5))
-    image = CaseParams("I", F(2), F(-1, 2), F(-1, 2))
     return [
-        (check_swap_symmetry, build_oracle(p1, 4), build_oracle(swapped, 4)),
-        (check_ix_to_i_map, build_oracle(CaseParams("IX", F(3)), 6), build_oracle(image, 3)),
-        (check_genfun_agreement, build_oracle(p8, 4), extract_polys(genfun(p8, 4), p8)),
+        (check_swap_symmetry, build_oracle(p1, 4)),
+        (check_ix_to_i_map, build_oracle(CaseParams("IX", F(3)), 6)),
+        (check_genfun_agreement, build_oracle(p8, 4)),
     ]
 
 
@@ -693,19 +696,23 @@ def test_agreement_checks_form_no_difference_when_they_pass(monkeypatch):
     monkeypatch.setattr(Terms, "__sub__", refuse)
     monkeypatch.setattr(Terms, "__neg__", refuse)
     counts = []
-    for check, a, b in inputs:
-        report = check(a, b)
+    for check, t in inputs:
+        report = check(t)
         assert report.passed and report.failures() == []
         counts.append(len(report.results))
     assert counts == [15, 10, 15]
 
 
 def test_a_failing_agreement_entry_carries_the_residual_of_its_sides():
-    # one perturbed entry per check: its entry is _zero's of (a - b) at the node
-    (swap, t1, swapped), (ix, t9, image), (gf, t8, table) = _agreement_inputs()
+    # one perturbed entry per check: its entry is _zero's of (a - b) at the node,
+    # with the check's own reference table on the side the check reads it
+    (swap, t1), (ix, t9), (gf, t8) = _agreement_inputs()
+    swapped = build_oracle(CaseParams("I", F(7, 2), F(-1, 5), F(1, 3)), 4)
+    image = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 3)
+    table = extract_polys(genfun(t8.params, 4), t8.params)
     t1.entries[(2, 1)] = t1.entries[(2, 1)] + F(1, 4) * X
     t9.entries[(2, 2)] = t9.entries[(2, 2)] + F(1, 3) * X * X
-    table[(1, 2)] = table[(1, 2)] + F(-2, 3) * Y
+    t8.entries[(1, 2)] = t8.entries[(1, 2)] + F(2, 3) * Y
     expected = [
         kspoly.verify._zero("swap(2,1)", t1.entry(2, 1).swap_vars() - swapped.entry(1, 2), (2, 1)),
         kspoly.verify._zero(
@@ -713,7 +720,7 @@ def test_a_failing_agreement_entry_carries_the_residual_of_its_sides():
         ),
         kspoly.verify._zero("genfun(1,2)", table[(1, 2)] - t8.entry(1, 2), (1, 2)),
     ]
-    failures = [swap(t1, swapped).failures(), ix(t9, image).failures(), gf(t8, table).failures()]
+    failures = [swap(t1).failures(), ix(t9).failures(), gf(t8).failures()]
     assert failures == [[entry] for entry in expected]
     assert [entry.detail for entry in expected] == [
         {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]},
@@ -905,10 +912,10 @@ def test_identity_cache_is_keyed_by_value():
     copy = GenericOp._wrap(dict(record.L._num), record.L._den)
     assert copy == record.L and copy is not record.L
     identity_residuals.cache_clear()
-    first = identity_residuals("II", record.L, record.commuting, record.raising)
-    assert identity_residuals("II", copy, record.commuting, record.raising) is first
+    first = identity_residuals("II", record)
+    assert identity_residuals("II", record._replace(L=copy)) is first
     mutant = perturb_term(record.L, 2)
-    other = identity_residuals("II", mutant, record.commuting, record.raising)
+    other = identity_residuals("II", record._replace(L=mutant))
     assert other is not first and other.commuting[0] == mutant.commutator(record.commuting[0])
     info = identity_residuals.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
@@ -920,13 +927,13 @@ def test_generic_op_hash_survives_pickling():
     # that record is still a miss
     record = generic_operators("III")
     identity_residuals.cache_clear()
-    first = identity_residuals("III", record.L, record.commuting, record.raising)
+    first = identity_residuals("III", record)
     copy = pickle.loads(pickle.dumps(record.L))
     assert copy == record.L and hash(copy) == hash(record.L)
-    assert identity_residuals("III", copy, record.commuting, record.raising) is first
+    assert identity_residuals("III", record._replace(L=copy)) is first
     mutant = perturb_term(copy, 4)
     assert mutant != record.L
-    assert identity_residuals("III", mutant, record.commuting, record.raising) is not first
+    assert identity_residuals("III", record._replace(L=mutant)) is not first
     info = identity_residuals.cache_info()
     assert (info.hits, info.misses) == (1, 2)
 
