@@ -66,24 +66,18 @@ class _Unreduced:
 
     def __add__(self, other: Union[_Unreduced, int]) -> _Unreduced:
         n, d = self.numerator, self.denominator
-        if type(other) is int:
-            return _Unreduced(n + other * d, d)
         return _Unreduced(n * other.denominator + other.numerator * d, d * other.denominator)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union[_Unreduced, int]) -> _Unreduced:
         n, d = self.numerator, self.denominator
-        if type(other) is int:
-            return _Unreduced(n - other * d, d)
         return _Unreduced(n * other.denominator - other.numerator * d, d * other.denominator)
 
     def __rsub__(self, other: int) -> _Unreduced:
         return _Unreduced(other * self.denominator - self.numerator, self.denominator)
 
     def __mul__(self, other: Union[_Unreduced, int]) -> _Unreduced:
-        if type(other) is int:
-            return _Unreduced(self.numerator * other, self.denominator)
         return _Unreduced(self.numerator * other.numerator, self.denominator * other.denominator)
 
     __rmul__ = __mul__
@@ -91,8 +85,6 @@ class _Unreduced:
     def __truediv__(self, other: Union[_Unreduced, int]) -> _Unreduced:
         if not other:
             raise ZeroDivisionError("division by zero")
-        if type(other) is int:
-            return _Unreduced(self.numerator, self.denominator * other)
         return _Unreduced(self.numerator * other.denominator, self.denominator * other.numerator)
 
     def __rtruediv__(self, other: int) -> _Unreduced:
@@ -166,18 +158,10 @@ def _sum(parts: list[tuple[int, int, dict, object]]) -> tuple[dict, int]:
     for c, d, num, via in parts:
         f = c * (den // d)
         if via is None:
-            if not out:  # the first part fills the dict in one pass
-                out = dict(num) if f == 1 else {key: a * f for key, a in num.items()}
-                get = out.get
-                continue
             for key, a in num.items():
                 out[key] = get(key, 0) + a * f
         elif type(via) is tuple:
             di, dj = via
-            if not out:
-                out = {(i + di, j + dj): a * f for (i, j), a in num.items()}
-                get = out.get
-                continue
             for (i, j), a in num.items():
                 key = (i + di, j + dj)
                 out[key] = get(key, 0) + a * f
@@ -401,6 +385,8 @@ class BivariatePoly(Terms):
         return self._wrap(*_sum([(c, den, num, key) for key, c in other._num.items()]))
 
     def __pow__(self, n: int) -> "BivariatePoly":
+        if type(n) is not int:
+            raise ValueError(f"polynomial power must be an int, not {n!r}")
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = BivariatePoly.constant(1)
@@ -416,13 +402,11 @@ class BivariatePoly(Terms):
         as ``A.apply``, which is this sum of one operand.  A coefficient c is
         any exact scalar with an integer numerator and a nonzero integer
         denominator of either sign (an int, a Fraction or an _Unreduced);
-        zero coefficients (tested by truth) and zero operands are skipped,
-        and an empty sum is zero."""
+        zero coefficients and zero operands contribute nothing, and an empty
+        sum is zero."""
         parts = []
         for operand in operands:
             c, p = operand[0], operand[1]
-            if not c or not p._num:
-                continue
             via = operand[2] if len(operand) > 2 else None
             d = c.denominator * p._den
             if via is None or type(via) is tuple:

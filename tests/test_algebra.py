@@ -250,6 +250,14 @@ def test_polynomials_reject_an_unknown_variable_and_a_negative_power():
         X**-1
 
 
+@pytest.mark.parametrize("n", [True, 2.0, F(2)], ids=["bool", "float", "fraction"])
+def test_polynomial_power_rejects_a_non_int_exponent(n):
+    # a bool would be read as 0 or 1; a float or a Fraction counts no factors
+    message = f"^polynomial power must be an int, not {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        X**n
+
+
 def test_operands_of_another_type_are_not_implemented():
     # __eq__, __add__ and __matmul__ answer NotImplemented for a value of
     # another type: == falls back to identity, + and @ raise TypeError

@@ -4,13 +4,14 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kspoly import triangle
-from kspoly.algebra import ONE, BivariatePoly, X, Y, _Unreduced
+from kspoly.algebra import ONE, BivariatePoly, X, Y, _Unreduced, rising_factorial
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -165,6 +166,103 @@ def test_edge_ode_and_edge_ladders(case):
         assert edge_ladder(p, "y", 2) is None
     if case == "VIII":
         assert edge_ladder(p, "x", 2) is None
+
+
+# -- the oracle against closed forms and maps between the families --------------
+
+
+def closed_form(params, m, n, s_shift=-1):
+    """P_{m,n} of case I or II from its closed form, s = m + n + beta - 1:
+
+        P_{m,n} = sum_{i<=m, j<=n} C(m,i) C(n,j) (-1)^(m+n-i-j)
+                  [(-k1)_m/(-k1)_i] [(-k2)_n/(-k2)_j] [(s)_(i+j)/(s)_(m+n)] x^i y^j
+
+    for case I (Appell's polynomials on the triangle).  Case II, the limit
+    x -> x/eps, k1 -> k1/eps, eps -> 0, has k1^(m-i) in place of
+    (-1)^(m-i) (-k1)_m/(-k1)_i and keeps (-1)^(n-j).  ``s_shift`` moves s,
+    for a mutant."""
+    k1, k2 = params.kappa1, params.kappa2
+    s = m + n + params.beta + s_shift
+    terms = {}
+    for i in range(m + 1):
+        if params.case_id == "I":
+            xi = (-1) ** (m - i) * rising_factorial(-k1, m) / rising_factorial(-k1, i)
+        else:
+            xi = k1 ** (m - i)
+        for j in range(n + 1):
+            yj = (-1) ** (n - j) * rising_factorial(-k2, n) / rising_factorial(-k2, j)
+            s_ratio = rising_factorial(s, i + j) / rising_factorial(s, m + n)
+            terms[(i, j)] = comb(m, i) * comb(n, j) * xi * yj * s_ratio
+    return BivariatePoly(terms)
+
+
+CLOSED_FORM_PARAMS = [
+    sample_params(case, random.Random(f"closed-form/{case}/{k}"))
+    for case in ("I", "II")
+    for k in range(3)
+] + [CaseParams("I", F(-7, 2), F(1, 3), F(2, 7))]
+
+
+@pytest.mark.parametrize(
+    "params", CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
+)
+def test_oracle_matches_the_closed_forms_of_cases_i_and_ii(params):
+    t = build_oracle(params, 8)
+    for m, n in t.nodes():
+        assert t.entry(m, n) == closed_form(params, m, n), (m, n)
+    # a mutant with s = m + n + beta
+    assert any(t.entry(m, n) != closed_form(params, m, n, s_shift=0) for m, n in t.nodes())
+
+
+# (case, axis) -> (d beta, d kappa1, d kappa2): the derivative along the axis
+# maps P_{m,n}(p) to m P_{m-1,n}(p') (n P_{m,n-1}(p') for y), p' = p + shift
+DERIVATIVE_SHIFTS = {
+    ("I", "x"): (2, -1, 0),
+    ("I", "y"): (2, 0, -1),
+    ("II", "x"): (2, 0, 0),
+    ("II", "y"): (2, 0, -1),
+    ("III", "y"): (2, 0, 0),
+    ("V", "x"): (0, 0, 2),
+    ("V", "y"): (0, 0, 1),
+    ("VIII", "x"): (0, 0, 0),
+    ("IX", "x"): (2, 0, 0),
+    ("IX", "y"): (2, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case, axis", DERIVATIVE_SHIFTS)
+def test_derivative_maps_each_family_to_itself_at_shifted_parameters(case, axis):
+    db, dk1, dk2 = DERIVATIVE_SHIFTS[case, axis]
+    d = DiffOp.partial(1, 0) if axis == "x" else DiffOp.partial(0, 1)
+    rng = random.Random(f"derivative/{case}/{axis}")
+    for _ in range(2):
+        p = sample_params(case, rng)
+        q = CaseParams(case, p.beta + db, p.kappa1 + dk1, p.kappa2 + dk2)
+        t, shifted = build_oracle(p, 8), build_oracle(q, 7)
+        for m, n in t.nodes():
+            k, below = (m, (m - 1, n)) if axis == "x" else (n, (m, n - 1))
+            expected = k * shifted.entry(*below) if k else BivariatePoly.zero()
+            assert d.apply(t.entry(m, n)) == expected, (p, m, n)
+
+
+def test_case_ix_parity_blocks_are_case_i_in_the_squares():
+    # P^IX_{2a+e1, 2b+e2}(x, y) = x^e1 y^e2 P^I_{a,b}(x^2, y^2), the case I
+    # table at beta_e = (beta + 1)/2 + e1 + e2, kappa_e = (-1/2 - e1, -1/2 - e2)
+    rng = random.Random("ix-parity")
+    for _ in range(3):
+        p = sample_params("IX", rng)
+        t9 = build_oracle(p, 10)
+        seen = set()
+        for e1, e2 in product((0, 1), repeat=2):
+            pe = CaseParams("I", (p.beta + 1) / 2 + e1 + e2, F(-1, 2) - e1, F(-1, 2) - e2)
+            t1 = build_oracle(pe, (t9.nmax - e1 - e2) // 2)
+            for a, b in t1.nodes():
+                node = (2 * a + e1, 2 * b + e2)
+                terms = t1.entry(a, b).items()
+                image = BivariatePoly({(2 * i + e1, 2 * j + e2): c for (i, j), c in terms})
+                assert t9.entry(*node) == image, (p, node)
+                seen.add(node)
+        assert seen == set(t9.nodes())  # the four blocks tile the table
 
 
 # -- transfer specifics ---------------------------------------------------------
