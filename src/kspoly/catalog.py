@@ -190,7 +190,8 @@ class GenericOperators(NamedTuple):
     raising_relation and quadratic_relations state the identities among L,
     the I_k and the cleared R+ once, over this ring, and verify evaluates
     each residual at its sample.  verify reads a record itself, so one with
-    a field replaced (a mutant) reaches every check and every level.
+    L, an I_k, an R+ or an edge operator replaced (a mutant) reaches every
+    check and every level; the edge ladders reach no check.
     """
 
     L: GenericOp

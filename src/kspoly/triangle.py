@@ -11,7 +11,6 @@ All four must agree term for term; the verification module enforces that.
 
 from __future__ import annotations
 
-import io
 import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
@@ -440,13 +439,12 @@ def dumps_json(doc: dict) -> str:
     A record list, a non-empty list or tuple of plain dicts that all have
     the same str keys in the same order, where each key's values are all
     str, all int (not bool) or all plain dicts, such as the terms of a table
-    entry, is written in one step through a %-template for one record, built
-    once per document for each tuple of keys and depth; a dict value is
-    written once per distinct object.  Any other list, and every other
-    value, falls back to the item-by-item writer.
+    entry, is written in one step through a %-template for one record; a
+    dict value is written once per distinct object.  Any other list, and
+    every other value, falls back to the item-by-item writer.
     """
     chunks: list[str] = []
-    _write_json(doc, chunks, "\n", {})
+    _write_json(doc, chunks, "\n")
     chunks.append("\n")
     return "".join(chunks)
 
@@ -454,11 +452,10 @@ def dumps_json(doc: dict) -> str:
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _write_json(value: object, out: list[str], newline: str, templates: dict) -> None:
+def _write_json(value: object, out: list[str], newline: str) -> None:
     # newline is "\n" plus the indent of value's own level; str, int, bool,
     # None, lists, tuples and str-keyed dicts are written here, anything else
-    # by the stdlib, re-indented to this level; templates holds this
-    # document's record templates by (keys, newline)
+    # by the stdlib, re-indented to this level
     kind = type(value)
     if kind is str:
         out.append(_encode_str(value))
@@ -467,7 +464,7 @@ def _write_json(value: object, out: list[str], newline: str, templates: dict) ->
     elif value is None or kind is bool:
         out.append(_JSON_CONSTANTS[value])
     elif (kind is list or kind is tuple) and value:
-        text = _record_list(value, newline, templates) if type(value[0]) is dict else None
+        text = _record_list(value, newline) if type(value[0]) is dict else None
         if text is not None:
             out.append(text)
             return
@@ -475,7 +472,7 @@ def _write_json(value: object, out: list[str], newline: str, templates: dict) ->
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _write_json(item, out, inner, templates)
+            _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is dict and value:
@@ -488,14 +485,14 @@ def _write_json(value: object, out: list[str], newline: str, templates: dict) ->
                 out.append(json.dumps(value, indent=2).replace("\n", newline))
                 return
             out.append(sep + _encode_str(key) + ": ")
-            _write_json(item, out, inner, templates)
+            _write_json(item, out, inner)
             sep = "," + inner
         out.append(newline + "}")
     else:  # empty containers, floats, subclasses
         out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
-def _record_list(records: list | tuple, newline: str, templates: dict) -> str | None:
+def _record_list(records: list | tuple, newline: str) -> str | None:
     # the text of a record list (see dumps_json), or None for any other list
     if set(map(type, records)) != {dict}:
         return None
@@ -516,34 +513,27 @@ def _record_list(records: list | tuple, newline: str, templates: dict) -> str | 
             texts = {id(item): item for item in column}
             for key, item in texts.items():
                 chunks: list[str] = []
-                _write_json(item, chunks, inner + "  ", templates)
+                _write_json(item, chunks, inner + "  ")
                 texts[key] = "".join(chunks)
             values[index::width] = map(texts.__getitem__, map(id, column))
         elif kinds != {int}:
             return None
-    record = templates.get((keys, newline))
-    if record is None:
-        if set(map(type, keys)) != {str}:
-            return None
-        field = "," + inner + "  "
-        record = templates[keys, newline] = (
-            "{" + inner + "  "
-            + field.join([_encode_str(key).replace("%", "%%") + ": %s" for key in keys])
-            + inner + "}"
-        )
+    if set(map(type, keys)) != {str}:
+        return None
+    field = "," + inner + "  "
+    record = (
+        "{" + inner + "  "
+        + field.join([_encode_str(key).replace("%", "%%") + ": %s" for key in keys])
+        + inner + "}"
+    )
     return ("[" + inner + ("," + inner).join([record] * len(records)) + newline + "]") % tuple(values)
 
 
 def triangle_to_csv(t: Triangle) -> str:
-    import csv  # here, not at the top: only the csv export needs it
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["m", "n", "i", "j", "c"])
-    writer.writerows(  # records carry the "p/q" text, built without a Fraction
-        (m, n, r["i"], r["j"], r["c"]) for m, n in t.nodes() for r in t.entry(m, n).to_records()
-    )
-    return out.getvalue()
+    # records carry the "p/q" text, built without a Fraction; a field holds
+    # only digits, "-" and "/", so none needs quoting
+    records = ((m, n, r) for m, n in t.nodes() for r in t.entry(m, n).to_records())
+    return "m,n,i,j,c\n" + "".join([f"{m},{n},{r['i']},{r['j']},{r['c']}\n" for m, n, r in records])
 
 
 def latex_rational(p: int, q: int) -> str:

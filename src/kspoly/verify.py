@@ -19,7 +19,6 @@ from .catalog import (
     GenericOperators,
     STENCILS,
     action_relations,
-    edge_operators,
     eigenvalue,
     generic_operators,
     params_to_json,
@@ -134,11 +133,14 @@ def check_monic(t: Triangle) -> VerificationReport:
     return report
 
 
-def check_edge_ode(t: Triangle) -> VerificationReport:
-    """Edge polynomials solve the one-variable restrictions of L."""
+def check_edge_ode(
+    t: Triangle, edges: tuple[Optional[DiffOp], Optional[DiffOp]]
+) -> VerificationReport:
+    """Edge polynomials solve the one-variable restrictions of L: edges is
+    the (x, y) pair at t.params, None marking an edge with no reduction."""
     report = VerificationReport(t.params)
     lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
-    for axis, op in zip("xy", edge_operators(t.params)):
+    for axis, op in zip("xy", edges):
         if op is None:
             continue
         for k, lam in enumerate(lams):
@@ -337,12 +339,15 @@ def check_operator_identities(
 
 
 def check_operators(t: Triangle, ops: GenericOperators) -> VerificationReport:
-    """Every check that audits an operator record: eigen and action formulas
-    on the table t, with the record's L and I_k specialised at t.params, and
-    the operator identities up to t.nmax.  full_suite runs it on the
-    catalog's record, mutation_battery on perturbed ones."""
+    """Every check that audits an operator record: eigen, action formulas and
+    edge ODEs on the table t, with the record's L, I_k and edge operators
+    specialised at t.params, and the operator identities up to t.nmax.  The
+    edge ladders reach no check.  full_suite runs it on the catalog's
+    record, mutation_battery on perturbed ones."""
     report = check_eigen(t, ops.L.at(t.params))
     report.extend(check_action_formulas(t, tuple(op.at(t.params) for op in ops.commuting)))
+    edges = tuple(None if op is None else op.at(t.params) for op in ops.edge_operators)
+    report.extend(check_edge_ode(t, edges))
     report.extend(check_operator_identities(t.params, t.nmax, ops))
     return report
 
@@ -471,7 +476,6 @@ def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
             report.add(f"agreement[{name}]", t.same_polys(oracle))
     report.extend(check_operators(oracle, generic_operators(params.case_id)))
     report.extend(check_monic(oracle))
-    report.extend(check_edge_ode(oracle))
     report.extend(check_recurrence_stencil(params, stencil_log))
     if params.case_id == "IX":
         report.extend(check_parity_ix(oracle))

@@ -31,11 +31,13 @@ from kspoly.catalog import (
     raising_relation,
     recurrence_step,
     sample_params,
+    _SYMBOLS,
 )
 from kspoly.errors import ParameterError
 from kspoly.verify import perturb_term
 from kspoly.triangle import _check_nmax, build_oracle
 from kspoly.weyl import DiffOp, GenericOp
+from test_triangle import DERIVATIVE_SHIFTS
 
 P2 = {
     c: CaseParams(c, F(2), F(1), F(1)) for c in ("I", "II", "III", "V", "VIII")
@@ -689,6 +691,43 @@ def test_case_ii_operators_are_the_case_i_limit():
     assert (survivors, sum(len(source) for source, _, _ in limits)) == (12, 57)
     with pytest.raises(ValueError, match="diverges"):
         _graded_limit(one.L, -1)
+
+
+def test_derivative_shifts_are_operator_identities_for_all_parameters():
+    # d L(p) = (L(p') + beta) d over Q[beta, kappa1, kappa2], with p' = p +
+    # the shift: L's parameter terms are beta (x dx + y dy) + kappa1 dx +
+    # kappa2 dy, so L(p') - L(p) is the shift's part of them, and the bracket
+    # [d, L] = (L(p') - L(p) + beta) d
+    _, x, y, dx, dy, b, k1, k2, _ = _SYMBOLS
+    euler = x @ dx + y @ dy
+    for case in CASES:
+        L = generic_operators(case).L
+        parameter_terms = GenericOp({key: c for key, c in L.items() if any(key[4:])})
+        kappa_terms = GenericOp() if case == "IX" else k1 @ dx + k2 @ dy
+        assert parameter_terms == b @ euler + kappa_terms, case
+
+    def bracket(shift, d):
+        db, dk1, dk2 = shift
+        return (db * euler + dk1 * dx + dk2 * dy + b) @ d
+
+    moves = 0
+    for (case, axis), shift in DERIVATIVE_SHIFTS.items():
+        d = dx if axis == "x" else dy
+        commutator = d.commutator(generic_operators(case).L)
+        assert commutator == bracket(shift, d), (case, axis)
+        for index, step in product(range(3), (-1, 1)):  # a wrong shift fails
+            moved = list(shift)
+            moved[index] += step
+            assert commutator != bracket(moved, d), (case, axis, moved)
+            moves += 1
+    assert moves == 60
+    # III along x and VIII along y have no such shift: their bracket has a
+    # term free of that axis's derivative, so it is no operator times it
+    for case, axis, free in (("III", "x", dy @ dy), ("VIII", "y", dx @ dx)):
+        assert (case, axis) not in DERIVATIVE_SHIFTS
+        d, slot = (dx, 2) if axis == "x" else (dy, 3)  # slot: d's exponent in a key
+        commutator = d.commutator(generic_operators(case).L)
+        assert GenericOp({key: c for key, c in commutator.items() if not key[slot]}) == free
 
 
 def test_generic_operators_reject_unknown_case():

@@ -518,12 +518,12 @@ assert main(["gf", "--case", "VIII", "--beta", "7/2", "--order", "3", "--output"
         ("import kspoly, kspoly.cli", set()),
         ("from kspoly import *", {"kspoly.verify", "kspoly.series"}),
         (ALL_TABLES, set()),
-        (GEN_AND_EXPORT, {"csv"}),
+        (GEN_AND_EXPORT, set()),
         (GF, {"kspoly.series"}),
     ],
     ids=["import", "star-import", "all-tables", "gen-export", "gf"],
 )
 def test_entry_points_load_only_the_layers_they_run(code, loaded, tmp_path):
     # the table builders never compile the audit layer; check and gf load
-    # it on first use, and only the csv export loads csv
+    # it on first use, and no entry point loads csv
     assert AUDIT_LAYER & _fresh_run(code, cwd=tmp_path) == loaded

@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given
@@ -214,6 +214,47 @@ def test_oracle_matches_the_closed_forms_of_cases_i_and_ii(params):
     assert any(t.entry(m, n) != closed_form(params, m, n, s_shift=0) for m, n in t.nodes())
 
 
+def moments(params, degree, shift=0):
+    """The moments u(x^i y^j), i + j <= degree, of the functional with u(1) = 1
+    for which the family is orthogonal, as integers over one denominator:
+    (-k1)_i (-k2)_j / (beta)_{i+j} for case I, and for case II, its limit,
+    (-k1)^i in place of (-k1)_i.  ``shift`` moves the Pochhammer index of
+    beta, for a mutant."""
+    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    mu = {}
+    for i in range(degree + 1):
+        xi = rising_factorial(-k1, i) if params.case_id == "I" else (-k1) ** i
+        for j in range(degree + 1 - i):
+            mu[i, j] = xi * rising_factorial(-k2, j) / rising_factorial(b, i + j + shift)
+    den = lcm(*(v.denominator for v in mu.values()))
+    return {key: v.numerator * (den // v.denominator) for key, v in mu.items()}
+
+
+def nonorthogonal_pairings(t, mu):
+    """The count of pairs (P_{m,n}, x^a y^b) with a + b < m + n and
+    u(x^a y^b P_{m,n}) != 0, by integer dot products."""
+    count = 0
+    for m, n in t.nodes():
+        terms = list(t.entry(m, n).items())
+        den = lcm(*(c.denominator for _, c in terms))
+        coeffs = [(i, j, c.numerator * (den // c.denominator)) for (i, j), c in terms]
+        for a in range(m + n):
+            for b in range(m + n - a):
+                count += sum(c * mu[i + a, j + b] for i, j, c in coeffs) != 0
+    return count
+
+
+@pytest.mark.parametrize(
+    "params", CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
+)
+def test_oracle_is_orthogonal_for_the_closed_form_moments_of_cases_i_and_ii(params):
+    # each P_{m,n} is orthogonal to every monomial of lower degree
+    t = build_oracle(params, 6)
+    assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax)) == 0
+    # a mutant with (beta)_{i+j+1}
+    assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax, shift=1)) > 0
+
+
 # (case, axis) -> (d beta, d kappa1, d kappa2): the derivative along the axis
 # maps P_{m,n}(p) to m P_{m-1,n}(p') (n P_{m,n-1}(p') for y), p' = p + shift
 DERIVATIVE_SHIFTS = {
@@ -338,6 +379,24 @@ def test_builders_match_oracle_or_raise_on_degenerate_lattice(case):
                 assert expected is None, (builder.__name__, p)
                 assert table.same_polys(oracle), (builder.__name__, p)
     assert raised == DEGENERATE_RAISES[case]
+
+
+SWEEP_BETAS = (F(1), F(2), F(1, 2))
+SWEEP_KAPPAS = (F(-1), F(0), F(1, 2), F(1))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_no_builder_returns_a_wrong_table_on_a_degenerate_lattice(case):
+    # a wider kappa set than the pinned lattice above, with the refusals left
+    # unpinned: the oracle builds every point, and each other builder returns
+    # the oracle's table or raises a KspolyError, never a different table
+    kappas = [(F(0), F(0))] if case == "IX" else product(SWEEP_KAPPAS, repeat=2)
+    for beta, (k1, k2) in product(SWEEP_BETAS, kappas):
+        p = CaseParams(case, beta, k1, k2)
+        oracle = build_oracle(p, 4)
+        for builder in (build_recurrence, build_ladder, build_transfer):
+            with contextlib.suppress(KspolyError):
+                assert builder(p, 4).same_polys(oracle), (builder.__name__, p)
 
 
 @pytest.mark.parametrize("builder", BUILDER_LIST)
@@ -823,8 +882,8 @@ def test_dumps_json_matches_stdlib_on_record_lists(doc):
 
 
 def test_dumps_json_record_templates_follow_keys_and_depth():
-    # one document, so the record templates are reused: the same keys at
-    # two depths, and the same key set in another order at one depth
+    # the same keys at two depths, and the same key set in another order at
+    # one depth
     ij = [{"i": 1, "j": "a"}, {"i": 2, "j": "b"}]
     ji = [{"j": "c", "i": 3}]
     assert_stdlib_layout({"a": ij, "b": [ij, ji], "c": ji, "d": [{"i": True, "j": "d"}]})
@@ -833,10 +892,10 @@ def test_dumps_json_record_templates_follow_keys_and_depth():
 def test_table_terms_are_written_as_record_lists():
     terms = build_oracle(CaseParams("I", F(7, 2), F(1, 3), F(-1, 5)), 3).entry(2, 1).to_records()
     assert len(terms) > 1
-    assert triangle._record_list(terms, "\n  ", {}) == json.dumps(terms, indent=2).replace(
+    assert triangle._record_list(terms, "\n  ") == json.dumps(terms, indent=2).replace(
         "\n", "\n  "
     )
-    assert triangle._record_list(terms + [{"i": 0, "j": 0, "c": 1.0}], "\n", {}) is None
+    assert triangle._record_list(terms + [{"i": 0, "j": 0, "c": 1.0}], "\n") is None
 
 
 # a column of dicts, as a check report's params
@@ -857,7 +916,7 @@ def _dict_column_records(values):
 def test_dict_columns_are_written_through_the_record_template(values):
     records = _dict_column_records(values)
     for newline in ("\n", "\n    "):
-        text = triangle._record_list(records, newline, {})
+        text = triangle._record_list(records, newline)
         assert text == json.dumps(records, indent=2).replace("\n", newline)
     assert_stdlib_layout({"checks": records, "again": records})
 
@@ -866,13 +925,13 @@ def test_each_distinct_dict_is_written_once(monkeypatch):
     written = []
     write = triangle._write_json
 
-    def spy(value, out, newline, templates):
+    def spy(value, out, newline):
         written.append(value)
-        write(value, out, newline, templates)
+        write(value, out, newline)
 
     monkeypatch.setattr(triangle, "_write_json", spy)
     values = [SHARED, SHARED, copy.deepcopy(SHARED), SHARED]
-    assert triangle._record_list(_dict_column_records(values), "\n", {}) is not None
+    assert triangle._record_list(_dict_column_records(values), "\n") is not None
     column = {id(SHARED), id(values[2])}
     assert [id(v) for v in written if id(v) in column] == [id(SHARED), id(values[2])]
 
@@ -881,7 +940,7 @@ def test_each_distinct_dict_is_written_once(monkeypatch):
 def test_a_dict_column_with_another_value_falls_back(odd):
     records = _dict_column_records(DICT_COLUMNS["one object"])
     records[1]["params"] = odd
-    assert triangle._record_list(records, "\n", {}) is None
+    assert triangle._record_list(records, "\n") is None
     assert_stdlib_layout({"checks": records})
 
 
@@ -890,11 +949,11 @@ def test_check_reports_take_the_record_template_when_they_pass():
     params = sample_params("II", random.Random(6))
     checks = full_suite(params, nmax=3).to_json()["checks"]
     assert {entry["status"] for entry in checks} == {"pass"}
-    assert triangle._record_list(checks, "\n", {}) == json.dumps(checks, indent=2)
+    assert triangle._record_list(checks, "\n") == json.dumps(checks, indent=2)
     mutant, _ = mutated_operator_set("II", random.Random(2))
     failing = check_operators(build_oracle(params, 3), mutant).to_json()["checks"]
     assert any("residual" in entry for entry in failing)
-    assert triangle._record_list(failing, "\n", {}) is None
+    assert triangle._record_list(failing, "\n") is None
     assert_stdlib_layout({"checks": failing})
 
 

@@ -656,6 +656,25 @@ def test_mutant_census():
     assert mutants == 268
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_edge_operator_mutants_fail_an_edge_entry(case):
+    # check_operators reads the edge operators of the record it is given,
+    # so every single-term +1 mutant of either one fails an edge entry
+    params = sample_params(case, random.Random(f"edges/{case}"))
+    oracle = build_oracle(params, 3)
+    source = generic_operators(case)
+    assert check_operators(oracle, source).passed
+    for axis, op in zip("xy", source.edge_operators):
+        if op is None:
+            continue
+        for index in range(len(op)):
+            edges = list(source.edge_operators)
+            edges[axis == "y"] = perturb_term(op, index)
+            report = check_operators(oracle, source._replace(edge_operators=tuple(edges)))
+            failed = {r.name for r in report.failures()}
+            assert failed and all(name.startswith(f"edge-{axis}(") for name in failed), (axis, index)
+
+
 def test_parity_failure_carries_the_entry():
     p = CaseParams("IX", F(3))
     t = build_oracle(p, 3)
