@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
+from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, signed_sum
@@ -86,12 +87,27 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     lower terms, and with P = x^m y^n + lower terms the system is triangular
     by total degree and solved exactly by back-substitution.
 
-    The residual, (L - lambda_N) applied to the partial P, is held as integer
-    numerators over one denominator in one bucket per degree.  From degree
-    N - 1 down, layer d of P is bucket d times -1 / (lambda_d - lambda_N):
-    it cancels bucket d, and only its lower terms enter the lower buckets.
-    Each layer's denominator divides the next one's and the layers' keys are
-    disjoint, so P is one dict over the last denominator, reduced once.
+    Each level fixes one denominator before it solves its entries, as
+    fraction-free elimination with exact division does (Bareiss 1968).
+    Write -1 / (lambda_d - lambda_N) = fn_d / fd_d in lowest terms and let
+    dL be the denominator of L's images; then D_N is dL^N times the product
+    of fd_d over the d < N with lambda_d != lambda_N.  The residual,
+    (L - lambda_N) applied to the partial P, is held as integer numerators
+    over D_N in one bucket per degree.  The head is D_N x^m y^n, and from
+    degree N - 1 down, layer d of P is bucket d times fn_d, divided by fd_d:
+    it cancels bucket d.  The head and each layer add, for each of their
+    terms c x^a y^b, c * w divided by dL to the bucket of each lower term
+    w x^i y^j of the image of x^a y^b.  Every layer goes straight into the
+    entry's one dict over D_N, which is reduced once.
+
+    Every division is exact.  A layer reached from the head through layers
+    d_1 > ... > d_k has a denominator that divides dL^k fd_(d_1)...fd_(d_k),
+    and its contributions to the buckets below have one that divides
+    dL^(k+1) fd_(d_1)...fd_(d_k).  Both divide D_N, because k + 1 <= N: a
+    layer with lower terms has degree at least 1, and the layers above it
+    have distinct degrees below N.  As D_N takes all of dL^N, a contribution
+    to a bucket whose eigenvalue coincides with lambda_N is exact, and so
+    nonzero if its value is, and the coincidence is still raised.
     """
     _check_nmax(params, nmax)
     L = operator_L(params)
@@ -103,9 +119,10 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     entries: dict[tuple[int, int], BivariatePoly] = {}
     for N, lam in enumerate(lams):
         q, pdL = lam.denominator, lam.numerator * dL
-        # -1 / (lambda_d - lambda_N) for d < N, None where the two coincide;
-        # 1 for the head x^m y^n
-        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]] + [1]
+        # -1 / (lambda_d - lambda_N) for d < N, None where the two coincide
+        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]]
+        D = dL**N * prod(f.denominator for f in factors if f is not None)
+        head = D // dL  # the head's numerator D over dL (no lower terms at N = 0)
         for m in range(N, -1, -1):
             n = N - m
             image = dict(images[(m, n)])
@@ -119,11 +136,13 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                     f"residual degree {d} did not drop below {N} at "
                     f"(m,n)=({m},{n}) for {params}"
                 )
-            # numerators over den: buckets[N] the head, buckets[d] for d < N
-            # the residual's degree-d terms
-            buckets = [{} for _ in range(N)] + [{(m, n): 1}]
-            den, layers = 1, []
-            for d in range(N, -1, -1):
+            # numerators over D: buckets[d] the residual's degree-d terms,
+            # out the head and the layers of P
+            buckets = [{} for _ in range(N)]
+            for e, key, w in rest:
+                buckets[e][key] = head * w
+            out: dict[tuple[int, int], int] = {(m, n): D}
+            for d in range(N - 1, -1, -1):
                 bucket = buckets[d]
                 if not any(bucket.values()):
                     continue
@@ -133,25 +152,15 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                # layer top / (den * fd); (L - lambda_N) top adds -bucket d
-                # and the lower terms of its images, over den * fd * dL
                 fn, fd = factor.numerator, factor.denominator
-                top = {key: c * fn for key, c in bucket.items()}
-                layers.append((top, den * fd))
-                s = fd * dL
-                for e in range(d):
-                    if buckets[e]:
-                        buckets[e] = {key: c * s for key, c in buckets[e].items()}
-                den *= s
-                for mono, c in top.items():
+                for mono, c in bucket.items():
+                    if not c:
+                        continue
+                    c = out[mono] = c * fn // fd
+                    c //= dL  # exact wherever lower[mono] is not empty
                     for e, key, w in lower[mono]:
                         b = buckets[e]
                         b[key] = b.get(key, 0) + c * w
-            out: dict[tuple[int, int], int] = {}
-            D = layers[-1][1]  # every layer's denominator divides it
-            for top, top_den in layers:
-                f = D // top_den
-                out.update({key: c * f for key, c in top.items()})
             entries[(m, n)] = BivariatePoly._wrap(out, D)
     return Triangle(params, nmax, "oracle", entries)
 
@@ -188,11 +197,12 @@ def stencil_sum(
     c * x^i y^j * p or c * A(p)), formed as one combination: one common
     denominator, one integer accumulation and one gcd.
 
-    The one place the stencil rule is enforced: zero coefficients are
-    skipped, and a nonzero one on a point outside the triangle is a
-    coefficient-table bug, raised as StencilError naming c as given.
+    The one place the stencil rule is enforced: an operand with a zero
+    coefficient is skipped, in terms and in extra alike, and a nonzero
+    coefficient on a point outside the triangle is a coefficient-table bug,
+    raised as StencilError naming c as given.
     """
-    operands = list(extra)
+    operands = [operand for operand in extra if operand[0]]
     sn, sd = scale.numerator, scale.denominator
     for mm, nn, c in terms:
         if not c:

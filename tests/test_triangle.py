@@ -43,7 +43,13 @@ from kspoly.triangle import (
     triangle_to_json,
     triangle_to_latex,
 )
-from kspoly.verify import check_operators, full_suite, mutated_operator_set, perturb_term
+from kspoly.verify import (
+    check_action_formulas,
+    check_operators,
+    full_suite,
+    mutated_operator_set,
+    perturb_term,
+)
 from kspoly.weyl import DiffOp
 
 BUILDER_LIST = (build_oracle, build_recurrence, build_ladder, build_transfer)
@@ -515,10 +521,22 @@ def test_oracle_matches_reference_at_nmax_12(case):
 
 @pytest.mark.parametrize("case", ["III", "VIII"])
 def test_oracle_matches_reference_at_nmax_20(case):
-    # the cases of largest coefficient growth, where the oracle's unreduced
-    # layer denominators grow fastest
+    # the cases of largest coefficient growth, where the oracle's level
+    # denominators D_N, and the numerators its exact divisions take over
+    # them, grow fastest
     params = sample_params(case, random.Random(f"ref/{case}"))
     assert isinstance(assert_oracle_matches_reference(params, 20), dict)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("beta", [F(7), F(15, 2)])
+def test_oracle_matches_reference_at_integer_and_half_integer_beta(case, beta):
+    # the fd_d of -1 / (lambda_d - lambda_N) share prime factors with each
+    # other here, and with L's denominator (except IX at beta = 7, where it
+    # is 1), so a level denominator too small for one of the oracle's exact
+    # divisions would floor a value here first
+    kappas = (F(0), F(0)) if case == "IX" else (F(2, 5), F(-3, 7))
+    assert isinstance(assert_oracle_matches_reference(CaseParams(case, beta, *kappas), 12), dict)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -687,6 +705,32 @@ def test_stencil_sum_scales_its_terms_and_adds_the_extra_operands(scale):
     # the StencilError names the coefficient as given, not its scaled value
     with pytest.raises(StencilError, match=r"coefficient 3/4 multiplies out-of-range entry \(1,-1\)"):
         stencil_sum(entries, ((1, -1, F(3, 4)),), extra, scale)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_no_zero_coefficient_operand_reaches_combination(case, monkeypatch):
+    # the transfer route's self coefficient is 0 at every node for I2 of
+    # case V and I3 of case IX, at m = 0 for I2 of VIII, and at m = 4 for I1
+    # of this draw of II (beta + kappa2 = -3); stencil_sum drops such an
+    # operand from its extra operands as it does from its stencil terms;
+    # the action-formula audit meets such operands in every case
+    zeros = []
+    true_combination = BivariatePoly.combination.__func__
+
+    def spy(cls, operands):
+        operands = list(operands)
+        zeros.extend(operand for operand in operands if not operand[0])
+        return true_combination(cls, operands)
+
+    p = sample_params(case, random.Random(f"zero/{case}"))
+    oracle = build_oracle(p, 8)
+    monkeypatch.setattr(BivariatePoly, "combination", classmethod(spy))
+    transfer = build_transfer(p, 8)
+    assert len(zeros) == 0, "build_transfer"
+    report = check_action_formulas(oracle, commuting_ops(p))
+    assert len(zeros) == 0, "check_action_formulas"
+    assert transfer.same_polys(oracle)
+    assert report.passed
 
 
 # -- serialization -----------------------------------------------------------------
