@@ -9,10 +9,10 @@ tables are normalized back to the monic eigenfunctions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Mapping, Union
+from math import factorial, lcm
+from typing import Callable, Iterable, Mapping, Union
 
-from .algebra import BivariatePoly, Scalar, Terms, rising_factorial, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, _sum, rising_factorial, signed_sum
 from .catalog import CaseParams
 from .errors import ParameterError
 
@@ -90,6 +90,11 @@ class Series2(Terms):
 
     def coefficient(self, a: int, b: int) -> BivariatePoly:
         """The polynomial multiplying s^a t^b, read from its terms alone."""
+        for e in (a, b):
+            if type(e) is not int:
+                raise ValueError(f"series exponent must be an int, not {e!r}")
+            if e < 0:
+                raise ValueError(f"series exponent must be nonnegative, not {e}")
         num = {(i, j): c for (s, t, i, j), c in self._num.items() if s == a and t == b}
         return BivariatePoly._wrap(num, self._den)
 
@@ -126,18 +131,15 @@ class Series2(Terms):
         if not isinstance(other, Series2):
             return Terms.__mul__(self, other)
         self._match(other)
-        order = self.order
-        out: dict[tuple[int, int, int, int], int] = {}
-        for (a1, b1, i1, j1), c1 in self._num.items():
-            for (a2, b2, i2, j2), c2 in other._num.items():
-                if a1 + a2 + b1 + b2 <= order:
-                    key = (a1 + a2, b1 + b2, i1 + i2, j1 + j2)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return self._wrap(out, self._den * other._den)
+        # shifted copies of the longer operand, one per term of the shorter
+        long, short = (self, other) if len(self) >= len(other) else (other, self)
+        return self._wrap(*_shift_sum(_shifted_copies(short, long, _levels(long))))
 
     def exp(self) -> "Series2":
-        """sum f^k / k! up to the truncation order; f must have no constant term."""
-        return _power_sum(self, lambda k: Fraction(1, k))
+        """exp(f) up to the truncation order; f must have no constant term.
+        g = exp(f) solves theta g = (theta f) g, theta = s d/ds + t d/dt, so
+        its part of degree n is g_n = sum_k k f_k g_(n-k) / n."""
+        return _theta_solve(self, lambda n, k: k)
 
     def diff(self, var: str) -> "Series2":
         """d/ds or d/dt: shift-and-scale; the result truncates one order lower."""
@@ -155,31 +157,75 @@ class Series2(Terms):
         return signed_sum(self.lowest_terms(), "stxy")
 
 
-def _power_sum(u: Series2, ratio: Callable[[int], Fraction]) -> Series2:
-    # sum c_k u^k up to u's truncation order, c_0 = 1 and c_k = c_(k-1) *
-    # ratio(k): the running power of u is kept unscaled and enters the sum
-    # times c_k; the sum stops once the power or c_k vanishes
-    if not u.coefficient(0, 0).is_zero():
+def _levels(f: Series2) -> list[dict[tuple[int, int, int, int], int]]:
+    # f's numerators grouped by total (s, t)-degree, one dict per degree 0..order
+    levels: list[dict] = [{} for _ in range(f.order + 1)]
+    for key, c in f._num.items():
+        levels[key[0] + key[1]][key] = c
+    return levels
+
+
+def _shift_sum(
+    parts: list[tuple[int, int, Iterable[dict], tuple[int, int, int, int]]]
+) -> tuple[dict, int]:
+    # the one product rule of Series2, as algebra._sum's key shift is the
+    # polynomial product's: the sum of c * s^a t^b x^i y^j * num / den over
+    # (c, den, nums, (a, b, i, j)) parts and each num of nums, every part
+    # brought over one lcm of the denominators; the caller passes only the
+    # nums whose shifted keys stay within its order, and its _wrap drops the
+    # keys that cancelled and reduces the sum with one gcd
+    den = lcm(*[d for _, d, _, _ in parts])
+    out: dict[tuple[int, int, int, int], int] = {}
+    get = out.get
+    for c, d, nums, (da, db, di, dj) in parts:
+        f = c * (den // d)
+        for num in nums:
+            for (a, b, i, j), x in num.items():
+                key = (a + da, b + db, i + di, j + dj)
+                out[key] = get(key, 0) + x * f
+    return out, den
+
+
+def _shifted_copies(m: Series2, f: Series2, levels: list[dict]) -> list[tuple]:
+    # the _shift_sum parts of the truncated product m * f at m's order, f's
+    # numerators by degree in levels: one copy of f per term of m, shifted by
+    # its key, reading only the degrees that the shift keeps within the order
+    order, den = m.order, m._den * f._den
+    return [
+        (c, den, levels[: order + 1 - a - b], (a, b, i, j))
+        for (a, b, i, j), c in m._num.items()
+    ]
+
+
+def _theta_solve(u: Series2, weight: Callable[[int, int], int], q: int = 1) -> Series2:
+    # the g with g_0 = 1 and n g_n = sum_{k=1..n} weight(n, k) / q u_k g_(n-k),
+    # u_k and g_n the parts of total (s, t)-degree k and n, up to u's order
+    # (J. C. P. Miller's recurrence, Knuth TAOCP Vol. 2, 4.7): each g_n is
+    # one shifted accumulation over one denominator, reduced once, and the
+    # parts, whose keys are disjoint, are joined by one plain sum
+    levels = _levels(u)
+    if levels[0]:
         raise ValueError("the series must have a zero constant term")
-    acc = power = Series2.one(u.order)
-    c = Fraction(1)
-    for k in range(1, u.order + 1):
-        power = power * u
-        c *= ratio(k)
-        if power.is_zero() or not c:
-            break
-        acc = acc + power * c
-    return acc
+    g = [u._wrap({(0, 0, 0, 0): 1})]
+    for n in range(1, u.order + 1):
+        parts = []
+        for k in range(1, n + 1):
+            w, prev = weight(n, k), g[n - k]
+            den = n * q * u._den * prev._den
+            parts += [(w * c, den, (prev._num,), key) for key, c in levels[k].items()]
+        g.append(u._wrap(*_shift_sum(parts)))
+    return u._wrap(*_sum([(1, p._den, p._num, None) for p in g]))
 
 
 def binomial_series(u: Series2, r: Fraction | int) -> Series2:
-    """(1 + u)^r for a series u with zero constant term, truncated exactly:
-    the coefficient of u^k is the generalized binomial coefficient, the
-    previous one times (r - k + 1) / k."""
+    """(1 + u)^r for a series u with zero constant term, truncated exactly.
+    g = (1 + u)^r solves (1 + u) theta g = r (theta u) g, so its part of
+    degree n is g_n = sum_k ((r + 1) k - n) u_k g_(n-k) / n."""
     if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
         raise ValueError(f"binomial exponent must be an int or a Fraction, not {r!r}")
-    r = Fraction(r)
-    return _power_sum(u, lambda k: (r - k + 1) / k)
+    p, q = r.numerator, r.denominator
+    # q ((r + 1) k - n), over q
+    return _theta_solve(u, lambda n, k: (p + q) * k - q * n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +333,29 @@ def genfun_derivative_residuals(
     """
     if params.case_id != "V":
         raise ParameterError("the derivative identities belong to case V")
+    # an order-0 expansion raises here, before any other work
+    dgs, dgt = expansion.diff("s"), expansion.diff("t")
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
-    order = expansion.order - 1
-    g = expansion.truncated(order)
-    dgs = expansion.diff("s")
-    dgt = expansion.diff("t")
-    bt = _truncation(order, {(0, 0, 0, 0): b, (0, 1, 0, 0): -1})
-    bt2 = bt * bt
-    first = bt2 * dgs - (_truncation(order, {(0, 0, 1, 0): b * b}) + bt * k1) * g
-    second = (
-        bt2 * dgt
-        - _truncation(order, {(1, 0, 0, 0): 2}) * bt * dgs
-        - (
-            _truncation(order, {(0, 0, 0, 1): b * b})
-            + bt * k2
-            - _truncation(order, {(1, 0, 0, 0): k1})
-        )
-        * g
+    order = dgs.order
+    g, gs, gt = _levels(expansion), _levels(dgs), _levels(dgt)
+    # each multiplier as its terms, truncated at order; every residual is one
+    # shifted accumulation of its products, reduced once
+    # (beta - t)^2 = beta^2 - 2 beta t + t^2
+    square = _truncation(order, {(0, 0, 0, 0): b * b, (0, 1, 0, 0): -2 * b, (0, 2, 0, 0): 1})
+    # -(beta^2 x + kappa1 (beta - t)) = -beta^2 x - kappa1 beta + kappa1 t
+    first_g = _truncation(order, {(0, 0, 1, 0): -b * b, (0, 0, 0, 0): -k1 * b, (0, 1, 0, 0): k1})
+    # -2s(beta - t) = -2 beta s + 2 s t
+    second_s = _truncation(order, {(1, 0, 0, 0): -2 * b, (1, 1, 0, 0): 2})
+    # -(beta^2 y + kappa2 (beta - t) - kappa1 s)
+    #   = -beta^2 y - kappa2 beta + kappa2 t + kappa1 s
+    second_g = _truncation(
+        order,
+        {(0, 0, 0, 1): -b * b, (0, 0, 0, 0): -k2 * b, (0, 1, 0, 0): k2, (1, 0, 0, 0): k1}
     )
-    return (first, second)
+    first = _shift_sum(_shifted_copies(square, dgs, gs) + _shifted_copies(first_g, expansion, g))
+    second = _shift_sum(
+        _shifted_copies(square, dgt, gt)
+        + _shifted_copies(second_s, dgs, gs)
+        + _shifted_copies(second_g, expansion, g)
+    )
+    return (dgs._wrap(*first), dgs._wrap(*second))

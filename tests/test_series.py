@@ -302,8 +302,8 @@ def test_binomial_sqrt_squares_back():
 
 
 def test_binomial_integer_power_is_the_product():
-    # the coefficient of u^(r+1) vanishes while u^(r+1) does not: the sum
-    # stops on the coefficient
+    # (1 + u)^r is a polynomial in u for an integer r >= 0, while u^(r+1)
+    # does not vanish at this order: the recurrence's higher parts cancel
     u = Series2(
         6, {(1, 0, 1, 0): F(2, 3), (0, 1, 0, 1): -2, (1, 1, 0, 0): 1, (0, 2, 0, 0): F(-1, 5)}
     )
@@ -324,6 +324,54 @@ def test_binomial_rejects_a_float_or_a_bool_exponent(r):
 def test_binomial_requires_zero_constant():
     with pytest.raises(ValueError):
         binomial_series(Series2.one(3), F(1, 2))
+
+
+# -- the theta-recurrence against the power sum -----------------------------------
+
+
+def power_sum(u, ratio):
+    # a reference independent of the theta-recurrence: sum c_k u^k up to u's
+    # order, c_0 = 1 and c_k = c_(k-1) * ratio(k), with one truncated product
+    # per power; it stops once the power or c_k vanishes
+    if not u.coefficient(0, 0).is_zero():
+        raise ValueError("the series must have a zero constant term")
+    acc = power = Series2.one(u.order)
+    c = F(1)
+    for k in range(1, u.order + 1):
+        power = power * u
+        c *= ratio(k)
+        if power.is_zero() or not c:
+            break
+        acc = acc + power * c
+    return acc
+
+
+def theta_operand(order, dens):
+    # s and t terms with x, y coefficients, one mixed and one cubic term,
+    # over the given denominators, truncated at order
+    d = lambda k: dens[k % len(dens)]
+    terms = {
+        (1, 0, 1, 0): F(2, d(0)), (1, 0, 0, 0): F(-1, d(1)),
+        (0, 1, 0, 1): F(-3, d(2)), (0, 1, 1, 1): F(1, d(3)),
+        (1, 1, 0, 0): F(5, d(1)), (0, 3, 0, 1): F(-1, d(0)),
+    }
+    return Series2(order, {k: c for k, c in terms.items() if k[0] + k[1] <= order})
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
+def test_exp_matches_the_power_sum(dens):
+    for order in range(9):
+        u = theta_operand(order, dens)
+        expect(u.exp(), order, power_sum(u, lambda k: F(1, k)).coefficients())
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
+@pytest.mark.parametrize("r", [0, 1, 3, -1, F(1, 2), F(-7, 3)], ids=str)
+def test_binomial_matches_the_power_sum(r, dens):
+    for order in range(9):
+        u = theta_operand(order, dens)
+        ref = power_sum(u, lambda k: (r - k + 1) / F(k))
+        expect(binomial_series(u, r), order, ref.coefficients())
 
 
 def test_diff_shift_and_scale():
@@ -405,6 +453,89 @@ def test_case_v_derivative_identities():
     assert r2.is_zero()
 
 
+def residuals_by_products(params, expansion):
+    # a reference independent of the shifted accumulation: the residuals as
+    # products and differences of whole series
+    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    order = expansion.order - 1
+    g = expansion.truncated(order)
+    dgs = expansion.diff("s")
+    dgt = expansion.diff("t")
+    bt = Series2(order, {(0, 0, 0, 0): b, (0, 1, 0, 0): -1})
+    bt2 = bt * bt
+    first = bt2 * dgs - (Series2(order, {(0, 0, 1, 0): b * b}) + bt * k1) * g
+    second = (
+        bt2 * dgt
+        - Series2(order, {(1, 0, 0, 0): 2}) * bt * dgs
+        - (
+            Series2(order, {(0, 0, 0, 1): b * b})
+            + bt * k2
+            - Series2(order, {(1, 0, 0, 0): k1})
+        )
+        * g
+    )
+    return (first, second)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_derivative_residuals_match_the_product_form(seed):
+    p = sample_params("V", random.Random(seed))
+    for order in range(2, 7):
+        g = genfun(p, order)
+        residuals = genfun_derivative_residuals(p, g)
+        assert residuals == residuals_by_products(p, g)
+        assert all(r.is_zero() and r.order == order - 1 for r in residuals)
+        # +1 on the first stored term at each (a, b): nonzero residuals,
+        # still term for term the product form's
+        for a, b in [(0, 0), (1, 0), (0, 1), (1, 1), (order, 0), (0, order)]:
+            key = min(k for k in g._num if k[:2] == (a, b))
+            terms = dict(g.items())
+            terms[key] += 1
+            wrong = Series2(order, terms)
+            residuals = genfun_derivative_residuals(p, wrong)
+            assert residuals == residuals_by_products(p, wrong)
+            assert not all(r.is_zero() for r in residuals), (order, key)
+
+
+def test_derivative_residuals_reject_an_order_0_expansion():
+    # the expansion's own diff message, not that of an order -1 truncation
+    p = CaseParams("V", F(7, 2), F(1, 3), F(-2, 5))
+    with pytest.raises(ValueError, match="^an order-0 truncation determines no derivative terms$"):
+        genfun_derivative_residuals(p, genfun(p, 0))
+
+
+def full_coeffs(rng, order, dens):
+    # a nonzero polynomial at every (a, b) up to order
+    return {
+        (a, n - a): BivariatePoly.monomial(
+            rng.randrange(3), rng.randrange(3), F(rng.choice([-2, -1, 1, 3]), rng.choice(dens))
+        )
+        for n in range(order + 1)
+        for a in range(n + 1)
+    }
+
+
+@pytest.mark.parametrize("dens", DENOMINATORS.values(), ids=DENOMINATORS)
+def test_mul_matches_reference_for_short_and_full_operands(dens):
+    # one operand of 1-3 terms, either side, and two full series
+    rng = random.Random(7 * len(dens) + dens[0])
+    for order in range(1, 6):
+        full_ref = full_coeffs(rng, order, dens)
+        full = lift(order, full_ref)
+        for size in (1, 2, 3):
+            short_ref = {
+                key: BivariatePoly.monomial(
+                    rng.randrange(2), rng.randrange(2), F(rng.randrange(1, 5), rng.choice(dens))
+                )
+                for key in rng.sample(sorted(full_ref), size)
+            }
+            short = lift(order, short_ref)
+            expect(short * full, order, ref_mul(order, short_ref, full_ref))
+            expect(full * short, order, ref_mul(order, full_ref, short_ref))
+        other_ref = full_coeffs(rng, order, dens)
+        expect(full * lift(order, other_ref), order, ref_mul(order, full_ref, other_ref))
+
+
 def test_derivative_identities_belong_to_case_v():
     p = CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5))
     with pytest.raises(ParameterError, match="^the derivative identities belong to case V$"):
@@ -416,6 +547,25 @@ def test_diff_rejects_an_unknown_variable_and_an_order_zero_truncation():
         Series2.one(2).diff("x")
     with pytest.raises(ValueError, match="^an order-0 truncation determines no derivative terms$"):
         Series2.one(0).diff("s")
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (True, 0, "an int, not True"),
+        (0, False, "an int, not False"),
+        (1.0, 0, "an int, not 1.0"),
+        (0, F(1), "an int, not Fraction(1, 1)"),
+        (-1, 0, "nonnegative, not -1"),
+        (0, -2, "nonnegative, not -2"),
+    ],
+)
+def test_coefficient_rejects_an_inexact_or_negative_exponent(a, b, message):
+    # coefficient(True, 0) and coefficient(1.0, 0) once read s^1, and
+    # coefficient(-1, 0) read 0
+    f = Series2(3, {(1, 0, 1, 0): 2, (0, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="^series exponent must be " + re.escape(message) + "$"):
+        f.coefficient(a, b)
 
 
 def test_coefficient_reads_one_group_canonically():
