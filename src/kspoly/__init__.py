@@ -16,7 +16,6 @@ from .catalog import (
     CaseParams,
     action_relations,
     commuting_ops,
-    edge_ladder,
     edge_operators,
     eigenvalue,
     generic_operators,
@@ -60,7 +59,6 @@ __all__ = [
     "CaseParams",
     "action_relations",
     "commuting_ops",
-    "edge_ladder",
     "edge_operators",
     "eigenvalue",
     "generic_operators",

@@ -247,6 +247,9 @@ class Terms:
             yield key, c // g, den // g
 
     def coefficient(self, *key: int) -> Fraction:
+        """The coefficient of the term with indices key, one per FIELDS entry."""
+        if len(key) != len(self.FIELDS):
+            raise ValueError(f"coefficient of {key!r} needs {len(self.FIELDS)} indices")
         return Fraction(self._num.get(key, 0), self._den)
 
     def is_zero(self) -> bool:

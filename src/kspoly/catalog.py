@@ -8,8 +8,8 @@ action formulas of the commuting operators.  This module is the single
 place where those formulas exist as code; everything else consumes it.
 Every operator is written once, with beta, kappa1, kappa2 and the level N
 as symbols: generic_operators(case) holds one case's L, commuting family,
-raising operators, edge operators and edge ladders in one cached record,
-and each parameter triple (and N) specialises that one formula.
+raising operators and edge operators in one cached record, and each
+parameter triple (and N) specialises that one formula.
 
 Cases IV, VI and VII factor into products of classical one-variable
 polynomials and are intentionally not covered.
@@ -139,11 +139,11 @@ def eigenvalue(params: CaseParams, N: int) -> Fraction:
 
 
 def _denominator(
-    b: Fraction | _Unreduced, N: int, offsets: Sequence[int], context: str, index: str = "N"
+    b: Fraction | _Unreduced, N: int, offsets: Sequence[int], context: str
 ) -> Fraction | _Unreduced:
     """prod(b + 2N + c for c in offsets), each factor checked in order (and
-    named beta+2N{c}, index for N) before any numerator, over Fractions or,
-    in recurrence_step, unreduced integer pairs.
+    named beta+2N{c}) before any numerator, over Fractions or, in
+    recurrence_step, unreduced integer pairs.
 
     The check does not depend on the numerators it divides: a zero numerator
     over a vanishing factor is a 0/0 limit (beta = 1 at N = 1, where
@@ -153,7 +153,7 @@ def _denominator(
     for c in offsets:
         f = b + (2 * N + c)
         if not f:
-            name = f"beta+2{index}" + (f"{c:+d}" if c else "")
+            name = "beta+2N" + (f"{c:+d}" if c else "")
             raise ParameterError(f"{context}: denominator {name} vanishes")
         den *= f
     return den
@@ -165,13 +165,12 @@ def _denominator(
 #
 # Each case's operators are written once, side by side, over Q[beta, kappa1,
 # kappa2, N], so that an identity among them is proved for all parameters and
-# all N by one exact composition; a raising operator or an edge ladder (N
-# standing for its edge index k) is written times its structural
-# denominator.  The numeric functions check that denominator and specialise
-# the one record, so the builders run exactly the operators the proofs
-# cover, and a sampled identity is its proof's residual evaluated at the
-# sample.  Each case's record is built once and never changed; the edge
-# operators and ladders stay witnesses, never derived from L or R+.
+# all N by one exact composition; a raising operator is written times its
+# structural denominator.  The numeric functions check that denominator and
+# specialise the one record, so the builders run exactly the operators the
+# proofs cover, and a sampled identity is its proof's residual evaluated at
+# the sample.  Each case's record is built once and never changed; the edge
+# operators stay witnesses, never derived from L.
 
 
 class GenericOperators(NamedTuple):
@@ -182,23 +181,19 @@ class GenericOperators(NamedTuple):
     times its structural denominator: (beta+2N)(beta+2N-1) for I-III,
     beta+2N-1 for IX, beta^2 for V and VIII's R+x and beta for their R+y.
     edge_operators are the one-variable restrictions of L to the n=0 and m=0
-    edges, and edge_ladders the x and y edge ladders, with N standing for the
-    edge index k, each times its structural denominator: (beta+2k)(beta+2k-1)
-    for I-III, beta+2k-1 for IX, beta for V and VIII.  None marks an edge
-    with no reduction.
+    edges; None marks an edge with no reduction.
 
     raising_relation and quadratic_relations state the identities among L,
     the I_k and the cleared R+ once, over this ring, and verify evaluates
     each residual at its sample.  verify reads a record itself, so one with
     L, an I_k, an R+ or an edge operator replaced (a mutant) reaches every
-    check and every level; the edge ladders reach no check.
+    check and every level.
     """
 
     L: GenericOp
     commuting: tuple[GenericOp, ...]
     raising: tuple[GenericOp, GenericOp]
     edge_operators: tuple[Optional[GenericOp], Optional[GenericOp]]
-    edge_ladders: tuple[Optional[GenericOp], Optional[GenericOp]]
 
 
 # 1, x, y, dx, dy, beta, kappa1, kappa2 and N: the symbols of every generic formula
@@ -243,8 +238,6 @@ def generic_operators(case_id: str) -> GenericOperators:
         )
         ex = x @ (x - one) @ dx @ dx + (b @ x + k1) @ dx
         ey = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
-        lx = g1 @ (g @ x + k1 - n) + g @ x @ (x - one) @ dx
-        ly = g1 @ (g @ y + k2 - n) + g @ y @ (y - one) @ dy
     elif case_id == "II":
         L = (
             x @ x @ dx @ dx
@@ -270,10 +263,6 @@ def generic_operators(case_id: str) -> GenericOperators:
         )
         ex = x @ x @ dx @ dx + (b @ x + k1) @ dx
         ey = y @ (y - one) @ dy @ dy + (b @ y + k2) @ dy
-        # the y ladder is R+y restricted to the right edge: its constant
-        # term carries kappa2 - k, where the x ladder's carries kappa1 alone
-        lx = g1 @ (g @ x + k1) + g @ x @ x @ dx
-        ly = g1 @ (g @ y + k2 - n) + g @ y @ (y - one) @ dy
     elif case_id == "III":
         L = (
             x @ x @ dx @ dx
@@ -304,7 +293,6 @@ def generic_operators(case_id: str) -> GenericOperators:
             + x @ y @ dy @ dy
         )
         ex, ey = x @ x @ dx @ dx + (b @ x + k1) @ dx, None
-        lx, ly = g1 @ (g @ x + k1) + g @ x @ x @ dx, None
     elif case_id == "V":
         L = (
             2 * x @ dx @ dy
@@ -320,7 +308,6 @@ def generic_operators(case_id: str) -> GenericOperators:
         ry = x @ dx + y @ dy + b @ y + n + k2
         ex = (b @ x + k1) @ dx
         ey = y @ dy @ dy + (b @ y + k2) @ dy
-        lx, ly = b @ x + k1, y @ dy + b @ y + n + k2
     elif case_id == "VIII":
         L = (
             y @ dx @ dx
@@ -340,7 +327,6 @@ def generic_operators(case_id: str) -> GenericOperators:
         rx = b @ b @ x + b @ k1 + b @ dy + (2 * b @ y + k2) @ dx + dx @ dx
         ry = b @ y + k2 + dx
         ex, ey = None, (b @ y + k2) @ dy
-        lx, ly = None, b @ y + k2
     else:  # IX
         L = (
             (x @ x - one) @ dx @ dx
@@ -360,10 +346,7 @@ def generic_operators(case_id: str) -> GenericOperators:
         ry = x @ y @ dx + (y @ y - one) @ dy + g1 @ y
         ex = (x @ x - one) @ dx @ dx + b @ x @ dx
         ey = (y @ y - one) @ dy @ dy + b @ y @ dy
-        # the edge ladders restrict the raising operators to the edges
-        lx = (x @ x - one) @ dx + g1 @ x
-        ly = (y @ y - one) @ dy + g1 @ y
-    return GenericOperators(L, commuting, (rx, ry), (ex, ey), (lx, ly))
+    return GenericOperators(L, commuting, (rx, ry), (ex, ey))
 
 
 def operator_L(params: CaseParams) -> DiffOp:
@@ -404,6 +387,7 @@ def raising_relation(case_id: str, axis: str, L: GenericOp, r: GenericOp) -> Gen
     both cleared of the denominator.  It vanishes for every parameter triple
     and N exactly when the relation holds; its .at(params, N) is the relation
     at one sample."""
+    _check_case(case_id)
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     one, x, y, _, _, b, _, _, n = _SYMBOLS
@@ -449,21 +433,6 @@ def edge_operators(params: CaseParams) -> tuple[Optional[DiffOp], Optional[DiffO
     """
     ops = generic_operators(params.case_id).edge_operators
     return tuple(None if op is None else op.at(params) for op in ops)
-
-
-def edge_ladder(params: CaseParams, axis: str, k: int) -> Optional[DiffOp]:
-    """One-variable ladder on an edge: maps P_{k,0} to P_{k+1,0} (axis x)
-    or P_{0,k} to P_{0,k+1} (axis y); None where no reduction exists."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"unknown axis {axis!r}")
-    _check_index("k", k)
-    b, c = params.beta, params.case_id
-    op = generic_operators(c).edge_ladders[axis == "y"]
-    if op is None:
-        return None
-    ctx = f"case {c} edge ladder at k={k}"
-    den = b if c in ("V", "VIII") else _denominator(b, k, (-1,) if c == "IX" else (0, -1), ctx, "k")
-    return op.at(params, k) * (1 / den)
 
 
 # ---------------------------------------------------------------------------

@@ -341,9 +341,9 @@ def check_operator_identities(
 def check_operators(t: Triangle, ops: GenericOperators) -> VerificationReport:
     """Every check that audits an operator record: eigen, action formulas and
     edge ODEs on the table t, with the record's L, I_k and edge operators
-    specialised at t.params, and the operator identities up to t.nmax.  The
-    edge ladders reach no check.  full_suite runs it on the catalog's
-    record, mutation_battery on perturbed ones."""
+    specialised at t.params, and the operator identities up to t.nmax.
+    full_suite runs it on the catalog's record, mutation_battery on
+    perturbed ones."""
     report = check_eigen(t, ops.L.at(t.params))
     report.extend(check_action_formulas(t, tuple(op.at(t.params) for op in ops.commuting)))
     edges = tuple(None if op is None else op.at(t.params) for op in ops.edge_operators)

@@ -508,6 +508,26 @@ def test_constructor_reduces_to_canonical_storage():
 
 
 @pytest.mark.parametrize(
+    "op, key",
+    [
+        (X * X, (2,)),
+        (X * X, (2, 0, 0)),
+        (X, ()),
+        (DiffOp.partial(1, 0), (0, 0)),
+        (DiffOp.partial(1, 0), (0, 0, 1, 0, 0)),
+        (GenericOp.generator(4), (0, 0, 0, 0)),
+    ],
+    ids=["poly-short", "poly-long", "poly-empty", "diffop-short", "diffop-long", "generic-short"],
+)
+def test_coefficient_rejects_a_key_of_the_wrong_length(op, key):
+    # a short or long key names no term: an error, not a missing term read as 0
+    arity = len(op.FIELDS)
+    with pytest.raises(ValueError, match=f"needs {arity} indices$"):
+        op.coefficient(*key)
+    assert op.coefficient(*(0,) * arity) == 0 and op.coefficient(*next(iter(op.items()))[0]) == 1
+
+
+@pytest.mark.parametrize(
     "num, den, want",
     [
         ({(1, 0): 0, (0, 1): 3, (2, 0): -2}, 5, ({(0, 1): 3, (2, 0): -2}, 5)),  # gcd 1

@@ -21,7 +21,6 @@ from kspoly.catalog import (
     action_relations,
     alpha,
     commuting_ops,
-    edge_ladder,
     edge_operators,
     eigenvalue,
     generic_operators,
@@ -216,9 +215,8 @@ GOLDEN_GENERIC_COMMUTING = {
 }
 
 
-# The raising operators, the edge operators and the edge ladders, each
-# cleared of its structural denominator; s is the exponent of N (of k for
-# the edge ladders).
+# The raising operators, each cleared of its structural denominator, and the
+# edge operators; s is the exponent of N.
 
 GOLDEN_GENERIC_RAISING = {
     "I": (
@@ -325,58 +323,6 @@ GOLDEN_GENERIC_EDGE_OPERATORS = {
     ),
 }
 
-GOLDEN_GENERIC_EDGE_LADDER = {
-    "I": (
-        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
-         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
-         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 1, 0, 1): 1,
-         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 1, 0, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
-         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2,
-         (1, 0, 1, 0, 1, 0, 0, 0): -1, (1, 0, 1, 0, 0, 0, 0, 1): -2},
-        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
-         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
-         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 0, 1, 1): 1,
-         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 0, 1, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
-         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
-         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 0, 0, 1): -2},
-    ),
-    "II": (
-        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
-         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
-         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 0, 0, 1, 0, 0): -1,
-         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2},
-        {(0, 1, 0, 0, 2, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 1): 3, (0, 1, 0, 0, 0, 0, 0, 2): 2,
-         (0, 1, 0, 0, 1, 0, 0, 0): -1, (0, 1, 0, 0, 0, 0, 0, 1): -2,
-         (0, 0, 0, 0, 1, 0, 1, 0): 1, (0, 0, 0, 0, 1, 0, 0, 1): -1, (0, 0, 0, 0, 0, 0, 1, 1): 1,
-         (0, 0, 0, 0, 0, 0, 0, 2): -1, (0, 0, 0, 0, 0, 0, 1, 0): -1, (0, 0, 0, 0, 0, 0, 0, 1): 1,
-         (0, 2, 0, 1, 1, 0, 0, 0): 1, (0, 2, 0, 1, 0, 0, 0, 1): 2,
-         (0, 1, 0, 1, 1, 0, 0, 0): -1, (0, 1, 0, 1, 0, 0, 0, 1): -2},
-    ),
-    "III": (
-        {(1, 0, 0, 0, 2, 0, 0, 0): 1, (1, 0, 0, 0, 1, 0, 0, 1): 3, (1, 0, 0, 0, 0, 0, 0, 2): 2,
-         (1, 0, 0, 0, 1, 0, 0, 0): -1, (1, 0, 0, 0, 0, 0, 0, 1): -2,
-         (0, 0, 0, 0, 1, 1, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 0, 0, 1, 0, 0): -1,
-         (2, 0, 1, 0, 1, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0, 0, 1): 2},
-        None,
-    ),
-    "V": (
-        {(1, 0, 0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 1, 0, 0): 1},
-        {(0, 1, 0, 1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 0): 1,
-         (0, 0, 0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 0, 0, 1, 0): 1},
-    ),
-    "VIII": (
-        None,
-        {(0, 1, 0, 0, 1, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 0): 1},
-    ),
-    "IX": (
-        {(2, 0, 1, 0, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0, 0, 0): -1,
-         (1, 0, 0, 0, 1, 0, 0, 0): 1, (1, 0, 0, 0, 0, 0, 0, 1): 1, (1, 0, 0, 0, 0, 0, 0, 0): -1},
-        {(0, 2, 0, 1, 0, 0, 0, 0): 1, (0, 0, 0, 1, 0, 0, 0, 0): -1,
-         (0, 1, 0, 0, 1, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0, 1): 1, (0, 1, 0, 0, 0, 0, 0, 0): -1},
-    ),
-}
-
-
 def raising_denominators(case, beta, N):
     """The structural denominators of R+x(N) and R+y(N)."""
     if case in ("I", "II", "III"):
@@ -384,15 +330,6 @@ def raising_denominators(case, beta, N):
     if case == "IX":
         return (beta + 2 * N - 1,) * 2
     return (beta * beta, beta)
-
-
-def edge_ladder_denominators(case, beta, k):
-    """The structural denominators of the x and y edge ladders at k."""
-    if case in ("I", "II", "III"):
-        return ((beta + 2 * k) * (beta + 2 * k - 1),) * 2
-    if case == "IX":
-        return (beta + 2 * k - 1,) * 2
-    return (beta, beta)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -406,7 +343,6 @@ def test_generic_operators_golden(case):
     for ops, goldens in (
         (source.raising, GOLDEN_GENERIC_RAISING[case]),
         (source.edge_operators, GOLDEN_GENERIC_EDGE_OPERATORS[case]),
-        (source.edge_ladders, GOLDEN_GENERIC_EDGE_LADDER[case]),
     ):
         assert ops == tuple(None if terms is None else GenericOp(terms) for terms in goldens)
 
@@ -448,14 +384,6 @@ def assert_catalog_matches_generic_goldens(params):
                 for terms, den in zip(GOLDEN_GENERIC_RAISING[case], dens)
             )
             assert raising_ops(params, N) == expected, (params, N)
-        dens = edge_ladder_denominators(case, params.beta, N)
-        for axis, terms, den in zip("xy", GOLDEN_GENERIC_EDGE_LADDER[case], dens):
-            if terms is not None and den == 0:
-                with pytest.raises(ParameterError, match="vanishes"):
-                    edge_ladder(params, axis, N)
-            else:
-                want = _cleared_golden_at(terms, den, params, N)
-                assert edge_ladder(params, axis, N) == want, (params, axis, N)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -495,24 +423,6 @@ def test_raising_relations_hold_for_all_parameters_and_N(case):
         for index in range(len(r)):
             mutant = perturb_term(r, index)
             assert not raising_relation(case, axis, L, mutant).is_zero(), (axis, index)
-
-
-def _without_derivative(op, field):
-    """op with every term that differentiates in FIELDS[field] dropped."""
-    return GenericOp({key: c for key, c in op.items() if not key[field]})
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_edge_ladders_are_raising_ops_without_cross_derivatives(case):
-    # on the n=0 edge R+x(k) loses its d_y terms, on the m=0 edge R+y(k) its
-    # d_x terms; the cleared V x ladder has denominator beta, its R+x beta^2
-    source = generic_operators(case)
-    pairs = zip(source.edge_ladders, source.raising, (3, 2))
-    for axis, (ladder, r, cross) in zip("xy", pairs):
-        if ladder is None:
-            continue
-        scale = G_BETA if (case, axis) == ("V", "x") else G_ONE
-        assert _without_derivative(r, cross) == scale @ ladder, axis
 
 
 def test_ix_quadratic_relations_hold_for_all_beta():
@@ -827,8 +737,8 @@ def test_shifted_scaled_L_expansion():
 
 # -- raising operators ------------------------------------------------------------
 
-# R+x(N), R+y(N) and the x and y edge ladders at the _params points (beta=2,
-# kappa1=kappa2=1; case IX at beta=3)
+# R+x(N) and R+y(N) at the _params points (beta=2, kappa1=kappa2=1; case IX
+# at beta=3)
 
 GOLDEN_RAISING = {
     "I": {
@@ -932,73 +842,6 @@ GOLDEN_RAISING = {
     },
 }
 
-GOLDEN_EDGE_LADDER = {
-    "I": {
-        0: (
-            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (1, 0, 1, 0): -1, (2, 0, 1, 0): 1},
-            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): -1, (0, 2, 0, 1): 1},
-        ),
-        2: (
-            {(0, 0, 0, 0): F(-1, 10), (1, 0, 0, 0): F(3, 5), (1, 0, 1, 0): F(-1, 5),
-             (2, 0, 1, 0): F(1, 5)},
-            {(0, 0, 0, 0): F(-1, 10), (0, 1, 0, 0): F(3, 5), (0, 1, 0, 1): F(-1, 5),
-             (0, 2, 0, 1): F(1, 5)},
-        ),
-    },
-    "II": {
-        0: (
-            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (2, 0, 1, 0): 1},
-            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): -1, (0, 2, 0, 1): 1},
-        ),
-        2: (
-            {(0, 0, 0, 0): F(1, 10), (1, 0, 0, 0): F(3, 5), (2, 0, 1, 0): F(1, 5)},
-            {(0, 0, 0, 0): F(-1, 10), (0, 1, 0, 0): F(3, 5), (0, 1, 0, 1): F(-1, 5),
-             (0, 2, 0, 1): F(1, 5)},
-        ),
-    },
-    "III": {
-        0: (
-            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1, (2, 0, 1, 0): 1},
-            None,
-        ),
-        2: (
-            {(0, 0, 0, 0): F(1, 10), (1, 0, 0, 0): F(3, 5), (2, 0, 1, 0): F(1, 5)},
-            None,
-        ),
-    },
-    "V": {
-        0: (
-            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1},
-            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): F(1, 2)},
-        ),
-        2: (
-            {(0, 0, 0, 0): F(1, 2), (1, 0, 0, 0): 1},
-            {(0, 0, 0, 0): F(3, 2), (0, 1, 0, 0): 1, (0, 1, 0, 1): F(1, 2)},
-        ),
-    },
-    "VIII": {
-        0: (
-            None,
-            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1},
-        ),
-        2: (
-            None,
-            {(0, 0, 0, 0): F(1, 2), (0, 1, 0, 0): 1},
-        ),
-    },
-    "IX": {
-        0: (
-            {(1, 0, 0, 0): 1, (0, 0, 1, 0): F(-1, 2), (2, 0, 1, 0): F(1, 2)},
-            {(0, 1, 0, 0): 1, (0, 0, 0, 1): F(-1, 2), (0, 2, 0, 1): F(1, 2)},
-        ),
-        2: (
-            {(1, 0, 0, 0): F(2, 3), (0, 0, 1, 0): F(-1, 6), (2, 0, 1, 0): F(1, 6)},
-            {(0, 1, 0, 0): F(2, 3), (0, 0, 0, 1): F(-1, 6), (0, 2, 0, 1): F(1, 6)},
-        ),
-    },
-}
-
-
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("N", (0, 3))
 def test_raising_ops_golden(case, N):
@@ -1006,15 +849,6 @@ def test_raising_ops_golden(case, N):
     want_x, want_y = GOLDEN_RAISING[case][N]
     assert rx == DiffOp(want_x)
     assert ry == DiffOp(want_y)
-
-
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("k", (0, 2))
-def test_edge_ladder_golden(case, k):
-    for axis, want in zip("xy", GOLDEN_EDGE_LADDER[case][k]):
-        got = edge_ladder(_params(case), axis, k)
-        assert got == (None if want is None else DiffOp(want)), axis
-
 
 
 def test_raising_viii_golden():
@@ -1081,12 +915,6 @@ def test_negative_recurrence_node_is_a_parameter_error(axis, m, n):
         recurrence_step(p, axis, m, n)
 
 
-@pytest.mark.parametrize("axis", ["x", "y"])
-def test_negative_edge_ladder_index_is_a_parameter_error(axis):
-    with pytest.raises(ParameterError, match="k must be nonnegative, not -1"):
-        edge_ladder(CaseParams("I", F(7, 2)), axis, -1)
-
-
 def test_negative_eigenvalue_level_is_a_parameter_error():
     with pytest.raises(ParameterError, match="^N must be nonnegative, not -1$"):
         eigenvalue(P2["I"], -1)
@@ -1122,16 +950,6 @@ def test_raising_ops_reject_a_non_int_level(case, N):
             f(params, N)
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("k", NON_INT_INDICES)
-def test_edge_ladder_rejects_a_non_int_index(case, axis, k):
-    # also where the edge has no ladder, which returns None for an int k
-    params = sample_params(case, random.Random(3))
-    with pytest.raises(ParameterError, match=re.escape(f"k must be an int, not {k!r}")):
-        edge_ladder(params, axis, k)
-
-
 def test_commutator_rhs_viii_is_scaled_raising():
     # case VIII's relations are homogeneous in R+: they hold for the cleared
     # raising operators and for any constant multiple of them
@@ -1165,12 +983,16 @@ def test_relations_reject_an_unknown_axis_and_a_non_ix_quadratic_call():
         raising_relation("I", "z", source.L, source.raising[0])
     with pytest.raises(ValueError, match="case IX only"):
         quadratic_relations("I", source.L, source.commuting)
+    # an unknown case is refused as generic_operators refuses it, not read
+    # as case I-III
+    for bad in ("IV", "Z", None):
+        with pytest.raises(ParameterError, match=f"^unknown case {re.escape(repr(bad))}; supported"):
+            raising_relation(bad, "x", source.L, source.raising[0])
 
 
-def test_edge_ladder_and_recurrence_step_reject_an_unknown_axis():
-    for call in (lambda: edge_ladder(P2["I"], "z", 0), lambda: recurrence_step(P2["I"], "z", 0, 0)):
-        with pytest.raises(ValueError, match="^unknown axis 'z'$"):
-            call()
+def test_recurrence_step_rejects_an_unknown_axis():
+    with pytest.raises(ValueError, match="^unknown axis 'z'$"):
+        recurrence_step(P2["I"], "z", 0, 0)
 
 
 # -- edge operators ------------------------------------------------------------

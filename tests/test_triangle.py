@@ -151,8 +151,8 @@ def test_monicity_and_eigen_invariant(case):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_edge_ode_and_edge_ladders(case):
-    from kspoly.catalog import edge_ladder, edge_operators
+def test_edge_ode(case):
+    from kspoly.catalog import edge_operators
 
     rng = random.Random(ord(case[0]))
     p = sample_params(case, rng)
@@ -162,16 +162,8 @@ def test_edge_ode_and_edge_ladders(case):
         lam = eigenvalue(p, k)
         if lx is not None:
             assert lx.apply(t.entry(k, 0)) == lam * t.entry(k, 0)
-            rx = edge_ladder(p, "x", k)
-            assert rx.apply(t.entry(k, 0)) == t.entry(k + 1, 0)
         if ly is not None:
             assert ly.apply(t.entry(0, k)) == lam * t.entry(0, k)
-            ry = edge_ladder(p, "y", k)
-            assert ry.apply(t.entry(0, k)) == t.entry(0, k + 1)
-    if case == "III":
-        assert edge_ladder(p, "y", 2) is None
-    if case == "VIII":
-        assert edge_ladder(p, "x", 2) is None
 
 
 # -- the oracle against closed forms and maps between the families --------------

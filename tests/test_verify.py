@@ -13,6 +13,7 @@ from kspoly.catalog import (
     CASES,
     STENCILS,
     CaseParams,
+    GenericOperators,
     commuting_ops,
     generic_operators,
     operator_L,
@@ -673,6 +674,30 @@ def test_edge_operator_mutants_fail_an_edge_entry(case):
             report = check_operators(oracle, source._replace(edge_operators=tuple(edges)))
             failed = {r.name for r in report.failures()}
             assert failed and all(name.startswith(f"edge-{axis}(") for name in failed), (axis, index)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_record_field_reaches_a_check(case):
+    # a field that no check reads holds witnesses nothing tests: a +1 on the
+    # first or second stored term of any operator, in any field, must fail an
+    # entry that the catalog's own record passes
+    source = generic_operators(case)
+    records, labels = [], []
+    for field in GenericOperators._fields:
+        value = getattr(source, field)
+        members = value if isinstance(value, tuple) else (value,)
+        for position, op in enumerate(members):
+            if op is None:
+                continue
+            for index in (0, 1):
+                mutant = perturb_term(op, index)
+                if isinstance(value, tuple):
+                    mutant = value[:position] + (mutant,) + value[position + 1:]
+                records.append(source._replace(**{field: mutant}))
+                labels.append((field, position, index))
+    caught = mutation_battery(sample_params(case, random.Random(5)), 3, records)
+    assert [label for label, hit in zip(labels, caught) if not hit] == []
+    assert {field for field, _, _ in labels} == set(GenericOperators._fields)
 
 
 def test_parity_failure_carries_the_entry():
