@@ -9,7 +9,10 @@ place where those formulas exist as code; everything else consumes it.
 Every operator is written once, with beta, kappa1, kappa2 and the level N
 as symbols: generic_operators(case) holds one case's L, commuting family,
 raising operators and edge operators in one cached record, and each
-parameter triple (and N) specialises that one formula.
+parameter triple (and N) specialises that one formula.  The recurrence
+tails and action rows are each written once too, by ring operations on
+whatever scalars the caller passes; recurrence_step and action_relations
+are their checked numeric wrappers.
 
 Cases IV, VI and VII factor into products of classical one-variable
 polynomials and are intentionally not covered.
@@ -123,6 +126,15 @@ def _check_int(name: str, value: object) -> None:
     """Reject a level, node or table index that is not an int (a bool included)."""
     if type(value) is not int:
         raise ParameterError(f"{name} must be an int, not {value!r}")
+
+
+def _check_node(m: object, n: object) -> tuple[int, int]:
+    """The lattice node (m, n), rejected unless both are nonnegative ints."""
+    _check_int("m", m)
+    _check_int("n", n)
+    if m < 0 or n < 0:
+        raise ParameterError(f"m and n must be nonnegative, not ({m},{n})")
+    return m, n
 
 
 def _check_index(name: str, value: object) -> None:
@@ -455,126 +467,135 @@ class RecurrenceStep(NamedTuple):
     tail: tuple[tuple[int, int, Fraction], ...]
 
 
+def _unreduced_params(params: CaseParams) -> tuple[_Unreduced, _Unreduced, _Unreduced]:
+    """(beta, kappa1, kappa2) as algebra._Unreduced, the numeric wrappers' scalars."""
+    values = (params.beta, params.kappa1, params.kappa2)
+    return tuple(_Unreduced(v.numerator, v.denominator) for v in values)
+
+
 def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> RecurrenceStep:
     """The recurrence producing P_{m+1,n} (axis x) or P_{m,n+1} (axis y)
     from levels m+n and m+n-1.
 
-    The formulas run on unreduced integer pairs (algebra._Unreduced), and
-    each coefficient is reduced to a Fraction once, at the return."""
+    It checks the node, runs _recurrence_tail on unreduced integer pairs
+    (algebra._Unreduced) and reduces each coefficient to a Fraction once."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
-    _check_int("m", m)
-    _check_int("n", n)
-    if m < 0 or n < 0:
-        raise ParameterError(f"m and n must be nonnegative, not ({m},{n})")
-    b, k1, k2 = (
-        _Unreduced(v.numerator, v.denominator) for v in (params.beta, params.kappa1, params.kappa2)
-    )
-    c = params.case_id
+    _check_node(m, n)
+    b, k1, k2 = _unreduced_params(params)
     N = m + n
-    ctx = f"case {c} recurrence at (m,n)=({m},{n})"
+    ctx = f"case {params.case_id} recurrence at (m,n)=({m},{n})"
     target = (m + 1, n) if axis == "x" else (m, n + 1)
+    tail = _recurrence_tail(
+        params.case_id, axis, b, k1, k2, m, n, lambda offsets: _denominator(b, N, offsets, ctx)
+    )
+    return RecurrenceStep(target, (m, n), tuple((m + dm, n + dn, q.fraction()) for dm, dn, q in tail))
 
-    if c in ("I", "II", "III"):
-        da = _denominator(b, N, (0, -2), ctx)
-        db = _denominator(b, N, (-1, -2, -2, -3), ctx)
 
-    if c == "I":
+def _recurrence_tail(case_id: str, axis: str, b, k1, k2, m, n, den) -> tuple:
+    """The tail of recurrence_step as (dm, dn, coefficient) offsets from (m, n),
+    by ring operations only: b, k1, k2, m and n are any scalars that support
+    + - * / ** with ints, and den(offsets) is the structural denominator
+    prod(b + 2N + c for c in offsets), N = m + n, formed by the caller."""
+    if case_id in ("I", "II", "III"):
+        da = den((0, -2))
+        db = den((-1, -2, -2, -3))
+
+    if case_id == "I":
         if axis == "x":
-            tail = (
-                (m, n, ((b + 2 * n - 2) * (k1 - 2 * m) - 2 * m * (m + 1)) / da),
-                (m + 1, n - 1, 2 * n * (n - k2 - 1) / da),
-                (m - 1, n, m * (b + m + 2 * n - 2) * (k1 - m + 1) * (b + k1 + m + 2 * n - 1) / db),
-                (m, n - 1, n * (k2 - n + 1) * ((b + 2 * n - 3) * (k1 - 2 * m) - 2 * m * (m + 1)) / db),
-                (m + 1, n - 2, -n * (n - 1) * (k2 - n + 1) * (k2 - n + 2) / db),
+            return (
+                (0, 0, ((b + 2 * n - 2) * (k1 - 2 * m) - 2 * m * (m + 1)) / da),
+                (1, -1, 2 * n * (n - k2 - 1) / da),
+                (-1, 0, m * (b + m + 2 * n - 2) * (k1 - m + 1) * (b + k1 + m + 2 * n - 1) / db),
+                (0, -1, n * (k2 - n + 1) * ((b + 2 * n - 3) * (k1 - 2 * m) - 2 * m * (m + 1)) / db),
+                (1, -2, -n * (n - 1) * (k2 - n + 1) * (k2 - n + 2) / db),
             )
         else:
-            tail = (
-                (m, n, ((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1)) / da),
-                (m - 1, n + 1, 2 * m * (m - k1 - 1) / da),
-                (m, n - 1, n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1) / db),
-                (m - 1, n, m * (k1 - m + 1) * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)) / db),
-                (m - 2, n + 1, -m * (m - 1) * (k1 - m + 1) * (k1 - m + 2) / db),
+            return (
+                (0, 0, ((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1)) / da),
+                (-1, 1, 2 * m * (m - k1 - 1) / da),
+                (0, -1, n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1) / db),
+                (-1, 0, m * (k1 - m + 1) * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)) / db),
+                (-2, 1, -m * (m - 1) * (k1 - m + 1) * (k1 - m + 2) / db),
             )
-    elif c == "II":
+    elif case_id == "II":
         if axis == "x":
-            tail = (
-                (m, n, k1 * (b + 2 * n - 2) / da),
-                (m + 1, n - 1, 2 * n * (n - k2 - 1) / da),
-                (m - 1, n, m * k1 * k1 * (b + m + 2 * n - 2) / db),
-                (m, n - 1, n * k1 * (b + 2 * n - 3) * (k2 - n + 1) / db),
-                (m + 1, n - 2, -n * (n - 1) * (k2 - n + 1) * (k2 - n + 2) / db),
+            return (
+                (0, 0, k1 * (b + 2 * n - 2) / da),
+                (1, -1, 2 * n * (n - k2 - 1) / da),
+                (-1, 0, m * k1 * k1 * (b + m + 2 * n - 2) / db),
+                (0, -1, n * k1 * (b + 2 * n - 3) * (k2 - n + 1) / db),
+                (1, -2, -n * (n - 1) * (k2 - n + 1) * (k2 - n + 2) / db),
             )
         else:
-            tail = (
-                (m, n, ((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1)) / da),
-                (m - 1, n + 1, -2 * m * k1 / da),
-                (m, n - 1, n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1) / db),
-                (m - 1, n, m * k1 * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)) / db),
-                (m - 2, n + 1, -m * (m - 1) * k1 * k1 / db),
+            return (
+                (0, 0, ((b + 2 * m - 2) * (k2 - 2 * n) - 2 * n * (n + 1)) / da),
+                (-1, 1, -2 * m * k1 / da),
+                (0, -1, n * (b + 2 * m + n - 2) * (k2 - n + 1) * (b + k2 + 2 * m + n - 1) / db),
+                (-1, 0, m * k1 * ((b + 2 * m - 3) * (k2 - 2 * n) - 2 * n * (n + 1)) / db),
+                (-2, 1, -m * (m - 1) * k1 * k1 / db),
             )
-    elif c == "III":
+    elif case_id == "III":
         if axis == "x":
-            tail = (
-                (m, n, k1 * (b + 2 * n - 2) / da),
-                (m + 1, n - 1, -2 * n * k2 / da),
-                (m + 2, n - 2, -2 * n * (n - 1) / da),
-                (m - 1, n, m * k1 * k1 * (b + m + 2 * n - 2) / db),
-                (m, n - 1, n * k1 * k2 * (b + 2 * n - 3) / db),
-                (m + 1, n - 2, n * (n - 1) * (k1 * (b + 2 * n - 4) - k2 * k2) / db),
-                (m + 2, n - 3, -2 * n * (n - 1) * (n - 2) * k2 / db),
-                (m + 3, n - 4, -n * (n - 1) * (n - 2) * (n - 3) / db),
+            return (
+                (0, 0, k1 * (b + 2 * n - 2) / da),
+                (1, -1, -2 * n * k2 / da),
+                (2, -2, -2 * n * (n - 1) / da),
+                (-1, 0, m * k1 * k1 * (b + m + 2 * n - 2) / db),
+                (0, -1, n * k1 * k2 * (b + 2 * n - 3) / db),
+                (1, -2, n * (n - 1) * (k1 * (b + 2 * n - 4) - k2 * k2) / db),
+                (2, -3, -2 * n * (n - 1) * (n - 2) * k2 / db),
+                (3, -4, -n * (n - 1) * (n - 2) * (n - 3) / db),
             )
         else:
-            tail = (
-                (m, n, k2 * (b + 2 * m - 2) / da),
-                (m + 1, n - 1, 2 * n * (b + 2 * m + n - 1) / da),
-                (m - 1, n + 1, -2 * m * k1 / da),
-                (m + 2, n - 3, n * (n - 1) * (n - 2) * (2 * b + 4 * m + 3 * n - 3) / db),
+            return (
+                (0, 0, k2 * (b + 2 * m - 2) / da),
+                (1, -1, 2 * n * (b + 2 * m + n - 1) / da),
+                (-1, 1, -2 * m * k1 / da),
+                (2, -3, n * (n - 1) * (n - 2) * (2 * b + 4 * m + 3 * n - 3) / db),
                 # the beta coefficient here is 3, pinned by oracle equivalence
-                (m + 1, n - 2, n * (n - 1) * (3 * b + 6 * m + 4 * n - 5) * k2 / db),
-                (m, n - 1,
+                (1, -2, n * (n - 1) * (3 * b + 6 * m + 4 * n - 5) * k2 / db),
+                (0, -1,
                  n * ((b + 2 * m + n - 2) * (k2 * k2 - k1 * (b + 3 * n - 3)) + k1 * (1 - n * n)) / db),
-                (m - 1, n, m * k1 * k2 * (b + 2 * m - 3) / db),
-                (m - 2, n + 1, -m * (m - 1) * k1 * k1 / db),
+                (-1, 0, m * k1 * k2 * (b + 2 * m - 3) / db),
+                (-2, 1, -m * (m - 1) * k1 * k1 / db),
             )
-    elif c == "V":
+    elif case_id == "V":
         if axis == "x":
-            tail = (
-                (m, n, k1 / b),
-                (m + 1, n - 1, 2 * n / b),
-                (m + 1, n - 2, -n * (n - 1) / b**2),
-                (m, n - 1, -n * k1 / b**2),
+            return (
+                (0, 0, k1 / b),
+                (1, -1, 2 * n / b),
+                (1, -2, -n * (n - 1) / b**2),
+                (0, -1, -n * k1 / b**2),
             )
         else:
-            tail = (
-                (m, n, (k2 + 2 * N) / b),
-                (m, n - 1, -n * (k2 + 2 * m + n - 1) / b**2),
-                (m - 1, n, -m * k1 / b**2),
+            return (
+                (0, 0, (k2 + 2 * (m + n)) / b),
+                (0, -1, -n * (k2 + 2 * m + n - 1) / b**2),
+                (-1, 0, -m * k1 / b**2),
             )
-    elif c == "VIII":
+    elif case_id == "VIII":
         if axis == "x":
-            tail = (
-                (m, n, k1 / b),
-                (m - 1, n + 1, 2 * m / b),
-                (m, n - 1, n / b),
-                (m - 1, n, -m * k2 / b**2),
+            return (
+                (0, 0, k1 / b),
+                (-1, 1, 2 * m / b),
+                (0, -1, n / b),
+                (-1, 0, -m * k2 / b**2),
             )
         else:
-            tail = ((m, n, k2 / b), (m - 1, n, m / b))
+            return ((0, 0, k2 / b), (-1, 0, m / b))
     else:  # IX
-        dc = _denominator(b, N, (-1, -3), ctx)
+        dc = den((-1, -3))
         if axis == "x":
-            tail = (
-                (m + 1, n - 2, n * (n - 1) / dc),
-                (m - 1, n, -m * (b + m + 2 * n - 2) / dc),
+            return (
+                (1, -2, n * (n - 1) / dc),
+                (-1, 0, -m * (b + m + 2 * n - 2) / dc),
             )
         else:
-            tail = (
-                (m - 2, n + 1, m * (m - 1) / dc),
-                (m, n - 1, -n * (b + 2 * m + n - 2) / dc),
+            return (
+                (-2, 1, m * (m - 1) / dc),
+                (0, -1, -n * (b + 2 * m + n - 2) / dc),
             )
-    return RecurrenceStep(target, (m, n), tuple((mm, nn, q.fraction()) for mm, nn, q in tail))
 
 
 # Allowed in-range access offsets (reference minus target) of each recurrence,
@@ -634,54 +655,56 @@ def _reduced(v: _Unreduced | int) -> Fraction | int:
 def action_relations(params: CaseParams) -> tuple[ActionRelation, ...]:
     """The in-level shift relations of the commuting operators, one
     (self_coeff, neighbors) row each: the k-th belongs to I_k, the k-th
-    operator of commuting_ops, and case I states none for I3.  The rows run
-    on unreduced pairs, as recurrence_step does, and reduce each value once:
-    a value with a parameter in it is a Fraction, any other an int."""
-    b, k1, k2 = (
-        _Unreduced(v.numerator, v.denominator) for v in (params.beta, params.kappa1, params.kappa2)
+    operator of commuting_ops, and case I states none for I3.  Each row
+    checks its node as recurrence_step does, runs on unreduced pairs and
+    reduces each value once: a value with a parameter in it is a Fraction,
+    any other an int."""
+    return tuple(
+        ActionRelation(
+            lambda m, n, s=s: _reduced(s(*_check_node(m, n))),
+            lambda m, n, nb=nb: tuple((dm, dn, _reduced(c)) for dm, dn, c in nb(*_check_node(m, n))),
+        )
+        for s, nb in _action_rows(params.case_id, *_unreduced_params(params))
     )
-    c = params.case_id
-    if c == "I":
-        rows = (
+
+
+def _action_rows(case_id: str, b, k1, k2) -> tuple:
+    """The (self_coeff, neighbors) row functions of action_relations, by ring
+    operations only on the scalars b, k1, k2 and the node the caller passes."""
+    if case_id == "I":
+        return (
             (lambda m, n: m * (b + k2 + m - 1), lambda m, n: ((-1, 1, m * (k1 - m + 1)),)),
             (lambda m, n: n * (b + k1 + n - 1), lambda m, n: ((1, -1, n * (k2 - n + 1)),)),
         )
-    elif c == "II":
-        rows = (
+    elif case_id == "II":
+        return (
             (lambda m, n: -m * (b + k2 + m - 1), lambda m, n: ((-1, 1, -m * k1),)),
             (lambda m, n: -n * k1, lambda m, n: ((1, -1, -n * (k2 - n + 1)),)),
         )
-    elif c == "III":
-        rows = (
+    elif case_id == "III":
+        return (
             (lambda m, n: -m * k2, lambda m, n: ((-1, 1, -m * k1), (1, -1, n * (b + 2 * m + n - 1)))),
             (lambda m, n: n * k1, lambda m, n: ((1, -1, n * k2), (2, -2, n * (n - 1)))),
         )
-    elif c == "V":
-        rows = (
+    elif case_id == "V":
+        return (
             (lambda m, n: -m * (k2 + m - 1), lambda m, n: ((-1, 1, -m * k1),)),
             # I2 has no diagonal part: its top-degree action on x^m y^n
             # is the single shift n*b*x^(m+1)y^(n-1)
             (lambda m, n: 0, lambda m, n: ((1, -1, n * b),)),
         )
-    elif c == "VIII":
-        rows = (
+    elif case_id == "VIII":
+        return (
             (lambda m, n: 0, lambda m, n: ((-1, 1, m * b),)),
             (lambda m, n: m * k2, lambda m, n: ((1, -1, n * b), (-1, 1, m * k1), (-2, 2, m * (m - 1)))),
         )
     else:  # IX
-        rows = (
+        return (
             (lambda m, n: m * (b + m - 2), lambda m, n: ((-2, 2, -m * (m - 1)),)),
             (lambda m, n: n * (b + n - 2), lambda m, n: ((2, -2, -n * (n - 1)),)),
             (lambda m, n: 0, lambda m, n: ((1, -1, n), (-1, 1, -m))),
             (lambda m, n: 0, lambda m, n: ((1, -1, (1 - b - 2 * m) * n), (-1, 1, (1 - b - 2 * n) * m))),
         )
-    return tuple(
-        ActionRelation(
-            lambda m, n, s=s: _reduced(s(m, n)),
-            lambda m, n, nb=nb: tuple((dm, dn, _reduced(c)) for dm, dn, c in nb(m, n)),
-        )
-        for s, nb in rows
-    )
 
 
 # ---------------------------------------------------------------------------

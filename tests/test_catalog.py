@@ -9,12 +9,13 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
-from math import comb
+from math import comb, prod
+from operator import add
 
 import pytest
 
 import kspoly
-from kspoly.algebra import ONE, X, Y
+from kspoly.algebra import ONE, X, Y, _Unreduced
 from kspoly.catalog import (
     CASES,
     CaseParams,
@@ -31,6 +32,8 @@ from kspoly.catalog import (
     recurrence_step,
     sample_params,
     _SYMBOLS,
+    _action_rows,
+    _recurrence_tail,
 )
 from kspoly.errors import ParameterError
 from kspoly.verify import perturb_term
@@ -990,6 +993,21 @@ def test_relations_reject_an_unknown_axis_and_a_non_ix_quadratic_call():
             raising_relation(bad, "x", source.L, source.raising[0])
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_action_rows_reject_a_node_as_recurrence_step_does(case):
+    # up front, before the formula: unchecked, (True, 2) reads as (1, 2),
+    # (-1, 2) gives a value off the triangle and (1.5, 2) an AttributeError
+    for rel, f in product(action_relations(_params(case)), ("self_coeff", "neighbors")):
+        row = getattr(rel, f)
+        for bad in NON_INT_INDICES:
+            for name, m, n in (("m", bad, 0), ("n", 0, bad)):
+                with pytest.raises(ParameterError, match=re.escape(f"{name} must be an int, not {bad!r}")):
+                    row(m, n)
+        for m, n in ((-1, 0), (0, -1), (-1, 2), (2, -3)):
+            with pytest.raises(ParameterError, match=re.escape(f"must be nonnegative, not ({m},{n})")):
+                row(m, n)
+
+
 def test_recurrence_step_rejects_an_unknown_axis():
     with pytest.raises(ValueError, match="^unknown axis 'z'$"):
         recurrence_step(P2["I"], "z", 0, 0)
@@ -1635,3 +1653,132 @@ def test_zero_numerator_over_a_vanishing_factor_still_raises(case, axis):
     m, n = (1, 0) if axis == "x" else (0, 1)
     with pytest.raises(ParameterError, match=re.escape("denominator beta+2N-3 vanishes")):
         recurrence_step(CaseParams(case, F(1), *kappas), axis, m, n)
+
+
+# -- the formula bodies over a symbolic ring ------------------------------------
+
+
+class Poly:
+    """A polynomial over Q in (beta, kappa1, kappa2, m, n), stored as
+    {exponents: coefficient} with no zero coefficient: just the ring that the
+    catalog's formula bodies need, run on _Unreduced pairs of these."""
+
+    def __init__(self, terms):
+        self.terms = {key: c for key, c in terms.items() if c}
+
+    @staticmethod
+    def lift(value):
+        return value if isinstance(value, Poly) else Poly({(0,) * 5: F(value)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in Poly.lift(other).terms.items():
+            out[key] = out.get(key, 0) + c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        out = {}
+        for (k1, c1), (k2, c2) in product(self.terms.items(), Poly.lift(other).terms.items()):
+            key = tuple(map(add, k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return prod([self] * k, start=Poly.lift(1))
+
+    def __eq__(self, other):
+        return self.terms == Poly.lift(other).terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def at(self, point):
+        # a point of numbers gives a Fraction; one with Polys in it, a Poly
+        return sum((c * prod(v**e for v, e in zip(point, key)) for key, c in self.terms.items()), F(0))
+
+
+SYM_B, SYM_K1, SYM_K2, SYM_M, SYM_N = (Poly({tuple(int(i == k) for i in range(5)): 1}) for k in range(5))
+
+
+def symbolic_scalars(case):
+    """beta, kappa1, kappa2, m and n as _Unreduced pairs of Polys (for IX,
+    zero kappas)."""
+    kappas = (Poly({}), Poly({})) if case == "IX" else (SYM_K1, SYM_K2)
+    return tuple(_Unreduced(v, 1) for v in (SYM_B, *kappas, SYM_M, SYM_N))
+
+
+def symbolic_tail(case, axis):
+    b, k1, k2, m, n = symbolic_scalars(case)
+
+    def den(offsets):
+        # the product of the structural factors, none of them checked
+        return prod(b + 2 * (m + n) + c for c in offsets)
+
+    return _recurrence_tail(case, axis, b, k1, k2, m, n, den)
+
+
+def evaluate(v, point):
+    """An _Unreduced pair of Polys, a Poly or an int at a point of numbers."""
+    if isinstance(v, _Unreduced):
+        return evaluate(v.numerator, point) / evaluate(v.denominator, point)
+    return Poly.lift(v).at(point)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_recurrence_tail_over_a_symbolic_ring_gives_recurrence_step(case):
+    # one formula text: the tail formed once over Q[beta, kappa1, kappa2, m,
+    # n] and evaluated at a sample is the numeric step there
+    tails = {axis: symbolic_tail(case, axis) for axis in "xy"}
+    rng = random.Random(f"symbolic/{case}")
+    for k in range(3):
+        params = sample_params(case, rng)
+        for axis, (m, n) in product("xy", ((3 + k, 4), (4, k))):
+            point = (params.beta, params.kappa1, params.kappa2, m, n)
+            expected = tuple((m + dm, n + dn, evaluate(q, point)) for dm, dn, q in tails[axis])
+            assert recurrence_step(params, axis, m, n).tail == expected, (params, axis, m, n)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_action_rows_over_a_symbolic_ring_give_action_relations(case):
+    b, k1, k2, m, n = symbolic_scalars(case)
+    rows = [(s(m, n), nb(m, n)) for s, nb in _action_rows(case, b, k1, k2)]
+    rng = random.Random(f"symbolic/{case}")
+    for k in range(3):
+        params = sample_params(case, rng)
+        relations = action_relations(params)
+        assert len(relations) == len(rows)
+        for (rel, (s, nb)), node in product(zip(relations, rows), ACTION_NODES + [(3 + k, 4)]):
+            point = (params.beta, params.kappa1, params.kappa2, *node)
+            assert rel.self_coeff(*node) == evaluate(s, point), (params, node)
+            assert rel.neighbors(*node) == tuple((dm, dn, evaluate(c, point)) for dm, dn, c in nb)
+
+
+def test_beta_plus_2n_minus_3_cancels_at_beta_one_on_level_one():
+    # recurrence_step refuses beta = 1 at N = 1 (the test above): over the
+    # symbolic ring, each coefficient there whose denominator vanishes at
+    # beta = 1 has a numerator that vanishes at beta = 1 for all kappa1 and
+    # kappa2, so the factor beta+2N-3 cancels
+    vanishing = []
+    for case, axis, (m, n) in product(("I", "II", "III", "IX"), "xy", ((1, 0), (0, 1))):
+        for dm, dn, q in symbolic_tail(case, axis):
+            num, den = Poly.lift(q.numerator), Poly.lift(q.denominator)
+            if den.at((1, 0, 0, m, n)) == 0:
+                assert num.at((1, SYM_K1, SYM_K2, m, n)) == 0, (case, axis, m, n, dm, dn)
+                if Poly.lift(num.at((SYM_B, SYM_K1, SYM_K2, m, n))):
+                    vanishing.append((case, axis, m, n, dm, dn))
+    # the coefficients that are not zero outright: four steps of I, II and
+    # III have one each, and the x-step at (1,0) and y-step at (0,1) of IX
+    assert len(vanishing) == 14, vanishing

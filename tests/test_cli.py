@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -527,3 +528,14 @@ def test_entry_points_load_only_the_layers_they_run(code, loaded, tmp_path):
     # the table builders never compile the audit layer; check and gf load
     # it on first use, and no entry point loads csv
     assert AUDIT_LAYER & _fresh_run(code, cwd=tmp_path) == loaded
+
+
+def test_readme_python_blocks_run():
+    # README's Library examples, in order and in one namespace, as a reader
+    # would paste them, so they cannot drift from the package
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

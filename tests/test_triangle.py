@@ -170,18 +170,28 @@ def test_edge_ode(case):
 
 
 def closed_form(params, m, n, s_shift=-1):
-    """P_{m,n} of case I or II from its closed form, s = m + n + beta - 1:
+    """P_{m,n} of case I, II or V from its closed form, s = m + n + beta - 1:
 
         P_{m,n} = sum_{i<=m, j<=n} C(m,i) C(n,j) (-1)^(m+n-i-j)
                   [(-k1)_m/(-k1)_i] [(-k2)_n/(-k2)_j] [(s)_(i+j)/(s)_(m+n)] x^i y^j
 
     for case I (Appell's polynomials on the triangle).  Case II, the limit
     x -> x/eps, k1 -> k1/eps, eps -> 0, has k1^(m-i) in place of
-    (-1)^(m-i) (-k1)_m/(-k1)_i and keeps (-1)^(n-j).  ``s_shift`` moves s,
-    for a mutant."""
-    k1, k2 = params.kappa1, params.kappa2
-    s = m + n + params.beta + s_shift
+    (-1)^(m-i) (-k1)_m/(-k1)_i and keeps (-1)^(n-j).  Case V, read off its
+    generating function, has, with s = m + k2 instead,
+
+        C(m,i) C(n,j) k1^(m-i) beta^(i+j-m-n) (s + i + j)_(n-j).
+
+    ``s_shift`` moves s, for a mutant: s_shift = 0 adds 1 to s."""
+    b, k1, k2 = params.beta, params.kappa1, params.kappa2
     terms = {}
+    if params.case_id == "V":
+        s = m + k2 + 1 + s_shift
+        for i, j in product(range(m + 1), range(n + 1)):
+            power = k1 ** (m - i) * b ** (i + j - m - n)
+            terms[(i, j)] = comb(m, i) * comb(n, j) * power * rising_factorial(s + i + j, n - j)
+        return BivariatePoly(terms)
+    s = m + n + b + s_shift
     for i in range(m + 1):
         if params.case_id == "I":
             xi = (-1) ** (m - i) * rising_factorial(-k1, m) / rising_factorial(-k1, i)
@@ -200,16 +210,32 @@ CLOSED_FORM_PARAMS = [
     for k in range(3)
 ] + [CaseParams("I", F(-7, 2), F(1, 3), F(2, 7))]
 
+CASE_V_CLOSED_FORM_PARAMS = [sample_params("V", random.Random(f"closed-form/V/{k}")) for k in range(3)] + [
+    CaseParams("V", F(-7, 2), F(1, 3), F(2, 7)),
+    CaseParams("V", F(2), F(1), F(-3)),
+]
+
+
+def assert_oracle_matches_the_closed_form(params):
+    t = build_oracle(params, 8)
+    for m, n in t.nodes():
+        assert t.entry(m, n) == closed_form(params, m, n), (m, n)
+    # a mutant with s + 1: beta + 1 in I and II, kappa2 + 1 in V
+    assert any(t.entry(m, n) != closed_form(params, m, n, s_shift=0) for m, n in t.nodes())
+
 
 @pytest.mark.parametrize(
     "params", CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
 )
 def test_oracle_matches_the_closed_forms_of_cases_i_and_ii(params):
-    t = build_oracle(params, 8)
-    for m, n in t.nodes():
-        assert t.entry(m, n) == closed_form(params, m, n), (m, n)
-    # a mutant with s = m + n + beta
-    assert any(t.entry(m, n) != closed_form(params, m, n, s_shift=0) for m, n in t.nodes())
+    assert_oracle_matches_the_closed_form(params)
+
+
+@pytest.mark.parametrize(
+    "params", CASE_V_CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
+)
+def test_oracle_matches_the_closed_form_of_case_v(params):
+    assert_oracle_matches_the_closed_form(params)
 
 
 def moments(params, degree, shift=0):
