@@ -48,6 +48,24 @@ from .weyl import DiffOp, GenericOp
 
 __version__ = "0.1.0"
 
+# The audit layer loads on first use (PEP 562), so the table builders and
+# `kspoly gen` never compile it.  Each access reads the submodule's current
+# attribute: nothing is cached here, so a rebound verify.full_suite is what
+# kspoly.full_suite returns.
+_LAZY = {
+    "Series2": "series",
+    "binomial_series": "series",
+    "extract_polys": "series",
+    "genfun": "series",
+    "VerificationReport": "verify",
+    "certify_parameter_polynomial_identity": "verify",
+    "check_action_formulas": "verify",
+    "check_genfun_agreement": "verify",
+    "check_ix_to_i_map": "verify",
+    "check_operator_identities": "verify",
+    "full_suite": "verify",
+}
+
 __all__ = [
     "ONE",
     "X",
@@ -73,10 +91,6 @@ __all__ = [
     "ParameterError",
     "StencilError",
     "TransferError",
-    "Series2",
-    "binomial_series",
-    "extract_polys",
-    "genfun",
     "Triangle",
     "build_ladder",
     "build_oracle",
@@ -86,37 +100,11 @@ __all__ = [
     "triangle_to_csv",
     "triangle_to_json",
     "triangle_to_latex",
-    "VerificationReport",
-    "certify_parameter_polynomial_identity",
-    "check_action_formulas",
-    "check_genfun_agreement",
-    "check_ix_to_i_map",
-    "check_operator_identities",
-    "check_parity_ix",
-    "full_suite",
     "DiffOp",
     "GenericOp",
+    *_LAZY,
     "__version__",
 ]
-
-# The audit layer loads on first use (PEP 562), so the table builders and
-# `kspoly gen` never compile it.  Each access reads the submodule's current
-# attribute: nothing is cached here, so a rebound verify.full_suite is what
-# kspoly.full_suite returns.
-_LAZY = {
-    "Series2": "series",
-    "binomial_series": "series",
-    "extract_polys": "series",
-    "genfun": "series",
-    "VerificationReport": "verify",
-    "certify_parameter_polynomial_identity": "verify",
-    "check_action_formulas": "verify",
-    "check_genfun_agreement": "verify",
-    "check_ix_to_i_map": "verify",
-    "check_operator_identities": "verify",
-    "check_parity_ix": "verify",
-    "full_suite": "verify",
-}
 
 
 def __getattr__(name: str):

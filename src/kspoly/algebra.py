@@ -420,27 +420,9 @@ class BivariatePoly(Terms):
 
     # -- structural maps ---------------------------------------------------
 
-    def negate_var(self, var: str) -> "BivariatePoly":
-        """p(-x, y) for var 'x', p(x, -y) for var 'y'."""
-        if var not in ("x", "y"):
-            raise ValueError(f"unknown variable {var!r}")
-        pos = 0 if var == "x" else 1
-        return self._wrap(
-            {key: (-c if key[pos] % 2 else c) for key, c in self._num.items()}, self._den
-        )
-
     def swap_vars(self) -> "BivariatePoly":
         """p(y, x)."""
         return self._wrap({(j, i): c for (i, j), c in self._num.items()}, self._den)
-
-    def halve_even_exponents(self) -> "BivariatePoly":
-        """q with q(u, v) = p(sqrt(u), sqrt(v)); every exponent must be even."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self._num.items():
-            if i % 2 or j % 2:
-                raise ValueError(f"odd exponent ({i}, {j}) cannot be halved")
-            out[(i // 2, j // 2)] = c
-        return self._wrap(out, self._den)
 
     def __str__(self) -> str:
         # display with the highest degree first

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -175,20 +176,6 @@ def check_action_formulas(
     return report
 
 
-def check_parity_ix(t: Triangle) -> VerificationReport:
-    """P_{m,n}(-x,y) = (-1)^m P_{m,n}(x,y) and the y counterpart."""
-    if t.params.case_id != "IX":
-        raise ValueError("parity checks apply to case IX triangles")
-    report = VerificationReport(t.params)
-    for m, n in t.nodes():
-        p = t.entry(m, n)
-        sx = -p if m % 2 else p
-        sy = -p if n % 2 else p
-        ok = p.negate_var("x") == sx and p.negate_var("y") == sy
-        report.add(f"parity({m},{n})", ok, None if ok else _poly_detail((m, n), p))
-    return report
-
-
 def _agreement(params: CaseParams, prefix: str, pairs: Iterable[tuple]) -> VerificationReport:
     """One entry prefix(m,n) per (node, a, b) triple, passing when a == b;
     only a failing entry forms a - b, its residual detail, through _zero."""
@@ -213,25 +200,39 @@ def check_swap_symmetry(t: Triangle) -> VerificationReport:
 
 
 def check_ix_to_i_map(t9: Triangle) -> VerificationReport:
-    """Even-even case IX entries, with exponents halved, are case I entries
-    at kappa1 = kappa2 = -1/2 and beta1 = (beta9 + 1)/2.  The case I image
-    table has its own validity rule, at beta1: when its oracle cannot be
-    built, the map is the one, passing, ix-to-i(skipped) entry."""
-    if t9.params.case_id != "IX":
+    """Each parity block of a case IX table is a case I table in the squares,
+    which implies the parity in x and y: for e1, e2 in {0, 1},
+    P^IX_{2a+e1, 2b+e2}(x, y) = x^e1 y^e2 P^I_{a,b}(x^2, y^2), P^I the case I
+    oracle at beta_e = (beta + 1)/2 + e1 + e2, kappa_e = (-1/2 - e1, -1/2 - e2)
+    to level (nmax - e1 - e2) // 2.  One entry ix-to-i[e1e2](m,n) per node,
+    its image formed forward, so a wrong table fails entries and never raises.
+    A block whose case I table breaks its validity rule is one passing
+    ix-to-i[e1e2](skipped) entry, its parity unchecked: every block at beta =
+    -(2 nmax + 3), and at -(2 nmax + 5) those with e1 + e2 = nmax mod 2 (00
+    and 11 at an even nmax).  A block with no node (e1 + e2 > nmax) has no
+    entry."""
+    p9 = t9.params
+    if p9.case_id != "IX":
         raise ValueError("first triangle must be case IX")
-    half = t9.nmax // 2
-    image = CaseParams("I", (t9.params.beta + 1) / 2, Fraction(-1, 2), Fraction(-1, 2))
-    try:
-        t1 = build_oracle(image, half)
-    except KspolyError:
-        report = VerificationReport(t9.params)
-        report.add("ix-to-i(skipped)", True)
-        return report
-    pairs = (
-        ((2 * a, 2 * b), t9.entry(2 * a, 2 * b).halve_even_exponents(), t1.entry(a, b))
-        for a in range(half + 1) for b in range(half - a + 1)
-    )
-    return _agreement(t9.params, "ix-to-i", pairs)
+    report = VerificationReport(p9)
+    for e1, e2 in product((0, 1), repeat=2):
+        if e1 + e2 > t9.nmax:
+            continue
+        prefix = f"ix-to-i[{e1}{e2}]"
+        b1, k1, k2 = (p9.beta + 1) / 2 + e1 + e2, Fraction(-1, 2) - e1, Fraction(-1, 2) - e2
+        try:
+            t1 = build_oracle(CaseParams("I", b1, k1, k2), (t9.nmax - e1 - e2) // 2)
+        except KspolyError:
+            report.add(f"{prefix}(skipped)", True)
+            continue
+        pairs = []
+        for a, b in t1.nodes():
+            node = (2 * a + e1, 2 * b + e2)
+            terms = t1.entry(a, b).items()
+            image = BivariatePoly({(2 * i + e1, 2 * j + e2): c for (i, j), c in terms})
+            pairs.append((node, t9.entry(*node), image))
+        report.extend(_agreement(p9, prefix, pairs))
+    return report
 
 
 def check_genfun_agreement(t: Triangle) -> VerificationReport:
@@ -451,8 +452,8 @@ def mutation_battery(
 
 def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
     """Everything: builder agreement, eigen/monic/edge invariants, action
-    formulas, operator identities, stencils, parity and symmetry checks,
-    generating functions to order nmax.  Used by the command-line `check`.
+    formulas, operator identities, stencils, symmetry checks, generating
+    functions to order nmax.  Used by the command-line `check`.
     An oracle that cannot be built is the one, failing, build-oracle entry."""
     report = VerificationReport(params)
     try:
@@ -478,7 +479,6 @@ def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
     report.extend(check_monic(oracle))
     report.extend(check_recurrence_stencil(params, stencil_log))
     if params.case_id == "IX":
-        report.extend(check_parity_ix(oracle))
         report.extend(check_swap_symmetry(oracle))
         report.extend(check_ix_to_i_map(oracle))
     if params.case_id == "I":

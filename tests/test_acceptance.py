@@ -36,7 +36,6 @@ from kspoly.triangle import (
 from kspoly.verify import (
     check_action_formulas,
     check_ix_to_i_map,
-    check_parity_ix,
     mutated_operator_set,
     mutation_battery,
 )
@@ -242,19 +241,22 @@ def test_criterion_7_ix_to_i_map():
     def body():
         report = check_ix_to_i_map(build_oracle(CaseParams("IX", F(3)), 8))
         assert report.passed, report.failures()[:3]
-        checked = [r for r in report.results if r.name.startswith("ix-to-i")]
-        assert len(checked) == 15  # all even-even nodes up to degree 8
+        checked = [r for r in report.results if r.name.startswith("ix-to-i[")]
+        assert len(checked) == 45  # one entry per node up to degree 8, in four parity blocks
 
-    run_criterion(7, "even-even entries map onto the companion family exactly", body)
+    run_criterion(7, "each parity block maps onto the companion family exactly", body)
 
 
 def test_criterion_8_parity_and_stencil():
     def body():
-        report = check_parity_ix(build_oracle(CaseParams("IX", F(3)), 8))
-        assert report.passed
+        # parity in x and y through the four parity blocks: the odd blocks'
+        # entries are x^e1 y^e2 times a polynomial in x^2, y^2
         rng = random.Random(808)
-        p9 = sample_params("IX", rng)
-        assert check_parity_ix(build_oracle(p9, 8)).passed
+        for p9 in (CaseParams("IX", F(3)), sample_params("IX", rng)):
+            report = check_ix_to_i_map(build_oracle(p9, 8))
+            assert report.passed
+            odd = [r for r in report.results if not r.name.startswith("ix-to-i[00]")]
+            assert len(odd) == 30 and all(r.passed for r in odd)
         for case in CASES:
             p = sample_params(case, rng)
             log = []

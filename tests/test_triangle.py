@@ -170,7 +170,7 @@ def test_edge_ode(case):
 
 
 def closed_form(params, m, n, s_shift=-1):
-    """P_{m,n} of case I, II or V from its closed form, s = m + n + beta - 1:
+    """P_{m,n} of case I, II, V or IX from its closed form, s = m + n + beta - 1:
 
         P_{m,n} = sum_{i<=m, j<=n} C(m,i) C(n,j) (-1)^(m+n-i-j)
                   [(-k1)_m/(-k1)_i] [(-k2)_n/(-k2)_j] [(s)_(i+j)/(s)_(m+n)] x^i y^j
@@ -182,8 +182,17 @@ def closed_form(params, m, n, s_shift=-1):
 
         C(m,i) C(n,j) k1^(m-i) beta^(i+j-m-n) (s + i + j)_(n-j).
 
+    Case IX, by its parity blocks, is x^e1 y^e2 times case I's form at
+    (m // 2, n // 2), beta_e = (beta + 1)/2 + e1 + e2 and kappa_e =
+    (-1/2 - e1, -1/2 - e2), read in x^2, y^2, where (e1, e2) = (m % 2, n % 2).
+
     ``s_shift`` moves s, for a mutant: s_shift = 0 adds 1 to s."""
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    if params.case_id == "IX":
+        e1, e2 = m % 2, n % 2
+        image = CaseParams("I", (b + 1) / 2 + e1 + e2, F(-1, 2) - e1, F(-1, 2) - e2)
+        terms = closed_form(image, m // 2, n // 2, s_shift).items()
+        return BivariatePoly({(2 * i + e1, 2 * j + e2): c for (i, j), c in terms})
     terms = {}
     if params.case_id == "V":
         s = m + k2 + 1 + s_shift
@@ -216,11 +225,16 @@ CASE_V_CLOSED_FORM_PARAMS = [sample_params("V", random.Random(f"closed-form/V/{k
 ]
 
 
+CASE_IX_CLOSED_FORM_PARAMS = [
+    sample_params("IX", random.Random(f"closed-form/IX/{k}")) for k in range(3)
+] + [CaseParams("IX", F(3)), CaseParams("IX", F(-7, 2))]
+
+
 def assert_oracle_matches_the_closed_form(params):
     t = build_oracle(params, 8)
     for m, n in t.nodes():
         assert t.entry(m, n) == closed_form(params, m, n), (m, n)
-    # a mutant with s + 1: beta + 1 in I and II, kappa2 + 1 in V
+    # a mutant with s + 1: beta + 1 in I and II (beta_e + 1 in IX), kappa2 + 1 in V
     assert any(t.entry(m, n) != closed_form(params, m, n, s_shift=0) for m, n in t.nodes())
 
 
@@ -235,6 +249,13 @@ def test_oracle_matches_the_closed_forms_of_cases_i_and_ii(params):
     "params", CASE_V_CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
 )
 def test_oracle_matches_the_closed_form_of_case_v(params):
+    assert_oracle_matches_the_closed_form(params)
+
+
+@pytest.mark.parametrize(
+    "params", CASE_IX_CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta}"
+)
+def test_oracle_matches_the_closed_form_of_case_ix(params):
     assert_oracle_matches_the_closed_form(params)
 
 

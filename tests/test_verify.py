@@ -6,9 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import kspoly.cli
 import kspoly.verify
 from kspoly import catalog, triangle
-from kspoly.algebra import Terms, X, Y
+from kspoly.algebra import ONE, BivariatePoly, Terms, X, Y
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -34,7 +35,6 @@ from kspoly.verify import (
     check_monic,
     check_operator_identities,
     check_operators,
-    check_parity_ix,
     check_recurrence_stencil,
     check_swap_symmetry,
     full_suite,
@@ -171,23 +171,9 @@ def test_action_failure_details_match_the_formula_formed_by_parts(case):
             assert got and got == action_failures_by_parts(t, mutated), (k, index)
 
 
-def test_parity_examples():
-    p = CaseParams("IX", F(3))
-    t = build_oracle(p, 4)
-    assert check_parity_ix(t).passed
-    # direct statements: P_{1,1} odd/odd, P_{0,0} even/even, P_{3,0} odd in x
-    p11 = t.entry(1, 1)
-    assert p11.negate_var("x") == -1 * p11
-    assert p11.negate_var("y") == -1 * p11
-    p30 = t.entry(3, 0)
-    assert p30.negate_var("x") == -1 * p30
-    assert p30.negate_var("y") == p30
-
-
-def test_parity_rejects_other_cases():
-    p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
-    with pytest.raises(ValueError):
-        check_parity_ix(build_oracle(p, 2))
+def squares(p):
+    """p(x^2, y^2), formed forward."""
+    return BivariatePoly({(2 * i, 2 * j): c for (i, j), c in p.items()})
 
 
 def test_ix_to_i_map_beta3():
@@ -197,8 +183,8 @@ def test_ix_to_i_map_beta3():
     )
     report = check_ix_to_i_map(t9)
     assert report.passed
-    # the first nontrivial image: x^2 - 1/(1+beta9) halves to x - 1/4
-    assert t9.entry(2, 0).halve_even_exponents() == t1.entry(1, 0)
+    # the first nontrivial image: x - 1/4 in the squares is x^2 - 1/(1+beta9)
+    assert squares(t1.entry(1, 0)) == t9.entry(2, 0) == X * X - F(1, 4) * ONE
 
 
 def test_ix_to_i_map_validates_parameters():
@@ -207,16 +193,73 @@ def test_ix_to_i_map_validates_parameters():
         check_ix_to_i_map(image)
 
 
+IX_BLOCKS = ("00", "01", "10", "11")
+
+
 def test_full_suite_skips_an_ix_to_i_image_that_breaks_the_validity_rule():
-    # beta = -15 builds at nmax 6, but its case I image table (beta1 = -7 at
-    # nmax 3) fails beta1 + 7 != 0: the map is skipped, as a transfer table
-    # that misses its preconditions is, instead of aborting the suite
+    # beta = -15 builds at nmax 6, but the case I image table of block 00
+    # (beta_e = -7 at nmax 3) fails beta_e + 7 != 0, and each other block's
+    # fails its own rule: each block is skipped, as a transfer table that
+    # misses its preconditions is, instead of aborting the suite
     report = full_suite(CaseParams("IX", F(-15)), 6)
     assert report.passed
-    names = [r.name for r in report.results]
-    assert "ix-to-i(skipped)" in names
-    assert not any(name.startswith("ix-to-i(") and name != "ix-to-i(skipped)" for name in names)
-    assert "ix-to-i(skipped)" not in [r.name for r in full_suite(CaseParams("IX", F(3)), 6).results]
+    names = [r.name for r in report.results if r.name.startswith("ix-to-i")]
+    assert names == [f"ix-to-i[{block}](skipped)" for block in IX_BLOCKS]
+    names = [r.name for r in full_suite(CaseParams("IX", F(3)), 6).results]
+    assert not any(name.startswith("ix-to-i") and "skipped" in name for name in names)
+
+
+def ix_to_i_entries(beta, nmax):
+    """block -> the names of its ix-to-i entries, in a check of the oracle."""
+    report = check_ix_to_i_map(build_oracle(CaseParams("IX", beta), nmax))
+    assert report.passed
+    blocks = {}
+    for r in report.results:
+        blocks.setdefault(r.name[8:10], []).append(r.name)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "beta, skipped", [(-15, IX_BLOCKS), (-17, ("00", "11")), (-19, ())], ids=["-15", "-17", "-19"]
+)
+def test_ix_to_i_map_skips_exactly_the_blocks_whose_image_breaks_its_rule(beta, skipped):
+    # at nmax 6, beta = -15 = -(2 nmax + 3) breaks every block's case I rule,
+    # -17 = -(2 nmax + 5) those of the blocks with nmax - e1 - e2 even, -19 none
+    blocks = ix_to_i_entries(F(beta), 6)
+    assert sorted(blocks) == list(IX_BLOCKS)
+    for block, names in blocks.items():
+        if block in skipped:
+            assert names == [f"ix-to-i[{block}](skipped)"]
+        else:
+            e1, e2 = int(block[0]), int(block[1])
+            nodes = [(m, n) for m in range(7) for n in range(7 - m) if (m % 2, n % 2) == (e1, e2)]
+            assert sorted(names) == sorted(f"ix-to-i[{block}]({m},{n})" for m, n in nodes)
+
+
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_ix_to_i_map_writes_no_entry_for_a_block_without_a_node(nmax):
+    blocks = ix_to_i_entries(F(3), nmax)
+    names = sorted(name for block in blocks.values() for name in block)
+    nodes = [(m, n) for m in range(nmax + 1) for n in range(nmax + 1 - m)]
+    assert names == sorted(f"ix-to-i[{m % 2}{n % 2}]({m},{n})" for m, n in nodes)
+
+
+def test_a_wrong_ix_table_fails_ix_to_i_entries_and_check_exits_one(monkeypatch):
+    # L + d/dx does not preserve parity, so the oracle's table has odd
+    # exponents in even blocks: the forward image fails them, and never raises
+    true_source = catalog.generic_operators
+
+    def corrupted(case):
+        ops = true_source(case)
+        dx = GenericOp.generator(2)
+        return ops._replace(L=ops.L + dx) if case == "IX" else ops
+
+    monkeypatch.setattr(catalog, "generic_operators", corrupted)
+    report = full_suite(CaseParams("IX", F(3)), 4)
+    failing = [r.name for r in report.failures() if r.name.startswith("ix-to-i[")]
+    assert "ix-to-i[00](2,0)" in failing
+    code = kspoly.cli.main(["check", "--case", "IX", "--trials", "1", "--seed", "0"])
+    assert code == 1
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -700,15 +743,6 @@ def test_every_record_field_reaches_a_check(case):
     assert {field for field, _, _ in labels} == set(GenericOperators._fields)
 
 
-def test_parity_failure_carries_the_entry():
-    p = CaseParams("IX", F(3))
-    t = build_oracle(p, 3)
-    t.entries[(1, 1)] = t.entries[(1, 1)] + X  # even in y, where P_{1,1} is odd
-    [failure] = check_parity_ix(t).failures()
-    assert failure.name == "parity(1,1)"
-    assert failure.detail == {"node": [1, 1], "residual": t.entries[(1, 1)].to_records()}
-
-
 def test_swap_failure_carries_the_residual():
     p = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     swapped = CaseParams("I", F(7, 2), F(-1, 5), F(1, 3))
@@ -744,7 +778,7 @@ def test_agreement_checks_form_no_difference_when_they_pass(monkeypatch):
         report = check(t)
         assert report.passed and report.failures() == []
         counts.append(len(report.results))
-    assert counts == [15, 10, 15]
+    assert counts == [15, 28, 15]
 
 
 def test_a_failing_agreement_entry_carries_the_residual_of_its_sides():
@@ -760,7 +794,7 @@ def test_a_failing_agreement_entry_carries_the_residual_of_its_sides():
     expected = [
         kspoly.verify._zero("swap(2,1)", t1.entry(2, 1).swap_vars() - swapped.entry(1, 2), (2, 1)),
         kspoly.verify._zero(
-            "ix-to-i(2,2)", t9.entry(2, 2).halve_even_exponents() - image.entry(1, 1), (2, 2)
+            "ix-to-i[00](2,2)", t9.entry(2, 2) - squares(image.entry(1, 1)), (2, 2)
         ),
         kspoly.verify._zero("genfun(1,2)", table[(1, 2)] - t8.entry(1, 2), (1, 2)),
     ]
@@ -768,7 +802,7 @@ def test_a_failing_agreement_entry_carries_the_residual_of_its_sides():
     assert failures == [[entry] for entry in expected]
     assert [entry.detail for entry in expected] == [
         {"node": [2, 1], "residual": [{"i": 0, "j": 1, "c": "1/4"}]},
-        {"node": [2, 2], "residual": [{"i": 1, "j": 0, "c": "1/3"}]},
+        {"node": [2, 2], "residual": [{"i": 2, "j": 0, "c": "1/3"}]},
         {"node": [1, 2], "residual": [{"i": 0, "j": 1, "c": "-2/3"}]},
     ]
 
