@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
+from .errors import ParameterError
+
 Scalar = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
@@ -29,14 +31,31 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
+def _is_exact(value: object) -> bool:
+    """An exact scalar: an int or a Fraction, not a bool (which would read as
+    0 or 1) nor a float (whose Fraction is its binary expansion)."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _check_exact(name: str, value: object) -> None:
+    """The package's one exact-scalar rule, for a coefficient or parameter."""
+    if not _is_exact(value):
+        raise ParameterError(f"{name} must be an int or a Fraction, not {value!r}")
+
+
+def _check_index(name: str, value: object) -> None:
+    """The package's one index rule, for an order, exponent, level, node or
+    table size: a nonnegative int, not a bool."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int, not {value!r}")
+    if value < 0:
+        raise ParameterError(f"{name} must be nonnegative, not {value}")
+
+
 def rising_factorial(z: Scalar, n: int) -> Fraction:
     """z(z+1)...(z+n-1); the empty product (n=0) is 1."""
-    if isinstance(z, bool) or not isinstance(z, (int, Fraction)):
-        raise ValueError(f"rising factorial argument must be an int or a Fraction, not {z!r}")
-    if type(n) is not int:
-        raise ValueError(f"rising factorial order must be an int, not {n!r}")
-    if n < 0:
-        raise ValueError("rising factorial order must be nonnegative")
+    _check_exact("rising factorial argument", z)
+    _check_index("rising factorial order", n)
     out = Fraction(1)
     z = Fraction(z)
     for i in range(n):
@@ -203,8 +222,7 @@ class Terms:
                     or not all(type(e) is int and e >= 0 for e in key)
                 ):
                     raise ValueError(f"term {key!r} needs {arity} nonnegative int indices")
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                    raise ValueError(f"coefficient {c!r} of term {key} is not an int or a Fraction")
+                _check_exact(f"coefficient of term {key}", c)
                 c = Fraction(c)
                 if c:
                     clean[key] = c
@@ -288,7 +306,7 @@ class Terms:
         return self + (-other)
 
     def __mul__(self, other: Scalar):
-        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+        if not _is_exact(other):
             return NotImplemented
         den = self._den * other.denominator
         return self._wrap(*_sum([(other.numerator, den, self._num, None)]))
@@ -311,7 +329,10 @@ class Terms:
     @classmethod
     def _record_terms(cls, records: list[dict[str, object]]) -> dict[tuple[int, ...], Fraction]:
         terms: dict[tuple[int, ...], Fraction] = {}
+        fields = (*cls.FIELDS, "c")
         for r in records:
+            if not isinstance(r, dict) or not all(f in r for f in fields):
+                raise ValueError(f"record {r!r}: must be an object with keys {', '.join(fields)}")
             key = tuple(r[f] for f in cls.FIELDS)
             if not all(type(e) is int for e in key) or key in terms:
                 raise ValueError(f"record {r}: indices must be unique integers")
@@ -388,10 +409,7 @@ class BivariatePoly(Terms):
         return self._wrap(*_sum([(c, den, num, key) for key, c in other._num.items()]))
 
     def __pow__(self, n: int) -> "BivariatePoly":
-        if type(n) is not int:
-            raise ValueError(f"polynomial power must be an int, not {n!r}")
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
+        _check_index("polynomial power", n)
         out = BivariatePoly.constant(1)
         for _ in range(n):
             out = out * self

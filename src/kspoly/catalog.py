@@ -25,7 +25,7 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import ONE, X, Y, BivariatePoly, _Unreduced
+from .algebra import ONE, X, Y, BivariatePoly, _check_exact, _check_index, _Unreduced
 from .errors import ParameterError
 from .weyl import DiffOp, GenericOp
 
@@ -77,8 +77,7 @@ class CaseParams:
         _check_case(self.case_id)
         for name in ("beta", "kappa1", "kappa2"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise ParameterError(f"{name} must be an int or a Fraction, not {value!r}")
+            _check_exact(name, value)
             object.__setattr__(self, name, Fraction(value))
         if self.case_id in ("V", "VIII") and self.beta == 0:
             raise ParameterError(f"beta must be nonzero for case {self.case_id}")
@@ -122,26 +121,11 @@ def alpha(case_id: str) -> int:
     return 0 if case_id in ("V", "VIII") else 1
 
 
-def _check_int(name: str, value: object) -> None:
-    """Reject a level, node or table index that is not an int (a bool included)."""
-    if type(value) is not int:
-        raise ParameterError(f"{name} must be an int, not {value!r}")
-
-
 def _check_node(m: object, n: object) -> tuple[int, int]:
-    """The lattice node (m, n), rejected unless both are nonnegative ints."""
-    _check_int("m", m)
-    _check_int("n", n)
-    if m < 0 or n < 0:
-        raise ParameterError(f"m and n must be nonnegative, not ({m},{n})")
+    """The lattice node (m, n), rejected unless both are indices."""
+    _check_index("m", m)
+    _check_index("n", n)
     return m, n
-
-
-def _check_index(name: str, value: object) -> None:
-    """Reject a level, node or table index that is not a nonnegative int."""
-    _check_int(name, value)
-    if value < 0:
-        raise ParameterError(f"{name} must be nonnegative, not {value}")
 
 
 def eigenvalue(params: CaseParams, N: int) -> Fraction:

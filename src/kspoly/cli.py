@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 from random import Random
 
-from .algebra import parse_rational
+from .algebra import _check_index, parse_rational
 from .catalog import (
     CASES,
     CaseParams,
@@ -96,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.nmax < 0:
-        raise KspolyError(f"--nmax must be nonnegative, not {args.nmax}")
+    _check_index("--nmax", args.nmax)
     params = _params_from(args)
     triangle = BUILDERS[args.method](params, args.nmax)
     _emit(FORMATTERS[args.format](triangle), args.output)
@@ -109,8 +108,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.trials < 1:
         raise KspolyError(f"--trials must be at least 1, not {args.trials}")
-    if args.nmax < 2:
-        raise KspolyError(f"--nmax must be at least 2, not {args.nmax}")
+    _check_index("--nmax", args.nmax)
     cases = list(CASES) if args.case == "all" else [args.case]
     for case in cases:
         if case not in CASES:
@@ -148,8 +146,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_gf(args: argparse.Namespace) -> int:
     from .series import extract_polys, genfun
 
-    if args.order < 0:
-        raise KspolyError(f"--order must be nonnegative, not {args.order}")
+    _check_index("--order", args.order)
     params = _params_from(args)
     # the oracle first: it applies the validity rule at this order
     oracle = BUILDERS["oracle"](params, args.order)

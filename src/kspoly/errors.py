@@ -5,8 +5,9 @@ class KspolyError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ParameterError(KspolyError):
-    """A case parameter violates a validity rule (named in the message)."""
+class ParameterError(KspolyError, ValueError):
+    """An argument or case parameter violates a validity rule (named in the
+    message); a ValueError too, as the bad value it reports."""
 
 
 class AdmissibilityError(KspolyError):

@@ -12,16 +12,11 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Union
 
-from .algebra import BivariatePoly, Scalar, Terms, _sum, rising_factorial, signed_sum
+from .algebra import (
+    BivariatePoly, Scalar, Terms, _check_exact, _check_index, _sum, rising_factorial, signed_sum
+)
 from .catalog import CaseParams
 from .errors import ParameterError
-
-
-def _check_order(order: int) -> None:
-    if type(order) is not int:
-        raise ValueError(f"truncation order must be an int, not {order!r}")
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
 
 
 class Series2(Terms):
@@ -42,7 +37,7 @@ class Series2(Terms):
         return (a + b, -a, i + j, -i)
 
     def __init__(self, order: int, terms: Mapping[tuple[int, ...], Scalar] | None = None):
-        _check_order(order)
+        _check_index("truncation order", order)
         super().__init__(terms)
         for a, b, _, _ in terms or ():
             if a + b > order:
@@ -91,10 +86,7 @@ class Series2(Terms):
     def coefficient(self, a: int, b: int) -> BivariatePoly:
         """The polynomial multiplying s^a t^b, read from its terms alone."""
         for e in (a, b):
-            if type(e) is not int:
-                raise ValueError(f"series exponent must be an int, not {e!r}")
-            if e < 0:
-                raise ValueError(f"series exponent must be nonnegative, not {e}")
+            _check_index("series exponent", e)
         num = {(i, j): c for (s, t, i, j), c in self._num.items() if s == a and t == b}
         return BivariatePoly._wrap(num, self._den)
 
@@ -107,7 +99,7 @@ class Series2(Terms):
         return hash((self.order, Terms.__hash__(self)))
 
     def truncated(self, order: int) -> "Series2":
-        _check_order(order)
+        _check_index("truncation order", order)
         if order > self.order:
             raise ValueError(f"cannot extend a truncation from order {self.order} to {order}")
         if order == self.order:
@@ -221,8 +213,7 @@ def binomial_series(u: Series2, r: Fraction | int) -> Series2:
     """(1 + u)^r for a series u with zero constant term, truncated exactly.
     g = (1 + u)^r solves (1 + u) theta g = r (theta u) g, so its part of
     degree n is g_n = sum_k ((r + 1) k - n) u_k g_(n-k) / n."""
-    if isinstance(r, bool) or not isinstance(r, (int, Fraction)):
-        raise ValueError(f"binomial exponent must be an int or a Fraction, not {r!r}")
+    _check_exact("binomial exponent", r)
     p, q = r.numerator, r.denominator
     # q ((r + 1) k - n), over q
     return _theta_solve(u, lambda n, k: (p + q) * k - q * n, q)

@@ -17,11 +17,10 @@ from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps
 from math import prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import ONE, BivariatePoly, Scalar, _Unreduced, parse_rational, signed_sum
+from .algebra import ONE, BivariatePoly, Scalar, _check_index, _Unreduced, parse_rational, signed_sum
 from .catalog import (
     CaseParams,
     RecurrenceStep,
-    _check_index,
     action_relations,
     commuting_ops,
     eigenvalue,
@@ -395,9 +394,6 @@ def triangle_from_json(doc: object) -> Triangle:
     for key in ("beta", "kappa1", "kappa2"):
         if not isinstance(doc[key], str):
             raise ValueError(f"{key} must be a rational string like \"7/2\", not {doc[key]!r}")
-    nmax = doc["nmax"]
-    if type(nmax) is not int or nmax < 0:
-        raise ValueError(f"nmax must be a nonnegative integer, not {nmax!r}")
     if not isinstance(doc["polys"], list):
         raise ValueError("polys must be a list of {m, n, terms} objects")
     method = doc.get("method", "oracle")
@@ -409,6 +405,7 @@ def triangle_from_json(doc: object) -> Triangle:
         parse_rational(doc["kappa1"]),
         parse_rational(doc["kappa2"]),
     )
+    nmax = doc["nmax"]
     _check_nmax(params, nmax)
     t = Triangle(params, nmax, method, {})
     for rec in doc["polys"]:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import TYPE_CHECKING, Optional, TypeVar
 
-from .algebra import BivariatePoly, Scalar, Terms, _sum, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, _check_exact, _sum, signed_sum
 
 if TYPE_CHECKING:
     from .catalog import CaseParams
@@ -207,8 +207,8 @@ class GenericOp(Terms):
         its coefficients, one value of N.  A value n/d whose highest exponent
         here is top enters its e-th power as n^e d^(top-e) over d^top, so
         the terms sum as integers over one denominator."""
-        if N is not None and (isinstance(N, bool) or not isinstance(N, (int, Fraction))):
-            raise ValueError(f"N = {N!r} is not an int or a Fraction")
+        if N is not None:
+            _check_exact("N", N)
         den = self._den
         powers = []
         tops = [max(column) for column in zip(*self._num)][4:] or [0] * 4

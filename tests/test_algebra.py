@@ -11,11 +11,14 @@ from kspoly.algebra import (
     X,
     Y,
     BivariatePoly,
+    _check_exact,
+    _check_index,
     _Unreduced,
     parse_rational,
     rational_text,
     rising_factorial,
 )
+from kspoly.errors import KspolyError, ParameterError
 from kspoly.series import Series2
 from kspoly.weyl import DiffOp, GenericOp
 
@@ -142,6 +145,20 @@ def test_canonical_record_order():
     assert BivariatePoly.from_records(recs) == p
 
 
+@pytest.mark.parametrize(
+    "record",
+    [{"i": 0, "j": 0}, {"i": 0, "c": "1"}, "x", ["i", "j", "c"], None],
+    ids=["no-c", "no-index", "string", "list", "null"],
+)
+def test_from_records_rejects_a_record_without_its_keys(record):
+    # records read from disk: the ValueError that names the record, not a
+    # KeyError or a TypeError
+    message = f"^record {re.escape(repr(record))}: must be an object with keys "
+    for read in (BivariatePoly.from_records, lambda records: Series2.from_records(2, records)):
+        with pytest.raises(ValueError, match=message):
+            read([record])
+
+
 def test_rejects_negative_exponent():
     with pytest.raises(ValueError):
         BivariatePoly({(-1, 0): F(1)})
@@ -179,7 +196,7 @@ def test_constructor_rejects_non_int_indices(cls, bad):
 def test_rejects_float_coefficients(make):
     # Fraction(0.1) would store the binary expansion 3602879701896397/2**55,
     # and a bool would be read as the int 1 or 0
-    with pytest.raises(ValueError, match="not an int or a Fraction"):
+    with pytest.raises(ValueError, match=r"^coefficient of term \(.*\) must be an int or a Fraction, not "):
         make()
 
 
@@ -195,6 +212,23 @@ def test_scalar_product_rejects_a_bool(cls, flag):
         flag * p
 
 
+# -- the argument rules -------------------------------------------------------
+
+
+def test_one_index_rule_and_one_exact_scalar_rule():
+    # a ParameterError is a KspolyError and, as a bad value, a ValueError
+    assert issubclass(ParameterError, KspolyError) and issubclass(ParameterError, ValueError)
+    for bad, rule in [(True, "an int, not True"), (2.0, "an int, not 2.0"), (-1, "nonnegative, not -1")]:
+        with pytest.raises(ParameterError, match=f"^k must be {rule}$"):
+            _check_index("k", bad)
+    for bad in (True, 0.5, "1", None):
+        with pytest.raises(ParameterError, match=f"^c must be an int or a Fraction, not {bad!r}$"):
+            _check_exact("c", bad)
+    for good in (0, 3, F(-1, 2)):
+        _check_exact("c", good)
+    _check_index("k", 0)
+
+
 # -- rising factorial --------------------------------------------------------
 
 
@@ -207,7 +241,7 @@ def test_rising_factorial_values():
 
 
 def test_rising_factorial_rejects_a_negative_order():
-    with pytest.raises(ValueError, match="^rising factorial order must be nonnegative$"):
+    with pytest.raises(ValueError, match="^rising factorial order must be nonnegative, not -1$"):
         rising_factorial(F(1, 2), -1)
 
 
@@ -230,7 +264,7 @@ def test_rising_factorial_rejects_a_float_or_a_bool(z, n, message):
 def test_polynomials_reject_an_unknown_variable_and_a_negative_power():
     with pytest.raises(ValueError, match="^unknown variable 'z'$"):
         BivariatePoly.variable("z")
-    with pytest.raises(ValueError, match="^negative power of a polynomial$"):
+    with pytest.raises(ValueError, match="^polynomial power must be nonnegative, not -1$"):
         X**-1
 
 

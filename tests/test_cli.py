@@ -259,16 +259,25 @@ def test_check_rejects_negative_order(tmp_path, capsys, case):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("nmax", ["1", "0", "-1"])
-def test_check_rejects_shallow_nmax(tmp_path, capsys, nmax):
-    # rejected up front, not by the action-formula check inside the suite
+def test_check_rejects_a_negative_nmax(tmp_path, capsys):
+    # rejected up front, not as a failing build-oracle entry of the suite
     report = tmp_path / "r.json"
-    assert run("check", "--case", "I", "--trials", "1", "--nmax", nmax,
+    assert run("check", "--case", "I", "--trials", "1", "--nmax=-1",
                "--output", str(report)) == 2
     out, err = capsys.readouterr()
-    assert f"error: --nmax must be at least 2, not {nmax}" in err
+    assert "error: --nmax must be nonnegative, not -1" in err
     assert out == ""
     assert not report.exists()
+
+
+@pytest.mark.parametrize("nmax", ["0", "1"])
+def test_check_runs_every_case_on_one_or_two_levels(tmp_path, capsys, nmax):
+    # the raising operators and action formulas start at level 0
+    report = tmp_path / "r.json"
+    assert run("check", "--case", "all", "--trials", "1", "--seed", "0", "--nmax", nmax,
+               "--output", str(report)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert json.loads(report.read_text())["passed"] is True
 
 
 def test_check_unknown_case(capsys):
@@ -404,7 +413,7 @@ def _fractional_exponent(doc):
     "corrupt, message",
     [
         (_drop_entry, "missing [(0, 3)]"),
-        (lambda d: {**d, "nmax": -1}, "nmax must be a nonnegative integer"),
+        (lambda d: {**d, "nmax": -1}, "nmax must be nonnegative, not -1"),
         (lambda d: {**d, "nmax": 2}, "outside [(3, 0), (2, 1), (1, 2), (0, 3)]"),
         (lambda d: {**d, "nmax": 0},
          "missing [], outside [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), ...] (9 nodes)"),

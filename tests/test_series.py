@@ -212,7 +212,7 @@ def test_constructor_rejects_malformed_terms(order, terms):
 
 def test_truncation_rejects_a_negative_or_larger_order():
     # a negative order gets the constructor's message
-    with pytest.raises(ValueError, match="^truncation order must be nonnegative$"):
+    with pytest.raises(ValueError, match="^truncation order must be nonnegative, not -1$"):
         Series2.one(3).truncated(-1)
     with pytest.raises(ValueError, match="cannot extend a truncation from order 3 to 4"):
         Series2.one(3).truncated(4)

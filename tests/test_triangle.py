@@ -262,15 +262,19 @@ def test_oracle_matches_the_closed_form_of_case_ix(params):
 def moments(params, degree, shift=0):
     """The moments u(x^i y^j), i + j <= degree, of the functional with u(1) = 1
     for which the family is orthogonal, as integers over one denominator:
-    (-k1)_i (-k2)_j / (beta)_{i+j} for case I, and for case II, its limit,
-    (-k1)^i in place of (-k1)_i.  ``shift`` moves the Pochhammer index of
-    beta, for a mutant."""
+    (-k1)_i (-k2)_j / (beta)_{i+j} for case I; for case II, its limit,
+    (-k1)^i in place of (-k1)_i; for case V, (-k1/beta)^i (-1/beta)^j
+    (k2 + i)_j.  ``shift`` moves the Pochhammer index of beta (of k2 + i in
+    case V), for a mutant."""
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     mu = {}
     for i in range(degree + 1):
         xi = rising_factorial(-k1, i) if params.case_id == "I" else (-k1) ** i
         for j in range(degree + 1 - i):
-            mu[i, j] = xi * rising_factorial(-k2, j) / rising_factorial(b, i + j + shift)
+            if params.case_id == "V":
+                mu[i, j] = (-k1 / b) ** i * (-1 / b) ** j * rising_factorial(k2 + i + shift, j)
+            else:
+                mu[i, j] = xi * rising_factorial(-k2, j) / rising_factorial(b, i + j + shift)
     den = lcm(*(v.denominator for v in mu.values()))
     return {key: v.numerator * (den // v.denominator) for key, v in mu.items()}
 
@@ -290,13 +294,16 @@ def nonorthogonal_pairings(t, mu):
 
 
 @pytest.mark.parametrize(
-    "params", CLOSED_FORM_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
+    "params",
+    CLOSED_FORM_PARAMS + CASE_V_CLOSED_FORM_PARAMS,
+    ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}",
 )
 def test_oracle_is_orthogonal_for_the_closed_form_moments_of_cases_i_and_ii(params):
-    # each P_{m,n} is orthogonal to every monomial of lower degree
+    # each P_{m,n} is orthogonal to every monomial of lower degree; the
+    # inputs include case V's draws, whose moments are closed forms too
     t = build_oracle(params, 6)
     assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax)) == 0
-    # a mutant with (beta)_{i+j+1}
+    # a mutant with (beta)_{i+j+1}, or (k2 + i + 1)_j in case V
     assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax, shift=1)) > 0
 
 

@@ -86,10 +86,14 @@ def test_full_suite_reports_a_non_int_nmax(nmax):
     ]
 
 
-def test_action_formulas_need_depth():
-    p = CaseParams("IX", F(3))
-    with pytest.raises(ValueError):
-        check_action_formulas(build_oracle(p, 1), commuting_ops(p))
+@pytest.mark.parametrize("nmax", [0, 1])
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_passes_on_one_or_two_levels(case, nmax):
+    # every check, the action formulas included, holds from level 0 up
+    for seed in range(2):
+        report = full_suite(sample_params(case, random.Random(seed)), nmax)
+        assert report.passed, report.failures()[:3]
+        assert any(r.name.startswith("action-I1(") for r in report.results)
 
 
 def test_action_formula_trivial_rows():

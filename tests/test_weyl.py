@@ -374,7 +374,7 @@ def test_generic_at_rejects_a_float_level(N):
     # enter as 3602879701896397/36028797018963968
     q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
     for op in (generic_operators("I").raising[0], GenericOp.generator(4)):
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
+        with pytest.raises(ValueError, match=f"^N must be an int or a Fraction, not {N!r}$"):
             op.at(q, N)
 
 
@@ -383,5 +383,5 @@ def test_generic_at_rejects_a_bool_level(N):
     # True is an int to isinstance, but no level: it would enter as N = 1
     q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
     for op in (generic_operators("I").raising[0], GenericOp.generator(4)):
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
+        with pytest.raises(ValueError, match=f"^N must be an int or a Fraction, not {N!r}$"):
             op.at(q, N)
