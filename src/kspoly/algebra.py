@@ -77,6 +77,9 @@ class _Unreduced:
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
+    def __str__(self) -> str:
+        return str(self.fraction())
+
     def __bool__(self) -> bool:
         return self.numerator != 0
 
@@ -338,6 +341,10 @@ class Terms:
                 raise ValueError(f"record {r}: indices must be unique integers")
             terms[key] = parse_rational(r["c"])
         return terms
+
+    def __str__(self) -> str:
+        # the subclasses of this package write their own symbols
+        return signed_sum(self.lowest_terms(), self.FIELDS, join="*")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"

@@ -11,8 +11,9 @@ as symbols: generic_operators(case) holds one case's L, commuting family,
 raising operators and edge operators in one cached record, and each
 parameter triple (and N) specialises that one formula.  The recurrence
 tails and action rows are each written once too, by ring operations on
-whatever scalars the caller passes; recurrence_step and action_relations
-are their checked numeric wrappers.
+whatever scalars the caller passes; action_relations is the rows' checked
+numeric wrapper, and recurrence_step the checked wrapper of one table's
+_recurrence_steps, whose unreduced pairs build_recurrence reads directly.
 
 Cases IV, VI and VII factor into products of classical one-variable
 polynomials and are intentionally not covered.
@@ -444,11 +445,13 @@ class RecurrenceStep(NamedTuple):
     point, zero coefficients and out-of-range indices included;
     triangle.stencil_sum, the one place the rule is enforced, raises
     StencilError when an out-of-range point carries a nonzero coefficient.
+    The coefficients are Fractions, or inside build_recurrence unreduced
+    pairs (algebra._Unreduced).
     """
 
     target: tuple[int, int]
     source: tuple[int, int]
-    tail: tuple[tuple[int, int, Fraction], ...]
+    tail: tuple[tuple[int, int, Fraction | _Unreduced], ...]
 
 
 def _unreduced_params(params: CaseParams) -> tuple[_Unreduced, _Unreduced, _Unreduced]:
@@ -461,19 +464,38 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
     """The recurrence producing P_{m+1,n} (axis x) or P_{m,n+1} (axis y)
     from levels m+n and m+n-1.
 
-    It checks the node, runs _recurrence_tail on unreduced integer pairs
-    (algebra._Unreduced) and reduces each coefficient to a Fraction once."""
+    It checks the axis and the node, takes the step from one table's
+    _recurrence_steps, and reduces each coefficient to a Fraction once."""
     if axis not in ("x", "y"):
         raise ValueError(f"unknown axis {axis!r}")
     _check_node(m, n)
+    target, source, tail = _recurrence_steps(params)(axis, m, n)
+    return RecurrenceStep(target, source, tuple((mm, nn, q.fraction()) for mm, nn, q in tail))
+
+
+def _recurrence_steps(params: CaseParams) -> Callable[[str, int, int], RecurrenceStep]:
+    """One table's steps: step(axis, m, n) is recurrence_step's step, axis
+    and node unchecked, its coefficients left unreduced pairs.  Each (N,
+    offsets) denominator is checked once, by the first step that needs it."""
+    case_id = params.case_id
     b, k1, k2 = _unreduced_params(params)
-    N = m + n
-    ctx = f"case {params.case_id} recurrence at (m,n)=({m},{n})"
-    target = (m + 1, n) if axis == "x" else (m, n + 1)
-    tail = _recurrence_tail(
-        params.case_id, axis, b, k1, k2, m, n, lambda offsets: _denominator(b, N, offsets, ctx)
-    )
-    return RecurrenceStep(target, (m, n), tuple((m + dm, n + dn, q.fraction()) for dm, dn, q in tail))
+    dens: dict[tuple[int, tuple[int, ...]], _Unreduced] = {}
+
+    def step(axis: str, m: int, n: int) -> RecurrenceStep:
+        N = m + n
+
+        def den(offsets: tuple[int, ...]) -> _Unreduced:
+            d = dens.get((N, offsets))
+            if d is None:
+                ctx = f"case {case_id} recurrence at (m,n)=({m},{n})"
+                d = dens[(N, offsets)] = _denominator(b, N, offsets, ctx)
+            return d
+
+        tail = _recurrence_tail(case_id, axis, b, k1, k2, m, n, den)
+        target = (m + 1, n) if axis == "x" else (m, n + 1)
+        return RecurrenceStep(target, (m, n), tuple((m + dm, n + dn, q) for dm, dn, q in tail))
+
+    return step
 
 
 def _recurrence_tail(case_id: str, axis: str, b, k1, k2, m, n, den) -> tuple:

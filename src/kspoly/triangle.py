@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps escapes
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple
 
 from .algebra import ONE, BivariatePoly, Scalar, _check_index, _Unreduced, parse_rational, signed_sum
 from .catalog import (
     CaseParams,
     RecurrenceStep,
+    _recurrence_steps,
     action_relations,
     commuting_ops,
     eigenvalue,
@@ -90,44 +91,53 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
     fraction-free elimination with exact division does (Bareiss 1968).
     Write -1 / (lambda_d - lambda_N) = fn_d / fd_d in lowest terms and let
     dL be the denominator of L's images; then D_N is dL^N times the product
-    of fd_d over the d < N with lambda_d != lambda_N.  The residual,
+    of fd_d over the d < N with lambda_d != lambda_N.  Once per table, x^i
+    y^j is numbered (i+j)(i+j+1)/2 + j, so degree d is one slice, and the
+    lower image terms are kept as (number, weight) pairs.  The residual,
     (L - lambda_N) applied to the partial P, is held as integer numerators
-    over D_N in one bucket per degree.  The head is D_N x^m y^n, and from
-    degree N - 1 down, layer d of P is bucket d times fn_d, divided by fd_d:
-    it cancels bucket d.  The head and each layer add, for each of their
-    terms c x^a y^b, c * w divided by dL to the bucket of each lower term
-    w x^i y^j of the image of x^a y^b.  Every layer goes straight into the
-    entry's one dict over D_N, which is reduced once.
+    over D_N on one list indexed by that number.  The head is D_N x^m y^n,
+    and from degree N - 1 down, layer d of P is the degree-d slice times
+    fn_d, divided by fd_d: it cancels that slice.  The head and each layer
+    add, for each of their terms c x^a y^b, c * w divided by dL at each
+    lower term w x^i y^j of the image of x^a y^b.  Every layer goes straight
+    into the entry's one dict over D_N, which is reduced once.
 
     Every division is exact.  A layer reached from the head through layers
     d_1 > ... > d_k has a denominator that divides dL^k fd_(d_1)...fd_(d_k),
-    and its contributions to the buckets below have one that divides
+    and its contributions to the slices below have one that divides
     dL^(k+1) fd_(d_1)...fd_(d_k).  Both divide D_N, because k + 1 <= N: a
     layer with lower terms has degree at least 1, and the layers above it
     have distinct degrees below N.  As D_N takes all of dL^N, a contribution
-    to a bucket whose eigenvalue coincides with lambda_N is exact, and so
+    to a slice whose eigenvalue coincides with lambda_N is exact, and so
     nonzero if its value is, and the coincidence is still raised.
     """
     _check_nmax(params, nmax)
     L = operator_L(params)
     images, dL = L.images, L._den
     lams = [eigenvalue(params, N) for N in range(nmax + 1)]
-    # (a, b) -> the image of x^a y^b less lambda_(a+b) x^a y^b, as
-    # (degree, key, numerator over dL) triples
-    lower: dict[tuple[int, int], list[tuple[int, tuple[int, int], int]]] = {}
+    # lambda_N = e[N] / q, so -1 / (lambda_d - lambda_N) = q / (e[N] - e[d])
+    q = lcm(*(lam.denominator for lam in lams))
+    e = [lam.numerator * (q // lam.denominator) for lam in lams]
+    # keys[k] is monomial number k; lower[k] its image less lambda x^i y^j,
+    # as (number, numerator over dL) pairs
+    keys = list(_lattice(nmax))
+    lower: list[list[tuple[int, int]]] = []
     entries: dict[tuple[int, int], BivariatePoly] = {}
-    for N, lam in enumerate(lams):
-        q, pdL = lam.denominator, lam.numerator * dL
-        # -1 / (lambda_d - lambda_N) for d < N, None where the two coincide
-        factors = [-1 / (mu - lam) if mu != lam else None for mu in lams[:N]]
-        D = dL**N * prod(f.denominator for f in factors if f is not None)
+    for N, eN in enumerate(e):
+        # (fn_d, fd_d) for d < N, fd_d > 0, None where lambda_d = lambda_N
+        factors: list[tuple[int, int] | None] = []
+        for ed in e[:N]:
+            diff = eN - ed
+            g = gcd(q, diff) if diff > 0 else -gcd(q, diff)
+            factors.append((q // g, diff // g) if diff else None)
+        D = dL**N * prod(fd for _, fd in filter(None, factors))
+        pdL = eN * dL
         head = D // dL  # the head's numerator D over dL (no lower terms at N = 0)
         for m in range(N, -1, -1):
             n = N - m
             image = dict(images[(m, n)])
             own = image.pop((m, n), 0)
-            rest = lower[(m, n)] = [(i + j, (i, j), w) for (i, j), w in image.items()]
-            d = max((e for e, _, _ in rest), default=-1)
+            d = max((i + j for i, j in image), default=-1)
             if own * q != pdL:  # the residual keeps a multiple of x^m y^n
                 d = max(d, N)
             if d >= N:
@@ -135,15 +145,17 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                     f"residual degree {d} did not drop below {N} at "
                     f"(m,n)=({m},{n}) for {params}"
                 )
-            # numerators over D: buckets[d] the residual's degree-d terms,
-            # out the head and the layers of P
-            buckets = [{} for _ in range(N)]
-            for e, key, w in rest:
-                buckets[e][key] = head * w
+            rest = [((i + j) * (i + j + 1) // 2 + j, w) for (i, j), w in image.items()]
+            lower.append(rest)
+            # numerators over D: residual[k] the residual's term at number k
+            # (all of degree below N), out the head and the layers of P
+            residual = [0] * (N * (N + 1) // 2)
+            for k, w in rest:
+                residual[k] = head * w
             out: dict[tuple[int, int], int] = {(m, n): D}
             for d in range(N - 1, -1, -1):
-                bucket = buckets[d]
-                if not any(bucket.values()):
+                start, stop = d * (d + 1) // 2, (d + 1) * (d + 2) // 2
+                if not any(residual[start:stop]):
                     continue
                 factor = factors[d]
                 if factor is None:
@@ -151,15 +163,15 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
                         f"eigenvalues of degrees {d} and {N} coincide at "
                         f"(m,n)=({m},{n}) for {params}"
                     )
-                fn, fd = factor.numerator, factor.denominator
-                for mono, c in bucket.items():
+                fn, fd = factor
+                for k in range(start, stop):
+                    c = residual[k]
                     if not c:
                         continue
-                    c = out[mono] = c * fn // fd
-                    c //= dL  # exact wherever lower[mono] is not empty
-                    for e, key, w in lower[mono]:
-                        b = buckets[e]
-                        b[key] = b.get(key, 0) + c * w
+                    c = out[keys[k]] = c * fn // fd
+                    c //= dL  # exact wherever lower[k] is not empty
+                    for k2, w in lower[k]:
+                        residual[k2] += c * w
             entries[(m, n)] = BivariatePoly._wrap(out, D)
     return Triangle(params, nmax, "oracle", entries)
 
@@ -187,7 +199,7 @@ def _recurrence_route(case_id: str, a: int, c: int) -> tuple[str, tuple[int, int
 
 def stencil_sum(
     entries: dict[tuple[int, int], BivariatePoly],
-    terms: Iterable[tuple[int, int, Scalar]],
+    terms: Iterable[tuple[int, int, Scalar | _Unreduced]],
     extra: Iterable[tuple] = (),
     scale: Scalar | _Unreduced = 1,
 ) -> BivariatePoly:
@@ -199,7 +211,8 @@ def stencil_sum(
     The one place the stencil rule is enforced: an operand with a zero
     coefficient is skipped, in terms and in extra alike, and a nonzero
     coefficient on a point outside the triangle is a coefficient-table bug,
-    raised as StencilError naming c as given.
+    raised as StencilError naming c as given, an unreduced pair by its
+    reduced value.
     """
     operands = [operand for operand in extra if operand[0]]
     sn, sd = scale.numerator, scale.denominator
@@ -240,18 +253,20 @@ def build_recurrence(
 
     Cases III and VIII use their x-relation for every target off the right
     edge (III's right edge and VIII's left edge have no one-variable
-    reduction); the other cases advance from both edges.  The optional
-    access_log records every (axis, offset) read for stencil audits.
+    reduction); the other cases advance from both edges, on the unreduced
+    pairs of one catalog._recurrence_steps.  The optional access_log records
+    every (axis, offset) read for stencil audits.
     """
     _check_nmax(params, nmax)
     entries = {
         key: p for key, p in seed_polys(params).items() if key[0] + key[1] <= nmax
     }
+    steps = _recurrence_steps(params)
     for T in range(2, nmax + 1):
         for a in range(T, -1, -1):
             c = T - a
             axis, source = _recurrence_route(params.case_id, a, c)
-            step = recurrence_step(params, axis, *source)
+            step = steps(axis, *source)
             if step.target != (a, c):
                 raise StencilError(f"route to ({a},{c}) reads the step {source} -> {step.target}")
             entries[(a, c)] = _apply_step(step, entries, access_log)

@@ -9,10 +9,12 @@ is equal; all identity checks in this package reduce to that comparison.
 Each operator memoises its action on monomials, read through its one
 accessor ``DiffOp.images`` by ``algebra._sum`` (``apply`` is one ``_sum``,
 and so is a ``BivariatePoly.combination`` with operator operands) and by the
-oracle's back-substitution: ``images[(a, b)]`` is the image of x^a y^b as integer numerators over the
-operator's denominator, computed on the first lookup.  The memo is a cache
-of exact values, so results and their storage are those of the term-by-term
-rule, and equality and hashing ignore it.
+oracle's back-substitution: ``images[(a, b)]`` is the image of x^a y^b as
+integer numerators over the operator's denominator, computed on the first
+lookup from the operator's terms, grouped once by derivative order (k, l),
+with one falling-factorial product a!/(a-k)! b!/(b-l)! per group.  The memo
+is a cache of exact values, so results and their storage are those of the
+term-by-term rule, and equality and hashing ignore it.
 
 ``GenericOp`` is the same algebra with coefficients in Q[beta, kappa1,
 kappa2, N]: the parameters and the level index N are central, so an
@@ -57,16 +59,20 @@ def _op_key(item: tuple[Key, Fraction]) -> tuple[int, ...]:
 
 class _Images(dict):
     """(a, b) -> the image of x^a y^b under the operator whose terms are
-    ``num``, computed by ``DiffOp._image`` on first lookup.  It holds the
-    terms, not the operator, so the two form no reference cycle."""
+    ``num``, computed by ``DiffOp._image`` on first lookup from the terms
+    grouped once by derivative order, as (k, l, ((i, j, c), ...)).  It holds
+    the groups, not the operator, so the two form no reference cycle."""
 
-    __slots__ = ("_num",)
+    __slots__ = ("_groups",)
 
     def __init__(self, num: dict[Key, int]):
-        self._num = num
+        groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for (i, j, k, l), c in num.items():
+            groups.setdefault((k, l), []).append((i, j, c))
+        self._groups = tuple((k, l, tuple(terms)) for (k, l), terms in groups.items())
 
     def __missing__(self, mono: tuple[int, int]) -> tuple[tuple[tuple[int, int], int], ...]:
-        image = self[mono] = DiffOp._image(self._num, *mono)
+        image = self[mono] = DiffOp._image(self._groups, *mono)
         return image
 
 
@@ -131,18 +137,22 @@ class DiffOp(Terms):
         return BivariatePoly._wrap(*_sum([(1, self._den * p._den, p._num, self.images)]))
 
     @staticmethod
-    def _image(num: dict[Key, int], a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
-        """The operator with term numerators ``num`` applied to x^a y^b, as
-        nonzero integer numerators over its denominator:  x^i y^j d_x^k d_y^l
-        x^a y^b = a!/(a-k)! b!/(b-l)! x^(a-k+i) y^(b-l+j), with terms sharing
-        the shift (i-k, j-l) summed."""
+    def _image(groups: tuple, a: int, b: int) -> tuple[tuple[tuple[int, int], int], ...]:
+        """The operator with term numerators ``groups`` (see ``_Images``)
+        applied to x^a y^b, as nonzero integer numerators over its
+        denominator:  x^i y^j d_x^k d_y^l x^a y^b = a!/(a-k)! b!/(b-l)!
+        x^(a-k+i) y^(b-l+j), the factorials once per group (k, l), terms
+        sharing the shift (i-k, j-l) summed."""
         out: dict[tuple[int, int], int] = {}
-        for (i, j, k, l), c in num.items():
+        get = out.get
+        for k, l, terms in groups:
             if a < k or b < l:
                 continue
-            key = (a - k + i, b - l + j)
-            out[key] = out.get(key, 0) + c * (perm(a, k) * perm(b, l))
-        return tuple((key, w) for key, w in out.items() if w)
+            f, a0, b0 = perm(a, k) * perm(b, l), a - k, b - l
+            for i, j, c in terms:
+                key = (a0 + i, b0 + j)
+                out[key] = get(key, 0) + c * f
+        return tuple([(key, w) for key, w in out.items() if w])
 
     def __str__(self) -> str:
         return signed_sum(self.lowest_terms(), ("x", "y", "Dx", "Dy"), join="*")

@@ -11,6 +11,7 @@ from kspoly.algebra import (
     X,
     Y,
     BivariatePoly,
+    Terms,
     _check_exact,
     _check_index,
     _Unreduced,
@@ -322,6 +323,20 @@ def test_unreduced_matches_fraction(a, b, k):
         assert type(got.fraction()) is F
         assert got.fraction() == expected
         assert bool(got) == bool(expected)
+        assert str(got) == str(expected)  # a pair is written by its reduced value
+
+
+def test_a_terms_subclass_without_its_own_str_prints():
+    # Terms.__repr__ formats str(self); with no Terms.__str__ that was
+    # object.__str__, which calls __repr__ again, until RecursionError
+    class Single(Terms):
+        __slots__ = ()
+        FIELDS = ("t",)
+        _order = staticmethod(lambda item: item[0])
+
+    s = Single({(2,): F(-3, 4), (0,): 1, (1,): -1})
+    assert repr(s) == "Single(1 - t - 3/4*t^2)"
+    assert str(Single()) == "0"
 
 
 def test_unreduced_zero_divisor_and_sign():

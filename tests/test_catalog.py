@@ -15,7 +15,7 @@ from operator import add, itemgetter
 import pytest
 
 import kspoly
-from kspoly.algebra import ONE, X, Y, Terms, _Unreduced, signed_sum
+from kspoly.algebra import ONE, X, Y, Terms, _Unreduced
 from kspoly.catalog import (
     CASES,
     CaseParams,
@@ -1663,7 +1663,7 @@ def test_zero_numerator_over_a_vanishing_factor_still_raises(case, axis):
 class Poly(Terms):
     """A polynomial over Q in (beta, kappa1, kappa2, m, n): the ring that the
     catalog's formula bodies need, run on _Unreduced pairs of these.  Terms
-    gives + of two Polys, -, scalar * and the records; this adds scalar
+    gives + of two Polys, -, scalar *, the records and str; this adds scalar
     lifting, the product and evaluation."""
 
     __slots__ = ()
@@ -1699,9 +1699,6 @@ class Poly(Terms):
 
     def __eq__(self, other):
         return Terms.__eq__(self, Poly.lift(other))
-
-    def __str__(self):
-        return signed_sum(self.lowest_terms(), ("b", "k1", "k2", "m", "n"), join="*")
 
     def at(self, point):
         # a point of numbers gives a Fraction; one with Polys in it, a Poly

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kspoly import triangle
+from kspoly import catalog, triangle
 from kspoly.algebra import ONE, BivariatePoly, X, Y, _Unreduced, rising_factorial
 from kspoly.catalog import (
     CASES,
@@ -481,6 +481,25 @@ def test_beta_one_fails_before_any_recurrence_step(case, monkeypatch):
     assert steps == []
 
 
+def test_recurrence_forms_each_levels_denominators_once(monkeypatch):
+    # case I's steps divide by two structural denominators, both fixed by
+    # the source level: a table at nmax 8 reads 42 steps from levels 1..7
+    calls = []
+    true_denominator = catalog._denominator
+
+    def spy(b, N, offsets, context):
+        calls.append((N, offsets))
+        return true_denominator(b, N, offsets, context)
+
+    monkeypatch.setattr(catalog, "_denominator", spy)
+    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7))
+    t = build_recurrence(p, 8)
+    assert len(calls) == 14 and sorted(set(calls)) == sorted(calls)
+    assert {N for N, _ in calls} == set(range(1, 8))
+    monkeypatch.undo()
+    assert t.same_polys(build_oracle(p, 8))
+
+
 def test_oracle_guard_rejects_degree_raising_operator(monkeypatch):
     true_L = triangle.operator_L
     x = DiffOp({(1, 0, 0, 0): 1})  # multiplication by x raises the degree
@@ -728,6 +747,9 @@ def test_out_of_range_nonzero_coefficient_raises():
         _apply_step(fake, {(0, 0): ONE})
     with pytest.raises(StencilError, match=r"coefficient 1 multiplies out-of-range entry \(-1,0\)"):
         stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(1))))
+    # an unreduced pair, as build_recurrence passes, is named by its value
+    with pytest.raises(StencilError, match=r"coefficient -1/2 multiplies out-of-range entry \(-1,0\)$"):
+        stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, _Unreduced(2, -4))))
     # a zero coefficient outside the triangle is skipped
     assert stencil_sum({(0, 0): ONE}, ((0, 0, F(2)), (-1, 0, F(0)))) == 2 * ONE
 
