@@ -52,6 +52,14 @@ def _check_index(name: str, value: object) -> None:
         raise ParameterError(f"{name} must be nonnegative, not {value}")
 
 
+def _check_choice(name: str, value: object, choices: tuple[str, ...]) -> None:
+    """The package's one choice rule, for a case, axis, variable or builder:
+    one of a tuple of names, compared by ==, so an unhashable value is
+    refused by this rule too."""
+    if value not in choices:
+        raise ParameterError(f"{name} must be one of {', '.join(choices)}, not {value!r}")
+
+
 def rising_factorial(z: Scalar, n: int) -> Fraction:
     """z(z+1)...(z+n-1); the empty product (n=0) is 1."""
     _check_exact("rising factorial argument", z)
@@ -115,8 +123,7 @@ class _Unreduced:
         return _Unreduced(other * self.denominator, self.numerator)
 
     def __pow__(self, k: int) -> _Unreduced:
-        if k < 0:
-            raise ValueError("only nonnegative integer powers")
+        _check_index("power", k)
         return _Unreduced(self.numerator**k, self.denominator**k)
 
 
@@ -370,11 +377,8 @@ class BivariatePoly(Terms):
 
     @classmethod
     def variable(cls, name: str) -> "BivariatePoly":
-        if name == "x":
-            return cls({(1, 0): Fraction(1)})
-        if name == "y":
-            return cls({(0, 1): Fraction(1)})
-        raise ValueError(f"unknown variable {name!r}")
+        _check_choice("variable", name, ("x", "y"))
+        return cls({(1, 0) if name == "x" else (0, 1): Fraction(1)})
 
     @classmethod
     def monomial(cls, i: int, j: int, c: Scalar = 1) -> "BivariatePoly":

@@ -26,16 +26,11 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .algebra import ONE, X, Y, BivariatePoly, _check_exact, _check_index, _Unreduced
+from .algebra import ONE, X, Y, BivariatePoly, _check_choice, _check_exact, _check_index, _Unreduced
 from .errors import ParameterError
 from .weyl import DiffOp, GenericOp
 
 CASES = ("I", "II", "III", "V", "VIII", "IX")
-
-
-def _check_case(case_id: str) -> None:
-    if case_id not in CASES:
-        raise ParameterError(f"unknown case {case_id!r}; supported cases: {', '.join(CASES)}")
 
 
 class CaseParams:
@@ -75,7 +70,7 @@ class CaseParams:
         self.__post_init__()
 
     def __post_init__(self):
-        _check_case(self.case_id)
+        _check_choice("case", self.case_id, CASES)
         for name in ("beta", "kappa1", "kappa2"):
             value = getattr(self, name)
             _check_exact(name, value)
@@ -200,7 +195,7 @@ _SYMBOLS = (GenericOp({(0,) * 8: 1}), *map(GenericOp.generator, range(8)))
 @lru_cache(maxsize=None)
 def generic_operators(case_id: str) -> GenericOperators:
     """The case's operators, built once from its formulas (see GenericOperators)."""
-    _check_case(case_id)
+    _check_choice("case", case_id, CASES)
     one, x, y, dx, dy, b, k1, k2, n = _SYMBOLS
     g, g1 = b + 2 * n, b + n - one
     if case_id == "I":
@@ -384,9 +379,8 @@ def raising_relation(case_id: str, axis: str, L: GenericOp, r: GenericOp) -> Gen
     both cleared of the denominator.  It vanishes for every parameter triple
     and N exactly when the relation holds; its .at(params, N) is the relation
     at one sample."""
-    _check_case(case_id)
-    if axis not in ("x", "y"):
-        raise ValueError(f"unknown axis {axis!r}")
+    _check_choice("case", case_id, CASES)
+    _check_choice("axis", axis, ("x", "y"))
     one, x, y, _, _, b, _, _, n = _SYMBOLS
     if case_id == "VIII" or (case_id, axis) == ("V", "x"):
         return L.commutator(r) - b @ r
@@ -407,8 +401,7 @@ def quadratic_relations(
 ) -> tuple[GenericOp, GenericOp]:
     """The residuals of the two case IX quadratic relations among L and
     I_1..I_4, zero for every beta exactly when the relations hold."""
-    if case_id != "IX":
-        raise ValueError("quadratic relations apply to case IX only")
+    _check_choice("quadratic relation case", case_id, ("IX",))
     one, _, _, _, _, b, *_ = _SYMBOLS
     i1, i2, i3, i4 = commuting
     first = i1 + i2 + i3 @ i3 + L
@@ -466,8 +459,7 @@ def recurrence_step(params: CaseParams, axis: str, m: int, n: int) -> Recurrence
 
     It checks the axis and the node, takes the step from one table's
     _recurrence_steps, and reduces each coefficient to a Fraction once."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"unknown axis {axis!r}")
+    _check_choice("axis", axis, ("x", "y"))
     _check_node(m, n)
     target, source, tail = _recurrence_steps(params)(axis, m, n)
     return RecurrenceStep(target, source, tuple((mm, nn, q.fraction()) for mm, nn, q in tail))

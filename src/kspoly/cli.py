@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 from random import Random
 
-from .algebra import _check_index, parse_rational
+from .algebra import _check_choice, _check_index, parse_rational
 from .catalog import (
     CASES,
     CaseParams,
@@ -109,12 +109,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise KspolyError(f"--trials must be at least 1, not {args.trials}")
     _check_index("--nmax", args.nmax)
+    _check_choice("--case", args.case, (*CASES, "all"))
     cases = list(CASES) if args.case == "all" else [args.case]
-    for case in cases:
-        if case not in CASES:
-            raise KspolyError(
-                f"unknown case {case!r}; supported cases: {', '.join(CASES)} or 'all'"
-            )
     rng = Random(args.seed)
     documents = []
     all_passed = True

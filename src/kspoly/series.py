@@ -13,7 +13,8 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Union
 
 from .algebra import (
-    BivariatePoly, Scalar, Terms, _check_exact, _check_index, _sum, rising_factorial, signed_sum
+    BivariatePoly, Scalar, Terms, _check_choice, _check_exact, _check_index, _sum,
+    rising_factorial, signed_sum,
 )
 from .catalog import CaseParams
 from .errors import ParameterError
@@ -135,8 +136,7 @@ class Series2(Terms):
 
     def diff(self, var: str) -> "Series2":
         """d/ds or d/dt: shift-and-scale; the result truncates one order lower."""
-        if var not in ("s", "t"):
-            raise ValueError(f"unknown series variable {var!r}")
+        _check_choice("series variable", var, ("s", "t"))
         if self.order == 0:
             raise ValueError("an order-0 truncation determines no derivative terms")
         if var == "s":
@@ -241,11 +241,7 @@ def genfun(params: CaseParams, order: int) -> Series2:
           + 6 beta((beta x + kappa1) s + (beta y + kappa2) t)) / (6 beta^2))
     """
     c = params.case_id
-    if c not in GENFUN_CASES:
-        raise ParameterError(
-            f"no generating function is available for case {c}; "
-            f"supported cases: {', '.join(GENFUN_CASES)}"
-        )
+    _check_choice("genfun case", c, GENFUN_CASES)
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     if c == "IX":
         u = {(1, 0, 1, 0): -2, (0, 1, 0, 1): -2, (2, 0, 0, 0): 1, (0, 2, 0, 0): 1}
@@ -322,8 +318,7 @@ def genfun_derivative_residuals(
       (beta-t)^2 dG/dt - 2s(beta-t) dG/ds - (beta^2 y + kappa2 (beta-t)
                                              - kappa1 s) G
     """
-    if params.case_id != "V":
-        raise ParameterError("the derivative identities belong to case V")
+    _check_choice("derivative identity case", params.case_id, ("V",))
     # an order-0 expansion raises here, before any other work
     dgs, dgt = expansion.diff("s"), expansion.diff("t")
     b, k1, k2 = params.beta, params.kappa1, params.kappa2

@@ -17,7 +17,9 @@ from json.encoder import encode_basestring_ascii as _encode_str  # as json.dumps
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple
 
-from .algebra import ONE, BivariatePoly, Scalar, _check_index, _Unreduced, parse_rational, signed_sum
+from .algebra import (
+    ONE, BivariatePoly, Scalar, _check_choice, _check_index, _Unreduced, parse_rational, signed_sum
+)
 from .catalog import (
     CaseParams,
     RecurrenceStep,
@@ -412,8 +414,7 @@ def triangle_from_json(doc: object) -> Triangle:
     if not isinstance(doc["polys"], list):
         raise ValueError("polys must be a list of {m, n, terms} objects")
     method = doc.get("method", "oracle")
-    if not isinstance(method, str) or method not in BUILDERS:
-        raise ValueError(f"method must name a builder ({', '.join(BUILDERS)}), not {method!r}")
+    _check_choice("method", method, tuple(BUILDERS))
     params = CaseParams(
         doc["case"],
         parse_rational(doc["beta"]),

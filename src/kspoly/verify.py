@@ -14,7 +14,7 @@ from itertools import product
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import BivariatePoly, Terms
+from .algebra import BivariatePoly, Terms, _check_choice
 from .catalog import (
     CaseParams,
     GenericOperators,
@@ -189,8 +189,7 @@ def check_swap_symmetry(t: Triangle) -> VerificationReport:
     t is compared with the oracle table at the swapped kappas, which is t
     itself when the swap leaves the parameters unchanged."""
     p = t.params
-    if p.case_id not in ("I", "IX"):
-        raise ValueError("the swap symmetry holds for cases I and IX")
+    _check_choice("swap symmetry case", p.case_id, ("I", "IX"))
     swapped = CaseParams(p.case_id, p.beta, p.kappa2, p.kappa1)
     t_swapped = t if swapped == p else build_oracle(swapped, t.nmax)
     pairs = (((m, n), t.entry(m, n).swap_vars(), t_swapped.entry(n, m)) for m, n in t.nodes())
@@ -210,8 +209,7 @@ def check_ix_to_i_map(t9: Triangle) -> VerificationReport:
     and 11 at an even nmax).  A block with no node (e1 + e2 > nmax) has no
     entry."""
     p9 = t9.params
-    if p9.case_id != "IX":
-        raise ValueError("first triangle must be case IX")
+    _check_choice("ix-to-i case", p9.case_id, ("IX",))
     report = VerificationReport(p9)
     for e1, e2 in product((0, 1), repeat=2):
         if e1 + e2 > t9.nmax:
@@ -239,8 +237,7 @@ def check_genfun_agreement(t: Triangle) -> VerificationReport:
     failing, genfun entry.  Case V's derivative identities, genfun-diff-s
     and genfun-diff-t, read one order more of the same expansion."""
     params = t.params
-    if params.case_id not in GENFUN_CASES:
-        raise ValueError(f"generating-function checks apply to cases {', '.join(GENFUN_CASES)}")
+    _check_choice("genfun case", params.case_id, GENFUN_CASES)
     derivatives = params.case_id == "V"
     report = VerificationReport(params)
     expansion = None

@@ -12,6 +12,7 @@ from kspoly.algebra import (
     Y,
     BivariatePoly,
     Terms,
+    _check_choice,
     _check_exact,
     _check_index,
     _Unreduced,
@@ -19,8 +20,18 @@ from kspoly.algebra import (
     rational_text,
     rising_factorial,
 )
+from kspoly.catalog import (
+    CaseParams,
+    generic_operators,
+    quadratic_relations,
+    raising_relation,
+    recurrence_step,
+)
+from kspoly.cli import build_parser, cmd_check
 from kspoly.errors import KspolyError, ParameterError
-from kspoly.series import Series2
+from kspoly.series import Series2, genfun, genfun_derivative_residuals
+from kspoly.triangle import build_oracle, triangle_from_json, triangle_to_json
+from kspoly.verify import check_genfun_agreement, check_ix_to_i_map, check_swap_symmetry
 from kspoly.weyl import DiffOp, GenericOp
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -228,6 +239,93 @@ def test_one_index_rule_and_one_exact_scalar_rule():
     for good in (0, 3, F(-1, 2)):
         _check_exact("c", good)
     _check_index("k", 0)
+    _check_choice("axis", "y", ("x", "y"))
+
+
+def _table(case, nmax=2):
+    kappas = () if case == "IX" else (F(1, 3), F(-1, 5))
+    return build_oracle(CaseParams(case, F(7, 2), *kappas), nmax)
+
+
+def _relation(check, *args):
+    source = generic_operators("I")
+    return check(*args, source.L, source.raising[0])
+
+
+CASE_LIST = "I, II, III, V, VIII, IX"
+
+# every site that picks an object by name: (call with a bad value, its message)
+CHOICE_SITES = {
+    "CaseParams": (lambda: CaseParams("IV", F(2)), f"case must be one of {CASE_LIST}, not 'IV'"),
+    "CaseParams-unhashable": (
+        lambda: CaseParams({"x": [1]}, F(2)),
+        f"case must be one of {CASE_LIST}, not {{'x': [1]}}",
+    ),
+    "generic_operators": (
+        lambda: generic_operators("IV"),
+        f"case must be one of {CASE_LIST}, not 'IV'",
+    ),
+    "raising_relation-case": (
+        lambda: _relation(raising_relation, "IV", "x"),
+        f"case must be one of {CASE_LIST}, not 'IV'",
+    ),
+    "raising_relation-axis": (
+        lambda: _relation(raising_relation, "I", "z"),
+        "axis must be one of x, y, not 'z'",
+    ),
+    "recurrence_step": (
+        lambda: recurrence_step(CaseParams("I", F(7, 2)), "xy", 0, 0),
+        "axis must be one of x, y, not 'xy'",
+    ),
+    "quadratic_relations": (
+        lambda: quadratic_relations("I", ONE, ()),
+        "quadratic relation case must be one of IX, not 'I'",
+    ),
+    "Series2.diff": (
+        lambda: Series2.one(2).diff("x"),
+        "series variable must be one of s, t, not 'x'",
+    ),
+    "genfun": (
+        lambda: genfun(CaseParams("II", F(7, 2)), 2),
+        "genfun case must be one of V, VIII, IX, not 'II'",
+    ),
+    "genfun_derivative_residuals": (
+        lambda: genfun_derivative_residuals(CaseParams("IX", F(7, 2)), Series2.one(2)),
+        "derivative identity case must be one of V, not 'IX'",
+    ),
+    "check_swap_symmetry": (
+        lambda: check_swap_symmetry(_table("II")),
+        "swap symmetry case must be one of I, IX, not 'II'",
+    ),
+    "check_ix_to_i_map": (
+        lambda: check_ix_to_i_map(_table("I")),
+        "ix-to-i case must be one of IX, not 'I'",
+    ),
+    "check_genfun_agreement": (
+        lambda: check_genfun_agreement(_table("I")),
+        "genfun case must be one of V, VIII, IX, not 'I'",
+    ),
+    "BivariatePoly.variable": (
+        lambda: BivariatePoly.variable("z"),
+        "variable must be one of x, y, not 'z'",
+    ),
+    "triangle_from_json": (
+        lambda: triangle_from_json({**triangle_to_json(_table("IX", 1)), "method": {"x": [1]}}),
+        "method must be one of oracle, recurrence, ladder, transfer, not {'x': [1]}",
+    ),
+    "cmd_check": (
+        lambda: cmd_check(build_parser().parse_args(["check", "--case", "IV"])),
+        f"--case must be one of {CASE_LIST}, all, not 'IV'",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", CHOICE_SITES)
+def test_one_choice_rule_refuses_a_bad_choice_at_every_site(site):
+    call, message = CHOICE_SITES[site]
+    with pytest.raises(ParameterError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 # -- rising factorial --------------------------------------------------------
@@ -263,7 +361,7 @@ def test_rising_factorial_rejects_a_float_or_a_bool(z, n, message):
 
 
 def test_polynomials_reject_an_unknown_variable_and_a_negative_power():
-    with pytest.raises(ValueError, match="^unknown variable 'z'$"):
+    with pytest.raises(ParameterError, match="^variable must be one of x, y, not 'z'$"):
         BivariatePoly.variable("z")
     with pytest.raises(ValueError, match="^polynomial power must be nonnegative, not -1$"):
         X**-1
@@ -346,8 +444,17 @@ def test_unreduced_zero_divisor_and_sign():
             divide()
     assert not zero and (zero**0).fraction() == 1
     assert str(_Unreduced(6, -4).fraction()) == "-3/2"
-    with pytest.raises(ValueError):
-        _Unreduced(1, 2) ** -1
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(2.0, "an int, not 2.0"), (True, "an int, not True"), (-1, "nonnegative, not -1")],
+    ids=["float", "bool", "negative"],
+)
+def test_unreduced_power_takes_an_index(k, message):
+    # unchecked, 2.0 gives float parts that fraction() cannot read, and True reads as 1
+    with pytest.raises(ParameterError, match=f"^power must be {message}$"):
+        _Unreduced(2, 3) ** k
 
 
 # -- ring properties -----------------------------------------------------------

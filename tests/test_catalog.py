@@ -650,7 +650,7 @@ def test_generic_operators_reject_unknown_case():
         with pytest.raises(ParameterError) as caught:
             build("IV")
         messages.append(str(caught.value))
-    assert messages == ["unknown case 'IV'; supported cases: I, II, III, V, VIII, IX"] * 2
+    assert messages == ["case must be one of I, II, III, V, VIII, IX, not 'IV'"] * 2
 
 
 def test_public_api_binds_exactly_all(monkeypatch):
@@ -983,14 +983,14 @@ def test_raising_commutators_hold():
 
 def test_relations_reject_an_unknown_axis_and_a_non_ix_quadratic_call():
     source = generic_operators("I")
-    with pytest.raises(ValueError, match="unknown axis 'z'"):
+    with pytest.raises(ParameterError, match="^axis must be one of x, y, not 'z'$"):
         raising_relation("I", "z", source.L, source.raising[0])
-    with pytest.raises(ValueError, match="case IX only"):
+    with pytest.raises(ParameterError, match="^quadratic relation case must be one of IX, not 'I'$"):
         quadratic_relations("I", source.L, source.commuting)
     # an unknown case is refused as generic_operators refuses it, not read
     # as case I-III
     for bad in ("IV", "Z", None):
-        with pytest.raises(ParameterError, match=f"^unknown case {re.escape(repr(bad))}; supported"):
+        with pytest.raises(ParameterError, match=f"^case must be one of .*, not {re.escape(repr(bad))}$"):
             raising_relation(bad, "x", source.L, source.raising[0])
 
 
@@ -1011,7 +1011,7 @@ def test_action_rows_reject_a_node_as_recurrence_step_does(case):
 
 
 def test_recurrence_step_rejects_an_unknown_axis():
-    with pytest.raises(ValueError, match="^unknown axis 'z'$"):
+    with pytest.raises(ParameterError, match="^axis must be one of x, y, not 'z'$"):
         recurrence_step(P2["I"], "z", 0, 0)
 
 

@@ -282,7 +282,7 @@ def test_check_runs_every_case_on_one_or_two_levels(tmp_path, capsys, nmax):
 
 def test_check_unknown_case(capsys):
     assert run("check", "--case", "VII", "--trials", "1") == 2
-    assert "unknown case" in capsys.readouterr().err
+    assert "--case must be one of I, II, III, V, VIII, IX, all, not 'VII'" in capsys.readouterr().err
 
 
 def test_check_detects_corrupted_catalog(monkeypatch):
@@ -354,7 +354,7 @@ def test_gf_rejects_invalid_beta_by_the_rule(capsys):
 def test_gf_unsupported_case(capsys):
     assert run("gf", "--case", "II", "--beta", "3", "--order", "3") == 2
     err = capsys.readouterr().err
-    assert "no generating function" in err and "II" in err
+    assert "genfun case must be one of V, VIII, IX, not 'II'" in err
 
 
 def test_export_roundtrip(tmp_path):
@@ -424,8 +424,10 @@ def _fractional_exponent(doc):
         (lambda d: [d], "must be an object"),
         (_retype_m(float), "m and n must be integers"),
         (_retype_m(bool), "m and n must be integers"),
-        (lambda d: {**d, "method": {"x": [1]}}, "method must name a builder"),
-        (lambda d: {**d, "method": "guess"}, "method must name a builder"),
+        (lambda d: {**d, "method": {"x": [1]}},
+         "method must be one of oracle, recurrence, ladder, transfer, not {'x': [1]}"),
+        (lambda d: {**d, "method": "guess"},
+         "method must be one of oracle, recurrence, ladder, transfer, not 'guess'"),
         (_numeric_coefficient, "not an exact rational: 3"),
         (lambda d: {**d, "beta": "-3"}, "violates the rule"),
     ],

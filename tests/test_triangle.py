@@ -264,14 +264,21 @@ def moments(params, degree, shift=0):
     for which the family is orthogonal, as integers over one denominator:
     (-k1)_i (-k2)_j / (beta)_{i+j} for case I; for case II, its limit,
     (-k1)^i in place of (-k1)_i; for case V, (-k1/beta)^i (-1/beta)^j
-    (k2 + i)_j.  ``shift`` moves the Pochhammer index of beta (of k2 + i in
-    case V), for a mutant."""
+    (k2 + i)_j; for case IX, case I's at the block e = 00 in the squares,
+    (1/2)_a (1/2)_b / ((beta + 1)/2)_{a+b} at (i, j) = (2a, 2b), and 0 at
+    an odd exponent.  ``shift`` moves the Pochhammer index of beta (of k2 + i
+    in case V, of (beta + 1)/2 in case IX), for a mutant."""
     b, k1, k2 = params.beta, params.kappa1, params.kappa2
     mu = {}
     for i in range(degree + 1):
         xi = rising_factorial(-k1, i) if params.case_id == "I" else (-k1) ** i
         for j in range(degree + 1 - i):
-            if params.case_id == "V":
+            if params.case_id == "IX":
+                a, c = i // 2, j // 2
+                half = rising_factorial(F(1, 2), a) * rising_factorial(F(1, 2), c)
+                even = i % 2 == j % 2 == 0
+                mu[i, j] = half / rising_factorial((b + 1) / 2, a + c + shift) if even else F(0)
+            elif params.case_id == "V":
                 mu[i, j] = (-k1 / b) ** i * (-1 / b) ** j * rising_factorial(k2 + i + shift, j)
             else:
                 mu[i, j] = xi * rising_factorial(-k2, j) / rising_factorial(b, i + j + shift)
@@ -295,15 +302,17 @@ def nonorthogonal_pairings(t, mu):
 
 @pytest.mark.parametrize(
     "params",
-    CLOSED_FORM_PARAMS + CASE_V_CLOSED_FORM_PARAMS,
+    CLOSED_FORM_PARAMS + CASE_V_CLOSED_FORM_PARAMS + CASE_IX_CLOSED_FORM_PARAMS,
     ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}",
 )
 def test_oracle_is_orthogonal_for_the_closed_form_moments_of_cases_i_and_ii(params):
     # each P_{m,n} is orthogonal to every monomial of lower degree; the
-    # inputs include case V's draws, whose moments are closed forms too
+    # inputs include case V's and case IX's draws, whose moments are closed
+    # forms too
     t = build_oracle(params, 6)
     assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax)) == 0
-    # a mutant with (beta)_{i+j+1}, or (k2 + i + 1)_j in case V
+    # a mutant with (beta)_{i+j+1}, (k2 + i + 1)_j in case V, or
+    # ((beta + 1)/2)_{i+j+1} in case IX
     assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax, shift=1)) > 0
 
 

@@ -193,7 +193,7 @@ def test_ix_to_i_map_beta3():
 
 def test_ix_to_i_map_validates_parameters():
     image = build_oracle(CaseParams("I", F(2), F(-1, 2), F(-1, 2)), 2)
-    with pytest.raises(ValueError, match="^first triangle must be case IX$"):
+    with pytest.raises(ParameterError, match="^ix-to-i case must be one of IX, not 'I'$"):
         check_ix_to_i_map(image)
 
 
@@ -299,7 +299,7 @@ def test_swap_symmetry_case_i():
     assert report.passed
     assert check_swap_symmetry(build_oracle(swapped, 4)).passed
     t8 = build_oracle(CaseParams("VIII", F(7, 2), F(1, 3), F(-2, 5)), 2)
-    with pytest.raises(ValueError, match="^the swap symmetry holds for cases I and IX$"):
+    with pytest.raises(ParameterError, match="^swap symmetry case must be one of I, IX, not 'VIII'$"):
         check_swap_symmetry(t8)
 
 
@@ -314,7 +314,7 @@ def test_genfun_agreement_report():
 
 def test_genfun_agreement_rejects_other_cases():
     t = build_oracle(CaseParams("I", F(7, 2), F(1, 3), F(-1, 5)), 2)
-    with pytest.raises(ValueError, match="^generating-function checks apply to cases V, VIII, IX$"):
+    with pytest.raises(ParameterError, match="^genfun case must be one of V, VIII, IX, not 'I'$"):
         check_genfun_agreement(t)
 
 
