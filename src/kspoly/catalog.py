@@ -192,10 +192,15 @@ class GenericOperators(NamedTuple):
 _SYMBOLS = (GenericOp({(0,) * 8: 1}), *map(GenericOp.generator, range(8)))
 
 
-@lru_cache(maxsize=None)
 def generic_operators(case_id: str) -> GenericOperators:
-    """The case's operators, built once from its formulas (see GenericOperators)."""
+    """The case's operators, built once from its formulas (see GenericOperators).
+    The case is checked before the cache, which would hash it."""
     _check_choice("case", case_id, CASES)
+    return _generic_operators(case_id)
+
+
+@lru_cache(maxsize=None)
+def _generic_operators(case_id: str) -> GenericOperators:
     one, x, y, dx, dy, b, k1, k2, n = _SYMBOLS
     g, g1 = b + 2 * n, b + n - one
     if case_id == "I":

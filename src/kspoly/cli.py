@@ -24,7 +24,7 @@ from .catalog import (
     params_to_json,
     sample_params,
 )
-from .errors import KspolyError
+from .errors import KspolyError, ParameterError
 from .triangle import BUILDERS, FORMATTERS, dumps_json, triangle_from_json
 
 EXIT_OK = 0
@@ -107,7 +107,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .verify import certify_record, full_suite
 
     if args.trials < 1:
-        raise KspolyError(f"--trials must be at least 1, not {args.trials}")
+        raise ParameterError(f"--trials must be at least 1, not {args.trials}")
     _check_index("--nmax", args.nmax)
     _check_choice("--case", args.case, (*CASES, "all"))
     cases = list(CASES) if args.case == "all" else [args.case]

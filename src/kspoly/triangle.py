@@ -35,8 +35,6 @@ from .catalog import (
 )
 from .errors import AdmissibilityError, ParameterError, StencilError, TransferError
 
-AccessLog = list[tuple[str, tuple[int, int]]]  # (axis, offset)
-
 
 class Triangle(NamedTuple):
     """All P_{m,n} with m+n <= nmax for one case and parameter choice."""
@@ -232,32 +230,21 @@ def stencil_sum(
 
 
 def _apply_step(
-    step: RecurrenceStep,
-    entries: dict[tuple[int, int], BivariatePoly],
-    access_log: AccessLog | None = None,
+    step: RecurrenceStep, entries: dict[tuple[int, int], BivariatePoly]
 ) -> BivariatePoly:
     """Evaluate one recurrence step against already-built entries: v * P_source
-    enters as one key shift by target - source, which names the logged axis."""
+    enters as one key shift by target - source."""
     (tm, tn), (sm, sn) = step.target, step.source
-    shift = (tm - sm, tn - sn)
-    P = stencil_sum(entries, step.tail, [(1, entries[step.source], shift)])
-    if access_log is not None:
-        axis = "x" if shift == (1, 0) else "y"
-        reads = [step.source] + [(mm, nn) for mm, nn, c in step.tail if c]
-        access_log.extend((axis, (mm - tm, nn - tn)) for mm, nn in reads)
-    return P
+    return stencil_sum(entries, step.tail, [(1, entries[step.source], (tm - sm, tn - sn))])
 
 
-def build_recurrence(
-    params: CaseParams, nmax: int, access_log: AccessLog | None = None
-) -> Triangle:
+def build_recurrence(params: CaseParams, nmax: int) -> Triangle:
     """Fill the triangle level by level from the degree <= 1 seeds.
 
     Cases III and VIII use their x-relation for every target off the right
     edge (III's right edge and VIII's left edge have no one-variable
     reduction); the other cases advance from both edges, on the unreduced
-    pairs of one catalog._recurrence_steps.  The optional access_log records
-    every (axis, offset) read for stencil audits.
+    pairs of one catalog._recurrence_steps.
     """
     _check_nmax(params, nmax)
     entries = {
@@ -271,7 +258,7 @@ def build_recurrence(
             step = steps(axis, *source)
             if step.target != (a, c):
                 raise StencilError(f"route to ({a},{c}) reads the step {source} -> {step.target}")
-            entries[(a, c)] = _apply_step(step, entries, access_log)
+            entries[(a, c)] = _apply_step(step, entries)
     return Triangle(params, nmax, "recurrence", entries)
 
 

@@ -14,11 +14,13 @@ from itertools import product
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import BivariatePoly, Terms, _check_choice
+from .algebra import BivariatePoly, Terms, _check_choice, _Unreduced
 from .catalog import (
     CaseParams,
     GenericOperators,
     STENCILS,
+    _recurrence_tail,
+    _unreduced_params,
     action_relations,
     eigenvalue,
     generic_operators,
@@ -34,7 +36,7 @@ from .series import (
     genfun,
     genfun_derivative_residuals,
 )
-from .triangle import BUILDERS, AccessLog, Triangle, build_oracle, stencil_sum
+from .triangle import BUILDERS, Triangle, build_oracle, stencil_sum
 from .weyl import DiffOp, GenericOp, Op
 
 
@@ -256,21 +258,25 @@ def check_genfun_agreement(t: Triangle) -> VerificationReport:
     return report
 
 
-def check_recurrence_stencil(params: CaseParams, log: AccessLog) -> VerificationReport:
-    """The recurrence builder touched only the documented stencil offsets:
-    log is the access_log of a build_recurrence run for these params."""
+def check_recurrence_stencil(params: CaseParams) -> VerificationReport:
+    """Each recurrence reads only its documented stencil: the source and every
+    tail point of the catalog's formula, zero coefficients included, lie at
+    offsets from the target in STENCILS.
+
+    The formula text fixes the offsets, the same at every node and for every
+    parameter triple, so each axis's tail runs once, at (0, 0), on the
+    triple's unreduced parameters.  Its structural denominators are taken as 1,
+    unchecked: only the offsets are read, and no triple then meets a
+    vanishing factor."""
     report = VerificationReport(params)
-    seen: dict[str, set] = {"x": set(), "y": set()}
-    for axis, offset in log:
-        seen[axis].add(offset)
-    for axis in ("x", "y"):
-        allowed = STENCILS[(params.case_id, axis)]
-        extra = seen[axis] - allowed
-        report.add(
-            f"stencil-{axis}",
-            not extra,
-            {"unexpected_offsets": sorted(extra)},
+    b, k1, k2 = _unreduced_params(params)
+    for axis, (tm, tn) in (("x", (1, 0)), ("y", (0, 1))):
+        tail = _recurrence_tail(
+            params.case_id, axis, b, k1, k2, 0, 0, lambda offsets: _Unreduced(1)
         )
+        reads = {(0, 0)} | {(dm, dn) for dm, dn, _ in tail}
+        extra = {(dm - tm, dn - tn) for dm, dn in reads} - STENCILS[(params.case_id, axis)]
+        report.add(f"stencil-{axis}", not extra, {"unexpected_offsets": sorted(extra)})
     return report
 
 
@@ -456,13 +462,11 @@ def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
     except KspolyError as exc:
         report.add("build-oracle", False, {"error": str(exc)})
         return report
-    stencil_log: AccessLog = []
     for name, build in BUILDERS.items():
         if name == "oracle":
             continue
-        extra = {"access_log": stencil_log} if name == "recurrence" else {}
         try:
-            t = build(params, nmax, **extra)
+            t = build(params, nmax)
         except TransferError:
             # documented precondition miss: fall back silently to other builders
             report.add(f"build-{name}(skipped)", True)
@@ -472,7 +476,7 @@ def full_suite(params: CaseParams, nmax: int = 6) -> VerificationReport:
             report.add(f"agreement[{name}]", t.same_polys(oracle))
     report.extend(check_operators(oracle, generic_operators(params.case_id)))
     report.extend(check_monic(oracle))
-    report.extend(check_recurrence_stencil(params, stencil_log))
+    report.extend(check_recurrence_stencil(params))
     if params.case_id == "IX":
         report.extend(check_swap_symmetry(oracle))
         report.extend(check_ix_to_i_map(oracle))

@@ -13,7 +13,6 @@ import pytest
 from kspoly.algebra import ONE, X, Y
 from kspoly.catalog import (
     CASES,
-    STENCILS,
     CaseParams,
     commuting_ops,
     eigenvalue,
@@ -36,6 +35,7 @@ from kspoly.triangle import (
 from kspoly.verify import (
     check_action_formulas,
     check_ix_to_i_map,
+    check_recurrence_stencil,
     mutated_operator_set,
     mutation_battery,
 )
@@ -257,12 +257,12 @@ def test_criterion_8_parity_and_stencil():
             assert report.passed
             odd = [r for r in report.results if not r.name.startswith("ix-to-i[00]")]
             assert len(odd) == 30 and all(r.passed for r in odd)
+        # every point a recurrence formula reads, source and tail, zero
+        # coefficients included, lies in its documented stencil
         for case in CASES:
-            p = sample_params(case, rng)
-            log = []
-            build_recurrence(p, 8, access_log=log)
-            for axis, offset in log:
-                assert offset in STENCILS[(case, axis)], (case, axis, offset)
+            report = check_recurrence_stencil(sample_params(case, rng))
+            assert [r.name for r in report.results] == ["stencil-x", "stencil-y"]
+            assert report.passed, (case, report.failures())
         # boundary behavior: the out-of-range stencil point at n=1 carries
         # an exactly-zero coefficient
         p = sample_params("I", rng)

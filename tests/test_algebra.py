@@ -265,6 +265,15 @@ CHOICE_SITES = {
         lambda: generic_operators("IV"),
         f"case must be one of {CASE_LIST}, not 'IV'",
     ),
+    # refused by the rule before the cache hashes the argument
+    "generic_operators-list": (
+        lambda: generic_operators(["I"]),
+        f"case must be one of {CASE_LIST}, not ['I']",
+    ),
+    "generic_operators-unhashable": (
+        lambda: generic_operators({"x": [1]}),
+        f"case must be one of {CASE_LIST}, not {{'x': [1]}}",
+    ),
     "raising_relation-case": (
         lambda: _relation(raising_relation, "IV", "x"),
         f"case must be one of {CASE_LIST}, not 'IV'",

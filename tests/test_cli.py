@@ -12,6 +12,7 @@ import kspoly.cli
 import kspoly.verify
 from kspoly import catalog
 from kspoly.cli import main
+from kspoly.errors import ParameterError
 from kspoly.verify import identity_residuals, perturb_term
 from kspoly.weyl import GenericOp
 
@@ -242,6 +243,14 @@ def test_check_rejects_vacuous_run(tmp_path, capsys, trials):
                "--output", str(report)) == 2
     assert "--trials must be at least 1" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_check_refuses_a_vacuous_run_as_a_parameter_error(trials):
+    args = kspoly.cli.build_parser().parse_args(["check", "--case", "I", "--trials", str(trials)])
+    with pytest.raises(ParameterError) as caught:
+        kspoly.cli.cmd_check(args)
+    assert str(caught.value) == f"--trials must be at least 1, not {trials}"
 
 
 @pytest.mark.parametrize("case", ["I", "all"])

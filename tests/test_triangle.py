@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given
@@ -257,6 +257,46 @@ def test_oracle_matches_the_closed_form_of_case_v(params):
 )
 def test_oracle_matches_the_closed_form_of_case_ix(params):
     assert_oracle_matches_the_closed_form(params)
+
+
+def case_viii_closed_form(params, m, n, mutant=None):
+    """P_{m,n} of case VIII, read off the exponent s a + t c + s t / beta +
+    s^2 q + s^3 r of its generating function:
+
+        P_{m,n} = m! n! sum_{j,k,l} a^i c^(n-j) q^k r^l / (i! (n-j)! j! k! l! beta^j)
+
+    over i = m - j - 2k - 3l >= 0 and j <= n, where a = x + k1/beta,
+    c = y + k2/beta, q = y/beta + k2/(2 beta^2) and r = 2/(3 beta^2).
+
+    ``mutant`` "r" takes r = 1/(3 beta^2), and "q" takes k2/beta^2 in q."""
+    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    a = X + (k1 / b) * ONE
+    c = Y + (k2 / b) * ONE
+    q = (1 / b) * Y + (k2 / (b * b if mutant == "q" else 2 * b * b)) * ONE
+    r = F(1 if mutant == "r" else 2, 3) / (b * b)
+    total = BivariatePoly({})
+    for j, k, l in product(range(n + 1), range(m // 2 + 1), range(m // 3 + 1)):
+        i = m - j - 2 * k - 3 * l
+        if i < 0:
+            continue
+        scale = r**l / (factorial(i) * factorial(n - j) * factorial(j) * factorial(k)
+                        * factorial(l) * b**j)
+        total = total + scale * (a**i * c ** (n - j) * q**k)
+    return factorial(m) * factorial(n) * total
+
+
+@pytest.mark.parametrize(
+    "params",
+    [sample_params("VIII", random.Random(f"viii/{k}")) for k in range(3)]
+    + [CaseParams("VIII", F(-5, 3), F(1, 3), F(2, 7)), CaseParams("VIII", F(2), F(1), F(-3))],
+    ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}",
+)
+def test_oracle_matches_the_multiple_sum_closed_form_of_case_viii(params):
+    t = build_oracle(params, 8)
+    for m, n in t.nodes():
+        assert t.entry(m, n) == case_viii_closed_form(params, m, n), (m, n)
+    for mutant in ("r", "q"):
+        assert any(t.entry(m, n) != case_viii_closed_form(params, m, n, mutant) for m, n in t.nodes())
 
 
 def moments(params, degree, shift=0):
@@ -730,12 +770,23 @@ def test_boundary_coefficient_vanishes_at_n1():
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_recurrence_touches_only_stencil_offsets(case):
-    rng = random.Random(17)
-    p = sample_params(case, rng)
-    log = []
-    build_recurrence(p, 6, access_log=log)
-    for axis, offset in log:
+def test_recurrence_touches_only_stencil_offsets(case, monkeypatch):
+    # a witness of the builder's own reads: each step's source and its
+    # nonzero tail points, as offsets from its target
+    reads = set()
+
+    def spy(step, entries):
+        (tm, tn), (sm, sn) = step.target, step.source
+        axis = "x" if (tm - sm, tn - sn) == (1, 0) else "y"
+        points = [step.source] + [(mm, nn) for mm, nn, c in step.tail if c]
+        reads.update((axis, (mm - tm, nn - tn)) for mm, nn in points)
+        return _apply_step(step, entries)
+
+    monkeypatch.setattr(triangle, "_apply_step", spy)
+    p = sample_params(case, random.Random(17))
+    assert build_recurrence(p, 6).same_polys(build_oracle(p, 6))
+    assert {axis for axis, _ in reads} == {"x", "y"}
+    for axis, offset in reads:
         assert offset in STENCILS[(case, axis)], (axis, offset)
 
 

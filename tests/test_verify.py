@@ -9,7 +9,7 @@ import pytest
 import kspoly.cli
 import kspoly.verify
 from kspoly import catalog, triangle
-from kspoly.algebra import ONE, BivariatePoly, Terms, X, Y
+from kspoly.algebra import ONE, BivariatePoly, Terms, X, Y, _Unreduced
 from kspoly.catalog import (
     CASES,
     STENCILS,
@@ -337,9 +337,18 @@ def test_stencil_check_all_cases():
     rng = random.Random(77)
     for case in CASES:
         params = sample_params(case, rng)
-        log = []
-        build_recurrence(params, 5, access_log=log)
-        assert check_recurrence_stencil(params, log).passed
+        report = check_recurrence_stencil(params)
+        assert [r.name for r in report.results] == ["stencil-x", "stencil-y"]
+        assert report.passed
+
+
+@pytest.mark.parametrize("beta", [F(1), F(-3), F(-5)], ids=str)
+def test_stencil_check_reads_no_denominator(beta):
+    # the formula's offsets do not depend on the parameters: a triple whose
+    # structural denominators vanish, which every builder refuses, passes
+    for case in ("I", "II", "III", "IX"):
+        kappas = () if case == "IX" else (F(1, 3), F(2, 7))
+        assert check_recurrence_stencil(CaseParams(case, beta, *kappas)).passed
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -360,14 +369,32 @@ def test_full_suite_builds_the_recurrence_table_once(case, monkeypatch):
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("axis, lead", [("x", (-1, 0)), ("y", (0, -1))])
-def test_full_suite_audits_the_recurrence_access_log(case, axis, lead, monkeypatch):
+def test_full_suite_audits_the_recurrence_stencil(case, axis, lead, monkeypatch):
     # every recurrence step reads its source at the lead offset, so a
-    # stencil without it must fail the audit of full_suite's own build
+    # stencil without it must fail full_suite's audit
     monkeypatch.setitem(STENCILS, (case, axis), STENCILS[(case, axis)] - {lead})
     params = sample_params(case, random.Random(5))
     failures = full_suite(params, nmax=3).failures()
     assert [f.name for f in failures] == [f"stencil-{axis}"]
     assert failures[0].detail == {"unexpected_offsets": [lead]}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_full_suite_audits_a_zero_coefficient_off_the_stencil(case, monkeypatch):
+    # a tail entry at an undocumented offset fails the audit even where its
+    # coefficient is zero: the builder skips it, so the tables still agree
+    true_tail = catalog._recurrence_tail
+
+    def widened(case_id, axis, *args):
+        tail = true_tail(case_id, axis, *args)
+        return tail + ((3, 3, _Unreduced(0)),) if axis == "x" else tail
+
+    monkeypatch.setattr(catalog, "_recurrence_tail", widened)
+    monkeypatch.setattr(kspoly.verify, "_recurrence_tail", widened)
+    params = sample_params(case, random.Random(5))
+    failures = full_suite(params, nmax=3).failures()
+    assert [f.name for f in failures] == ["stencil-x"]
+    assert failures[0].detail == {"unexpected_offsets": [(2, 3)]}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -865,7 +892,9 @@ def test_failure_details_shadow_no_entry_key(monkeypatch):
     params = CaseParams("I", F(7, 2), F(1, 3), F(-1, 5))
     ops = generic_operators("I")._replace(L=perturb_term(generic_operators("I").L, 0))
     failures = check_operators(build_oracle(params, 3), ops).failures()
-    failures += check_recurrence_stencil(params, [("x", (5, 5))]).failures()
+    with monkeypatch.context() as patched:
+        patched.setitem(STENCILS, ("I", "x"), STENCILS[("I", "x")] - {(-1, 0)})
+        failures += check_recurrence_stencil(params).failures()
     failures.append(certify_parameter_polynomial_identity(
         lambda q: operator_L(q).commutator(perturb_term(commuting_ops(q)[0], 1)), "II", "c", 8
     ))
