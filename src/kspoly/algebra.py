@@ -231,7 +231,7 @@ class Terms:
                     or len(key) != arity
                     or not all(type(e) is int and e >= 0 for e in key)
                 ):
-                    raise ValueError(f"term {key!r} needs {arity} nonnegative int indices")
+                    raise ParameterError(f"term {key!r} needs {arity} nonnegative int indices")
                 _check_exact(f"coefficient of term {key}", c)
                 c = Fraction(c)
                 if c:
@@ -277,7 +277,9 @@ class Terms:
     def coefficient(self, *key: int) -> Fraction:
         """The coefficient of the term with indices key, one per FIELDS entry."""
         if len(key) != len(self.FIELDS):
-            raise ValueError(f"coefficient of {key!r} needs {len(self.FIELDS)} indices")
+            raise ParameterError(f"coefficient of {key!r} needs {len(self.FIELDS)} indices")
+        for field, e in zip(self.FIELDS, key):
+            _check_index(f"index {field}", e)
         return Fraction(self._num.get(key, 0), self._den)
 
     def is_zero(self) -> bool:

@@ -14,7 +14,7 @@ from itertools import product
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .algebra import BivariatePoly, Terms, _check_choice, _Unreduced
+from .algebra import BivariatePoly, Terms, _check_choice, _check_index, _Unreduced
 from .catalog import (
     CaseParams,
     GenericOperators,
@@ -115,14 +115,22 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_entries(
+    report: VerificationReport, t: Triangle, op: DiffOp, nodes: Iterable, name: Callable
+) -> None:
+    """The one eigen rule, (op - lambda_{m+n}) P_{m,n} = 0, formed as one
+    combination at each node and recorded in report as name(m, n)."""
+    lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
+    for m, n in nodes:
+        p = t.entry(m, n)
+        residual = BivariatePoly.combination([(1, p, op), (-lams[m + n], p)])
+        report.expect_zero(name(m, n), residual, (m, n))
+
+
 def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     """L P_{m,n} = lambda_{m+n} P_{m,n}, exactly, at every entry."""
     report = VerificationReport(t.params)
-    lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
-    for m, n in t.nodes():
-        p = t.entry(m, n)
-        residual = BivariatePoly.combination([(1, p, L), (-lams[m + n], p)])
-        report.expect_zero(f"eigen[{t.method}]({m},{n})", residual, (m, n))
+    _eigen_entries(report, t, L, t.nodes(), lambda m, n: f"eigen[{t.method}]({m},{n})")
     return report
 
 
@@ -133,24 +141,6 @@ def check_monic(t: Triangle) -> VerificationReport:
         p = t.entry(m, n)
         ok = p.is_monic(m, n)
         report.add(f"monic[{t.method}]({m},{n})", ok, None if ok else _poly_detail((m, n), p))
-    return report
-
-
-def check_edge_ode(
-    t: Triangle, edges: tuple[Optional[DiffOp], Optional[DiffOp]]
-) -> VerificationReport:
-    """Edge polynomials solve the one-variable restrictions of L: edges is
-    the (x, y) pair at t.params, None marking an edge with no reduction."""
-    report = VerificationReport(t.params)
-    lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
-    for axis, op in zip("xy", edges):
-        if op is None:
-            continue
-        for k, lam in enumerate(lams):
-            node = (k, 0) if axis == "x" else (0, k)
-            p = t.entry(*node)
-            residual = BivariatePoly.combination([(1, p, op), (-lam, p)])
-            report.expect_zero(f"edge-{axis}({k})", residual, node)
     return report
 
 
@@ -322,6 +312,7 @@ def check_operator_identities(
     A level whose raising operators do not exist (a vanishing structural
     denominator) records its two raising entries as failing, with
     raising_ops' error."""
+    _check_index("nmax", nmax)
     report = VerificationReport(params)
     residuals = identity_residuals(params.case_id, ops)
     for idx, residual in enumerate(residuals.commuting, start=1):
@@ -343,13 +334,15 @@ def check_operator_identities(
 def check_operators(t: Triangle, ops: GenericOperators) -> VerificationReport:
     """Every check that audits an operator record: eigen, action formulas and
     edge ODEs on the table t, with the record's L, I_k and edge operators
-    specialised at t.params, and the operator identities up to t.nmax.
-    full_suite runs it on the catalog's record, mutation_battery on
-    perturbed ones."""
+    specialised at t.params (an edge ODE is the eigen rule on an edge's
+    nodes), and the operator identities up to t.nmax.  full_suite runs it on
+    the catalog's record, mutation_battery on perturbed ones."""
     report = check_eigen(t, ops.L.at(t.params))
     report.extend(check_action_formulas(t, tuple(op.at(t.params) for op in ops.commuting)))
-    edges = tuple(None if op is None else op.at(t.params) for op in ops.edge_operators)
-    report.extend(check_edge_ode(t, edges))
+    for axis, op in zip("xy", ops.edge_operators):
+        if op is not None:
+            nodes = [(k, 0) if axis == "x" else (0, k) for k in range(t.nmax + 1)]
+            _eigen_entries(report, t, op.at(t.params), nodes, lambda m, n: f"edge-{axis}({m + n})")
     report.extend(check_operator_identities(t.params, t.nmax, ops))
     return report
 

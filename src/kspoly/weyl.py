@@ -30,7 +30,8 @@ from functools import lru_cache
 from math import comb, perm
 from typing import TYPE_CHECKING, Optional, TypeVar
 
-from .algebra import BivariatePoly, Scalar, Terms, _check_exact, _sum, signed_sum
+from .algebra import BivariatePoly, Scalar, Terms, _check_exact, _check_index, _sum, signed_sum
+from .errors import ParameterError
 
 if TYPE_CHECKING:
     from .catalog import CaseParams
@@ -193,6 +194,9 @@ class GenericOp(Terms):
     def generator(cls, index: int) -> "GenericOp":
         """The symbol whose key has a 1 at ``index`` of FIELDS (x, y, d_x,
         d_y, beta, kappa1, kappa2, N for index 0..7)."""
+        _check_index("generator index", index)
+        if index >= len(cls.FIELDS):
+            raise ParameterError(f"generator index must be below {len(cls.FIELDS)}, not {index}")
         return cls._wrap({tuple(int(f == index) for f in range(8)): 1})
 
     def __matmul__(self, other: "GenericOp") -> "GenericOp":

@@ -337,6 +337,39 @@ def test_one_choice_rule_refuses_a_bad_choice_at_every_site(site):
     assert str(caught.value) == message
 
 
+# every kernel site that reads an index: (call with a bad index, its message);
+# a bool or float would read as the int it equals, and a generator index past
+# the eight symbols as the constant 1
+INDEX_SITES = {
+    "generator-8": (lambda: GenericOp.generator(8), "generator index must be below 8, not 8"),
+    "generator-negative": (
+        lambda: GenericOp.generator(-1),
+        "generator index must be nonnegative, not -1",
+    ),
+    "generator-bool": (lambda: GenericOp.generator(True), "generator index must be an int, not True"),
+    "generator-float": (lambda: GenericOp.generator(2.0), "generator index must be an int, not 2.0"),
+    "coefficient-bool": (lambda: X.coefficient(True, 0), "index i must be an int, not True"),
+    "coefficient-float": (lambda: X.coefficient(1.0, 0), "index i must be an int, not 1.0"),
+    "coefficient-negative": (
+        lambda: DiffOp.partial(1, 0).coefficient(0, 0, -1, 0),
+        "index k must be nonnegative, not -1",
+    ),
+    "coefficient-arity": (lambda: X.coefficient(1), "coefficient of (1,) needs 2 indices"),
+    "constructor-key": (
+        lambda: BivariatePoly({(True, 0): 1}),
+        "term (True, 0) needs 2 nonnegative int indices",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", INDEX_SITES)
+def test_one_index_rule_refuses_a_bad_index_at_every_kernel_site(site):
+    call, message = INDEX_SITES[site]
+    with pytest.raises(ParameterError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 # -- rising factorial --------------------------------------------------------
 
 

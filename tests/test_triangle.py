@@ -322,8 +322,49 @@ def moments(params, degree, shift=0):
                 mu[i, j] = (-k1 / b) ** i * (-1 / b) ** j * rising_factorial(k2 + i + shift, j)
             else:
                 mu[i, j] = xi * rising_factorial(-k2, j) / rising_factorial(b, i + j + shift)
+    return over_one_denominator(mu)
+
+
+def over_one_denominator(mu):
+    """The rational moments mu as integers over one common denominator."""
     den = lcm(*(v.denominator for v in mu.values()))
     return {key: v.numerator * (den // v.denominator) for key, v in mu.items()}
+
+
+def pearson_equations(params, i, j):
+    """Cases III's and VIII's Pearson equations at (i, j), each a list of
+    (c, (i', j')) terms of sum c mu_{i'j'} = 0, led by its highest moment:
+    the x equation, led by mu_{i+1,j}, then the y equation, led by
+    mu_{i,j+1}.  A term at a negative index has coefficient 0."""
+    b, k1, k2 = params.beta, params.kappa1, params.kappa2
+    if params.case_id == "III":  # a11 = x^2, a12 = xy, a22 = y^2 + x
+        return (
+            [(b + i + j, (i + 1, j)), (k1, (i, j))],
+            [(b + i + j, (i, j + 1)), (k2, (i, j)), (j, (i + 1, j - 1))],
+        )
+    # case VIII: a11 = y, a12 = 1, a22 = 0
+    return (
+        [(b, (i + 1, j)), (k1, (i, j)), (i, (i - 1, j + 1)), (j, (i, j - 1))],
+        [(b, (i, j + 1)), (k2, (i, j)), (i, (i - 1, j))],
+    )
+
+
+def pearson_sum(terms, mu):
+    return sum(c * mu[key] for c, key in terms if min(key) >= 0)
+
+
+def pearson_moments(params, degree):
+    """The moments u(x^i y^j), i + j <= degree, of the functional with u(1) = 1
+    for which a case III or VIII family is orthogonal; neither has a closed
+    form.  Degree by degree, the x equation at (d - 1, 0) fills mu_{d,0} and
+    the y equation at each (i, j) with i + j = d - 1 fills mu_{i,j+1}."""
+    mu = {(0, 0): F(1)}
+    for d in range(1, degree + 1):
+        fills = [pearson_equations(params, d - 1, 0)[0]]
+        fills += [pearson_equations(params, i, d - 1 - i)[1] for i in range(d)]
+        for (c, key), *rest in fills:
+            mu[key] = -pearson_sum(rest, mu) / c
+    return mu
 
 
 def nonorthogonal_pairings(t, mu):
@@ -354,6 +395,31 @@ def test_oracle_is_orthogonal_for_the_closed_form_moments_of_cases_i_and_ii(para
     # a mutant with (beta)_{i+j+1}, (k2 + i + 1)_j in case V, or
     # ((beta + 1)/2)_{i+j+1} in case IX
     assert nonorthogonal_pairings(t, moments(params, 2 * t.nmax, shift=1)) > 0
+
+
+PEARSON_PARAMS = [
+    sample_params(case, random.Random(f"moments/{case}/{k}")) for k in range(3)
+    for case in ("III", "VIII")
+] + [CaseParams(case, *point) for point in ((F(2), F(1), F(-3)), (F(-5, 3), F(1, 3), F(2, 7)))
+     for case in ("III", "VIII")]
+
+
+@pytest.mark.parametrize(
+    "params", PEARSON_PARAMS, ids=lambda p: f"{p.case_id}:{p.beta},{p.kappa1},{p.kappa2}"
+)
+def test_oracle_is_orthogonal_for_the_pearson_moments_of_cases_iii_and_viii(params):
+    # the moments filled by one equation of each degree satisfy the other,
+    # the x equation off the row j = 0, at every (i, j) with i + j < 16
+    t = build_oracle(params, 8)
+    mu = pearson_moments(params, 2 * t.nmax)
+    for i, j in product(range(2 * t.nmax), repeat=2):
+        if i + j < 2 * t.nmax:
+            assert pearson_sum(pearson_equations(params, i, j)[0], mu) == 0, (i, j)
+    assert nonorthogonal_pairings(t, over_one_denominator(mu)) == 0
+    # a mutant: the moments at kappa2 + 1
+    shifted = CaseParams(params.case_id, params.beta, params.kappa1, params.kappa2 + 1)
+    mutant = pearson_moments(shifted, 2 * t.nmax)
+    assert nonorthogonal_pairings(t, over_one_denominator(mutant)) > 0
 
 
 # (case, axis) -> (d beta, d kappa1, d kappa2): the derivative along the axis

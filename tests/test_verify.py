@@ -86,6 +86,23 @@ def test_full_suite_reports_a_non_int_nmax(nmax):
     ]
 
 
+@pytest.mark.parametrize(
+    "nmax, message",
+    [
+        (-1, "nmax must be nonnegative, not -1"),
+        (True, "nmax must be an int, not True"),
+        (2.0, "nmax must be an int, not 2.0"),
+    ],
+)
+def test_operator_identities_refuse_a_bad_nmax(nmax, message):
+    # a negative nmax would leave a passing report of the commuting entries
+    # alone, and True would read as the level 1
+    params = sample_params("I", random.Random(1))
+    with pytest.raises(ParameterError) as caught:
+        check_operator_identities(params, nmax, generic_operators("I"))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("nmax", [0, 1])
 @pytest.mark.parametrize("case", CASES)
 def test_full_suite_passes_on_one_or_two_levels(case, nmax):
