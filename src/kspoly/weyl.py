@@ -11,10 +11,10 @@ accessor ``DiffOp.images`` by ``algebra._sum`` (``apply`` is one ``_sum``,
 and so is a ``BivariatePoly.combination`` with operator operands) and by the
 oracle's back-substitution: ``images[(a, b)]`` is the image of x^a y^b as
 integer numerators over the operator's denominator, computed on the first
-lookup from the operator's terms, grouped once by derivative order (k, l),
-with one falling-factorial product a!/(a-k)! b!/(b-l)! per group.  The memo
-is a cache of exact values, so results and their storage are those of the
-term-by-term rule, and equality and hashing ignore it.
+lookup from the operator's terms, grouped once by their monomial shift
+(i - k, j - l), with one weight per shift, kept when it is not zero.  The
+memo is a cache of exact values, so results and their storage are those of
+the term-by-term rule, and equality and hashing ignore it.
 
 ``GenericOp`` is the same algebra with coefficients in Q[beta, kappa1,
 kappa2, N]: the parameters and the level index N are central, so an
@@ -61,7 +61,7 @@ def _op_key(item: tuple[Key, Fraction]) -> tuple[int, ...]:
 class _Images(dict):
     """(a, b) -> the image of x^a y^b under the operator whose terms are
     ``num``, computed by ``DiffOp._image`` on first lookup from the terms
-    grouped once by derivative order, as (k, l, ((i, j, c), ...)).  It holds
+    grouped once by shift, as (i - k, j - l, ((k, l, c), ...)).  It holds
     the groups, not the operator, so the two form no reference cycle."""
 
     __slots__ = ("_groups",)
@@ -69,8 +69,8 @@ class _Images(dict):
     def __init__(self, num: dict[Key, int]):
         groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         for (i, j, k, l), c in num.items():
-            groups.setdefault((k, l), []).append((i, j, c))
-        self._groups = tuple((k, l, tuple(terms)) for (k, l), terms in groups.items())
+            groups.setdefault((i - k, j - l), []).append((k, l, c))
+        self._groups = tuple((di, dj, tuple(terms)) for (di, dj), terms in groups.items())
 
     def __missing__(self, mono: tuple[int, int]) -> tuple[tuple[tuple[int, int], int], ...]:
         image = self[mono] = DiffOp._image(self._groups, *mono)
@@ -142,18 +142,17 @@ class DiffOp(Terms):
         """The operator with term numerators ``groups`` (see ``_Images``)
         applied to x^a y^b, as nonzero integer numerators over its
         denominator:  x^i y^j d_x^k d_y^l x^a y^b = a!/(a-k)! b!/(b-l)!
-        x^(a-k+i) y^(b-l+j), the factorials once per group (k, l), terms
-        sharing the shift (i-k, j-l) summed."""
-        out: dict[tuple[int, int], int] = {}
-        get = out.get
-        for k, l, terms in groups:
-            if a < k or b < l:
-                continue
-            f, a0, b0 = perm(a, k) * perm(b, l), a - k, b - l
-            for i, j, c in terms:
-                key = (a0 + i, b0 + j)
-                out[key] = get(key, 0) + c * f
-        return tuple([(key, w) for key, w in out.items() if w])
+        x^(a-k+i) y^(b-l+j).  The terms of one shift (di, dj) land on the
+        one monomial x^(a+di) y^(b+dj), so each shift's weight is one sum,
+        kept when it is not zero; perm is 0 when k > a or l > b."""
+        out = []
+        for di, dj, terms in groups:
+            w = 0
+            for k, l, c in terms:
+                w += c * perm(a, k) * perm(b, l)
+            if w:
+                out.append(((a + di, b + dj), w))
+        return tuple(out)
 
     def __str__(self) -> str:
         return signed_sum(self.lowest_terms(), ("x", "y", "Dx", "Dy"), join="*")

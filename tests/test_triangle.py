@@ -783,6 +783,36 @@ def test_oracle_computes_each_image_of_L_once(monkeypatch):
         assert set(images) == set(t.entries), case
 
 
+def test_ladder_computes_each_image_of_a_level_once(monkeypatch):
+    # each level's R+x raises every entry of the level, and its R+y the entry
+    # (0, N): each reads one image per distinct monomial it meets
+    level, images = {}, []
+    true_image, true_raising_ops = DiffOp._image, triangle.raising_ops
+
+    def raising_ops(params, N):
+        rx, ry = true_raising_ops(params, N)
+        level.clear()
+        level.update({id(rx.images._groups): (N, "x"), id(ry.images._groups): (N, "y")})
+        return rx, ry
+
+    def counted(groups, a, b):
+        images.append((*level[id(groups)], a, b))
+        return true_image(groups, a, b)
+
+    monkeypatch.setattr(triangle, "raising_ops", raising_ops)
+    monkeypatch.setattr(DiffOp, "_image", counted)
+    for case in CASES:
+        images.clear()
+        t = build_ladder(sample_params(case, random.Random(case)), 8)
+        want = set()
+        for N in range(8):
+            for m in range(N + 1):
+                want |= {(N, "x", *mono) for mono, _ in t.entries[(m, N - m)].items()}
+            want |= {(N, "y", *mono) for mono, _ in t.entries[(0, N)].items()}
+        assert len(images) == len(set(images)) == len(want), case
+        assert set(images) == want, case
+
+
 def test_transfer_precondition_zero_kappa1():
     p = CaseParams("II", F(5, 2), F(0), F(1, 3))
     with pytest.raises(TransferError) as err:

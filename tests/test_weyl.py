@@ -292,6 +292,65 @@ def test_second_apply_computes_no_new_image(monkeypatch):
     assert images[4:] == [(4, 0)]
 
 
+# An image sums the terms of one shift (i - k, j - l) into one weight, since
+# they all land on x^(a+i-k) y^(b+j-l).  Such weights may cancel, and a kept
+# zero-weight key would raise the degree the oracle's admissibility check
+# reads off the image keys.  The operators below put several terms on one
+# shift, which ops() rarely draws.
+
+X2DX2_MINUS_2XDX_PLUS_YDY = DiffOp({(2, 0, 2, 0): 1, (1, 0, 1, 0): -2, (0, 1, 0, 1): 1})
+
+
+def shared_shift_keys(max_order=3):
+    # (di + k, dj + l, k, l) for a shift (di, dj) near zero, so keys collide
+    return st.tuples(
+        st.integers(-1, 1), st.integers(-1, 1), st.integers(0, max_order), st.integers(0, max_order)
+    ).filter(lambda t: t[2] + t[3] <= max_order and t[0] + t[2] >= 0 and t[1] + t[3] >= 0).map(
+        lambda t: (t[0] + t[2], t[1] + t[3], t[2], t[3])
+    )
+
+
+shared_shift_ops = st.builds(
+    DiffOp,
+    st.dictionaries(
+        shared_shift_keys(), st.integers(-3, 3).filter(bool) | rationals, max_size=10
+    ),
+)
+
+
+def assert_images_by_shift(op, degree=6):
+    """Every memo image of a monomial of degree <= degree is the term-by-term
+    rule's, as numerators over op's denominator, with distinct keys and no
+    zero weight."""
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            image = op.images[(a, b)]
+            keys = [key for key, _ in image]
+            assert len(set(keys)) == len(keys), (a, b)
+            assert all(type(w) is int and w for _, w in image), (a, b)
+            want = ref_apply(coeffs(op), {(a, b): F(1)})
+            assert dict(image) == {key: c * op._den for key, c in want.items()}, (a, b)
+
+
+@pytest.mark.parametrize("op", [EULER_MINUS_3, X2DX2_MINUS_2XDX_PLUS_YDY, DiffOp.partial(2, 0)])
+def test_images_sum_each_shift_once(op):
+    assert_images_by_shift(op)
+
+
+def test_cancelled_and_vanishing_images_are_empty():
+    assert EULER_MINUS_3.images[(2, 1)] == ()
+    assert DiffOp.partial(2, 0).images[(1, 3)] == ()
+    # x^2 Dx^2 - 2 x Dx + y Dy on x^a y^b: a(a-1) - 2a + b, zero at (3, 0) and (2, 2)
+    assert X2DX2_MINUS_2XDX_PLUS_YDY.images[(3, 0)] == ()
+    assert X2DX2_MINUS_2XDX_PLUS_YDY.images[(2, 2)] == ()
+    assert X2DX2_MINUS_2XDX_PLUS_YDY.images[(1, 3)] == (((1, 3), 1),)
+
+
+@given(shared_shift_ops)
+def test_images_by_shift_match_reference(op):
+    assert_images_by_shift(op)
+
+
 def test_threads_sharing_one_operator_get_reference_results():
     # threads may fill the same memo entry, or the memo itself, at once; each
     # fill stores equal values, so no interleaving can change a result
