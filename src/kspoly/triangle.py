@@ -27,13 +27,15 @@ from .catalog import (
     action_relations,
     commuting_ops,
     eigenvalue,
+    generic_operators,
     operator_L,
     params_to_json,
-    raising_ops,
+    raising_denominators,
     recurrence_step,
     seed_polys,
 )
 from .errors import AdmissibilityError, ParameterError, StencilError, TransferError
+from .weyl import _Family, _Level
 
 
 class Triangle(NamedTuple):
@@ -271,13 +273,18 @@ def build_ladder(params: CaseParams, nmax: int) -> Triangle:
     """Raise level N into level N + 1: every (m, n) of level N to (m+1, n)
     with R+x(N), and (0, N) to (0, N+1) with R+y(N).
 
-    Each level's pair of raising operators is formed for that level only, so
-    neither it nor its memo of monomial images outlives the level.
+    Each raising family of the record is specialised once per table, at the
+    table's parameters with N free, and keeps one memo of monomial images
+    whose weights are polynomials in N.  Each level checks its structural
+    denominators d(N) before any arithmetic, then reads R+(N) = family(N) /
+    d(N) through a memo of its own, which evaluates each image it is asked
+    for once, at N.
     """
     _check_nmax(params, nmax)
     entries: dict[tuple[int, int], BivariatePoly] = {(0, 0): ONE}
+    families = [_Family(op, params) for op in generic_operators(params.case_id).raising]
     for N in range(nmax):
-        rx, ry = raising_ops(params, N)
+        rx, ry = map(_Level, families, (N, N), raising_denominators(params, N))
         for m in range(N, -1, -1):
             entries[(m + 1, N - m)] = rx.apply(entries[(m, N - m)])
         entries[(0, N + 1)] = ry.apply(entries[(0, N)])

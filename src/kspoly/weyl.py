@@ -20,7 +20,12 @@ the term-by-term rule, and equality and hashing ignore it.
 kappa2, N]: the parameters and the level index N are central, so an
 identity that holds for every parameter triple and every N is one exact
 composition over that ring.  Its product is the one Leibniz product: a
-``DiffOp`` is composed as a ``GenericOp`` with no parameter in it.
+``DiffOp`` is composed as a ``GenericOp`` with no parameter in it.  ``at``
+specialises it in one loop over its terms, which can also keep the power
+of N as a slot: ``_Family`` memoises the images of such a family in N at
+one parameter triple once, with weights polynomial in N, and ``_Level``
+reads them at one N like ``DiffOp.images``, each weight evaluated once.
+The ladder builder raises a table this way.
 """
 
 from __future__ import annotations
@@ -217,31 +222,96 @@ class GenericOp(Terms):
 
     def at(self, params: "CaseParams", N: Optional[Scalar] = None) -> DiffOp:
         """The DiffOp at one parameter triple and, for an operator with N in
-        its coefficients, one value of N.  A value n/d whose highest exponent
-        here is top enters its e-th power as n^e d^(top-e) over d^top, so
-        the terms sum as integers over one denominator."""
+        its coefficients, one value of N (see ``_specialise``)."""
         if N is not None:
             _check_exact("N", N)
+        nums, den = self._specialise(params, N)
+        return DiffOp._wrap(nums[0], den)
+
+    def _specialise(self, params: "CaseParams", N: Optional[Scalar], split: bool = False):
+        """(nums, den): the terms at the parameter triple and N, as integer
+        numerators over den.  A value n/d whose highest exponent here is top
+        enters its e-th power as n^e d^(top-e) over d^top, so the terms sum
+        as integers over one denominator.  nums holds one dict at every
+        index; with split and N = 1, nums[e] holds the terms in N^e instead,
+        the family in N that ``_Family`` reads."""
         den = self._den
         powers = []
         tops = [max(column) for column in zip(*self._num)][4:] or [0] * 4
         for top, v in zip(tops, (params.beta, params.kappa1, params.kappa2, N)):
             if top and v is None:
-                raise ValueError("the operator depends on N: pass a value of N")
+                raise ParameterError("the operator depends on N: pass a value of N")
             n, d = (v or 0).as_integer_ratio()
             powers.append([n**e * d ** (top - e) for e in range(top + 1)])
             den *= d**top
         bs, k1s, k2s, ns = powers
-        out: dict[Key, int] = {}
-        get = out.get
+        nums: list[dict[Key, int]] = [{} for _ in ns] if split else [{}] * len(ns)
         for (i, j, k, l, p, q, r, s), c in self._num.items():
-            key = (i, j, k, l)
-            out[key] = get(key, 0) + c * bs[p] * k1s[q] * k2s[r] * ns[s]
-        return DiffOp._wrap(out, den)
+            out, key = nums[s], (i, j, k, l)
+            out[key] = out.get(key, 0) + c * bs[p] * k1s[q] * k2s[r] * ns[s]
+        return nums, den
 
     def __str__(self) -> str:
         symbols = ("x", "y", "Dx", "Dy", "beta", "kappa1", "kappa2", "N")
         return signed_sum(self.lowest_terms(), symbols, join="*")
+
+
+class _Family(dict):
+    """(a, b) -> the image of x^a y^b under ``op`` at one parameter triple
+    with N left free, as ((i, j), weights) pairs, the weights the integer
+    coefficients of N^top, ..., N^0 over ``den``: formed on first lookup
+    as ``DiffOp._image`` forms an image, from the terms grouped once by
+    shift, with one weight per shift and power of N."""
+
+    __slots__ = ("_groups", "_width", "den")
+
+    def __init__(self, op: GenericOp, params: "CaseParams"):
+        nums, self.den = op._specialise(params, 1, True)
+        self._width = len(nums)
+        groups: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        for e, num in enumerate(reversed(nums)):
+            for (i, j, k, l), c in num.items():
+                groups.setdefault((i - k, j - l), []).append((k, l, e, c))
+        self._groups = groups.items()
+
+    def __missing__(self, mono: tuple[int, int]) -> list[tuple[tuple[int, int], list[int]]]:
+        a, b = mono
+        image = self[mono] = []
+        for (di, dj), terms in self._groups:
+            weights = [0] * self._width
+            for k, l, e, c in terms:
+                weights[e] += c * perm(a, k) * perm(b, l)
+            if any(weights):
+                image.append(((a + di, b + dj), weights))
+        return image
+
+
+class _Level(dict):
+    """The member at N of a ``_Family`` divided by d = n/q, as a memo read
+    like ``DiffOp.images``, over ``den``, the family's times n: each weight
+    of an image is evaluated at N once, by Horner, times q, and kept when
+    not zero.  n may be negative: ``_sum`` brings every part over a
+    positive denominator."""
+
+    __slots__ = ("_family", "_N", "_q", "den")
+
+    def __init__(self, family: _Family, N: int, d: Fraction):
+        n, self._q = d.as_integer_ratio()
+        self._family, self._N, self.den = family, N, family.den * n
+
+    def __missing__(self, mono: tuple[int, int]) -> list[tuple[tuple[int, int], int]]:
+        N, q = self._N, self._q
+        image = self[mono] = []
+        for key, weights in self._family[mono]:
+            w = 0
+            for c in weights:
+                w = w * N + c
+            if w:
+                image.append((key, w * q))
+        return image
+
+    def apply(self, p: BivariatePoly) -> BivariatePoly:
+        return BivariatePoly._wrap(*_sum([(1, self.den * p._den, p._num, self)]))
 
 
 # an operator over either coefficient ring

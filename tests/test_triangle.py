@@ -19,7 +19,10 @@ from kspoly.catalog import (
     RecurrenceStep,
     commuting_ops,
     eigenvalue,
+    generic_operators,
     operator_L,
+    raising_denominators,
+    raising_ops,
     recurrence_step,
     sample_params,
 )
@@ -50,7 +53,7 @@ from kspoly.verify import (
     mutated_operator_set,
     perturb_term,
 )
-from kspoly.weyl import DiffOp
+from kspoly.weyl import DiffOp, _Family, _Level
 
 BUILDER_LIST = (build_oracle, build_recurrence, build_ladder, build_transfer)
 
@@ -783,34 +786,89 @@ def test_oracle_computes_each_image_of_L_once(monkeypatch):
         assert set(images) == set(t.entries), case
 
 
-def test_ladder_computes_each_image_of_a_level_once(monkeypatch):
-    # each level's R+x raises every entry of the level, and its R+y the entry
-    # (0, N): each reads one image per distinct monomial it meets
-    level, images = {}, []
-    true_image, true_raising_ops = DiffOp._image, triangle.raising_ops
+def test_ladder_forms_each_image_once_per_table_and_evaluates_it_once_per_level(monkeypatch):
+    # each raising axis of a table keeps one memo of images whose weights are
+    # polynomials in N, and each level evaluates at N exactly the images its
+    # entries read: every entry of the level for R+x, the entry (0, N) for R+y
+    axes, formed, evaluated = {}, [], []
+    true_init, true_form, true_evaluate = _Family.__init__, _Family.__missing__, _Level.__missing__
 
-    def raising_ops(params, N):
-        rx, ry = true_raising_ops(params, N)
-        level.clear()
-        level.update({id(rx.images._groups): (N, "x"), id(ry.images._groups): (N, "y")})
-        return rx, ry
+    def init(family, op, params):
+        axes[id(family)] = "x" if op is generic_operators(params.case_id).raising[0] else "y"
+        true_init(family, op, params)
 
-    def counted(groups, a, b):
-        images.append((*level[id(groups)], a, b))
-        return true_image(groups, a, b)
+    def form(family, mono):
+        formed.append((axes[id(family)], *mono))
+        return true_form(family, mono)
 
-    monkeypatch.setattr(triangle, "raising_ops", raising_ops)
-    monkeypatch.setattr(DiffOp, "_image", counted)
+    def evaluate(level, mono):
+        evaluated.append((level._N, axes[id(level._family)], *mono))
+        return true_evaluate(level, mono)
+
+    monkeypatch.setattr(_Family, "__init__", init)
+    monkeypatch.setattr(_Family, "__missing__", form)
+    monkeypatch.setattr(_Level, "__missing__", evaluate)
     for case in CASES:
-        images.clear()
+        formed.clear()
+        evaluated.clear()
         t = build_ladder(sample_params(case, random.Random(case)), 8)
         want = set()
         for N in range(8):
             for m in range(N + 1):
-                want |= {(N, "x", *mono) for mono, _ in t.entries[(m, N - m)].items()}
-            want |= {(N, "y", *mono) for mono, _ in t.entries[(0, N)].items()}
-        assert len(images) == len(set(images)) == len(want), case
-        assert set(images) == want, case
+                want |= {(N, "x", *mono) for mono in t.entries[(m, N - m)]._num}
+            want |= {(N, "y", *mono) for mono in t.entries[(0, N)]._num}
+        assert len(evaluated) == len(set(evaluated)) == len(want), case
+        assert set(evaluated) == want, case
+        assert len(formed) == len(set(formed)), case
+        assert set(formed) == {(axis, a, b) for _, axis, a, b in want}, case
+
+
+# a raising denominator below zero at some levels: d(4) = (beta+8)(beta+7)
+# at beta = -15/2 for I-III, d(N) = beta+2N-1 for N <= 2 at beta = -9/2 for
+# IX, and R+y's d = beta for V and VIII
+NEGATIVE_DENOMINATORS = [
+    CaseParams("I", F(-15, 2), F(1, 3), F(2, 7)),
+    CaseParams("II", F(-15, 2), F(1, 3), F(2, 7)),
+    CaseParams("III", F(-15, 2), F(1, 3), F(2, 7)),
+    CaseParams("IX", F(-9, 2)),
+    CaseParams("V", F(-7, 3), F(1, 3), F(2, 7)),
+    CaseParams("VIII", F(-5, 3), F(1, 3), F(2, 7)),
+]
+
+
+@pytest.mark.parametrize("params", NEGATIVE_DENOMINATORS, ids=lambda p: p.case_id)
+def test_ladder_matches_oracle_where_a_raising_denominator_is_negative(params):
+    dens = [d for N in range(10) for d in raising_denominators(params, N)]
+    assert min(dens) < 0 < max(dens)
+    assert build_ladder(params, 10).same_polys(build_oracle(params, 10))
+
+
+def _family_params():
+    rng = random.Random("family")
+    for case in CASES:
+        kappas = () if case == "IX" else (F(1, 3), F(-2, 5))
+        yield sample_params(case, rng)
+        yield sample_params(case, rng)
+        yield CaseParams(case, F(1, 2), *kappas)
+        yield CaseParams(case, F(3, 2), *kappas)
+
+
+def test_raising_family_at_each_level_is_raising_ops():
+    # the table's family of each axis, evaluated at level N and divided by
+    # d(N), has the images of raising_ops(params, N), as exact values
+    def values(image, den):
+        return {key: F(w, den) for key, w in image}
+
+    monos = [(a, d - a) for d in range(12) for a in range(d + 1)]
+    for params in _family_params():
+        families = [_Family(op, params) for op in generic_operators(params.case_id).raising]
+        for N in range(11):
+            ops = raising_ops(params, N)
+            for family, d, op in zip(families, raising_denominators(params, N), ops):
+                level = _Level(family, N, d)
+                for mono in monos:
+                    got = values(level[mono], level.den)
+                    assert got == values(op.images[mono], op._den), (params, N, mono)
 
 
 def test_transfer_precondition_zero_kappa1():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from kspoly.algebra import ONE, X, Y, BivariatePoly
 from kspoly.catalog import CASES, CaseParams, generic_operators, operator_L, sample_params
+from kspoly.errors import ParameterError
+from kspoly.verify import identity_residuals
 from kspoly.weyl import DiffOp, GenericOp
 from test_algebra import (
     COPRIME,
@@ -425,6 +427,42 @@ def test_generic_generators():
     assert term.at(q, 7) == term.at(q)
     with pytest.raises(ValueError, match="depends on N"):
         (n @ dx).at(q)
+
+
+def test_generic_at_refuses_a_missing_level_as_a_parameter_error():
+    # the argument refusals of weyl are the package's ParameterError
+    q = CaseParams("I", F(3, 2), F(-1, 3), F(5))
+    for op in (GenericOp.generator(7), generic_operators("I").raising[0]):
+        with pytest.raises(ParameterError, match="^the operator depends on N: pass a value of N$"):
+            op.at(q)
+
+
+def _at_by_term(op, params, N):
+    # GenericOp.at's specialisation as one loop over the terms, each
+    # parameter power a Fraction, with no common denominator
+    out = {}
+    for (i, j, k, l, p, q, r, s), c in op.items():
+        value = c * params.beta**p * params.kappa1**q * params.kappa2**r * F(N or 0) ** s
+        out[(i, j, k, l)] = out.get((i, j, k, l), 0) + value
+    return DiffOp(out)
+
+
+def test_generic_at_matches_the_term_by_term_specialisation():
+    # every operator and residual of the six records, and the commutators of
+    # L with the raising operators (the residuals vanish), at an integer and
+    # a rational N, and with no N for those that do not depend on it
+    rng = Random(57)
+    for case in CASES:
+        source = generic_operators(case)
+        residuals = identity_residuals(case, source)
+        ops = [source.L, *source.commuting, *source.raising, *filter(None, source.edge_operators)]
+        ops += [*residuals.commuting, *residuals.raising, *residuals.quadratic]
+        ops += [source.L.commutator(r) for r in source.raising]
+        params = sample_params(case, rng)
+        for op in ops:
+            levels = (3, F(-5, 7)) + ((None,) if max((key[7] for key in op._num), default=0) == 0 else ())
+            for N in levels:
+                assert op.at(params, N) == _at_by_term(op, params, N), (case, op, N)
 
 
 @pytest.mark.parametrize("N", [0.1, 0.5])
