@@ -37,11 +37,11 @@ class CaseParams:
     """Parameters selecting one polynomial family.
 
     Only the checks that hold at every degree are made here.  Validity up to
-    degree nmax (beta + k nonzero for every integer 0 <= k <= 2*nmax + 2,
-    which keeps the eigenvalues of levels 0..nmax distinct and guards the
-    gamma-type denominators of the recurrences) belongs to the table being
-    built, and each builder checks it.  Case IX carries no kappa parameters;
-    they are stored as 0.
+    degree nmax belongs to the table being built, and each builder checks
+    it: for alpha = 1 (I, II, III, IX), beta + k != 0 for 0 <= k <= 2*nmax + 2
+    keeps the eigenvalues of levels 0..nmax distinct and guards the gamma-type
+    denominators; V and VIII (alpha = 0) need only beta != 0, checked here.
+    Case IX carries no kappa parameters; they are stored as 0.
 
     An immutable value: equal, hashed and printed by its four fields, and
     pickled or copied by constructing it again, so a copy is validated too.

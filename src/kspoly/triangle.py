@@ -25,6 +25,7 @@ from .catalog import (
     RecurrenceStep,
     _recurrence_steps,
     action_relations,
+    alpha,
     commuting_ops,
     eigenvalue,
     generic_operators,
@@ -62,11 +63,14 @@ def _lattice(nmax: int) -> Iterator[tuple[int, int]]:
 
 
 def _check_nmax(params: CaseParams, nmax: int) -> None:
-    """The validity rule of a table up to degree nmax: beta + k != 0 for
-    0 <= k <= 2*nmax + 2, which keeps lambda_N != lambda_d for d < N <= nmax."""
+    """The validity rule of a table up to degree nmax.  Where alpha = 1 (I,
+    II, III, IX) it is beta + k != 0 for 0 <= k <= 2*nmax + 2, which keeps
+    lambda_N != lambda_d for d < N <= nmax and guards the factors
+    beta + 2N + c.  V and VIII (alpha = 0) need only beta != 0, a rule of
+    CaseParams: lambda_N = N beta, and their steps divide only by beta."""
     _check_index("nmax", nmax)
     bound = 2 * nmax + 2
-    if params.beta.denominator == 1 and -bound <= params.beta <= 0:
+    if alpha(params.case_id) and params.beta.denominator == 1 and -bound <= params.beta <= 0:
         raise ParameterError(
             f"beta = {params.beta} violates the rule beta + k != 0 for "
             f"0 <= k <= {bound} (fails at k = {-params.beta})"
@@ -183,22 +187,6 @@ def build_oracle(params: CaseParams, nmax: int) -> Triangle:
 # ---------------------------------------------------------------------------
 
 
-def _recurrence_route(case_id: str, a: int, c: int) -> tuple[str, tuple[int, int]]:
-    """Which recurrence produces target (a, c), and from which source."""
-    if case_id in ("III", "VIII"):
-        if a == 0:
-            return ("y", (0, c - 1))
-        return ("x", (a - 1, c))
-    # cases I, II, V, IX: advance from both edges toward the middle
-    if a == 0:
-        return ("y", (0, c - 1))
-    if c == 0:
-        return ("x", (a - 1, 0))
-    if a >= c:
-        return ("x", (a - 1, c))
-    return ("y", (a, c - 1))
-
-
 def stencil_sum(
     entries: dict[tuple[int, int], BivariatePoly],
     terms: Iterable[tuple[int, int, Scalar | _Unreduced]],
@@ -243,23 +231,27 @@ def _apply_step(
 def build_recurrence(params: CaseParams, nmax: int) -> Triangle:
     """Fill the triangle level by level from the degree <= 1 seeds.
 
-    Cases III and VIII use their x-relation for every target off the right
-    edge (III's right edge and VIII's left edge have no one-variable
-    reduction); the other cases advance from both edges, on the unreduced
-    pairs of one catalog._recurrence_steps.
+    The route names only an axis, and the step to target (a, c) is read from
+    (a - 1, c) on x or from (a, c - 1) on y, so it is that target's step by
+    construction.  Every case uses its y-relation on the right edge, the
+    targets (0, c).  Cases III and VIII use their x-relation for every other
+    target (III's right edge and VIII's left edge have no one-variable
+    reduction); the other cases advance from both edges, x where a >= c.
+    The steps are the unreduced pairs of one catalog._recurrence_steps.
     """
     _check_nmax(params, nmax)
     entries = {
         key: p for key, p in seed_polys(params).items() if key[0] + key[1] <= nmax
     }
     steps = _recurrence_steps(params)
+    both_edges = params.case_id not in ("III", "VIII")
     for T in range(2, nmax + 1):
         for a in range(T, -1, -1):
             c = T - a
-            axis, source = _recurrence_route(params.case_id, a, c)
-            step = steps(axis, *source)
-            if step.target != (a, c):
-                raise StencilError(f"route to ({a},{c}) reads the step {source} -> {step.target}")
+            if a == 0 or both_edges and a < c:
+                step = steps("y", a, c - 1)
+            else:
+                step = steps("x", a - 1, c)
             entries[(a, c)] = _apply_step(step, entries)
     return Triangle(params, nmax, "recurrence", entries)
 

@@ -115,23 +115,34 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _eigen_entries(
-    report: VerificationReport, t: Triangle, op: DiffOp, nodes: Iterable, name: Callable
-) -> None:
-    """The one eigen rule, (op - lambda_{m+n}) P_{m,n} = 0, formed as one
-    combination at each node and recorded in report as name(m, n)."""
-    lams = [eigenvalue(t.params, N) for N in range(t.nmax + 1)]
-    for m, n in nodes:
+def _relation_entries(t: Triangle, op: DiffOp, relation: tuple, names: dict) -> VerificationReport:
+    """The one relation rule, op P + s P = sum of c P_nb for a (s, neighbors)
+    pair as catalog.ActionRelation's, formed as one stencil_sum at each node of
+    names and recorded under its name, a StencilError as its failing entry."""
+    report = VerificationReport(t.params)
+    self_coeff, neighbors = relation
+    for (m, n), name in names.items():
         p = t.entry(m, n)
-        residual = BivariatePoly.combination([(1, p, op), (-lams[m + n], p)])
-        report.expect_zero(name(m, n), residual, (m, n))
+        terms = ((m + dm, n + dn, c) for dm, dn, c in neighbors(m, n))
+        try:
+            residual = stencil_sum(t.entries, terms, [(self_coeff(m, n), p), (1, p, op)], -1)
+        except StencilError as err:
+            report.add(name, False, {"node": [m, n], "error": str(err)})
+        else:
+            report.expect_zero(name, residual, (m, n))
+    return report
+
+
+def _eigen_relation(t: Triangle) -> tuple:
+    """op P = lambda_{m+n} P as a relation: s = -lambda_{m+n}, no neighbor."""
+    lams = [-eigenvalue(t.params, N) for N in range(t.nmax + 1)]
+    return lambda m, n: lams[m + n], lambda m, n: ()
 
 
 def check_eigen(t: Triangle, L: DiffOp) -> VerificationReport:
     """L P_{m,n} = lambda_{m+n} P_{m,n}, exactly, at every entry."""
-    report = VerificationReport(t.params)
-    _eigen_entries(report, t, L, t.nodes(), lambda m, n: f"eigen[{t.method}]({m},{n})")
-    return report
+    names = {(m, n): f"eigen[{t.method}]({m},{n})" for m, n in t.nodes()}
+    return _relation_entries(t, L, _eigen_relation(t), names)
 
 
 def check_monic(t: Triangle) -> VerificationReport:
@@ -150,19 +161,8 @@ def check_action_formulas(
     """Every in-level shift relation at every node, relation k on commuting[k]."""
     report = VerificationReport(t.params)
     for k, rel in enumerate(action_relations(t.params)):
-        op = commuting[k]
-        for m, n in t.nodes():
-            p = t.entry(m, n)
-            name = f"action-I{k + 1}({m},{n})"
-            terms = ((m + dm, n + dn, c) for dm, dn, c in rel.neighbors(m, n))
-            # I_k P + s P - sum of the neighbors, as one accumulation
-            extra = [(rel.self_coeff(m, n), p), (1, p, op)]
-            try:
-                residual = stencil_sum(t.entries, terms, extra, -1)
-            except StencilError as err:
-                report.add(name, False, {"node": [m, n], "error": str(err)})
-                continue
-            report.expect_zero(name, residual, (m, n))
+        names = {(m, n): f"action-I{k + 1}({m},{n})" for m, n in t.nodes()}
+        report.extend(_relation_entries(t, commuting[k], rel, names))
     return report
 
 
@@ -332,17 +332,17 @@ def check_operator_identities(
 
 
 def check_operators(t: Triangle, ops: GenericOperators) -> VerificationReport:
-    """Every check that audits an operator record: eigen, action formulas and
-    edge ODEs on the table t, with the record's L, I_k and edge operators
-    specialised at t.params (an edge ODE is the eigen rule on an edge's
-    nodes), and the operator identities up to t.nmax.  full_suite runs it on
-    the catalog's record, mutation_battery on perturbed ones."""
+    """Every check that audits an operator record: the eigen, action and edge-ODE
+    relations of its L, I_k and edge operators at t.params on the table t, one
+    relation loop for all (an edge ODE is the eigen relation on an edge's
+    nodes), and its identities up to t.nmax; full_suite and mutation_battery run it."""
     report = check_eigen(t, ops.L.at(t.params))
     report.extend(check_action_formulas(t, tuple(op.at(t.params) for op in ops.commuting)))
     for axis, op in zip("xy", ops.edge_operators):
         if op is not None:
             nodes = [(k, 0) if axis == "x" else (0, k) for k in range(t.nmax + 1)]
-            _eigen_entries(report, t, op.at(t.params), nodes, lambda m, n: f"edge-{axis}({m + n})")
+            names = {node: f"edge-{axis}({sum(node)})" for node in nodes}
+            report.extend(_relation_entries(t, op.at(t.params), _eigen_relation(t), names))
     report.extend(check_operator_identities(t.params, t.nmax, ops))
     return report
 

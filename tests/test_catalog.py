@@ -412,6 +412,49 @@ def test_generic_commuting_ops_commute_with_L(case):
         assert source.L.commutator(ik).is_zero(), f"I{k}"
 
 
+def _swap(op):
+    """sigma: x <-> y, d_x <-> d_y and kappa1 <-> kappa2 on every term."""
+    return GenericOp({(j, i, l, k, p, r, q, s): c for (i, j, k, l, p, q, r, s), c in op.items()})
+
+
+@pytest.mark.parametrize("case", ["I", "IX"])
+def test_swap_is_a_symmetry_of_the_whole_operator_record(case):
+    # for every parameter triple: sigma fixes L, permutes the commuting
+    # family (IX's I3 changes sign), and exchanges R+x with R+y and the two
+    # edge operators; check_swap_symmetry compares sampled tables only
+    ops = generic_operators(case)
+    i1, i2, *rest = ops.commuting
+    assert _swap(ops.L) == ops.L
+    swapped = (i2, i1, *rest) if case == "I" else (i2, i1, -rest[0], rest[1])
+    assert tuple(map(_swap, ops.commuting)) == swapped
+    rx, ry = ops.raising
+    assert (_swap(rx), _swap(ry)) == (ry, rx)
+    assert tuple(map(_swap, ops.edge_operators)) == ops.edge_operators[::-1]
+    # a +1 on any of R+x's 24 (IX: 6) stored terms breaks sigma(R+x) = R+y
+    assert (len(rx), len(ops.L)) == {"I": (24, 9), "IX": (6, 7)}[case]
+    assert all(_swap(perturb_term(rx, index)) != ry for index in range(len(rx)))
+    # and on any of L's 9 (IX: 7) breaks sigma L = L, except on 2xy d_x d_y,
+    # which sigma fixes: that mutant is equivalent for this identity
+    mutants = [perturb_term(ops.L, index) for index in range(len(ops.L))]
+    fixed = [key for (key, _), mutant in zip(ops.L.items(), mutants) if _swap(mutant) == mutant]
+    assert fixed == [(1, 1, 1, 1, 0, 0, 0, 0)]
+    assert ops.L.coefficient(*fixed[0]) == 2
+
+
+def test_case_i_operators_satisfy_l_plus_i1_plus_i2_plus_i3_zero():
+    # the linear relation behind action_relations' missing row for I3 and
+    # behind commuting[L,I3] following from the other two entries, exact
+    # over Q[beta, kappa1, kappa2]; I3 stays hand-written, as a witness
+    ops = generic_operators("I")
+    sources = [ops.L, *ops.commuting]
+    assert sum(sources[1:], sources[0]).is_zero()
+    # a +1 on any stored term of L or an I_k breaks it
+    for position, op in enumerate(sources):
+        for index in range(len(op)):
+            mutated = sources[:position] + [perturb_term(op, index)] + sources[position + 1:]
+            assert not sum(mutated[1:], mutated[0]).is_zero(), (position, index)
+
+
 # 1 and beta over Q[beta, kappa1, kappa2, N]
 G_ONE, G_BETA = GenericOp({(0,) * 8: 1}), GenericOp.generator(4)
 

@@ -17,6 +17,7 @@ from kspoly.catalog import (
     STENCILS,
     CaseParams,
     RecurrenceStep,
+    alpha,
     commuting_ops,
     eigenvalue,
     generic_operators,
@@ -887,7 +888,8 @@ def test_transfer_precondition_integer_kappa1_case_i():
 
 # the lattice again at nmax 8, for the two builders whose steps are one
 # accumulation each, with beta = 5/2 and 7 added and beta = -3, which the
-# validity rule rejects before any work
+# validity rule of I, II, III and IX rejects before any work; V and VIII
+# (alpha = 0) build there
 DEEP_BETAS = (F(1), F(2), F(5, 2), F(7), F(-3))
 
 
@@ -896,7 +898,7 @@ def test_degenerate_parameters_at_nmax_8_give_the_oracle_table_or_a_named_error(
     kappas = [(F(0), F(0))] if case == "IX" else list(product(DEGENERATE_KAPPAS, repeat=2))
     for beta, (k1, k2) in product(DEEP_BETAS, kappas):
         p = CaseParams(case, beta, k1, k2)
-        if beta < 0:
+        if beta < 0 and alpha(case):
             for builder in (build_oracle, build_recurrence, build_transfer):
                 with pytest.raises(ParameterError, match="violates the rule"):
                     builder(p, 8)
@@ -909,6 +911,21 @@ def test_degenerate_parameters_at_nmax_8_give_the_oracle_table_or_a_named_error(
             else:
                 with pytest.raises(expected):
                     builder(p, 8)
+
+
+def test_alpha_zero_cases_build_at_negative_integer_beta():
+    # V and VIII have alpha = 0, the x^2 d_x^2 coefficient of L: lambda_N = N beta
+    # is distinct for every beta != 0 and their steps divide only by beta, so
+    # the integer-beta rule of the alpha = 1 cases leaves them alone
+    for case in CASES:
+        assert generic_operators(case).L.coefficient(2, 0, 2, 0, 0, 0, 0, 0) == alpha(case)
+    for case, beta in product(("V", "VIII"), (F(-1), F(-3), F(-7))):
+        p = CaseParams(case, beta, F(1, 3), F(2, 7))
+        oracle = build_oracle(p, 6)
+        for builder in (build_recurrence, build_ladder, build_transfer):
+            assert builder(p, 6).same_polys(oracle), (builder.__name__, p)
+        report = full_suite(p, 6)
+        assert report.passed, (p, [r.name for r in report.failures()])
 
 
 # -- stencil behavior ------------------------------------------------------------
@@ -942,17 +959,6 @@ def test_recurrence_touches_only_stencil_offsets(case, monkeypatch):
     assert {axis for axis, _ in reads} == {"x", "y"}
     for axis, offset in reads:
         assert offset in STENCILS[(case, axis)], (axis, offset)
-
-
-def test_recurrence_rejects_a_route_to_the_wrong_target(monkeypatch):
-    # a route table that names the mirror target's source must raise, not
-    # write that step's polynomial under this target (an assert would be
-    # stripped by python -O)
-    true_route = triangle._recurrence_route
-    monkeypatch.setattr(triangle, "_recurrence_route", lambda case, a, c: true_route(case, c, a))
-    p = CaseParams("I", F(5, 2), F(1, 3), F(2, 7))
-    with pytest.raises(StencilError, match=r"route to \(2,0\) reads the step \(0, 1\) -> \(0, 2\)"):
-        build_recurrence(p, 4)
 
 
 def test_out_of_range_nonzero_coefficient_raises():
