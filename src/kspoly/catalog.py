@@ -75,7 +75,7 @@ class CaseParams:
             value = getattr(self, name)
             _check_exact(name, value)
             object.__setattr__(self, name, Fraction(value))
-        if self.case_id in ("V", "VIII") and self.beta == 0:
+        if not alpha(self.case_id) and self.beta == 0:
             raise ParameterError(f"beta must be nonzero for case {self.case_id}")
         if self.case_id == "IX" and (self.kappa1 or self.kappa2):
             raise ParameterError("case IX takes no kappa parameters (pass 0)")
@@ -362,7 +362,7 @@ def raising_denominators(params: CaseParams, N: int) -> tuple[Fraction, Fraction
     each checked: a vanishing one raises raising_ops' ParameterError."""
     _check_index("N", N)
     b, c = params.beta, params.case_id
-    if c in ("V", "VIII"):
+    if not alpha(c):
         return b * b, b  # beta != 0 is a rule of CaseParams
     offsets = (-1,) if c == "IX" else (-1, 0)
     return (_denominator(b, N, offsets, f"case {c} raising operator at N={N}"),) * 2

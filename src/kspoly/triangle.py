@@ -233,10 +233,9 @@ def build_recurrence(params: CaseParams, nmax: int) -> Triangle:
 
     The route names only an axis, and the step to target (a, c) is read from
     (a - 1, c) on x or from (a, c - 1) on y, so it is that target's step by
-    construction.  Every case uses its y-relation on the right edge, the
-    targets (0, c).  Cases III and VIII use their x-relation for every other
-    target (III's right edge and VIII's left edge have no one-variable
-    reduction); the other cases advance from both edges, x where a >= c.
+    construction.  Both relations hold at every node, and every case takes
+    one route: y where a < c (the right edge, a = 0, included), x elsewhere,
+    so the table reads each case's relations on both axes off the edges.
     The steps are the unreduced pairs of one catalog._recurrence_steps.
     """
     _check_nmax(params, nmax)
@@ -244,14 +243,10 @@ def build_recurrence(params: CaseParams, nmax: int) -> Triangle:
         key: p for key, p in seed_polys(params).items() if key[0] + key[1] <= nmax
     }
     steps = _recurrence_steps(params)
-    both_edges = params.case_id not in ("III", "VIII")
     for T in range(2, nmax + 1):
         for a in range(T, -1, -1):
             c = T - a
-            if a == 0 or both_edges and a < c:
-                step = steps("y", a, c - 1)
-            else:
-                step = steps("x", a - 1, c)
+            step = steps("y", a, c - 1) if a < c else steps("x", a - 1, c)
             entries[(a, c)] = _apply_step(step, entries)
     return Triangle(params, nmax, "recurrence", entries)
 
@@ -287,49 +282,42 @@ def build_ladder(params: CaseParams, nmax: int) -> Triangle:
 # Transfer: edge recurrences + in-level shifts
 # ---------------------------------------------------------------------------
 
-# case -> (relation index, unknown neighbor offset, edges built by recurrence)
-_TRANSFER_ROUTE: dict[str, tuple[int, tuple[int, int], tuple[str, ...]]] = {
-    "I": (0, (-1, 1), ("left", "right")),
-    "II": (0, (-1, 1), ("left", "right")),
-    "III": (0, (-1, 1), ("left",)),
-    "V": (1, (1, -1), ("left", "right")),
-    "VIII": (1, (1, -1), ("right",)),
-    "IX": (2, (-1, 1), ("left", "right")),
+# case -> (relation index, unknown neighbor offset)
+_TRANSFER_ROUTE: dict[str, tuple[int, tuple[int, int]]] = {
+    "I": (0, (-1, 1)),
+    "II": (0, (-1, 1)),
+    "III": (0, (-1, 1)),
+    "V": (1, (1, -1)),
+    "VIII": (1, (1, -1)),
+    "IX": (2, (-1, 1)),
 }
 
 
-def _transfer_sources(case_id: str, T: int) -> list[tuple[int, int]]:
-    """Sweep order: level-T sources whose unknown neighbor must be solved for.
-
-    The sweep starts at the corner the unknown offset points away from and
-    stops before the target leaves the triangle; targets that are edge
-    entries already produced by the edge recurrences are skipped.
-    """
-    _, (du, dv), edges = _TRANSFER_ROUTE[case_id]
-    return [
-        (m, T - m)
-        for m in (range(T, 0, -1) if du < 0 else range(T))
-        if not (T - m + dv == 0 and "left" in edges or m + du == 0 and "right" in edges)
-    ]
-
-
 def build_transfer(params: CaseParams, nmax: int) -> Triangle:
-    """Build edges by their 3-point recurrences, then solve the in-level
-    action formula of one commuting operator for the missing neighbor.
+    """Build by its 3-point recurrence each edge that has a one-variable
+    operator in the case's record (GenericOperators.edge_operators: the
+    n = 0 edge by x, the m = 0 edge by y), then solve the in-level action
+    formula of one commuting operator for the missing neighbor.
 
     The sweep (each source with its neighbor coefficients) is laid out
-    once, and every division coefficient on it is checked before any work;
-    vanishing ones raise TransferError naming each node (the recurrence
-    builder is the documented fallback).
+    once: it starts at the corner the unknown offset points away from,
+    stops before the target leaves the triangle and skips the targets the
+    edges hold.  Every division coefficient on it is checked before any
+    work; vanishing ones raise TransferError naming each node (the
+    recurrence builder is the documented fallback).
     """
     _check_nmax(params, nmax)
-    rel_index, (du, dv), edges = _TRANSFER_ROUTE[params.case_id]
+    rel_index, (du, dv) = _TRANSFER_ROUTE[params.case_id]
+    left, right = (op is not None for op in generic_operators(params.case_id).edge_operators)
     rel = action_relations(params)[rel_index]
     op = commuting_ops(params)[rel_index]
     sweep = []  # per level: (m, n, unknown's coefficient, known neighbor terms)
     for T in range(2, nmax + 1):
         level = []
-        for m, n in _transfer_sources(params.case_id, T):
+        for m in range(T, 0, -1) if du < 0 else range(T):
+            n = T - m
+            if left and n + dv == 0 or right and m + du == 0:
+                continue
             known = {(m + dm, n + dn): c for dm, dn, c in rel.neighbors(m, n)}
             coeff_u = known.pop((m + du, n + dv), 0)
             level.append((m, n, coeff_u, [(mm, nn, c) for (mm, nn), c in known.items()]))
@@ -344,12 +332,10 @@ def build_transfer(params: CaseParams, nmax: int) -> Triangle:
         key: p for key, p in seed_polys(params).items() if key[0] + key[1] <= nmax
     }
     for T, level in enumerate(sweep, start=2):
-        if "left" in edges:
-            step = recurrence_step(params, "x", T - 1, 0)
-            entries[(T, 0)] = _apply_step(step, entries)
-        if "right" in edges:
-            step = recurrence_step(params, "y", 0, T - 1)
-            entries[(0, T)] = _apply_step(step, entries)
+        if left:
+            entries[(T, 0)] = _apply_step(recurrence_step(params, "x", T - 1, 0), entries)
+        if right:
+            entries[(0, T)] = _apply_step(recurrence_step(params, "y", 0, T - 1), entries)
         for m, n, coeff_u, known in level:
             # P_u = (op P + s P - sum of the known neighbors) / c_u, with 1/c_u
             # as an unreduced integer pair (its denominator may be negative)

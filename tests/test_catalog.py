@@ -1381,9 +1381,9 @@ def test_recurrence_step_golden(case, axis):
 
 
 def test_every_recurrence_step_matches_the_oracle():
-    # the builders run only the steps on their routes (never a VIII y-step
-    # with m >= 1, nor a case I x-step with m + 1 < n): here every step on
-    # both axes is formed with the plain polynomial product and sum
+    # the builders run only the steps on their one route (never an x-step
+    # with m + 1 < n, nor a y-step with m > n): here every step on both
+    # axes is formed with the plain polynomial product and sum
     rng = random.Random(31)
     for case in CASES:
         params = sample_params(case, rng)

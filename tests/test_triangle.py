@@ -139,6 +139,42 @@ def test_all_builders_agree(case):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_recurrence_route_reads_both_axes_off_the_edges(case, monkeypatch):
+    # every case takes one route, y to the targets with m < n and x to the
+    # rest, so the table runs a y-step from m >= 1 and an x-step from n >= 1
+    steps = []
+    true_apply = triangle._apply_step
+
+    def spy(step, entries):
+        steps.append(step)
+        return true_apply(step, entries)
+
+    monkeypatch.setattr(triangle, "_apply_step", spy)
+    build_recurrence(sample_params(case, random.Random(0)), 6)
+    y_sources = [s.source for s in steps if s.target[1] > s.source[1]]
+    x_sources = [s.source for s in steps if s.target[0] > s.source[0]]
+    assert any(m >= 1 for m, _ in y_sources), y_sources
+    assert any(n >= 1 for _, n in x_sources), x_sources
+
+
+@pytest.mark.parametrize("case", ("III", "VIII"))
+def test_check_reads_the_y_relation_off_the_right_edge(case, monkeypatch):
+    # the y-tail coefficient at offset (-1, 0) carries a factor m, so it
+    # vanishes on the right edge: doubled, it breaks only the steps off it
+    true_tail = catalog._recurrence_tail
+
+    def mutant(case_id, axis, *args):
+        tail = true_tail(case_id, axis, *args)
+        if (case_id, axis) != (case, "y"):
+            return tail
+        return tuple((dm, dn, 2 * c if (dm, dn) == (-1, 0) else c) for dm, dn, c in tail)
+
+    monkeypatch.setattr(catalog, "_recurrence_tail", mutant)
+    report = full_suite(sample_params(case, random.Random(0)), 6)
+    assert "agreement[recurrence]" in [r.name for r in report.failures()]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_monicity_and_eigen_invariant(case):
     rng = random.Random(len(case))
     p = sample_params(case, rng)
@@ -492,6 +528,23 @@ def test_transfer_annihilation_identities():
     i2 = commuting_ops(p5)[1]
     for m in range(5):
         assert i2.apply(t5.entry(m, 0)).is_zero()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_transfer_recurrence_edges_are_the_records_edge_operators(case, monkeypatch):
+    # III has no one-variable operator on the m = 0 edge and VIII none on the
+    # n = 0 edge; every edge that has one is built by one step per level
+    axes = []
+    true_step = triangle.recurrence_step
+
+    def spy(params, axis, m, n):
+        axes.append(axis)
+        return true_step(params, axis, m, n)
+
+    monkeypatch.setattr(triangle, "recurrence_step", spy)
+    build_transfer(sample_params(case, random.Random(0)), 5)
+    edges = {"III": "x", "VIII": "y"}.get(case, "xy")
+    assert sorted(axes) == sorted(edges * 4)
 
 
 def test_transfer_case_ix_level_two_path():
